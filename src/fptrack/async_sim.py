@@ -8,6 +8,13 @@ dependency audit guarantees the map never reads them). Channels then deliver
 or drop the newly computed blocks. All agents update within the same logical
 tick; "delay" is measured in ticks, there is no wall-clock component.
 
+An agent whose neighbor copies are all current is fresh: its composite input
+agrees with the current state on every block its map reads, so all fresh
+agents share one evaluation of the map at the current state, and a tick costs
+one evaluation plus one per stale agent. This requires the map's block i not
+to read the blocks of agents outside i's in-neighbors, which
+:func:`audit_dependency_graph` checks.
+
 Delivered copies are tracked by integer stamps: ``stamps[i, j] = s`` means
 agent i currently holds agent j's block as of time s. Stamps never decrease
 under the built-in channel policies (old packets cannot overwrite newer
@@ -61,10 +68,14 @@ class DependencyGraph:
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         # column -> owning agent, used to assemble composite views quickly
         self.block_of_column = np.repeat(np.arange(self.n_agents), self.block_sizes)
+        self.columns = np.arange(self.dim)
         self.edge_arrays = (
             np.array([j for (j, _) in self.edges], dtype=int),
             np.array([i for (_, i) in self.edges], dtype=int),
         )
+        # flat positions in an (n_agents, n_agents) stamp matrix
+        self.edge_index = self.edge_arrays[1] * self.n_agents + self.edge_arrays[0]
+        self.diagonal_index = np.arange(self.n_agents) * (self.n_agents + 1)
         self._slices = tuple(
             slice(int(self.offsets[i]), int(self.offsets[i + 1]))
             for i in range(self.n_agents)
@@ -171,7 +182,8 @@ class _PeriodicRuntime(_Runtime):
         self.phases = phases
 
     def advance(self, prev, new_time):
-        deliver = (new_time + self.phases) % self.period == 0
+        # delivers when (new_time + phase) % period == 0
+        deliver = self.phases == -new_time % self.period
         return np.where(deliver, new_time, prev)
 
 
@@ -193,16 +205,29 @@ class IidDrop(ChannelModel):
             raise PreconditionError("max_consecutive must be nonnegative")
 
     def start(self, n_edges, horizon, seed):
+        """Delivery table ``delivered[e, tau]`` for ticks ``tau = 2 .. horizon + 1``.
+
+        Edge e reads its own stream ``seeded_stream(seed, 7, e)``: each tick
+        that is not a forced delivery consumes one draw and drops the packet
+        when the draw is below p. A forced delivery follows every
+        ``max_consecutive``-th drop of a run and consumes no draw. The table
+        is built from one bulk draw per edge (equal to the sequential draws),
+        with the forced deliveries placed by cumulative sums.
+        """
         delivered = np.ones((n_edges, horizon + 2), dtype=bool)
+        if self.max_consecutive == 0:
+            return _TableDeliveryRuntime(delivered)
+        draw_index = np.arange(horizon)
         for e in range(n_edges):
-            rng = seeded_stream(seed, 7, e)
-            run = 0
-            for tau in range(2, horizon + 2):
-                if run >= self.max_consecutive or rng.random() >= self.p:
-                    run = 0
-                else:
-                    delivered[e, tau] = False
-                    run += 1
+            # At most one draw per tick, so `horizon` draws cover every tick.
+            drop = seeded_stream(seed, 7, e).random(horizon) < self.p
+            # Position of each draw in its run of drops (0 for a delivery draw).
+            drops_so_far = np.cumsum(drop)
+            run_pos = drops_so_far - np.maximum.accumulate(np.where(drop, 0, drops_so_far))
+            forced_after = drop & (run_pos % self.max_consecutive == 0)
+            # Tick offset of each draw: its index plus the forced deliveries before it.
+            tick = np.cumsum(forced_after) - forced_after + draw_index
+            delivered[e, 2 + tick[drop & (tick < horizon)]] = False
         return _TableDeliveryRuntime(delivered)
 
     def notes(self):
@@ -295,7 +320,7 @@ class PerEdge(ChannelModel):
 class _ChannelState:
     """Bound channels for one run: edge groups with their runtimes."""
 
-    groups: list  # (edge_indices ndarray, runtime, allows_nonmonotone)
+    groups: list  # (index into the edge list, runtime, allows_nonmonotone)
     notes: dict
 
 
@@ -320,9 +345,7 @@ def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) 
         runtime = _ScheduleRuntime(model, edges)
     else:
         runtime = model.start(len(edges), horizon, seed)
-    return _ChannelState(
-        [(np.arange(len(edges)), runtime, model.allows_nonmonotone)], model.notes()
-    )
+    return _ChannelState([(slice(None), runtime, model.allows_nonmonotone)], model.notes())
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +425,6 @@ def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) ->
 # ---------------------------------------------------------------------------
 
 
-def _composite_views(history, stamps, graph: DependencyGraph) -> list:
-    """Entry i: the composite input agent i evaluates its block map at.
-
-    Each view is a freshly allocated vector (not a row of a shared matrix):
-    numpy kernels may pick summation paths based on buffer alignment, and the
-    bitwise synchronous-reduction contract requires agents to feed the map
-    the same kind of buffer the synchronous tracker does.
-    """
-    cols = np.arange(graph.dim)
-    matrix = history[stamps[:, graph.block_of_column] - 1, cols[None, :]]
-    return [matrix[i].copy() for i in range(graph.n_agents)]
-
-
 def step_async(history, stamps, family, graph: DependencyGraph, channels: _ChannelState, t,
                log_sink=None):
     """Advance the asynchronous iteration by one tick.
@@ -422,27 +432,44 @@ def step_async(history, stamps, family, graph: DependencyGraph, channels: _Chann
     ``history[k]`` holds the state at time k+1 for k < t; ``stamps`` holds the
     copies in effect at tick t. Returns ``(x_next, stamps_next)`` where
     ``x_next`` is the state at time t+1. All agents evaluate against tick-t
-    information, so the result does not depend on agent order. Each agent uses
-    the family's scalar evaluation path: with fresh copies every agent sees
-    the same input and computes the same floats as the synchronous tracker,
-    making the zero-delay reduction exact to the last bit.
+    information, so the result does not depend on agent order.
+
+    An agent is fresh when every in-edge stamp equals t. Its composite input
+    then agrees with the state x_t on every block the map reads for it, so
+    all fresh agents take their blocks from one shared evaluation at x_t.
+    This relies on the family honoring ``graph``: block i of the map must
+    not read blocks of non-neighbors (``audit_dependency_graph`` checks it).
+    Each stale agent evaluates the map at its own composite input. Every
+    evaluation uses the family's scalar path on a freshly allocated vector,
+    so a zero-delay tick is one evaluation at x_t, the synchronous step to
+    the last bit.
     """
-    views = _composite_views(history, stamps, graph)
-    x_next = np.empty(graph.dim)
+    prev = stamps.take(graph.edge_index)
+    stale = np.zeros(graph.n_agents, dtype=bool)
+    stale[graph.edge_arrays[1][prev != t]] = True
+    stale_agents = stale.nonzero()[0]
     raw_eval = getattr(family, "_evaluate", family.evaluate)
-    for i in range(graph.n_agents):
-        sl = graph.block_slice(i)
-        x_next[sl] = raw_eval(views[i], t)[sl]
+    if len(stale_agents) < graph.n_agents:
+        x_next = np.array(raw_eval(history[t - 1].copy(), t), dtype=float)
+    else:
+        x_next = np.empty(graph.dim)
+    if len(stale_agents):
+        # composite inputs of the stale agents, one row each
+        copies = stamps.take(stale_agents, axis=0).take(graph.block_of_column, axis=1)
+        views = history[copies - 1, graph.columns]
+        for row, i in enumerate(stale_agents.tolist()):
+            sl = graph.block_slice(i)
+            # a fresh buffer, as the synchronous tracker passes: numpy kernels
+            # may choose summation paths by buffer alignment
+            x_next[sl] = raw_eval(views[row].copy(), t)[sl]
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
-    edge_src, edge_dst = graph.edge_arrays
-    prev = stamps[edge_dst, edge_src]
     if log_sink is not None:
         log_sink.append(prev)
     new_time = t + 1
     stamps_next = stamps.copy()
-    np.fill_diagonal(stamps_next, new_time)
-    new = prev.copy()
+    flat_next = stamps_next.reshape(-1)  # a view: the copy is C-contiguous
+    flat_next[graph.diagonal_index] = new_time
     for idx, runtime, allows_nonmono in channels.groups:
         advanced = runtime.advance(prev[idx], new_time)
         if not runtime.trusted:
@@ -453,8 +480,7 @@ def step_async(history, stamps, family, graph: DependencyGraph, channels: _Chann
                 raise PreconditionError(
                     "channel produced a non-monotone stamp outside the default model"
                 )
-        new[idx] = advanced
-    stamps_next[edge_dst, edge_src] = new
+        flat_next[graph.edge_index[idx]] = advanced
     return x_next, stamps_next
 
 

@@ -86,8 +86,9 @@ def cmd_sweep(args) -> int:
     if args.output:
         _atomic_write(args.output, json.dumps(result.to_json_dict(), indent=2) + "\n")
         print(f"wrote {args.output}")
-    failed_certs = any(not rep.passed for rep in result.reports)
-    failed_audits = any(not rep.audits_passed for rep in result.reports)
+    reports = [rep for seed_reports in result.reports for rep in seed_reports]
+    failed_certs = any(not rep.passed for rep in reports)
+    failed_audits = any(not rep.audits_passed for rep in reports)
     if failed_audits:
         return EXIT_AUDIT
     if failed_certs:

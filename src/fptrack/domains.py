@@ -60,9 +60,9 @@ class Domain:
     def contains(self, x, tol=1e-9) -> bool:
         x = np.asarray(x, dtype=float).reshape(self.dim)
         if self.kind == ALL:
-            return bool(np.all(np.isfinite(x)))
+            return bool(np.isfinite(x).all())
         if self.kind == BOX:
-            return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+            return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
         return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
     def contains_rows(self, m, tol=1e-9) -> np.ndarray:

@@ -716,7 +716,7 @@ class SweepResult:
     tail_errors: list          # median over seeds, one per value
     tail_errors_by_seed: list  # list of per-seed lists
     bounds: list               # tightest applicable asymptotic bound per value (or None)
-    reports: list              # one representative report per value
+    reports: list              # per value, the report of every seed in seed order
     monotone_nondecreasing: bool
 
     def to_json_dict(self):
@@ -735,25 +735,29 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
 
     Seeds vary only the run randomness (channels, noise), not the instance.
     The summary reports per-value median tail errors and whether the medians
-    are nondecreasing along the given value order.
+    are nondecreasing along the given value order. The result keeps the report
+    of every run, so callers can check each seed's certificates and audits.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if int(n_seeds) < 1:
+        raise ConfigError("sweep needs at least one seed")
     tails, by_seed, bound_col, reports = [], [], [], []
     for v in values:
-        seed_tails = []
-        rep = None
-        for k in range(int(n_seeds)):
-            cfg = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
-            rep = run_experiment(cfg, write_files=False)
-            seed_tails.append(rep.tail_max)
+        seed_reports = [
+            run_experiment(_config_with(config, parameter, v, seed=config.seed + 1000 * k),
+                           write_files=False)
+            for k in range(int(n_seeds))
+        ]
+        seed_tails = [rep.tail_max for rep in seed_reports]
         by_seed.append(seed_tails)
         tails.append(float(np.median(seed_tails)))
-        applicable = [b for b in rep.asymptotic_bounds.values()]
+        # the bound column is read from the last seed's report
+        applicable = list(seed_reports[-1].asymptotic_bounds.values())
         bound_col.append(min(applicable) if applicable else None)
-        reports.append(rep)
+        reports.append(seed_reports)
     mono = bool(np.all(np.diff(tails) >= -1e-12))
     return SweepResult(parameter, values, tails, by_seed, bound_col, reports, mono)

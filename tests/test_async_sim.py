@@ -13,9 +13,19 @@ from fptrack import (
     ScheduleTable,
     ZeroDelay,
 )
-from fptrack.async_sim import realized_delay_stats
+from fptrack.async_sim import _start_channels, realized_delay_stats, step_async
+from fptrack.core import seeded_stream
 from fptrack.errors import PreconditionError, StaleBeyondCapError
-from fptrack.problems import AffineFamily, DriftPath, build_affine_family
+from fptrack.problems import (
+    AffineFamily,
+    DriftPath,
+    build_affine_family,
+    build_broadcast_system,
+    build_multiarea_maps,
+    default_injections,
+    random_qp,
+    three_area_network,
+)
 
 L2, LINF = Norm(fp.L2), Norm(fp.LINF)
 
@@ -102,9 +112,104 @@ def test_dropped_packet_keeps_copy_and_stamp():
     assert stats.max_delay == 3  # last evaluation tick is horizon - 1 = 4
 
 
+def per_agent_step(history, stamps, family, graph, t):
+    """x_{t+1} with every agent evaluating the map at its own composite input."""
+    raw_eval = getattr(family, "_evaluate", family.evaluate)
+    views = history[stamps[:, graph.block_of_column] - 1, np.arange(graph.dim)[None, :]]
+    x_next = np.empty(graph.dim)
+    for i in range(graph.n_agents):
+        sl = graph.block_slice(i)
+        x_next[sl] = raw_eval(views[i].copy(), t)[sl]
+    return x_next
+
+
+def stale_agent_count(stamps, graph, t):
+    src, dst = graph.edge_arrays
+    return len(set(dst[stamps[dst, src] != t].tolist()))
+
+
+def mixed_tick_case(name):
+    if name == "affine-chain":
+        fam = small_affine(dim=12, coupling="chain", norm=LINF, contraction=0.6)
+        return fam, fam.dependency_graph(), 150
+    if name == "qp-broadcast":
+        return (*build_broadcast_system(random_qp(5, seed=9), 0.15, 0.01, seed=11), 150)
+    net = three_area_network()
+    system = build_multiarea_maps(net, default_injections(net, 0.7), 0.001, seed=1)
+    return system.family, system.graph, 80
+
+
+@pytest.mark.parametrize("name", ["affine-chain", "qp-broadcast", "three-area-loadflow"])
+def test_mixed_fresh_and_stale_ticks_match_per_agent_evaluation_bitwise(name):
+    family, graph, horizon = mixed_tick_case(name)
+    channels = _start_channels(IidDrop(0.3, max_consecutive=3), graph, horizon, seed=4)
+    history = np.empty((horizon, family.dim))
+    history[0] = np.zeros(family.dim)
+    stamps = np.ones((graph.n_agents, graph.n_agents), dtype=int)
+    mixed = 0
+    for t in range(1, horizon):
+        stale = stale_agent_count(stamps, graph, t)
+        mixed += 0 < stale < graph.n_agents
+        expected = per_agent_step(history[:t], stamps, family, graph, t)
+        x_next, stamps = step_async(history[:t], stamps, family, graph, channels, t)
+        assert x_next.tobytes() == expected.tobytes(), f"tick {t}"
+        history[t] = x_next
+    assert mixed >= horizon // 5
+
+
+def test_tick_evaluates_once_plus_once_per_stale_agent():
+    fam = small_affine(dim=5, coupling="chain")
+    graph = fam.dependency_graph()
+    calls = []
+
+    def counting_evaluate(x, t):
+        calls.append(t)
+        return fam.evaluate(x, t)
+
+    counted = fp.MapFamily(fam.dim, fam.domain, counting_evaluate, lipschitz=fam.lipschitz_sup)
+    channels = _start_channels(ZeroDelay(), graph, 10, seed=0)
+    t = 4
+    history = np.random.default_rng(0).standard_normal((t, fam.dim))
+    for k in range(graph.n_agents + 1):
+        stamps = np.full((graph.n_agents, graph.n_agents), t)
+        for i in range(k):  # agents 0..k-1 hold one outdated neighbor copy
+            stamps[i, graph.in_neighbors(i)[0]] = t - 1
+        assert stale_agent_count(stamps, graph, t) == k
+        calls.clear()
+        x_next, _ = step_async(history, stamps, counted, graph, channels, t)
+        assert len(calls) == (k + 1 if k < graph.n_agents else k)
+        expected = per_agent_step(history, stamps, fam, graph, t)
+        assert x_next.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
+
+
+def sequential_drop_table(p, max_consecutive, n_edges, horizon, seed):
+    """One scalar draw per tick that is not a forced delivery."""
+    delivered = np.ones((n_edges, horizon + 2), dtype=bool)
+    for e in range(n_edges):
+        rng = seeded_stream(seed, 7, e)
+        run = 0
+        for tau in range(2, horizon + 2):
+            if run >= max_consecutive or rng.random() >= p:
+                run = 0
+            else:
+                delivered[e, tau] = False
+                run += 1
+    return delivered
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.9])
+@pytest.mark.parametrize("max_consecutive", [0, 1, 5])
+@pytest.mark.parametrize("n_edges,horizon", [(1, 1), (3, 7), (4, 300)])
+def test_iid_drop_table_matches_sequential_draws(p, max_consecutive, n_edges, horizon):
+    for seed in (0, 17):
+        table = IidDrop(p, max_consecutive).start(n_edges, horizon, seed).delivered
+        expected = sequential_drop_table(p, max_consecutive, n_edges, horizon, seed)
+        assert np.array_equal(table, expected)
 
 
 def test_iid_drop_cap_bounds_staleness_every_seed():

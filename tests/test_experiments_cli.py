@@ -1,11 +1,15 @@
 """Experiment runner and CLI: configs, reports, CSV determinism, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fptrack
+from fptrack import experiments
 from fptrack.cli import EXIT_AUDIT, EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, main
 from fptrack.errors import ConfigError
 from fptrack.experiments import (
@@ -181,6 +185,12 @@ def test_sweep_rejects_unknown_parameter():
         sweep(cfg, "voltage", [1, 2])
 
 
+def test_sweep_rejects_zero_seeds():
+    cfg = ExperimentConfig.from_dict(affine_doc())
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, "drift_rate", [0.01], n_seeds=0)
+
+
 def test_sweep_seeds_vary_only_run_randomness():
     doc = affine_doc(mode="async", norm="linf", horizon=300,
                      channel={"kind": "iid_drop", "p": 0.3})
@@ -273,11 +283,39 @@ def test_cli_sweep_runs(tmp_path, capsys):
     assert len(summary["median_tail_errors"]) == 3
 
 
+@pytest.mark.parametrize("spoil,exit_code", [("certificate", EXIT_CERTIFICATE),
+                                              ("audit", EXIT_AUDIT)])
+def test_cli_sweep_fails_when_only_the_first_seed_fails(tmp_path, monkeypatch,
+                                                        spoil, exit_code):
+    doc = affine_doc(mode="async", norm="linf", horizon=120,
+                     channel={"kind": "iid_drop", "p": 0.1})
+    real_run = experiments.run_experiment
+
+    def first_seed_fails(config, write_files=True):
+        report = real_run(config, write_files=write_files)
+        if config.seed == doc["seed"] and config.raw["channel"].get("delay") == 1:
+            if spoil == "certificate":
+                report.certificates[ASYNC_TAIL_MAX_NORM] = "fail"
+            else:
+                report.audits["lipschitz"]["ok"] = False
+        return report
+
+    monkeypatch.setattr(experiments, "run_experiment", first_seed_fails)
+    cfg = write_json(tmp_path / "c.json", doc)
+    args = ["sweep", cfg, "--param", "fixed_delay", "--values", "0,1,2", "--seeds", "3"]
+    assert main(args) == exit_code
+    monkeypatch.undo()
+    assert main(args) == EXIT_OK
+
+
 def test_console_entry_point_runs_in_subprocess(tmp_path):
     cfg = write_json(tmp_path / "c.json", affine_doc(horizon=60))
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(fptrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fptrack.cli", "run", str(cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "tail_max" in proc.stdout
