@@ -15,10 +15,12 @@ one evaluation plus one per stale agent. This requires the map's block i not
 to read the blocks of agents outside i's in-neighbors, which
 :func:`audit_dependency_graph` checks.
 
-Delivered copies are tracked by integer stamps: ``stamps[i, j] = s`` means
-agent i currently holds agent j's block as of time s. Stamps never decrease
-under the built-in channel policies (old packets cannot overwrite newer
-ones); explicit schedules may opt out for stress tests.
+Delivered copies are tracked by integer stamps. A run's channels produce one
+table before the first tick: ``stamps[t, e] = s`` means that at tick t the
+receiver of edge e holds the sender's block as of time s. The simulator reads
+row t at tick t, and the run's channel log is that same table. Stamps never
+decrease under the built-in channel policies (old packets cannot overwrite
+newer ones); explicit schedules may opt out for stress tests.
 """
 from __future__ import annotations
 
@@ -73,9 +75,13 @@ class DependencyGraph:
             np.array([j for (j, _) in self.edges], dtype=int),
             np.array([i for (_, i) in self.edges], dtype=int),
         )
-        # flat positions in an (n_agents, n_agents) stamp matrix
-        self.edge_index = self.edge_arrays[1] * self.n_agents + self.edge_arrays[0]
-        self.diagonal_index = np.arange(self.n_agents) * (self.n_agents + 1)
+        # copy_source[i, c]: where agent i's copy of column c comes from, as an
+        # index into a tick's edge stamps followed by (t, 1): the in-edge from
+        # the column's owner, the agent's own block, or the initial state
+        source = np.full((self.n_agents, self.n_agents), len(self.edges) + 1)
+        source[self.edge_arrays[1], self.edge_arrays[0]] = np.arange(len(self.edges))
+        np.fill_diagonal(source, len(self.edges))
+        self.copy_source = source[:, self.block_of_column]
         self._slices = tuple(
             slice(int(self.offsets[i]), int(self.offsets[i + 1]))
             for i in range(self.n_agents)
@@ -97,9 +103,16 @@ class DependencyGraph:
 
 
 class ChannelModel:
-    """Per-edge delivery policy; ``start`` binds it to a run's edges."""
+    """Per-edge delivery policy; ``start`` builds a run's stamp table.
+
+    ``start(n_edges, horizon, seed)`` returns an integer array of shape
+    ``(horizon, n_edges)``: entry ``[t, e]`` is the stamp of the copy that
+    edge e's receiver holds at tick t. Every agent starts from the initial
+    state, so rows 0 and 1 hold stamp 1.
+    """
 
     allows_nonmonotone = False
+    declared_max_delay = None
 
     def start(self, n_edges, horizon, seed):
         raise NotImplementedError
@@ -108,31 +121,17 @@ class ChannelModel:
         return {}
 
 
-class _Runtime:
-    """Vectorized per-tick stamp update for a group of edges.
-
-    ``trusted`` marks runtimes whose stamps satisfy the range and
-    monotonicity invariants by construction, skipping per-tick validation.
-    """
-
-    trusted = False
-
-    def advance(self, prev: np.ndarray, new_time: int) -> np.ndarray:
-        raise NotImplementedError
+def _lagging(lag, n_edges, horizon):
+    """Stamp table of copies ``lag`` ticks old, never older than the initial copy."""
+    ticks = np.arange(horizon)[:, None]
+    return np.broadcast_to(np.maximum(ticks - lag, 1), (horizon, n_edges)).copy()
 
 
 class ZeroDelay(ChannelModel):
     """Every block is delivered within the tick it is produced."""
 
     def start(self, n_edges, horizon, seed):
-        return _ZeroDelayRuntime()
-
-
-class _ZeroDelayRuntime(_Runtime):
-    trusted = True
-
-    def advance(self, prev, new_time):
-        return np.full_like(prev, new_time)
+        return _lagging(0, n_edges, horizon)
 
 
 class FixedDelay(ChannelModel):
@@ -144,17 +143,7 @@ class FixedDelay(ChannelModel):
             raise PreconditionError("delay must be nonnegative")
 
     def start(self, n_edges, horizon, seed):
-        return _FixedDelayRuntime(self.delay)
-
-
-class _FixedDelayRuntime(_Runtime):
-    trusted = True
-
-    def __init__(self, delay):
-        self.delay = delay
-
-    def advance(self, prev, new_time):
-        return np.full_like(prev, max(1, new_time - self.delay))
+        return _lagging(self.delay, n_edges, horizon)
 
 
 class PeriodicDelivery(ChannelModel):
@@ -171,20 +160,9 @@ class PeriodicDelivery(ChannelModel):
 
     def start(self, n_edges, horizon, seed):
         phases = seeded_stream(seed, 101).integers(0, self.period, size=n_edges)
-        return _PeriodicRuntime(self.period, phases)
-
-
-class _PeriodicRuntime(_Runtime):
-    trusted = True
-
-    def __init__(self, period, phases):
-        self.period = period
-        self.phases = phases
-
-    def advance(self, prev, new_time):
-        # delivers when (new_time + phase) % period == 0
-        deliver = self.phases == -new_time % self.period
-        return np.where(deliver, new_time, prev)
+        # edge e delivers at the ticks tau with (tau + phase) % period == 0
+        ticks = np.arange(horizon)[:, None]
+        return _lagging((ticks + phases) % self.period, n_edges, horizon)
 
 
 class IidDrop(ChannelModel):
@@ -205,7 +183,7 @@ class IidDrop(ChannelModel):
             raise PreconditionError("max_consecutive must be nonnegative")
 
     def start(self, n_edges, horizon, seed):
-        """Delivery table ``delivered[e, tau]`` for ticks ``tau = 2 .. horizon + 1``.
+        """Stamp table; packets sent at ticks ``2 .. horizon - 1`` may drop.
 
         Edge e reads its own stream ``seeded_stream(seed, 7, e)``: each tick
         that is not a forced delivery consumes one draw and drops the packet
@@ -214,44 +192,41 @@ class IidDrop(ChannelModel):
         is built from one bulk draw per edge (equal to the sequential draws),
         with the forced deliveries placed by cumulative sums.
         """
-        delivered = np.ones((n_edges, horizon + 2), dtype=bool)
+        table = _lagging(0, n_edges, horizon)
         if self.max_consecutive == 0:
-            return _TableDeliveryRuntime(delivered)
-        draw_index = np.arange(horizon)
+            return table
+        cap = self.max_consecutive
         for e in range(n_edges):
-            # At most one draw per tick, so `horizon` draws cover every tick.
-            drop = seeded_stream(seed, 7, e).random(horizon) < self.p
-            # Position of each draw in its run of drops (0 for a delivery draw).
-            drops_so_far = np.cumsum(drop)
-            run_pos = drops_so_far - np.maximum.accumulate(np.where(drop, 0, drops_so_far))
-            forced_after = drop & (run_pos % self.max_consecutive == 0)
-            # Tick offset of each draw: its index plus the forced deliveries before it.
-            tick = np.cumsum(forced_after) - forced_after + draw_index
-            delivered[e, 2 + tick[drop & (tick < horizon)]] = False
-        return _TableDeliveryRuntime(delivered)
+            # Draw indices of the drops; at most one draw per tick, so `horizon`
+            # draws cover every tick.
+            k = np.flatnonzero(seeded_stream(seed, 7, e).random(horizon) < self.p)
+            i = np.arange(len(k))
+            # Each drop's position in its run of dropped ticks (from 0): a run of
+            # consecutive drop draws restarts after every `cap` drops, where a
+            # forced delivery is inserted.
+            first = np.maximum.accumulate(np.where(np.diff(k, prepend=-2) != 1, i, 0))
+            pos = (i - first) % cap
+            forced_after = pos == cap - 1
+            # Tick of each drop: its draw index plus the forced deliveries before it.
+            tick = 2 + k + np.cumsum(forced_after) - forced_after
+            n = np.searchsorted(tick, horizon)
+            # A dropped packet keeps the copy sent before its run of dropped ticks.
+            table[tick[:n], e] -= pos[:n] + 1
+        return table
 
     def notes(self):
         return {"drop_probability": self.p, "drop_cap": self.max_consecutive}
-
-
-class _TableDeliveryRuntime(_Runtime):
-    trusted = True
-
-    def __init__(self, delivered):
-        self.delivered = delivered
-
-    def advance(self, prev, new_time):
-        return np.where(self.delivered[:, new_time], new_time, prev)
 
 
 class ScheduleTable(ChannelModel):
     """Explicit stamp history, e.g. imported from CSV.
 
     ``table[(t, src, dst)]`` gives the stamp agent ``dst`` holds of ``src`` at
-    tick t; missing entries keep the previous copy. Stamps must lie in
-    ``1..t``. Non-monotone histories (old packets overwriting newer ones) are
-    outside the default delivery model and must be enabled explicitly; a
-    declared worst-case staleness is enforced when given.
+    tick t; missing entries keep the previous copy, and entries outside the
+    run's ticks are ignored. Stamps must lie in ``1..t``. Non-monotone
+    histories (old packets overwriting newer ones) are outside the default
+    delivery model and must be enabled explicitly; a declared worst-case
+    staleness, when given, bounds every stamp in effect.
     """
 
     def __init__(self, table, allow_nonmonotone=False, declared_max_delay=None):
@@ -261,38 +236,23 @@ class ScheduleTable(ChannelModel):
             int(declared_max_delay) if declared_max_delay is not None else None
         )
 
-    def start(self, n_edges, horizon, seed):
-        return None  # replaced by a per-edge-aware runtime in _start_channels
+    def stamps_for(self, edges, horizon):
+        """Stamp table over ``edges``: each entry holds until the edge's next one."""
+        column = {edge: k for k, edge in enumerate(edges)}
+        given = np.ones((horizon, len(edges)), dtype=int)
+        since = np.zeros((horizon, len(edges)), dtype=int)  # tick of the entry in effect
+        for (t, j, i), s in self.table.items():
+            k = column.get((j, i))
+            if k is not None and 1 <= t < horizon:
+                given[t, k] = s
+                since[t, k] = t
+        np.maximum.accumulate(since, axis=0, out=since)
+        return np.take_along_axis(given, since, axis=0)
 
     def notes(self):
         out = {"schedule": True}
         if self.declared_max_delay is not None:
             out["declared_max_delay"] = self.declared_max_delay
-        return out
-
-
-class _ScheduleRuntime(_Runtime):
-    def __init__(self, model: ScheduleTable, edge_list):
-        self.model = model
-        self.edge_list = edge_list
-
-    def advance(self, prev, new_time):
-        out = prev.copy()
-        for k, (j, i) in enumerate(self.edge_list):
-            s = self.model.table.get((new_time, j, i))
-            if s is None:
-                continue
-            if not (1 <= s <= new_time):
-                raise PreconditionError(
-                    f"scheduled stamp {s} for edge ({j}, {i}) at t={new_time} "
-                    f"outside 1..{new_time}"
-                )
-            if self.model.declared_max_delay is not None and new_time - s > self.model.declared_max_delay:
-                raise StaleBeyondCapError(
-                    f"schedule exceeds declared staleness {self.model.declared_max_delay} "
-                    f"on edge ({j}, {i}) at t={new_time}"
-                )
-            out[k] = s
         return out
 
 
@@ -306,9 +266,6 @@ class PerEdge(ChannelModel):
     def model_for(self, edge):
         return self.channel_map.get(edge, self.default)
 
-    def start(self, n_edges, horizon, seed):
-        return None  # handled edge-group-wise in _start_channels
-
     def notes(self):
         out = {}
         for m in list(self.channel_map.values()) + [self.default]:
@@ -316,36 +273,56 @@ class PerEdge(ChannelModel):
         return out
 
 
-@dataclass
-class _ChannelState:
-    """Bound channels for one run: edge groups with their runtimes."""
+def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) -> np.ndarray:
+    """The run's stamp table, one column per edge of ``graph`` in edge order."""
+    edges = graph.edges
+    if not isinstance(model, PerEdge):
+        return _group_table(model, edges, horizon, seed)
+    groups = {}
+    for k, edge in enumerate(edges):
+        sub = model.model_for(edge)
+        groups.setdefault(id(sub), (sub, []))[1].append(k)
+    table = np.empty((horizon, len(edges)), dtype=int)
+    for sub, idx in groups.values():
+        table[:, idx] = _group_table(sub, [edges[k] for k in idx], horizon, seed)
+    return table
 
-    groups: list  # (index into the edge list, runtime, allows_nonmonotone)
-    notes: dict
 
-
-def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) -> _ChannelState:
-    edges = list(graph.edges)
-    if isinstance(model, PerEdge):
-        by_model = {}
-        for k, e in enumerate(edges):
-            by_model.setdefault(id(model.model_for(e)), (model.model_for(e), []))[1].append(k)
-        groups = []
-        for sub, idx in by_model.values():
-            idx = np.asarray(idx, dtype=int)
-            sub_edges = [edges[k] for k in idx]
-            runtime = (
-                _ScheduleRuntime(sub, sub_edges)
-                if isinstance(sub, ScheduleTable)
-                else sub.start(len(idx), horizon, seed)
-            )
-            groups.append((idx, runtime, sub.allows_nonmonotone))
-        return _ChannelState(groups, model.notes())
+def _group_table(model: ChannelModel, edges, horizon, seed) -> np.ndarray:
+    """One model's stamp table over ``edges``, checked against its declarations."""
     if isinstance(model, ScheduleTable):
-        runtime = _ScheduleRuntime(model, edges)
+        table = model.stamps_for(edges, horizon)
     else:
-        runtime = model.start(len(edges), horizon, seed)
-    return _ChannelState([(slice(None), runtime, model.allows_nonmonotone)], model.notes())
+        table = np.asarray(model.start(len(edges), horizon, seed), dtype=int)
+    if table.shape != (horizon, len(edges)):
+        raise PreconditionError(
+            f"stamp table has shape {table.shape}, expected {(horizon, len(edges))}"
+        )
+    held = table[1:]
+    ticks = np.arange(1, horizon)[:, None]
+    outside = (held < 1) | (held > ticks)
+    if outside.any():
+        t, k = np.argwhere(outside)[0]
+        raise PreconditionError(
+            f"stamp {held[t, k]} for edge {edges[k]} at t={t + 1} outside 1..{t + 1}"
+        )
+    if not model.allows_nonmonotone:
+        back = held[1:] < held[:-1]
+        if back.any():
+            t, k = np.argwhere(back)[0]
+            raise PreconditionError(
+                f"stamp for edge {edges[k]} decreases at t={t + 2}, "
+                "outside the default delivery model"
+            )
+    if model.declared_max_delay is not None:
+        over = ticks - held > model.declared_max_delay
+        if over.any():
+            t, k = np.argwhere(over)[0]
+            raise StaleBeyondCapError(
+                f"channel exceeds declared staleness {model.declared_max_delay} "
+                f"on edge {edges[k]} at t={t + 1}"
+            )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -355,55 +332,86 @@ def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) 
 
 @dataclass
 class ChannelLog:
-    """Stamps in effect at every evaluation tick, one row per (tick, edge)."""
+    """Stamps in effect at every evaluation tick, one row per (tick, edge).
 
-    times: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    stamps: np.ndarray
+    ``table`` is the run's stamp table from tick 1 on: ``table[t - 1, e]`` is
+    the stamp edge e's receiver reads at tick t. The flat columns ``times``,
+    ``src``, ``dst`` and ``stamps`` list the entries tick-major, edges in
+    graph order; ``stamps`` is a view of the table, the others are derived
+    when read.
+    """
+
+    table: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+
+    @property
+    def times(self):
+        return np.repeat(np.arange(1, len(self.table) + 1), len(self.edge_src))
+
+    @property
+    def src(self):
+        return np.tile(self.edge_src, len(self.table))
+
+    @property
+    def dst(self):
+        return np.tile(self.edge_dst, len(self.table))
+
+    @property
+    def stamps(self):
+        return self.table.reshape(-1)
 
     def __len__(self):
-        return len(self.times)
+        return self.table.size
 
 
 @dataclass
 class DelayStats:
     """Realized staleness statistics of one run.
 
-    ``max_delay`` is the worst staleness (ticks) of any copy ever used;
-    ``max_stale`` is the largest number of simultaneously outdated neighbor
-    blocks at any agent at any tick.
+    ``delay_by_tick[t - 1]`` is the worst staleness (ticks) of any copy used
+    at tick t; ``stale_by_tick[t - 1]`` is the largest number of outdated
+    neighbor blocks any agent holds at tick t. ``max_delay`` and
+    ``max_stale`` are their maxima over the run.
     """
 
-    max_delay: int
-    max_stale: int
+    delay_by_tick: np.ndarray
+    stale_by_tick: np.ndarray
     log: ChannelLog
     notes: dict = field(default_factory=dict)
 
+    @property
+    def max_delay(self) -> int:
+        return int(self.delay_by_tick.max(initial=0))
+
+    @property
+    def max_stale(self) -> int:
+        return int(self.stale_by_tick.max(initial=0))
+
 
 def realized_delay_stats(log: ChannelLog, graph: DependencyGraph, notes=None) -> DelayStats:
-    """Exact staleness maxima recomputed from a complete channel log."""
-    if len(log) == 0:
-        return DelayStats(0, 0, log, dict(notes or {}))
-    delays = log.times - log.stamps
-    max_delay = int(delays.max())
-    stale = delays > 0
-    if np.any(stale):
-        # count stale in-edges per (tick, receiving agent) group
-        group = log.times.astype(np.int64) * graph.n_agents + log.dst
-        max_stale = int(np.bincount(group[stale]).max())
-    else:
-        max_stale = 0
-    return DelayStats(max_delay, max_stale, log, dict(notes or {}))
+    """Exact per-tick staleness maxima recomputed from a complete channel log."""
+    n_ticks = len(log.table)
+    delays = np.arange(1, n_ticks + 1)[:, None] - log.table
+    delay_by_tick = delays.max(axis=1, initial=0)
+    stale_by_tick = np.zeros(n_ticks, dtype=int)
+    if graph.edges:
+        # stale in-edges per (tick, receiving agent): sum edge columns grouped by receiver
+        dst = graph.edge_arrays[1]
+        order = np.argsort(dst, kind="stable")
+        starts = np.flatnonzero(np.diff(dst[order], prepend=-1))
+        per_agent = np.add.reduceat((delays > 0)[:, order], starts, axis=1, dtype=int)
+        stale_by_tick = per_agent.max(axis=1, initial=0)
+    return DelayStats(delay_by_tick, stale_by_tick, log, dict(notes or {}))
 
 
 def write_log_csv(path, log: ChannelLog) -> None:
     """Export a channel log as t,src,dst,delivered_stamp rows."""
+    columns = zip(log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "src", "dst", "delivered_stamp"])
-        for k in range(len(log)):
-            writer.writerow([int(log.times[k]), int(log.src[k]), int(log.dst[k]), int(log.stamps[k])])
+        writer.writerows(columns)
 
 
 def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) -> ScheduleTable:
@@ -425,14 +433,13 @@ def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) ->
 # ---------------------------------------------------------------------------
 
 
-def step_async(history, stamps, family, graph: DependencyGraph, channels: _ChannelState, t,
-               log_sink=None):
-    """Advance the asynchronous iteration by one tick.
+def step_async(history, stamps, family, graph: DependencyGraph, t):
+    """Advance the asynchronous iteration by one tick; returns x_{t+1}.
 
-    ``history[k]`` holds the state at time k+1 for k < t; ``stamps`` holds the
-    copies in effect at tick t. Returns ``(x_next, stamps_next)`` where
-    ``x_next`` is the state at time t+1. All agents evaluate against tick-t
-    information, so the result does not depend on agent order.
+    ``history[k]`` holds the state at time k+1 for k < t; ``stamps`` is row t
+    of the run's stamp table, the copy each edge's receiver holds at tick t
+    (edges in graph order). All agents evaluate against tick-t information,
+    so the result does not depend on agent order.
 
     An agent is fresh when every in-edge stamp equals t. Its composite input
     then agrees with the state x_t on every block the map reads for it, so
@@ -444,9 +451,8 @@ def step_async(history, stamps, family, graph: DependencyGraph, channels: _Chann
     so a zero-delay tick is one evaluation at x_t, the synchronous step to
     the last bit.
     """
-    prev = stamps.take(graph.edge_index)
     stale = np.zeros(graph.n_agents, dtype=bool)
-    stale[graph.edge_arrays[1][prev != t]] = True
+    stale[graph.edge_arrays[1][stamps != t]] = True
     stale_agents = stale.nonzero()[0]
     raw_eval = getattr(family, "_evaluate", family.evaluate)
     if len(stale_agents) < graph.n_agents:
@@ -455,7 +461,8 @@ def step_async(history, stamps, family, graph: DependencyGraph, channels: _Chann
         x_next = np.empty(graph.dim)
     if len(stale_agents):
         # composite inputs of the stale agents, one row each
-        copies = stamps.take(stale_agents, axis=0).take(graph.block_of_column, axis=1)
+        held = np.concatenate((stamps, (t, 1)))
+        copies = held.take(graph.copy_source.take(stale_agents, axis=0))
         views = history[copies - 1, graph.columns]
         for row, i in enumerate(stale_agents.tolist()):
             sl = graph.block_slice(i)
@@ -464,24 +471,7 @@ def step_async(history, stamps, family, graph: DependencyGraph, channels: _Chann
             x_next[sl] = raw_eval(views[row].copy(), t)[sl]
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
-    if log_sink is not None:
-        log_sink.append(prev)
-    new_time = t + 1
-    stamps_next = stamps.copy()
-    flat_next = stamps_next.reshape(-1)  # a view: the copy is C-contiguous
-    flat_next[graph.diagonal_index] = new_time
-    for idx, runtime, allows_nonmono in channels.groups:
-        advanced = runtime.advance(prev[idx], new_time)
-        if not runtime.trusted:
-            advanced = np.asarray(advanced, dtype=int)
-            if np.any(advanced > new_time) or np.any(advanced < 1):
-                raise PreconditionError("channel produced a stamp outside 1..t+1")
-            if not allows_nonmono and np.any(advanced < prev[idx]):
-                raise PreconditionError(
-                    "channel produced a non-monotone stamp outside the default model"
-                )
-        flat_next[graph.edge_index[idx]] = advanced
-    return x_next, stamps_next
+    return x_next
 
 
 def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0, horizon,
@@ -502,30 +492,13 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     x0 = np.asarray(x0, dtype=float).reshape(family.dim)
     if not family.domain.contains(x0):
         raise PreconditionError("initial point lies outside the declared domain")
-    state = _start_channels(channels, graph, horizon, seed)
+    table = _start_channels(channels, graph, horizon, seed)
     history = np.empty((horizon, family.dim))
     history[0] = x0
-    stamps = np.ones((graph.n_agents, graph.n_agents), dtype=int)
-    log_rows = []
-    for k in range(horizon - 1):
-        t = k + 1
-        x_next, stamps = step_async(history[: t], stamps, family, graph, state, t,
-                                    log_sink=log_rows)
-        history[t] = x_next
-    n_edges = len(graph.edges)
-    if log_rows and n_edges:
-        src, dst = graph.edge_arrays
-        ticks = np.arange(1, horizon)
-        log = ChannelLog(
-            np.repeat(ticks, n_edges),
-            np.tile(src, horizon - 1),
-            np.tile(dst, horizon - 1),
-            np.concatenate(log_rows),
-        )
-    else:
-        empty = np.zeros(0, dtype=int)
-        log = ChannelLog(empty, empty, empty, empty)
-    stats = realized_delay_stats(log, graph, notes=state.notes)
+    for t in range(1, horizon):
+        history[t] = step_async(history[: t], table[t], family, graph, t)
+    log = ChannelLog(table[1:], *graph.edge_arrays)
+    stats = realized_delay_stats(log, graph, notes=channels.notes())
     if reference is None:
         reference = compute_fixed_point_series(
             family, horizon, norm=norm, tol=ref_tol, max_iter=ref_max_iter

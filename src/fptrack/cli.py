@@ -46,8 +46,8 @@ def _print_certificates(report):
         print(line)
 
 
-def _print_audits(report):
-    for name, a in sorted(report.audits.items()):
+def _print_audits(audits):
+    for name, a in sorted(audits.items()):
         print(f"  [{'OK' if a.get('ok', True) else 'FAIL':>4}] {name}: "
               + ", ".join(f"{k}={v}" for k, v in a.items() if k != "ok"))
 
@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
           f"realized_max_delay={report.realized_max_delay} "
           f"realized_max_stale={report.realized_max_stale}")
     _print_certificates(report)
-    _print_audits(report)
+    _print_audits(report.audits)
     if config.output:
         print(f"wrote {config.output}.csv and {config.output}.json")
     if not report.audits_passed:
@@ -154,13 +154,7 @@ def cmd_audit(args) -> int:
 
     family, graph, _ = build_family(config)
     audits = _run_audits(config, family, graph)
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.audits = audits
-    _print_audits(shim)
+    _print_audits(audits)
     ok = all(a.get("ok", True) for a in audits.values())
     return EXIT_OK if ok else EXIT_AUDIT
 

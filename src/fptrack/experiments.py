@@ -96,6 +96,24 @@ def _require_keys(doc, allowed, required, where):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _path_spec(spec, where, start, seed):
+    """``(kind, keyword arguments)`` of a drift or signal spec; absent keys take defaults."""
+    spec = dict(spec or {"kind": "constant"})
+    _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
+                  {"kind"}, where)
+    kw = {"rate": spec.get("rate", 0.0), "seed": spec.get("seed", seed),
+          "start": spec.get("start", start)}
+    if spec["kind"] == "piecewise":
+        kw["fast_rate"] = spec.get("fast_rate", 0.0)
+        kw["fast_window"] = tuple(spec.get("fast_window", (1, 1)))
+    return spec["kind"], kw
+
+
+def _signal(spec, seed):
+    kind, kw = _path_spec(spec, "signal spec", start=0.0, seed=seed)
+    return scalar_signal(kind, **kw)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description (raise ConfigError before computing)."""
@@ -203,30 +221,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem kind {kind!r}")
 
     def _drift(self, dim, spec):
-        spec = dict(spec or {"kind": "constant"})
-        _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
-                      {"kind"}, "drift spec")
-        kw = {}
-        if spec["kind"] == "piecewise":
-            kw = {"fast_rate": spec.get("fast_rate", 0.0),
-                  "fast_window": tuple(spec.get("fast_window", (1, 1)))}
-        return DriftPath(
-            spec["kind"], dim, rate=spec.get("rate", 0.0),
-            seed=spec.get("seed", self.seed), start=spec.get("start"),
-            norm=self.norm, **kw,
-        )
-
-    def _signal(self, spec, default_start=0.0):
-        spec = dict(spec or {"kind": "constant", "start": default_start})
-        _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
-                      {"kind"}, "signal spec")
-        kw = {}
-        if spec["kind"] == "piecewise":
-            kw = {"fast_rate": spec.get("fast_rate", 0.0),
-                  "fast_window": tuple(spec.get("fast_window", (1, 1)))}
-        return scalar_signal(spec["kind"], rate=spec.get("rate", 0.0),
-                             seed=spec.get("seed", self.seed),
-                             start=spec.get("start", default_start), **kw)
+        kind, kw = _path_spec(spec, "drift spec", start=None, seed=self.seed)
+        return DriftPath(kind, dim, norm=self.norm, **kw)
 
     def build_problem(self):
         """Returns (family, graph_or_None, extras dict)."""
@@ -270,14 +266,14 @@ class ExperimentConfig:
                 regularization=float(p.get("regularization", 0.0)),
                 box_lo=p.get("box_lo", [-1.0] * n),
                 box_hi=p.get("box_hi", [1.0] * n),
-                output_signal=self._signal(p.get("output_signal")),
-                reference_signal=self._signal(p.get("reference_signal")),
+                output_signal=_signal(p.get("output_signal"), self.seed),
+                reference_signal=_signal(p.get("reference_signal"), self.seed),
             )
         from .problems import random_qp
 
         qp = random_qp(int(p.get("devices", 7)), seed=int(p.get("instance_seed", self.seed)))
-        qp.output_signal = self._signal(p.get("output_signal"))
-        qp.reference_signal = self._signal(p.get("reference_signal"))
+        qp.output_signal = _signal(p.get("output_signal"), self.seed)
+        qp.reference_signal = _signal(p.get("reference_signal"), self.seed)
         return qp
 
     def _build_loadflow(self, p):
@@ -325,20 +321,39 @@ class ExperimentConfig:
         }
         if kind not in allowed:
             raise ConfigError(f"unknown channel kind {kind!r}")
-        _require_keys(spec, allowed[kind], {"kind"}, "channel spec")
+        required = {"kind", "path"} if kind == "schedule_csv" else {"kind"}
+        _require_keys(spec, allowed[kind], required, "channel spec")
+
+        def number(key, default, cast=int):
+            try:
+                return cast(spec.get(key, default))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"channel {key} must be a number, got {spec.get(key)!r}"
+                ) from exc
+
         if kind == "none":
             return ZeroDelay()
         if kind == "fixed_delay":
-            return FixedDelay(int(spec.get("delay", 0)))
+            return FixedDelay(number("delay", 0))
         if kind == "iid_drop":
-            return IidDrop(float(spec.get("p", 0.1)), int(spec.get("max_consecutive", 9)))
+            return IidDrop(number("p", 0.1, float), number("max_consecutive", 9))
         if kind == "periodic":
-            return PeriodicDelivery(int(spec.get("period", 1)))
-        return read_schedule_csv(
-            spec["path"],
-            allow_nonmonotone=bool(spec.get("allow_nonmonotone", False)),
-            declared_max_delay=spec.get("declared_max_delay"),
-        )
+            return PeriodicDelivery(number("period", 1))
+        path = spec["path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"schedule path must be a string, got {path!r}")
+        cap = spec.get("declared_max_delay")
+        if cap is not None:
+            cap = number("declared_max_delay", None)
+        try:
+            return read_schedule_csv(
+                path,
+                allow_nonmonotone=bool(spec.get("allow_nonmonotone", False)),
+                declared_max_delay=cap,
+            )
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"cannot read schedule {path}: {exc}") from exc
 
 
 def load_network(doc: dict) -> PowerNetwork:
@@ -358,16 +373,6 @@ def load_qp(doc: dict) -> TimeVaryingQP:
     _require_keys(doc, {"curvature", "coupling", "tracking_weight", "regularization",
                         "box_lo", "box_hi", "output_signal", "reference_signal"},
                   {"curvature", "coupling", "box_lo", "box_hi"}, "qp")
-
-    def sig(spec, default=0.0):
-        spec = spec or {"kind": "constant", "start": default}
-        kw = {}
-        if spec["kind"] == "piecewise":
-            kw = {"fast_rate": spec.get("fast_rate", 0.0),
-                  "fast_window": tuple(spec.get("fast_window", (1, 1)))}
-        return scalar_signal(spec["kind"], rate=spec.get("rate", 0.0),
-                             seed=spec.get("seed", 0), start=spec.get("start", default), **kw)
-
     return TimeVaryingQP(
         curvature=doc["curvature"],
         coupling=doc["coupling"],
@@ -375,8 +380,8 @@ def load_qp(doc: dict) -> TimeVaryingQP:
         regularization=float(doc.get("regularization", 0.0)),
         box_lo=doc["box_lo"],
         box_hi=doc["box_hi"],
-        output_signal=sig(doc.get("output_signal")),
-        reference_signal=sig(doc.get("reference_signal")),
+        output_signal=_signal(doc.get("output_signal"), 0),
+        reference_signal=_signal(doc.get("reference_signal"), 0),
     )
 
 
@@ -528,18 +533,9 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
     # tick k; "so far" statistics therefore cover ticks 1..k.
     running_delay = np.zeros(horizon, dtype=int)
     running_stale = np.zeros(horizon, dtype=int)
-    if stats is not None and len(stats.log):
-        per_tick_delay = np.zeros(horizon + 1, dtype=np.int64)
-        delays = stats.log.times - stats.log.stamps
-        np.maximum.at(per_tick_delay, stats.log.times, delays)
-        per_tick_stale = np.zeros(horizon + 1, dtype=np.int64)
-        stale = delays > 0
-        if np.any(stale):
-            group = stats.log.times.astype(np.int64) * graph.n_agents + stats.log.dst
-            counts = np.bincount(group[stale], minlength=(horizon + 1) * graph.n_agents)
-            per_tick_stale = counts.reshape(horizon + 1, graph.n_agents).max(axis=1)
-        running_delay[1:] = np.maximum.accumulate(per_tick_delay[1:horizon])
-        running_stale[1:] = np.maximum.accumulate(per_tick_stale[1:horizon])
+    if stats is not None:
+        running_delay[1:] = np.maximum.accumulate(stats.delay_by_tick)
+        running_stale[1:] = np.maximum.accumulate(stats.stale_by_tick)
 
     report = ExperimentReport(
         config=config.raw,

@@ -4,6 +4,7 @@ import pytest
 
 import fptrack as fp
 from fptrack import (
+    ChannelModel,
     DependencyGraph,
     FixedDelay,
     IidDrop,
@@ -123,6 +124,15 @@ def per_agent_step(history, stamps, family, graph, t):
     return x_next
 
 
+def stamp_matrix(row, graph, t):
+    """stamps[i, j]: agent i's copy of block j at tick t, given the table's row t."""
+    stamps = np.ones((graph.n_agents, graph.n_agents), dtype=int)
+    np.fill_diagonal(stamps, t)
+    src, dst = graph.edge_arrays
+    stamps[dst, src] = row
+    return stamps
+
+
 def stale_agent_count(stamps, graph, t):
     src, dst = graph.edge_arrays
     return len(set(dst[stamps[dst, src] != t].tolist()))
@@ -142,16 +152,16 @@ def mixed_tick_case(name):
 @pytest.mark.parametrize("name", ["affine-chain", "qp-broadcast", "three-area-loadflow"])
 def test_mixed_fresh_and_stale_ticks_match_per_agent_evaluation_bitwise(name):
     family, graph, horizon = mixed_tick_case(name)
-    channels = _start_channels(IidDrop(0.3, max_consecutive=3), graph, horizon, seed=4)
+    table = _start_channels(IidDrop(0.3, max_consecutive=3), graph, horizon, seed=4)
     history = np.empty((horizon, family.dim))
     history[0] = np.zeros(family.dim)
-    stamps = np.ones((graph.n_agents, graph.n_agents), dtype=int)
     mixed = 0
     for t in range(1, horizon):
+        stamps = stamp_matrix(table[t], graph, t)
         stale = stale_agent_count(stamps, graph, t)
         mixed += 0 < stale < graph.n_agents
         expected = per_agent_step(history[:t], stamps, family, graph, t)
-        x_next, stamps = step_async(history[:t], stamps, family, graph, channels, t)
+        x_next = step_async(history[:t], table[t], family, graph, t)
         assert x_next.tobytes() == expected.tobytes(), f"tick {t}"
         history[t] = x_next
     assert mixed >= horizon // 5
@@ -167,7 +177,7 @@ def test_tick_evaluates_once_plus_once_per_stale_agent():
         return fam.evaluate(x, t)
 
     counted = fp.MapFamily(fam.dim, fam.domain, counting_evaluate, lipschitz=fam.lipschitz_sup)
-    channels = _start_channels(ZeroDelay(), graph, 10, seed=0)
+    src, dst = graph.edge_arrays
     t = 4
     history = np.random.default_rng(0).standard_normal((t, fam.dim))
     for k in range(graph.n_agents + 1):
@@ -176,7 +186,7 @@ def test_tick_evaluates_once_plus_once_per_stale_agent():
             stamps[i, graph.in_neighbors(i)[0]] = t - 1
         assert stale_agent_count(stamps, graph, t) == k
         calls.clear()
-        x_next, _ = step_async(history, stamps, counted, graph, channels, t)
+        x_next = step_async(history, stamps[dst, src], counted, graph, t)
         assert len(calls) == (k + 1 if k < graph.n_agents else k)
         expected = per_agent_step(history, stamps, fam, graph, t)
         assert x_next.tobytes() == expected.tobytes()
@@ -187,19 +197,20 @@ def test_tick_evaluates_once_plus_once_per_stale_agent():
 # ---------------------------------------------------------------------------
 
 
-def sequential_drop_table(p, max_consecutive, n_edges, horizon, seed):
-    """One scalar draw per tick that is not a forced delivery."""
-    delivered = np.ones((n_edges, horizon + 2), dtype=bool)
+def sequential_drop_stamps(p, max_consecutive, n_edges, horizon, seed):
+    """One scalar draw per tick that is not a forced delivery; a drop keeps the stamp."""
+    stamps = np.ones((horizon, n_edges), dtype=int)
     for e in range(n_edges):
         rng = seeded_stream(seed, 7, e)
         run = 0
-        for tau in range(2, horizon + 2):
+        for tau in range(2, horizon):
             if run >= max_consecutive or rng.random() >= p:
                 run = 0
+                stamps[tau, e] = tau
             else:
-                delivered[e, tau] = False
+                stamps[tau, e] = stamps[tau - 1, e]
                 run += 1
-    return delivered
+    return stamps
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.9])
@@ -207,8 +218,9 @@ def sequential_drop_table(p, max_consecutive, n_edges, horizon, seed):
 @pytest.mark.parametrize("n_edges,horizon", [(1, 1), (3, 7), (4, 300)])
 def test_iid_drop_table_matches_sequential_draws(p, max_consecutive, n_edges, horizon):
     for seed in (0, 17):
-        table = IidDrop(p, max_consecutive).start(n_edges, horizon, seed).delivered
-        expected = sequential_drop_table(p, max_consecutive, n_edges, horizon, seed)
+        table = IidDrop(p, max_consecutive).start(n_edges, horizon, seed)
+        expected = sequential_drop_stamps(p, max_consecutive, n_edges, horizon, seed)
+        assert table.dtype == expected.dtype
         assert np.array_equal(table, expected)
 
 
@@ -276,6 +288,74 @@ def test_schedule_beyond_declared_staleness_raises():
     channels = ScheduleTable(table, declared_max_delay=2)
     with pytest.raises(StaleBeyondCapError):
         fp.run_async_tracker(fam, g, channels, np.zeros(2), 8, L2, seed=0)
+
+
+def test_schedule_declared_staleness_bounds_copies_carried_forward():
+    fam = small_affine(dim=2)
+    g = fam.dependency_graph()
+    # no entries: both copies stay at the initial state and reach staleness 8
+    with pytest.raises(StaleBeyondCapError):
+        fp.run_async_tracker(fam, g, ScheduleTable({}, declared_max_delay=2),
+                             np.zeros(2), 10, L2, seed=0)
+    _, stats = fp.run_async_tracker(fam, g, ScheduleTable({}, declared_max_delay=8),
+                                    np.zeros(2), 10, L2, seed=0)
+    assert stats.max_delay == 8
+
+
+class TableChannel(ChannelModel):
+    """A channel that returns a fixed stamp table, valid or not."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def start(self, n_edges, horizon, seed):
+        return np.repeat(np.array(self.rows)[:, None], n_edges, axis=1)
+
+
+@pytest.mark.parametrize("channels,error", [
+    (TableChannel([1, 1, 2]), PreconditionError),                 # too few ticks
+    (TableChannel([1, 1, 0, 1, 1]), PreconditionError),           # below the initial stamp
+    (TableChannel([1, 1, 3, 3, 4]), PreconditionError),           # a copy from the future
+    (TableChannel([1, 1, 2, 1, 4]), PreconditionError),           # non-monotone
+    (ScheduleTable({(3, 1, 0): 4}), PreconditionError),           # a scheduled future copy
+    (ScheduleTable({(1, 1, 0): 2}), PreconditionError),           # ... at the first tick
+    (PerEdge({(1, 0): ScheduleTable({(2, 1, 0): 2, (3, 1, 0): 1})}), PreconditionError),
+    (PerEdge({(1, 0): ScheduleTable({}, declared_max_delay=2)}), StaleBeyondCapError),
+])
+def test_invalid_stamp_tables_fail_before_the_first_tick(channels, error):
+    fam = small_affine(dim=2)
+    calls = []
+
+    def counting_evaluate(x, t):
+        calls.append(t)
+        return fam.evaluate(x, t)
+
+    counted = fp.MapFamily(fam.dim, fam.domain, counting_evaluate, lipschitz=fam.lipschitz_sup)
+    with pytest.raises(error):
+        fp.run_async_tracker(counted, fam.dependency_graph(), channels, np.zeros(2), 5, L2,
+                             reference=fp.compute_fixed_point_series(fam, 5, L2))
+    assert calls == []
+
+
+def test_nonmonotone_table_accepted_when_the_model_allows_it():
+    fam = small_affine(dim=2)
+    channels = TableChannel([1, 1, 2, 1, 4])
+    channels.allows_nonmonotone = True
+    _, stats = fp.run_async_tracker(fam, fam.dependency_graph(), channels, np.zeros(2), 5, L2)
+    assert list(stats.delay_by_tick) == [0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("horizon,edges", [(1, [(0, 1), (1, 0)]), (40, [])])
+def test_runs_without_log_entries_have_zero_staleness(horizon, edges):
+    drift = DriftPath("constant", 2, start=[1.0, 2.0])
+    fam = AffineFamily(np.diag([0.5, 0.4]), drift, L2, lipschitz=0.5)
+    g = DependencyGraph([1, 1], edges)
+    tr, stats = fp.run_async_tracker(fam, g, IidDrop(0.5, max_consecutive=3),
+                                     np.zeros(2), horizon, L2, seed=1)
+    assert len(stats.log) == 0 and len(stats.log.times) == 0
+    assert stats.max_delay == 0 and stats.max_stale == 0
+    assert list(stats.delay_by_tick) == list(stats.stale_by_tick) == [0] * (horizon - 1)
+    assert np.array_equal(tr.iterates, fp.run_online_tracker(fam, np.zeros(2), horizon).iterates)
 
 
 def test_per_edge_channel_assignment():
@@ -346,17 +426,23 @@ def test_realized_stats_match_bruteforce_log_scan():
     worst_delay = 0
     worst_stale = 0
     per = {}
-    for k in range(len(log)):
-        t, j, i, s = int(log.times[k]), int(log.src[k]), int(log.dst[k]), int(log.stamps[k])
+    delay_by_tick = [0] * 119
+    columns = (log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
+    for t, j, i, s in zip(*columns):
         worst_delay = max(worst_delay, t - s)
+        delay_by_tick[t - 1] = max(delay_by_tick[t - 1], t - s)
         per.setdefault((t, i), 0)
         if s < t:
             per[(t, i)] += 1
     if per:
         worst_stale = max(per.values())
+    stale_by_tick = [max(n for (tick, _), n in per.items() if tick == t) for t in range(1, 120)]
     again = realized_delay_stats(log, g)
     assert (stats.max_delay, stats.max_stale) == (worst_delay, worst_stale)
     assert (again.max_delay, again.max_stale) == (worst_delay, worst_stale)
+    assert list(again.delay_by_tick) == delay_by_tick
+    assert list(again.stale_by_tick) == stale_by_tick
+    assert again.max_stale > 1
 
 
 # ---------------------------------------------------------------------------

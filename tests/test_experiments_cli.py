@@ -233,6 +233,18 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("channel", [
+    {"kind": "schedule_csv"},
+    {"kind": "schedule_csv", "path": "no-such-schedule.csv"},
+    {"kind": "fixed_delay", "delay": "x"},
+    {"kind": "schedule_csv", "path": 3},
+])
+def test_cli_bad_channel_exit_2(tmp_path, capsys, channel):
+    cfg = write_json(tmp_path / "c.json", affine_doc(mode="async", norm="linf", channel=channel))
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_certificate_failure_exit_3(tmp_path):
     cfg = write_json(tmp_path / "c.json", affine_doc(transient_fraction=0.0, horizon=40))
     assert main(["run", cfg]) == EXIT_CERTIFICATE
@@ -336,6 +348,9 @@ def test_load_qp_from_json_document():
     with pytest.raises(ConfigError):
         load_qp({"curvature": [1.0], "coupling": [1.0], "box_lo": [0.0],
                  "box_hi": [1.0], "mystery": 3})
+    for signal in ({"rate": 0.01}, {"kind": "linear", "speed": 0.01}):
+        with pytest.raises(ConfigError, match="signal spec"):
+            load_qp(dict(doc, reference_signal=signal))
 
 
 def test_load_network_from_json_document():
