@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     TrackingTrace,
     compute_fixed_point_series,
-    map_error_bound_series,
     seeded_stream,
     tracking_error,
 )
@@ -479,8 +478,8 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
                       ref_tol=1e-12, ref_max_iter=100_000):
     """Run the asynchronous iteration and score it against reference fixed points.
 
-    Returns ``(trace, stats)``: a :class:`~fptrack.core.TrackingTrace` whose
-    metadata embeds the realized :class:`DelayStats`, and the stats themselves.
+    Returns ``(trace, stats)``: a :class:`~fptrack.core.TrackingTrace` and the
+    realized :class:`DelayStats`.
     Identical arguments (including ``seed``) reproduce the trace bitwise.
     """
     horizon = int(horizon)
@@ -504,15 +503,7 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
             family, horizon, norm=norm, tol=ref_tol, max_iter=ref_max_iter
         )
     errors = tracking_error(history, reference, norm)
-    trace = TrackingTrace(
-        history,
-        reference,
-        errors,
-        norm,
-        metadata={"map_error_bounds": map_error_bound_series(family, horizon),
-                  "delay_stats": stats, "seed": int(seed)},
-    )
-    return trace, stats
+    return TrackingTrace(history, reference, errors, norm), stats
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ so ``points[k]`` corresponds to ``t = k + 1``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,11 @@ class MapFamily:
     fixed_point : callable, optional
         Closed-form fixed point ``t -> ndarray``, when known.
     evaluate_batch : callable, optional
-        Vectorized ``(X, t) -> ndarray`` over rows, used to speed up audits.
+        Vectorized ``(X, t) -> ndarray`` over rows, used by the sampling
+        audits. Row i must agree with ``evaluate(X[i], t)``; every built-in
+        family passes its one map, written for a point or for rows, as both
+        ``evaluate`` and ``evaluate_batch``, so the audits check the code the
+        trackers run. Without it the audits evaluate row by row.
     declared_norm : Norm, optional
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
@@ -382,15 +386,12 @@ class TrackingTrace:
     """Iterates of an online run together with reference fixed points.
 
     ``errors[k]`` is the tracking error at t = k + 1 in the trace norm.
-    ``metadata`` carries the seed, per-step map-error bounds, and (for
-    asynchronous runs) realized delay statistics.
     """
 
     iterates: np.ndarray
     reference: FixedPointSeries
     errors: np.ndarray
     norm: Norm
-    metadata: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:
@@ -442,19 +443,12 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None, reference=
             family, horizon, norm=norm, tol=ref_tol, max_iter=ref_max_iter
         )
     errors = tracking_error(iterates, reference, norm)
-    return TrackingTrace(
-        iterates,
-        reference,
-        errors,
-        norm,
-        metadata={"map_error_bounds": map_error_bound_series(family, horizon),
-                  "delay_stats": None},
-    )
+    return TrackingTrace(iterates, reference, errors, norm)
 
 
 def map_error_bound_series(family, horizon) -> np.ndarray:
     """Declared approximation bounds for steps 1..horizon-1."""
-    if getattr(family, "error_sup", 0.0) == 0.0:
+    if family.error_sup == 0.0:
         return np.zeros(max(int(horizon) - 1, 0))
     return np.array([family.error_bound_at(t) for t in range(1, int(horizon))])
 

@@ -96,16 +96,32 @@ def _require_keys(doc, allowed, required, where):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _number(spec, key, default, where, cast=int):
+    """``cast`` of ``spec[key]`` (``default`` when absent); ConfigError if it is no number."""
+    try:
+        return cast(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {key} must be a number, got {spec.get(key)!r}") from exc
+
+
 def _path_spec(spec, where, start, seed):
     """``(kind, keyword arguments)`` of a drift or signal spec; absent keys take defaults."""
+    if spec is not None and not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {spec!r}")
     spec = dict(spec or {"kind": "constant"})
     _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
                   {"kind"}, where)
-    kw = {"rate": spec.get("rate", 0.0), "seed": spec.get("seed", seed),
+    kw = {"rate": _number(spec, "rate", 0.0, where, float),
+          "seed": _number(spec, "seed", seed, where),
           "start": spec.get("start", start)}
     if spec["kind"] == "piecewise":
-        kw["fast_rate"] = spec.get("fast_rate", 0.0)
-        kw["fast_window"] = tuple(spec.get("fast_window", (1, 1)))
+        kw["fast_rate"] = _number(spec, "fast_rate", 0.0, where, float)
+        window = spec.get("fast_window", (1, 1))
+        try:
+            first, last = (int(w) for w in window)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} fast_window must be two integers, got {window!r}") from exc
+        kw["fast_window"] = (first, last)
     return spec["kind"], kw
 
 
@@ -229,17 +245,18 @@ class ExperimentConfig:
         kind = self.problem["kind"]
         p = self.problem
         if kind == "affine":
-            drift = self._drift(int(p["dim"]), p.get("drift"))
+            dim = _number(p, "dim", None, "affine problem")
+            drift = self._drift(dim, p.get("drift"))
             fam = build_affine_family(
-                int(p["dim"]), self.norm, float(p["contraction"]), drift,
+                dim, self.norm, _number(p, "contraction", None, "affine problem", float), drift,
                 seed=self.seed, coupling=p.get("coupling", "dense"),
                 blockwise=bool(p.get("blockwise", False)),
             )
             return fam, fam.dependency_graph(), {}
         if kind == "qp-gradient":
             qp = self._build_qp(p)
-            step = float(p["step_size"])
-            nb = float(p.get("noise_bound", 0.0))
+            step = _number(p, "step_size", None, "qp-gradient problem", float)
+            nb = _number(p, "noise_bound", 0.0, "qp-gradient problem", float)
             if self.mode == "async" or p.get("topology") == "star":
                 fam, graph = build_broadcast_system(
                     qp, step, nb, seed=self.seed,
@@ -262,8 +279,8 @@ class ExperimentConfig:
             return TimeVaryingQP(
                 curvature=p["curvature"],
                 coupling=p.get("coupling", [1.0] * n),
-                tracking_weight=float(p.get("tracking_weight", 1.0)),
-                regularization=float(p.get("regularization", 0.0)),
+                tracking_weight=_number(p, "tracking_weight", 1.0, "qp-gradient problem", float),
+                regularization=_number(p, "regularization", 0.0, "qp-gradient problem", float),
                 box_lo=p.get("box_lo", [-1.0] * n),
                 box_hi=p.get("box_hi", [1.0] * n),
                 output_signal=_signal(p.get("output_signal"), self.seed),
@@ -271,7 +288,8 @@ class ExperimentConfig:
             )
         from .problems import random_qp
 
-        qp = random_qp(int(p.get("devices", 7)), seed=int(p.get("instance_seed", self.seed)))
+        qp = random_qp(_number(p, "devices", 7, "qp-gradient problem"),
+                       seed=_number(p, "instance_seed", self.seed, "qp-gradient problem"))
         qp.output_signal = _signal(p.get("output_signal"), self.seed)
         qp.reference_signal = _signal(p.get("reference_signal"), self.seed)
         return qp
@@ -289,24 +307,26 @@ class ExperimentConfig:
         inj_spec = p.get("injections", {"kind": "constant"})
         _require_keys(inj_spec, {"kind", "load_fraction", "step", "seed", "base"},
                       {"kind"}, "injection spec")
+        step = _number(inj_spec, "step", 0.0, "injection spec", float)
+        inj_seed = _number(inj_spec, "seed", self.seed, "injection spec")
         if "base" in inj_spec:
             base = np.array([complex(re, im) for re, im in inj_spec["base"]])
             inj = InjectionSeries(inj_spec["kind"], base, net.injection_limit,
-                                  step=inj_spec.get("step", 0.0),
-                                  seed=inj_spec.get("seed", self.seed))
+                                  step=step, seed=inj_seed)
         else:
             inj = default_injections(
-                net, load_fraction=float(inj_spec.get("load_fraction", 0.7)),
-                kind=inj_spec["kind"], step=inj_spec.get("step", 0.0),
-                seed=inj_spec.get("seed", self.seed),
+                net,
+                load_fraction=_number(inj_spec, "load_fraction", 0.7, "injection spec", float),
+                kind=inj_spec["kind"], step=step, seed=inj_seed,
             )
-        nb = float(p.get("noise_bound", 0.0))
+        nb = _number(p, "noise_bound", 0.0, "loadflow problem", float)
         if p.get("multiarea", self.mode == "async"):
             system = build_multiarea_maps(net, inj, nb, seed=self.seed)
             if not self.norm.is_linf:
                 raise ConfigError("multiarea loadflow runs use the linf norm")
             return system.family, system.graph, {"system": system}
-        fam = build_loadflow_map(net, inj, radius=float(p.get("radius", 0.2)), norm=self.norm)
+        radius = _number(p, "radius", 0.2, "loadflow problem", float)
+        fam = build_loadflow_map(net, inj, radius=radius, norm=self.norm)
         return fam, None, {}
 
     def build_channel(self):
@@ -323,29 +343,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown channel kind {kind!r}")
         required = {"kind", "path"} if kind == "schedule_csv" else {"kind"}
         _require_keys(spec, allowed[kind], required, "channel spec")
-
-        def number(key, default, cast=int):
-            try:
-                return cast(spec.get(key, default))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"channel {key} must be a number, got {spec.get(key)!r}"
-                ) from exc
-
         if kind == "none":
             return ZeroDelay()
         if kind == "fixed_delay":
-            return FixedDelay(number("delay", 0))
+            return FixedDelay(_number(spec, "delay", 0, "channel"))
         if kind == "iid_drop":
-            return IidDrop(number("p", 0.1, float), number("max_consecutive", 9))
+            return IidDrop(_number(spec, "p", 0.1, "channel", float),
+                           _number(spec, "max_consecutive", 9, "channel"))
         if kind == "periodic":
-            return PeriodicDelivery(number("period", 1))
+            return PeriodicDelivery(_number(spec, "period", 1, "channel"))
         path = spec["path"]
         if not isinstance(path, str):
             raise ConfigError(f"schedule path must be a string, got {path!r}")
         cap = spec.get("declared_max_delay")
         if cap is not None:
-            cap = number("declared_max_delay", None)
+            cap = _number(spec, "declared_max_delay", None, "channel")
         try:
             return read_schedule_csv(
                 path,
@@ -504,7 +516,7 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
 
     inputs = bnd.BoundInputs(
         lipschitz=family.lipschitz_sup,
-        map_error=float(getattr(family, "error_sup", 0.0)),
+        map_error=family.error_sup,
         drift=trace.reference.drift_sup,
         max_delay=stats.max_delay if stats else 0,
         max_stale=stats.max_stale if stats else 0,
@@ -583,7 +595,7 @@ def _run_audits(config: ExperimentConfig, family, graph) -> dict:
     }
     sm = verify_self_map(base, 1, DomainSampler(family.domain, config.seed + 104729), n)
     audits["self_map"] = {"ok": bool(sm.ok), "samples": n}
-    if getattr(family, "error_sup", 0.0) > 0.0:
+    if family.error_sup > 0.0:
         me = verify_map_error(
             family, 1, DomainSampler(family.domain, config.seed + 1299709),
             max(n // 10, 10), norm,

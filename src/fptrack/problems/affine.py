@@ -27,6 +27,7 @@ class AffineFamily(MapFamily):
         self.path = path
         m = self.A.shape[0]
         eye_minus_A = np.eye(m) - self.A
+        A_T = self.A.T
         cache = {}
 
         def offset(t):
@@ -36,12 +37,15 @@ class AffineFamily(MapFamily):
                 cache[t] = b
             return b
 
+        def evaluate(x, t):
+            return x @ A_T + offset(t)
+
         super().__init__(
             dim=m,
             domain=Domain.all_space(m),
-            evaluate=lambda x, t: self.A @ x + offset(t),
+            evaluate=evaluate,
             fixed_point=lambda t: path.point(t),
-            evaluate_batch=lambda X, t: X @ self.A.T + offset(t),
+            evaluate_batch=evaluate,
             declared_norm=norm,
             **kwargs,
         )

@@ -46,14 +46,15 @@ from ..norms import L2, LINF, Norm
 
 
 def to_real(v: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector as [re0, im0, re1, im1, ...]."""
+    """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...]."""
     v = np.asarray(v, dtype=complex)
-    return np.column_stack([v.real, v.imag]).ravel()
+    return np.stack([v.real, v.imag], axis=-1).reshape(*v.shape[:-1], -1)
 
 
 def to_complex(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1, 2)
-    return x[:, 0] + 1j * x[:, 1]
+    """Inverse of :func:`to_real`, for a vector or each row."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 class PowerNetwork:
@@ -178,24 +179,13 @@ class LoadflowFamily(MapFamily):
             v = to_complex(x)
             if np.min(np.abs(v)) < self.guard:
                 raise DomainViolationError("voltage magnitude fell below the division guard")
-            return to_real(noload + Z @ np.conj(injections.at(t) / v))
-
-        def evaluate_batch(X, t):
-            V = X.reshape(len(X), -1, 2)
-            V = V[..., 0] + 1j * V[..., 1]
-            if np.min(np.abs(V)) < self.guard:
-                raise DomainViolationError("voltage magnitude fell below the division guard")
-            out = noload + np.conj(injections.at(t) / V) @ Z.T
-            flat = np.empty((len(X), 2 * out.shape[1]))
-            flat[:, 0::2] = out.real
-            flat[:, 1::2] = out.imag
-            return flat
+            return to_real(noload + np.conj(injections.at(t) / v) @ Z.T)
 
         super().__init__(
             dim=2 * net.n,
             domain=kwargs.pop("domain"),
             evaluate=evaluate,
-            evaluate_batch=evaluate_batch,
+            evaluate_batch=evaluate,
             **kwargs,
         )
 
@@ -560,21 +550,25 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             f">= cap {contraction_cap}"
         )
 
-    # Scaled-coordinate domain box and family plumbing.
-    block_sizes = [2 * len(a.buses) for a in areas]
-    half = np.concatenate(
-        [np.full(2 * len(a.buses), omega[k] * H[k]) for k, a in enumerate(areas)]
-    )
+    # Scaled-coordinate domain box and the index arrays of the stacked map:
+    # the state holds area 1's buses, then area 2's, ..., each as (re, im).
+    sizes = [len(a.buses) for a in areas]
+    block_sizes = [2 * size for size in sizes]
+    bus_area = np.repeat(np.arange(k_areas), sizes)
+    bus_start = np.concatenate([[0], np.cumsum(sizes)])
+    half = np.repeat((omega * H)[bus_area], 2)
     domain = Domain.box(-half, half)
-    offsets = np.concatenate([[0], np.cumsum(block_sizes)])
-    centers = [center[a.buses] for a in areas]
-
-    def decode(x):
-        vs = []
-        for k, a in enumerate(areas):
-            block = x[offsets[k] : offsets[k + 1]]
-            vs.append(centers[k] + to_complex(block) / omega[k])
-        return vs
+    bus_order = np.concatenate([a.buses for a in areas])
+    centers = center[bus_order]
+    bus_weight = omega[bus_area]
+    state_weight = np.repeat(bus_weight, 2)
+    conn_pos = np.array([bus_start[k] + a.conn_local for k, a in enumerate(areas[:-1])])
+    root_pos = np.array([bus_start[k] + a.root_local for k, a in enumerate(areas) if k > 0])
+    link_z = np.array([a.link_down for a in areas[:-1]])
+    unit_response = np.concatenate([a.unit_response for a in areas])
+    Z_blocks = np.zeros((len(bus_order), len(bus_order)), dtype=complex)
+    for k, a in enumerate(areas):
+        Z_blocks[bus_start[k] : bus_start[k + 1], bus_start[k] : bus_start[k + 1]] = a.Z
 
     def noise_draw(t, k):
         if adversarial:
@@ -582,78 +576,38 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         rng = seeded_stream(seed, 29, t, k)
         return nb * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    def measured(vs, t, noisy):
-        out = np.zeros(k_areas, dtype=complex)
-        for k, a in enumerate(areas):
-            if a.conn_local is None:
-                continue
-            v_conn = vs[k][a.conn_local]
-            v_root = vs[k + 1][areas[k + 1].root_local]
-            if abs(v_conn) < guard:
-                raise DomainViolationError("connection-point voltage fell below the guard")
-            out[k] = v_conn * np.conj((v_conn - v_root) / a.link_down)
-            if noisy and nb > 0.0:
-                out[k] += noise_draw(t, k)
-        return out
-
     def stacked(x, t, noisy):
-        vs = decode(np.asarray(x, dtype=float))
-        for v in vs:
-            if np.min(np.abs(v)) < guard:
-                raise DomainViolationError("voltage magnitude fell below the guard")
-        meas = measured(vs, t, noisy)
-        s_t = injections.at(t)
-        out = np.empty(int(offsets[-1]))
-        for k, a in enumerate(areas):
-            s_eff = s_t[a.buses].astype(complex)
-            if a.conn_local is not None:
-                s_eff[a.conn_local] -= meas[k]
-            slack_v = v0 if k == 0 else vs[k - 1][areas[k - 1].conn_local]
-            v_new = slack_v * a.unit_response + a.Z @ np.conj(s_eff / vs[k])
-            out[offsets[k] : offsets[k + 1]] = omega[k] * to_real(v_new - centers[k])
-        return out
-
-    def stacked_batch(X, t, noisy):
-        X = np.asarray(X, dtype=float)
-        rows = len(X)
-        s_t = injections.at(t)
-        Vs = []
-        for k in range(k_areas):
-            block = X[:, offsets[k] : offsets[k + 1]].reshape(rows, -1, 2)
-            Vs.append(centers[k] + (block[..., 0] + 1j * block[..., 1]) / omega[k])
-        if min(float(np.min(np.abs(V))) for V in Vs) < guard:
+        """All areas' maps at a state of shape (m,) or at each row of (k, m)."""
+        v = centers + to_complex(x) / bus_weight
+        if np.min(np.abs(v)) < guard:
             raise DomainViolationError("voltage magnitude fell below the guard")
-        meas = np.zeros((rows, k_areas), dtype=complex)
-        for k, a in enumerate(areas):
-            if a.conn_local is None:
-                continue
-            v_conn = Vs[k][:, a.conn_local]
-            v_root = Vs[k + 1][:, areas[k + 1].root_local]
-            meas[:, k] = v_conn * np.conj((v_conn - v_root) / a.link_down)
-            if noisy and nb > 0.0:
-                meas[:, k] += noise_draw(t, k)
-        out = np.empty((rows, int(offsets[-1])))
-        for k, a in enumerate(areas):
-            s_eff = np.broadcast_to(s_t[a.buses], (rows, len(a.buses))).astype(complex)
-            if a.conn_local is not None:
-                s_eff[:, a.conn_local] -= meas[:, k]
-            if k == 0:
-                slack_v = np.full(rows, v0, dtype=complex)
-            else:
-                slack_v = Vs[k - 1][:, areas[k - 1].conn_local]
-            v_new = slack_v[:, None] * a.unit_response + np.conj(s_eff / Vs[k]) @ a.Z.T
-            dev = omega[k] * (v_new - centers[k])
-            out[:, offsets[k] : offsets[k + 1] : 2] = dev.real
-            out[:, offsets[k] + 1 : offsets[k + 1] : 2] = dev.imag
-        return out
+        # power flowing into area k+1, measured at area k's connection bus
+        v_conn = v[..., conn_pos]
+        meas = v_conn * np.conj((v_conn - v[..., root_pos]) / link_z)
+        if noisy and nb > 0.0:
+            meas += [noise_draw(t, k) for k in range(k_areas - 1)]
+        s_eff = np.empty_like(v)
+        s_eff[...] = injections.at(t)[bus_order]
+        s_eff[..., conn_pos] -= meas
+        # area 1's slack is the substation, area k's the connection bus of area k-1
+        slack = np.concatenate([np.full(v.shape[:-1] + (1,), v0, dtype=complex), v_conn],
+                               axis=-1)[..., bus_area]
+        v_new = slack * unit_response + np.conj(s_eff / v) @ Z_blocks.T
+        return to_real(v_new - centers) * state_weight
+
+    def exact_map(x, t):
+        return stacked(x, t, noisy=False)
+
+    def noisy_map(x, t):
+        return stacked(x, t, noisy=True)
 
     base = MapFamily(
-        dim=int(offsets[-1]),
+        dim=len(half),
         domain=domain,
-        evaluate=lambda x, t: stacked(x, t, noisy=False),
+        evaluate=exact_map,
         lipschitz=declared,
         block_sizes=block_sizes,
-        evaluate_batch=lambda X, t: stacked_batch(X, t, noisy=False),
+        evaluate_batch=exact_map,
         declared_norm=Norm(LINF),
         name=f"multiarea-loadflow-k{k_areas}",
     )
@@ -663,10 +617,10 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     ))
     family = InexactMapFamily(
         base,
-        lambda x, t: stacked(x, t, noisy=True),
+        noisy_map,
         err,
         norm=Norm(LINF),
-        evaluate_batch=lambda X, t: stacked_batch(X, t, noisy=True),
+        evaluate_batch=noisy_map,
         name=f"multiarea-loadflow-feedback-k{k_areas}",
     )
 

@@ -63,10 +63,11 @@ class TimeVaryingQP:
         return self.curvature.size
 
     def gradient(self, x, t) -> np.ndarray:
-        y = float(self.coupling @ x) + self.output_signal.value(t)
+        """Objective gradient at a state ``x`` of shape (n,) or at each row of (k, n)."""
+        y = x @ self.coupling + self.output_signal.value(t)
         return (
             self.curvature * x
-            + self.tracking_weight * self.coupling * (y - self.reference_signal.value(t))
+            + self.tracking_weight * self.coupling * (y - self.reference_signal.value(t))[..., None]
             + self.regularization * x
         )
 
@@ -110,20 +111,12 @@ class GradientMapFamily(MapFamily):
         def evaluate(x, t):
             return np.clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
 
-        def evaluate_batch(X, t):
-            y = X @ qp.coupling + qp.output_signal.value(t)
-            grad = (
-                X * (qp.curvature + qp.regularization)
-                + qp.tracking_weight * np.outer(y - qp.reference_signal.value(t), qp.coupling)
-            )
-            return np.clip(X - a * grad, qp.box_lo, qp.box_hi)
-
         super().__init__(
             dim=n,
             domain=Domain.box(qp.box_lo, qp.box_hi),
             evaluate=evaluate,
             lipschitz=declared,
-            evaluate_batch=evaluate_batch,
+            evaluate_batch=evaluate,
             declared_norm=Norm(L2),
             name=f"qp-gradient-n{n}",
         )
@@ -167,15 +160,8 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
         g = qp.gradient(x, t) + qp.tracking_weight * qp.coupling * noise(t)
         return np.clip(x - a * g, qp.box_lo, qp.box_hi)
 
-    def evaluate_batch(X, t):
-        y = X @ qp.coupling + qp.output_signal.value(t) + noise(t)
-        grad = X * (qp.curvature + qp.regularization) + qp.tracking_weight * np.outer(
-            y - qp.reference_signal.value(t), qp.coupling
-        )
-        return np.clip(X - a * grad, qp.box_lo, qp.box_hi)
-
     bound = a * qp.tracking_weight * norm.of(qp.coupling) * nb
-    return InexactMapFamily(base, evaluate, bound, norm=norm,
+    return InexactMapFamily(base, evaluate, bound, norm=norm, evaluate_batch=evaluate,
                             name=f"qp-feedback-n{qp.n_devices}")
 
 
@@ -228,26 +214,13 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
             "reduce the step size, coupling, or tracking weight"
         )
 
-    def split(z):
-        return z[:n], z[n] / theta
-
     def base_evaluate(z, t):
-        x, y = split(z)
+        x, y = z[..., :n], z[..., n:] / theta
         r = qp.reference_signal.value(t)
         g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * (y - r)
         x_new = np.clip(x - a * g, qp.box_lo, qp.box_hi)
-        y_new = float(qp.coupling @ x) + qp.output_signal.value(t)
-        return np.concatenate([x_new, [theta * y_new]])
-
-    def base_evaluate_batch(Z, t):
-        X, ys = Z[:, :n], Z[:, n] / theta
-        r = qp.reference_signal.value(t)
-        G = X * (qp.curvature + qp.regularization) + qp.tracking_weight * np.outer(
-            ys - r, qp.coupling
-        )
-        Xn = np.clip(X - a * G, qp.box_lo, qp.box_hi)
-        yn = X @ qp.coupling + qp.output_signal.value(t)
-        return np.column_stack([Xn, theta * yn])
+        y_new = x @ qp.coupling + qp.output_signal.value(t)
+        return np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
 
     lo = np.concatenate([qp.box_lo, [-np.inf]])
     hi = np.concatenate([qp.box_hi, [np.inf]])
@@ -256,7 +229,7 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         domain=Domain.box(lo, hi),
         evaluate=base_evaluate,
         lipschitz=declared,
-        evaluate_batch=base_evaluate_batch,
+        evaluate_batch=base_evaluate,
         declared_norm=Norm(L2),
         name=f"qp-broadcast-n{n}",
     )
@@ -268,15 +241,10 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
 
     def evaluate(z, t):
         out = base_evaluate(z, t)
-        out[n] += theta * noise(t)
-        return out
-
-    def evaluate_batch(Z, t):
-        out = base_evaluate_batch(Z, t)
-        out[:, n] += theta * noise(t)
+        out[..., n:] += theta * noise(t)
         return out
 
     family = InexactMapFamily(base, evaluate, theta * nb, norm=Norm(L2),
-                              evaluate_batch=evaluate_batch,
+                              evaluate_batch=evaluate,
                               name=f"qp-broadcast-feedback-n{n}")
     return family, star_partition(qp)

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fptrack
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(fptrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -245,6 +245,31 @@ def test_cli_bad_channel_exit_2(tmp_path, capsys, channel):
     assert "configuration error" in capsys.readouterr().err
 
 
+AFFINE_PROBLEM = affine_doc()["problem"]
+
+
+@pytest.mark.parametrize("problem", [
+    dict(AFFINE_PROBLEM, drift={"kind": "piecewise", "fast_rate": 0.1, "fast_window": 5}),
+    dict(AFFINE_PROBLEM, drift={"kind": "piecewise", "fast_rate": 0.1, "fast_window": [1]}),
+    dict(AFFINE_PROBLEM, drift={"kind": "linear", "rate": "x"}),
+    dict(AFFINE_PROBLEM, drift={"kind": "linear", "seed": "x"}),
+    dict(AFFINE_PROBLEM, drift=5),
+    dict(AFFINE_PROBLEM, dim="x"),
+    dict(AFFINE_PROBLEM, contraction="x"),
+    {"kind": "qp-gradient", "step_size": "x"},
+    {"kind": "qp-gradient", "step_size": 0.3, "devices": "x"},
+    {"kind": "loadflow", "network": "two-bus", "noise_bound": "x"},
+    {"kind": "loadflow", "network": "two-bus", "radius": "x"},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "random_walk", "step": "x"}},
+], ids=["fast-window-int", "fast-window-short", "drift-rate", "drift-seed", "drift-not-object",
+        "affine-dim", "affine-contraction", "qp-step-size", "qp-devices",
+        "loadflow-noise-bound", "loadflow-radius", "injection-step"])
+def test_cli_bad_problem_value_exit_2(tmp_path, capsys, problem):
+    cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem))
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_certificate_failure_exit_3(tmp_path):
     cfg = write_json(tmp_path / "c.json", affine_doc(transient_fraction=0.0, horizon=40))
     assert main(["run", cfg]) == EXIT_CERTIFICATE
