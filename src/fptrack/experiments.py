@@ -104,16 +104,23 @@ def _number(spec, key, default, where, cast=int):
         raise ConfigError(f"{where} {key} must be a number, got {spec.get(key)!r}") from exc
 
 
-def _path_spec(spec, where, start, seed):
-    """``(kind, keyword arguments)`` of a drift or signal spec; absent keys take defaults."""
+def _path_spec(spec, where, seed, dim=None):
+    """``(kind, keyword arguments)`` of a drift spec in R^dim, or of a scalar signal
+    spec when ``dim`` is None; absent keys take defaults."""
     if spec is not None and not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
     spec = dict(spec or {"kind": "constant"})
     _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
                   {"kind"}, where)
     kw = {"rate": _number(spec, "rate", 0.0, where, float),
-          "seed": _number(spec, "seed", seed, where),
-          "start": spec.get("start", start)}
+          "seed": _number(spec, "seed", seed, where)}
+    if dim is None:
+        kw["start"] = _number(spec, "start", 0.0, where, float)
+    elif spec.get("start") is not None:
+        try:
+            kw["start"] = np.asarray(spec["start"], dtype=float).reshape(dim)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} start must be {dim} numbers, got {spec['start']!r}") from exc
     if spec["kind"] == "piecewise":
         kw["fast_rate"] = _number(spec, "fast_rate", 0.0, where, float)
         window = spec.get("fast_window", (1, 1))
@@ -126,7 +133,7 @@ def _path_spec(spec, where, start, seed):
 
 
 def _signal(spec, seed):
-    kind, kw = _path_spec(spec, "signal spec", start=0.0, seed=seed)
+    kind, kw = _path_spec(spec, "signal spec", seed)
     return scalar_signal(kind, **kw)
 
 
@@ -237,7 +244,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem kind {kind!r}")
 
     def _drift(self, dim, spec):
-        kind, kw = _path_spec(spec, "drift spec", start=None, seed=self.seed)
+        kind, kw = _path_spec(spec, "drift spec", self.seed, dim)
         return DriftPath(kind, dim, norm=self.norm, **kw)
 
     def build_problem(self):
@@ -310,9 +317,12 @@ class ExperimentConfig:
         step = _number(inj_spec, "step", 0.0, "injection spec", float)
         inj_seed = _number(inj_spec, "seed", self.seed, "injection spec")
         if "base" in inj_spec:
-            base = np.array([complex(re, im) for re, im in inj_spec["base"]])
-            inj = InjectionSeries(inj_spec["kind"], base, net.injection_limit,
-                                  step=step, seed=inj_seed)
+            try:
+                base = np.array([complex(re, im) for re, im in inj_spec["base"]])
+                inj = InjectionSeries(inj_spec["kind"], base, net.injection_limit,
+                                      step=step, seed=inj_seed)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad injection spec: {exc}") from exc
         else:
             inj = default_injections(
                 net,
@@ -373,11 +383,14 @@ def load_network(doc: dict) -> PowerNetwork:
     per-bus injection limits, optional area assignment."""
     _require_keys(doc, {"buses", "slack_voltage", "lines", "injection_limit", "areas"},
                   {"buses", "slack_voltage", "lines", "injection_limit"}, "network")
-    sv = doc["slack_voltage"]
-    slack = complex(sv[0], sv[1]) if isinstance(sv, (list, tuple)) else complex(sv)
-    lines = [(a, b, complex(z[0], z[1])) for a, b, z in doc["lines"]]
-    return PowerNetwork(int(doc["buses"]), slack, lines, doc["injection_limit"],
-                        areas=doc.get("areas"))
+    try:
+        sv = doc["slack_voltage"]
+        slack = complex(sv[0], sv[1]) if isinstance(sv, (list, tuple)) else complex(sv)
+        lines = [(a, b, complex(z[0], z[1])) for a, b, z in doc["lines"]]
+        return PowerNetwork(int(doc["buses"]), slack, lines, doc["injection_limit"],
+                            areas=doc.get("areas"))
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad network document: {exc}") from exc
 
 
 def load_qp(doc: dict) -> TimeVaryingQP:

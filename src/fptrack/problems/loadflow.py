@@ -44,6 +44,8 @@ from ..errors import (
 )
 from ..norms import L2, LINF, Norm
 
+_GUARD = 1e-6  # smallest voltage modulus the maps divide by
+
 
 def to_real(v: np.ndarray) -> np.ndarray:
     """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...]."""
@@ -55,6 +57,18 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_real`, for a vector or each row."""
     x = np.asarray(x, dtype=float)
     return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _admittance(size, lines):
+    """Nodal admittance matrix over nodes 0..size-1 of (node, node, impedance) lines."""
+    y = np.zeros((size, size), dtype=complex)
+    for (a, b, z) in lines:
+        adm = 1.0 / z
+        y[a, a] += adm
+        y[b, b] += adm
+        y[a, b] -= adm
+        y[b, a] -= adm
+    return y
 
 
 class PowerNetwork:
@@ -76,17 +90,12 @@ class PowerNetwork:
         self.areas = (
             np.asarray(areas, dtype=int).reshape(self.n) if areas is not None else None
         )
-        y_full = np.zeros((self.n + 1, self.n + 1), dtype=complex)
         for (a, b, z) in self.lines:
             if not (0 <= a <= self.n and 0 <= b <= self.n) or a == b:
                 raise PreconditionError(f"line ({a}, {b}) references invalid buses")
             if z == 0:
                 raise PreconditionError("line impedance must be nonzero")
-            y = 1.0 / z
-            y_full[a, a] += y
-            y_full[b, b] += y
-            y_full[a, b] -= y
-            y_full[b, a] -= y
+        y_full = _admittance(self.n + 1, self.lines)
         self.Y_ll = y_full[1:, 1:]
         self.Y_l0 = y_full[1:, 0]
         try:
@@ -169,15 +178,14 @@ class InjectionSeries:
 class LoadflowFamily(MapFamily):
     """Monolithic Z-bus fixed-point family over flattened voltages."""
 
-    def __init__(self, net, injections, guard, **kwargs):
+    def __init__(self, net, injections, **kwargs):
         self.network = net
         self.injections = injections
-        self.guard = float(guard)
         noload, Z = net.noload, net.Z
 
         def evaluate(x, t):
             v = to_complex(x)
-            if np.min(np.abs(v)) < self.guard:
+            if np.min(np.abs(v)) < _GUARD:
                 raise DomainViolationError("voltage magnitude fell below the division guard")
             return to_real(noload + np.conj(injections.at(t) / v) @ Z.T)
 
@@ -191,7 +199,7 @@ class LoadflowFamily(MapFamily):
 
 
 def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.2,
-                       norm: Norm | None = None, guard=1e-6) -> LoadflowFamily:
+                       norm: Norm | None = None) -> LoadflowFamily:
     """Monolithic load-flow family with analytic contraction certification.
 
     The domain is a neighborhood of the no-load profile of size ``radius``
@@ -217,7 +225,7 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
         vmin = float(np.min(np.abs(center_c))) - radius
     else:
         vmin = float(np.min(np.abs(center_c))) - np.sqrt(2.0) * radius
-    if vmin <= max(guard, 0.05):
+    if vmin <= max(_GUARD, 0.05):
         raise ContractionUncertifiedError(
             "domain radius leaves no certified voltage-magnitude margin"
         )
@@ -253,7 +261,6 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
     return LoadflowFamily(
         net,
         injections,
-        guard,
         domain=domain,
         lipschitz=lipschitz,
         lipschitz_sup=lip_sup,
@@ -283,16 +290,31 @@ def boundary_injection(v_area_j, v_connection, link_impedance, root_index=0) -> 
 # Multi-area decomposition
 # ---------------------------------------------------------------------------
 
+_MARGIN = 1.05           # certified self-map box over the box the rounds close on
+_MAX_ROUNDS = 300        # self-map rounds before the couplings count as too strong
+_CONTRACTION_CAP = 0.95  # largest declared factor the builder certifies
+_REF_TOL = 1e-13         # residual of the monolithic reference solves
 
-@dataclass
-class _Area:
-    buses: np.ndarray            # global load-bus indices (0-based), sorted
-    Z: np.ndarray                # area impedance matrix, slack = upstream bus
-    unit_response: np.ndarray    # no-load profile per unit slack voltage
-    conn_local: int | None       # local index of the bus feeding the next area
-    root_local: int              # local index of the bus adjacent to the upstream slack
-    link_down: complex | None    # impedance of the line to the next area
-    limits: np.ndarray
+
+@dataclass(frozen=True)
+class _Coordinates:
+    """State <-> voltage change of the decomposed load flow.
+
+    The state lists the load buses area by area (``order``), each as the
+    (re, im) parts of its voltage's deviation from the no-load profile times
+    its area's weight. Voltages are in state order; both directions take one
+    vector or rows.
+    """
+
+    order: np.ndarray    # load bus (0-based) at each state position
+    noload: np.ndarray   # its no-load voltage
+    weight: np.ndarray   # its area's weight, once per state coordinate
+
+    def voltages(self, x):
+        return self.noload + to_complex(x) / self.weight[0::2]
+
+    def state(self, v):
+        return to_real(v - self.noload) * self.weight
 
 
 @dataclass
@@ -303,31 +325,20 @@ class MultiAreaSystem:
     graph: DependencyGraph
     monolithic: LoadflowFamily
     network: PowerNetwork
-    areas: list
+    coordinates: _Coordinates
     weights: np.ndarray          # per-area coordinate scales
-    half_widths: np.ndarray      # per-area voltage-deviation box (flat, unscaled)
-    gain_matrix: np.ndarray
     declared: float
     error_bound: float
 
     def encode(self, v: np.ndarray) -> np.ndarray:
         """Voltages (global bus order) -> scaled-deviation state."""
-        v = np.asarray(v, dtype=complex)
-        parts = []
-        for k, area in enumerate(self.areas):
-            parts.append(self.weights[k] * to_real(v[area.buses] - self.network.noload[area.buses]))
-        return np.concatenate(parts)
+        c = self.coordinates
+        return c.state(np.asarray(v, dtype=complex)[..., c.order])
 
     def to_voltages(self, x: np.ndarray) -> np.ndarray:
         """Scaled-deviation state -> complex voltages in global bus order."""
-        v = np.empty(self.network.n, dtype=complex)
-        offset = 0
-        for k, area in enumerate(self.areas):
-            nk = len(area.buses)
-            block = np.asarray(x[offset : offset + 2 * nk], dtype=float)
-            v[area.buses] = self.network.noload[area.buses] + to_complex(block) / self.weights[k]
-            offset += 2 * nk
-        return v
+        c = self.coordinates
+        return c.voltages(x)[..., np.argsort(c.order)]
 
     def voltage_error(self, x, v_ref) -> float:
         """Max per-unit voltage deviation of a state from reference voltages."""
@@ -335,6 +346,15 @@ class MultiAreaSystem:
 
 
 def _parse_chain(net: PowerNetwork):
+    """Index arrays of a chain of areas joined by single lines.
+
+    Returns the load buses (0-based) in state order, area by area; the state
+    positions of each link's upstream connection bus and downstream root bus,
+    and the link's impedance; and the admittance matrix of the areas cut
+    apart at the links. Its row and column 0 stand for each bus's area slack
+    (the substation for area 1, the upstream connection bus for the others),
+    the rest follow state order, so the load-bus part is block-diagonal.
+    """
     if net.areas is None:
         raise PartitionUnsupportedError("network has no area assignment")
     ids = sorted(set(int(a) for a in net.areas))
@@ -342,12 +362,15 @@ def _parse_chain(net: PowerNetwork):
         raise PartitionUnsupportedError("areas must be labeled 1..K with K >= 2")
     k_areas = len(ids)
     bus_area = np.concatenate([[1], net.areas])  # slack counted with area 1
+    order = np.argsort(net.areas, kind="stable")
+    slot = np.zeros(net.n + 1, dtype=int)  # bus -> admittance index, slack -> 0
+    slot[order + 1] = np.arange(1, net.n + 1)
     links = {}
-    internal = {a: [] for a in ids}
+    area_lines = []
     for (a, b, z) in net.lines:
         ra, rb = int(bus_area[a]), int(bus_area[b])
         if ra == rb:
-            internal[ra].append((a, b, z))
+            area_lines.append((slot[a], slot[b], z))
         else:
             lo, hi = min(ra, rb), max(ra, rb)
             if hi != lo + 1:
@@ -364,64 +387,13 @@ def _parse_chain(net: PowerNetwork):
         raise PartitionUnsupportedError("consecutive areas must be joined by exactly one line")
     if any(a == 0 or b == 0 for (a, b, _) in links.values()):
         raise PartitionUnsupportedError("the slack bus cannot be a connection point")
-    return k_areas, internal, links
-
-
-def _area_models(net: PowerNetwork, k_areas, internal, links):
-    areas = []
-    for aid in range(1, k_areas + 1):
-        buses = np.flatnonzero(net.areas == aid) + 1  # global bus numbers
-        local = {b: i for i, b in enumerate(buses)}
-        if aid == 1:
-            slack_bus = 0
-            area_lines = list(internal[1])
-        else:
-            conn, root, z = links[aid - 1]
-            slack_bus = conn
-            area_lines = list(internal[aid]) + [(conn, root, z)]
-        y = np.zeros((len(buses) + 1, len(buses) + 1), dtype=complex)
-        # index 0 is the area slack, 1.. are the area buses
-        def li(b):
-            return 0 if b == slack_bus else local[b] + 1
-        for (a, b, z) in area_lines:
-            ia, ib = li(a), li(b)
-            adm = 1.0 / z
-            y[ia, ia] += adm
-            y[ib, ib] += adm
-            y[ia, ib] -= adm
-            y[ib, ia] -= adm
-        y_ll, y_l0 = y[1:, 1:], y[1:, 0]
-        try:
-            Zk = np.linalg.inv(y_ll)
-        except np.linalg.LinAlgError as exc:
-            raise PartitionUnsupportedError(f"area {aid} is internally disconnected") from exc
-        unit = -Zk @ y_l0
-        conn_local = None
-        link_down = None
-        if aid in links:
-            conn_bus = links[aid][0]
-            if int(net.areas[conn_bus - 1]) != aid:
-                raise PartitionUnsupportedError("connection bus must belong to the upstream area")
-            conn_local = local[conn_bus]
-            link_down = links[aid][2]
-        root_local = 0 if aid == 1 else local[links[aid - 1][1]]
-        areas.append(
-            _Area(
-                buses=buses - 1,  # back to 0-based load-bus indexing
-                Z=Zk,
-                unit_response=unit,
-                conn_local=conn_local,
-                root_local=root_local,
-                link_down=link_down,
-                limits=net.injection_limit[buses - 1],
-            )
-        )
-    return areas
+    conn, root, link_z = (np.array(col) for col in zip(*(links[k] for k in range(1, k_areas))))
+    # a link joins its downstream area's root bus to that area's slack
+    y = _admittance(net.n + 1, area_lines + [(0, slot[r], z) for r, z in zip(root, link_z)])
+    return order, slot[conn] - 1, slot[root] - 1, link_z, y
 
 
 def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_bound, seed,
-                         guard=1e-6, margin=1.05, max_rounds=300,
-                         contraction_cap=0.95, ref_tol=1e-13,
                          adversarial=False) -> MultiAreaSystem:
     """Per-area load-flow maps with measured boundary injections.
 
@@ -432,13 +404,14 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     edges are (k-1 -> k) and (k+1 -> k) along the chain; for three areas,
     {(2,1), (1,2), (3,2), (2,3)} in 1-based area labels.
 
-    Measurement noise is complex, of modulus at most ``noise_bound``, seeded
-    per step (``adversarial`` switches to a constant offset of exactly that
-    modulus, which makes steady-state bounds near-tight). The returned
-    system's family iterates scaled per-area voltage deviations (see module
-    docstring); its declared contraction factor, its self-map box, and the
-    approximation error bound are all derived analytically, so the assumption
-    audits hold by construction.
+    Measurement noise is complex, of modulus at most ``noise_bound``, drawn
+    for all boundaries from one seeded stream per step (``adversarial``
+    switches to a constant offset of exactly that modulus, which makes
+    steady-state bounds near-tight). The returned system's family iterates
+    scaled per-area voltage deviations (see module docstring); its declared
+    contraction factor, its self-map box, and the approximation error bound
+    are all derived analytically, so the assumption audits hold by
+    construction.
     """
     if injections.n != net.n:
         raise PreconditionError("injection series does not match the network size")
@@ -447,90 +420,81 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     nb = float(noise_bound)
     if nb < 0.0:
         raise PreconditionError("noise bound must be nonnegative")
-    k_areas, internal, links = _parse_chain(net)
-    areas = _area_models(net, k_areas, internal, links)
-    center = net.noload
+    order, conn_pos, root_pos, link_z, y = _parse_chain(net)
+    bus_area = net.areas[order] - 1
+    sizes = np.bincount(bus_area)
+    k_areas = len(sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    # Each area's impedance matrix is a diagonal block of Z. The blocks are
+    # inverted one by one: inverting the whole matrix rounds differently, and
+    # the certificates below read differences of no-load voltages that are
+    # rounding-sized.
+    Z = np.zeros((net.n, net.n), dtype=complex)
+    for k, block in enumerate(map(slice, starts, starts + sizes)):
+        try:
+            Z[block, block] = np.linalg.inv(y[1:, 1:][block, block])
+        except np.linalg.LinAlgError as exc:
+            raise PartitionUnsupportedError(f"area {k + 1} is internally disconnected") from exc
+    unit = -Z @ y[1:, 0]  # no-load profile per unit slack voltage
+
+    def area_max(values):
+        return np.maximum.reduceat(values, starts)
+
+    center = net.noload[order]
     v0 = net.slack_voltage
+    root2 = np.sqrt(2.0)
 
     # Constant per-area quantities for the certification inequalities.
-    absZ = [np.abs(a.Z) for a in areas]
-    unit_flat_gain = np.array(
-        [np.max(np.abs(a.unit_response.real) + np.abs(a.unit_response.imag)) for a in areas]
-    )
-    base_misfit = []
-    for k, a in enumerate(areas):
-        if k == 0:
-            profile = a.unit_response * v0
-        else:
-            profile = a.unit_response * center[areas[k - 1].buses[areas[k - 1].conn_local]]
-        base_misfit.append(float(np.max(np.abs(profile - center[a.buses]))))
-    base_misfit = np.array(base_misfit)
-    y_link = np.array([1.0 / abs(a.link_down) if a.link_down is not None else 0.0 for a in areas])
-    colZ = np.array(
-        [np.max(absZ[k][:, a.conn_local]) if a.conn_local is not None else 0.0
-         for k, a in enumerate(areas)]
-    )
+    absZ = np.abs(Z)
+    unit_flat_gain = area_max(np.abs(unit.real) + np.abs(unit.imag))
+    slack_center = np.concatenate([[v0], center[conn_pos]])[bus_area]
+    base_misfit = area_max(np.abs(unit * slack_center - center))
+    y_link = 1.0 / np.abs(link_z)
+    colZ = absZ[:, conn_pos].max(axis=0)
+    cgap = np.abs(center[conn_pos] - center[root_pos])
     cmag = np.abs(center)
-    root2 = np.sqrt(2.0)
+    cmax, cmin = area_max(cmag), cmag.min()
+    limits = net.injection_limit[order]
 
     def closure(H):
         """One round of the self-map inequalities: H -> required half-widths."""
         dev = root2 * H  # modulus deviation caps per area
-        vmax = np.array([np.max(cmag[a.buses]) for a in areas]) + dev
-        vmin = float(min(np.min(cmag[a.buses]) for a in areas) - dev.max())
-        if vmin <= max(guard, 0.05):
-            return None, None, None
-        gaps = np.zeros(k_areas)
-        meas_mag = np.zeros(k_areas)
-        for k, a in enumerate(areas):
-            if a.conn_local is None:
-                continue
-            down = areas[k + 1]
-            cgap = abs(center[a.buses[a.conn_local]] - center[down.buses[down.root_local]])
-            gaps[k] = dev[k] + cgap + dev[k + 1]
-            meas_mag[k] = vmax[k] * y_link[k] * gaps[k] + nb
-        new_H = np.zeros(k_areas)
-        seff = []
-        for k, a in enumerate(areas):
-            s_eff = a.limits.copy()
-            if a.conn_local is not None:
-                s_eff[a.conn_local] += meas_mag[k]
-            seff.append(s_eff)
-            reach = float(np.max(absZ[k] @ s_eff)) / vmin
-            upstream = unit_flat_gain[k] * H[k - 1] if k > 0 else 0.0
-            new_H[k] = upstream + base_misfit[k] + reach
-        return new_H, (vmin, vmax, gaps, seff), meas_mag
+        vmax = cmax + dev
+        vmin = float(cmin - dev.max())
+        if vmin <= max(_GUARD, 0.05):
+            return None, None
+        gaps = dev[:-1] + cgap + dev[1:]
+        s_eff = limits.copy()
+        s_eff[conn_pos] += vmax[:-1] * y_link * gaps + nb
+        load = area_max(absZ @ s_eff)
+        upstream = np.concatenate([[0.0], unit_flat_gain[1:] * H[:-1]])
+        return upstream + base_misfit + load / vmin, (vmin, vmax, gaps, load)
 
     H = np.full(k_areas, 1e-4)
-    for _ in range(int(max_rounds)):
-        new_H, _, _ = closure(H)
+    for _ in range(_MAX_ROUNDS):
+        new_H, _ = closure(H)
         if new_H is None:
             raise ContractionUncertifiedError(
                 "self-map certification failed: voltage margins collapsed"
             )
-        if np.max(np.abs(new_H - H)) <= 1e-11 * (1.0 + H.max()):
-            H = np.maximum(H, new_H)
-            break
+        closed = np.max(np.abs(new_H - H)) <= 1e-11 * (1.0 + H.max())
         H = np.maximum(H, new_H)
+        if closed:
+            break
     else:
         raise ContractionUncertifiedError("self-map box did not close; couplings too strong")
-    H = margin * H  # slack so the certified box strictly contains the reachable set
-    new_H, aux, _ = closure(H)
+    H = _MARGIN * H  # slack so the certified box strictly contains the reachable set
+    new_H, aux = closure(H)
     if new_H is None or np.any(new_H > H):
         raise ContractionUncertifiedError("self-map box did not stabilize under the margin")
-    vmin, vmax, gaps, seff = aux
+    vmin, vmax, gaps, load = aux
 
     # Inter-area gain matrix (flat max-norm, unscaled coordinates).
-    G = np.zeros((k_areas, k_areas))
-    for k, a in enumerate(areas):
-        denom = float(np.max(absZ[k] @ seff[k])) * root2 / vmin**2
-        G[k, k] += denom
-        if a.conn_local is not None:
-            own_meas = colZ[k] * y_link[k] * (gaps[k] + vmax[k]) * root2 / vmin
-            G[k, k] += own_meas
-            G[k, k + 1] += colZ[k] * y_link[k] * vmax[k + 1] * root2 / vmin
-        if k > 0:
-            G[k, k - 1] += unit_flat_gain[k]
+    link = np.arange(k_areas - 1)
+    G = np.diag(load * root2 / vmin**2)
+    G[link, link] += colZ * y_link * (gaps + vmax[:-1]) * root2 / vmin
+    G[link, link + 1] = colZ * y_link * vmax[1:] * root2 / vmin
+    G[link + 1, link] = unit_flat_gain[1:]
 
     # Perron weights equalize the weighted row sums at the spectral radius.
     evals, evecs = np.linalg.eig(G)
@@ -544,56 +508,40 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     omega = w[0] / w  # scale so area 1 keeps unit coordinates
     scaled = G * (omega[:, None] / omega[None, :])
     declared = float(scaled.sum(axis=1).max())
-    if declared >= contraction_cap:
+    if declared >= _CONTRACTION_CAP:
         raise ContractionUncertifiedError(
             f"stacked multi-area map not certified: declared factor {declared:.4f} "
-            f">= cap {contraction_cap}"
+            f">= cap {_CONTRACTION_CAP}"
         )
 
-    # Scaled-coordinate domain box and the index arrays of the stacked map:
-    # the state holds area 1's buses, then area 2's, ..., each as (re, im).
-    sizes = [len(a.buses) for a in areas]
-    block_sizes = [2 * size for size in sizes]
-    bus_area = np.repeat(np.arange(k_areas), sizes)
-    bus_start = np.concatenate([[0], np.cumsum(sizes)])
+    coords = _Coordinates(order, center, np.repeat(omega[bus_area], 2))
     half = np.repeat((omega * H)[bus_area], 2)
-    domain = Domain.box(-half, half)
-    bus_order = np.concatenate([a.buses for a in areas])
-    centers = center[bus_order]
-    bus_weight = omega[bus_area]
-    state_weight = np.repeat(bus_weight, 2)
-    conn_pos = np.array([bus_start[k] + a.conn_local for k, a in enumerate(areas[:-1])])
-    root_pos = np.array([bus_start[k] + a.root_local for k, a in enumerate(areas) if k > 0])
-    link_z = np.array([a.link_down for a in areas[:-1]])
-    unit_response = np.concatenate([a.unit_response for a in areas])
-    Z_blocks = np.zeros((len(bus_order), len(bus_order)), dtype=complex)
-    for k, a in enumerate(areas):
-        Z_blocks[bus_start[k] : bus_start[k + 1], bus_start[k] : bus_start[k + 1]] = a.Z
+    block_sizes = [2 * size for size in sizes]
 
-    def noise_draw(t, k):
+    def noise(t):
         if adversarial:
-            return complex(nb)
-        rng = seeded_stream(seed, 29, t, k)
-        return nb * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            return nb
+        rng = seeded_stream(seed, 29, t)
+        radius = nb * np.sqrt(rng.uniform(size=k_areas - 1))
+        return radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k_areas - 1))
 
     def stacked(x, t, noisy):
         """All areas' maps at a state of shape (m,) or at each row of (k, m)."""
-        v = centers + to_complex(x) / bus_weight
-        if np.min(np.abs(v)) < guard:
+        v = coords.voltages(x)
+        if np.min(np.abs(v)) < _GUARD:
             raise DomainViolationError("voltage magnitude fell below the guard")
         # power flowing into area k+1, measured at area k's connection bus
         v_conn = v[..., conn_pos]
         meas = v_conn * np.conj((v_conn - v[..., root_pos]) / link_z)
         if noisy and nb > 0.0:
-            meas += [noise_draw(t, k) for k in range(k_areas - 1)]
+            meas += noise(t)
         s_eff = np.empty_like(v)
-        s_eff[...] = injections.at(t)[bus_order]
+        s_eff[...] = injections.at(t)[order]
         s_eff[..., conn_pos] -= meas
         # area 1's slack is the substation, area k's the connection bus of area k-1
         slack = np.concatenate([np.full(v.shape[:-1] + (1,), v0, dtype=complex), v_conn],
                                axis=-1)[..., bus_area]
-        v_new = slack * unit_response + np.conj(s_eff / v) @ Z_blocks.T
-        return to_real(v_new - centers) * state_weight
+        return coords.state(slack * unit + np.conj(s_eff / v) @ Z.T)
 
     def exact_map(x, t):
         return stacked(x, t, noisy=False)
@@ -603,7 +551,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
 
     base = MapFamily(
         dim=len(half),
-        domain=domain,
+        domain=Domain.box(-half, half),
         evaluate=exact_map,
         lipschitz=declared,
         block_sizes=block_sizes,
@@ -611,10 +559,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         declared_norm=Norm(LINF),
         name=f"multiarea-loadflow-k{k_areas}",
     )
-    err = float(max(
-        (omega[k] * colZ[k] * nb / vmin) if areas[k].conn_local is not None else 0.0
-        for k in range(k_areas)
-    ))
+    err = float(np.max(omega[:-1] * colZ * nb / vmin, initial=0.0))
     family = InexactMapFamily(
         base,
         noisy_map,
@@ -637,7 +582,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         injections,
         radius=float(root2 * H.max() + 0.05),
         norm=Norm(LINF),
-        guard=guard,
     )
 
     system = MultiAreaSystem(
@@ -645,10 +589,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         graph=graph,
         monolithic=mono,
         network=net,
-        areas=areas,
+        coordinates=coords,
         weights=omega,
-        half_widths=H,
-        gain_matrix=G,
         declared=declared,
         error_bound=err,
     )
@@ -658,8 +600,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     def fixed_point(t):
         enc = cache.get(t)
         if enc is None:
-            warm = cache.get("warm", to_real(center))
-            sol = solve_fixed_point(mono, t, warm, tol=ref_tol, max_iter=10_000)
+            warm = cache.get("warm", to_real(net.noload))
+            sol = solve_fixed_point(mono, t, warm, tol=_REF_TOL, max_iter=10_000)
             cache["warm"] = sol
             enc = system.encode(to_complex(sol))
             cache[t] = enc

@@ -246,6 +246,8 @@ def test_cli_bad_channel_exit_2(tmp_path, capsys, channel):
 
 
 AFFINE_PROBLEM = affine_doc()["problem"]
+TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
+               "injection_limit": [0.4]}
 
 
 @pytest.mark.parametrize("problem", [
@@ -261,9 +263,23 @@ AFFINE_PROBLEM = affine_doc()["problem"]
     {"kind": "loadflow", "network": "two-bus", "noise_bound": "x"},
     {"kind": "loadflow", "network": "two-bus", "radius": "x"},
     {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "random_walk", "step": "x"}},
+    dict(AFFINE_PROBLEM, drift={"kind": "linear", "rate": 0.05, "start": "x"}),
+    dict(AFFINE_PROBLEM, drift={"kind": "linear", "rate": 0.05, "start": [1.0]}),
+    {"kind": "qp-gradient", "step_size": 0.1,
+     "reference_signal": {"kind": "constant", "start": [1.0, 2.0]}},
+    {"kind": "loadflow", "network": dict(TWO_BUS_DOC, lines=[[0, 1, "x"]])},
+    {"kind": "loadflow", "network": dict(TWO_BUS_DOC, buses="x")},
+    {"kind": "loadflow", "network": dict(TWO_BUS_DOC, injection_limit=[0.4, 0.4])},
+    {"kind": "loadflow", "network": dict(TWO_BUS_DOC, areas=[1, 2])},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "constant", "base": [[-0.1]]}},
+    {"kind": "loadflow", "network": "two-bus",
+     "injections": {"kind": "constant", "base": [[-0.1, 0.0], [-0.1, 0.0]]}},
 ], ids=["fast-window-int", "fast-window-short", "drift-rate", "drift-seed", "drift-not-object",
         "affine-dim", "affine-contraction", "qp-step-size", "qp-devices",
-        "loadflow-noise-bound", "loadflow-radius", "injection-step"])
+        "loadflow-noise-bound", "loadflow-radius", "injection-step",
+        "drift-start-text", "drift-start-short", "signal-start-list",
+        "network-line-text", "network-buses-text", "network-limits-length",
+        "network-areas-length", "injection-base-pair", "injection-base-length"])
 def test_cli_bad_problem_value_exit_2(tmp_path, capsys, problem):
     cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem))
     assert main(["run", cfg]) == EXIT_CONFIG

@@ -137,69 +137,89 @@ def test_boundary_injection_guards_near_zero_voltage():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def system():
+def two_area_network():
+    """Buses 1-8 of the three-area feeder: its first two areas and their link."""
     net = three_area_network()
-    return build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1)
+    return PowerNetwork(8, net.slack_voltage, net.lines[:8], net.injection_limit[:8],
+                        areas=net.areas[:8])
 
 
-def test_multiarea_edges_form_the_chain_pattern(system):
-    assert set(system.graph.edges) == {(1, 0), (0, 1), (2, 1), (1, 2)}
-    assert system.graph.n_agents == 3
+@pytest.fixture(scope="module")
+def systems():
+    """The decomposed load flow of a three-area and of a two-area chain."""
+    out = []
+    for net in (three_area_network(), two_area_network()):
+        out.append(build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1))
+    return out
 
 
-def test_multiarea_declared_contraction_certified(system):
-    assert 0.0 < system.declared < 0.95
-    est = fp.estimate_lipschitz(system.family.base, 1,
-                                DomainSampler(system.family.domain, 2), 6000, LINF)
-    assert est.value <= system.declared + 1e-9
+def test_multiarea_edges_form_the_chain_pattern(systems):
+    three, two = systems
+    assert set(three.graph.edges) == {(1, 0), (0, 1), (2, 1), (1, 2)}
+    assert three.graph.n_agents == 3
+    assert set(two.graph.edges) == {(1, 0), (0, 1)}
+    assert two.graph.n_agents == 2
 
 
-def test_multiarea_self_map_certified(system):
-    check = fp.verify_self_map(system.family.base, 1,
-                               DomainSampler(system.family.domain, 3), 6000)
-    assert check.ok
+def test_multiarea_declared_contraction_certified(systems):
+    for system in systems:
+        assert 0.0 < system.declared < 0.95
+        est = fp.estimate_lipschitz(system.family.base, 1,
+                                    DomainSampler(system.family.domain, 2), 6000, LINF)
+        assert est.value <= system.declared + 1e-9
 
 
-def test_multiarea_measurement_noise_within_declared_bound(system):
-    check = fp.verify_map_error(system.family, 1,
-                                DomainSampler(system.family.domain, 4), 2000, LINF)
-    assert check.ok
-    assert check.bound == system.error_bound
+def test_multiarea_self_map_certified(systems):
+    for system in systems:
+        check = fp.verify_self_map(system.family.base, 1,
+                                   DomainSampler(system.family.domain, 3), 6000)
+        assert check.ok
 
 
-def test_multiarea_dependency_audit(system):
-    ok, violations = fp.audit_dependency_graph(system.family, system.graph,
-                                               probe_count=8, seed=5)
-    assert ok, violations
+def test_multiarea_measurement_noise_within_declared_bound(systems):
+    for system in systems:
+        check = fp.verify_map_error(system.family, 1,
+                                    DomainSampler(system.family.domain, 4), 2000, LINF)
+        assert check.ok
+        assert check.bound == system.error_bound
 
 
-def test_stacked_fixed_point_reproduces_monolithic_blockwise(system):
+def test_multiarea_dependency_audit(systems):
+    for system in systems:
+        ok, violations = fp.audit_dependency_graph(system.family, system.graph,
+                                                   probe_count=8, seed=5)
+        assert ok, violations
+
+
+def test_stacked_fixed_point_reproduces_monolithic_blockwise(systems):
     # evaluating the exact area relations at the monolithic solution returns it
-    mono_x = fp.solve_fixed_point(system.monolithic, 1,
-                                  to_real(system.network.noload), tol=1e-13)
-    enc = system.encode(to_complex(mono_x))
-    out = system.family.base.evaluate(enc, 1)
-    assert np.max(np.abs(out - enc)) < 1e-10
+    for system in systems:
+        mono_x = fp.solve_fixed_point(system.monolithic, 1,
+                                      to_real(system.network.noload), tol=1e-13)
+        enc = system.encode(to_complex(mono_x))
+        out = system.family.base.evaluate(enc, 1)
+        assert np.max(np.abs(out - enc)) < 1e-10
 
 
-def test_multiarea_sync_run_converges_to_monolithic_fixed_point(system):
-    trace = fp.run_online_tracker(system.family.base, np.zeros(system.family.dim),
-                                  80, LINF)
-    v_mono = to_complex(
-        fp.solve_fixed_point(system.monolithic, 1, to_real(system.network.noload),
-                             tol=1e-13)
-    )
-    assert system.voltage_error(trace.iterates[-1], v_mono) < 1e-8
+def test_multiarea_sync_run_converges_to_monolithic_fixed_point(systems):
+    for system in systems:
+        trace = fp.run_online_tracker(system.family.base, np.zeros(system.family.dim),
+                                      80, LINF)
+        v_mono = to_complex(
+            fp.solve_fixed_point(system.monolithic, 1, to_real(system.network.noload),
+                                 tol=1e-13)
+        )
+        assert system.voltage_error(trace.iterates[-1], v_mono) < 1e-8
 
 
-def test_multiarea_measured_boundary_close_to_true_power(system):
+def test_multiarea_measured_boundary_close_to_true_power(systems):
     # measured value = true boundary power + bounded noise
-    fam = system.family
-    x = DomainSampler(fam.domain, 6).draw_one()
-    noisy = fam.evaluate(x, 5)
-    exact = fam.exact_evaluate(x, 5)
-    assert np.max(np.abs(noisy - exact)) <= system.error_bound + 1e-12
+    for system in systems:
+        fam = system.family
+        x = DomainSampler(fam.domain, 6).draw_one()
+        noisy = fam.evaluate(x, 5)
+        exact = fam.exact_evaluate(x, 5)
+        assert np.max(np.abs(noisy - exact)) <= system.error_bound + 1e-12
 
 
 def test_partition_validation_rejects_bad_shapes():
@@ -220,6 +240,16 @@ def test_partition_validation_rejects_bad_shapes():
                           areas=net.areas)
     with pytest.raises(PartitionUnsupportedError):
         build_multiarea_maps(jumped, default_injections(jumped, 0.5), 0.0, seed=0)
+    # labels that are not 1..K, a single area
+    for areas in ([1] * 4 + [3] * 8, [1] * 12):
+        relabeled = PowerNetwork(net.n, net.slack_voltage, net.lines, net.injection_limit,
+                                 areas=areas)
+        with pytest.raises(PartitionUnsupportedError):
+            build_multiarea_maps(relabeled, default_injections(relabeled, 0.5), 0.0, seed=0)
+    # the slack bus as a connection point: line (0, 2) joins area 1 to area 2
+    fork = PowerNetwork(2, 1.0, [(0, 1, 0.01), (0, 2, 0.01)], [0.01, 0.01], areas=[1, 2])
+    with pytest.raises(PartitionUnsupportedError):
+        build_multiarea_maps(fork, default_injections(fork, 0.5), 0.0, seed=0)
 
 
 def test_multiarea_rejects_overwhelming_coupling():
@@ -232,11 +262,11 @@ def test_multiarea_rejects_overwhelming_coupling():
         build_multiarea_maps(net, default_injections(net, 0.9), 0.0, seed=0)
 
 
-def test_multiarea_voltage_roundtrip(system):
-    rng = np.random.default_rng(7)
-    x = DomainSampler(system.family.domain, 8).draw_one()
-    v = system.to_voltages(x)
-    assert np.max(np.abs(system.encode(v) - x)) < 1e-12
+def test_multiarea_voltage_roundtrip(systems):
+    for system in systems:
+        x = DomainSampler(system.family.domain, 8).draw_one()
+        v = system.to_voltages(x)
+        assert np.max(np.abs(system.encode(v) - x)) < 1e-12
 
 
 def test_multiarea_adversarial_noise_constant_offset():
