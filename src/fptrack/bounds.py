@@ -191,36 +191,6 @@ def stale_contraction_ratio(max_stale) -> float:
     return (root - 1.0) / (root + 1.0)
 
 
-@dataclass(frozen=True)
-class GradientProblemConstants:
-    """Constants governing a regularized projected gradient map's step window."""
-
-    smoothness: float
-    regularization: float
-    step_size: float
-    max_stale: int = 0
-
-    def __post_init__(self):
-        if self.smoothness <= 0.0:
-            raise PreconditionError("smoothness must be positive")
-        if self.regularization < 0.0:
-            raise PreconditionError("regularization must be nonnegative")
-        if self.step_size <= 0.0:
-            raise PreconditionError("step size must be positive")
-        if self.max_stale < 0:
-            raise PreconditionError("max_stale must be nonnegative")
-
-    @property
-    def kappa(self) -> float:
-        return stale_contraction_ratio(self.max_stale)
-
-    @property
-    def contraction(self) -> float:
-        return projected_gradient_contraction(
-            self.step_size, self.smoothness, self.regularization
-        )
-
-
 def gradient_step_window(smoothness, regularization, max_stale):
     """Step sizes for which the regularized gradient map beats the stale threshold.
 

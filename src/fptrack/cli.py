@@ -27,7 +27,8 @@ from .experiments import (
     run_experiment,
     sweep,
 )
-from .norms import L2, LINF, Norm
+from .norms import Norm
+from .schema import load_json, read
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +53,13 @@ def _print_audits(audits):
               + ", ".join(f"{k}={v}" for k, v in a.items() if k != "ok"))
 
 
+def _exit_code(reports) -> int:
+    """A failed audit outranks a failed certificate."""
+    if not all(rep.audits_passed for rep in reports):
+        return EXIT_AUDIT
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CERTIFICATE
+
+
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.output:
@@ -64,11 +72,7 @@ def cmd_run(args) -> int:
     _print_audits(report.audits)
     if config.output:
         print(f"wrote {config.output}.csv and {config.output}.json")
-    if not report.audits_passed:
-        return EXIT_AUDIT
-    if not report.passed:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return _exit_code([report])
 
 
 def cmd_sweep(args) -> int:
@@ -86,41 +90,13 @@ def cmd_sweep(args) -> int:
     if args.output:
         _atomic_write(args.output, json.dumps(result.to_json_dict(), indent=2) + "\n")
         print(f"wrote {args.output}")
-    reports = [rep for seed_reports in result.reports for rep in seed_reports]
-    failed_certs = any(not rep.passed for rep in reports)
-    failed_audits = any(not rep.audits_passed for rep in reports)
-    if failed_audits:
-        return EXIT_AUDIT
-    if failed_certs:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return _exit_code([rep for seed_reports in result.reports for rep in seed_reports])
 
 
 def cmd_bounds(args) -> int:
-    try:
-        with open(args.inputs) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read inputs {args.inputs}: {exc}") from exc
-    known = {"lipschitz", "map_error", "drift", "max_delay", "max_stale", "dim", "norm",
-             "smoothness", "regularization"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in bound inputs")
-    if "lipschitz" not in doc:
-        raise ConfigError("bound inputs require at least 'lipschitz'")
-    norm_kind = doc.get("norm", L2)
-    if norm_kind not in (L2, LINF):
-        raise ConfigError(f"norm must be '{L2}' or '{LINF}'")
-    inputs = bnd.BoundInputs(
-        lipschitz=float(doc["lipschitz"]),
-        map_error=float(doc.get("map_error", 0.0)),
-        drift=float(doc.get("drift", 0.0)),
-        max_delay=int(doc.get("max_delay", 0)),
-        max_stale=int(doc.get("max_stale", 0)),
-        dim=int(doc.get("dim", 1)),
-        norm=Norm(norm_kind),
-    )
+    values = read(load_json(args.inputs, "inputs"), "bound inputs")
+    smoothness, regularization = values.pop("smoothness"), values.pop("regularization")
+    inputs = bnd.BoundInputs(**dict(values, norm=Norm(values["norm"])))
 
     def show(label, fn):
         try:
@@ -135,12 +111,11 @@ def cmd_bounds(args) -> int:
     show("asynchronous tail bound (max norm)", bnd.tracking_bound_async_inf)
     show("asynchronous tail bound (l2, norm equivalence)", bnd.tracking_bound_async_l2_equiv)
     show("asynchronous tail bound (l2, stale-count refined)", bnd.tracking_bound_async_l2_refined)
-    if "smoothness" in doc:
-        m = float(doc["smoothness"])
+    if smoothness is not None:
         print(f"  min regularization for max_stale={inputs.max_stale}: "
-              f"{_f17(bnd.min_regularization(m, inputs.max_stale))}")
-        if "regularization" in doc:
-            window = bnd.gradient_step_window(m, float(doc["regularization"]), inputs.max_stale)
+              f"{_f17(bnd.min_regularization(smoothness, inputs.max_stale))}")
+        if regularization is not None:
+            window = bnd.gradient_step_window(smoothness, regularization, inputs.max_stale)
             if window is None:
                 print("  gradient step window: empty")
             else:

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
 )
 from .domains import DomainSampler
 from .errors import ConfigError, PreconditionError
-from .norms import L2, LINF, Norm
+from .norms import Norm
 from .problems import (
     DriftPath,
     build_affine_family,
@@ -56,7 +56,9 @@ from .problems import (
     PowerNetwork,
     TimeVaryingQP,
     build_loadflow_map,
+    random_qp,
 )
+from .schema import load_json, read
 
 CSV_HEADER = "t,error,per_iterate_bound,asymptotic_bound,realized_Td_so_far,realized_Nd_so_far"
 
@@ -81,65 +83,21 @@ def _f17(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-_TOP_KEYS = {
-    "problem", "mode", "norm", "channel", "horizon", "transient_fraction",
-    "seed", "output", "audit_samples", "declared_lipschitz_override",
-}
-
-
-def _require_keys(doc, allowed, required, where):
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = set(required) - set(doc)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
-
-
-def _number(spec, key, default, where, cast=int):
-    """``cast`` of ``spec[key]`` (``default`` when absent); ConfigError if it is no number."""
-    try:
-        return cast(spec.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} {key} must be a number, got {spec.get(key)!r}") from exc
-
-
-def _path_spec(spec, where, seed, dim=None):
-    """``(kind, keyword arguments)`` of a drift spec in R^dim, or of a scalar signal
-    spec when ``dim`` is None; absent keys take defaults."""
-    if spec is not None and not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be an object, got {spec!r}")
-    spec = dict(spec or {"kind": "constant"})
-    _require_keys(spec, {"kind", "rate", "seed", "start", "fast_rate", "fast_window"},
-                  {"kind"}, where)
-    kw = {"rate": _number(spec, "rate", 0.0, where, float),
-          "seed": _number(spec, "seed", seed, where)}
-    if dim is None:
-        kw["start"] = _number(spec, "start", 0.0, where, float)
-    elif spec.get("start") is not None:
-        try:
-            kw["start"] = np.asarray(spec["start"], dtype=float).reshape(dim)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where} start must be {dim} numbers, got {spec['start']!r}") from exc
-    if spec["kind"] == "piecewise":
-        kw["fast_rate"] = _number(spec, "fast_rate", 0.0, where, float)
-        window = spec.get("fast_window", (1, 1))
-        try:
-            first, last = (int(w) for w in window)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where} fast_window must be two integers, got {window!r}") from exc
-        kw["fast_window"] = (first, last)
-    return spec["kind"], kw
+def _seeded(spec, seed):
+    """Keyword arguments of a read spec: all but its kind, with an absent seed set."""
+    kw = {k: v for k, v in spec.items() if k != "kind"}
+    kw["seed"] = seed if kw["seed"] is None else kw["seed"]
+    return kw
 
 
 def _signal(spec, seed):
-    kind, kw = _path_spec(spec, "signal spec", seed)
-    return scalar_signal(kind, **kw)
+    return scalar_signal(spec["kind"], **_seeded(spec, seed))
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (raise ConfigError before computing)."""
+    """Values read from a config document (``problem`` and ``channel`` too, with
+    defaults filled in); ``raw`` is the document exactly as given."""
 
     problem: dict
     mode: str
@@ -155,125 +113,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("configuration must be a JSON object")
-        _require_keys(doc, _TOP_KEYS, {"problem", "mode", "horizon", "seed"}, "config")
-        mode = doc["mode"]
-        if mode not in ("sync", "async"):
-            raise ConfigError(f"mode must be 'sync' or 'async', got {mode!r}")
-        norm_kind = doc.get("norm", L2)
-        if norm_kind not in (L2, LINF):
-            raise ConfigError(f"norm must be '{L2}' or '{LINF}', got {norm_kind!r}")
-        horizon = doc["horizon"]
-        if not isinstance(horizon, int) or horizon < 1:
-            raise ConfigError("horizon must be a positive integer")
-        tf = doc.get("transient_fraction", 0.9)
-        if not (0.0 <= tf < 1.0):
-            raise ConfigError("transient_fraction must lie in [0, 1)")
-        seed = doc["seed"]
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        channel = doc.get("channel", {"kind": "none"})
-        problem = doc["problem"]
-        if not isinstance(problem, dict) or "kind" not in problem:
-            raise ConfigError("problem must be an object with a 'kind'")
-        if mode == "async" and problem.get("kind") == "qp-gradient" \
-                and problem.get("topology", "star") != "star":
+        values = read(doc, "config")
+        p = values["problem"]
+        if values["mode"] == "async" and p["kind"] == "qp-gradient" and p["topology"] == "none":
             raise ConfigError("asynchronous qp-gradient runs require the star topology")
-        override = doc.get("declared_lipschitz_override")
-        if override is not None and not (isinstance(override, (int, float)) and 0 < override < 1):
-            raise ConfigError("declared_lipschitz_override must lie in (0, 1)")
-        audit_samples = doc.get("audit_samples", 2000)
-        if not isinstance(audit_samples, int) or audit_samples < 1:
-            raise ConfigError("audit_samples must be a positive integer")
-        cfg = cls(
-            problem=problem,
-            mode=mode,
-            norm=Norm(norm_kind),
-            channel=channel,
-            horizon=horizon,
-            transient_fraction=float(tf),
-            seed=seed,
-            output=doc.get("output"),
-            audit_samples=audit_samples,
-            declared_lipschitz_override=override,
-            raw=doc,
-        )
-        cfg.validate_problem()
-        cfg.build_channel()  # fail fast on bad channel configs
+        cfg = cls(**dict(values, norm=Norm(values["norm"])), raw=doc)
+        cfg.build_channel()  # fail fast on unreadable schedules
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(load_json(path, "config"))
 
     # -- problem construction -------------------------------------------------
 
-    def validate_problem(self):
-        kind = self.problem["kind"]
-        if kind == "affine":
-            _require_keys(
-                self.problem,
-                {"kind", "dim", "contraction", "coupling", "blockwise", "drift"},
-                {"kind", "dim", "contraction"},
-                "affine problem",
-            )
-        elif kind == "qp-gradient":
-            _require_keys(
-                self.problem,
-                {"kind", "devices", "instance_seed", "curvature", "coupling",
-                 "tracking_weight", "regularization", "box_lo", "box_hi",
-                 "step_size", "noise_bound", "topology", "output_signal",
-                 "reference_signal", "adversarial_noise"},
-                {"kind", "step_size"},
-                "qp-gradient problem",
-            )
-        elif kind == "loadflow":
-            _require_keys(
-                self.problem,
-                {"kind", "network", "injections", "noise_bound", "multiarea", "radius"},
-                {"kind"},
-                "loadflow problem",
-            )
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-
-    def _drift(self, dim, spec):
-        kind, kw = _path_spec(spec, "drift spec", self.seed, dim)
-        return DriftPath(kind, dim, norm=self.norm, **kw)
-
     def build_problem(self):
         """Returns (family, graph_or_None, extras dict)."""
-        kind = self.problem["kind"]
         p = self.problem
-        if kind == "affine":
-            dim = _number(p, "dim", None, "affine problem")
-            drift = self._drift(dim, p.get("drift"))
+        if p["kind"] == "affine":
+            dim, drift = p["dim"], _seeded(p["drift"], self.seed)
+            if drift["start"] is not None and len(drift["start"]) != dim:
+                raise ConfigError(f"drift spec start must be {dim} numbers, got {drift['start']}")
             fam = build_affine_family(
-                dim, self.norm, _number(p, "contraction", None, "affine problem", float), drift,
-                seed=self.seed, coupling=p.get("coupling", "dense"),
-                blockwise=bool(p.get("blockwise", False)),
+                dim, self.norm, p["contraction"],
+                DriftPath(p["drift"]["kind"], dim, norm=self.norm, **drift),
+                seed=self.seed, coupling=p["coupling"], blockwise=p["blockwise"],
             )
             return fam, fam.dependency_graph(), {}
-        if kind == "qp-gradient":
+        if p["kind"] == "qp-gradient":
             qp = self._build_qp(p)
-            step = _number(p, "step_size", None, "qp-gradient problem", float)
-            nb = _number(p, "noise_bound", 0.0, "qp-gradient problem", float)
-            if self.mode == "async" or p.get("topology") == "star":
+            step, nb = p["step_size"], p["noise_bound"]
+            if self.mode == "async" or p["topology"] == "star":
                 fam, graph = build_broadcast_system(
-                    qp, step, nb, seed=self.seed,
-                    adversarial=bool(p.get("adversarial_noise", False)),
+                    qp, step, nb, seed=self.seed, adversarial=p["adversarial_noise"],
                 )
                 return fam, graph, {"qp": qp}
             if nb > 0.0:
                 fam = build_feedback_gradient_map(
                     qp, step, nb, seed=self.seed, norm=self.norm,
-                    adversarial=bool(p.get("adversarial_noise", False)),
+                    adversarial=p["adversarial_noise"],
                 )
             else:
                 fam = build_gradient_map(qp, step)
@@ -281,133 +159,85 @@ class ExperimentConfig:
         return self._build_loadflow(p)
 
     def _build_qp(self, p) -> TimeVaryingQP:
-        if "curvature" in p:
-            n = len(p["curvature"])
-            return TimeVaryingQP(
-                curvature=p["curvature"],
-                coupling=p.get("coupling", [1.0] * n),
-                tracking_weight=_number(p, "tracking_weight", 1.0, "qp-gradient problem", float),
-                regularization=_number(p, "regularization", 0.0, "qp-gradient problem", float),
-                box_lo=p.get("box_lo", [-1.0] * n),
-                box_hi=p.get("box_hi", [1.0] * n),
-                output_signal=_signal(p.get("output_signal"), self.seed),
-                reference_signal=_signal(p.get("reference_signal"), self.seed),
-            )
-        from .problems import random_qp
-
-        qp = random_qp(_number(p, "devices", 7, "qp-gradient problem"),
-                       seed=_number(p, "instance_seed", self.seed, "qp-gradient problem"))
-        qp.output_signal = _signal(p.get("output_signal"), self.seed)
-        qp.reference_signal = _signal(p.get("reference_signal"), self.seed)
+        if p["curvature"] is not None:
+            return _qp(p, self.seed)
+        seed = p["instance_seed"]
+        qp = random_qp(p["devices"], seed=self.seed if seed is None else seed)
+        qp.output_signal = _signal(p["output_signal"], self.seed)
+        qp.reference_signal = _signal(p["reference_signal"], self.seed)
         return qp
 
     def _build_loadflow(self, p):
-        net_spec = p.get("network", "three-area")
-        if net_spec == "three-area":
-            net = three_area_network()
-        elif net_spec == "two-bus":
-            net = two_bus_network()
-        elif isinstance(net_spec, dict):
-            net = load_network(net_spec)
+        if isinstance(p["network"], dict):
+            net = _network(p["network"])
         else:
-            raise ConfigError(f"unknown network {net_spec!r}")
-        inj_spec = p.get("injections", {"kind": "constant"})
-        _require_keys(inj_spec, {"kind", "load_fraction", "step", "seed", "base"},
-                      {"kind"}, "injection spec")
-        step = _number(inj_spec, "step", 0.0, "injection spec", float)
-        inj_seed = _number(inj_spec, "seed", self.seed, "injection spec")
-        if "base" in inj_spec:
-            try:
-                base = np.array([complex(re, im) for re, im in inj_spec["base"]])
-                inj = InjectionSeries(inj_spec["kind"], base, net.injection_limit,
-                                      step=step, seed=inj_seed)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad injection spec: {exc}") from exc
+            net = {"three-area": three_area_network, "two-bus": two_bus_network}[p["network"]]()
+        inj = _seeded(p["injections"], self.seed)
+        kind, base, load_fraction = p["injections"]["kind"], inj.pop("base"), inj.pop("load_fraction")
+        if base is None:
+            series = default_injections(net, load_fraction=load_fraction, kind=kind, **inj)
+        elif len(base) != net.n:
+            raise ConfigError(f"injection spec base must have {net.n} entries, got {len(base)}")
         else:
-            inj = default_injections(
-                net,
-                load_fraction=_number(inj_spec, "load_fraction", 0.7, "injection spec", float),
-                kind=inj_spec["kind"], step=step, seed=inj_seed,
-            )
-        nb = _number(p, "noise_bound", 0.0, "loadflow problem", float)
-        if p.get("multiarea", self.mode == "async"):
-            system = build_multiarea_maps(net, inj, nb, seed=self.seed)
+            series = InjectionSeries(kind, base, net.injection_limit, **inj)
+        multiarea = self.mode == "async" if p["multiarea"] is None else p["multiarea"]
+        if multiarea:
             if not self.norm.is_linf:
                 raise ConfigError("multiarea loadflow runs use the linf norm")
+            system = build_multiarea_maps(net, series, p["noise_bound"], seed=self.seed)
             return system.family, system.graph, {"system": system}
-        radius = _number(p, "radius", 0.2, "loadflow problem", float)
-        fam = build_loadflow_map(net, inj, radius=radius, norm=self.norm)
+        fam = build_loadflow_map(net, series, radius=p["radius"], norm=self.norm)
         return fam, None, {}
 
     def build_channel(self):
-        spec = dict(self.channel or {"kind": "none"})
-        kind = spec.get("kind", "none")
-        allowed = {
-            "none": {"kind"},
-            "fixed_delay": {"kind", "delay"},
-            "iid_drop": {"kind", "p", "max_consecutive"},
-            "periodic": {"kind", "period"},
-            "schedule_csv": {"kind", "path", "allow_nonmonotone", "declared_max_delay"},
-        }
-        if kind not in allowed:
-            raise ConfigError(f"unknown channel kind {kind!r}")
-        required = {"kind", "path"} if kind == "schedule_csv" else {"kind"}
-        _require_keys(spec, allowed[kind], required, "channel spec")
-        if kind == "none":
-            return ZeroDelay()
-        if kind == "fixed_delay":
-            return FixedDelay(_number(spec, "delay", 0, "channel"))
-        if kind == "iid_drop":
-            return IidDrop(_number(spec, "p", 0.1, "channel", float),
-                           _number(spec, "max_consecutive", 9, "channel"))
-        if kind == "periodic":
-            return PeriodicDelivery(_number(spec, "period", 1, "channel"))
-        path = spec["path"]
-        if not isinstance(path, str):
-            raise ConfigError(f"schedule path must be a string, got {path!r}")
-        cap = spec.get("declared_max_delay")
-        if cap is not None:
-            cap = _number(spec, "declared_max_delay", None, "channel")
+        spec = dict(self.channel)
+        kind = spec.pop("kind")
+        if kind != "schedule_csv":
+            return _CHANNELS[kind](**spec)
         try:
-            return read_schedule_csv(
-                path,
-                allow_nonmonotone=bool(spec.get("allow_nonmonotone", False)),
-                declared_max_delay=cap,
-            )
+            return read_schedule_csv(**spec)
         except (OSError, ValueError, TypeError) as exc:
-            raise ConfigError(f"cannot read schedule {path}: {exc}") from exc
+            raise ConfigError(f"cannot read schedule {spec['path']}: {exc}") from exc
+
+
+_CHANNELS = {"none": ZeroDelay, "fixed_delay": FixedDelay, "iid_drop": IidDrop,
+             "periodic": PeriodicDelivery}
+
+
+def _network(v) -> PowerNetwork:
+    n = v["buses"]
+    for key in ("injection_limit", "areas"):
+        if v[key] is not None and len(v[key]) != n:
+            raise ConfigError(f"network {key} must have {n} entries, got {len(v[key])}")
+    return PowerNetwork(n, v["slack_voltage"], v["lines"], v["injection_limit"], areas=v["areas"])
 
 
 def load_network(doc: dict) -> PowerNetwork:
     """Network from a JSON document: buses, lines with [re, im] impedances,
     per-bus injection limits, optional area assignment."""
-    _require_keys(doc, {"buses", "slack_voltage", "lines", "injection_limit", "areas"},
-                  {"buses", "slack_voltage", "lines", "injection_limit"}, "network")
-    try:
-        sv = doc["slack_voltage"]
-        slack = complex(sv[0], sv[1]) if isinstance(sv, (list, tuple)) else complex(sv)
-        lines = [(a, b, complex(z[0], z[1])) for a, b, z in doc["lines"]]
-        return PowerNetwork(int(doc["buses"]), slack, lines, doc["injection_limit"],
-                            areas=doc.get("areas"))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad network document: {exc}") from exc
+    return _network(read(doc, "network"))
+
+
+def _qp(v, seed) -> TimeVaryingQP:
+    n = len(v["curvature"])
+    lists = {}
+    for key, fill in (("coupling", 1.0), ("box_lo", -1.0), ("box_hi", 1.0)):
+        if v[key] is not None and len(v[key]) != n:
+            raise ConfigError(f"qp {key} must have {n} entries, got {len(v[key])}")
+        lists[key] = [fill] * n if v[key] is None else v[key]
+    return TimeVaryingQP(
+        curvature=v["curvature"],
+        tracking_weight=v["tracking_weight"],
+        regularization=v["regularization"],
+        output_signal=_signal(v["output_signal"], seed),
+        reference_signal=_signal(v["reference_signal"], seed),
+        **lists,
+    )
 
 
 def load_qp(doc: dict) -> TimeVaryingQP:
     """QP instance from a JSON document (signals default to constants)."""
-    _require_keys(doc, {"curvature", "coupling", "tracking_weight", "regularization",
-                        "box_lo", "box_hi", "output_signal", "reference_signal"},
-                  {"curvature", "coupling", "box_lo", "box_hi"}, "qp")
-    return TimeVaryingQP(
-        curvature=doc["curvature"],
-        coupling=doc["coupling"],
-        tracking_weight=float(doc.get("tracking_weight", 1.0)),
-        regularization=float(doc.get("regularization", 0.0)),
-        box_lo=doc["box_lo"],
-        box_hi=doc["box_hi"],
-        output_signal=_signal(doc.get("output_signal"), 0),
-        reference_signal=_signal(doc.get("reference_signal"), 0),
-    )
+    return _qp(read(doc, "qp"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +263,6 @@ class ExperimentReport:
     running_max_delay: np.ndarray
     running_max_stale: np.ndarray
     audits: dict
-    drift_series: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -444,43 +273,44 @@ class ExperimentReport:
         return all(a.get("ok", True) for a in self.audits.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "bound_inputs": self.bound_inputs,
-            "asymptotic_bounds": {k: v for k, v in self.asymptotic_bounds.items()},
-            "not_applicable": self.not_applicable,
-            "certificates": self.certificates,
-            "tail_start": self.tail_start,
-            "tail_max": self.tail_max,
-            "realized_max_delay": self.realized_max_delay,
-            "realized_max_stale": self.realized_max_stale,
-            "audits": self.audits,
-        }
+        """Every field except the per-step arrays, which the trace CSV holds."""
+        return {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
 
 
-def _applicable_bounds(mode, norm: Norm, inputs: bnd.BoundInputs):
-    """Evaluate each asymptotic bound, recording values or the failing reason."""
+def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start):
+    """Each asymptotic bound's value or the reason it does not apply, the tail
+    maximum, and every certificate of a run's errors."""
     values, reasons = {}, {}
-
-    def attempt(name, fn, condition=True, reason=""):
-        if not condition:
+    checks = [(SYNC_TAIL, bnd.tracking_bound_sync, mode == "sync",
+               "synchronous bound applies to synchronous runs only")]
+    if mode == "async":
+        checks += [
+            (ASYNC_TAIL_MAX_NORM, bnd.tracking_bound_async_inf, inputs.norm.is_linf,
+             "requires the linf norm"),
+            (ASYNC_TAIL_L2_EQUIV, bnd.tracking_bound_async_l2_equiv, inputs.norm.is_l2,
+             "requires the l2 norm"),
+            (ASYNC_TAIL_L2_REFINED, bnd.tracking_bound_async_l2_refined, inputs.norm.is_l2,
+             "requires the l2 norm"),
+        ]
+    for name, fn, applies, reason in checks:
+        if not applies:
             reasons[name] = reason
-            return
+            continue
         try:
             values[name] = fn(inputs)
         except PreconditionError as exc:
             reasons[name] = str(exc)
-
-    attempt(SYNC_TAIL, bnd.tracking_bound_sync, condition=(mode == "sync"),
-            reason="synchronous bound applies to synchronous runs only")
-    if mode == "async":
-        attempt(ASYNC_TAIL_MAX_NORM, bnd.tracking_bound_async_inf,
-                condition=norm.is_linf, reason="requires the linf norm")
-        attempt(ASYNC_TAIL_L2_EQUIV, bnd.tracking_bound_async_l2_equiv,
-                condition=norm.is_l2, reason="requires the l2 norm")
-        attempt(ASYNC_TAIL_L2_REFINED, bnd.tracking_bound_async_l2_refined,
-                condition=norm.is_l2, reason="requires the l2 norm")
-    return values, reasons
+    tail_max = float(errors[tail_start:].max())
+    certificates = {name: "pass" if tail_max <= value + _BOUND_SLACK else "fail"
+                    for name, value in values.items()}
+    certificates.update(dict.fromkeys(reasons, "not_applicable"))
+    if mode == "sync":
+        ok = bool(np.all(errors <= per_step + _BOUND_SLACK))
+        certificates[PER_STEP] = "pass" if ok else "fail"
+    else:
+        certificates[PER_STEP] = "not_applicable"
+        reasons[PER_STEP] = "per-step envelope assumes synchronous updates"
+    return values, reasons, tail_max, certificates
 
 
 def build_family(config: ExperimentConfig):
@@ -492,7 +322,7 @@ def build_family(config: ExperimentConfig):
     family, graph, extras = config.build_problem()
     if config.declared_lipschitz_override is not None:
         base = getattr(family, "base", family)
-        ov = float(config.declared_lipschitz_override)
+        ov = config.declared_lipschitz_override
         base._lipschitz = lambda t, c=ov: c
         base.lipschitz_sup = ov
     return family, graph, extras
@@ -522,9 +352,8 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
     # Per-step bound envelope from declared constants and realized drift.
     lipschitz_series = np.array([family.lipschitz_at(t) for t in range(1, horizon)])
     error_series = map_error_bound_series(family, horizon)
-    drifts = trace.reference.drifts
     per_step = bnd.per_step_bound_series(
-        trace.errors[0], error_series, drifts, lipschitz_series, horizon - 1
+        trace.errors[0], error_series, trace.reference.drifts, lipschitz_series, horizon - 1
     )
 
     inputs = bnd.BoundInputs(
@@ -536,21 +365,9 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
         dim=family.dim,
         norm=config.norm,
     )
-    values, reasons = _applicable_bounds(config.mode, config.norm, inputs)
-
     tail_start = min(horizon - 1, int(np.floor(horizon * config.transient_fraction)))
-    tail_max = float(trace.errors[tail_start:].max())
-    certificates = {}
-    for name, value in values.items():
-        certificates[name] = "pass" if tail_max <= value + _BOUND_SLACK else "fail"
-    for name in reasons:
-        certificates[name] = "not_applicable"
-    if config.mode == "sync":
-        ok = bool(np.all(trace.errors <= per_step + _BOUND_SLACK))
-        certificates[PER_STEP] = "pass" if ok else "fail"
-    else:
-        certificates[PER_STEP] = "not_applicable"
-        reasons[PER_STEP] = "per-step envelope assumes synchronous updates"
+    values, reasons, tail_max, certificates = _certify(
+        config.mode, inputs, trace.errors, per_step, tail_start)
 
     audits = _run_audits(config, family, graph)
 
@@ -566,15 +383,7 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
         config=config.raw,
         errors=trace.errors,
         per_step_bounds=per_step,
-        bound_inputs={
-            "lipschitz": inputs.lipschitz,
-            "map_error": inputs.map_error,
-            "drift": inputs.drift,
-            "max_delay": inputs.max_delay,
-            "max_stale": inputs.max_stale,
-            "dim": inputs.dim,
-            "norm": config.norm.kind,
-        },
+        bound_inputs=dict(asdict(inputs), norm=config.norm.kind),
         asymptotic_bounds=values,
         not_applicable=reasons,
         certificates=certificates,
@@ -585,7 +394,6 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
         running_max_delay=running_delay,
         running_max_stale=running_stale,
         audits=audits,
-        drift_series=drifts,
     )
     if write_files and config.output:
         write_report_files(report, config.output)
@@ -640,23 +448,14 @@ def _atomic_write(path, text):
 
 def trace_csv_text(report: ExperimentReport) -> str:
     """The per-step trace table (fixed header, 17-digit floats)."""
-    applicable = [v for v in report.asymptotic_bounds.values()]
-    asymptotic = min(applicable) if applicable else float("nan")
-    lines = [CSV_HEADER]
-    n = len(report.errors)
-    for k in range(n):
-        lines.append(
-            ",".join(
-                [
-                    str(k + 1),
-                    _f17(report.errors[k]),
-                    _f17(report.per_step_bounds[k]),
-                    _f17(asymptotic),
-                    str(int(report.running_max_delay[k])),
-                    str(int(report.running_max_stale[k])),
-                ]
-            )
-        )
+    applicable = list(report.asymptotic_bounds.values())
+    asymptotic = _f17(min(applicable) if applicable else float("nan"))
+    rows = zip(report.errors, report.per_step_bounds,
+               report.running_max_delay.tolist(), report.running_max_stale.tolist())
+    lines = [CSV_HEADER] + [
+        f"{t},{_f17(error)},{_f17(bound)},{asymptotic},{delay},{stale}"
+        for t, (error, bound, delay, stale) in enumerate(rows, start=1)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -671,29 +470,9 @@ def write_report_files(report: ExperimentReport, output_prefix: str):
 
 def verify_bounds(report: ExperimentReport) -> dict:
     """Recompute each certificate from the stored trace and bound inputs."""
-    out = {}
-    inputs = bnd.BoundInputs(
-        lipschitz=report.bound_inputs["lipschitz"],
-        map_error=report.bound_inputs["map_error"],
-        drift=report.bound_inputs["drift"],
-        max_delay=report.bound_inputs["max_delay"],
-        max_stale=report.bound_inputs["max_stale"],
-        dim=report.bound_inputs["dim"],
-        norm=Norm(report.bound_inputs["norm"]),
-    )
-    mode = report.config.get("mode", "sync")
-    values, reasons = _applicable_bounds(mode, inputs.norm, inputs)
-    tail_max = float(report.errors[report.tail_start:].max())
-    for name, value in values.items():
-        out[name] = "pass" if tail_max <= value + _BOUND_SLACK else "fail"
-    for name in reasons:
-        out[name] = "not_applicable"
-    if mode == "sync":
-        ok = bool(np.all(report.errors <= report.per_step_bounds + _BOUND_SLACK))
-        out[PER_STEP] = "pass" if ok else "fail"
-    else:
-        out[PER_STEP] = "not_applicable"
-    return out
+    inputs = bnd.BoundInputs(**dict(report.bound_inputs, norm=Norm(report.bound_inputs["norm"])))
+    return _certify(report.config.get("mode", "sync"), inputs, report.errors,
+                    report.per_step_bounds, report.tail_start)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -703,30 +482,27 @@ def verify_bounds(report: ExperimentReport) -> dict:
 SWEEP_PARAMETERS = ("drop_probability", "fixed_delay", "step_size", "noise_bound", "drift_rate")
 
 
-def _config_with(config: ExperimentConfig, parameter: str, value, seed=None) -> ExperimentConfig:
+def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> ExperimentConfig:
+    """The config with ``parameter`` set to ``value``, which goes into the document
+    unconverted except a whole-number float delay; ``from_dict`` checks it."""
     doc = json.loads(json.dumps(config.raw))  # deep copy
-    if seed is not None:
-        doc["seed"] = int(seed)
+    doc["seed"] = seed
     doc.pop("output", None)
     if parameter == "drop_probability":
-        doc["channel"] = {"kind": "iid_drop", "p": float(value),
-                          **({"max_consecutive": config.channel.get("max_consecutive")}
-                             if isinstance(config.channel, dict)
-                             and config.channel.get("max_consecutive") is not None else {})}
-        if float(value) == 0.0:
+        kept = doc.get("channel", {})
+        doc["channel"] = {"kind": "iid_drop", "p": value}
+        if "max_consecutive" in kept:
+            doc["channel"]["max_consecutive"] = kept["max_consecutive"]
+        if value == 0 and not isinstance(value, bool):
             doc["channel"] = {"kind": "none"}
     elif parameter == "fixed_delay":
-        doc["channel"] = {"kind": "fixed_delay", "delay": int(value)}
-    elif parameter == "step_size":
-        doc["problem"]["step_size"] = float(value)
-    elif parameter == "noise_bound":
-        doc["problem"]["noise_bound"] = float(value)
-    elif parameter == "drift_rate":
-        drift = dict(doc["problem"].get("drift") or {"kind": "linear"})
-        drift["rate"] = float(value)
-        doc["problem"]["drift"] = drift
-    else:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        doc["channel"] = {"kind": "fixed_delay", "delay": value}
+    elif parameter in ("step_size", "noise_bound"):
+        doc["problem"][parameter] = value
+    else:  # drift_rate
+        doc["problem"]["drift"] = {**doc["problem"].get("drift", {"kind": "linear"}), "rate": value}
     return ExperimentConfig.from_dict(doc)
 
 

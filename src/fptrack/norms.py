@@ -13,25 +13,13 @@ LINF = "linf"
 
 @dataclass(frozen=True)
 class Norm:
-    """A vector norm, optionally annotated with an agent block layout.
-
-    The block layout does not change the value of the norm (sub-vectors are
-    measured with the same flat norm, so a blockwise max under ``linf`` equals
-    the flat max); it records how agent sub-vectors tile the state for
-    blockwise analyses.
-    """
+    """A vector norm: ``l2`` or ``linf``."""
 
     kind: str = L2
-    block_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in (L2, LINF):
             raise PreconditionError(f"unknown norm kind {self.kind!r}")
-        if self.block_sizes is not None:
-            sizes = tuple(int(s) for s in self.block_sizes)
-            if any(s <= 0 for s in sizes):
-                raise PreconditionError("block sizes must be positive")
-            object.__setattr__(self, "block_sizes", sizes)
 
     @property
     def is_l2(self) -> bool:
@@ -62,7 +50,3 @@ class Norm:
     def __str__(self):
         return self.kind
 
-
-def block_offsets(block_sizes) -> np.ndarray:
-    """Start offsets of each block, plus the total length as final entry."""
-    return np.concatenate([[0], np.cumsum(np.asarray(block_sizes, dtype=int))])

@@ -351,12 +351,3 @@ def test_stale_ratio_identity_with_min_regularization():
         kappa = bnd.stale_contraction_ratio(stale)
         for m in (0.5, 1.0, 2.5):
             assert abs(bnd.min_regularization(m, stale) - kappa / (1 - kappa + 1e-300) * m) < 1e-12
-
-
-def test_gradient_problem_constants_bundle():
-    c = bnd.GradientProblemConstants(smoothness=1.0, regularization=1.0,
-                                     step_size=0.5, max_stale=3)
-    assert abs(c.kappa - (2.0 - 1.0) / (2.0 + 1.0)) < 1e-15
-    assert abs(c.contraction - 0.5) < 1e-15
-    with pytest.raises(PreconditionError):
-        bnd.GradientProblemConstants(smoothness=0.0, regularization=1.0, step_size=0.5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fptrack
-from fptrack import experiments
+from fptrack import experiments, schema
 from fptrack.cli import EXIT_AUDIT, EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, main
 from fptrack.errors import ConfigError
 from fptrack.experiments import (
@@ -58,7 +58,7 @@ def test_unknown_problem_key_rejected():
 
 def test_bad_mode_norm_horizon_seed_rejected():
     for patch in ({"mode": "turbo"}, {"norm": "l7"}, {"horizon": 0}, {"seed": -1},
-                  {"transient_fraction": 1.0}):
+                  {"transient_fraction": 1.0}, {"horizon": True}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(affine_doc(**patch))
 
@@ -238,6 +238,11 @@ def test_cli_config_error_exit_2(tmp_path):
     {"kind": "schedule_csv", "path": "no-such-schedule.csv"},
     {"kind": "fixed_delay", "delay": "x"},
     {"kind": "schedule_csv", "path": 3},
+    "x",
+    {"kind": []},
+    {"kind": "periodic", "period": 1e300},
+    {"kind": "iid_drop", "p": 0.1, "max_consecutive": 1e300},
+    {"kind": "fixed_delay", "delay": 2.0},
 ])
 def test_cli_bad_channel_exit_2(tmp_path, capsys, channel):
     cfg = write_json(tmp_path / "c.json", affine_doc(mode="async", norm="linf", channel=channel))
@@ -274,12 +279,23 @@ TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
     {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "constant", "base": [[-0.1]]}},
     {"kind": "loadflow", "network": "two-bus",
      "injections": {"kind": "constant", "base": [[-0.1, 0.0], [-0.1, 0.0]]}},
+    dict(AFFINE_PROBLEM, dim=-1),
+    dict(AFFINE_PROBLEM, dim="4"),
+    dict(AFFINE_PROBLEM, blockwise="false"),
+    dict(AFFINE_PROBLEM, drift={"kind": "linear", "rate": 0.05, "fast_rate": 0.1}),
+    {"kind": "qp-gradient", "step_size": 0.3, "devices": 0},
+    {"kind": "qp-gradient", "step_size": 0.3, "instance_seed": -1},
+    {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "coupling": [1.0]},
+    {"kind": "loadflow", "network": "two-bus", "injections": None},
 ], ids=["fast-window-int", "fast-window-short", "drift-rate", "drift-seed", "drift-not-object",
         "affine-dim", "affine-contraction", "qp-step-size", "qp-devices",
         "loadflow-noise-bound", "loadflow-radius", "injection-step",
         "drift-start-text", "drift-start-short", "signal-start-list",
         "network-line-text", "network-buses-text", "network-limits-length",
-        "network-areas-length", "injection-base-pair", "injection-base-length"])
+        "network-areas-length", "injection-base-pair", "injection-base-length",
+        "affine-dim-negative", "affine-dim-text-number", "affine-blockwise-text",
+        "drift-fast-rate-not-piecewise", "qp-devices-zero", "qp-instance-seed-negative",
+        "qp-coupling-length", "injections-null"])
 def test_cli_bad_problem_value_exit_2(tmp_path, capsys, problem):
     cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem))
     assert main(["run", cfg]) == EXIT_CONFIG
@@ -317,8 +333,14 @@ def test_cli_bounds_prints_all_formulas(tmp_path, capsys):
     assert format((0.1 * (1 + 0.4 * np.sqrt(2) * 2)) / (1 - 0.4 * np.sqrt(2)), ".17g") in out
 
 
-def test_cli_bounds_rejects_unknown_keys(tmp_path):
-    inputs = write_json(tmp_path / "b.json", {"lipschitz": 0.4, "spin": 1})
+@pytest.mark.parametrize("doc", [
+    {"lipschitz": 0.4, "spin": 1},
+    {"lipschitz": "x"},
+    {"lipschitz": 0.5, "smoothness": "a"},
+    {"lipschitz": 0.5, "dim": True},
+], ids=["unknown-key", "lipschitz-text", "smoothness-text", "dim-bool"])
+def test_cli_bounds_rejects_unknown_keys(tmp_path, doc):
+    inputs = write_json(tmp_path / "b.json", doc)
     assert main(["bounds", inputs]) == EXIT_CONFIG
 
 
@@ -334,6 +356,15 @@ def test_cli_sweep_runs(tmp_path, capsys):
     summary = json.loads((tmp_path / "s.json").read_text())
     assert summary["parameter"] == "fixed_delay"
     assert len(summary["median_tail_errors"]) == 3
+
+
+@pytest.mark.parametrize("values", ["0.5,1.5", "1e300"])
+def test_cli_sweep_rejects_delays_that_are_not_integers(tmp_path, capsys, values):
+    doc = affine_doc(mode="async", norm="linf", horizon=60,
+                     channel={"kind": "fixed_delay", "delay": 0})
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert main(["sweep", cfg, "--param", "fixed_delay", "--values", values]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spoil,exit_code", [("certificate", EXIT_CERTIFICATE),
@@ -416,3 +447,112 @@ def test_sweep_drop_probability_medians_nondecreasing():
     result = sweep(cfg, "drop_probability", [0.0, 0.1], n_seeds=6)
     assert result.tail_errors[1] >= result.tail_errors[0]
     assert result.monotone_nondecreasing
+
+
+def test_inline_qp_and_qp_document_share_defaults():
+    from fptrack.experiments import load_qp
+    doc = {"curvature": [1.0, 2.0]}
+    cfg = ExperimentConfig.from_dict(affine_doc(problem={"kind": "qp-gradient",
+                                                         "step_size": 0.1, **doc}))
+    inline = cfg.build_problem()[2]["qp"]
+    loaded = load_qp(doc)
+    for name in ("curvature", "coupling", "box_lo", "box_hi"):
+        assert np.array_equal(getattr(inline, name), getattr(loaded, name))
+    assert (inline.tracking_weight, inline.regularization) == (1.0, 0.0)
+    assert (loaded.tracking_weight, loaded.regularization) == (1.0, 0.0)
+    assert np.array_equal(loaded.coupling, [1.0, 1.0])
+    assert np.array_equal(loaded.box_lo, [-1.0, -1.0])
+
+
+# ---------------------------------------------------------------------------
+# size caps and the mutation fuzz
+# ---------------------------------------------------------------------------
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,cap,base", [
+    (("horizon",), schema.MAX_HORIZON, affine_doc()),
+    (("seed",), schema.MAX_SEED, affine_doc()),
+    (("audit_samples",), schema.MAX_AUDIT_SAMPLES, affine_doc()),
+    (("problem", "dim"), schema.MAX_DIM, affine_doc()),
+    (("problem", "drift", "seed"), schema.MAX_SEED, affine_doc()),
+    (("problem", "devices"), schema.MAX_DEVICES, affine_doc(problem={
+        "kind": "qp-gradient", "step_size": 0.3})),
+    (("problem", "instance_seed"), schema.MAX_SEED, affine_doc(problem={
+        "kind": "qp-gradient", "step_size": 0.3})),
+    (("problem", "network", "buses"), schema.MAX_BUSES, affine_doc(problem={
+        "kind": "loadflow", "network": dict(TWO_BUS_DOC)})),
+    (("channel", "delay"), schema.MAX_HORIZON, affine_doc(
+        channel={"kind": "fixed_delay", "delay": 1})),
+    (("channel", "period"), schema.MAX_HORIZON, affine_doc(
+        channel={"kind": "periodic", "period": 2})),
+    (("channel", "max_consecutive"), schema.MAX_HORIZON, affine_doc(
+        channel={"kind": "iid_drop", "p": 0.1})),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_size_above_its_cap_is_rejected_before_building(path, cap, base):
+    # from_dict only reads the document, so the value is never allocated
+    doc = _set(json.loads(json.dumps(base)), path, cap + 1)
+    with pytest.raises(ConfigError, match=r"\[[01], %d\]" % cap):
+        ExperimentConfig.from_dict(doc)
+
+
+FUZZ_VALUES = [None, "x", "", -1, 0, True, 1e300, 2**70, -0.5, [], [1, "a"], {},
+               {"a": 1}, float("nan")]
+
+
+def fuzz_configs(out):
+    common = {"horizon": 40, "audit_samples": 20, "output": str(out)}
+    return [
+        {"problem": {"kind": "affine", "dim": 4, "contraction": 0.6, "coupling": "chain",
+                     "drift": {"kind": "linear", "rate": 0.01,
+                               "start": [1.0, 0.0, -0.5, 0.25]}},
+         "mode": "async", "norm": "linf",
+         "channel": {"kind": "iid_drop", "p": 0.2, "max_consecutive": 3},
+         "seed": 1, **common},
+        {"problem": {"kind": "qp-gradient", "devices": 3, "instance_seed": 2,
+                     "step_size": 0.3, "noise_bound": 0.01, "topology": "none",
+                     "adversarial_noise": False,
+                     "reference_signal": {"kind": "random_walk", "rate": 0.01}},
+         "mode": "sync", "norm": "l2", "transient_fraction": 0.5, "seed": 2, **common},
+        {"problem": {"kind": "loadflow", "network": "three-area", "noise_bound": 1e-4,
+                     "injections": {"kind": "random_walk", "step": 0.001,
+                                    "load_fraction": 0.7}},
+         "mode": "async", "norm": "linf", "channel": {"kind": "periodic", "period": 2},
+         "seed": 3, **common},
+    ]
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def test_config_mutation_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # Every key of three small valid configs, nested keys included, is set to
+    # each odd value in turn. A run may pass, fail a certificate or an audit, or
+    # reject the config; it must never end in a traceback.
+    monkeypatch.chdir(tmp_path)  # relative outputs a mutation makes land here
+    path = tmp_path / "c.json"
+    crashes = []
+    for base in fuzz_configs(tmp_path / "run"):
+        assert main(["run", write_json(path, base)]) == EXIT_OK
+        for keys in key_paths(base):
+            for value in FUZZ_VALUES:
+                doc = _set(json.loads(json.dumps(base)), keys, value)
+                try:
+                    code = main(["run", write_json(path, doc)])
+                except Exception as exc:  # noqa: BLE001 - collect every crash
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in (EXIT_OK, EXIT_CONFIG, EXIT_CERTIFICATE, EXIT_AUDIT):
+                    crashes.append((".".join(keys), value, code))
+    capsys.readouterr()
+    assert crashes == []
