@@ -474,8 +474,7 @@ def step_async(history, stamps, family, graph: DependencyGraph, t):
 
 
 def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0, horizon,
-                      norm: Norm | None = None, seed=0, reference=None,
-                      ref_tol=1e-12, ref_max_iter=100_000):
+                      norm: Norm | None = None, seed=0, reference=None):
     """Run the asynchronous iteration and score it against reference fixed points.
 
     Returns ``(trace, stats)``: a :class:`~fptrack.core.TrackingTrace` and the
@@ -499,9 +498,7 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     log = ChannelLog(table[1:], *graph.edge_arrays)
     stats = realized_delay_stats(log, graph, notes=channels.notes())
     if reference is None:
-        reference = compute_fixed_point_series(
-            family, horizon, norm=norm, tol=ref_tol, max_iter=ref_max_iter
-        )
+        reference = compute_fixed_point_series(family, horizon, norm=norm)
     errors = tracking_error(history, reference, norm)
     return TrackingTrace(history, reference, errors, norm), stats
 

@@ -56,13 +56,17 @@ class MapFamily:
         l2 family the blockwise constants satisfy sum(L_i^2) = L^2 with L
         the declared supremum; builders are responsible for that identity.
     fixed_point : callable, optional
-        Closed-form fixed point ``t -> ndarray``, when known.
+        Closed-form fixed point ``t -> ndarray`` for one int ``t``, when
+        known; the reference then calls it once per time. Without it the
+        reference is one batched solve (:func:`compute_fixed_point_series`).
     evaluate_batch : callable, optional
-        Vectorized ``(X, t) -> ndarray`` over rows, used by the sampling
-        audits. Row i must agree with ``evaluate(X[i], t)``; every built-in
-        family passes its one map, written for a point or for rows, as both
-        ``evaluate`` and ``evaluate_batch``, so the audits check the code the
-        trackers run. Without it the audits evaluate row by row.
+        Vectorized ``(X, t) -> ndarray`` over the rows of ``X``, where ``t``
+        is one int for every row or an int array with one time per row. Row
+        i must agree with ``evaluate(X[i], t)`` or ``evaluate(X[i], t[i])``.
+        The sampling audits and the batched reference solve call it. Every
+        built-in family passes its one map, written for a point or for rows,
+        as both ``evaluate`` and ``evaluate_batch``, so the audits check the
+        code the trackers run. Without it, rows are evaluated one by one.
     declared_norm : Norm, optional
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
@@ -279,38 +283,63 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
                       return_info=False):
     """Iterate the time-t map from ``x0`` until the residual drops below tol.
 
-    Returns the final iterate (whose residual is at most ``tol`` thanks to the
-    declared contraction). Raises :class:`NonConvergenceError` at the
-    iteration cap and :class:`DomainViolationError` if an iterate leaves the
-    declared domain, which signals a false self-map declaration.
+    ``t`` is an int, or an int array with one time per row of ``x0``: the
+    rows are iterated together, each under its own time, through the rows
+    path (:func:`_evaluate_rows`; one row for an int ``t``), and each row
+    stops once its residual is at most ``tol``. Returns the final iterate, or the rows of final
+    iterates (each one's residual is at most ``tol`` thanks to the declared
+    contraction). Raises :class:`NonConvergenceError` at the iteration cap
+    and :class:`DomainViolationError` if an iterate leaves the declared
+    domain, which signals a false self-map declaration; either reports the
+    earliest time that fails. ``return_info`` adds the number of sweeps and
+    each sweep's largest residual over the rows still iterating.
     """
-    if tol <= 0.0:
-        raise PreconditionError("tolerance must be positive")
+    if tol <= 0.0 or int(max_iter) < 1:
+        raise PreconditionError("tolerance and iteration cap must be positive")
     norm = norm if norm is not None else Norm(L2)
-    x = np.asarray(x0, dtype=float).reshape(family.dim)
-    if not family.domain.contains(x):
+    rows = isinstance(t, np.ndarray)
+    ts = t.reshape(-1) if rows else np.array([int(t)])
+    x = np.array(x0, dtype=float).reshape(len(ts), family.dim)
+    if not family.domain.contains_rows(x).all():
         raise PreconditionError("initial point lies outside the declared domain")
+    points = np.empty_like(x)
+    active = np.arange(len(ts))
     residuals = []
+    failure, later = None, np.inf  # the earliest failure so far; rows at or after its time stop
     for k in range(int(max_iter)):
-        fx = family.evaluate(x, t)
-        if not family.domain.contains(fx):
-            raise DomainViolationError(
-                f"iterate left the domain at time index {t} (iteration {k})"
+        at = ts[active]
+        fx = _evaluate_rows(family, x, at)
+        r = norm.of_rows(fx - x)
+        residuals.append(r.max())
+        left = ~family.domain.contains_rows(fx)
+        if left.any():
+            later = int(at[left].min())  # below every earlier failure's time
+            failure = DomainViolationError(
+                f"iterate left the domain at time index {later} (iteration {k})",
+                time_index=later,
             )
-        r = norm.distance(fx, x)
-        residuals.append(r)
-        if r <= tol:
-            if return_info:
-                return fx, {"iterations": k + 1, "residuals": np.asarray(residuals)}
-            return fx
-        x = fx
-    raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations at time index {t} "
-        f"(residual {residuals[-1]:.3e} > tol {tol:.3e})",
-        residual=residuals[-1],
-        iterations=int(max_iter),
-        time_index=int(t),
-    )
+        done = (r <= tol) & ~left
+        points[active[done]] = fx[done]
+        keep = ~done & (at < later)
+        active, x, r = active[keep], fx[keep], r[keep]
+        if not active.size:
+            break
+    else:
+        first = int(ts[active].min())
+        residual = float(r[ts[active] == first].max())
+        failure = NonConvergenceError(
+            f"no convergence after {max_iter} iterations at time index {first} "
+            f"(residual {residual:.3e} > tol {tol:.3e})",
+            residual=residual,
+            iterations=int(max_iter),
+            time_index=first,
+        )
+    if failure is not None:
+        raise failure
+    result = points if rows else points[0]
+    if return_info:
+        return result, {"iterations": k + 1, "residuals": np.asarray(residuals)}
+    return result
 
 
 @dataclass
@@ -335,39 +364,36 @@ class FixedPointSeries:
             raise LengthMismatchError("horizon and points disagree")
 
 
-def compute_fixed_point_series(family, horizon, norm: Norm | None = None, tol=1e-12,
-                               max_iter=100_000, x0=None, use_closed_form=True) -> FixedPointSeries:
+def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
+                               tol=1e-12, max_iter=100_000) -> FixedPointSeries:
     """Solve for the fixed point at every t = 1..horizon.
 
-    Uses the family's closed form when available, otherwise batch iteration
-    warm-started from the previous fixed point. Residuals are always
-    recomputed from the map so a bad closed form cannot pass silently.
+    Uses the family's closed form when available, otherwise one batched
+    solve of all times as rows, each started from the domain anchor.
+    Residuals are always recomputed from the map, in one rows call, so a bad
+    closed form cannot pass silently.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise PreconditionError("horizon must be at least 1")
     norm = norm if norm is not None else Norm(L2)
     base = getattr(family, "base", family)
-    points = np.empty((horizon, base.dim))
-    residuals = np.empty(horizon)
-    closed = base.fixed_point if (use_closed_form and base.fixed_point is not None) else None
-    warm = np.asarray(x0, dtype=float) if x0 is not None else base.domain.anchor()
-    for k in range(horizon):
-        t = k + 1
-        if closed is not None:
-            p = np.asarray(closed(t), dtype=float).reshape(base.dim)
-        else:
-            p = solve_fixed_point(base, t, warm, tol=tol, max_iter=max_iter, norm=norm)
-            warm = p
-        r = norm.distance(base.evaluate(p, t), p)
-        if r > tol:
-            raise NonConvergenceError(
-                f"fixed-point residual {r:.3e} above tolerance at time index {t}",
-                residual=r,
-                time_index=t,
-            )
-        points[k] = p
-        residuals[k] = r
+    ts = np.arange(1, horizon + 1)
+    if base.fixed_point is not None:
+        points = np.array([np.asarray(base.fixed_point(t), dtype=float).reshape(base.dim)
+                           for t in range(1, horizon + 1)])
+    else:
+        anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
+        points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
+    residuals = norm.of_rows(_evaluate_rows(base, points, ts) - points)
+    above = np.flatnonzero(~(residuals <= tol))
+    if above.size:
+        t = int(above[0]) + 1
+        raise NonConvergenceError(
+            f"fixed-point residual {residuals[t - 1]:.3e} above tolerance at time index {t}",
+            residual=float(residuals[t - 1]),
+            time_index=t,
+        )
     if horizon > 1:
         drifts = norm.of_rows(points[1:] - points[:-1])
     else:
@@ -414,8 +440,8 @@ def tracking_error(iterates, reference, norm: Norm) -> np.ndarray:
     return norm.of_rows(iterates - points)
 
 
-def run_online_tracker(family, x0, horizon, norm: Norm | None = None, reference=None,
-                       ref_tol=1e-12, ref_max_iter=100_000) -> TrackingTrace:
+def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
+                       reference=None) -> TrackingTrace:
     """Run the online iteration ``x <- f~(x, t)`` for t = 1..horizon-1.
 
     The family may be exact or inexact; one map application is spent per time
@@ -439,9 +465,7 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None, reference=
             raise DomainViolationError(f"online iterate left the domain at time index {t}")
         iterates[k + 1] = x
     if reference is None:
-        reference = compute_fixed_point_series(
-            family, horizon, norm=norm, tol=ref_tol, max_iter=ref_max_iter
-        )
+        reference = compute_fixed_point_series(family, horizon, norm=norm)
     errors = tracking_error(iterates, reference, norm)
     return TrackingTrace(iterates, reference, errors, norm)
 
@@ -473,10 +497,14 @@ class LipschitzEstimate:
 
 
 def _evaluate_rows(family, X, t):
+    """The map at each row of ``X``, at one time ``t`` or at the times of an int
+    array ``t`` aligned with the rows; row by row for a family with a point map only."""
     batch = getattr(family, "evaluate_batch", None)
+    X = np.asarray(X, dtype=float)
     if batch is not None:
-        return np.asarray(batch(np.asarray(X, dtype=float), int(t)), dtype=float)
-    return np.stack([family.evaluate(x, t) for x in X])
+        return np.asarray(batch(X, t if isinstance(t, np.ndarray) else int(t)), dtype=float)
+    times = t.tolist() if isinstance(t, np.ndarray) else [t] * len(X)
+    return np.stack([family.evaluate(x, tau) for x, tau in zip(X, times)])
 
 
 def estimate_lipschitz(family, t, sampler: DomainSampler, n_pairs, norm: Norm) -> LipschitzEstimate:

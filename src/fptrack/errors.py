@@ -23,7 +23,12 @@ class DomainViolationError(FixedTrackError, RuntimeError):
     """An iterate or map output left the declared domain.
 
     Signals that a self-map declaration is false for the instance at hand.
+    ``time_index`` is the time of the map that left, when one is known.
     """
+
+    def __init__(self, message, time_index=None):
+        super().__init__(message)
+        self.time_index = time_index
 
 
 class LengthMismatchError(FixedTrackError, ValueError):

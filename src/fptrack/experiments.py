@@ -83,6 +83,11 @@ def _f17(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Keys of a qp-gradient problem that only one form of its instance reads.
+_RANDOM_QP_KEYS = {"devices", "instance_seed"}
+_INLINE_QP_KEYS = {"coupling", "box_lo", "box_hi", "tracking_weight", "regularization"}
+
+
 def _seeded(spec, seed):
     """Keyword arguments of a read spec: all but its kind, with an absent seed set."""
     kw = {k: v for k, v in spec.items() if k != "kind"}
@@ -115,8 +120,15 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         values = read(doc, "config")
         p = values["problem"]
-        if values["mode"] == "async" and p["kind"] == "qp-gradient" and p["topology"] == "none":
-            raise ConfigError("asynchronous qp-gradient runs require the star topology")
+        if p["kind"] == "qp-gradient":
+            if values["mode"] == "async" and p["topology"] == "none":
+                raise ConfigError("asynchronous qp-gradient runs require the star topology")
+            inline = p["curvature"] is not None
+            given = {k for k, v in doc["problem"].items() if v is not None}
+            unused = sorted(given & (_RANDOM_QP_KEYS if inline else _INLINE_QP_KEYS))
+            if unused:
+                form = "an inline instance (curvature given)" if inline else "a random instance"
+                raise ConfigError(f"qp-gradient keys {unused} do not apply to {form}")
         cfg = cls(**dict(values, norm=Norm(values["norm"])), raw=doc)
         cfg.build_channel()  # fail fast on unreadable schedules
         return cfg

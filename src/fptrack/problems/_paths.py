@@ -16,6 +16,14 @@ from ..norms import Norm
 KINDS = ("constant", "linear", "random_walk", "piecewise")
 
 
+def _times(t) -> np.ndarray:
+    """An array of time indices as int64, each at least 1."""
+    ts = np.asarray(t).reshape(-1)
+    if ts.size and (ts.dtype.kind not in "iu" or ts.min() < 1):
+        raise PreconditionError("time indices are integers starting at 1")
+    return ts.astype(np.int64, copy=False)
+
+
 class DriftPath:
     """A time-indexed point ``point(t)`` in R^dim, t = 1, 2, ...
 
@@ -64,6 +72,9 @@ class DriftPath:
         return self.rate
 
     def point(self, t) -> np.ndarray:
+        """The point at time ``t``; for an int array of times, one row per time."""
+        if isinstance(t, np.ndarray):
+            return self._rows(_times(t))
         t = int(t)
         if t < 1:
             raise PreconditionError("time indices start at 1")
@@ -74,13 +85,30 @@ class DriftPath:
         if self.kind == "piecewise":
             travelled = sum(self._speed(tau) for tau in range(1, t))
             return self.start + travelled * self._unit
+        self._extend_walk(t)
+        return self._walk[t - 1].copy()
+
+    def _rows(self, ts) -> np.ndarray:
+        """``point`` at each time of ``ts``, bit for bit, as rows."""
+        if self.kind == "constant":
+            return np.tile(self.start, (len(ts), 1))
+        if self.kind == "linear":
+            return self.start + ((ts - 1) * self.rate)[:, None] * self._unit
+        if self.kind == "piecewise":
+            # sum() adds left to right from 0, as a running sum does
+            speeds = [self._speed(tau) for tau in range(1, int(ts.max(initial=1)))]
+            travelled = np.concatenate([[0.0], np.cumsum(speeds)])[ts - 1]
+            return self.start + travelled[:, None] * self._unit
+        self._extend_walk(int(ts.max(initial=1)))
+        return np.array([self._walk[t - 1] for t in ts.tolist()]).reshape(len(ts), self.dim)
+
+    def _extend_walk(self, t):
         while len(self._walk) < t:  # random_walk: extend the cached trajectory
             k = len(self._walk)
             g = seeded_stream(self.seed, 332, k).standard_normal(self.dim)
             n = self.norm.of(g)
             step = (self.rate / n) * g if n > 0 else np.zeros(self.dim)
             self._walk.append(self._walk[-1] + step)
-        return self._walk[t - 1].copy()
 
     def step_size(self, t) -> float:
         """Norm of point(t+1) - point(t); exact for every kind."""
@@ -111,5 +139,8 @@ class ScalarSignal:
             raise PreconditionError("scalar signals require a 1-d path")
         self.path = path
 
-    def value(self, t) -> float:
+    def value(self, t):
+        """The value at time ``t`` as a float; for an int array of times, an array."""
+        if isinstance(t, np.ndarray):
+            return self.path.point(t)[:, 0]
         return float(self.path.point(t)[0])

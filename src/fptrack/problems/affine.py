@@ -31,6 +31,8 @@ class AffineFamily(MapFamily):
         cache = {}
 
         def offset(t):
+            if isinstance(t, np.ndarray):
+                return np.array([offset(tau) for tau in t.tolist()])
             b = cache.get(t)
             if b is None:
                 b = eye_minus_A @ path.point(t)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import InexactMapFamily, MapFamily, seeded_stream, solve_fixed_point
+from ..core import InexactMapFamily, MapFamily, seeded_stream
 from ..domains import Domain
 from ..errors import (
     ContractionUncertifiedError,
@@ -43,6 +43,7 @@ from ..errors import (
     PreconditionError,
 )
 from ..norms import L2, LINF, Norm
+from ._paths import _times
 
 _GUARD = 1e-6  # smallest voltage modulus the maps divide by
 
@@ -145,19 +146,21 @@ class InjectionSeries:
         return self.limit.copy()
 
     def at(self, t) -> np.ndarray:
-        t = int(t)
-        if t < 1:
+        """Injections at time ``t``; for an int array of times, one row per time."""
+        rows = isinstance(t, np.ndarray)
+        ts = _times(t) if rows else int(t)
+        if not rows and ts < 1:
             raise PreconditionError("time indices start at 1")
         if self.kind == "constant":
-            return self.base.copy()
+            return np.tile(self.base, (len(ts), 1)) if rows else self.base.copy()
         if self.kind == "ramp":
-            s = self.base * (1.0 + self.rate * (t - 1))
+            s = self.base * (1.0 + self.rate * (ts[:, None] - 1 if rows else ts - 1))
             mag = np.abs(s)
             over = mag > self.limit
             if np.any(over):
-                s[over] *= self.limit[over] / mag[over]
+                s[over] *= np.broadcast_to(self.limit, s.shape)[over] / mag[over]
             return s
-        while len(self._walk) < t:
+        while len(self._walk) < (ts.max(initial=1) if rows else ts):
             k = len(self._walk)
             rng = seeded_stream(self.seed, 23, k)
             angle = rng.uniform(0.0, 2.0 * np.pi, size=self.n)
@@ -167,7 +170,9 @@ class InjectionSeries:
             if np.any(over):
                 s[over] = s[over] * (self.limit[over] / mag[over])
             self._walk.append(s)
-        return self._walk[t - 1].copy()
+        if rows:
+            return np.array([self._walk[k - 1] for k in ts.tolist()]).reshape(len(ts), self.n)
+        return self._walk[ts - 1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,6 @@ def boundary_injection(v_area_j, v_connection, link_impedance, root_index=0) -> 
 _MARGIN = 1.05           # certified self-map box over the box the rounds close on
 _MAX_ROUNDS = 300        # self-map rounds before the couplings count as too strong
 _CONTRACTION_CAP = 0.95  # largest declared factor the builder certifies
-_REF_TOL = 1e-13         # residual of the monolithic reference solves
 
 
 @dataclass(frozen=True)
@@ -521,6 +525,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     def noise(t):
         if adversarial:
             return nb
+        if isinstance(t, np.ndarray):
+            return np.array([noise(tau) for tau in t.tolist()])
         rng = seeded_stream(seed, 29, t)
         radius = nb * np.sqrt(rng.uniform(size=k_areas - 1))
         return radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k_areas - 1))
@@ -536,7 +542,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         if noisy and nb > 0.0:
             meas += noise(t)
         s_eff = np.empty_like(v)
-        s_eff[...] = injections.at(t)[order]
+        s_eff[...] = injections.at(t)[..., order]
         s_eff[..., conn_pos] -= meas
         # area 1's slack is the substation, area k's the connection bus of area k-1
         slack = np.concatenate([np.full(v.shape[:-1] + (1,), v0, dtype=complex), v_conn],
@@ -584,7 +590,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         norm=Norm(LINF),
     )
 
-    system = MultiAreaSystem(
+    return MultiAreaSystem(
         family=family,
         graph=graph,
         monolithic=mono,
@@ -594,21 +600,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         declared=declared,
         error_bound=err,
     )
-
-    cache = {}
-
-    def fixed_point(t):
-        enc = cache.get(t)
-        if enc is None:
-            warm = cache.get("warm", to_real(net.noload))
-            sol = solve_fixed_point(mono, t, warm, tol=_REF_TOL, max_iter=10_000)
-            cache["warm"] = sol
-            enc = system.encode(to_complex(sol))
-            cache[t] = enc
-        return enc.copy()
-
-    base.fixed_point = fixed_point
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +639,7 @@ def three_area_network() -> PowerNetwork:
 
 
 def default_injections(net: PowerNetwork, load_fraction=0.7, kind="constant",
-                       step=0.0, seed=0) -> InjectionSeries:
+                       step=0.0, seed=0, rate=0.0) -> InjectionSeries:
     """Loads (negative injections) at a fraction of each bus limit."""
     base = -load_fraction * net.injection_limit * (0.95 + 0.05j) / abs(0.95 + 0.05j)
-    return InjectionSeries(kind, base, net.injection_limit, step=step, seed=seed)
+    return InjectionSeries(kind, base, net.injection_limit, step=step, seed=seed, rate=rate)

@@ -63,7 +63,8 @@ class TimeVaryingQP:
         return self.curvature.size
 
     def gradient(self, x, t) -> np.ndarray:
-        """Objective gradient at a state ``x`` of shape (n,) or at each row of (k, n)."""
+        """Objective gradient at a state ``x`` of shape (n,), or at each row of (k, n)
+        at one time ``t`` or at the times of an int array ``t`` of length k."""
         y = x @ self.coupling + self.output_signal.value(t)
         return (
             self.curvature * x
@@ -92,6 +93,18 @@ def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
         output_signal=scalar_signal("constant", start=float(rng.uniform(-1, 1))),
         reference_signal=scalar_signal("constant", start=float(rng.uniform(-1, 1))),
     )
+
+
+def _aggregate_noise(nb, seed, key, adversarial):
+    """Noise of the measured aggregate at time t: seeded, uniform on [-nb, nb],
+    or nb when adversarial; for an int array of times, a column of draws."""
+    def noise(t):
+        if adversarial:
+            return nb
+        if isinstance(t, np.ndarray):
+            return np.array([[noise(tau)] for tau in t.tolist()])
+        return float(seeded_stream(seed, key, t).uniform(-nb, nb))
+    return noise
 
 
 class GradientMapFamily(MapFamily):
@@ -151,10 +164,7 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
         raise PreconditionError("noise bound must be nonnegative")
     a = float(step_size)
 
-    def noise(t):
-        if adversarial:
-            return nb
-        return float(seeded_stream(seed, 3, t).uniform(-nb, nb))
+    noise = _aggregate_noise(nb, seed, 3, adversarial)
 
     def evaluate(x, t):
         g = qp.gradient(x, t) + qp.tracking_weight * qp.coupling * noise(t)
@@ -215,9 +225,10 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         )
 
     def base_evaluate(z, t):
-        x, y = z[..., :n], z[..., n:] / theta
-        r = qp.reference_signal.value(t)
-        g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * (y - r)
+        x, y = z[..., :n], z[..., n] / theta
+        # one aggregate per state, as the signals have one value per time
+        gap = (y - qp.reference_signal.value(t))[..., None]
+        g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * gap
         x_new = np.clip(x - a * g, qp.box_lo, qp.box_hi)
         y_new = x @ qp.coupling + qp.output_signal.value(t)
         return np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
@@ -234,10 +245,7 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         name=f"qp-broadcast-n{n}",
     )
 
-    def noise(t):
-        if adversarial:
-            return nb
-        return float(seeded_stream(seed, 5, t).uniform(-nb, nb))
+    noise = _aggregate_noise(nb, seed, 5, adversarial)
 
     def evaluate(z, t):
         out = base_evaluate(z, t)

@@ -169,6 +169,13 @@ _QP = {
     "reference_signal": (entry("signal spec"), {"kind": "constant"}),
 }
 
+_INJECTIONS = {
+    "load_fraction": (number("[0, 1]"), 0.7),
+    "step": (_NONNEG, 0.0),
+    "seed": (_SEED, None),
+    "base": (listof(_complex, 1, MAX_BUSES), None),
+}
+
 TABLE = {
     "config": {
         "problem": (entry("problem"), REQUIRED),
@@ -218,12 +225,8 @@ TABLE = {
     }),
     "drift spec": _path((listof(_REAL, 1, MAX_DIM), None)),
     "signal spec": _path((_REAL, 0.0)),
-    "injection spec": Kinds(dict.fromkeys(("constant", "random_walk", "ramp"), {
-        "load_fraction": (number("[0, 1]"), 0.7),
-        "step": (_NONNEG, 0.0),
-        "seed": (_SEED, None),
-        "base": (listof(_complex, 1, MAX_BUSES), None),
-    })),
+    "injection spec": Kinds(dict.fromkeys(("constant", "random_walk"), _INJECTIONS),
+                            ramp={**_INJECTIONS, "rate": (_NONNEG, 0.0)}),
     "network": {
         "buses": (integer(1, MAX_BUSES), REQUIRED),
         "slack_voltage": (_complex, REQUIRED),

@@ -143,6 +143,45 @@ def test_series_residuals_validated():
         fp.compute_fixed_point_series(fam, 3, L2)
 
 
+def test_series_reports_the_first_time_that_leaves_the_domain():
+    # t = 3 leaves the box at iteration 1 (0 -> 0.9 -> 1.35), later times at
+    # iteration 0, so the batched solve sees a later time fail first
+    shift = {1: 0.1, 2: 0.2, 3: 0.9}
+    fam = scalar_family(lambda x, t: 0.5 * x + shift.get(t, 5.0), 0.5,
+                        domain=Domain.box([-1.0], [1.0]))
+    with pytest.raises(DomainViolationError) as exc:
+        fp.compute_fixed_point_series(fam, 6, L2)
+    assert exc.value.time_index == 3
+    with pytest.raises(DomainViolationError) as exc:
+        fp.solve_fixed_point(fam, np.array([5, 4, 3, 1]), np.zeros((4, 1)))
+    assert exc.value.time_index == 3
+    # and when t = 3 leaves first, a later time that leaves after it is not reported
+    shift = {1: 0.1, 2: 0.2, 3: 5.0}
+    fam = scalar_family(lambda x, t: 0.5 * x + shift.get(t, 0.9), 0.5,
+                        domain=Domain.box([-1.0], [1.0]))
+    with pytest.raises(DomainViolationError) as exc:
+        fp.compute_fixed_point_series(fam, 6, L2)
+    assert exc.value.time_index == 3
+
+
+def test_series_reports_the_first_time_that_does_not_converge():
+    fam = scalar_family(lambda x, t: (0.5 if t < 3 else 0.9999) * x + 1.0, 0.9999)
+    with pytest.raises(NonConvergenceError) as exc:
+        fp.compute_fixed_point_series(fam, 6, L2, max_iter=200)
+    assert exc.value.time_index == 3
+    assert exc.value.iterations == 200
+    assert exc.value.residual > 1e-12
+
+
+def test_batched_solve_stops_each_row_at_its_own_tolerance():
+    fam = scalar_family(lambda x, t: 0.5 * x + 0.1 * t, 0.5)
+    ts = np.array([3, 1, 3, 8])
+    x, info = fp.solve_fixed_point(fam, ts, np.zeros((4, 1)), tol=1e-12, return_info=True)
+    for row, t in zip(x, ts.tolist()):
+        assert np.array_equal(row, fp.solve_fixed_point(fam, t, np.zeros(1), tol=1e-12))
+    assert info["iterations"] == len(info["residuals"])
+
+
 # ---------------------------------------------------------------------------
 # run_online_tracker
 # ---------------------------------------------------------------------------

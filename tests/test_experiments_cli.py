@@ -287,6 +287,16 @@ TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
     {"kind": "qp-gradient", "step_size": 0.3, "instance_seed": -1},
     {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "coupling": [1.0]},
     {"kind": "loadflow", "network": "two-bus", "injections": None},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "ramp", "rate": True}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "ramp", "rate": -1}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "constant", "rate": 0.01}},
+    {"kind": "qp-gradient", "step_size": 0.3, "coupling": [1.0] * 7},
+    {"kind": "qp-gradient", "step_size": 0.3, "box_lo": [-2.0] * 7},
+    {"kind": "qp-gradient", "step_size": 0.3, "box_hi": [2.0] * 7},
+    {"kind": "qp-gradient", "step_size": 0.3, "tracking_weight": 2.0},
+    {"kind": "qp-gradient", "step_size": 0.3, "regularization": 3.0},
+    {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "devices": 2},
+    {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "instance_seed": 4},
 ], ids=["fast-window-int", "fast-window-short", "drift-rate", "drift-seed", "drift-not-object",
         "affine-dim", "affine-contraction", "qp-step-size", "qp-devices",
         "loadflow-noise-bound", "loadflow-radius", "injection-step",
@@ -295,11 +305,44 @@ TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
         "network-areas-length", "injection-base-pair", "injection-base-length",
         "affine-dim-negative", "affine-dim-text-number", "affine-blockwise-text",
         "drift-fast-rate-not-piecewise", "qp-devices-zero", "qp-instance-seed-negative",
-        "qp-coupling-length", "injections-null"])
+        "qp-coupling-length", "injections-null", "ramp-rate-bool", "ramp-rate-negative",
+        "constant-rate", "random-qp-coupling", "random-qp-box-lo", "random-qp-box-hi",
+        "random-qp-tracking-weight", "random-qp-regularization", "inline-qp-devices",
+        "inline-qp-instance-seed"])
 def test_cli_bad_problem_value_exit_2(tmp_path, capsys, problem):
     cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem))
     assert main(["run", cfg]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, inline", [
+    ("regularization", 3.0, False), ("coupling", [5.0] * 7, False),
+    ("devices", 2, True), ("instance_seed", 4, True),
+])
+def test_qp_key_that_does_not_apply_is_named(key, value, inline):
+    problem = {"kind": "qp-gradient", "step_size": 0.3, key: value}
+    if inline:
+        problem["curvature"] = [1.0, 2.0]
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(affine_doc(problem=problem))
+    problem[key] = None  # null reads as absent
+    if key in ("regularization", "devices"):
+        del problem[key]  # no null for a key with a default
+    ExperimentConfig.from_dict(affine_doc(problem=problem))
+
+
+def test_injection_ramp_rate_moves_the_loads():
+    def run(injections):
+        problem = {"kind": "loadflow", "network": "two-bus", "injections": injections}
+        return run_experiment(ExperimentConfig.from_dict(affine_doc(problem=problem, horizon=60)),
+                              write_files=False)
+
+    constant = run({"kind": "constant", "load_fraction": 0.5})
+    flat = run({"kind": "ramp", "load_fraction": 0.5})
+    ramp = run({"kind": "ramp", "load_fraction": 0.5, "rate": 0.01})
+    assert np.array_equal(flat.errors, constant.errors)
+    assert not np.array_equal(ramp.errors, constant.errors)
+    assert ramp.bound_inputs["drift"] > 0.0 == constant.bound_inputs["drift"]
 
 
 def test_cli_certificate_failure_exit_3(tmp_path):

@@ -1,11 +1,14 @@
-"""Built-in map families: the rows path the audits run agrees with the point path."""
+"""Built-in map families: the rows path (the audits, the batched reference) agrees
+with the point path, at one time or at one time per row."""
 import numpy as np
 import pytest
 
 import fptrack as fp
 from fptrack import DomainSampler
+from fptrack.errors import PreconditionError
 from fptrack.problems import (
     DriftPath,
+    InjectionSeries,
     build_affine_family,
     build_broadcast_system,
     build_feedback_gradient_map,
@@ -14,6 +17,7 @@ from fptrack.problems import (
     build_multiarea_maps,
     default_injections,
     random_qp,
+    scalar_signal,
     three_area_network,
 )
 
@@ -59,3 +63,100 @@ def test_builtin_map_rows_agree_with_points(families, name):
         assert rows.shape == X.shape
         for x, row in zip(X, rows):
             np.testing.assert_allclose(row, family.evaluate(x, t), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", [
+    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
+    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
+    "multiarea", "multiarea-noisy",
+])
+def test_builtin_map_rows_take_one_time_per_row(families, name):
+    family = families[name]
+    # five rows, as many as the QP has devices: a broadcast of (k, 1) against
+    # (k,) would give a (k, k) term of the right size here
+    ts = np.array([4, 1, 4, 7, 2])
+    X = DomainSampler(family.domain, 6).draw(len(ts))
+    rows = family.evaluate_batch(X, ts)
+    assert rows.shape == X.shape
+    for x, t, row in zip(X, ts.tolist(), rows):
+        np.testing.assert_allclose(row, family.evaluate(x, t), rtol=0.0, atol=1e-12)
+
+
+def _paths():
+    return {
+        "constant": DriftPath("constant", 3, start=[1.0, 2.0, 3.0]),
+        "linear": DriftPath("linear", 3, rate=0.07, seed=1),
+        "random_walk": DriftPath("random_walk", 3, rate=0.05, seed=2, norm=LINF),
+        "piecewise": DriftPath("piecewise", 3, rate=0.01, seed=3,
+                               fast_rate=0.3, fast_window=(3, 6)),
+    }
+
+
+def _injections():
+    net = three_area_network()
+    rate = np.linspace(0.0, 0.05, net.n)
+    return {
+        "constant": default_injections(net, 0.5),
+        "random_walk": default_injections(net, 0.5, kind="random_walk", step=0.01, seed=4),
+        "ramp": InjectionSeries("ramp", default_injections(net, 0.5).base,
+                                net.injection_limit, rate=rate),
+    }
+
+
+TIMES = np.array([9, 1, 3, 9, 2, 12, 5])
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "random_walk", "piecewise"])
+def test_drift_and_signal_rows_equal_points_bitwise(kind):
+    by_rows, by_points = _paths()[kind], _paths()[kind]  # each extends its own walk
+    points = np.array([by_points.point(t) for t in TIMES.tolist()])
+    assert np.array_equal(by_rows.point(TIMES), points)
+    extra = {"fast_rate": 0.2, "fast_window": (2, 4)} if kind == "piecewise" else {}
+    by_rows, by_points = (scalar_signal(kind, rate=0.02, seed=5, **extra) for _ in range(2))
+    values = by_rows.value(TIMES)
+    assert values.shape == TIMES.shape
+    assert np.array_equal(values, [by_points.value(t) for t in TIMES.tolist()])
+    for bad in (0, np.array([2, 0])):
+        with pytest.raises(PreconditionError):
+            by_rows.value(bad)
+
+
+@pytest.mark.parametrize("kind", ["constant", "random_walk", "ramp"])
+def test_injection_rows_equal_points_bitwise(kind):
+    by_rows, by_points = _injections()[kind], _injections()[kind]
+    rows = by_rows.at(TIMES)
+    assert np.array_equal(rows, np.array([by_points.at(t) for t in TIMES.tolist()]))
+    assert np.all(np.abs(rows) <= by_rows.limit + 1e-12)
+    for bad in (0, np.array([2, 0])):
+        with pytest.raises(PreconditionError):
+            by_rows.at(bad)
+
+
+def _warm_started(family, horizon, norm):
+    """The reference as solved one time at a time, each from the last fixed point."""
+    x, points = family.domain.anchor(), []
+    for t in range(1, horizon + 1):
+        x = fp.solve_fixed_point(family, t, x, tol=1e-12, norm=norm)
+        points.append(x)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("name, norm", [
+    ("qp-moving", L2), ("qp-broadcast-moving", L2), ("loadflow-l2", L2),
+    ("loadflow-linf", LINF), ("multiarea", LINF),
+])
+def test_batched_series_equals_warm_started_solves(families, name, norm):
+    if name.endswith("moving"):
+        qp = random_qp(5, seed=7)
+        qp.reference_signal = scalar_signal("random_walk", rate=0.05, seed=2)
+        qp.output_signal = scalar_signal("linear", rate=0.02, start=-0.3)
+        family = (build_gradient_map(qp, 0.15) if name == "qp-moving"
+                  else build_broadcast_system(qp, 0.15, 0.0, seed=1)[0].base)
+    else:
+        family = families[name]
+    assert family.fixed_point is None
+    series = fp.compute_fixed_point_series(family, 25, norm)
+    oracle = _warm_started(family, 25, norm)
+    assert series.drift_sup > 1e-4  # the fixed points move
+    np.testing.assert_allclose(series.points, oracle, rtol=0.0, atol=1e-11)
+    assert np.all(series.residuals <= 1e-12)
