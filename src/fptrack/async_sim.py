@@ -10,10 +10,12 @@ tick; "delay" is measured in ticks, there is no wall-clock component.
 
 An agent whose neighbor copies are all current is fresh: its composite input
 agrees with the current state on every block its map reads, so all fresh
-agents share one evaluation of the map at the current state, and a tick costs
-one evaluation plus one per stale agent. This requires the map's block i not
-to read the blocks of agents outside i's in-neighbors, which
-:func:`audit_dependency_graph` checks.
+agents share one evaluation of the map at the current state. This requires
+the map's block i not to read the blocks of agents outside i's in-neighbors,
+which :func:`audit_dependency_graph` checks. A tick is one rows call of the
+map: one row per stale agent's composite input, plus the current state when
+any agent is fresh. Built-in maps give every row the bits of a point call, so
+a tick equals per-agent point evaluation bit for bit.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
 table before the first tick: ``stamps[t, e] = s`` means that at tick t the
@@ -31,6 +33,7 @@ import numpy as np
 
 from .core import (
     TrackingTrace,
+    _evaluate_rows,
     compute_fixed_point_series,
     seeded_stream,
     tracking_error,
@@ -445,29 +448,22 @@ def step_async(history, stamps, family, graph: DependencyGraph, t):
     all fresh agents take their blocks from one shared evaluation at x_t.
     This relies on the family honoring ``graph``: block i of the map must
     not read blocks of non-neighbors (``audit_dependency_graph`` checks it).
-    Each stale agent evaluates the map at its own composite input. Every
-    evaluation uses the family's scalar path on a freshly allocated vector,
-    so a zero-delay tick is one evaluation at x_t, the synchronous step to
-    the last bit.
+    The tick is one rows call (``_evaluate_rows``): the stale agents'
+    composite inputs, then x_t when any agent is fresh. A family with a point
+    map only is evaluated row by row. As built-in rows equal points bit for
+    bit, a zero-delay tick is the synchronous step to the last bit.
     """
     stale = np.zeros(graph.n_agents, dtype=bool)
     stale[graph.edge_arrays[1][stamps != t]] = True
     stale_agents = stale.nonzero()[0]
-    raw_eval = getattr(family, "_evaluate", family.evaluate)
+    held = np.concatenate((stamps, (t, 1)))
+    copies = held.take(graph.copy_source.take(stale_agents, axis=0))
+    row_of = np.full(graph.n_agents, len(stale_agents))  # fresh agents read x_t, the last row
+    row_of[stale_agents] = np.arange(len(stale_agents))
     if len(stale_agents) < graph.n_agents:
-        x_next = np.array(raw_eval(history[t - 1].copy(), t), dtype=float)
-    else:
-        x_next = np.empty(graph.dim)
-    if len(stale_agents):
-        # composite inputs of the stale agents, one row each
-        held = np.concatenate((stamps, (t, 1)))
-        copies = held.take(graph.copy_source.take(stale_agents, axis=0))
-        views = history[copies - 1, graph.columns]
-        for row, i in enumerate(stale_agents.tolist()):
-            sl = graph.block_slice(i)
-            # a fresh buffer, as the synchronous tracker passes: numpy kernels
-            # may choose summation paths by buffer alignment
-            x_next[sl] = raw_eval(views[row].copy(), t)[sl]
+        copies = np.vstack((copies, np.full(graph.dim, t)))
+    out = _evaluate_rows(family, history[copies - 1, graph.columns], t)
+    x_next = out[row_of[graph.block_of_column], graph.columns]
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next
@@ -508,37 +504,34 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
 # ---------------------------------------------------------------------------
 
 
-def audit_dependency_graph(family, graph: DependencyGraph, probe_count=32, seed=0,
-                           times=(1,), rel_tol=1e-9):
+def audit_dependency_graph(family, graph: DependencyGraph, probe_count=32, seed=0):
     """Check that declared edges cover the map's actual block dependencies.
 
     Perturbing block j may change block i's output only when ``(j, i)`` is a
     declared edge or ``j == i``. Declared edges that carry no dependence are
-    allowed. Returns ``(ok, violations)`` with violating ``(j, i)`` pairs.
+    allowed. Each probe is one rows call at t = 1: a domain point and, for
+    every agent j, the point with block j moved by about 1e-6 relative (up,
+    or down when up leaves the domain; skipped when both do). Block i
+    depends on j when its output moves by more than 1e-9 relative. Returns
+    ``(ok, violations)`` with violating ``(j, i)`` pairs.
     """
     sampler = DomainSampler(family.domain, int(seed) + 9173)
     rng = seeded_stream(seed, 55)
-    violations = set()
-    for t in times:
-        for _ in range(int(probe_count)):
-            x = sampler.draw_one()
-            fx = family.evaluate(x, t)
-            scale = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-            for j in range(graph.n_agents):
-                sl = graph.block_slice(j)
-                delta = rng.uniform(0.5, 1.0, size=sl.stop - sl.start) * scale
-                x2 = x.copy()
-                x2[sl] = x[sl] + delta
-                if not family.domain.contains(x2):
-                    x2[sl] = x[sl] - delta
-                    if not family.domain.contains(x2):
-                        continue
-                diff = family.evaluate(x2, t) - fx
-                thresh = rel_tol * (1.0 + float(np.max(np.abs(fx))))
-                for i in range(graph.n_agents):
-                    if i == j:
-                        continue
-                    if float(np.max(np.abs(diff[graph.block_slice(i)]))) > thresh:
-                        if (j, i) not in graph.edges:
-                            violations.add((j, i))
-    return (len(violations) == 0), sorted(violations)
+    own_block = (graph.block_of_column, graph.columns)  # in row j, the columns of block j
+    found = np.zeros((graph.n_agents, graph.n_agents), dtype=bool)
+    for _ in range(int(probe_count)):
+        x = sampler.draw_one()
+        delta = rng.uniform(0.5, 1.0, size=graph.dim) * (1e-6 * (1.0 + float(np.max(np.abs(x)))))
+        moved = np.tile(x, (graph.n_agents, 1))  # row j: x with block j moved
+        moved[own_block] = x + delta
+        down = (~family.domain.contains_rows(moved))[graph.block_of_column]
+        moved[own_block] = np.where(down, x - delta, x + delta)
+        keep = family.domain.contains_rows(moved)
+        out = _evaluate_rows(family, np.vstack((x, moved[keep])), 1)
+        thresh = 1e-9 * (1.0 + float(np.max(np.abs(out[0]))))
+        block_change = np.maximum.reduceat(np.abs(out[1:] - out[0]), graph.offsets[:-1], axis=1)
+        found[keep] |= block_change > thresh
+    found[graph.edge_arrays] = False
+    np.fill_diagonal(found, False)
+    violations = [tuple(edge) for edge in np.argwhere(found).tolist()]
+    return not violations, violations

@@ -63,10 +63,13 @@ class MapFamily:
         Vectorized ``(X, t) -> ndarray`` over the rows of ``X``, where ``t``
         is one int for every row or an int array with one time per row. Row
         i must agree with ``evaluate(X[i], t)`` or ``evaluate(X[i], t[i])``.
-        The sampling audits and the batched reference solve call it. Every
+        The sampling audits, the batched reference solve, the asynchronous
+        simulator (one call per tick) and its dependency audit call it. Every
         built-in family passes its one map, written for a point or for rows,
-        as both ``evaluate`` and ``evaluate_batch``, so the audits check the
-        code the trackers run. Without it, rows are evaluated one by one.
+        as both ``evaluate`` and ``evaluate_batch``, and its rows match its
+        points bit for bit: sums over the state are ``einsum`` reductions,
+        whose order does not depend on the number of rows. Without it, rows
+        are evaluated one by one.
     declared_norm : Norm, optional
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
@@ -235,43 +238,33 @@ def bounded_noise_draw(rng: np.random.Generator, dim: int, radius: float, norm: 
 
 
 def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = None,
-                      adversarial=False, direction=None, error_sup=None) -> InexactMapFamily:
+                      adversarial=False) -> InexactMapFamily:
     """Perturb a family's outputs by a bounded, seeded amount.
 
     The perturbation at step t is a deterministic function of ``(seed, t)``:
-    uniform on the ball of radius ``error_bound(t)`` by default, or a constant
-    offset of that radius along ``direction`` when ``adversarial`` is set
-    (this makes steady-state bounds near-tight). Outputs are projected back
-    onto the domain, which cannot increase the deviation because projections
-    are nonexpansive and the exact output lies in the domain.
+    uniform on the ball of radius ``error_bound`` by default, or a constant
+    offset of that radius along the all-ones direction when ``adversarial``
+    is set (this makes steady-state bounds near-tight). Outputs are projected
+    back onto the domain, which cannot increase the deviation because
+    projections are nonexpansive and the exact output lies in the domain.
     """
     norm = norm if norm is not None else Norm(L2)
-    if callable(error_bound):
-        bound_at = error_bound
-        if error_sup is None:
-            raise PreconditionError("error_sup required for a time-varying bound")
-    else:
-        const = float(error_bound)
-        bound_at = lambda t, c=const: c  # noqa: E731 - tiny closure
-        error_sup = const
-
+    radius = float(error_bound)
     if adversarial:
-        if direction is None:
-            direction = np.ones(base.dim)
-        direction = np.asarray(direction, dtype=float)
-        unit = direction / norm.of(direction)
+        ones = np.ones(base.dim)
+        shift = radius * (ones / norm.of(ones))
 
         def offset(t):
-            return bound_at(t) * unit
+            return shift
     else:
 
         def offset(t):
-            return bounded_noise_draw(seeded_stream(seed, t), base.dim, bound_at(t), norm)
+            return bounded_noise_draw(seeded_stream(seed, t), base.dim, radius, norm)
 
     def evaluate(x, t):
         return base.domain.project(base.evaluate(x, t) + offset(t))
 
-    return InexactMapFamily(base, evaluate, bound_at, error_sup=error_sup, norm=norm)
+    return InexactMapFamily(base, evaluate, radius, norm=norm)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,11 @@ _INLINE_QP_KEYS = {"coupling", "box_lo", "box_hi", "tracking_weight", "regulariz
 
 
 def _seeded(spec, seed):
-    """Keyword arguments of a read spec: all but its kind, with an absent seed set."""
+    """Keyword arguments of a read spec: all but its kind, with an absent seed set
+    when its kind reads one."""
     kw = {k: v for k, v in spec.items() if k != "kind"}
-    kw["seed"] = seed if kw["seed"] is None else kw["seed"]
+    if "seed" in kw and kw["seed"] is None:
+        kw["seed"] = seed
     return kw
 
 

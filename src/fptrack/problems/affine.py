@@ -27,7 +27,6 @@ class AffineFamily(MapFamily):
         self.path = path
         m = self.A.shape[0]
         eye_minus_A = np.eye(m) - self.A
-        A_T = self.A.T
         cache = {}
 
         def offset(t):
@@ -40,7 +39,8 @@ class AffineFamily(MapFamily):
             return b
 
         def evaluate(x, t):
-            return x @ A_T + offset(t)
+            # einsum sums each output in one order for a point or any number of rows
+            return np.einsum("...j,ij->...i", x, self.A) + offset(t)
 
         super().__init__(
             dim=m,

@@ -48,6 +48,11 @@ from ._paths import _times
 _GUARD = 1e-6  # smallest voltage modulus the maps divide by
 
 
+def _times_z(w, Z):
+    """``w @ Z.T`` for a vector or each row, summed in one order for any row count."""
+    return np.einsum("...j,ij->...i", w, Z)
+
+
 def to_real(v: np.ndarray) -> np.ndarray:
     """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...]."""
     v = np.asarray(v, dtype=complex)
@@ -96,14 +101,14 @@ class PowerNetwork:
                 raise PreconditionError(f"line ({a}, {b}) references invalid buses")
             if z == 0:
                 raise PreconditionError("line impedance must be nonzero")
-        y_full = _admittance(self.n + 1, self.lines)
-        self.Y_ll = y_full[1:, 1:]
-        self.Y_l0 = y_full[1:, 0]
+        self.Y_ll = _admittance(self.n + 1, self.lines)[1:, 1:]
         try:
             self.Z = np.linalg.inv(self.Y_ll)
         except np.linalg.LinAlgError as exc:  # disconnected load bus, usually
             raise PreconditionError("load-bus admittance matrix is singular") from exc
-        self.noload = -self.Z @ self.Y_l0 * self.slack_voltage
+        # Lines carry no shunt admittance, so with no load every bus sits at the
+        # slack voltage, exactly; solving for it through Z would round it.
+        self.noload = np.full(self.n, self.slack_voltage)
 
     def __repr__(self):
         return f"<PowerNetwork n={self.n} lines={len(self.lines)}>"
@@ -192,7 +197,7 @@ class LoadflowFamily(MapFamily):
             v = to_complex(x)
             if np.min(np.abs(v)) < _GUARD:
                 raise DomainViolationError("voltage magnitude fell below the division guard")
-            return to_real(noload + np.conj(injections.at(t) / v) @ Z.T)
+            return to_real(noload + _times_z(np.conj(injections.at(t) / v), Z))
 
         super().__init__(
             dim=2 * net.n,
@@ -429,50 +434,39 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     sizes = np.bincount(bus_area)
     k_areas = len(sizes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    # Each area's impedance matrix is a diagonal block of Z. The blocks are
-    # inverted one by one: inverting the whole matrix rounds differently, and
-    # the certificates below read differences of no-load voltages that are
-    # rounding-sized.
+    # Each area's impedance matrix is a diagonal block of Z, inverted one by one.
+    # With no shunt admittance the cut rows sum to zero, so an area's no-load
+    # profile is its slack voltage at every bus, exactly.
     Z = np.zeros((net.n, net.n), dtype=complex)
     for k, block in enumerate(map(slice, starts, starts + sizes)):
         try:
             Z[block, block] = np.linalg.inv(y[1:, 1:][block, block])
         except np.linalg.LinAlgError as exc:
             raise PartitionUnsupportedError(f"area {k + 1} is internally disconnected") from exc
-    unit = -Z @ y[1:, 0]  # no-load profile per unit slack voltage
 
-    def area_max(values):
-        return np.maximum.reduceat(values, starts)
-
-    center = net.noload[order]
     v0 = net.slack_voltage
     root2 = np.sqrt(2.0)
 
     # Constant per-area quantities for the certification inequalities.
     absZ = np.abs(Z)
-    unit_flat_gain = area_max(np.abs(unit.real) + np.abs(unit.imag))
-    slack_center = np.concatenate([[v0], center[conn_pos]])[bus_area]
-    base_misfit = area_max(np.abs(unit * slack_center - center))
     y_link = 1.0 / np.abs(link_z)
     colZ = absZ[:, conn_pos].max(axis=0)
-    cgap = np.abs(center[conn_pos] - center[root_pos])
-    cmag = np.abs(center)
-    cmax, cmin = area_max(cmag), cmag.min()
     limits = net.injection_limit[order]
 
     def closure(H):
         """One round of the self-map inequalities: H -> required half-widths."""
         dev = root2 * H  # modulus deviation caps per area
-        vmax = cmax + dev
-        vmin = float(cmin - dev.max())
+        vmax = abs(v0) + dev
+        vmin = float(abs(v0) - dev.max())
         if vmin <= max(_GUARD, 0.05):
             return None, None
-        gaps = dev[:-1] + cgap + dev[1:]
+        gaps = dev[:-1] + dev[1:]
         s_eff = limits.copy()
         s_eff[conn_pos] += vmax[:-1] * y_link * gaps + nb
-        load = area_max(absZ @ s_eff)
-        upstream = np.concatenate([[0.0], unit_flat_gain[1:] * H[:-1]])
-        return upstream + base_misfit + load / vmin, (vmin, vmax, gaps, load)
+        load = np.maximum.reduceat(absZ @ s_eff, starts)
+        # an upstream slack shift moves the whole downstream area one for one
+        upstream = np.concatenate([[0.0], H[:-1]])
+        return upstream + load / vmin, (vmin, vmax, gaps, load)
 
     H = np.full(k_areas, 1e-4)
     for _ in range(_MAX_ROUNDS):
@@ -498,7 +492,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     G = np.diag(load * root2 / vmin**2)
     G[link, link] += colZ * y_link * (gaps + vmax[:-1]) * root2 / vmin
     G[link, link + 1] = colZ * y_link * vmax[1:] * root2 / vmin
-    G[link + 1, link] = unit_flat_gain[1:]
+    G[link + 1, link] = 1.0
 
     # Perron weights equalize the weighted row sums at the spectral radius.
     evals, evecs = np.linalg.eig(G)
@@ -518,7 +512,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             f">= cap {_CONTRACTION_CAP}"
         )
 
-    coords = _Coordinates(order, center, np.repeat(omega[bus_area], 2))
+    coords = _Coordinates(order, net.noload[order], np.repeat(omega[bus_area], 2))
     half = np.repeat((omega * H)[bus_area], 2)
     block_sizes = [2 * size for size in sizes]
 
@@ -547,7 +541,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         # area 1's slack is the substation, area k's the connection bus of area k-1
         slack = np.concatenate([np.full(v.shape[:-1] + (1,), v0, dtype=complex), v_conn],
                                axis=-1)[..., bus_area]
-        return coords.state(slack * unit + np.conj(s_eff / v) @ Z.T)
+        return coords.state(slack + _times_z(np.conj(s_eff / v), Z))
 
     def exact_map(x, t):
         return stacked(x, t, noisy=False)

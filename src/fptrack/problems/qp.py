@@ -65,7 +65,7 @@ class TimeVaryingQP:
     def gradient(self, x, t) -> np.ndarray:
         """Objective gradient at a state ``x`` of shape (n,), or at each row of (k, n)
         at one time ``t`` or at the times of an int array ``t`` of length k."""
-        y = x @ self.coupling + self.output_signal.value(t)
+        y = np.einsum("...j,j->...", x, self.coupling) + self.output_signal.value(t)
         return (
             self.curvature * x
             + self.tracking_weight * self.coupling * (y - self.reference_signal.value(t))[..., None]
@@ -230,7 +230,7 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         gap = (y - qp.reference_signal.value(t))[..., None]
         g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * gap
         x_new = np.clip(x - a * g, qp.box_lo, qp.box_hi)
-        y_new = x @ qp.coupling + qp.output_signal.value(t)
+        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
         return np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
 
     lo = np.concatenate([qp.box_lo, [-np.inf]])

@@ -148,11 +148,18 @@ def _network(v, where):
     return choice("three-area", "two-bus")(v, where)
 
 
-def _path(start):
-    """Drift (``start`` a point) or scalar signal (``start`` a number) spec."""
-    keys = {"rate": (_NONNEG, 0.0), "seed": (_SEED, None), "start": start}
-    return Kinds(dict.fromkeys(("constant", "linear", "random_walk"), keys),
-                 piecewise={**keys, "fast_rate": (_NONNEG, 0.0),
+def _path(start, seeded_direction):
+    """Drift (``start`` a point) or scalar signal (``start`` a number) spec.
+
+    A constant path reads only ``start``. A seed draws the random walk's steps,
+    and the direction of a linear or piecewise path when ``seeded_direction``
+    (a scalar signal moves along +1)."""
+    linear = {"start": start, "rate": (_NONNEG, 0.0)}
+    if seeded_direction:
+        linear["seed"] = (_SEED, None)
+    return Kinds(constant={"start": start}, linear=linear,
+                 random_walk={"start": start, "rate": (_NONNEG, 0.0), "seed": (_SEED, None)},
+                 piecewise={**linear, "fast_rate": (_NONNEG, 0.0),
                             "fast_window": (fields(_TICKS, _TICKS), [1, 1])})
 
 
@@ -171,8 +178,6 @@ _QP = {
 
 _INJECTIONS = {
     "load_fraction": (number("[0, 1]"), 0.7),
-    "step": (_NONNEG, 0.0),
-    "seed": (_SEED, None),
     "base": (listof(_complex, 1, MAX_BUSES), None),
 }
 
@@ -223,9 +228,11 @@ TABLE = {
         "schedule_csv": {"path": (text, REQUIRED), "allow_nonmonotone": (flag, False),
                          "declared_max_delay": (_TICKS, None)},
     }),
-    "drift spec": _path((listof(_REAL, 1, MAX_DIM), None)),
-    "signal spec": _path((_REAL, 0.0)),
-    "injection spec": Kinds(dict.fromkeys(("constant", "random_walk"), _INJECTIONS),
+    "drift spec": _path((listof(_REAL, 1, MAX_DIM), None), seeded_direction=True),
+    "signal spec": _path((_REAL, 0.0), seeded_direction=False),
+    "injection spec": Kinds(constant=_INJECTIONS,
+                            random_walk={**_INJECTIONS, "step": (_NONNEG, 0.0),
+                                         "seed": (_SEED, None)},
                             ramp={**_INJECTIONS, "rate": (_NONNEG, 0.0)}),
     "network": {
         "buses": (integer(1, MAX_BUSES), REQUIRED),

@@ -192,6 +192,41 @@ def test_tick_evaluates_once_plus_once_per_stale_agent():
         assert x_next.tobytes() == expected.tobytes()
 
 
+def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
+    fam = small_affine(dim=5, coupling="chain")
+    graph = fam.dependency_graph()
+    rows_per_call = []
+
+    def counting_batch(X, t):
+        rows_per_call.append(len(X))
+        return fam.evaluate_batch(X, t)
+
+    counted = fp.MapFamily(fam.dim, fam.domain, fam.evaluate, lipschitz=fam.lipschitz_sup,
+                           evaluate_batch=counting_batch)
+    src, dst = graph.edge_arrays
+    t = 4
+    history = np.random.default_rng(1).standard_normal((t, fam.dim))
+    for k in range(graph.n_agents + 1):
+        stamps = np.full((graph.n_agents, graph.n_agents), t)
+        for i in range(k):  # agents 0..k-1 hold one outdated neighbor copy
+            stamps[i, graph.in_neighbors(i)[0]] = t - 1
+        rows_per_call.clear()
+        x_next = step_async(history, stamps[dst, src], counted, graph, t)
+        assert rows_per_call == [k + 1 if k < graph.n_agents else k]
+        expected = per_agent_step(history, stamps, fam, graph, t)
+        assert x_next.tobytes() == expected.tobytes()
+    # a whole run: one call per tick, its rows the tick's stale agents plus x_t if any is fresh
+    horizon, channels = 60, IidDrop(0.5, max_consecutive=3)
+    table = _start_channels(channels, graph, horizon, seed=2)
+    rows_per_call.clear()
+    fp.run_async_tracker(counted, graph, channels, np.zeros(fam.dim), horizon, L2, seed=2,
+                         reference=fp.compute_fixed_point_series(fam, horizon, L2))
+    stale = [stale_agent_count(stamp_matrix(table[t], graph, t), graph, t)
+             for t in range(1, horizon)]
+    assert rows_per_call == [k + (k < graph.n_agents) for k in stale]
+    assert {0, 2, graph.n_agents} <= set(stale)  # all fresh, mixed and all stale ticks
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -481,3 +516,58 @@ def test_audit_allows_declared_but_unused_edges():
     g = DependencyGraph([1, 1], [(0, 1), (1, 0)])
     ok, violations = fp.audit_dependency_graph(fam, g, probe_count=5, seed=3)
     assert ok and violations == []
+
+
+def point_loop_audit(family, graph, probe_count, seed):
+    """Violations found with one point call per probe and per perturbed agent."""
+    sampler = fp.DomainSampler(family.domain, seed + 9173)
+    rng = seeded_stream(seed, 55)
+    violations = set()
+    for _ in range(probe_count):
+        x = sampler.draw_one()
+        fx = family.evaluate(x, 1)
+        scale = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+        thresh = 1e-9 * (1.0 + float(np.max(np.abs(fx))))
+        for j in range(graph.n_agents):
+            sl = graph.block_slice(j)
+            delta = rng.uniform(0.5, 1.0, size=sl.stop - sl.start) * scale
+            x2 = x.copy()
+            x2[sl] = x[sl] + delta
+            if not family.domain.contains(x2):
+                x2[sl] = x[sl] - delta
+                if not family.domain.contains(x2):
+                    continue
+            diff = family.evaluate(x2, 1) - fx
+            for i in range(graph.n_agents):
+                moved = float(np.max(np.abs(diff[graph.block_slice(i)]))) > thresh
+                if i != j and moved and (j, i) not in graph.edges:
+                    violations.add((j, i))
+    return sorted(violations)
+
+
+def audit_case(name):
+    if name.startswith("affine-dense-vs-chain"):
+        fam = small_affine(dim=6, coupling="dense")
+        chain = [(i, i + 1) for i in range(5)] + [(i + 1, i) for i in range(5)]
+        if name.endswith("narrow-box"):  # probes move blocks down, or skip them
+            fam = fp.MapFamily(6, fp.Domain.box(np.zeros(6), np.full(6, 1.2e-6)),
+                               fam.evaluate, lipschitz=fam.lipschitz_sup)
+        return fam, DependencyGraph([1] * 6, chain)
+    if name == "qp-broadcast-star-edge-removed":
+        family, graph = build_broadcast_system(random_qp(5, seed=9), 0.15, 0.01, seed=11)
+    else:
+        net = three_area_network()
+        system = build_multiarea_maps(net, default_injections(net, 0.7), 0.001, seed=1)
+        family, graph = system.family, system.graph
+    return family, DependencyGraph(graph.block_sizes, graph.edges[1:])
+
+
+@pytest.mark.parametrize("name", ["affine-dense-vs-chain", "affine-dense-vs-chain-narrow-box",
+                                  "qp-broadcast-star-edge-removed",
+                                  "multiarea-chain-edge-removed"])
+@pytest.mark.parametrize("probes, seed", [(1, 0), (8, 5)])
+def test_audit_equals_point_loop_oracle(name, probes, seed):
+    family, graph = audit_case(name)
+    expected = point_loop_audit(family, graph, probes, seed)
+    assert expected  # the graph misses a dependence
+    assert fp.audit_dependency_graph(family, graph, probes, seed) == (False, expected)

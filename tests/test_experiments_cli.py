@@ -297,6 +297,19 @@ TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
     {"kind": "qp-gradient", "step_size": 0.3, "regularization": 3.0},
     {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "devices": 2},
     {"kind": "qp-gradient", "step_size": 0.3, "curvature": [1.0, 2.0], "instance_seed": 4},
+    dict(AFFINE_PROBLEM, drift={"kind": "constant", "rate": 0.05}),
+    dict(AFFINE_PROBLEM, drift={"kind": "constant", "seed": 4}),
+    {"kind": "qp-gradient", "step_size": 0.1,
+     "reference_signal": {"kind": "constant", "start": 0.2, "rate": 0.01}},
+    {"kind": "qp-gradient", "step_size": 0.1,
+     "reference_signal": {"kind": "linear", "rate": 0.01, "seed": 4}},
+    {"kind": "qp-gradient", "step_size": 0.1,
+     "output_signal": {"kind": "piecewise", "rate": 0.01, "seed": 4,
+                       "fast_rate": 0.1, "fast_window": [5, 9]}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "constant", "step": 0.01}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "constant", "seed": 4}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "ramp", "step": 0.01}},
+    {"kind": "loadflow", "network": "two-bus", "injections": {"kind": "ramp", "seed": 4}},
 ], ids=["fast-window-int", "fast-window-short", "drift-rate", "drift-seed", "drift-not-object",
         "affine-dim", "affine-contraction", "qp-step-size", "qp-devices",
         "loadflow-noise-bound", "loadflow-radius", "injection-step",
@@ -308,7 +321,10 @@ TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
         "qp-coupling-length", "injections-null", "ramp-rate-bool", "ramp-rate-negative",
         "constant-rate", "random-qp-coupling", "random-qp-box-lo", "random-qp-box-hi",
         "random-qp-tracking-weight", "random-qp-regularization", "inline-qp-devices",
-        "inline-qp-instance-seed"])
+        "inline-qp-instance-seed", "constant-drift-rate", "constant-drift-seed",
+        "constant-signal-rate", "linear-signal-seed", "piecewise-signal-seed",
+        "constant-injection-step", "constant-injection-seed", "ramp-injection-step",
+        "ramp-injection-seed"])
 def test_cli_bad_problem_value_exit_2(tmp_path, capsys, problem):
     cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem))
     assert main(["run", cfg]) == EXIT_CONFIG
