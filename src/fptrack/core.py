@@ -28,10 +28,63 @@ def seeded_stream(seed, *key) -> np.random.Generator:
     """Deterministic generator for a (seed, key...) tuple.
 
     Streams for distinct keys are independent, so draws do not depend on the
-    order in which callers consume them.
+    order in which callers consume them. Each seeded series reads one stream,
+    drawn in order, never one stream per time step; a time series reads its
+    streams through a :class:`SeriesTable`. The package draws these streams:
+
+    - ``(seed, 7, e)``: edge e's drop draws of an ``iid_drop`` channel;
+    - ``(seed, 17)``: the random coupling of an affine family;
+    - ``(seed, 55)``: the perturbations of the dependency audit's probes;
+    - ``(seed, 101)``: the phases of a ``periodic`` channel's edges;
+    - ``(seed, 411)``: a random QP instance;
+    - ``(seed, 331)``: the direction of a drift path when none is given;
+    - ``(seed, 332)``: the steps of a random-walk drift path;
+    - ``(seed, 23)``: the angles of random-walk injections;
+    - ``(seed, 3)`` and ``(seed, 5)``: the aggregate noise of the QP
+      feedback map and of the QP broadcast system;
+    - ``(seed, 29)``: the boundary-power noise of the multi-area load flow;
+    - ``(seed, 61)`` and ``(seed, 62)``: the offsets of
+      :func:`with_output_noise` (directions or box draws, then l2 radii).
+
+    :class:`~fptrack.domains.DomainSampler` draws from ``SeedSequence([seed])``.
     """
     parts = [int(seed)] + [int(k) for k in key]
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+class SeriesTable:
+    """Draws of one seeded time series as a row table: row k is for t = k + 1.
+
+    The table reads one stream ``seeded_stream(*key)`` per key, opened on
+    first use, and grows geometrically: ``fill(n, last, *streams)`` returns
+    the next ``n`` rows, given the last row so far (``first``, or None
+    before any row). A fill consumes each stream in order, the same number
+    of draws per row, so a row depends neither on the block sizes nor on
+    the order of requests, and points and rows read the same table.
+    """
+
+    FIRST_BLOCK = 64
+
+    def __init__(self, fill, *keys, first=None):
+        self._fill = fill
+        self._keys = keys
+        self._streams = None
+        self._rows = None if first is None else np.array(first)[None]
+
+    def at(self, t):
+        """The row for an int ``t >= 1``; for an int array of times, one row per time."""
+        rows = isinstance(t, np.ndarray)
+        if (t.min(initial=1) if rows else t) < 1:
+            raise PreconditionError("time indices start at 1")
+        last = int(t.max(initial=1)) if rows else t
+        have = 0 if self._rows is None else len(self._rows)
+        if last > have:
+            if self._streams is None:
+                self._streams = [seeded_stream(*key) for key in self._keys]
+            new = self._fill(max(last, 2 * have, self.FIRST_BLOCK) - have,
+                             None if self._rows is None else self._rows[-1], *self._streams)
+            self._rows = new if self._rows is None else np.concatenate([self._rows, new])
+        return self._rows[t - 1]
 
 
 class MapFamily:
@@ -226,40 +279,39 @@ class InexactMapFamily:
         return f"<InexactMapFamily {self.name!r} e_sup={self.error_sup:g}>"
 
 
-def bounded_noise_draw(rng: np.random.Generator, dim: int, radius: float, norm: Norm) -> np.ndarray:
-    """One draw from the closed radius-ball of the norm (uniform by volume)."""
-    if radius == 0.0 or dim == 0:
-        return np.zeros(dim)
-    if norm.kind == LINF:
-        return rng.uniform(-radius, radius, size=dim)
-    g = rng.standard_normal(dim)
-    g /= np.linalg.norm(g)
-    return radius * rng.uniform(0.0, 1.0) ** (1.0 / dim) * g
-
-
 def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = None,
                       adversarial=False) -> InexactMapFamily:
     """Perturb a family's outputs by a bounded, seeded amount.
 
-    The perturbation at step t is a deterministic function of ``(seed, t)``:
-    uniform on the ball of radius ``error_bound`` by default, or a constant
-    offset of that radius along the all-ones direction when ``adversarial``
-    is set (this makes steady-state bounds near-tight). Outputs are projected
-    back onto the domain, which cannot increase the deviation because
-    projections are nonexpansive and the exact output lies in the domain.
+    By default the perturbation at step t is uniform on the ball of radius
+    ``error_bound``: row t of a :class:`SeriesTable` over the streams
+    ``(seed, 61)`` (a box draw, or an l2 direction) and ``(seed, 62)`` (the
+    l2 radius). With ``adversarial`` it is a constant offset of that radius
+    along the all-ones direction (this makes steady-state bounds
+    near-tight). Outputs are projected back onto the domain, which cannot
+    increase the deviation because projections are nonexpansive and the
+    exact output lies in the domain.
     """
     norm = norm if norm is not None else Norm(L2)
     radius = float(error_bound)
-    if adversarial:
-        ones = np.ones(base.dim)
-        shift = radius * (ones / norm.of(ones))
+    dim = base.dim
+    if adversarial or radius == 0.0 or dim == 0:
+        ones = np.ones(dim)
+        shift = radius * (ones / norm.of(ones)) if adversarial else np.zeros(dim)
 
         def offset(t):
             return shift
+    elif norm.kind == LINF:
+        offset = SeriesTable(lambda n, last, rng: rng.uniform(-radius, radius, size=(n, dim)),
+                             (seed, 61)).at
     else:
 
-        def offset(t):
-            return bounded_noise_draw(seeded_stream(seed, t), base.dim, radius, norm)
+        def ball(n, last, directions, radii):
+            g = directions.standard_normal((n, dim))
+            r = radius * radii.uniform(0.0, 1.0, size=n) ** (1.0 / dim)
+            return (r / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None] * g
+
+        offset = SeriesTable(ball, (seed, 61), (seed, 62)).at
 
     def evaluate(x, t):
         return base.domain.project(base.evaluate(x, t) + offset(t))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import seeded_stream
+from ..core import SeriesTable, seeded_stream
 from ..errors import PreconditionError
 from ..norms import Norm
 
@@ -30,7 +30,10 @@ class DriftPath:
     ``rate`` is the per-step movement measured in ``norm``; for ``piecewise``
     the speed switches to ``fast_rate`` on ``fast_window = (t_start, t_end)``
     (inclusive start, exclusive end). Random-walk steps are uniform random
-    directions scaled to exactly ``rate``, so drift bounds are tight.
+    directions scaled to exactly ``rate``, so drift bounds are tight. They
+    are drawn in blocks from the one stream ``(seed, 332)``, and the walk's
+    points are a table (row k is ``point(k + 1)``) extended by a running
+    sum from its last point.
     """
 
     def __init__(self, kind, dim, rate=0.0, seed=0, start=None, direction=None,
@@ -64,7 +67,8 @@ class DriftPath:
             self.fast_window = (int(fast_window[0]), int(fast_window[1]))
         else:
             self.fast_rate, self.fast_window = None, None
-        self._walk = [self.start.copy()]  # random_walk cache, index k -> point(k+1)
+        if kind == "random_walk":
+            self._walk = SeriesTable(self._walk_rows, (self.seed, 332), first=self.start)
 
     def _speed(self, t) -> float:
         if self.kind == "piecewise" and self.fast_window[0] <= t < self.fast_window[1]:
@@ -85,8 +89,7 @@ class DriftPath:
         if self.kind == "piecewise":
             travelled = sum(self._speed(tau) for tau in range(1, t))
             return self.start + travelled * self._unit
-        self._extend_walk(t)
-        return self._walk[t - 1].copy()
+        return self._walk.at(t).copy()
 
     def _rows(self, ts) -> np.ndarray:
         """``point`` at each time of ``ts``, bit for bit, as rows."""
@@ -99,16 +102,15 @@ class DriftPath:
             speeds = [self._speed(tau) for tau in range(1, int(ts.max(initial=1)))]
             travelled = np.concatenate([[0.0], np.cumsum(speeds)])[ts - 1]
             return self.start + travelled[:, None] * self._unit
-        self._extend_walk(int(ts.max(initial=1)))
-        return np.array([self._walk[t - 1] for t in ts.tolist()]).reshape(len(ts), self.dim)
+        return self._walk.at(ts)
 
-    def _extend_walk(self, t):
-        while len(self._walk) < t:  # random_walk: extend the cached trajectory
-            k = len(self._walk)
-            g = seeded_stream(self.seed, 332, k).standard_normal(self.dim)
-            n = self.norm.of(g)
-            step = (self.rate / n) * g if n > 0 else np.zeros(self.dim)
-            self._walk.append(self._walk[-1] + step)
+    def _walk_rows(self, n, last, rng):
+        """The next n points of the random walk after ``last``."""
+        g = rng.standard_normal((n, self.dim))
+        size = np.sqrt(np.einsum("ij,ij->i", g, g)) if self.norm.is_l2 else np.abs(g).max(axis=1)
+        scale = np.divide(self.rate, size, out=np.zeros(n), where=size > 0)
+        # cumsum adds left to right from `last`, as a running sum does
+        return np.cumsum(np.vstack([last, scale[:, None] * g]), axis=0)[1:]
 
     def step_size(self, t) -> float:
         """Norm of point(t+1) - point(t); exact for every kind."""

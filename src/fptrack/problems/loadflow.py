@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import InexactMapFamily, MapFamily, seeded_stream
+from ..core import InexactMapFamily, MapFamily, SeriesTable
 from ..domains import Domain
 from ..errors import (
     ContractionUncertifiedError,
@@ -117,8 +117,10 @@ class PowerNetwork:
 class InjectionSeries:
     """Time-varying complex injections, kept within the per-bus limits.
 
-    Kinds: ``constant``; ``random_walk`` (seeded complex steps of modulus
-    ``step``, clamped back to the per-bus modulus cap); ``ramp`` (each bus
+    Kinds: ``constant``; ``random_walk`` (complex steps of modulus ``step``,
+    clamped back to the per-bus modulus cap; the step angles are drawn in
+    blocks from the one stream ``(seed, 23)`` and the walk is a table, row k
+    for ``t = k + 1``, extended one clamped step at a time); ``ramp`` (each bus
     scales as ``base * (1 + rate * (t - 1))``, saturating at its cap --
     ``rate`` may be a per-bus array, so variation can be concentrated in a
     subset of buses).
@@ -137,7 +139,8 @@ class InjectionSeries:
         self.step = float(step)
         self.seed = int(seed)
         self.rate = np.broadcast_to(np.asarray(rate, dtype=float), self.base.shape).copy()
-        self._walk = [self.base.copy()]
+        if kind == "random_walk":
+            self._walk = SeriesTable(self._walk_rows, (self.seed, 23), first=self.base)
 
     @property
     def n(self):
@@ -165,19 +168,20 @@ class InjectionSeries:
             if np.any(over):
                 s[over] *= np.broadcast_to(self.limit, s.shape)[over] / mag[over]
             return s
-        while len(self._walk) < (ts.max(initial=1) if rows else ts):
-            k = len(self._walk)
-            rng = seeded_stream(self.seed, 23, k)
-            angle = rng.uniform(0.0, 2.0 * np.pi, size=self.n)
-            s = self._walk[-1] + self.step * np.exp(1j * angle)
+        return self._walk.at(ts) if rows else self._walk.at(ts).copy()
+
+    def _walk_rows(self, n, last, rng):
+        """The next n injections of the random walk after ``last``, one step at a time."""
+        steps = self.step * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, self.n)))
+        out = np.empty_like(steps)
+        for k in range(n):
+            s = last + steps[k]
             mag = np.abs(s)
             over = mag > self.limit
             if np.any(over):
                 s[over] = s[over] * (self.limit[over] / mag[over])
-            self._walk.append(s)
-        if rows:
-            return np.array([self._walk[k - 1] for k in ts.tolist()]).reshape(len(ts), self.n)
-        return self._walk[ts - 1].copy()
+            out[k] = last = s
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +417,9 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     edges are (k-1 -> k) and (k+1 -> k) along the chain; for three areas,
     {(2,1), (1,2), (3,2), (2,3)} in 1-based area labels.
 
-    Measurement noise is complex, of modulus at most ``noise_bound``, drawn
-    for all boundaries from one seeded stream per step (``adversarial``
+    Measurement noise is complex, of modulus at most ``noise_bound``: row t
+    of a table drawn in blocks from the one stream ``(seed, 29)``, one
+    modulus and one angle per boundary and step (``adversarial``
     switches to a constant offset of exactly that modulus, which makes
     steady-state bounds near-tight). The returned system's family iterates
     scaled per-area voltage deviations (see module docstring); its declared
@@ -516,14 +521,14 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     half = np.repeat((omega * H)[bus_area], 2)
     block_sizes = [2 * size for size in sizes]
 
+    def boundary_noise(n, last, rng):
+        u = rng.random((n, 2, k_areas - 1))  # per tick: radii, then angles
+        return nb * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+
+    table = SeriesTable(boundary_noise, (seed, 29))
+
     def noise(t):
-        if adversarial:
-            return nb
-        if isinstance(t, np.ndarray):
-            return np.array([noise(tau) for tau in t.tolist()])
-        rng = seeded_stream(seed, 29, t)
-        radius = nb * np.sqrt(rng.uniform(size=k_areas - 1))
-        return radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k_areas - 1))
+        return nb if adversarial else table.at(t)
 
     def stacked(x, t, noisy):
         """All areas' maps at a state of shape (m,) or at each row of (k, m)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import InexactMapFamily, MapFamily, seeded_stream
+from ..core import InexactMapFamily, MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain
 from ..errors import ContractionUncertifiedError, PreconditionError
 from ..norms import L2, Norm
@@ -96,14 +96,15 @@ def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
 
 
 def _aggregate_noise(nb, seed, key, adversarial):
-    """Noise of the measured aggregate at time t: seeded, uniform on [-nb, nb],
-    or nb when adversarial; for an int array of times, a column of draws."""
+    """Noise of the measured aggregate at time t: uniform on [-nb, nb], row t of
+    a table drawn in blocks from the one stream ``(seed, key)``, or nb when
+    adversarial; for an int array of times, a column of draws."""
+    if adversarial:
+        return lambda t: nb
+    table = SeriesTable(lambda n, last, rng: rng.uniform(-nb, nb, size=(n, 1)), (seed, key))
+
     def noise(t):
-        if adversarial:
-            return nb
-        if isinstance(t, np.ndarray):
-            return np.array([[noise(tau)] for tau in t.tolist()])
-        return float(seeded_stream(seed, key, t).uniform(-nb, nb))
+        return table.at(t) if isinstance(t, np.ndarray) else float(table.at(t)[0])
     return noise
 
 

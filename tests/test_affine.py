@@ -68,7 +68,7 @@ def test_closed_form_fixed_points_have_tiny_residuals():
 
 def test_random_walk_steps_have_exact_size():
     drift = DriftPath("random_walk", 4, rate=0.03, seed=7, norm=LINF)
-    for t in range(1, 15):
+    for t in [*range(1, 15), *range(140, 160)]:  # the second range is past the first block
         step = drift.point(t + 1) - drift.point(t)
         assert abs(np.max(np.abs(step)) - 0.03) < 1e-12
 

@@ -1,0 +1,156 @@
+"""Seeded time series: each is drawn in blocks from one stream per (seed, key),
+and a value depends neither on the block sizes nor on the order of requests."""
+import numpy as np
+import pytest
+
+import fptrack as fp
+from fptrack.core import SeriesTable, _evaluate_rows
+from fptrack.errors import PreconditionError
+from fptrack.experiments import ExperimentConfig, run_experiment
+from fptrack.problems import (
+    DriftPath,
+    build_broadcast_system,
+    build_feedback_gradient_map,
+    build_multiarea_maps,
+    default_injections,
+    random_qp,
+    three_area_network,
+)
+
+L2, LINF = fp.Norm(fp.L2), fp.Norm(fp.LINF)
+HORIZON = 300
+
+
+def _map_values(fam):
+    """The map at one fixed state as a series in t: a point for an int ``t``,
+    rows for an int array."""
+    x = fam.domain.anchor()
+
+    def value(t):
+        if isinstance(t, np.ndarray):
+            return _evaluate_rows(fam, np.tile(x, (len(t), 1)), t)
+        return fam.evaluate(x, t)
+    return value
+
+
+def _output_noise(norm):
+    base = fp.MapFamily(3, fp.Domain.all_space(3), lambda x, t: 0.5 * x + 0.1 * t, 0.5)
+    return _map_values(fp.with_output_noise(base, 0.05, seed=6, norm=norm))
+
+
+# Each factory builds a fresh series, so every request pattern starts from an
+# empty table.
+SERIES = {
+    "drift-l2": lambda: DriftPath("random_walk", 3, rate=0.05, seed=2, norm=L2).point,
+    "drift-linf": lambda: DriftPath("random_walk", 3, rate=0.05, seed=2, norm=LINF).point,
+    "injections": lambda: default_injections(three_area_network(), 0.7, kind="random_walk",
+                                             step=0.01, seed=2).at,
+    "qp-feedback": lambda: _map_values(
+        build_feedback_gradient_map(random_qp(5, seed=7), 0.3, 0.05, seed=4)),
+    "qp-broadcast": lambda: _map_values(
+        build_broadcast_system(random_qp(5, seed=7), 0.15, 0.05, seed=8)[0]),
+    "multiarea": lambda: _map_values(build_multiarea_maps(
+        three_area_network(),
+        default_injections(three_area_network(), 0.7, kind="constant"), 0.002, seed=9).family),
+    "output-noise-l2": lambda: _output_noise(L2),
+    "output-noise-linf": lambda: _output_noise(LINF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_is_invariant_to_block_sizes_and_request_order(name):
+    times = np.arange(1, HORIZON + 1)
+    at_once = SERIES[name]()(times)
+    value = SERIES[name]()
+    ascending = np.array([value(int(t)) for t in times])
+    # start past the first block, then the rest in shuffled order
+    first = 3 * SeriesTable.FIRST_BLOCK
+    order = np.random.default_rng(0).permutation(times[times != first])
+    value = SERIES[name]()
+    shuffled = np.empty_like(ascending)
+    for t in [first, *order.tolist()]:
+        shuffled[t - 1] = value(t)
+    assert np.array_equal(at_once, ascending)
+    assert np.array_equal(shuffled, ascending)
+    # the series moves: no two times share a value
+    assert len(np.unique(ascending.reshape(HORIZON, -1), axis=0)) == HORIZON
+
+
+def test_random_walks_equal_a_step_by_step_loop_over_their_stream():
+    # the reference draws one step at a time from the walk's one stream
+    times = np.arange(1, 201)
+    drift = DriftPath("random_walk", 3, rate=0.05, seed=2, norm=LINF)
+    rng = fp.seeded_stream(2, 332)
+    points = [drift.start]
+    for _ in times[1:]:
+        g = rng.standard_normal(3)
+        points.append(points[-1] + (0.05 / np.max(np.abs(g))) * g)
+    assert np.array_equal(drift.point(times), np.array(points))
+
+    inj = default_injections(three_area_network(), 0.7, kind="random_walk", step=0.01, seed=2)
+    rng = fp.seeded_stream(2, 23)
+    rows = [inj.base]
+    for _ in times[1:]:
+        s = rows[-1] + 0.01 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=inj.n))
+        mag = np.abs(s)
+        over = mag > inj.limit
+        s[over] = s[over] * (inj.limit[over] / mag[over])
+        rows.append(s)
+    assert np.array_equal(inj.at(times), np.array(rows))
+    assert np.any(np.abs(inj.at(times)) >= inj.limit)  # the clamp was reached
+
+
+def test_table_grows_geometrically_and_rejects_times_before_1():
+    fills = []
+
+    def fill(n, last, rng):
+        fills.append(n)
+        return rng.random(n)
+
+    table = SeriesTable(fill, (1, 2))
+    assert fills == []  # the stream opens on first use
+    table.at(1)
+    table.at(np.array([5, 65]))
+    table.at(300)
+    assert fills == [64, 64, 172]
+    for t in (0, np.array([3, 0])):
+        with pytest.raises(PreconditionError):
+            table.at(t)
+
+
+def _count_seed_sequences(monkeypatch):
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    return made
+
+
+QP_FEEDBACK = {
+    "problem": {"kind": "qp-gradient", "devices": 5, "instance_seed": 1, "step_size": 0.3,
+                "noise_bound": 0.02, "topology": "none",
+                "reference_signal": {"kind": "random_walk", "rate": 0.01}},
+    "mode": "sync", "norm": "l2", "seed": 3,
+}
+MULTIAREA = {
+    "problem": {"kind": "loadflow", "network": "three-area", "noise_bound": 1e-4,
+                "injections": {"kind": "random_walk", "step": 0.01}},
+    "mode": "async", "norm": "linf", "channel": {"kind": "iid_drop", "p": 0.3}, "seed": 3,
+}
+
+
+@pytest.mark.parametrize("doc", [QP_FEEDBACK, MULTIAREA], ids=["qp-feedback", "multiarea"])
+def test_seed_sequences_do_not_grow_with_the_horizon(monkeypatch, doc):
+    made = _count_seed_sequences(monkeypatch)
+    counts = []
+    for horizon in (150, 600):
+        made.clear()
+        report = run_experiment(ExperimentConfig.from_dict(dict(doc, horizon=horizon)),
+                                write_files=False)
+        assert len(report.errors) == horizon
+        counts.append(len(made))
+    assert counts[0] == counts[1]
