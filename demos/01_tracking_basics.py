@@ -43,7 +43,7 @@ def main():
     scalar = fp.MapFamily(
         1, fp.Domain.all_space(1),
         lambda x, t: 0.5 * x + np.array([0.05 * t]),
-        0.5, fixed_point=lambda t: np.array([0.1 * t]),
+        0.5, fixed_point=lambda t: 0.1 * t[:, None],
     )
     trace = fp.run_online_tracker(scalar, np.array([0.0]), 200, L2)
     bound = tracking_bound_sync(BoundInputs(lipschitz=0.5, drift=0.1))

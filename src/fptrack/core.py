@@ -2,8 +2,9 @@
 
 The central object is a :class:`MapFamily`: a time-indexed family of self-maps
 ``x -> f(x, t)`` on a declared domain, carrying declared per-step contraction
-factors. :class:`InexactMapFamily` wraps a family with approximate evaluations
-whose deviation from the exact map is bounded per step.
+factors. An :class:`InexactMapFamily` is a map family with its exact base's
+declarations whose evaluations deviate from the base map by at most a
+constant ``error_sup``.
 
 Time indices are 1-based throughout (``t = 1, 2, ...``); arrays are 0-based,
 so ``points[k]`` corresponds to ``t = k + 1``.
@@ -90,10 +91,15 @@ class SeriesTable:
 class MapFamily:
     """Time-indexed family of self-maps on a declared domain.
 
+    Every family has ``base``, the exact family its evaluations stand for,
+    and ``error_sup``, a constant bound on how far each evaluation may lie
+    from ``base``'s. An exact family is its own base, with ``error_sup``
+    0; an :class:`InexactMapFamily` has a base of its own.
+
     Parameters
     ----------
     dim : int
-        State dimension m.
+        State dimension m; the domain must have the same dimension.
     domain : Domain
         Set the maps are declared to preserve.
     evaluate : callable
@@ -109,9 +115,11 @@ class MapFamily:
         l2 family the blockwise constants satisfy sum(L_i^2) = L^2 with L
         the declared supremum; builders are responsible for that identity.
     fixed_point : callable, optional
-        Closed-form fixed point ``t -> ndarray`` for one int ``t``, when
-        known; the reference then calls it once per time. Without it the
-        reference is one batched solve (:func:`compute_fixed_point_series`).
+        Closed-form fixed points, when known: ``fixed_point(ts)`` for an int
+        array ``ts`` of times returns one row per time, or one ``(dim,)``
+        point that holds for every time. The reference calls it once, with
+        the times of the whole horizon. Without it the reference is one
+        batched solve (:func:`compute_fixed_point_series`).
     evaluate_batch : callable, optional
         Vectorized ``(X, t) -> ndarray`` over the rows of ``X``, where ``t``
         is one int for every row or an int array with one time per row. Row
@@ -143,6 +151,10 @@ class MapFamily:
         name="map-family",
     ):
         self.dim = int(dim)
+        if domain.dim != self.dim:
+            raise PreconditionError(
+                f"domain has dimension {domain.dim}, the family {self.dim}"
+            )
         self.domain = domain
         self._evaluate = evaluate
         if callable(lipschitz):
@@ -181,121 +193,71 @@ class MapFamily:
         self.fixed_point = fixed_point
         self.evaluate_batch = evaluate_batch
         self.name = name
+        self.base = self
+        self.error_sup = 0.0
 
-    def evaluate(self, x, t) -> np.ndarray:
-        return np.asarray(self._evaluate(np.asarray(x, dtype=float), int(t)), dtype=float)
-
-    # Exact family: approximation error is identically zero.
-    def exact_evaluate(self, x, t) -> np.ndarray:
-        return self.evaluate(x, t)
-
-    def lipschitz_at(self, t) -> float:
-        return float(self._lipschitz(int(t)))
-
-    def error_bound_at(self, t) -> float:
-        return 0.0
-
-    @property
-    def error_sup(self) -> float:
-        return 0.0
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
-
-
-class InexactMapFamily:
-    """Approximate evaluations of a base family, off by a bounded amount.
-
-    ``evaluate(x, t)`` must stay within ``error_bound(t)`` of the base map at
-    every point of the domain (in the family's norm) and must itself map the
-    domain into itself.
-    """
-
-    def __init__(self, base: MapFamily, evaluate, error_bound, error_sup=None,
-                 norm: Norm | None = None, evaluate_batch=None, name=None):
-        self.base = base
-        self._evaluate = evaluate
-        if callable(error_bound):
-            self._error_bound = error_bound
-            if error_sup is None:
-                raise PreconditionError(
-                    "error_sup is required when the error bound varies with t"
-                )
-        else:
-            const = float(error_bound)
-            self._error_bound = lambda t, c=const: c
-            if error_sup is None:
-                error_sup = const
-        self.error_sup = float(error_sup)
-        if self.error_sup < 0.0:
-            raise PreconditionError("error bound must be nonnegative")
-        self.norm = norm if norm is not None else Norm(L2)
-        self.evaluate_batch = evaluate_batch
-        self.name = name or f"inexact({base.name})"
-
-    # -- pass-through declarations of the base family ------------------------
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def domain(self):
-        return self.base.domain
-
-    @property
-    def lipschitz_sup(self):
-        return self.base.lipschitz_sup
-
-    @property
-    def block_sizes(self):
-        return self.base.block_sizes
-
-    @property
-    def block_lipschitz(self):
-        return self.base.block_lipschitz
-
-    @property
-    def fixed_point(self):
-        return self.base.fixed_point
-
-    @property
-    def declared_norm(self):
-        return self.base.declared_norm
-
-    def lipschitz_at(self, t) -> float:
-        return self.base.lipschitz_at(t)
-
-    # -- approximate evaluation ----------------------------------------------
     def evaluate(self, x, t) -> np.ndarray:
         return np.asarray(self._evaluate(np.asarray(x, dtype=float), int(t)), dtype=float)
 
     def exact_evaluate(self, x, t) -> np.ndarray:
         return self.base.evaluate(x, t)
 
-    def error_bound_at(self, t) -> float:
-        return float(self._error_bound(int(t)))
+    def lipschitz_at(self, t) -> float:
+        return float(self._lipschitz(int(t)))
 
     def __repr__(self):
-        return f"<InexactMapFamily {self.name!r} e_sup={self.error_sup:g}>"
+        return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
+
+
+class InexactMapFamily(MapFamily):
+    """Evaluations of an exact family ``base``, each off by at most ``error_sup``.
+
+    The family keeps its base's declarations: dimension, domain, contraction
+    factors, blocks, closed-form fixed point and declared norm. Only the map
+    differs: ``evaluate(x, t)`` must lie within the constant ``error_sup``
+    of ``base.evaluate(x, t)`` at every point of the domain (in the
+    experiment norm), and must itself map the domain into itself.
+    ``exact_evaluate`` is the base map.
+    """
+
+    def __init__(self, base: MapFamily, evaluate, error_sup, evaluate_batch=None, name=None):
+        super().__init__(
+            base.dim,
+            base.domain,
+            evaluate,
+            base._lipschitz,
+            lipschitz_sup=base.lipschitz_sup,
+            block_sizes=base.block_sizes,
+            block_lipschitz=base.block_lipschitz,
+            fixed_point=base.fixed_point,
+            evaluate_batch=evaluate_batch,
+            declared_norm=base.declared_norm,
+            name=name or f"inexact({base.name})",
+        )
+        self.base = base
+        self.error_sup = float(error_sup)
+        if self.error_sup < 0.0:
+            raise PreconditionError("error bound must be nonnegative")
 
 
 def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = None,
                       adversarial=False) -> InexactMapFamily:
     """Perturb a family's outputs by a bounded, seeded amount.
 
-    By default the perturbation at step t is uniform on the ball of radius
-    ``error_bound``: row t of a :class:`SeriesTable` over the streams
-    ``(seed, 61)`` (a box draw, or an l2 direction) and ``(seed, 62)`` (the
-    l2 radius). With ``adversarial`` it is a constant offset of that radius
-    along the all-ones direction (this makes steady-state bounds
-    near-tight). Outputs are projected back onto the domain, which cannot
-    increase the deviation because projections are nonexpansive and the
-    exact output lies in the domain.
+    Returns an :class:`InexactMapFamily` over ``base`` whose ``error_sup``
+    is ``error_bound``. By default the perturbation at step t is uniform on
+    the ``norm`` ball of that radius: row t of a :class:`SeriesTable` over
+    the streams ``(seed, 61)`` (a box draw, or an l2 direction) and
+    ``(seed, 62)`` (the l2 radius). With ``adversarial`` it is a constant
+    offset of that radius along the all-ones direction (this makes
+    steady-state bounds near-tight). Outputs are projected back onto the
+    domain, which cannot increase the deviation because projections are
+    nonexpansive and the exact output lies in the domain.
     """
     norm = norm if norm is not None else Norm(L2)
     radius = float(error_bound)
     dim = base.dim
-    if adversarial or radius == 0.0 or dim == 0:
+    if adversarial or radius == 0.0:
         ones = np.ones(dim)
         shift = radius * (ones / norm.of(ones)) if adversarial else np.zeros(dim)
 
@@ -316,7 +278,7 @@ def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = No
     def evaluate(x, t):
         return base.domain.project(base.evaluate(x, t) + offset(t))
 
-    return InexactMapFamily(base, evaluate, radius, norm=norm)
+    return InexactMapFamily(base, evaluate, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +375,9 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
                                tol=1e-12, max_iter=100_000) -> FixedPointSeries:
     """Solve for the fixed point at every t = 1..horizon.
 
-    Uses the family's closed form when available, otherwise one batched
-    solve of all times as rows, each started from the domain anchor.
+    Uses the base family's closed form when available, called once with the
+    int array of times 1..horizon, otherwise one batched solve of all times
+    as rows, each started from the domain anchor.
     Residuals are always recomputed from the map, in one rows call, so a bad
     closed form cannot pass silently.
     """
@@ -422,11 +385,11 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     if horizon < 1:
         raise PreconditionError("horizon must be at least 1")
     norm = norm if norm is not None else Norm(L2)
-    base = getattr(family, "base", family)
+    base = family.base
     ts = np.arange(1, horizon + 1)
     if base.fixed_point is not None:
-        points = np.array([np.asarray(base.fixed_point(t), dtype=float).reshape(base.dim)
-                           for t in range(1, horizon + 1)])
+        points = np.array(np.broadcast_to(np.asarray(base.fixed_point(ts), dtype=float),
+                                          (horizon, base.dim)))
     else:
         anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
         points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
@@ -516,10 +479,8 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
 
 
 def map_error_bound_series(family, horizon) -> np.ndarray:
-    """Declared approximation bounds for steps 1..horizon-1."""
-    if family.error_sup == 0.0:
-        return np.zeros(max(int(horizon) - 1, 0))
-    return np.array([family.error_bound_at(t) for t in range(1, int(horizon))])
+    """Declared approximation bounds for steps 1..horizon-1: ``error_sup`` at each."""
+    return np.full(max(int(horizon) - 1, 0), family.error_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +559,13 @@ class MapErrorCheck:
     n_checked: int
 
 
-def verify_map_error(family: InexactMapFamily, t, sampler: DomainSampler, n_samples,
+def verify_map_error(family: MapFamily, t, sampler: DomainSampler, n_samples,
                      norm: Norm, slack=1e-9) -> MapErrorCheck:
-    """Sampled check of the declared approximation bound at time t."""
+    """Sampled check at time t that the family stays within ``error_sup`` of its base."""
     n_samples = int(n_samples)
     X = sampler.draw(n_samples)
     approx = _evaluate_rows(family, X, t)
     exact = _evaluate_rows(family.base, X, t)
     observed = float(norm.of_rows(approx - exact).max()) if n_samples else 0.0
-    bound = family.error_bound_at(t)
+    bound = family.error_sup
     return MapErrorCheck(observed, bound, observed <= bound + slack, n_samples)

@@ -330,15 +330,15 @@ def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start):
 def build_family(config: ExperimentConfig):
     """Problem family + graph with the declared override (if any) applied.
 
-    The override replaces the declared contraction factor, modeling a user
-    supplying their own trusted constant; audits validate it against sampling.
+    The override replaces the returned family's declared contraction factor
+    (its base keeps its own), modeling a user supplying their own trusted
+    constant; audits validate it against sampling.
     """
     family, graph, extras = config.build_problem()
     if config.declared_lipschitz_override is not None:
-        base = getattr(family, "base", family)
         ov = config.declared_lipschitz_override
-        base._lipschitz = lambda t, c=ov: c
-        base.lipschitz_sup = ov
+        family._lipschitz = lambda t, c=ov: c
+        family.lipschitz_sup = ov
     return family, graph, extras
 
 
@@ -418,8 +418,7 @@ def _run_audits(config: ExperimentConfig, family, graph) -> dict:
     n = config.audit_samples
     norm = config.norm
     sampler = DomainSampler(family.domain, config.seed + 7919)
-    base = getattr(family, "base", family)
-    est = estimate_lipschitz(base, 1, sampler, n, norm)
+    est = estimate_lipschitz(family.base, 1, sampler, n, norm)
     audits = {
         "lipschitz": {
             "estimate": est.value,
@@ -428,7 +427,7 @@ def _run_audits(config: ExperimentConfig, family, graph) -> dict:
             "samples": n,
         }
     }
-    sm = verify_self_map(base, 1, DomainSampler(family.domain, config.seed + 104729), n)
+    sm = verify_self_map(family.base, 1, DomainSampler(family.domain, config.seed + 104729), n)
     audits["self_map"] = {"ok": bool(sm.ok), "samples": n}
     if family.error_sup > 0.0:
         me = verify_map_error(

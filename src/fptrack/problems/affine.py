@@ -46,7 +46,7 @@ class AffineFamily(MapFamily):
             dim=m,
             domain=Domain.all_space(m),
             evaluate=evaluate,
-            fixed_point=lambda t: path.point(t),
+            fixed_point=path.point,
             evaluate_batch=evaluate,
             declared_norm=norm,
             **kwargs,

@@ -565,14 +565,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         name=f"multiarea-loadflow-k{k_areas}",
     )
     err = float(np.max(omega[:-1] * colZ * nb / vmin, initial=0.0))
-    family = InexactMapFamily(
-        base,
-        noisy_map,
-        err,
-        norm=Norm(LINF),
-        evaluate_batch=noisy_map,
-        name=f"multiarea-loadflow-feedback-k{k_areas}",
-    )
+    family = InexactMapFamily(base, noisy_map, err, evaluate_batch=noisy_map,
+                              name=f"multiarea-loadflow-feedback-k{k_areas}")
 
     edges = []
     for k in range(k_areas):

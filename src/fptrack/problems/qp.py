@@ -172,7 +172,7 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
         return np.clip(x - a * g, qp.box_lo, qp.box_hi)
 
     bound = a * qp.tracking_weight * norm.of(qp.coupling) * nb
-    return InexactMapFamily(base, evaluate, bound, norm=norm, evaluate_batch=evaluate,
+    return InexactMapFamily(base, evaluate, bound, evaluate_batch=evaluate,
                             name=f"qp-feedback-n{qp.n_devices}")
 
 
@@ -253,7 +253,6 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         out[..., n:] += theta * noise(t)
         return out
 
-    family = InexactMapFamily(base, evaluate, theta * nb, norm=Norm(L2),
-                              evaluate_batch=evaluate,
+    family = InexactMapFamily(base, evaluate, theta * nb, evaluate_batch=evaluate,
                               name=f"qp-broadcast-feedback-n{n}")
     return family, star_partition(qp)

@@ -84,7 +84,7 @@ def test_solver_linear_convergence_envelope():
 
 def test_solver_agrees_with_closed_form_within_amplified_tol():
     fam = scalar_family(lambda x, t: 0.5 * x + 0.1 * t, 0.5,
-                        fixed_point=lambda t: np.array([0.2 * t]))
+                        fixed_point=lambda t: 0.2 * t[:, None])
     tol = 1e-10
     x = fp.solve_fixed_point(fam, 4, np.array([0.0]), tol=tol)
     assert abs(x[0] - 0.8) <= tol / (1 - 0.5)
@@ -127,6 +127,21 @@ def test_series_affine_random_walk_matches_linear_solve_oracle():
             np.linalg.solve(eye - A, offsets[t + 1] - offsets[t])
         )
         assert abs(series.drifts[t - 1] - drift_oracle) < 1e-9
+
+
+def test_series_calls_the_closed_form_once_with_every_time():
+    calls = []
+
+    def closed_form(ts):
+        calls.append(ts.copy())
+        return 0.2 * ts[:, None]
+
+    fam = scalar_family(lambda x, t: 0.5 * x + 0.1 * t, 0.5, fixed_point=closed_form)
+    series = fp.compute_fixed_point_series(fam, 30, L2)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.arange(1, 31))
+    np.testing.assert_array_equal(series.points[:, 0], 0.2 * np.arange(1, 31))
+    assert series.points.flags.writeable
 
 
 def test_series_horizon_one_is_degenerate():
@@ -197,7 +212,7 @@ def test_tracker_static_map_geometric_errors():
 def test_tracker_drifting_map_settles_at_tight_bound():
     # error recursion e(next) = 0.5 e - 0.1 settles at -0.2 exactly
     fam = scalar_family(lambda x, t: 0.5 * x + 0.5 * (0.1 * t), 0.5,
-                        fixed_point=lambda t: np.array([0.1 * t]))
+                        fixed_point=lambda t: 0.1 * t[:, None])
     trace = fp.run_online_tracker(fam, np.array([0.0]), 300, L2)
     assert abs(trace.tail_max(0.1) - 0.2) < 1e-9
     bound = fp.bounds.tracking_bound_sync(
@@ -352,6 +367,13 @@ def test_map_error_audit_within_declared_bound():
 def test_declared_contraction_must_be_below_one():
     with pytest.raises(PreconditionError):
         MapFamily(1, Domain.all_space(1), lambda x, t: x, 1.0)
+
+
+def test_domain_must_have_the_family_dimension():
+    with pytest.raises(PreconditionError, match="dimension 2"):
+        MapFamily(3, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match="dimension 1"):
+        MapFamily(2, Domain.box([0.0], [1.0]), lambda x, t: 0.5 * x, 0.5)
 
 
 def test_stream_independence_of_consumption_order():

@@ -138,6 +138,24 @@ def test_declared_override_fails_audit():
     assert not rep.audits_passed
 
 
+@pytest.mark.parametrize("doc", [
+    affine_doc(),
+    {"problem": {"kind": "qp-gradient", "devices": 3, "instance_seed": 2,
+                 "step_size": 0.3, "noise_bound": 0.01},
+     "mode": "sync", "norm": "l2", "horizon": 60, "seed": 2},
+    {"problem": {"kind": "loadflow", "multiarea": True, "noise_bound": 1e-4},
+     "mode": "async", "norm": "linf", "channel": {"kind": "iid_drop", "p": 0.1},
+     "horizon": 60, "seed": 1},
+], ids=["affine", "qp-feedback-sync", "multiarea-async"])
+def test_declared_override_reaches_bound_inputs_and_audit(doc):
+    doc = dict(doc, declared_lipschitz_override=0.93, audit_samples=20)
+    rep = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    assert rep.bound_inputs["lipschitz"] == 0.93
+    assert rep.audits["lipschitz"]["declared"] == 0.93
+    noisy = doc["problem"].get("noise_bound", 0.0) > 0.0
+    assert (rep.bound_inputs["map_error"] > 0.0) == noisy
+
+
 def test_csv_trace_shape_and_determinism(tmp_path):
     doc = affine_doc(mode="async", norm="linf",
                      channel={"kind": "iid_drop", "p": 0.2}, horizon=300)

@@ -1,10 +1,12 @@
 """Built-in map families: the rows path (the audits, the batched reference) agrees
-with the point path, at one time or at one time per row."""
+with the point path, at one time or at one time per row; an inexact family
+carries its base's declarations."""
 import numpy as np
 import pytest
 
 import fptrack as fp
 from fptrack import DomainSampler
+from fptrack.core import map_error_bound_series
 from fptrack.errors import PreconditionError
 from fptrack.problems import (
     DriftPath,
@@ -46,7 +48,32 @@ def families():
         "loadflow-linf": build_loadflow_map(net, inj, norm=LINF),
         "multiarea": system.family.base,
         "multiarea-noisy": system.family,
+        "affine-output-noise": fp.with_output_noise(
+            build_affine_family(4, LINF, 0.6, DriftPath("linear", 4, rate=0.05, seed=3,
+                                                        norm=LINF), seed=4),
+            0.02, seed=5, norm=LINF),
     }
+
+
+@pytest.mark.parametrize("name", [
+    "qp-feedback", "qp-broadcast-noisy", "multiarea-noisy", "affine-output-noise",
+])
+def test_inexact_family_is_a_map_family_with_its_base_declarations(families, name):
+    family = families[name]
+    base = family.base
+    assert isinstance(family, fp.MapFamily)
+    assert base is not family and base.base is base
+    assert base.error_sup == 0.0 < family.error_sup
+    for attr in ("dim", "domain", "lipschitz_sup", "block_sizes", "fixed_point",
+                 "declared_norm"):
+        assert getattr(family, attr) == getattr(base, attr), attr
+    np.testing.assert_equal(family.block_lipschitz, base.block_lipschitz)
+    assert [family.lipschitz_at(t) for t in (1, 4, 9)] == \
+        [base.lipschitz_at(t) for t in (1, 4, 9)]
+    x = DomainSampler(family.domain, 3).draw(1)[0]
+    np.testing.assert_array_equal(family.exact_evaluate(x, 4), base.evaluate(x, 4))
+    np.testing.assert_array_equal(
+        map_error_bound_series(family, 6), np.full(5, family.error_sup))
 
 
 @pytest.mark.parametrize("name", [
