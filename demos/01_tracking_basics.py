@@ -42,7 +42,7 @@ def main():
     print("=== a map that achieves its bound exactly ===")
     scalar = fp.MapFamily(
         1, fp.Domain.all_space(1),
-        lambda x, t: 0.5 * x + np.array([0.05 * t]),
+        fp.pointwise(lambda x, t: 0.5 * x + np.array([0.05 * t])),
         0.5, fixed_point=lambda t: 0.1 * t[:, None],
     )
     trace = fp.run_online_tracker(scalar, np.array([0.0]), 200, L2)
@@ -56,7 +56,7 @@ def main():
     print("=== errors collapse geometrically once the drift stops ===")
     static = fp.MapFamily(
         1, fp.Domain.all_space(1),
-        lambda x, t: 0.5 * x + np.array([1.0]),
+        fp.pointwise(lambda x, t: 0.5 * x + np.array([1.0])),
         0.5, fixed_point=lambda t: np.array([2.0]),
     )
     trace = fp.run_online_tracker(static, np.array([0.0]), 12, L2)

@@ -33,6 +33,7 @@ from .core import (
     TrackingTrace,
     compute_fixed_point_series,
     estimate_lipschitz,
+    pointwise,
     run_online_tracker,
     seeded_stream,
     solve_fixed_point,

@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import (
     TrackingTrace,
-    _evaluate_rows,
     compute_fixed_point_series,
     seeded_stream,
     tracking_error,
@@ -448,10 +447,10 @@ def step_async(history, stamps, family, graph: DependencyGraph, t):
     all fresh agents take their blocks from one shared evaluation at x_t.
     This relies on the family honoring ``graph``: block i of the map must
     not read blocks of non-neighbors (``audit_dependency_graph`` checks it).
-    The tick is one rows call (``_evaluate_rows``): the stale agents'
-    composite inputs, then x_t when any agent is fresh. A family with a point
-    map only is evaluated row by row. As built-in rows equal points bit for
-    bit, a zero-delay tick is the synchronous step to the last bit.
+    The tick is one rows call of ``family.evaluate``: the stale agents'
+    composite inputs, then x_t when any agent is fresh. As built-in rows
+    equal points bit for bit, a zero-delay tick is the synchronous step to
+    the last bit.
     """
     stale = np.zeros(graph.n_agents, dtype=bool)
     stale[graph.edge_arrays[1][stamps != t]] = True
@@ -462,7 +461,7 @@ def step_async(history, stamps, family, graph: DependencyGraph, t):
     row_of[stale_agents] = np.arange(len(stale_agents))
     if len(stale_agents) < graph.n_agents:
         copies = np.vstack((copies, np.full(graph.dim, t)))
-    out = _evaluate_rows(family, history[copies - 1, graph.columns], t)
+    out = family.evaluate(history[copies - 1, graph.columns], t)
     x_next = out[row_of[graph.block_of_column], graph.columns]
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
@@ -524,10 +523,10 @@ def audit_dependency_graph(family, graph: DependencyGraph, probe_count=32, seed=
         delta = rng.uniform(0.5, 1.0, size=graph.dim) * (1e-6 * (1.0 + float(np.max(np.abs(x)))))
         moved = np.tile(x, (graph.n_agents, 1))  # row j: x with block j moved
         moved[own_block] = x + delta
-        down = (~family.domain.contains_rows(moved))[graph.block_of_column]
+        down = (~family.domain.contains(moved))[graph.block_of_column]
         moved[own_block] = np.where(down, x - delta, x + delta)
-        keep = family.domain.contains_rows(moved)
-        out = _evaluate_rows(family, np.vstack((x, moved[keep])), 1)
+        keep = family.domain.contains(moved)
+        out = family.evaluate(np.vstack((x, moved[keep])), 1)
         thresh = 1e-9 * (1.0 + float(np.max(np.abs(out[0]))))
         block_change = np.maximum.reduceat(np.abs(out[1:] - out[0]), graph.offsets[:-1], axis=1)
         found[keep] |= block_change > thresh

@@ -2,7 +2,8 @@
 
 The central object is a :class:`MapFamily`: a time-indexed family of self-maps
 ``x -> f(x, t)`` on a declared domain, carrying declared per-step contraction
-factors. An :class:`InexactMapFamily` is a map family with its exact base's
+factors. Its one map takes a point or rows, at one time or one time per row.
+An :class:`InexactMapFamily` is a map family with its exact base's
 declarations whose evaluations deviate from the base map by at most a
 constant ``error_sup``.
 
@@ -103,10 +104,16 @@ class MapFamily:
     domain : Domain
         Set the maps are declared to preserve.
     evaluate : callable
-        ``evaluate(x, t) -> ndarray`` for ``t >= 1``; must map the domain
-        into itself for every t.
+        The map ``evaluate(x, t)``: ``x`` is a point ``(dim,)`` or rows
+        ``(n, dim)``, ``t >= 1`` one int or an int array with one time per
+        row. It returns the input's shape and must map the domain into
+        itself for every t. Built-in maps give rows the bits of their point
+        calls (``einsum`` sums, in one order for any row count); lift a map
+        written for one point with :func:`pointwise`.
     lipschitz : float or callable
-        Declared per-step contraction factor; a scalar or ``t -> float``.
+        Declared per-step contraction factor: a scalar, or a callable that
+        takes an int t or an int array of times and returns one factor per
+        time.
     lipschitz_sup : float, optional
         Supremum of the declared factors over the horizon of interest.
         Defaults to ``lipschitz`` when that is a scalar. Must be < 1.
@@ -120,17 +127,6 @@ class MapFamily:
         point that holds for every time. The reference calls it once, with
         the times of the whole horizon. Without it the reference is one
         batched solve (:func:`compute_fixed_point_series`).
-    evaluate_batch : callable, optional
-        Vectorized ``(X, t) -> ndarray`` over the rows of ``X``, where ``t``
-        is one int for every row or an int array with one time per row. Row
-        i must agree with ``evaluate(X[i], t)`` or ``evaluate(X[i], t[i])``.
-        The sampling audits, the batched reference solve, the asynchronous
-        simulator (one call per tick) and its dependency audit call it. Every
-        built-in family passes its one map, written for a point or for rows,
-        as both ``evaluate`` and ``evaluate_batch``, and its rows match its
-        points bit for bit: sums over the state are ``einsum`` reductions,
-        whose order does not depend on the number of rows. Without it, rows
-        are evaluated one by one.
     declared_norm : Norm, optional
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
@@ -146,7 +142,6 @@ class MapFamily:
         block_sizes=None,
         block_lipschitz=None,
         fixed_point=None,
-        evaluate_batch=None,
         declared_norm=None,
         name="map-family",
     ):
@@ -165,7 +160,7 @@ class MapFamily:
                 )
         else:
             const = float(lipschitz)
-            self._lipschitz = lambda t, c=const: c
+            self._lipschitz = lambda t, c=const: np.full(np.shape(t), c)
             if lipschitz_sup is None:
                 lipschitz_sup = const
         self.lipschitz_sup = float(lipschitz_sup)
@@ -191,22 +186,42 @@ class MapFamily:
                     f"declared supremum is {self.lipschitz_sup:.12g}"
                 )
         self.fixed_point = fixed_point
-        self.evaluate_batch = evaluate_batch
         self.name = name
         self.base = self
         self.error_sup = 0.0
 
     def evaluate(self, x, t) -> np.ndarray:
-        return np.asarray(self._evaluate(np.asarray(x, dtype=float), int(t)), dtype=float)
+        """The map at a point or at each row of ``x``, at one int ``t`` or one time per row."""
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self._evaluate(x, t if isinstance(t, np.ndarray) else int(t)), dtype=float)
+        if out.shape != x.shape:
+            raise PreconditionError(
+                f"map {self.name!r} returned shape {out.shape} for input shape {x.shape}"
+            )
+        return out
 
-    def exact_evaluate(self, x, t) -> np.ndarray:
-        return self.base.evaluate(x, t)
-
-    def lipschitz_at(self, t) -> float:
-        return float(self._lipschitz(int(t)))
+    def lipschitz_at(self, t) -> np.ndarray:
+        """The declared factor at an int ``t``, or one per time of an int array."""
+        return np.asarray(self._lipschitz(t), dtype=float)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
+
+
+def pointwise(f):
+    """Lift a map ``f(x, t)`` written for one point to a :class:`MapFamily` map.
+
+    A point is one call of ``f``; rows are one call per row, each at the
+    row's time, stacked in order.
+    """
+
+    def evaluate(x, t):
+        if x.ndim == 1:
+            return f(x, t)
+        times = t.tolist() if isinstance(t, np.ndarray) else [t] * len(x)
+        return np.stack([f(row, tau) for row, tau in zip(x, times)])
+
+    return evaluate
 
 
 class InexactMapFamily(MapFamily):
@@ -217,10 +232,9 @@ class InexactMapFamily(MapFamily):
     differs: ``evaluate(x, t)`` must lie within the constant ``error_sup``
     of ``base.evaluate(x, t)`` at every point of the domain (in the
     experiment norm), and must itself map the domain into itself.
-    ``exact_evaluate`` is the base map.
     """
 
-    def __init__(self, base: MapFamily, evaluate, error_sup, evaluate_batch=None, name=None):
+    def __init__(self, base: MapFamily, evaluate, error_sup, name=None):
         super().__init__(
             base.dim,
             base.domain,
@@ -230,7 +244,6 @@ class InexactMapFamily(MapFamily):
             block_sizes=base.block_sizes,
             block_lipschitz=base.block_lipschitz,
             fixed_point=base.fixed_point,
-            evaluate_batch=evaluate_batch,
             declared_norm=base.declared_norm,
             name=name or f"inexact({base.name})",
         )
@@ -252,7 +265,9 @@ def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = No
     offset of that radius along the all-ones direction (this makes
     steady-state bounds near-tight). Outputs are projected back onto the
     domain, which cannot increase the deviation because projections are
-    nonexpansive and the exact output lies in the domain.
+    nonexpansive and the exact output lies in the domain. The family takes
+    a point or rows, as its base does, and its rows equal its points when
+    its base's do.
     """
     norm = norm if norm is not None else Norm(L2)
     radius = float(error_bound)
@@ -291,14 +306,15 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     """Iterate the time-t map from ``x0`` until the residual drops below tol.
 
     ``t`` is an int, or an int array with one time per row of ``x0``: the
-    rows are iterated together, each under its own time, through the rows
-    path (:func:`_evaluate_rows`; one row for an int ``t``), and each row
-    stops once its residual is at most ``tol``. Returns the final iterate, or the rows of final
-    iterates (each one's residual is at most ``tol`` thanks to the declared
-    contraction). Raises :class:`NonConvergenceError` at the iteration cap
-    and :class:`DomainViolationError` if an iterate leaves the declared
-    domain, which signals a false self-map declaration; either reports the
-    earliest time that fails. ``return_info`` adds the number of sweeps and
+    rows are iterated together, each under its own time, by one rows call
+    of ``family.evaluate`` per sweep (one row for an int ``t``), and each
+    row stops once its residual is at most ``tol``. Returns the final
+    iterate, or the rows of final iterates (each one's residual is at most
+    ``tol`` thanks to the declared contraction). Raises
+    :class:`NonConvergenceError` at the iteration cap and
+    :class:`DomainViolationError` if an iterate leaves the declared domain,
+    which signals a false self-map declaration; either reports the earliest
+    time that fails. ``return_info`` adds the number of sweeps and
     each sweep's largest residual over the rows still iterating.
     """
     if tol <= 0.0 or int(max_iter) < 1:
@@ -307,7 +323,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     rows = isinstance(t, np.ndarray)
     ts = t.reshape(-1) if rows else np.array([int(t)])
     x = np.array(x0, dtype=float).reshape(len(ts), family.dim)
-    if not family.domain.contains_rows(x).all():
+    if not family.domain.contains(x).all():
         raise PreconditionError("initial point lies outside the declared domain")
     points = np.empty_like(x)
     active = np.arange(len(ts))
@@ -315,10 +331,10 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     failure, later = None, np.inf  # the earliest failure so far; rows at or after its time stop
     for k in range(int(max_iter)):
         at = ts[active]
-        fx = _evaluate_rows(family, x, at)
+        fx = family.evaluate(x, at)
         r = norm.of_rows(fx - x)
         residuals.append(r.max())
-        left = ~family.domain.contains_rows(fx)
+        left = ~family.domain.contains(fx)
         if left.any():
             later = int(at[left].min())  # below every earlier failure's time
             failure = DomainViolationError(
@@ -393,7 +409,7 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     else:
         anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
         points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
-    residuals = norm.of_rows(_evaluate_rows(base, points, ts) - points)
+    residuals = norm.of_rows(base.evaluate(points, ts) - points)
     above = np.flatnonzero(~(residuals <= tol))
     if above.size:
         t = int(above[0]) + 1
@@ -502,17 +518,6 @@ class LipschitzEstimate:
     worst_pair: tuple | None = None
 
 
-def _evaluate_rows(family, X, t):
-    """The map at each row of ``X``, at one time ``t`` or at the times of an int
-    array ``t`` aligned with the rows; row by row for a family with a point map only."""
-    batch = getattr(family, "evaluate_batch", None)
-    X = np.asarray(X, dtype=float)
-    if batch is not None:
-        return np.asarray(batch(X, t if isinstance(t, np.ndarray) else int(t)), dtype=float)
-    times = t.tolist() if isinstance(t, np.ndarray) else [t] * len(X)
-    return np.stack([family.evaluate(x, tau) for x, tau in zip(X, times)])
-
-
 def estimate_lipschitz(family, t, sampler: DomainSampler, n_pairs, norm: Norm) -> LipschitzEstimate:
     """Max sampled ratio ||f(x)-f(x')|| / ||x-x'|| over seeded domain pairs."""
     n_pairs = int(n_pairs)
@@ -524,7 +529,7 @@ def estimate_lipschitz(family, t, sampler: DomainSampler, n_pairs, norm: Norm) -
     mask = den > 0.0
     if not np.any(mask):
         return LipschitzEstimate(0.0, 0, True)
-    num = norm.of_rows(_evaluate_rows(family, X[mask], t) - _evaluate_rows(family, Y[mask], t))
+    num = norm.of_rows(family.evaluate(X[mask], t) - family.evaluate(Y[mask], t))
     ratios = num / den[mask]
     i = int(np.argmax(ratios))
     idx = np.flatnonzero(mask)[i]
@@ -544,7 +549,7 @@ def verify_self_map(family, t, sampler: DomainSampler, n_samples, tol=1e-9) -> S
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     X = sampler.draw(n_samples)
-    inside = family.domain.contains_rows(_evaluate_rows(family, X, t), tol=tol)
+    inside = family.domain.contains(family.evaluate(X, t), tol=tol)
     if np.all(inside):
         return SelfMapCheck(True, None, n_samples)
     bad = int(np.argmin(inside))
@@ -564,8 +569,8 @@ def verify_map_error(family: MapFamily, t, sampler: DomainSampler, n_samples,
     """Sampled check at time t that the family stays within ``error_sup`` of its base."""
     n_samples = int(n_samples)
     X = sampler.draw(n_samples)
-    approx = _evaluate_rows(family, X, t)
-    exact = _evaluate_rows(family.base, X, t)
+    approx = family.evaluate(X, t)
+    exact = family.base.evaluate(X, t)
     observed = float(norm.of_rows(approx - exact).max()) if n_samples else 0.0
     bound = family.error_sup
     return MapErrorCheck(observed, bound, observed <= bound + slack, n_samples)

@@ -57,34 +57,38 @@ class Domain:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         return cls(BALL, center.size, center=center, radius=radius)
 
-    def contains(self, x, tol=1e-9) -> bool:
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        if self.kind == ALL:
-            return bool(np.isfinite(x).all())
-        if self.kind == BOX:
-            return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+    def _points(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise PreconditionError(f"expected dimension {self.dim}, got shape {x.shape}")
+        return x
 
-    def contains_rows(self, m, tol=1e-9) -> np.ndarray:
-        m = np.asarray(m, dtype=float).reshape(-1, self.dim)
+    def _distance(self, x) -> np.ndarray:
+        """Distance to the ball's center, summed in one order for a point or each row."""
+        d = x - self.center
+        return np.sqrt(np.einsum("...j,...j->...", d, d))
+
+    def contains(self, x, tol=1e-9):
+        """Whether a point ``(dim,)`` lies in the domain; for rows, one flag per row."""
+        x = self._points(x)
         if self.kind == ALL:
-            return np.all(np.isfinite(m), axis=1)
+            return np.isfinite(x).all(axis=-1)
         if self.kind == BOX:
-            return np.all(m >= self.lo - tol, axis=1) & np.all(m <= self.hi + tol, axis=1)
-        return np.linalg.norm(m - self.center, axis=1) <= self.radius + tol
+            return ((x >= self.lo - tol) & (x <= self.hi + tol)).all(axis=-1)
+        return self._distance(x) <= self.radius + tol
 
     def project(self, x) -> np.ndarray:
-        """Euclidean projection onto the domain (identity for ``all``)."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
+        """Euclidean projection of a point, or of each row, onto the domain
+        (identity for ``all``); points inside are returned unchanged."""
+        x = self._points(x)
         if self.kind == ALL:
             return x.copy()
         if self.kind == BOX:
             return np.clip(x, self.lo, self.hi)
-        d = x - self.center
-        r = np.linalg.norm(d)
-        if r <= self.radius:
-            return x.copy()
-        return self.center + d * (self.radius / r)
+        r = self._distance(x)[..., None]
+        # rows inside keep x; the maximum keeps their unused quotient finite at the center
+        outside = self.center + (x - self.center) * (self.radius / np.maximum(r, self.radius))
+        return np.where(r <= self.radius, x, outside)
 
     def anchor(self) -> np.ndarray:
         """A canonical interior point (used for warm starts and fallbacks)."""

@@ -337,7 +337,7 @@ def build_family(config: ExperimentConfig):
     family, graph, extras = config.build_problem()
     if config.declared_lipschitz_override is not None:
         ov = config.declared_lipschitz_override
-        family._lipschitz = lambda t, c=ov: c
+        family._lipschitz = lambda t, c=ov: np.full(np.shape(t), c)
         family.lipschitz_sup = ov
     return family, graph, extras
 
@@ -364,7 +364,7 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
         )
 
     # Per-step bound envelope from declared constants and realized drift.
-    lipschitz_series = np.array([family.lipschitz_at(t) for t in range(1, horizon)])
+    lipschitz_series = family.lipschitz_at(np.arange(1, horizon))
     error_series = map_error_bound_series(family, horizon)
     per_step = bnd.per_step_bound_series(
         trace.errors[0], error_series, trace.reference.drifts, lipschitz_series, horizon - 1

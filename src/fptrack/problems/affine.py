@@ -47,7 +47,6 @@ class AffineFamily(MapFamily):
             domain=Domain.all_space(m),
             evaluate=evaluate,
             fixed_point=path.point,
-            evaluate_batch=evaluate,
             declared_norm=norm,
             **kwargs,
         )

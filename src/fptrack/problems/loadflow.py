@@ -207,7 +207,6 @@ class LoadflowFamily(MapFamily):
             dim=2 * net.n,
             domain=kwargs.pop("domain"),
             evaluate=evaluate,
-            evaluate_batch=evaluate,
             **kwargs,
         )
 
@@ -243,25 +242,23 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
         raise ContractionUncertifiedError(
             "domain radius leaves no certified voltage-magnitude margin"
         )
+    # the declared factor at time t is gain * max_i (load @ |s(t)|)_i
     if norm.is_l2:
         zgain = float(np.linalg.norm(net.Z, ord=2))
-        lip_factor = zgain / vmin**2
-        lip_sup = lip_factor * float(limits.max())
+        gain, load = zgain / vmin**2, np.eye(net.n)
+        lip_sup = gain * float(limits.max())
         self_map_reach = zgain * float(np.linalg.norm(limits)) / vmin
         domain = Domain.ball(center, radius)
-
-        def lipschitz(t):
-            return lip_factor * float(np.max(np.abs(injections.at(t))))
     else:
-        absZ = np.abs(net.Z)
-        row_load = absZ @ limits
+        load = np.abs(net.Z)
+        row_load = load @ limits
+        gain = np.sqrt(2.0) / vmin**2
         lip_sup = float(np.sqrt(2.0) * row_load.max() / vmin**2)
         self_map_reach = float(row_load.max()) / vmin
         domain = Domain.box(center - radius, center + radius)
-        absZ_rows = absZ
 
-        def lipschitz(t):
-            return float(np.sqrt(2.0) * (absZ_rows @ np.abs(injections.at(t))).max() / vmin**2)
+    def lipschitz(t):
+        return gain * np.einsum("...j,ij->...i", np.abs(injections.at(t)), load).max(axis=-1)
 
     if lip_sup >= 1.0:
         raise ContractionUncertifiedError(
@@ -560,12 +557,11 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         evaluate=exact_map,
         lipschitz=declared,
         block_sizes=block_sizes,
-        evaluate_batch=exact_map,
         declared_norm=Norm(LINF),
         name=f"multiarea-loadflow-k{k_areas}",
     )
     err = float(np.max(omega[:-1] * colZ * nb / vmin, initial=0.0))
-    family = InexactMapFamily(base, noisy_map, err, evaluate_batch=noisy_map,
+    family = InexactMapFamily(base, noisy_map, err,
                               name=f"multiarea-loadflow-feedback-k{k_areas}")
 
     edges = []

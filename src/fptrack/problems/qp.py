@@ -98,14 +98,11 @@ def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
 def _aggregate_noise(nb, seed, key, adversarial):
     """Noise of the measured aggregate at time t: uniform on [-nb, nb], row t of
     a table drawn in blocks from the one stream ``(seed, key)``, or nb when
-    adversarial; for an int array of times, a column of draws."""
+    adversarial; a ``(1,)`` row for an int t, a column of draws for an int
+    array of times."""
     if adversarial:
         return lambda t: nb
-    table = SeriesTable(lambda n, last, rng: rng.uniform(-nb, nb, size=(n, 1)), (seed, key))
-
-    def noise(t):
-        return table.at(t) if isinstance(t, np.ndarray) else float(table.at(t)[0])
-    return noise
+    return SeriesTable(lambda n, last, rng: rng.uniform(-nb, nb, size=(n, 1)), (seed, key)).at
 
 
 class GradientMapFamily(MapFamily):
@@ -130,7 +127,6 @@ class GradientMapFamily(MapFamily):
             domain=Domain.box(qp.box_lo, qp.box_hi),
             evaluate=evaluate,
             lipschitz=declared,
-            evaluate_batch=evaluate,
             declared_norm=Norm(L2),
             name=f"qp-gradient-n{n}",
         )
@@ -172,8 +168,7 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
         return np.clip(x - a * g, qp.box_lo, qp.box_hi)
 
     bound = a * qp.tracking_weight * norm.of(qp.coupling) * nb
-    return InexactMapFamily(base, evaluate, bound, evaluate_batch=evaluate,
-                            name=f"qp-feedback-n{qp.n_devices}")
+    return InexactMapFamily(base, evaluate, bound, name=f"qp-feedback-n{qp.n_devices}")
 
 
 def star_partition(qp: TimeVaryingQP) -> DependencyGraph:
@@ -241,7 +236,6 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         domain=Domain.box(lo, hi),
         evaluate=base_evaluate,
         lipschitz=declared,
-        evaluate_batch=base_evaluate,
         declared_norm=Norm(L2),
         name=f"qp-broadcast-n{n}",
     )
@@ -253,6 +247,5 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         out[..., n:] += theta * noise(t)
         return out
 
-    family = InexactMapFamily(base, evaluate, theta * nb, evaluate_batch=evaluate,
-                              name=f"qp-broadcast-feedback-n{n}")
+    family = InexactMapFamily(base, evaluate, theta * nb, name=f"qp-broadcast-feedback-n{n}")
     return family, star_partition(qp)

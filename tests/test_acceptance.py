@@ -85,7 +85,7 @@ def test_02_tight_bound_witness_scalar_drift():
     with Budget("tight-bound witness (scalar drifting map settles at 0.2)", 0.1):
         fam = fp.MapFamily(
             1, fp.Domain.all_space(1),
-            lambda x, t: 0.5 * x + np.array([0.5 * 0.1 * t]),
+            fp.pointwise(lambda x, t: 0.5 * x + np.array([0.5 * 0.1 * t])),
             0.5, fixed_point=lambda t: 0.1 * t[:, None],
         )
         trace = fp.run_online_tracker(fam, np.array([0.0]), 400, L2)

@@ -115,12 +115,11 @@ def test_dropped_packet_keeps_copy_and_stamp():
 
 def per_agent_step(history, stamps, family, graph, t):
     """x_{t+1} with every agent evaluating the map at its own composite input."""
-    raw_eval = getattr(family, "_evaluate", family.evaluate)
     views = history[stamps[:, graph.block_of_column] - 1, np.arange(graph.dim)[None, :]]
     x_next = np.empty(graph.dim)
     for i in range(graph.n_agents):
         sl = graph.block_slice(i)
-        x_next[sl] = raw_eval(views[i].copy(), t)[sl]
+        x_next[sl] = family.evaluate(views[i].copy(), t)[sl]
     return x_next
 
 
@@ -167,42 +166,22 @@ def test_mixed_fresh_and_stale_ticks_match_per_agent_evaluation_bitwise(name):
     assert mixed >= horizon // 5
 
 
-def test_tick_evaluates_once_plus_once_per_stale_agent():
+def rows_counting_affine_chain():
+    """The five-agent affine chain, with a map that records the rows of each call."""
     fam = small_affine(dim=5, coupling="chain")
-    graph = fam.dependency_graph()
-    calls = []
+    rows_per_call = []
 
     def counting_evaluate(x, t):
-        calls.append(t)
+        rows_per_call.append(len(x))
         return fam.evaluate(x, t)
 
     counted = fp.MapFamily(fam.dim, fam.domain, counting_evaluate, lipschitz=fam.lipschitz_sup)
-    src, dst = graph.edge_arrays
-    t = 4
-    history = np.random.default_rng(0).standard_normal((t, fam.dim))
-    for k in range(graph.n_agents + 1):
-        stamps = np.full((graph.n_agents, graph.n_agents), t)
-        for i in range(k):  # agents 0..k-1 hold one outdated neighbor copy
-            stamps[i, graph.in_neighbors(i)[0]] = t - 1
-        assert stale_agent_count(stamps, graph, t) == k
-        calls.clear()
-        x_next = step_async(history, stamps[dst, src], counted, graph, t)
-        assert len(calls) == (k + 1 if k < graph.n_agents else k)
-        expected = per_agent_step(history, stamps, fam, graph, t)
-        assert x_next.tobytes() == expected.tobytes()
+    return fam, counted, rows_per_call
 
 
-def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
-    fam = small_affine(dim=5, coupling="chain")
+def test_tick_evaluates_once_plus_once_per_stale_agent():
+    fam, counted, rows_per_call = rows_counting_affine_chain()
     graph = fam.dependency_graph()
-    rows_per_call = []
-
-    def counting_batch(X, t):
-        rows_per_call.append(len(X))
-        return fam.evaluate_batch(X, t)
-
-    counted = fp.MapFamily(fam.dim, fam.domain, fam.evaluate, lipschitz=fam.lipschitz_sup,
-                           evaluate_batch=counting_batch)
     src, dst = graph.edge_arrays
     t = 4
     history = np.random.default_rng(1).standard_normal((t, fam.dim))
@@ -210,15 +189,20 @@ def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
         stamps = np.full((graph.n_agents, graph.n_agents), t)
         for i in range(k):  # agents 0..k-1 hold one outdated neighbor copy
             stamps[i, graph.in_neighbors(i)[0]] = t - 1
+        assert stale_agent_count(stamps, graph, t) == k
         rows_per_call.clear()
         x_next = step_async(history, stamps[dst, src], counted, graph, t)
         assert rows_per_call == [k + 1 if k < graph.n_agents else k]
         expected = per_agent_step(history, stamps, fam, graph, t)
         assert x_next.tobytes() == expected.tobytes()
+
+
+def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
     # a whole run: one call per tick, its rows the tick's stale agents plus x_t if any is fresh
+    fam, counted, rows_per_call = rows_counting_affine_chain()
+    graph = fam.dependency_graph()
     horizon, channels = 60, IidDrop(0.5, max_consecutive=3)
     table = _start_channels(channels, graph, horizon, seed=2)
-    rows_per_call.clear()
     fp.run_async_tracker(counted, graph, channels, np.zeros(fam.dim), horizon, L2, seed=2,
                          reference=fp.compute_fixed_point_series(fam, horizon, L2))
     stale = [stale_agent_count(stamp_matrix(table[t], graph, t), graph, t)

@@ -18,7 +18,7 @@ def scalar_family(fn, lipschitz, domain=None, fixed_point=None, name="scalar"):
     return MapFamily(
         dim=1,
         domain=domain or Domain.all_space(1),
-        evaluate=lambda x, t: np.array([fn(float(x[0]), t)]),
+        evaluate=fp.pointwise(lambda x, t: np.array([fn(float(x[0]), t)])),
         lipschitz=lipschitz,
         fixed_point=fixed_point,
         name=name,
@@ -74,7 +74,7 @@ def test_solver_linear_convergence_envelope():
     A = rng.uniform(-1, 1, (5, 5))
     A *= 0.7 / np.linalg.norm(A, 2)
     b = rng.uniform(-1, 1, 5)
-    fam = MapFamily(5, Domain.all_space(5), lambda x, t: A @ x + b, 0.7)
+    fam = MapFamily(5, Domain.all_space(5), lambda x, t: x @ A.T + b, 0.7)
     x0 = rng.uniform(-1, 1, 5)
     x, info = fp.solve_fixed_point(fam, 1, x0, tol=1e-12, return_info=True)
     r = info["residuals"]
@@ -116,7 +116,7 @@ def test_series_affine_random_walk_matches_linear_solve_oracle():
     A = rng.uniform(-1, 1, (m, m))
     A *= 0.6 / np.linalg.norm(A, 2)
     offsets = {t: rng.normal(0, 1, m) for t in range(1, 13)}
-    fam = MapFamily(m, Domain.all_space(m), lambda x, t: A @ x + offsets[t], 0.6)
+    fam = MapFamily(m, Domain.all_space(m), fp.pointwise(lambda x, t: A @ x + offsets[t]), 0.6)
     series = fp.compute_fixed_point_series(fam, 12, L2, tol=1e-13)
     eye = np.eye(m)
     for t in range(1, 13):
@@ -244,7 +244,7 @@ def test_tracker_per_step_envelope_holds_everywhere():
     A = rng.uniform(-1, 1, (m, m))
     A *= 0.75 / np.linalg.norm(A, 2)
     offs = {t: 0.3 * rng.normal(0, 1, m) for t in range(1, 202)}
-    fam = MapFamily(m, Domain.all_space(m), lambda x, t: A @ x + offs[t], 0.75)
+    fam = MapFamily(m, Domain.all_space(m), fp.pointwise(lambda x, t: A @ x + offs[t]), 0.75)
     noisy = fp.with_output_noise(fam, 0.02, seed=5, norm=L2)
     trace = fp.run_online_tracker(noisy, rng.uniform(-2, 2, m), 200, L2)
     L_series = np.full(199, 0.75)
@@ -260,7 +260,7 @@ def test_tracker_zero_drift_zero_noise_classic_reduction():
     A = rng.uniform(-1, 1, (4, 4))
     A *= 0.6 / np.linalg.norm(A, 2)
     b = rng.normal(0, 1, 4)
-    fam = MapFamily(4, Domain.all_space(4), lambda x, t: A @ x + b, 0.6)
+    fam = MapFamily(4, Domain.all_space(4), lambda x, t: x @ A.T + b, 0.6)
     trace = fp.run_online_tracker(fam, rng.uniform(-3, 3, 4), 60, L2)
     geometric = trace.errors[0] * 0.6 ** np.arange(60)
     assert np.all(trace.errors <= geometric + 1e-12)
@@ -319,7 +319,7 @@ def test_lipschitz_exact_for_scaling_map():
 def test_lipschitz_linear_map_bounded_by_spectral_norm_oracle():
     A = np.array([[0.3, 0.2], [0.0, 0.4]])
     oracle = np.linalg.svd(A, compute_uv=False)[0]
-    fam = MapFamily(2, Domain.all_space(2), lambda x, t: A @ x, oracle)
+    fam = MapFamily(2, Domain.all_space(2), lambda x, t: x @ A.T, oracle)
     est = fp.estimate_lipschitz(fam, 1, DomainSampler(fam.domain, 1), 20000, L2)
     assert est.value <= oracle + 1e-9
     assert est.value > 0.9 * oracle  # sampling gets close for a 2-d linear map
@@ -374,6 +374,71 @@ def test_domain_must_have_the_family_dimension():
         MapFamily(3, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5)
     with pytest.raises(PreconditionError, match="dimension 1"):
         MapFamily(2, Domain.box([0.0], [1.0]), lambda x, t: 0.5 * x, 0.5)
+
+
+# the demo's drifting scalar map, written for one point: on n rows it returns (n, n)
+def drifting_point_map(x, t):
+    return 0.5 * x + np.array([0.05 * t])
+
+
+def test_map_of_the_wrong_shape_fails_loudly():
+    fam = MapFamily(1, Domain.all_space(1), drifting_point_map, 0.5, name="drifting")
+    message = r"'drifting' returned shape \(3, 3\) for input shape \(3, 1\)"
+    with pytest.raises(PreconditionError, match=message):
+        fam.evaluate(np.zeros((3, 1)), np.array([1, 2, 3]))
+    with pytest.raises(PreconditionError, match="'drifting' returned shape"):
+        fp.compute_fixed_point_series(fam, 5, L2)
+    with pytest.raises(PreconditionError, match="'drifting' returned shape"):
+        fp.solve_fixed_point(fam, np.array([1, 2]), np.zeros((2, 1)))
+    assert fam.evaluate(np.zeros(1), 2).shape == (1,)  # a point is its own shape
+
+
+def test_domain_rejects_points_of_another_dimension():
+    box = Domain.box([0.0], [1.0])
+    for domain in (box, Domain.all_space(1), Domain.ball([0.0], 1.0)):
+        with pytest.raises(PreconditionError, match="dimension 1"):
+            domain.contains(np.zeros((3, 3)))
+        with pytest.raises(PreconditionError, match="dimension 1"):
+            domain.project(np.zeros(3))
+    np.testing.assert_array_equal(box.contains(np.array([[0.5], [2.0], [1.0]])),
+                                  [True, False, True])
+
+
+def test_ball_projection_takes_a_point_or_rows_alike():
+    ball = Domain.ball([1.0, -1.0, 0.5], 0.7)
+    X = DomainSampler(Domain.box([-2.0] * 3, [2.0] * 3), 4).draw(50)
+    rows = ball.project(X)
+    inside = ball.contains(X)
+    assert 0 < inside.sum() < len(X)
+    np.testing.assert_array_equal(rows[inside], X[inside])  # points inside are unchanged
+    assert np.all(ball.contains(rows))
+    for x, row, flag in zip(X, rows, inside):
+        assert row.tobytes() == ball.project(x).tobytes()
+        assert ball.contains(x) == flag
+
+
+def test_pointwise_map_runs_row_by_row_with_the_bits_of_a_plain_loop():
+    fam = MapFamily(1, Domain.all_space(1), fp.pointwise(drifting_point_map), 0.5)
+    horizon, tol = 40, 1e-12
+    trace = fp.run_online_tracker(fam, np.array([0.0]), horizon, L2)
+    x, iterates = np.array([0.0]), [np.array([0.0])]
+    for t in range(1, horizon):
+        x = drifting_point_map(x, t)
+        iterates.append(x)
+    assert trace.iterates.tobytes() == np.array(iterates).tobytes()
+    # the reference: each time iterated alone from the anchor until its residual is at most tol
+    oracle = []
+    for t in range(1, horizon + 1):
+        x = np.zeros(1)
+        while True:
+            fx = drifting_point_map(x, t)
+            if np.linalg.norm(fx - x) <= tol:
+                break
+            x = fx
+        oracle.append(fx)
+    assert trace.reference.points.tobytes() == np.array(oracle).tobytes()
+    np.testing.assert_allclose(trace.reference.points[:, 0], 0.1 * np.arange(1, horizon + 1),
+                               rtol=0.0, atol=1e-11)
 
 
 def test_stream_independence_of_consumption_order():

@@ -1,6 +1,6 @@
-"""Built-in map families: the rows path (the audits, the batched reference) agrees
-with the point path, at one time or at one time per row; an inexact family
-carries its base's declarations."""
+"""Built-in map families: rows (the audits, the batched reference, the
+asynchronous ticks) agree with points, at one time or at one time per row; an
+inexact family carries its base's declarations."""
 import numpy as np
 import pytest
 
@@ -52,11 +52,17 @@ def families():
             build_affine_family(4, LINF, 0.6, DriftPath("linear", 4, rate=0.05, seed=3,
                                                         norm=LINF), seed=4),
             0.02, seed=5, norm=LINF),
+        "qp-gradient-output-noise": fp.with_output_noise(
+            build_gradient_map(qp, 0.15), 0.3, seed=4, norm=LINF),
+        # noise as wide as the ball: some rows below leave it and are projected back
+        "loadflow-l2-output-noise": fp.with_output_noise(
+            build_loadflow_map(net, inj, radius=0.3), 0.3, seed=7, norm=L2),
     }
 
 
 @pytest.mark.parametrize("name", [
     "qp-feedback", "qp-broadcast-noisy", "multiarea-noisy", "affine-output-noise",
+    "qp-gradient-output-noise", "loadflow-l2-output-noise",
 ])
 def test_inexact_family_is_a_map_family_with_its_base_declarations(families, name):
     family = families[name]
@@ -68,25 +74,38 @@ def test_inexact_family_is_a_map_family_with_its_base_declarations(families, nam
                  "declared_norm"):
         assert getattr(family, attr) == getattr(base, attr), attr
     np.testing.assert_equal(family.block_lipschitz, base.block_lipschitz)
-    assert [family.lipschitz_at(t) for t in (1, 4, 9)] == \
-        [base.lipschitz_at(t) for t in (1, 4, 9)]
-    x = DomainSampler(family.domain, 3).draw(1)[0]
-    np.testing.assert_array_equal(family.exact_evaluate(x, 4), base.evaluate(x, 4))
+    ts = np.array([1, 4, 9])
+    factors = family.lipschitz_at(ts)
+    assert factors.shape == ts.shape
+    np.testing.assert_array_equal(factors, [base.lipschitz_at(t) for t in ts.tolist()])
+    np.testing.assert_array_equal(factors, base.lipschitz_at(ts))
     np.testing.assert_array_equal(
         map_error_bound_series(family, 6), np.full(5, family.error_sup))
+
+
+@pytest.mark.parametrize("name", ["loadflow-l2", "loadflow-linf"])
+def test_time_varying_declared_factor_takes_an_int_array(families, name):
+    family = families[name]
+    ts = np.arange(1, 40)
+    factors = family.lipschitz_at(ts)
+    per_t = [family.lipschitz_at(t) for t in ts.tolist()]
+    np.testing.assert_array_equal(factors, per_t)
+    assert len(np.unique(factors)) > 1  # the injections walk, and the factor with them
+    # a clamped walk step can leave |s| one ulp above its limit
+    assert np.all(factors <= family.lipschitz_sup * (1.0 + 1e-15))
 
 
 @pytest.mark.parametrize("name", [
     "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
     "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
-    "multiarea", "multiarea-noisy",
+    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
+    "loadflow-l2-output-noise",
 ])
 def test_builtin_map_rows_agree_with_points(families, name):
     family = families[name]
-    assert family.evaluate_batch is not None
     X = DomainSampler(family.domain, 5).draw(6)
     for t in (1, 4):
-        rows = family.evaluate_batch(X, t)
+        rows = family.evaluate(X, t)
         assert rows.shape == X.shape
         for x, row in zip(X, rows):
             np.testing.assert_array_equal(row, family.evaluate(x, t))
@@ -95,7 +114,8 @@ def test_builtin_map_rows_agree_with_points(families, name):
 @pytest.mark.parametrize("name", [
     "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
     "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
-    "multiarea", "multiarea-noisy",
+    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
+    "loadflow-l2-output-noise",
 ])
 def test_builtin_map_rows_take_one_time_per_row(families, name):
     family = families[name]
@@ -103,7 +123,7 @@ def test_builtin_map_rows_take_one_time_per_row(families, name):
     # (k,) would give a (k, k) term of the right size here
     ts = np.array([4, 1, 4, 7, 2])
     X = DomainSampler(family.domain, 6).draw(len(ts))
-    rows = family.evaluate_batch(X, ts)
+    rows = family.evaluate(X, ts)
     assert rows.shape == X.shape
     for x, t, row in zip(X, ts.tolist(), rows):
         np.testing.assert_array_equal(row, family.evaluate(x, t))

@@ -105,7 +105,7 @@ def test_feedback_noise_free_is_exact():
     fam = build_feedback_gradient_map(qp, 0.4, 0.0, seed=0)
     assert fam.error_sup == 0.0
     x = np.array([0.3])
-    assert np.array_equal(fam.evaluate(x, 1), fam.exact_evaluate(x, 1))
+    assert np.array_equal(fam.evaluate(x, 1), fam.base.evaluate(x, 1))
 
 
 def test_feedback_error_bound_formula():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fptrack as fp
-from fptrack.core import SeriesTable, _evaluate_rows
+from fptrack.core import SeriesTable
 from fptrack.errors import PreconditionError
 from fptrack.experiments import ExperimentConfig, run_experiment
 from fptrack.problems import (
@@ -25,16 +25,12 @@ def _map_values(fam):
     """The map at one fixed state as a series in t: a point for an int ``t``,
     rows for an int array."""
     x = fam.domain.anchor()
-
-    def value(t):
-        if isinstance(t, np.ndarray):
-            return _evaluate_rows(fam, np.tile(x, (len(t), 1)), t)
-        return fam.evaluate(x, t)
-    return value
+    return lambda t: fam.evaluate(np.tile(x, (len(t), 1)) if isinstance(t, np.ndarray) else x, t)
 
 
 def _output_noise(norm):
-    base = fp.MapFamily(3, fp.Domain.all_space(3), lambda x, t: 0.5 * x + 0.1 * t, 0.5)
+    base = fp.MapFamily(3, fp.Domain.all_space(3), fp.pointwise(lambda x, t: 0.5 * x + 0.1 * t),
+                        0.5)
     return _map_values(fp.with_output_noise(base, 0.05, seed=6, norm=norm))
 
 
