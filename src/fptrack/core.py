@@ -31,8 +31,9 @@ def seeded_stream(seed, *key) -> np.random.Generator:
 
     Streams for distinct keys are independent, so draws do not depend on the
     order in which callers consume them. Each seeded series reads one stream,
-    drawn in order, never one stream per time step; a time series reads its
-    streams through a :class:`SeriesTable`. The package draws these streams:
+    drawn in order, never one stream per time step: every series in t is a
+    :class:`SeriesTable`, and a seeded one reads its streams through its
+    table's fill. The package draws these streams:
 
     - ``(seed, 7, e)``: edge e's drop draws of an ``iid_drop`` channel;
     - ``(seed, 17)``: the random coupling of an affine family;
@@ -55,14 +56,17 @@ def seeded_stream(seed, *key) -> np.random.Generator:
 
 
 class SeriesTable:
-    """Draws of one seeded time series as a row table: row k is for t = k + 1.
+    """One time series as a row table: row k is the value at t = k + 1.
 
-    The table reads one stream ``seeded_stream(*key)`` per key, opened on
-    first use, and grows geometrically: ``fill(n, last, *streams)`` returns
-    the next ``n`` rows, given the last row so far (``first``, or None
-    before any row). A fill consumes each stream in order, the same number
-    of draws per row, so a row depends neither on the block sizes nor on
-    the order of requests, and points and rows read the same table.
+    ``fill(ts, last, *streams)`` returns the rows for the int array ``ts``
+    of the times it adds, given the last row so far (``first``, or None
+    before any row). A seeded fill reads one stream ``seeded_stream(*key)``
+    per key, opened on first use, and consumes each in order, the same
+    number of draws per row; a fill without keys computes its rows from
+    ``ts``. The table grows geometrically, so a row depends neither on the
+    block sizes nor on the order of requests, and points and rows read the
+    same table. The table is read-only: a row read at an int ``t`` is a
+    view of it.
     """
 
     FIRST_BLOCK = 64
@@ -71,21 +75,25 @@ class SeriesTable:
         self._fill = fill
         self._keys = keys
         self._streams = None
-        self._rows = None if first is None else np.array(first)[None]
+        self._rows = np.empty(0) if first is None else np.array(first)[None]
 
     def at(self, t):
         """The row for an int ``t >= 1``; for an int array of times, one row per time."""
-        rows = isinstance(t, np.ndarray)
-        if (t.min(initial=1) if rows else t) < 1:
-            raise PreconditionError("time indices start at 1")
-        last = int(t.max(initial=1)) if rows else t
-        have = 0 if self._rows is None else len(self._rows)
-        if last > have:
+        ts = np.asarray(t)
+        if ts.dtype.kind not in "iu":
+            raise PreconditionError("time indices are integers starting at 1")
+        # one time is compared as it is: two reductions would cost microseconds per read
+        lo, hi = (ts.min(initial=1), ts.max(initial=1)) if ts.ndim else (t, t)
+        if lo < 1:
+            raise PreconditionError("time indices are integers starting at 1")
+        have = len(self._rows)
+        if hi > have:
             if self._streams is None:
                 self._streams = [seeded_stream(*key) for key in self._keys]
-            new = self._fill(max(last, 2 * have, self.FIRST_BLOCK) - have,
-                             None if self._rows is None else self._rows[-1], *self._streams)
-            self._rows = new if self._rows is None else np.concatenate([self._rows, new])
+            new = self._fill(np.arange(have + 1, max(int(hi), 2 * have, self.FIRST_BLOCK) + 1),
+                             self._rows[-1] if have else None, *self._streams)
+            self._rows = np.concatenate([self._rows, new]) if have else new
+            self._rows.flags.writeable = False
         return self._rows[t - 1]
 
 
@@ -279,13 +287,13 @@ def with_output_noise(base: MapFamily, error_bound, seed, norm: Norm | None = No
         def offset(t):
             return shift
     elif norm.kind == LINF:
-        offset = SeriesTable(lambda n, last, rng: rng.uniform(-radius, radius, size=(n, dim)),
-                             (seed, 61)).at
+        offset = SeriesTable(
+            lambda ts, last, rng: rng.uniform(-radius, radius, size=(len(ts), dim)), (seed, 61)).at
     else:
 
-        def ball(n, last, directions, radii):
-            g = directions.standard_normal((n, dim))
-            r = radius * radii.uniform(0.0, 1.0, size=n) ** (1.0 / dim)
+        def ball(ts, last, directions, radii):
+            g = directions.standard_normal((len(ts), dim))
+            r = radius * radii.uniform(0.0, 1.0, size=len(ts)) ** (1.0 / dim)
             return (r / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None] * g
 
         offset = SeriesTable(ball, (seed, 61), (seed, 62)).at

@@ -16,24 +16,19 @@ from ..norms import Norm
 KINDS = ("constant", "linear", "random_walk", "piecewise")
 
 
-def _times(t) -> np.ndarray:
-    """An array of time indices as int64, each at least 1."""
-    ts = np.asarray(t).reshape(-1)
-    if ts.size and (ts.dtype.kind not in "iu" or ts.min() < 1):
-        raise PreconditionError("time indices are integers starting at 1")
-    return ts.astype(np.int64, copy=False)
-
-
 class DriftPath:
     """A time-indexed point ``point(t)`` in R^dim, t = 1, 2, ...
 
     ``rate`` is the per-step movement measured in ``norm``; for ``piecewise``
-    the speed switches to ``fast_rate`` on ``fast_window = (t_start, t_end)``
-    (inclusive start, exclusive end). Random-walk steps are uniform random
-    directions scaled to exactly ``rate``, so drift bounds are tight. They
-    are drawn in blocks from the one stream ``(seed, 332)``, and the walk's
-    points are a table (row k is ``point(k + 1)``) extended by a running
-    sum from its last point.
+    the step from t to t + 1 has speed ``fast_rate`` for t in
+    ``fast_window = (t_start, t_end)`` (inclusive start, exclusive end).
+    The path is one :class:`~fptrack.core.SeriesTable`, row k for t = k + 1.
+    For ``constant``, ``linear`` and ``piecewise`` it holds the distance
+    travelled along the unit direction (a running sum of the speeds when
+    piecewise), and the point is ``start + travelled * unit``. For
+    ``random_walk`` it holds the points, a running sum of steps drawn in
+    blocks from the one stream ``(seed, 332)``; each step is a uniform
+    random direction scaled to exactly ``rate``, so drift bounds are tight.
     """
 
     def __init__(self, kind, dim, rate=0.0, seed=0, start=None, direction=None,
@@ -68,63 +63,34 @@ class DriftPath:
         else:
             self.fast_rate, self.fast_window = None, None
         if kind == "random_walk":
-            self._walk = SeriesTable(self._walk_rows, (self.seed, 332), first=self.start)
-
-    def _speed(self, t) -> float:
-        if self.kind == "piecewise" and self.fast_window[0] <= t < self.fast_window[1]:
-            return self.fast_rate
-        return self.rate
+            self._table = SeriesTable(self._walk_rows, (self.seed, 332), first=self.start)
+        else:
+            self._table = SeriesTable(self._travelled_rows, first=0.0)
 
     def point(self, t) -> np.ndarray:
-        """The point at time ``t``; for an int array of times, one row per time."""
-        if isinstance(t, np.ndarray):
-            return self._rows(_times(t))
-        t = int(t)
-        if t < 1:
-            raise PreconditionError("time indices start at 1")
-        if self.kind == "constant":
-            return self.start.copy()
-        if self.kind == "linear":
-            return self.start + (t - 1) * self.rate * self._unit
-        if self.kind == "piecewise":
-            travelled = sum(self._speed(tau) for tau in range(1, t))
-            return self.start + travelled * self._unit
-        return self._walk.at(t).copy()
+        """The point at an int ``t >= 1``; for an int array of times, one row per time."""
+        if self.kind == "random_walk":
+            return self._table.at(t)
+        return self.start + np.multiply.outer(self._table.at(t), self._unit)
 
-    def _rows(self, ts) -> np.ndarray:
-        """``point`` at each time of ``ts``, bit for bit, as rows."""
+    def _travelled_rows(self, ts, last):
+        """The distances travelled by the times ``ts``, which follow ``last``'s."""
         if self.kind == "constant":
-            return np.tile(self.start, (len(ts), 1))
+            return np.zeros(len(ts))
         if self.kind == "linear":
-            return self.start + ((ts - 1) * self.rate)[:, None] * self._unit
-        if self.kind == "piecewise":
-            # sum() adds left to right from 0, as a running sum does
-            speeds = [self._speed(tau) for tau in range(1, int(ts.max(initial=1)))]
-            travelled = np.concatenate([[0.0], np.cumsum(speeds)])[ts - 1]
-            return self.start + travelled[:, None] * self._unit
-        return self._walk.at(ts)
+            return (ts - 1) * self.rate
+        lo, hi = self.fast_window
+        speeds = np.where((lo <= ts - 1) & (ts - 1 < hi), self.fast_rate, self.rate)
+        # cumsum adds left to right from `last`, as a running sum does
+        return np.cumsum(np.concatenate([[last], speeds]))[1:]
 
-    def _walk_rows(self, n, last, rng):
-        """The next n points of the random walk after ``last``."""
-        g = rng.standard_normal((n, self.dim))
+    def _walk_rows(self, ts, last, rng):
+        """The random walk's points at the times ``ts``, which follow ``last``."""
+        g = rng.standard_normal((len(ts), self.dim))
         size = np.sqrt(np.einsum("ij,ij->i", g, g)) if self.norm.is_l2 else np.abs(g).max(axis=1)
-        scale = np.divide(self.rate, size, out=np.zeros(n), where=size > 0)
+        scale = np.divide(self.rate, size, out=np.zeros(len(ts)), where=size > 0)
         # cumsum adds left to right from `last`, as a running sum does
         return np.cumsum(np.vstack([last, scale[:, None] * g]), axis=0)[1:]
-
-    def step_size(self, t) -> float:
-        """Norm of point(t+1) - point(t); exact for every kind."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "random_walk":
-            return self.rate
-        return self._speed(t)
-
-    def max_step(self, horizon) -> float:
-        """Largest per-step movement over t = 1..horizon-1."""
-        if self.kind == "constant" or int(horizon) <= 1:
-            return 0.0
-        return max(self.step_size(t) for t in range(1, int(horizon)))
 
 
 def scalar_signal(kind, rate=0.0, seed=0, start=0.0, norm=None, **kw) -> "ScalarSignal":
@@ -134,15 +100,15 @@ def scalar_signal(kind, rate=0.0, seed=0, start=0.0, norm=None, **kw) -> "Scalar
 
 
 class ScalarSignal:
-    """Scalar view of a 1-d drift path (exogenous inputs, references)."""
+    """Scalar view of a 1-d drift path (exogenous inputs, references), as one
+    :class:`~fptrack.core.SeriesTable` of the path's values."""
 
     def __init__(self, path: DriftPath):
         if path.dim != 1:
             raise PreconditionError("scalar signals require a 1-d path")
         self.path = path
+        self._values = SeriesTable(lambda ts, last: path.point(ts)[:, 0])
 
     def value(self, t):
-        """The value at time ``t`` as a float; for an int array of times, an array."""
-        if isinstance(t, np.ndarray):
-            return self.path.point(t)[:, 0]
-        return float(self.path.point(t)[0])
+        """The value at an int ``t`` as a float; for an int array of times, an array."""
+        return self._values.at(t)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import MapFamily, seeded_stream
+from ..core import MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain
 from ..errors import PreconditionError
 from ..norms import LINF, Norm
@@ -20,27 +20,25 @@ COUPLINGS = ("dense", "chain", "diagonal")
 
 
 class AffineFamily(MapFamily):
-    """Map family x -> A x + b(t), with b(t) chosen so the fixed point is a given path."""
+    """Map family x -> A x + b(t), with b(t) chosen so the fixed point is a given path.
+
+    The offset b(t) = (I - A) path(t) is one :class:`~fptrack.core.SeriesTable`,
+    filled from the path's rows; each row is the product of ``I - A`` with one
+    point, so a point and rows read the same bits.
+    """
 
     def __init__(self, A, path: DriftPath, norm: Norm, **kwargs):
         self.A = np.asarray(A, dtype=float)
         self.path = path
         m = self.A.shape[0]
         eye_minus_A = np.eye(m) - self.A
-        cache = {}
-
-        def offset(t):
-            if isinstance(t, np.ndarray):
-                return np.array([offset(tau) for tau in t.tolist()])
-            b = cache.get(t)
-            if b is None:
-                b = eye_minus_A @ path.point(t)
-                cache[t] = b
-            return b
+        # a stack of matrix-vector products, each one as `eye_minus_A @ point`
+        offset = SeriesTable(
+            lambda ts, last: np.matmul(eye_minus_A, path.point(ts)[..., None])[..., 0])
 
         def evaluate(x, t):
             # einsum sums each output in one order for a point or any number of rows
-            return np.einsum("...j,ij->...i", x, self.A) + offset(t)
+            return np.einsum("...j,ij->...i", x, self.A) + offset.at(t)
 
         super().__init__(
             dim=m,
@@ -50,10 +48,6 @@ class AffineFamily(MapFamily):
             declared_norm=norm,
             **kwargs,
         )
-
-    def drift_sup(self, horizon) -> float:
-        """Exact maximum per-step fixed-point movement over the horizon."""
-        return self.path.max_step(horizon)
 
     def dependency_graph(self) -> DependencyGraph:
         """Scalar-agent graph with an edge wherever A actually couples blocks."""

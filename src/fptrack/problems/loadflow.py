@@ -43,7 +43,6 @@ from ..errors import (
     PreconditionError,
 )
 from ..norms import L2, LINF, Norm
-from ._paths import _times
 
 _GUARD = 1e-6  # smallest voltage modulus the maps divide by
 
@@ -118,12 +117,12 @@ class InjectionSeries:
     """Time-varying complex injections, kept within the per-bus limits.
 
     Kinds: ``constant``; ``random_walk`` (complex steps of modulus ``step``,
-    clamped back to the per-bus modulus cap; the step angles are drawn in
-    blocks from the one stream ``(seed, 23)`` and the walk is a table, row k
-    for ``t = k + 1``, extended one clamped step at a time); ``ramp`` (each bus
-    scales as ``base * (1 + rate * (t - 1))``, saturating at its cap --
-    ``rate`` may be a per-bus array, so variation can be concentrated in a
-    subset of buses).
+    clamped back to the per-bus modulus cap, one step at a time, with step
+    angles drawn in blocks from the one stream ``(seed, 23)``); ``ramp``
+    (each bus scales as ``base * (1 + rate * (t - 1))``, saturating at its
+    cap -- ``rate`` may be a per-bus array, so variation can be concentrated
+    in a subset of buses). Each kind is one
+    :class:`~fptrack.core.SeriesTable` of injections, row k for t = k + 1.
     """
 
     def __init__(self, kind, base, limit, step=0.0, seed=0, rate=0.0):
@@ -140,7 +139,9 @@ class InjectionSeries:
         self.seed = int(seed)
         self.rate = np.broadcast_to(np.asarray(rate, dtype=float), self.base.shape).copy()
         if kind == "random_walk":
-            self._walk = SeriesTable(self._walk_rows, (self.seed, 23), first=self.base)
+            self._table = SeriesTable(self._walk_rows, (self.seed, 23), first=self.base)
+        else:
+            self._table = SeriesTable(self._profile_rows)
 
     @property
     def n(self):
@@ -154,34 +155,41 @@ class InjectionSeries:
         return self.limit.copy()
 
     def at(self, t) -> np.ndarray:
-        """Injections at time ``t``; for an int array of times, one row per time."""
-        rows = isinstance(t, np.ndarray)
-        ts = _times(t) if rows else int(t)
-        if not rows and ts < 1:
-            raise PreconditionError("time indices start at 1")
-        if self.kind == "constant":
-            return np.tile(self.base, (len(ts), 1)) if rows else self.base.copy()
-        if self.kind == "ramp":
-            s = self.base * (1.0 + self.rate * (ts[:, None] - 1 if rows else ts - 1))
-            mag = np.abs(s)
-            over = mag > self.limit
-            if np.any(over):
-                s[over] *= np.broadcast_to(self.limit, s.shape)[over] / mag[over]
-            return s
-        return self._walk.at(ts) if rows else self._walk.at(ts).copy()
+        """Injections at an int ``t >= 1``; for an int array of times, one row per time."""
+        return self._table.at(t)
 
-    def _walk_rows(self, n, last, rng):
-        """The next n injections of the random walk after ``last``, one step at a time."""
-        steps = self.step * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, self.n)))
+    def _profile_rows(self, ts, last):
+        """The constant or ramp injections at the times ``ts``."""
+        if self.kind == "constant":
+            return np.tile(self.base, (len(ts), 1))
+        return _clamp(self.base * (1.0 + self.rate * (ts[:, None] - 1)), self.limit)
+
+    def _walk_rows(self, ts, last, rng):
+        """The random walk's injections at the times ``ts``, which follow ``last``,
+        one clamped step at a time."""
+        steps = self.step * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(ts), self.n)))
         out = np.empty_like(steps)
-        for k in range(n):
-            s = last + steps[k]
-            mag = np.abs(s)
-            over = mag > self.limit
-            if np.any(over):
-                s[over] = s[over] * (self.limit[over] / mag[over])
-            out[k] = last = s
+        for k in range(len(ts)):
+            out[k] = last = _clamp(last + steps[k], self.limit)
         return out
+
+
+def _clamp(s, limit):
+    """``s`` with each injection above its bus limit scaled back under it.
+
+    The factor limit / |s| can round the modulus above the limit, so each
+    factor starts one ulp below it and steps down one ulp more while the
+    modulus still rounds above: ``|s| <= limit`` holds exactly, and so do
+    the constants certified from the limits.
+    """
+    mag = np.abs(s)
+    clamped, up = s, mag > limit
+    scale = np.divide(limit, mag, out=np.ones_like(mag), where=up)
+    while up.any():
+        np.nextafter(scale, 0.0, out=scale, where=up)
+        clamped = s * scale
+        up = np.abs(clamped) > limit
+    return clamped
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +250,26 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
         raise ContractionUncertifiedError(
             "domain radius leaves no certified voltage-magnitude margin"
         )
-    # the declared factor at time t is gain * max_i (load @ |s(t)|)_i
     if norm.is_l2:
         zgain = float(np.linalg.norm(net.Z, ord=2))
         gain, load = zgain / vmin**2, np.eye(net.n)
-        lip_sup = gain * float(limits.max())
         self_map_reach = zgain * float(np.linalg.norm(limits)) / vmin
         domain = Domain.ball(center, radius)
     else:
         load = np.abs(net.Z)
-        row_load = load @ limits
         gain = np.sqrt(2.0) / vmin**2
-        lip_sup = float(np.sqrt(2.0) * row_load.max() / vmin**2)
-        self_map_reach = float(row_load.max()) / vmin
+        self_map_reach = float((load @ limits).max()) / vmin
         domain = Domain.box(center - radius, center + radius)
 
-    def lipschitz(t):
-        return gain * np.einsum("...j,ij->...i", np.abs(injections.at(t)), load).max(axis=-1)
+    def factor(mag):
+        """gain * max_i (load @ mag)_i: one expression for the factor at t and its
+        supremum, so |s(t)| <= limits makes every factor at most the supremum."""
+        return gain * np.einsum("...j,ij->...i", mag, load).max(axis=-1)
 
+    def lipschitz(t):
+        return factor(np.abs(injections.at(t)))
+
+    lip_sup = float(factor(limits))
     if lip_sup >= 1.0:
         raise ContractionUncertifiedError(
             f"contraction not certified: analytic factor {lip_sup:.4f} >= 1"
@@ -518,8 +528,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     half = np.repeat((omega * H)[bus_area], 2)
     block_sizes = [2 * size for size in sizes]
 
-    def boundary_noise(n, last, rng):
-        u = rng.random((n, 2, k_areas - 1))  # per tick: radii, then angles
+    def boundary_noise(ts, last, rng):
+        u = rng.random((len(ts), 2, k_areas - 1))  # per tick: radii, then angles
         return nb * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
 
     table = SeriesTable(boundary_noise, (seed, 29))

@@ -102,7 +102,8 @@ def _aggregate_noise(nb, seed, key, adversarial):
     array of times."""
     if adversarial:
         return lambda t: nb
-    return SeriesTable(lambda n, last, rng: rng.uniform(-nb, nb, size=(n, 1)), (seed, key)).at
+    return SeriesTable(lambda ts, last, rng: rng.uniform(-nb, nb, size=(len(ts), 1)),
+                       (seed, key)).at
 
 
 class GradientMapFamily(MapFamily):

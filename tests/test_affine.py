@@ -1,4 +1,6 @@
 """Affine oracle families: exact contraction factors, fixed points, drift."""
+import time
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,20 @@ def test_piecewise_drift_has_one_fast_segment():
     assert np.allclose(series.drifts[9:14], 0.2, atol=1e-12)
     assert np.allclose(series.drifts[15:], 0.01, atol=1e-12)
     assert abs(series.drift_sup - 0.2) < 1e-12
+
+
+def test_piecewise_drift_is_read_in_linear_time():
+    # the tracker reads the path one t at a time: summing the t speeds at every
+    # read is quadratic in the horizon (about 7 s on a 2-core Xeon), one table of
+    # running sums is linear (about 0.1 s there)
+    drift = DriftPath("piecewise", 3, rate=0.01, seed=8, norm=L2,
+                      fast_rate=0.05, fast_window=(4000, 6000))
+    fam = build_affine_family(3, L2, 0.5, drift, seed=8)
+    start = time.perf_counter()
+    trace = fp.run_online_tracker(fam, np.zeros(3), 10_000, L2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"sync run over horizon 10000 took {elapsed:.2f}s, budget 1.0s"
+    assert trace.errors[-1] < 0.05
 
 
 def test_sampled_contraction_never_exceeds_declared():

@@ -91,8 +91,9 @@ def test_time_varying_declared_factor_takes_an_int_array(families, name):
     per_t = [family.lipschitz_at(t) for t in ts.tolist()]
     np.testing.assert_array_equal(factors, per_t)
     assert len(np.unique(factors)) > 1  # the injections walk, and the factor with them
-    # a clamped walk step can leave |s| one ulp above its limit
-    assert np.all(factors <= family.lipschitz_sup * (1.0 + 1e-15))
+    # the clamp keeps |s| <= limit exactly, and the factor and its supremum
+    # are one expression
+    assert np.all(factors <= family.lipschitz_sup)
 
 
 @pytest.mark.parametrize("name", [
@@ -127,6 +128,19 @@ def test_builtin_map_rows_take_one_time_per_row(families, name):
     assert rows.shape == X.shape
     for x, t, row in zip(X, ts.tolist(), rows):
         np.testing.assert_array_equal(row, family.evaluate(x, t))
+
+
+@pytest.mark.parametrize("name", [
+    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
+    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
+    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
+    "loadflow-l2-output-noise",
+])
+def test_builtin_maps_reject_times_that_are_not_integers(families, name):
+    family = families[name]
+    X = DomainSampler(family.domain, 7).draw(2)
+    with pytest.raises(PreconditionError):
+        family.evaluate(X, np.array([1.0, 2.0]))
 
 
 def _paths():

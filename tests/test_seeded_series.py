@@ -88,28 +88,32 @@ def test_random_walks_equal_a_step_by_step_loop_over_their_stream():
     rows = [inj.base]
     for _ in times[1:]:
         s = rows[-1] + 0.01 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=inj.n))
-        mag = np.abs(s)
-        over = mag > inj.limit
-        s[over] = s[over] * (inj.limit[over] / mag[over])
+        for i in np.flatnonzero(np.abs(s) > inj.limit):
+            # scale back under the limit: one ulp below limit / |s|, lower while |s| rounds above
+            scale = np.nextafter(inj.limit[i] / np.abs(s[i]), 0.0)
+            while np.abs(s[i] * scale) > inj.limit[i]:
+                scale = np.nextafter(scale, 0.0)
+            s[i] = s[i] * scale
         rows.append(s)
     assert np.array_equal(inj.at(times), np.array(rows))
     assert np.any(np.abs(inj.at(times)) >= inj.limit)  # the clamp was reached
+    assert np.all(np.abs(inj.at(times)) <= inj.limit)  # and held exactly
 
 
 def test_table_grows_geometrically_and_rejects_times_before_1():
     fills = []
 
-    def fill(n, last, rng):
-        fills.append(n)
-        return rng.random(n)
+    def fill(ts, last, rng):
+        fills.append((int(ts[0]), int(ts[-1])))
+        return rng.random(len(ts))
 
     table = SeriesTable(fill, (1, 2))
     assert fills == []  # the stream opens on first use
     table.at(1)
     table.at(np.array([5, 65]))
     table.at(300)
-    assert fills == [64, 64, 172]
-    for t in (0, np.array([3, 0])):
+    assert fills == [(1, 64), (65, 128), (129, 300)]  # the times each fill adds
+    for t in (0, np.array([3, 0]), np.array([1.0, 2.0])):
         with pytest.raises(PreconditionError):
             table.at(t)
 
