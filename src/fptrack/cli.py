@@ -24,6 +24,8 @@ from .experiments import (
     SWEEP_PARAMETERS,
     _atomic_write,
     _f17,
+    audit_phase,
+    build_phase,
     run_experiment,
     sweep,
 )
@@ -125,10 +127,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_audit(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    from .experiments import _run_audits, build_family
-
-    family, graph, _ = build_family(config)
-    audits = _run_audits(config, family, graph)
+    family, graph = build_phase(config)
+    audits = audit_phase(config, family, graph)
     _print_audits(audits)
     ok = all(a.get("ok", True) for a in audits.values())
     return EXIT_OK if ok else EXIT_AUDIT

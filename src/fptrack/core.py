@@ -12,6 +12,7 @@ so ``points[k]`` corresponds to ``t = k + 1``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +202,12 @@ class MapFamily:
     def evaluate(self, x, t) -> np.ndarray:
         """The map at a point or at each row of ``x``, at one int ``t`` or one time per row."""
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self._evaluate(x, t if isinstance(t, np.ndarray) else int(t)), dtype=float)
+        if not isinstance(t, np.ndarray):
+            try:
+                t = operator.index(t)  # an int or a numpy integer; a float would truncate
+            except TypeError:
+                raise PreconditionError(f"time index {t!r} is not an integer") from None
+        out = np.asarray(self._evaluate(x, t), dtype=float)
         if out.shape != x.shape:
             raise PreconditionError(
                 f"map {self.name!r} returned shape {out.shape} for input shape {x.shape}"

@@ -1,8 +1,10 @@
 """Configuration-driven experiment runner with bound overlays and certificates.
 
-An experiment builds one problem family, runs the synchronous or asynchronous
-tracker, audits the family's declarations by sampling, evaluates every
-applicable tracking bound, and checks the realized errors against them. The
+An experiment runs in phases: it builds one problem family, computes the
+reference fixed points, audits the family's declarations by sampling, runs
+the synchronous or asynchronous tracker, evaluates every applicable tracking
+bound and checks the realized errors against them, and reports. A sweep
+computes the phases that a swept value leaves unchanged once per seed. The
 report is JSON-serializable and the per-step trace is written as CSV with a
 fixed header; reruns of the same config are byte-identical.
 
@@ -13,6 +15,7 @@ not applicable, never failed.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -32,6 +35,8 @@ from .async_sim import (
     run_async_tracker,
 )
 from .core import (
+    FixedPointSeries,
+    compute_fixed_point_series,
     estimate_lipschitz,
     map_error_bound_series,
     run_online_tracker,
@@ -342,34 +347,97 @@ def build_family(config: ExperimentConfig):
     return family, graph, extras
 
 
-def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentReport:
-    """Build, run, audit, bound, certify; optionally write trace CSV + report JSON."""
-    family, graph, extras = build_family(config)
+# ---------------------------------------------------------------------------
+# Run phases: build, reference, audits, run, certify, report
+# ---------------------------------------------------------------------------
+
+AUDITS = ("lipschitz", "self_map", "map_error", "dependency_graph")
+
+
+@dataclass
+class SharedPhases:
+    """Phase values that the runs of one seed share in a sweep: the reference
+    series (None: each run computes its own) and audit results by name."""
+
+    reference: FixedPointSeries | None = None
+    audits: dict = field(default_factory=dict)
+
+
+def build_phase(config: ExperimentConfig):
+    """The family and graph a run tracks, checked against the config's norm and mode."""
+    family, graph, _ = build_family(config)
     if config.norm.kind != family.declared_norm.kind:
         raise ConfigError(
             f"family declares its contraction in {family.declared_norm.kind}; "
             f"config asks for {config.norm.kind}"
         )
-    horizon = config.horizon
+    if config.mode == "async" and graph is None:
+        raise ConfigError("asynchronous mode needs a block decomposition")
+    return family, graph
+
+
+def reference_phase(config: ExperimentConfig, family) -> FixedPointSeries:
+    """The fixed points of ``family.base`` at t = 1..horizon that a run is scored against."""
+    return compute_fixed_point_series(family, config.horizon, norm=config.norm)
+
+
+def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
+    """The audits ``names`` that apply, by name, each a fresh dict.
+
+    The Lipschitz and self-map audits sample ``family.base`` on the domain
+    against the declared supremum; the map-error audit (inexact families)
+    compares ``family`` with its base; the dependency audit (with a graph)
+    probes ``family``. Each audit runs at t = 1 on its own seeded samples.
+    """
+    n, norm, audits = config.audit_samples, config.norm, {}
+    if "lipschitz" in names:
+        sampler = DomainSampler(family.domain, config.seed + 7919)
+        est = estimate_lipschitz(family.base, 1, sampler, n, norm)
+        audits["lipschitz"] = {
+            "estimate": est.value,
+            "declared": family.lipschitz_sup,
+            "ok": bool(est.value <= family.lipschitz_sup + _BOUND_SLACK),
+            "samples": n,
+        }
+    if "self_map" in names:
+        sampler = DomainSampler(family.domain, config.seed + 104729)
+        audits["self_map"] = {"ok": bool(verify_self_map(family.base, 1, sampler, n).ok),
+                              "samples": n}
+    if "map_error" in names and family.error_sup > 0.0:
+        me = verify_map_error(
+            family, 1, DomainSampler(family.domain, config.seed + 1299709),
+            max(n // 10, 10), norm,
+        )
+        audits["map_error"] = {
+            "observed": me.max_observed, "bound": me.bound, "ok": bool(me.ok),
+            "samples": me.n_checked,
+        }
+    if "dependency_graph" in names and graph is not None:
+        ok, violations = audit_dependency_graph(family, graph, probe_count=8,
+                                                seed=config.seed)
+        audits["dependency_graph"] = {"ok": bool(ok), "violations": list(map(list, violations))}
+    return audits
+
+
+def _run_phase(config: ExperimentConfig, family, graph, reference):
+    """The tracker's trace and, for an asynchronous run, its delay statistics (else None)."""
     x0 = family.domain.anchor()
     if config.mode == "sync":
-        trace = run_online_tracker(family, x0, horizon, config.norm)
-        stats = None
-    else:
-        if graph is None:
-            raise ConfigError("asynchronous mode needs a block decomposition")
-        trace, stats = run_async_tracker(
-            family, graph, config.build_channel(), x0, horizon, config.norm,
-            seed=config.seed,
-        )
+        trace = run_online_tracker(family, x0, config.horizon, config.norm, reference=reference)
+        return trace, None
+    return run_async_tracker(family, graph, config.build_channel(), x0, config.horizon,
+                             config.norm, seed=config.seed, reference=reference)
 
-    # Per-step bound envelope from declared constants and realized drift.
+
+def _certify_phase(config: ExperimentConfig, family, trace, stats) -> dict:
+    """The report's bound fields: the per-step envelope from declared constants and
+    realized drift, the bound inputs, every asymptotic bound and certificate."""
+    horizon = config.horizon
     lipschitz_series = family.lipschitz_at(np.arange(1, horizon))
     error_series = map_error_bound_series(family, horizon)
     per_step = bnd.per_step_bound_series(
         trace.errors[0], error_series, trace.reference.drifts, lipschitz_series, horizon - 1
     )
-
     inputs = bnd.BoundInputs(
         lipschitz=family.lipschitz_sup,
         map_error=family.error_sup,
@@ -382,20 +450,7 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
     tail_start = min(horizon - 1, int(np.floor(horizon * config.transient_fraction)))
     values, reasons, tail_max, certificates = _certify(
         config.mode, inputs, trace.errors, per_step, tail_start)
-
-    audits = _run_audits(config, family, graph)
-
-    # Row k of the trace is the state at time k+1, produced at evaluation
-    # tick k; "so far" statistics therefore cover ticks 1..k.
-    running_delay = np.zeros(horizon, dtype=int)
-    running_stale = np.zeros(horizon, dtype=int)
-    if stats is not None:
-        running_delay[1:] = np.maximum.accumulate(stats.delay_by_tick)
-        running_stale[1:] = np.maximum.accumulate(stats.stale_by_tick)
-
-    report = ExperimentReport(
-        config=config.raw,
-        errors=trace.errors,
+    return dict(
         per_step_bounds=per_step,
         bound_inputs=dict(asdict(inputs), norm=config.norm.kind),
         asymptotic_bounds=values,
@@ -405,44 +460,50 @@ def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentRepo
         tail_max=tail_max,
         realized_max_delay=inputs.max_delay,
         realized_max_stale=inputs.max_stale,
+    )
+
+
+def _report_phase(config: ExperimentConfig, trace, stats, audits, bounds) -> ExperimentReport:
+    # Row k of the trace is the state at time k+1, produced at evaluation
+    # tick k; "so far" statistics therefore cover ticks 1..k.
+    running_delay = np.zeros(config.horizon, dtype=int)
+    running_stale = np.zeros(config.horizon, dtype=int)
+    if stats is not None:
+        running_delay[1:] = np.maximum.accumulate(stats.delay_by_tick)
+        running_stale[1:] = np.maximum.accumulate(stats.stale_by_tick)
+    return ExperimentReport(
+        config=config.raw,
+        errors=trace.errors,
         running_max_delay=running_delay,
         running_max_stale=running_stale,
         audits=audits,
+        **bounds,
     )
+
+
+def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> ExperimentReport:
+    """One run in phases: build, reference, audits, run, certify, report.
+
+    ``shared`` (a :class:`SharedPhases`) holds the reference series and the
+    audits that another run of the same seed computed for this run's values;
+    :func:`sweep` passes it. Every phase it does not hold runs here, and the
+    report gets its own copy of each shared audit. Optionally writes the
+    trace CSV and the report JSON.
+    """
+    shared = shared if shared is not None else SharedPhases()
+    family, graph = build_phase(config)
+    reference = shared.reference
+    if reference is None:
+        reference = reference_phase(config, family)
+    audits = audit_phase(config, family, graph, [n for n in AUDITS if n not in shared.audits])
+    audits.update(copy.deepcopy(shared.audits))
+    trace, stats = _run_phase(config, family, graph, reference)
+    bounds = _certify_phase(config, family, trace, stats)
+    report = _report_phase(config, trace, stats,
+                           {n: audits[n] for n in AUDITS if n in audits}, bounds)
     if write_files and config.output:
         write_report_files(report, config.output)
     return report
-
-
-def _run_audits(config: ExperimentConfig, family, graph) -> dict:
-    n = config.audit_samples
-    norm = config.norm
-    sampler = DomainSampler(family.domain, config.seed + 7919)
-    est = estimate_lipschitz(family.base, 1, sampler, n, norm)
-    audits = {
-        "lipschitz": {
-            "estimate": est.value,
-            "declared": family.lipschitz_sup,
-            "ok": bool(est.value <= family.lipschitz_sup + _BOUND_SLACK),
-            "samples": n,
-        }
-    }
-    sm = verify_self_map(family.base, 1, DomainSampler(family.domain, config.seed + 104729), n)
-    audits["self_map"] = {"ok": bool(sm.ok), "samples": n}
-    if family.error_sup > 0.0:
-        me = verify_map_error(
-            family, 1, DomainSampler(family.domain, config.seed + 1299709),
-            max(n // 10, 10), norm,
-        )
-        audits["map_error"] = {
-            "observed": me.max_observed, "bound": me.bound, "ok": bool(me.ok),
-            "samples": me.n_checked,
-        }
-    if graph is not None:
-        ok, violations = audit_dependency_graph(family, graph, probe_count=8,
-                                                seed=config.seed)
-        audits["dependency_graph"] = {"ok": bool(ok), "violations": list(map(list, violations))}
-    return audits
 
 
 def _atomic_write(path, text):
@@ -540,6 +601,24 @@ class SweepResult:
         }
 
 
+# What a swept parameter leaves unchanged, keyed on the parameter and the problem
+# kind: the phases a sweep computes once per seed (see ``sweep``). A pair that
+# is not listed shares nothing.
+_EVERY_PHASE = ("reference",) + AUDITS
+SHARED_PHASES = {
+    **{(parameter, kind): _EVERY_PHASE for parameter in ("drop_probability", "fixed_delay")
+       for kind in ("affine", "qp-gradient", "loadflow")},
+    ("noise_bound", "qp-gradient"): ("reference", "lipschitz", "self_map"),
+}
+
+
+def _shared_phases(config: ExperimentConfig, names) -> SharedPhases:
+    """The phases ``names`` of a run of ``config``, for the runs that share them."""
+    family, graph = build_phase(config)
+    reference = reference_phase(config, family) if "reference" in names else None
+    return SharedPhases(reference, audit_phase(config, family, graph, names))
+
+
 def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepResult:
     """Rerun the experiment across parameter values (and seeds); summarize tails.
 
@@ -547,6 +626,23 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     The summary reports per-value median tail errors and whether the medians
     are nondecreasing along the given value order. The result keeps the report
     of every run, so callers can check each seed's certificates and audits.
+
+    Each run is one ``run_experiment`` call. A phase that the swept value
+    does not touch is computed once per seed, from the first value's config,
+    and passed to that seed's runs (``SHARED_PHASES``); each report is the
+    one its run gives alone, with audit dicts of its own. The rules:
+
+    - ``drop_probability`` and ``fixed_delay``, any problem kind: the
+      reference and every audit. The value changes only the channel and
+      the run.
+    - ``noise_bound`` on ``qp-gradient``: the reference and the
+      ``lipschitz`` and ``self_map`` audits, which read ``family.base``; the
+      noise changes only the inexact map, which ``map_error`` and
+      ``dependency_graph`` read, so those run per value.
+    - ``noise_bound`` on ``loadflow``: nothing. The multi-area builder folds
+      the noise bound into its base's self-map box and declared factor.
+    - ``step_size`` and ``drift_rate``: nothing. The value changes the base
+      map.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -555,13 +651,16 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
         raise ConfigError("sweep needs at least one value")
     if int(n_seeds) < 1:
         raise ConfigError("sweep needs at least one seed")
+    names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
+    shared = {}  # seed -> SharedPhases, computed at the first value
     tails, by_seed, bound_col, reports = [], [], [], []
     for v in values:
-        seed_reports = [
-            run_experiment(_config_with(config, parameter, v, seed=config.seed + 1000 * k),
-                           write_files=False)
-            for k in range(int(n_seeds))
-        ]
+        seed_reports = []
+        for k in range(int(n_seeds)):
+            run_config = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
+            if names and k not in shared:
+                shared[k] = _shared_phases(run_config, names)
+            seed_reports.append(run_experiment(run_config, write_files=False, shared=shared.get(k)))
         seed_tails = [rep.tail_max for rep in seed_reports]
         by_seed.append(seed_tails)
         tails.append(float(np.median(seed_tails)))

@@ -131,10 +131,12 @@ class InjectionSeries:
                 "injection kind must be 'constant', 'random_walk', or 'ramp'"
             )
         self.kind = kind
-        self.base = np.asarray(base, dtype=complex)
-        self.limit = np.asarray(limit, dtype=float).reshape(self.base.shape)
-        if np.any(np.abs(self.base) > self.limit + 1e-12):
+        base = np.asarray(base, dtype=complex)
+        self.limit = np.asarray(limit, dtype=float).reshape(base.shape)
+        if np.any(np.abs(base) > self.limit + 1e-12):
             raise PreconditionError("base injections exceed the declared limits")
+        # a base within rounding of its limits is scaled under them, so |s(t)| <= limit exactly
+        self.base = _clamp(base, self.limit)
         self.step = float(step)
         self.seed = int(seed)
         self.rate = np.broadcast_to(np.asarray(rate, dtype=float), self.base.shape).copy()
@@ -234,7 +236,7 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
     norm = norm if norm is not None else Norm(L2)
     if injections.n != net.n:
         raise PreconditionError("injection series does not match the network size")
-    if np.any(injections.max_abs > net.injection_limit + 1e-12):
+    if np.any(injections.max_abs > net.injection_limit):
         raise PreconditionError("injection series exceeds the network's limits")
     radius = float(radius)
     if radius <= 0.0:
@@ -436,7 +438,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     """
     if injections.n != net.n:
         raise PreconditionError("injection series does not match the network size")
-    if np.any(injections.max_abs > net.injection_limit + 1e-12):
+    if np.any(injections.max_abs > net.injection_limit):
         raise PreconditionError("injection series exceeds the network's limits")
     nb = float(noise_bound)
     if nb < 0.0:

@@ -393,6 +393,15 @@ def test_map_of_the_wrong_shape_fails_loudly():
     assert fam.evaluate(np.zeros(1), 2).shape == (1,)  # a point is its own shape
 
 
+def test_a_time_that_is_not_an_integer_is_rejected():
+    fam = MapFamily(1, Domain.all_space(1), drifting_point_map, 0.5)
+    x = np.array([1.0])
+    for t in (1.9, np.float64(2.0)):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            fam.evaluate(x, t)
+    assert fam.evaluate(x, np.int64(2)) == fam.evaluate(x, 2) == 0.6
+
+
 def test_domain_rejects_points_of_another_dimension():
     box = Domain.box([0.0], [1.0])
     for domain in (box, Domain.all_space(1), Domain.ball([0.0], 1.0)):

@@ -218,6 +218,96 @@ def test_sweep_seeds_vary_only_run_randomness():
     assert len(set(tails)) > 1  # different seeds, different drop patterns
 
 
+SWEEP_DOCS = {
+    "qp-feedback-sync": {
+        "problem": {"kind": "qp-gradient", "devices": 5, "instance_seed": 2, "step_size": 0.3,
+                    "noise_bound": 0.01, "topology": "none",
+                    "reference_signal": {"kind": "random_walk", "rate": 0.01}},
+        "mode": "sync", "norm": "l2", "horizon": 40, "seed": 2, "audit_samples": 50},
+    "qp-star-async": {
+        "problem": {"kind": "qp-gradient", "devices": 5, "instance_seed": 9, "step_size": 0.15,
+                    "noise_bound": 0.01, "topology": "star"},
+        "mode": "async", "norm": "l2", "channel": {"kind": "iid_drop", "p": 0.1},
+        "horizon": 40, "seed": 5, "audit_samples": 50},
+    "multiarea-async": {
+        "problem": {"kind": "loadflow", "network": "three-area", "noise_bound": 1e-4,
+                    "injections": {"kind": "random_walk", "step": 0.01}},
+        "mode": "async", "norm": "linf", "channel": {"kind": "iid_drop", "p": 0.3},
+        "horizon": 40, "seed": 11, "audit_samples": 50},
+    "affine-async": affine_doc(mode="async", norm="linf", horizon=60, audit_samples=50,
+                               channel={"kind": "iid_drop", "p": 0.2}),
+}
+SWEEP_VALUES = {"drop_probability": [0.0, 0.3], "fixed_delay": [0, 2], "step_size": [0.1, 0.15],
+                "noise_bound": [1e-4, 0.0], "drift_rate": [0.01, 0.02]}
+
+
+def _report_bytes(report, prefix):
+    experiments.write_report_files(report, str(prefix))
+    return Path(f"{prefix}.csv").read_bytes(), Path(f"{prefix}.json").read_bytes()
+
+
+@pytest.mark.parametrize("parameter", experiments.SWEEP_PARAMETERS)
+@pytest.mark.parametrize("name", SWEEP_DOCS)
+def test_sweep_reports_equal_their_runs_alone(tmp_path, name, parameter):
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
+    values = SWEEP_VALUES[parameter]
+    try:
+        alone = [[experiments._config_with(cfg, parameter, v, seed=cfg.seed + 1000 * k)
+                  for k in range(2)] for v in values]
+    except ConfigError:  # the parameter does not apply to this problem
+        with pytest.raises(ConfigError):
+            sweep(cfg, parameter, values, n_seeds=2)
+        return
+    result = sweep(cfg, parameter, values, n_seeds=2)
+    for seed_reports, seed_configs in zip(result.reports, alone):
+        for report, run_cfg in zip(seed_reports, seed_configs):
+            alone_report = run_experiment(run_cfg, write_files=False)
+            assert (_report_bytes(report, tmp_path / "sweep")
+                    == _report_bytes(alone_report, tmp_path / "alone"))
+
+
+@pytest.mark.parametrize("name,values,references", [
+    ("qp-feedback-sync", [0.0, 0.01, 0.02, 0.05], 3),  # noise changes only the inexact map
+    ("multiarea-async", [0.0, 1e-5, 5e-5, 1e-4], 12),  # noise moves the base's box and factor
+])
+def test_noise_sweep_computes_each_reference_the_value_leaves_unchanged_once(
+        monkeypatch, name, values, references):
+    calls = []
+    real = experiments.compute_fixed_point_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "compute_fixed_point_series", counting)
+    result = sweep(ExperimentConfig.from_dict(SWEEP_DOCS[name]), "noise_bound", values, n_seeds=3)
+    assert len(calls) == references
+    assert sum(map(len, result.reports)) == 12
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in (value.values() if isinstance(value, dict) else value):
+            yield from _containers(item)
+
+
+@pytest.mark.parametrize("name,parameter", [("affine-async", "fixed_delay"),
+                                            ("qp-star-async", "noise_bound")])
+def test_sweep_reports_do_not_share_audit_dicts(name, parameter):
+    result = sweep(ExperimentConfig.from_dict(SWEEP_DOCS[name]), parameter,
+                   SWEEP_VALUES[parameter], n_seeds=2)
+    reports = [rep for seed_reports in result.reports for rep in seed_reports]
+    owners = {}
+    for i, rep in enumerate(reports):
+        for container in _containers(rep.audits):
+            assert owners.setdefault(id(container), i) == i
+    before = [json.dumps(rep.audits, sort_keys=True) for rep in reports]
+    assert reports[0].audits["lipschitz"]["ok"]
+    reports[0].audits["lipschitz"]["ok"] = False
+    assert [json.dumps(rep.audits, sort_keys=True) for rep in reports[1:]] == before[1:]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -395,6 +485,16 @@ def test_cli_audit_ok(tmp_path):
     assert main(["audit", cfg]) == EXIT_OK
 
 
+def test_cli_audit_rejects_the_configs_run_rejects(tmp_path):
+    # the QP family declares its contraction in l2: auditing it in linf
+    # would fail the Lipschitz audit for a run that never happens
+    cfg = write_json(tmp_path / "c.json", {
+        "problem": {"kind": "qp-gradient", "devices": 3, "instance_seed": 2, "step_size": 0.3},
+        "mode": "sync", "norm": "linf", "horizon": 30, "seed": 2, "audit_samples": 50})
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert main(["audit", cfg]) == EXIT_CONFIG
+
+
 def test_cli_bounds_prints_all_formulas(tmp_path, capsys):
     inputs = write_json(tmp_path / "b.json", {
         "lipschitz": 0.4, "drift": 0.1, "max_delay": 2, "max_stale": 1,
@@ -452,8 +552,8 @@ def test_cli_sweep_fails_when_only_the_first_seed_fails(tmp_path, monkeypatch,
                      channel={"kind": "iid_drop", "p": 0.1})
     real_run = experiments.run_experiment
 
-    def first_seed_fails(config, write_files=True):
-        report = real_run(config, write_files=write_files)
+    def first_seed_fails(config, write_files=True, shared=None):
+        report = real_run(config, write_files=write_files, shared=shared)
         if config.seed == doc["seed"] and config.raw["channel"].get("delay") == 1:
             if spoil == "certificate":
                 report.certificates[ASYNC_TAIL_MAX_NORM] = "fail"

@@ -73,6 +73,20 @@ def test_injection_series_respects_limits():
         assert abs(walk.at(t)[0]) <= 0.1 + 1e-12
 
 
+@pytest.mark.parametrize("norm", [L2, LINF], ids=["l2", "linf"])
+@pytest.mark.parametrize("case", ["base-a-rounding-above-the-limits", "full-load"])
+def test_declared_factors_at_the_limits_stay_within_the_supremum(case, norm):
+    net = three_area_network()
+    if case == "full-load":
+        series = default_injections(net, load_fraction=1.0)
+    else:
+        unit = (0.95 + 0.05j) / abs(0.95 + 0.05j)
+        series = constant_injections(net, -net.injection_limit * (1 + 1e-13) * unit)
+    assert np.all(np.abs(series.at(np.arange(1, 5))) <= net.injection_limit)
+    fam = build_loadflow_map(net, series, radius=0.3, norm=norm)
+    assert np.all(fam.lipschitz_at(np.arange(1, 40)) <= fam.lipschitz_sup)
+
+
 def test_division_guard_raises():
     net = two_bus_network()
     fam = build_loadflow_map(net, constant_injections(net, [-0.2]))
