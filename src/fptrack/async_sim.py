@@ -12,10 +12,14 @@ An agent whose neighbor copies are all current is fresh: its composite input
 agrees with the current state on every block its map reads, so all fresh
 agents share one evaluation of the map at the current state. This requires
 the map's block i not to read the blocks of agents outside i's in-neighbors,
-which :func:`audit_dependency_graph` checks. A tick is one rows call of the
-map: one row per stale agent's composite input, plus the current state when
-any agent is fresh. Built-in maps give every row the bits of a point call, so
-a tick equals per-agent point evaluation bit for bit.
+which :func:`audit_dependency_graph` checks. A tick is one columns call of
+the map (:meth:`~fptrack.core.MapFamily.evaluate_columns`) on the rows it
+needs: one row per stale agent's composite input, plus the current state when
+any agent is fresh. Each output column comes from the row of the agent that
+owns it. A family computes only those entries where it can (the affine map:
+one dot product per column), else the whole rows call. Built-in maps give
+every row the bits of a point call, so a tick equals per-agent point
+evaluation bit for bit.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
 table before the first tick: ``stamps[t, e] = s`` means that at tick t the
@@ -78,10 +82,12 @@ class DependencyGraph:
         )
         # copy_source[i, c]: where agent i's copy of column c comes from, as an
         # index into a tick's edge stamps followed by (t, 1): the in-edge from
-        # the column's owner, the agent's own block, or the initial state
-        source = np.full((self.n_agents, self.n_agents), len(self.edges) + 1)
+        # the column's owner, the agent's own block, or the initial state. The
+        # extra row n_agents is the current state, every column at t.
+        source = np.full((self.n_agents + 1, self.n_agents), len(self.edges) + 1)
         source[self.edge_arrays[1], self.edge_arrays[0]] = np.arange(len(self.edges))
         np.fill_diagonal(source, len(self.edges))
+        source[self.n_agents] = len(self.edges)
         self.copy_source = source[:, self.block_of_column]
         self._slices = tuple(
             slice(int(self.offsets[i]), int(self.offsets[i + 1]))
@@ -447,22 +453,27 @@ def step_async(history, stamps, family, graph: DependencyGraph, t):
     all fresh agents take their blocks from one shared evaluation at x_t.
     This relies on the family honoring ``graph``: block i of the map must
     not read blocks of non-neighbors (``audit_dependency_graph`` checks it).
-    The tick is one rows call of ``family.evaluate``: the stale agents'
-    composite inputs, then x_t when any agent is fresh. As built-in rows
-    equal points bit for bit, a zero-delay tick is the synchronous step to
-    the last bit.
+    The tick is one ``family.evaluate_columns`` call on the rows it needs:
+    the stale agents' composite inputs, gathered from ``history`` by one flat
+    take, then x_t (``graph.copy_source``'s extra row) when any agent is
+    fresh. Column c is read from the row of the agent that owns it. As
+    built-in columns and rows equal points bit for bit, a zero-delay tick is
+    the synchronous step to the last bit.
     """
-    stale = np.zeros(graph.n_agents, dtype=bool)
+    # the rows: each stale agent's copies, then x_t (copy_source's extra row
+    # n_agents) when some agent is fresh
+    stale = np.zeros(graph.n_agents + 1, dtype=bool)
     stale[graph.edge_arrays[1][stamps != t]] = True
-    stale_agents = stale.nonzero()[0]
-    held = np.concatenate((stamps, (t, 1)))
-    copies = held.take(graph.copy_source.take(stale_agents, axis=0))
-    row_of = np.full(graph.n_agents, len(stale_agents))  # fresh agents read x_t, the last row
-    row_of[stale_agents] = np.arange(len(stale_agents))
-    if len(stale_agents) < graph.n_agents:
-        copies = np.vstack((copies, np.full(graph.dim, t)))
-    out = family.evaluate(history[copies - 1, graph.columns], t)
-    x_next = out[row_of[graph.block_of_column], graph.columns]
+    stale[graph.n_agents] = True
+    agents = stale.nonzero()[0]
+    n_stale = len(agents) - 1
+    if n_stale == graph.n_agents:  # no agent is fresh
+        agents = agents[:-1]
+    held = np.concatenate((stamps - 1, (t - 1, 0))) * graph.dim  # each stamp's row, as a flat offset
+    x = history.take(held.take(graph.copy_source.take(agents, axis=0)) + graph.columns)
+    row_of = np.full(graph.n_agents + 1, n_stale)  # a fresh agent reads x_t, row n_stale
+    row_of[agents] = np.arange(len(agents))
+    x_next = family.evaluate_columns(x, t, row_of.take(graph.block_of_column))
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next

@@ -106,6 +106,18 @@ class MapFamily:
     from ``base``'s. An exact family is its own base, with ``error_sup``
     0; an :class:`InexactMapFamily` has a base of its own.
 
+    ``evaluate_columns(x, t, row_of)`` is the asynchronous tick's one call:
+    entry c of the map at row ``row_of[c]`` of the rows ``x``, for every
+    column c. By default it is the rows call, then one pick per column.
+    :class:`~fptrack.problems.AffineFamily` overrides the private hook
+    ``_columns`` with one dot product per column: a tick of a 48-agent chain
+    then costs 48 x 48 multiplies, not 48 x 48 per row. The QP and load-flow
+    families keep the default, since a tick of theirs has a few rows (three
+    load-flow agents) whose cost is per-call overhead, not flops; an inexact
+    family keeps it too, as its map is its base's rows call plus noise. No
+    constructor parameter takes a columns map, so every map a tick runs is
+    the ``evaluate`` that the audits check.
+
     Parameters
     ----------
     dim : int
@@ -213,6 +225,34 @@ class MapFamily:
                 f"map {self.name!r} returned shape {out.shape} for input shape {x.shape}"
             )
         return out
+
+    def evaluate_columns(self, x, t, row_of) -> np.ndarray:
+        """Entry c of the map at row ``row_of[c]`` of the rows ``x``, for every column c.
+
+        ``x`` is rows ``(n, dim)``, ``t >= 1`` one int and ``row_of`` one row
+        index per column. Returns the ``(dim,)`` vector
+        ``evaluate(x, t)[row_of, arange(dim)]``, bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        try:
+            t = operator.index(t)  # an int or a numpy integer; a float would truncate
+        except TypeError:
+            raise PreconditionError(f"time index {t!r} is not an integer") from None
+        if x.ndim != 2 or x.shape[1] != self.dim or np.shape(row_of) != (self.dim,):
+            raise PreconditionError(
+                f"columns of map {self.name!r} need rows (n, {self.dim}) and {self.dim} "
+                f"row indices; got {x.shape} and {np.shape(row_of)}"
+            )
+        out = np.asarray(self._columns(x, t, row_of), dtype=float)
+        if out.shape != (self.dim,):
+            raise PreconditionError(
+                f"map {self.name!r} returned shape {out.shape} for columns of rows {x.shape}"
+            )
+        return out
+
+    def _columns(self, x, t, row_of):
+        """``evaluate_columns`` without its checks: the rows call, then one entry per column."""
+        return self.evaluate(x, t)[row_of, np.arange(self.dim)]
 
     def lipschitz_at(self, t) -> np.ndarray:
         """The declared factor at an int ``t``, or one per time of an int array."""

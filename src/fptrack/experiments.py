@@ -386,8 +386,9 @@ def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
 
     The Lipschitz and self-map audits sample ``family.base`` on the domain
     against the declared supremum; the map-error audit (inexact families)
-    compares ``family`` with its base; the dependency audit (with a graph)
-    probes ``family``. Each audit runs at t = 1 on its own seeded samples.
+    compares ``family`` with its base; the dependency audit probes ``family``
+    against its graph, in async mode only, since a sync run reads no blocks.
+    Each audit runs at t = 1 on its own seeded samples.
     """
     n, norm, audits = config.audit_samples, config.norm, {}
     if "lipschitz" in names:
@@ -412,7 +413,7 @@ def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
             "observed": me.max_observed, "bound": me.bound, "ok": bool(me.ok),
             "samples": me.n_checked,
         }
-    if "dependency_graph" in names and graph is not None:
+    if "dependency_graph" in names and config.mode == "async":
         ok, violations = audit_dependency_graph(family, graph, probe_count=8,
                                                 seed=config.seed)
         audits["dependency_graph"] = {"ok": bool(ok), "violations": list(map(list, violations))}
@@ -558,7 +559,10 @@ SWEEP_PARAMETERS = ("drop_probability", "fixed_delay", "step_size", "noise_bound
 
 def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> ExperimentConfig:
     """The config with ``parameter`` set to ``value``, which goes into the document
-    unconverted except a whole-number float delay; ``from_dict`` checks it."""
+    unconverted except a whole-number float delay; ``from_dict`` checks it. A
+    channel parameter on a sync config is an error: a sync run reads no channel."""
+    if parameter in ("drop_probability", "fixed_delay") and config.mode == "sync":
+        raise ConfigError(f"sweep parameter {parameter} needs an asynchronous config")
     doc = json.loads(json.dumps(config.raw))  # deep copy
     doc["seed"] = seed
     doc.pop("output", None)
@@ -634,7 +638,8 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
 
     - ``drop_probability`` and ``fixed_delay``, any problem kind: the
       reference and every audit. The value changes only the channel and
-      the run.
+      the run. A sync config reads no channel, so these raise
+      :class:`ConfigError` there.
     - ``noise_bound`` on ``qp-gradient``: the reference and the
       ``lipschitz`` and ``self_map`` audits, which read ``family.base``; the
       noise changes only the inexact map, which ``map_error`` and

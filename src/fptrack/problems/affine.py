@@ -33,7 +33,7 @@ class AffineFamily(MapFamily):
         m = self.A.shape[0]
         eye_minus_A = np.eye(m) - self.A
         # a stack of matrix-vector products, each one as `eye_minus_A @ point`
-        offset = SeriesTable(
+        self._offset = offset = SeriesTable(
             lambda ts, last: np.matmul(eye_minus_A, path.point(ts)[..., None])[..., 0])
 
         def evaluate(x, t):
@@ -48,6 +48,11 @@ class AffineFamily(MapFamily):
             declared_norm=norm,
             **kwargs,
         )
+
+    def _columns(self, x, t, row_of):
+        # entry i is row i of A dotted with the row that column i reads, summed
+        # in the order of a point call: one dot product per column, not a rows call
+        return np.einsum("ij,ij->i", x.take(row_of, axis=0), self.A) + self._offset.at(t)
 
     def dependency_graph(self) -> DependencyGraph:
         """Scalar-agent graph with an edge wherever A actually couples blocks."""

@@ -138,20 +138,27 @@ def stale_agent_count(stamps, graph, t):
 
 
 def mixed_tick_case(name):
+    """A family, its graph, a horizon and the drops of a run with mixed ticks."""
+    drops = IidDrop(0.3, max_consecutive=3)
     if name == "affine-chain":
         fam = small_affine(dim=12, coupling="chain", norm=LINF, contraction=0.6)
-        return fam, fam.dependency_graph(), 150
+        return fam, fam.dependency_graph(), 150, drops
+    if name == "affine-chain-48":  # the shape of the async-affine-chain benchmark
+        drift = DriftPath("linear", 48, rate=0.01, seed=6, norm=LINF)
+        fam = build_affine_family(48, LINF, 0.6, drift, seed=7, coupling="chain")
+        return fam, fam.dependency_graph(), 240, IidDrop(0.2, max_consecutive=5)
     if name == "qp-broadcast":
-        return (*build_broadcast_system(random_qp(5, seed=9), 0.15, 0.01, seed=11), 150)
+        return (*build_broadcast_system(random_qp(5, seed=9), 0.15, 0.01, seed=11), 150, drops)
     net = three_area_network()
     system = build_multiarea_maps(net, default_injections(net, 0.7), 0.001, seed=1)
-    return system.family, system.graph, 80
+    return system.family, system.graph, 80, drops
 
 
-@pytest.mark.parametrize("name", ["affine-chain", "qp-broadcast", "three-area-loadflow"])
+@pytest.mark.parametrize("name", ["affine-chain", "affine-chain-48", "qp-broadcast",
+                                  "three-area-loadflow"])
 def test_mixed_fresh_and_stale_ticks_match_per_agent_evaluation_bitwise(name):
-    family, graph, horizon = mixed_tick_case(name)
-    table = _start_channels(IidDrop(0.3, max_consecutive=3), graph, horizon, seed=4)
+    family, graph, horizon, drops = mixed_tick_case(name)
+    table = _start_channels(drops, graph, horizon, seed=4)
     history = np.empty((horizon, family.dim))
     history[0] = np.zeros(family.dim)
     mixed = 0

@@ -138,6 +138,16 @@ def test_declared_override_fails_audit():
     assert not rep.audits_passed
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_dependency_graph_audit_runs_on_async_configs_only(mode):
+    # the affine family has a graph in either mode; a sync run reads no blocks
+    doc = affine_doc(mode=mode, norm="linf", horizon=60, audit_samples=20,
+                     **({"channel": {"kind": "iid_drop", "p": 0.1}} if mode == "async" else {}))
+    rep = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    assert ("dependency_graph" in rep.audits) == (mode == "async")
+    assert rep.audits_passed
+
+
 @pytest.mark.parametrize("doc", [
     affine_doc(),
     {"problem": {"kind": "qp-gradient", "devices": 3, "instance_seed": 2,
@@ -541,6 +551,14 @@ def test_cli_sweep_rejects_delays_that_are_not_integers(tmp_path, capsys, values
                      channel={"kind": "fixed_delay", "delay": 0})
     cfg = write_json(tmp_path / "c.json", doc)
     assert main(["sweep", cfg, "--param", "fixed_delay", "--values", values]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param,values", [("drop_probability", "0,0.1"), ("fixed_delay", "0,1")])
+def test_cli_sweep_rejects_channel_parameters_on_sync_configs(tmp_path, capsys, param, values):
+    # a sync run reads no channel: each value would rerun the same run
+    cfg = write_json(tmp_path / "c.json", affine_doc(horizon=60))
+    assert main(["sweep", cfg, "--param", param, "--values", values]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
 
 

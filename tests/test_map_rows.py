@@ -60,6 +60,14 @@ def families():
     }
 
 
+FAMILY_NAMES = [
+    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
+    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
+    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
+    "loadflow-l2-output-noise",
+]
+
+
 @pytest.mark.parametrize("name", [
     "qp-feedback", "qp-broadcast-noisy", "multiarea-noisy", "affine-output-noise",
     "qp-gradient-output-noise", "loadflow-l2-output-noise",
@@ -96,12 +104,7 @@ def test_time_varying_declared_factor_takes_an_int_array(families, name):
     assert np.all(factors <= family.lipschitz_sup)
 
 
-@pytest.mark.parametrize("name", [
-    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
-    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
-    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
-    "loadflow-l2-output-noise",
-])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_builtin_map_rows_agree_with_points(families, name):
     family = families[name]
     X = DomainSampler(family.domain, 5).draw(6)
@@ -112,12 +115,7 @@ def test_builtin_map_rows_agree_with_points(families, name):
             np.testing.assert_array_equal(row, family.evaluate(x, t))
 
 
-@pytest.mark.parametrize("name", [
-    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
-    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
-    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
-    "loadflow-l2-output-noise",
-])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_builtin_map_rows_take_one_time_per_row(families, name):
     family = families[name]
     # five rows, as many as the QP has devices: a broadcast of (k, 1) against
@@ -130,17 +128,42 @@ def test_builtin_map_rows_take_one_time_per_row(families, name):
         np.testing.assert_array_equal(row, family.evaluate(x, t))
 
 
-@pytest.mark.parametrize("name", [
-    "affine-l2", "affine-linf", "affine-blockwise", "qp-gradient", "qp-feedback",
-    "qp-broadcast", "qp-broadcast-noisy", "loadflow-l2", "loadflow-linf",
-    "multiarea", "multiarea-noisy", "affine-output-noise", "qp-gradient-output-noise",
-    "loadflow-l2-output-noise",
-])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_builtin_maps_reject_times_that_are_not_integers(families, name):
     family = families[name]
     X = DomainSampler(family.domain, 7).draw(2)
     with pytest.raises(PreconditionError):
         family.evaluate(X, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_columns_equal_the_rows_call_picked_per_column_bitwise(families, name):
+    family = families[name]
+    rng = np.random.default_rng(8)
+    columns = np.arange(family.dim)
+    for n in range(1, 6):
+        X = DomainSampler(family.domain, 10 + n).draw(n)
+        for t in (1, 4, 9):
+            row_of = rng.integers(0, n, size=family.dim)
+            out = family.evaluate_columns(X, t, row_of)
+            assert out.shape == (family.dim,)
+            assert out.tobytes() == family.evaluate(X, t)[row_of, columns].tobytes(), (n, t)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_columns_check_the_time_and_the_shape(families, name, monkeypatch):
+    family = families[name]
+    X = DomainSampler(family.domain, 7).draw(2)
+    row_of = np.zeros(family.dim, dtype=int)
+    for bad in (2.0, np.float64(2.0), np.array([1, 2])):
+        with pytest.raises(PreconditionError):
+            family.evaluate_columns(X, bad, row_of)
+    for x, rows in ((X[0], row_of), (X[:, :-1], row_of[:-1]), (X, row_of[:-1])):
+        with pytest.raises(PreconditionError):
+            family.evaluate_columns(x, 2, rows)
+    monkeypatch.setattr(family, "_columns", lambda x, t, row_of: np.zeros(family.dim + 1))
+    with pytest.raises(PreconditionError):
+        family.evaluate_columns(X, 2, row_of)
 
 
 def _paths():
