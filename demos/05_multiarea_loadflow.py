@@ -42,8 +42,8 @@ def main():
     system = build_multiarea_maps(net, inj, noise_bound=0.002, seed=1)
     print(f"areas of {[size // 2 for size in system.graph.block_sizes]} buses; "
           f"dependency edges {sorted(system.graph.edges)}")
-    print(f"certified contraction factor of the stacked map: {system.declared:.4f}")
-    print(f"measurement-noise error bound: {system.error_bound:.2e}")
+    print(f"certified contraction factor of the stacked map: {system.family.lipschitz_sup:.4f}")
+    print(f"measurement-noise error bound: {system.family.error_sup:.2e}")
     v_mono = to_complex(fp.solve_fixed_point(
         system.monolithic, 1, to_real(net.noload), tol=1e-13))
     stacked = fp.solve_fixed_point(system.family.base, 1,

@@ -31,7 +31,7 @@ newer ones); explicit schedules may opt out for stress tests.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class ChannelModel:
 
     def start(self, n_edges, horizon, seed):
         raise NotImplementedError
-
-    def notes(self) -> dict:
-        return {}
 
 
 def _lagging(lag, n_edges, horizon):
@@ -221,19 +218,17 @@ class IidDrop(ChannelModel):
             table[tick[:n], e] -= pos[:n] + 1
         return table
 
-    def notes(self):
-        return {"drop_probability": self.p, "drop_cap": self.max_consecutive}
-
 
 class ScheduleTable(ChannelModel):
     """Explicit stamp history, e.g. imported from CSV.
 
     ``table[(t, src, dst)]`` gives the stamp agent ``dst`` holds of ``src`` at
     tick t; missing entries keep the previous copy, and entries outside the
-    run's ticks are ignored. Stamps must lie in ``1..t``. Non-monotone
-    histories (old packets overwriting newer ones) are outside the default
-    delivery model and must be enabled explicitly; a declared worst-case
-    staleness, when given, bounds every stamp in effect.
+    run's ticks are ignored. An entry for an edge that the run's dependency
+    graph lacks fails the run before its first tick. Stamps must lie in
+    ``1..t``. Non-monotone histories (old packets overwriting newer ones) are
+    outside the default delivery model and must be enabled explicitly; a
+    declared worst-case staleness, when given, bounds every stamp in effect.
     """
 
     def __init__(self, table, allow_nonmonotone=False, declared_max_delay=None):
@@ -256,15 +251,13 @@ class ScheduleTable(ChannelModel):
         np.maximum.accumulate(since, axis=0, out=since)
         return np.take_along_axis(given, since, axis=0)
 
-    def notes(self):
-        out = {"schedule": True}
-        if self.declared_max_delay is not None:
-            out["declared_max_delay"] = self.declared_max_delay
-        return out
-
 
 class PerEdge(ChannelModel):
-    """Assign a distinct channel model to selected edges (default elsewhere)."""
+    """Assign a distinct channel model to selected edges (default elsewhere).
+
+    A key naming an edge the run's dependency graph lacks fails the run
+    before its first tick, as does an entry of a schedule among the models.
+    """
 
     def __init__(self, channel_map, default=None):
         self.channel_map = {(int(j), int(i)): m for (j, i), m in channel_map.items()}
@@ -273,17 +266,22 @@ class PerEdge(ChannelModel):
     def model_for(self, edge):
         return self.channel_map.get(edge, self.default)
 
-    def notes(self):
-        out = {}
-        for m in list(self.channel_map.values()) + [self.default]:
-            out.update(m.notes())
-        return out
-
 
 def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) -> np.ndarray:
     """The run's stamp table, one column per edge of ``graph`` in edge order."""
     edges = graph.edges
-    if not isinstance(model, PerEdge):
+    per_edge = isinstance(model, PerEdge)
+    named = set(model.channel_map) if per_edge else set()
+    for sub in [*model.channel_map.values(), model.default] if per_edge else [model]:
+        if isinstance(sub, ScheduleTable):
+            named.update((j, i) for (_, j, i) in sub.table)
+    unknown = sorted(named.difference(edges))
+    if unknown:
+        raise PreconditionError(
+            f"channel names edge {unknown[0]}, which the dependency graph lacks "
+            f"({graph.n_agents} agents, {len(edges)} edges)"
+        )
+    if not per_edge:
         return _group_table(model, edges, horizon, seed)
     groups = {}
     for k, edge in enumerate(edges):
@@ -385,7 +383,6 @@ class DelayStats:
     delay_by_tick: np.ndarray
     stale_by_tick: np.ndarray
     log: ChannelLog
-    notes: dict = field(default_factory=dict)
 
     @property
     def max_delay(self) -> int:
@@ -396,7 +393,7 @@ class DelayStats:
         return int(self.stale_by_tick.max(initial=0))
 
 
-def realized_delay_stats(log: ChannelLog, graph: DependencyGraph, notes=None) -> DelayStats:
+def realized_delay_stats(log: ChannelLog, graph: DependencyGraph) -> DelayStats:
     """Exact per-tick staleness maxima recomputed from a complete channel log."""
     n_ticks = len(log.table)
     delays = np.arange(1, n_ticks + 1)[:, None] - log.table
@@ -409,7 +406,7 @@ def realized_delay_stats(log: ChannelLog, graph: DependencyGraph, notes=None) ->
         starts = np.flatnonzero(np.diff(dst[order], prepend=-1))
         per_agent = np.add.reduceat((delays > 0)[:, order], starts, axis=1, dtype=int)
         stale_by_tick = per_agent.max(axis=1, initial=0)
-    return DelayStats(delay_by_tick, stale_by_tick, log, dict(notes or {}))
+    return DelayStats(delay_by_tick, stale_by_tick, log)
 
 
 def write_log_csv(path, log: ChannelLog) -> None:
@@ -502,7 +499,7 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     for t in range(1, horizon):
         history[t] = step_async(history[: t], table[t], family, graph, t)
     log = ChannelLog(table[1:], *graph.edge_arrays)
-    stats = realized_delay_stats(log, graph, notes=channels.notes())
+    stats = realized_delay_stats(log, graph)
     if reference is None:
         reference = compute_fixed_point_series(family, horizon, norm=norm)
     errors = tracking_error(history, reference, norm)

@@ -104,7 +104,9 @@ class MapFamily:
     Every family has ``base``, the exact family its evaluations stand for,
     and ``error_sup``, a constant bound on how far each evaluation may lie
     from ``base``'s. An exact family is its own base, with ``error_sup``
-    0; an :class:`InexactMapFamily` has a base of its own.
+    0; an :class:`InexactMapFamily` has a base of its own. A family declares
+    no agent decomposition: an asynchronous run's agents and their blocks
+    are its :class:`~fptrack.async_sim.DependencyGraph`.
 
     ``evaluate_columns(x, t, row_of)`` is the asynchronous tick's one call:
     entry c of the map at row ``row_of[c]`` of the rows ``x``, for every
@@ -138,10 +140,6 @@ class MapFamily:
     lipschitz_sup : float, optional
         Supremum of the declared factors over the horizon of interest.
         Defaults to ``lipschitz`` when that is a scalar. Must be < 1.
-    block_sizes, block_lipschitz : optional
-        Agent decomposition of the state with per-block constants. For an
-        l2 family the blockwise constants satisfy sum(L_i^2) = L^2 with L
-        the declared supremum; builders are responsible for that identity.
     fixed_point : callable, optional
         Closed-form fixed points, when known: ``fixed_point(ts)`` for an int
         array ``ts`` of times returns one row per time, or one ``(dim,)``
@@ -160,8 +158,6 @@ class MapFamily:
         evaluate,
         lipschitz,
         lipschitz_sup=None,
-        block_sizes=None,
-        block_lipschitz=None,
         fixed_point=None,
         declared_norm=None,
         name="map-family",
@@ -189,23 +185,7 @@ class MapFamily:
             raise PreconditionError(
                 f"declared contraction supremum must lie in [0, 1); got {self.lipschitz_sup}"
             )
-        self.block_sizes = tuple(int(s) for s in block_sizes) if block_sizes else None
-        if self.block_sizes and sum(self.block_sizes) != self.dim:
-            raise PreconditionError("block sizes must sum to the state dimension")
-        self.block_lipschitz = (
-            np.asarray(block_lipschitz, dtype=float) if block_lipschitz is not None else None
-        )
-        if self.block_lipschitz is not None and self.block_sizes is None:
-            raise PreconditionError("block_lipschitz requires block_sizes")
         self.declared_norm = declared_norm if declared_norm is not None else Norm(L2)
-        if self.block_lipschitz is not None and self.declared_norm.kind == L2:
-            # l2 block decompositions must aggregate exactly to the declaration
-            aggregate = float(np.sqrt(np.sum(self.block_lipschitz ** 2)))
-            if abs(aggregate - self.lipschitz_sup) > 1e-9:
-                raise PreconditionError(
-                    f"blockwise constants aggregate to {aggregate:.12g}, "
-                    f"declared supremum is {self.lipschitz_sup:.12g}"
-                )
         self.fixed_point = fixed_point
         self.name = name
         self.base = self
@@ -215,10 +195,7 @@ class MapFamily:
         """The map at a point or at each row of ``x``, at one int ``t`` or one time per row."""
         x = np.asarray(x, dtype=float)
         if not isinstance(t, np.ndarray):
-            try:
-                t = operator.index(t)  # an int or a numpy integer; a float would truncate
-            except TypeError:
-                raise PreconditionError(f"time index {t!r} is not an integer") from None
+            t = _time_index(t)
         out = np.asarray(self._evaluate(x, t), dtype=float)
         if out.shape != x.shape:
             raise PreconditionError(
@@ -234,10 +211,7 @@ class MapFamily:
         ``evaluate(x, t)[row_of, arange(dim)]``, bit for bit.
         """
         x = np.asarray(x, dtype=float)
-        try:
-            t = operator.index(t)  # an int or a numpy integer; a float would truncate
-        except TypeError:
-            raise PreconditionError(f"time index {t!r} is not an integer") from None
+        t = _time_index(t)
         if x.ndim != 2 or x.shape[1] != self.dim or np.shape(row_of) != (self.dim,):
             raise PreconditionError(
                 f"columns of map {self.name!r} need rows (n, {self.dim}) and {self.dim} "
@@ -262,6 +236,14 @@ class MapFamily:
         return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
 
 
+def _time_index(t) -> int:
+    """``t`` as an int: an int or a numpy integer passes, a float would truncate."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise PreconditionError(f"time index {t!r} is not an integer") from None
+
+
 def pointwise(f):
     """Lift a map ``f(x, t)`` written for one point to a :class:`MapFamily` map.
 
@@ -282,7 +264,7 @@ class InexactMapFamily(MapFamily):
     """Evaluations of an exact family ``base``, each off by at most ``error_sup``.
 
     The family keeps its base's declarations: dimension, domain, contraction
-    factors, blocks, closed-form fixed point and declared norm. Only the map
+    factors, closed-form fixed point and declared norm. Only the map
     differs: ``evaluate(x, t)`` must lie within the constant ``error_sup``
     of ``base.evaluate(x, t)`` at every point of the domain (in the
     experiment norm), and must itself map the domain into itself.
@@ -295,8 +277,6 @@ class InexactMapFamily(MapFamily):
             evaluate,
             base._lipschitz,
             lipschitz_sup=base.lipschitz_sup,
-            block_sizes=base.block_sizes,
-            block_lipschitz=base.block_lipschitz,
             fixed_point=base.fixed_point,
             declared_norm=base.declared_norm,
             name=name or f"inexact({base.name})",

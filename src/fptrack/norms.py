@@ -44,9 +44,6 @@ class Norm:
             return np.linalg.norm(m, axis=1)
         return np.max(np.abs(m), axis=1)
 
-    def distance(self, a, b) -> float:
-        return self.of(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-
     def __str__(self):
         return self.kind
 

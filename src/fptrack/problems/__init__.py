@@ -4,7 +4,6 @@ from ._paths import DriftPath, ScalarSignal, scalar_signal
 from .affine import AffineFamily, build_affine_family
 from .loadflow import (
     InjectionSeries,
-    LoadflowFamily,
     MultiAreaSystem,
     PowerNetwork,
     boundary_injection,
@@ -17,7 +16,6 @@ from .loadflow import (
     two_bus_network,
 )
 from .qp import (
-    GradientMapFamily,
     TimeVaryingQP,
     build_broadcast_system,
     build_feedback_gradient_map,
@@ -29,9 +27,7 @@ from .qp import (
 __all__ = [
     "AffineFamily",
     "DriftPath",
-    "GradientMapFamily",
     "InjectionSeries",
-    "LoadflowFamily",
     "MultiAreaSystem",
     "PowerNetwork",
     "ScalarSignal",

@@ -55,10 +55,10 @@ class AffineFamily(MapFamily):
         return np.einsum("ij,ij->i", x.take(row_of, axis=0), self.A) + self._offset.at(t)
 
     def dependency_graph(self) -> DependencyGraph:
-        """Scalar-agent graph with an edge wherever A actually couples blocks."""
-        edges = [(j, i) for i in range(self.dim) for j in range(self.dim)
-                 if i != j and self.A[i, j] != 0.0]
-        return DependencyGraph([1] * self.dim, edges)
+        """Scalar-agent graph with an edge (j, i) wherever A[i, j] couples two agents."""
+        i, j = np.argwhere(self.A != 0.0).T
+        off = i != j
+        return DependencyGraph([1] * self.dim, zip(j[off].tolist(), i[off].tolist()))
 
 
 def _coupling_mask(dim, coupling, rng) -> np.ndarray:
@@ -83,14 +83,17 @@ def build_affine_family(dim, norm: Norm, contraction, drift: DriftPath, seed,
     Scaling rules:
 
     * ``linf``: every row of A is scaled to absolute sum ``contraction``, so
-      the induced max-norm factor equals it exactly (and each scalar agent's
-      blockwise constant too).
+      the induced max-norm factor equals it exactly.
     * ``l2``: A is scaled so its spectral norm equals ``contraction``.
     * ``l2`` with ``blockwise=True``: rows are scaled to equal Euclidean
       length ``contraction / sqrt(dim)``. The declared factor is then the
-      blockwise aggregate sqrt(sum of squared row constants) = ``contraction``
-      (a valid global constant, at least the induced norm), which is the
+      row aggregate sqrt(sum of squared row lengths) = ``contraction`` (a
+      valid global constant, at least the induced norm), which is the
       constant the refined stale-copy bound is stated for.
+
+    The declared factor is ``contraction`` in every case. The family
+    declares no blocks; its asynchronous agents are the scalar agents of
+    :meth:`AffineFamily.dependency_graph`.
 
     ``drift`` prescribes the fixed-point trajectory itself; offsets are
     derived as b(t) = (I - A) path(t), so fixed points and per-step drift are
@@ -106,26 +109,18 @@ def build_affine_family(dim, norm: Norm, contraction, drift: DriftPath, seed,
         raise PreconditionError("drift path dimension does not match the family")
     rng = seeded_stream(seed, 17)
     R = _coupling_mask(dim, coupling, rng)
-    block_lipschitz = None
     if norm.kind == LINF:
         row_sums = np.abs(R).sum(axis=1)
         A = R * (contraction / row_sums)[:, None]
-        block_lipschitz = np.full(dim, contraction)
-        declared = contraction
     elif blockwise:
         row_norms = np.linalg.norm(R, axis=1)
         A = R * (contraction / np.sqrt(dim) / row_norms)[:, None]
-        block_lipschitz = np.full(dim, contraction / np.sqrt(dim))
-        declared = contraction
     else:
         A = R * (contraction / np.linalg.norm(R, ord=2))
-        declared = contraction
     return AffineFamily(
         A,
         drift,
         norm,
-        lipschitz=declared,
-        block_sizes=[1] * dim if block_lipschitz is not None else None,
-        block_lipschitz=block_lipschitz,
+        lipschitz=contraction,
         name=f"affine-{norm.kind}-{coupling}-m{dim}",
     )

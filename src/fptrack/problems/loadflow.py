@@ -199,30 +199,8 @@ def _clamp(s, limit):
 # ---------------------------------------------------------------------------
 
 
-class LoadflowFamily(MapFamily):
-    """Monolithic Z-bus fixed-point family over flattened voltages."""
-
-    def __init__(self, net, injections, **kwargs):
-        self.network = net
-        self.injections = injections
-        noload, Z = net.noload, net.Z
-
-        def evaluate(x, t):
-            v = to_complex(x)
-            if np.min(np.abs(v)) < _GUARD:
-                raise DomainViolationError("voltage magnitude fell below the division guard")
-            return to_real(noload + _times_z(np.conj(injections.at(t) / v), Z))
-
-        super().__init__(
-            dim=2 * net.n,
-            domain=kwargs.pop("domain"),
-            evaluate=evaluate,
-            **kwargs,
-        )
-
-
 def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.2,
-                       norm: Norm | None = None) -> LoadflowFamily:
+                       norm: Norm | None = None) -> MapFamily:
     """Monolithic load-flow family with analytic contraction certification.
 
     The domain is a neighborhood of the no-load profile of size ``radius``
@@ -281,10 +259,18 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
             f"self-map not certified: injections can reach {self_map_reach:.4f} "
             f"per-unit from the no-load profile, beyond radius {radius}"
         )
-    return LoadflowFamily(
-        net,
-        injections,
+    noload, Z = net.noload, net.Z
+
+    def evaluate(x, t):
+        v = to_complex(x)
+        if np.min(np.abs(v)) < _GUARD:
+            raise DomainViolationError("voltage magnitude fell below the division guard")
+        return to_real(noload + _times_z(np.conj(injections.at(t) / v), Z))
+
+    return MapFamily(
+        dim=2 * net.n,
         domain=domain,
+        evaluate=evaluate,
         lipschitz=lipschitz,
         lipschitz_sup=lip_sup,
         declared_norm=norm,
@@ -341,16 +327,18 @@ class _Coordinates:
 
 @dataclass
 class MultiAreaSystem:
-    """Decomposed load flow: family, dependency graph, and coordinate maps."""
+    """Decomposed load flow: family, dependency graph, and coordinate maps.
+
+    The certified factor and error bound are the family's
+    ``lipschitz_sup`` and ``error_sup``; each area's coordinate scale is
+    ``coordinates.weight``, once per state coordinate.
+    """
 
     family: InexactMapFamily
     graph: DependencyGraph
-    monolithic: LoadflowFamily
+    monolithic: MapFamily
     network: PowerNetwork
     coordinates: _Coordinates
-    weights: np.ndarray          # per-area coordinate scales
-    declared: float
-    error_bound: float
 
     def encode(self, v: np.ndarray) -> np.ndarray:
         """Voltages (global bus order) -> scaled-deviation state."""
@@ -528,7 +516,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
 
     coords = _Coordinates(order, net.noload[order], np.repeat(omega[bus_area], 2))
     half = np.repeat((omega * H)[bus_area], 2)
-    block_sizes = [2 * size for size in sizes]
 
     def boundary_noise(ts, last, rng):
         u = rng.random((len(ts), 2, k_areas - 1))  # per tick: radii, then angles
@@ -568,7 +555,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         domain=Domain.box(-half, half),
         evaluate=exact_map,
         lipschitz=declared,
-        block_sizes=block_sizes,
         declared_norm=Norm(LINF),
         name=f"multiarea-loadflow-k{k_areas}",
     )
@@ -582,7 +568,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             edges.append((k - 1, k))  # upstream boundary voltage
         if k < k_areas - 1:
             edges.append((k + 1, k))  # downstream state behind the measurement
-    graph = DependencyGraph(block_sizes, edges)
+    graph = DependencyGraph(2 * sizes, edges)
 
     mono = build_loadflow_map(
         net,
@@ -597,9 +583,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         monolithic=mono,
         network=net,
         coordinates=coords,
-        weights=omega,
-        declared=declared,
-        error_bound=err,
     )
 
 

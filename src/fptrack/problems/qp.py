@@ -106,34 +106,7 @@ def _aggregate_noise(nb, seed, key, adversarial):
                        (seed, key)).at
 
 
-class GradientMapFamily(MapFamily):
-    """Projected regularized gradient step for a TimeVaryingQP."""
-
-    def __init__(self, qp: TimeVaryingQP, step_size: float):
-        self.qp = qp
-        self.step_size = float(step_size)
-        if self.step_size <= 0.0:
-            raise PreconditionError("step size must be positive")
-        n = qp.n_devices
-        lo_curv = qp.regularization + float(qp.curvature.min())
-        hi_curv = qp.regularization + qp.smoothness
-        declared = max(abs(1.0 - self.step_size * lo_curv), abs(1.0 - self.step_size * hi_curv))
-        a = self.step_size
-
-        def evaluate(x, t):
-            return np.clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
-
-        super().__init__(
-            dim=n,
-            domain=Domain.box(qp.box_lo, qp.box_hi),
-            evaluate=evaluate,
-            lipschitz=declared,
-            declared_norm=Norm(L2),
-            name=f"qp-gradient-n{n}",
-        )
-
-
-def build_gradient_map(qp: TimeVaryingQP, step_size) -> GradientMapFamily:
+def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:
     """Exact projected gradient map; declared factor from extremal curvature.
 
     The declared factor is ``max(|1 - a*lo|, |1 - a*hi|)`` with ``lo`` the
@@ -142,7 +115,24 @@ def build_gradient_map(qp: TimeVaryingQP, step_size) -> GradientMapFamily:
     are eigenvalue bounds of the constant Hessian, so the sampled factor
     never exceeds the declaration.
     """
-    return GradientMapFamily(qp, step_size)
+    a = float(step_size)
+    if a <= 0.0:
+        raise PreconditionError("step size must be positive")
+    lo_curv = qp.regularization + float(qp.curvature.min())
+    hi_curv = qp.regularization + qp.smoothness
+    declared = max(abs(1.0 - a * lo_curv), abs(1.0 - a * hi_curv))
+
+    def evaluate(x, t):
+        return np.clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
+
+    return MapFamily(
+        dim=qp.n_devices,
+        domain=Domain.box(qp.box_lo, qp.box_hi),
+        evaluate=evaluate,
+        lipschitz=declared,
+        declared_norm=Norm(L2),
+        name=f"qp-gradient-n{qp.n_devices}",
+    )
 
 
 def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,

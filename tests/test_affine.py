@@ -8,6 +8,7 @@ import fptrack as fp
 from fptrack import DomainSampler, Norm
 from fptrack.errors import PreconditionError
 from fptrack.problems import DriftPath, build_affine_family
+from fptrack.problems.affine import COUPLINGS
 
 L2, LINF = Norm(fp.L2), Norm(fp.LINF)
 
@@ -35,7 +36,7 @@ def test_blockwise_l2_declares_row_aggregate():
     fam = build_affine_family(4, L2, 0.4, DriftPath("constant", 4), seed=3,
                               coupling="chain", blockwise=True)
     assert abs(np.linalg.norm(fam.A, "fro") - 0.4) < 1e-12
-    assert abs(np.sqrt(np.sum(fam.block_lipschitz ** 2)) - 0.4) < 1e-12
+    assert fam.lipschitz_sup == 0.4
     # declared factor upper-bounds the true induced norm
     assert np.linalg.svd(fam.A, compute_uv=False)[0] <= 0.4 + 1e-12
 
@@ -117,6 +118,18 @@ def test_chain_coupling_yields_tridiagonal_dependency():
     ok, violations = fp.audit_dependency_graph(fam, fam.dependency_graph(),
                                                probe_count=6, seed=12)
     assert ok, violations
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_dependency_graph_edges_are_the_off_diagonal_nonzeros(coupling):
+    for dim in (1, 2, 7):
+        fam = build_affine_family(dim, LINF, 0.5, DriftPath("constant", dim), seed=dim,
+                                  coupling=coupling)
+        graph = fam.dependency_graph()
+        loop = sorted((j, i) for i in range(dim) for j in range(dim)
+                      if i != j and fam.A[i, j] != 0.0)
+        assert list(graph.edges) == loop
+        assert graph.block_sizes == (1,) * dim
 
 
 def test_contraction_target_validated():

@@ -258,7 +258,6 @@ def test_iid_drop_cap_bounds_staleness_every_seed():
             fam, g, IidDrop(0.7, max_consecutive=4), np.zeros(3), 400, L2, seed=seed
         )
         assert stats.max_delay <= 5  # cap + 1
-        assert stats.notes["drop_cap"] == 4
 
 
 def test_iid_drop_seeded_reruns_bitwise_identical():
@@ -419,6 +418,37 @@ def test_schedule_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(PreconditionError):
         fp.read_schedule_csv(path)
+
+
+class _NeverStarted(ChannelModel):
+    def start(self, n_edges, horizon, seed):
+        raise AssertionError("channel started although an edge is unknown")
+
+
+@pytest.mark.parametrize("channels", [
+    ScheduleTable({(2, 5, 7): 1}),
+    ScheduleTable({(3, 1, 0): 2, (2, 0, 2): 1}),  # (0, 2) is no chain edge
+    PerEdge({(5, 7): _NeverStarted()}),
+    PerEdge({(0, 2): FixedDelay(1)}, default=_NeverStarted()),
+    PerEdge({(1, 0): FixedDelay(1)}, default=ScheduleTable({(2, 5, 7): 1})),
+], ids=["schedule-only-unknown", "schedule-one-unknown", "per-edge-key",
+        "per-edge-non-edge-key", "per-edge-default-schedule"])
+def test_channel_naming_an_unknown_edge_fails_before_the_first_tick(channels):
+    g = small_affine(dim=3, coupling="chain").dependency_graph()
+    calls = []
+    fam = fp.MapFamily(3, fp.Domain.all_space(3), lambda x, t: calls.append(t) or 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match="lacks"):
+        fp.run_async_tracker(fam, g, channels, np.zeros(3), 50, L2, seed=0)
+    assert calls == []
+
+
+def test_schedule_entries_outside_the_run_stay_ignored():
+    fam = small_affine(dim=3, coupling="chain")
+    g = fam.dependency_graph()
+    channels = ScheduleTable({(0, 1, 0): 1, (10, 1, 0): 9, (99, 1, 0): 1})
+    _, stats = fp.run_async_tracker(fam, g, channels, np.zeros(3), 12, L2, seed=0)
+    column = g.edges.index((1, 0))
+    assert stats.log.table[:, column].tolist() == [1] * 9 + [9, 9]
 
 
 # ---------------------------------------------------------------------------

@@ -399,7 +399,10 @@ def test_a_time_that_is_not_an_integer_is_rejected():
     for t in (1.9, np.float64(2.0)):
         with pytest.raises(PreconditionError, match="not an integer"):
             fam.evaluate(x, t)
+        with pytest.raises(PreconditionError, match="not an integer"):
+            fam.evaluate_columns(x[None], t, [0])
     assert fam.evaluate(x, np.int64(2)) == fam.evaluate(x, 2) == 0.6
+    assert fam.evaluate_columns(x[None], np.int64(2), [0]) == 0.6
 
 
 def test_domain_rejects_points_of_another_dimension():
@@ -455,12 +458,3 @@ def test_stream_independence_of_consumption_order():
     _ = fp.seeded_stream(9, 5).uniform(size=10)
     a2 = fp.seeded_stream(9, 4).uniform(size=3)
     assert np.array_equal(a1, a2)
-
-
-def test_l2_block_constants_must_aggregate_to_declaration():
-    with pytest.raises(PreconditionError, match="aggregate"):
-        MapFamily(2, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5,
-                  block_sizes=[1, 1], block_lipschitz=[0.5, 0.5])
-    MapFamily(2, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5,
-              block_sizes=[1, 1],
-              block_lipschitz=[0.5 / np.sqrt(2)] * 2)

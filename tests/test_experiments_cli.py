@@ -368,6 +368,16 @@ def test_cli_bad_channel_exit_2(tmp_path, capsys, channel):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_schedule_naming_an_unknown_edge_exit_2(tmp_path, capsys):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("t,src,dst,delivered_stamp\n2,1,0,1\n3,5,7,2\n")
+    doc = affine_doc(mode="async", norm="linf", horizon=50,
+                     channel={"kind": "schedule_csv", "path": str(schedule)})
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "edge (5, 7)" in capsys.readouterr().err
+
+
 AFFINE_PROBLEM = affine_doc()["problem"]
 TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
                "injection_limit": [0.4]}

@@ -177,10 +177,10 @@ def test_multiarea_edges_form_the_chain_pattern(systems):
 
 def test_multiarea_declared_contraction_certified(systems):
     for system in systems:
-        assert 0.0 < system.declared < 0.95
+        assert 0.0 < system.family.lipschitz_sup < 0.95
         est = fp.estimate_lipschitz(system.family.base, 1,
                                     DomainSampler(system.family.domain, 2), 6000, LINF)
-        assert est.value <= system.declared + 1e-9
+        assert est.value <= system.family.lipschitz_sup + 1e-9
 
 
 def test_multiarea_self_map_certified(systems):
@@ -196,7 +196,7 @@ def test_multiarea_measurement_noise_within_declared_bound(systems):
             check = fp.verify_map_error(system.family, t,
                                         DomainSampler(system.family.domain, 4), 2000, LINF)
             assert check.ok
-            assert check.bound == system.error_bound
+            assert check.bound == system.family.error_sup
 
 
 def test_multiarea_dependency_audit(systems):
@@ -234,7 +234,7 @@ def test_multiarea_measured_boundary_close_to_true_power(systems):
         x = DomainSampler(fam.domain, 6).draw_one()
         noisy = fam.evaluate(x, 5)
         exact = fam.base.evaluate(x, 5)
-        assert np.max(np.abs(noisy - exact)) <= system.error_bound + 1e-12
+        assert np.max(np.abs(noisy - exact)) <= system.family.error_sup + 1e-12
 
 
 def test_partition_validation_rejects_bad_shapes():
@@ -293,7 +293,7 @@ def test_multiarea_adversarial_noise_constant_offset():
     d2 = adv.family.evaluate(x, 7) - adv.family.base.evaluate(x, 7)
     assert np.max(np.abs(d1)) > 0
     assert np.array_equal(d1, d2)  # same constant offset every step
-    assert np.max(np.abs(d1)) <= adv.error_bound + 1e-12
+    assert np.max(np.abs(d1)) <= adv.family.error_sup + 1e-12
 
 
 def test_multiarea_noisy_async_run_respects_max_norm_bound():
@@ -308,8 +308,8 @@ def test_multiarea_noisy_async_run_respects_max_norm_bound():
         np.zeros(system.family.dim), horizon, LINF, seed=4,
     )
     bound = fp.bounds.tracking_bound_async_inf(fp.bounds.BoundInputs(
-        lipschitz=system.declared,
-        map_error=system.error_bound,
+        lipschitz=system.family.lipschitz_sup,
+        map_error=system.family.error_sup,
         drift=trace.reference.drift_sup,
         max_delay=stats.max_delay,
         max_stale=stats.max_stale,

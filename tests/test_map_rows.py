@@ -78,10 +78,8 @@ def test_inexact_family_is_a_map_family_with_its_base_declarations(families, nam
     assert isinstance(family, fp.MapFamily)
     assert base is not family and base.base is base
     assert base.error_sup == 0.0 < family.error_sup
-    for attr in ("dim", "domain", "lipschitz_sup", "block_sizes", "fixed_point",
-                 "declared_norm"):
+    for attr in ("dim", "domain", "lipschitz_sup", "fixed_point", "declared_norm"):
         assert getattr(family, attr) == getattr(base, attr), attr
-    np.testing.assert_equal(family.block_lipschitz, base.block_lipschitz)
     ts = np.array([1, 4, 9])
     factors = family.lipschitz_at(ts)
     assert factors.shape == ts.shape

@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds every name it wraps in the package.
+
+The tracer in ``perfbench/`` patches functions and methods by name. A name
+that the package deletes or renames would fail only a traced benchmark run;
+this test runs one short traced experiment so that it fails here instead.
+"""
+from pathlib import Path
+
+import pytest
+
+from fptrack import experiments
+from fptrack.core import MapFamily
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    return tracer
+
+
+def test_traced_async_affine_chain_counts_ticks_and_log_rows(tracer):
+    doc = {
+        "problem": {"kind": "affine", "dim": 4, "contraction": 0.6, "coupling": "chain",
+                    "drift": {"kind": "linear", "rate": 0.01}},
+        "mode": "async", "norm": "linf", "horizon": 30, "seed": 5,
+        "channel": {"kind": "iid_drop", "p": 0.2},
+    }
+    config = experiments.ExperimentConfig.from_dict(doc)
+    _, graph, _ = experiments.build_family(config)
+    run, evaluate = experiments.run_experiment, MapFamily.evaluate
+    with tracer.Tracer() as t:
+        assert experiments.run_experiment is not run
+        assert MapFamily.evaluate is not evaluate
+        report = experiments.run_experiment(config, write_files=False)
+    assert experiments.run_experiment is run
+    assert MapFamily.evaluate is evaluate
+    assert report.certificates[experiments.ASYNC_TAIL_MAX_NORM] == "pass"
+    metrics = tracer.layer_metrics(t.spans, t.counts)
+    assert metrics["async_sim.ticks"] == 29
+    assert metrics["async_sim.log_rows"] == 29 * len(graph.edges)
+    assert metrics["experiments.runs"] == 1
