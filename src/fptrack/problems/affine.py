@@ -58,7 +58,7 @@ class AffineFamily(MapFamily):
         """Scalar-agent graph with an edge (j, i) wherever A[i, j] couples two agents."""
         i, j = np.argwhere(self.A != 0.0).T
         off = i != j
-        return DependencyGraph([1] * self.dim, zip(j[off].tolist(), i[off].tolist()))
+        return DependencyGraph([1] * self.dim, np.stack((j[off], i[off]), axis=1))
 
 
 def _coupling_mask(dim, coupling, rng) -> np.ndarray:

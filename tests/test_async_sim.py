@@ -14,7 +14,15 @@ from fptrack import (
     ScheduleTable,
     ZeroDelay,
 )
-from fptrack.async_sim import _start_channels, realized_delay_stats, step_async
+from fptrack import async_sim
+from fptrack.async_sim import (
+    TickPlan,
+    _stale_agents,
+    _start_channels,
+    _tick_plans,
+    realized_delay_stats,
+    step_async,
+)
 from fptrack.core import seeded_stream
 from fptrack.errors import PreconditionError, StaleBeyondCapError
 from fptrack.problems import (
@@ -52,11 +60,45 @@ def test_graph_rejects_unknown_agents():
         DependencyGraph([1, 1], [(0, 2)])
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (3, 1), (1, 1)], r"edge \(3, 1\) references unknown agents"),
+    ([(0, 1), (1, 1), (3, 1)], r"self-edge \(1, 1\) is not allowed"),
+    ([(2, -1), (0, 0)], r"edge \(2, -1\) references unknown agents"),
+    ([(4, 4)], r"self-edge \(4, 4\) is not allowed"),
+    ([(0, 1, 2)], "pairs"),
+])
+def test_graph_names_the_first_offending_edge_in_input_order(edges, message):
+    with pytest.raises(PreconditionError, match=message):
+        DependencyGraph([1, 2, 1], edges)
+
+
+def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
+    pairs = [(2, 0), (0, 1), (2, 0), (1, 2), (0, 2)]
+    expected = ((0, 1), (0, 2), (1, 2), (2, 0))
+    for edges in (pairs, tuple(pairs), np.array(pairs)):
+        g = DependencyGraph([1, 2, 1], edges)
+        assert g.edges == expected
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        assert [list(a) for a in g.edge_arrays] == [[0, 0, 1, 2], [1, 2, 2, 0]]
+        # in-edges grouped by receiver: agent 0 <- 2, agent 1 <- 0, agent 2 <- 0, 1
+        assert [g.edges[e] for e in g.in_edges] == [(2, 0), (0, 1), (0, 2), (1, 2)]
+        assert list(g.in_start) == [0, 1, 2, 4] and list(g.receivers) == [0, 1, 2]
+    assert DependencyGraph([1, 1], []).edges == ()
+
+
+def block_slice(graph, i):
+    return slice(int(graph.offsets[i]), int(graph.offsets[i + 1]))
+
+
+def in_neighbors(graph, i):
+    return tuple(j for (j, k) in graph.edges if k == i)
+
+
 def test_graph_block_layout():
     g = DependencyGraph([2, 3, 1], [(0, 1), (1, 2)])
     assert g.dim == 6
-    assert g.block_slice(1) == slice(2, 5)
-    assert g.in_neighbors(2) == (1,)
+    assert block_slice(g, 1) == slice(2, 5)
+    assert in_neighbors(g, 2) == (1,)
     assert list(g.block_of_column) == [0, 0, 1, 1, 1, 2]
 
 
@@ -118,7 +160,7 @@ def per_agent_step(history, stamps, family, graph, t):
     views = history[stamps[:, graph.block_of_column] - 1, np.arange(graph.dim)[None, :]]
     x_next = np.empty(graph.dim)
     for i in range(graph.n_agents):
-        sl = graph.block_slice(i)
+        sl = block_slice(graph, i)
         x_next[sl] = family.evaluate(views[i].copy(), t)[sl]
     return x_next
 
@@ -195,7 +237,7 @@ def test_tick_evaluates_once_plus_once_per_stale_agent():
     for k in range(graph.n_agents + 1):
         stamps = np.full((graph.n_agents, graph.n_agents), t)
         for i in range(k):  # agents 0..k-1 hold one outdated neighbor copy
-            stamps[i, graph.in_neighbors(i)[0]] = t - 1
+            stamps[i, in_neighbors(graph, i)[0]] = t - 1
         assert stale_agent_count(stamps, graph, t) == k
         rows_per_call.clear()
         x_next = step_async(history, stamps[dst, src], counted, graph, t)
@@ -216,6 +258,158 @@ def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
              for t in range(1, horizon)]
     assert rows_per_call == [k + (k < graph.n_agents) for k in stale]
     assert {0, 2, graph.n_agents} <= set(stale)  # all fresh, mixed and all stale ticks
+
+
+# ---------------------------------------------------------------------------
+# tick plans
+# ---------------------------------------------------------------------------
+
+
+def dense_copy_source(graph):
+    """Agent i's copy of column c as an index into a tick's stamps followed by
+    (t, 1); the extra row n_agents is x_t. The table the plan replaces."""
+    n_edges = len(graph.edges)
+    source = np.full((graph.n_agents + 1, graph.n_agents), n_edges + 1)
+    src, dst = graph.edge_arrays
+    source[dst, src] = np.arange(n_edges)
+    np.fill_diagonal(source, n_edges)
+    source[graph.n_agents] = n_edges
+    return source[:, graph.block_of_column]
+
+
+def dense_tick_indices(graph, stamps, t):
+    """A tick's gather offsets and row_of, from the dense table of every agent."""
+    stale = np.zeros(graph.n_agents + 1, dtype=bool)
+    stale[graph.edge_arrays[1][stamps != t]] = True
+    stale[graph.n_agents] = True
+    agents = stale.nonzero()[0]
+    n_stale = len(agents) - 1
+    if n_stale == graph.n_agents:
+        agents = agents[:-1]
+    held = np.concatenate((stamps - 1, (t - 1, 0))) * graph.dim
+    offsets = held.take(dense_copy_source(graph).take(agents, axis=0)) + graph.columns
+    row_of = np.full(graph.n_agents + 1, n_stale)
+    row_of[agents] = np.arange(len(agents))
+    return offsets, row_of.take(graph.block_of_column)
+
+
+def random_stamp_table(n_edges, horizon, rng):
+    """Stamps anywhere in 1..t at tick t, non-monotone; a third of the entries current."""
+    ticks = np.arange(horizon)[:, None]
+    table = rng.integers(1, np.maximum(ticks, 1) + 1, size=(horizon, n_edges))
+    current = rng.random((horizon, n_edges)) < 1 / 3
+    return np.where(current, np.maximum(ticks, 1), table)
+
+
+def test_plan_sources_match_the_dense_copy_source_table_on_random_graphs():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        sizes = rng.integers(1, 4, size=n).tolist()
+        pairs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < 0.4]
+        rng.shuffle(pairs)
+        graph = DependencyGraph(sizes, pairs + pairs[: len(pairs) // 3])
+        horizon = int(rng.integers(2, 14))
+        table = random_stamp_table(len(graph.edges), horizon, rng)
+        planned = []
+        for plan in _tick_plans(graph, table):
+            planned += [(plan.start + k, *tick) for k, tick in enumerate(plan.ticks)]
+        start = int(rng.integers(1, horizon))  # a block of its own from a later tick
+        rows = table[start:]
+        block = TickPlan(graph, rows, start, _stale_agents(graph, rows, start))
+        planned += [(start + k, *tick) for k, tick in enumerate(block.ticks)]
+        assert [t for t, _, _ in planned] == [*range(1, horizon), *range(start, horizon)]
+        for t, offsets, row_of in planned:
+            expected_offsets, expected_row_of = dense_tick_indices(graph, table[t], t)
+            assert np.array_equal(offsets, expected_offsets), (sizes, graph.edges, t)
+            assert np.array_equal(row_of, expected_row_of), (sizes, graph.edges, t)
+
+
+def plan_indices(plan):
+    return sum(offsets.size + row_of.size for offsets, row_of in plan.ticks)
+
+
+@pytest.mark.parametrize("name", ["affine-chain", "affine-chain-48", "qp-broadcast",
+                                  "three-area-loadflow"])
+def test_mixed_ticks_through_the_run_plans_match_per_agent_evaluation_bitwise(
+        name, monkeypatch):
+    family, graph, horizon, drops = mixed_tick_case(name)
+    budget = 5 * (graph.n_agents + 1) * graph.dim  # at least five ticks a block
+    monkeypatch.setattr(async_sim, "_PLAN_INDICES", budget)
+    table = _start_channels(drops, graph, horizon, seed=4)
+    # end the run inside the last full block, so that its final block is partial
+    cut = list(_tick_plans(graph, table))[-2]
+    horizon = cut.start + len(cut.ticks) // 2 + 1
+    table = table[:horizon]
+    history = np.empty((horizon, family.dim))
+    history[0] = np.zeros(family.dim)
+    plans = list(_tick_plans(graph, table))
+    ticks = [plan.start + k for plan in plans for k in range(len(plan.ticks))]
+    assert ticks == list(range(1, horizon))
+    assert len(plans) >= 4 and all(plan_indices(plan) <= budget for plan in plans)
+    assert plans[-1].start == cut.start and len(plans[-1].ticks) < len(cut.ticks)
+    for plan in plans:
+        for k in range(len(plan.ticks)):
+            t = plan.start + k
+            expected = per_agent_step(history[:t], stamp_matrix(table[t], graph, t),
+                                      family, graph, t)
+            x_next = step_async(history, table[t], family, graph, t, plan)
+            assert x_next.tobytes() == expected.tobytes(), f"tick {t}"
+            history[t] = x_next
+    trace, stats = fp.run_async_tracker(family, graph, drops, np.zeros(family.dim), horizon,
+                                        seed=4, reference=np.zeros((horizon, family.dim)))
+    assert np.array_equal(stats.log.table, table[1:])
+    assert trace.iterates.tobytes() == history.tobytes()
+
+
+def test_nonmonotone_schedule_replays_per_agent_evaluation_bitwise():
+    fam = small_affine(dim=6, coupling="chain", norm=LINF, contraction=0.6)
+    graph = fam.dependency_graph()
+    rng = np.random.default_rng(3)
+    horizon = 40
+    table = random_stamp_table(len(graph.edges), horizon, rng)
+    schedule = {(t, j, i): int(table[t, k]) for t in range(1, horizon)
+                for k, (j, i) in enumerate(graph.edges)}
+    channels = ScheduleTable(schedule, allow_nonmonotone=True)
+    trace, stats = fp.run_async_tracker(fam, graph, channels, np.zeros(fam.dim), horizon, LINF)
+    assert np.array_equal(stats.log.table, table[1:])
+    assert (np.diff(table[1:], axis=0) < 0).any()  # old packets overwrite newer ones
+    x = trace.iterates
+    for t in range(1, horizon):
+        expected = per_agent_step(x[:t], stamp_matrix(table[t], graph, t), fam, graph, t)
+        assert x[t].tobytes() == expected.tobytes(), f"tick {t}"
+
+
+def test_a_plan_serves_only_its_own_ticks():
+    fam = small_affine(dim=3, coupling="chain")
+    graph = fam.dependency_graph()
+    table = _start_channels(IidDrop(0.5), graph, 12, seed=1)
+    rows = table[4:8]
+    plan = TickPlan(graph, rows, 4, _stale_agents(graph, rows, 4))
+    history = np.zeros((12, 3))
+    for t in (3, 8):
+        with pytest.raises(PreconditionError, match="plan's ticks 4..7"):
+            step_async(history, table[t], fam, graph, t, plan)
+    assert step_async(history, table[5], fam, graph, 5, plan).tobytes() == (
+        step_async(history, table[5], fam, graph, 5).tobytes())
+
+
+def test_a_2000_agent_chain_plans_every_all_stale_tick_alone():
+    n = 2000
+    chain = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+    graph = DependencyGraph([1] * n, chain)
+    table = np.ones((4, len(graph.edges)), dtype=int)  # from tick 2 every copy is stale
+    plans = _tick_plans(graph, table)
+    first = next(plans)
+    assert (first.start, len(first.ticks)) == (1, 1)  # tick 1 is fresh; tick 2 would overflow
+    assert plan_indices(first) == 2 * n <= async_sim._PLAN_INDICES
+    for t in (2, 3):
+        plan = next(plans)
+        assert (plan.start, len(plan.ticks)) == (t, 1)
+        offsets, row_of = plan.ticks[0]
+        assert offsets.shape == (n, n) and list(row_of[:3]) == [0, 1, 2]
+        del plan, offsets, row_of
+    assert next(plans, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +744,7 @@ def point_loop_audit(family, graph, probe_count, seed):
         scale = 1e-6 * (1.0 + float(np.max(np.abs(x))))
         thresh = 1e-9 * (1.0 + float(np.max(np.abs(fx))))
         for j in range(graph.n_agents):
-            sl = graph.block_slice(j)
+            sl = block_slice(graph, j)
             delta = rng.uniform(0.5, 1.0, size=sl.stop - sl.start) * scale
             x2 = x.copy()
             x2[sl] = x[sl] + delta
@@ -560,7 +754,7 @@ def point_loop_audit(family, graph, probe_count, seed):
                     continue
             diff = family.evaluate(x2, 1) - fx
             for i in range(graph.n_agents):
-                moved = float(np.max(np.abs(diff[graph.block_slice(i)]))) > thresh
+                moved = float(np.max(np.abs(diff[block_slice(graph, i)]))) > thresh
                 if i != j and moved and (j, i) not in graph.edges:
                     violations.add((j, i))
     return sorted(violations)
