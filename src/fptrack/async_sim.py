@@ -38,7 +38,9 @@ newer ones); explicit schedules may opt out for stress tests.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +66,12 @@ class DependencyGraph:
     ``edges`` is a sequence of such pairs or an ``(m, 2)`` int array.
     Self-edges are forbidden: an agent's own block is always fresh.
 
-    ``self.edges`` lists the distinct edges sorted by ``(j, i)`` and
-    ``edge_arrays`` their senders and receivers; a run's stamp table has one
-    column per edge in that order. ``in_edges`` lists the edge indices
-    grouped by receiver, agent i's at ``in_edges[in_start[i]:in_start[i + 1]]``,
-    and ``receivers`` are the agents with in-edges.
+    ``edge_arrays`` holds the senders and receivers of the distinct edges
+    sorted by ``(j, i)``; a run's stamp table has one column per edge in that
+    order. ``edges`` lists the same edges as int pairs, built on first read.
+    ``in_edges`` lists the edge indices grouped by receiver, agent i's at
+    ``in_edges[in_start[i]:in_start[i + 1]]``, and ``receivers`` are the
+    agents with in-edges.
     """
 
     def __init__(self, block_sizes, edges):
@@ -91,7 +94,6 @@ class DependencyGraph:
             raise PreconditionError(f"edge ({j}, {i}) references unknown agents")
         keys = np.sort(j * n + i)  # sorted by (j, i)
         self.edge_arrays = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        self.edges = tuple(zip(*(a.tolist() for a in self.edge_arrays)))
         self.in_edges = np.argsort(self.edge_arrays[1], kind="stable")
         self.in_start = np.searchsorted(self.edge_arrays[1], np.arange(n + 1),
                                         sorter=self.in_edges)
@@ -101,8 +103,12 @@ class DependencyGraph:
         self.block_of_column = np.repeat(np.arange(self.n_agents), self.block_sizes)
         self.columns = np.arange(self.dim)
 
+    @cached_property
+    def edges(self):
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
+
     def __repr__(self):
-        return f"<DependencyGraph agents={self.n_agents} edges={len(self.edges)}>"
+        return f"<DependencyGraph agents={self.n_agents} edges={len(self.edge_arrays[0])}>"
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +227,41 @@ class IidDrop(ChannelModel):
 
 
 class ScheduleTable(ChannelModel):
-    """Explicit stamp history, e.g. imported from CSV.
+    """Explicit stamp history: the rows of a log CSV (:func:`read_schedule_csv`).
 
-    ``table[(t, src, dst)]`` gives the stamp agent ``dst`` holds of ``src`` at
-    tick t; missing entries keep the previous copy, and entries outside the
-    run's ticks are ignored. An entry for an edge that the run's dependency
+    ``rows`` is a ``(k, 4)`` int array, or a sequence of 4-int rows, of
+    ``t, src, dst, stamp``: at tick t agent ``dst`` holds ``src``'s block as
+    of time ``stamp``. An edge keeps its previous copy at ticks without a row;
+    when rows repeat a ``(t, src, dst)`` the last one wins, and rows outside
+    the run's ticks are ignored. A row for an edge that the run's dependency
     graph lacks fails the run before its first tick. Stamps must lie in
     ``1..t``. Non-monotone histories (old packets overwriting newer ones) are
     outside the default delivery model and must be enabled explicitly; a
     declared worst-case staleness, when given, bounds every stamp in effect.
     """
 
-    def __init__(self, table, allow_nonmonotone=False, declared_max_delay=None):
-        self.table = {(int(t), int(j), int(i)): int(s) for (t, j, i), s in table.items()}
+    def __init__(self, rows, allow_nonmonotone=False, declared_max_delay=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 4)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise PreconditionError("schedule rows must be (t, src, dst, stamp)")
+        self.rows = rows
         self.allows_nonmonotone = bool(allow_nonmonotone)
-        self.declared_max_delay = (
-            int(declared_max_delay) if declared_max_delay is not None else None
-        )
+        self.declared_max_delay = None if declared_max_delay is None else int(declared_max_delay)
 
-    def stamps_for(self, edges, horizon):
-        """Stamp table over ``edges``: each entry holds until the edge's next one."""
-        column = {edge: k for k, edge in enumerate(edges)}
-        given = np.ones((horizon, len(edges)), dtype=int)
-        since = np.zeros((horizon, len(edges)), dtype=int)  # tick of the entry in effect
-        for (t, j, i), s in self.table.items():
-            k = column.get((j, i))
-            if k is not None and 1 <= t < horizon:
-                given[t, k] = s
-                since[t, k] = t
+    def stamps_for(self, columns, n_edges, horizon):
+        """Stamp table over ``n_edges`` edges, row r setting column ``columns[r]``
+        (none when negative); each entry holds until the edge's next one."""
+        t, stamp = self.rows[:, 0], self.rows[:, 3]
+        placed = np.flatnonzero((columns >= 0) & (t >= 1) & (t < horizon))
+        flat = t[placed] * n_edges + columns[placed]  # each placed row's table entry
+        order = np.argsort(flat, kind="stable")
+        last = order[np.diff(flat[order], append=-1) != 0]  # each entry's last row
+        given = np.ones((horizon, n_edges), dtype=int)
+        since = np.zeros((horizon, n_edges), dtype=int)  # tick of the entry in effect
+        given.flat[flat[last]] = stamp[placed[last]]
+        since.flat[flat[last]] = t[placed[last]]
         np.maximum.accumulate(since, axis=0, out=since)
         return np.take_along_axis(given, since, axis=0)
 
@@ -257,67 +270,90 @@ class PerEdge(ChannelModel):
     """Assign a distinct channel model to selected edges (default elsewhere).
 
     A key naming an edge the run's dependency graph lacks fails the run
-    before its first tick, as does an entry of a schedule among the models.
+    before its first tick, as does a row of a schedule among the models.
     """
 
     def __init__(self, channel_map, default=None):
         self.channel_map = {(int(j), int(i)): m for (j, i), m in channel_map.items()}
         self.default = default if default is not None else ZeroDelay()
 
-    def model_for(self, edge):
-        return self.channel_map.get(edge, self.default)
+
+def _edge_columns(graph: DependencyGraph, pairs) -> np.ndarray:
+    """Each ``(j, i)`` row's column in ``graph``'s edge order, found by its
+    ``j * n + i`` key once its ids are known agents (else it could alias an
+    edge's key). Fails naming the smallest pair the graph lacks."""
+    n = graph.n_agents
+    keys = graph.edge_arrays[0] * n + graph.edge_arrays[1]  # sorted
+    j, i = pairs.T
+    wanted = np.where((np.minimum(j, i) >= 0) & (np.maximum(j, i) < n), j * n + i, -1)
+    column = np.searchsorted(keys, wanted)
+    known = (wanted >= 0) & (column < len(keys))
+    known[known] = keys[column[known]] == wanted[known]
+    if not known.all():
+        unknown = pairs[~known]
+        raise PreconditionError(
+            f"channel names edge {tuple(unknown[np.lexsort(unknown.T[::-1])[0]].tolist())}, "
+            f"which the dependency graph lacks ({n} agents, {len(keys)} edges)"
+        )
+    return column
 
 
 def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) -> np.ndarray:
-    """The run's stamp table, one column per edge of ``graph`` in edge order."""
-    edges = graph.edges
-    per_edge = isinstance(model, PerEdge)
-    named = set(model.channel_map) if per_edge else set()
-    for sub in [*model.channel_map.values(), model.default] if per_edge else [model]:
-        if isinstance(sub, ScheduleTable):
-            named.update((j, i) for (_, j, i) in sub.table)
-    unknown = sorted(named.difference(edges))
-    if unknown:
-        raise PreconditionError(
-            f"channel names edge {unknown[0]}, which the dependency graph lacks "
-            f"({graph.n_agents} agents, {len(edges)} edges)"
-        )
-    if not per_edge:
-        return _group_table(model, edges, horizon, seed)
-    groups = {}
-    for k, edge in enumerate(edges):
-        sub = model.model_for(edge)
-        groups.setdefault(id(sub), (sub, []))[1].append(k)
-    table = np.empty((horizon, len(edges)), dtype=int)
-    for sub, idx in groups.values():
-        table[:, idx] = _group_table(sub, [edges[k] for k in idx], horizon, seed)
+    """The run's stamp table, one column per edge of ``graph`` in edge order.
+
+    A ``PerEdge`` model's keys and its schedules' rows are checked against the
+    graph together, so an unknown edge fails before any channel starts.
+    """
+    n_edges = len(graph.edge_arrays[0])
+    if not isinstance(model, PerEdge):
+        return _group_table(model, graph, np.arange(n_edges), horizon, seed)
+    subs = [model.default, *model.channel_map.values()]
+    keys = np.array(list(model.channel_map), dtype=np.int64).reshape(-1, 2)
+    named = [keys, *(sub.rows[:, 1:3] for sub in subs if isinstance(sub, ScheduleTable))]
+    first = {}  # each distinct model's first position in subs
+    group = np.array([first.setdefault(id(sub), k) for k, sub in enumerate(subs)])
+    owner = np.zeros(n_edges, dtype=np.intp)  # position in subs of each edge's model
+    owner[_edge_columns(graph, np.concatenate(named))[: len(keys)]] = np.arange(1, len(subs))
+    owner = group[owner]
+    table = np.empty((horizon, n_edges), dtype=int)
+    order = np.argsort(owner, kind="stable")  # edges grouped by model, in edge order
+    for idx in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
+        if len(idx):
+            table[:, idx] = _group_table(subs[owner[idx[0]]], graph, idx, horizon, seed)
     return table
 
 
-def _group_table(model: ChannelModel, edges, horizon, seed) -> np.ndarray:
-    """One model's stamp table over ``edges``, checked against its declarations."""
+def _group_table(model: ChannelModel, graph: DependencyGraph, idx, horizon, seed) -> np.ndarray:
+    """One model's stamp table over the graph's edges ``idx``, checked against it."""
     if isinstance(model, ScheduleTable):
-        table = model.stamps_for(edges, horizon)
+        local = np.full(len(graph.edge_arrays[0]), -1)  # a graph edge's column here
+        local[idx] = np.arange(len(idx))
+        columns = local[_edge_columns(graph, model.rows[:, 1:3])]
+        table = model.stamps_for(columns, len(idx), horizon)
     else:
-        table = np.asarray(model.start(len(edges), horizon, seed), dtype=int)
-    if table.shape != (horizon, len(edges)):
+        table = np.asarray(model.start(len(idx), horizon, seed), dtype=int)
+    if table.shape != (horizon, len(idx)):
         raise PreconditionError(
-            f"stamp table has shape {table.shape}, expected {(horizon, len(edges))}"
+            f"stamp table has shape {table.shape}, expected {(horizon, len(idx))}"
         )
+
+    def edge(k):
+        return tuple(int(a[idx[k]]) for a in graph.edge_arrays)
+
     held = table[1:]
     ticks = np.arange(1, horizon)[:, None]
     outside = (held < 1) | (held > ticks)
     if outside.any():
         t, k = np.argwhere(outside)[0]
         raise PreconditionError(
-            f"stamp {held[t, k]} for edge {edges[k]} at t={t + 1} outside 1..{t + 1}"
+            f"stamp {held[t, k]} for edge {edge(k)} at t={t + 1} outside 1..{t + 1}"
         )
     if not model.allows_nonmonotone:
         back = held[1:] < held[:-1]
         if back.any():
             t, k = np.argwhere(back)[0]
             raise PreconditionError(
-                f"stamp for edge {edges[k]} decreases at t={t + 2}, "
+                f"stamp for edge {edge(k)} decreases at t={t + 2}, "
                 "outside the default delivery model"
             )
     if model.declared_max_delay is not None:
@@ -326,7 +362,7 @@ def _group_table(model: ChannelModel, edges, horizon, seed) -> np.ndarray:
             t, k = np.argwhere(over)[0]
             raise StaleBeyondCapError(
                 f"channel exceeds declared staleness {model.declared_max_delay} "
-                f"on edge {edges[k]} at t={t + 1}"
+                f"on edge {edge(k)} at t={t + 1}"
             )
     return table
 
@@ -416,26 +452,36 @@ def realized_delay_stats(log: ChannelLog, graph: DependencyGraph) -> DelayStats:
     return DelayStats(delay_by_tick, stale_by_tick, log)
 
 
+_LOG_COLUMNS = ("t", "src", "dst", "delivered_stamp")
+
+
 def write_log_csv(path, log: ChannelLog) -> None:
     """Export a channel log as t,src,dst,delivered_stamp rows."""
     columns = zip(log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "src", "dst", "delivered_stamp"])
+        writer.writerow(_LOG_COLUMNS)
         writer.writerows(columns)
 
 
 def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) -> ScheduleTable:
-    """Import a stamp schedule written in the log CSV format."""
-    table = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"t", "src", "dst", "delivered_stamp"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise PreconditionError(f"schedule CSV must have columns {sorted(expected)}")
-        for row in reader:
-            table[(int(row["t"]), int(row["src"]), int(row["dst"]))] = int(row["delivered_stamp"])
-    return ScheduleTable(table, allow_nonmonotone=allow_nonmonotone,
+    """Import a stamp schedule written in the log CSV format, as its rows.
+
+    The header names the columns t, src, dst and delivered_stamp, in any
+    order. The rows are parsed by ``np.loadtxt`` in one pass and taken in
+    that column order; a field that is not an integer, or a row with a field
+    too many or too few, raises ``ValueError``.
+    """
+    with open(path) as fh:
+        names, body = fh.readline().rstrip("\n").split(","), fh.read()
+    if sorted(names) != sorted(_LOG_COLUMNS):
+        raise PreconditionError(f"schedule CSV must have columns {sorted(_LOG_COLUMNS)}")
+    rows = (np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            if body.strip() else np.empty((0, 4), dtype=np.int64))
+    if rows.shape[1] != 4:
+        raise ValueError(f"schedule CSV rows have {rows.shape[1]} fields, not 4")
+    return ScheduleTable(rows[:, [names.index(name) for name in _LOG_COLUMNS]],
+                         allow_nonmonotone=allow_nonmonotone,
                          declared_max_delay=declared_max_delay)
 
 

@@ -48,39 +48,14 @@ class BoundInputs:
             )
 
 
-def contraction_product(t, tau, lipschitz_series) -> float:
-    """Product of per-step contraction factors over steps tau+1 .. t.
-
-    ``lipschitz_series[k]`` holds the factor of step k+1, so the series must
-    cover indices tau+1 .. t. Equals 1 when tau == t, and is bounded by
-    ``sup_L ** (t - tau)`` for any upper bound sup_L on the series.
-    """
-    t, tau = int(t), int(tau)
-    if tau < 0 or tau > t:
-        raise IndexError(f"tau must lie in [0, t]; got tau={tau}, t={t}")
-    if tau == t:
-        return 1.0
-    series = np.asarray(lipschitz_series, dtype=float)
-    if len(series) < t:
-        raise IndexError(f"series of length {len(series)} does not cover steps up to t={t}")
-    return float(np.prod(series[tau:t]))
-
-
-def per_step_bound(initial_error, map_error_series, drift_series, lipschitz_series, t) -> float:
-    """Worst-case tracking error after t online steps.
-
-    Unrolls the error recursion ``b(next) = L(t) * b + map_error(t) + drift(t)``
-    from ``b = initial_error``; the result bounds the tracking error at time
-    t+1. Series are indexed so that element k refers to step k+1 and must
-    cover steps 1..t.
-    """
-    return float(per_step_bound_series(initial_error, map_error_series,
-                                        drift_series, lipschitz_series, t)[t])
-
-
 def per_step_bound_series(initial_error, map_error_series, drift_series,
                           lipschitz_series, t) -> np.ndarray:
-    """Array of per-step bounds: entry k bounds the error at time k+1 (k <= t)."""
+    """Per-step bounds after 0..t online steps: entry k bounds the error at time k+1.
+
+    Unrolls the error recursion ``b(next) = L(t) * b + map_error(t) + drift(t)``
+    from ``b = initial_error``. Series are indexed so that element k refers to
+    step k+1 and must cover steps 1..t.
+    """
     t = int(t)
     if t < 0:
         raise PreconditionError("t must be nonnegative")
@@ -181,16 +156,6 @@ def stale_contraction_threshold(max_stale) -> float:
     return 1.0 / math.sqrt(int(max_stale) + 1.0)
 
 
-def stale_contraction_ratio(max_stale) -> float:
-    """kappa = (sqrt(s+1) - 1)/(sqrt(s+1) + 1) for s stale blocks.
-
-    The regularization threshold is ``kappa / (1 - kappa) * smoothness``,
-    which is how :func:`min_regularization` arises.
-    """
-    root = math.sqrt(int(max_stale) + 1.0)
-    return (root - 1.0) / (root + 1.0)
-
-
 def gradient_step_window(smoothness, regularization, max_stale):
     """Step sizes for which the regularized gradient map beats the stale threshold.
 
@@ -243,11 +208,11 @@ def delayed_recursion_check(offset, decay, max_lag, lag_schedule, horizon,
                             initial=None, tail_fraction=0.1, slack=1e-9) -> DelayedRecursionResult:
     """Simulate ``a(t) = offset + decay * a(t - lag(t))`` and test its tail.
 
-    ``lag_schedule`` maps t (or indexes by t) to a lag in 1..max_lag; the
-    first ``max_lag`` values of the sequence are given by ``initial``
-    (defaulting to the equilibrium value ``offset / (1 - decay)``). Passes
-    when the maximum over the trailing window does not exceed
-    ``offset / (1 - decay) + slack``.
+    ``lag_schedule`` is a nonempty sequence of lags in 1..max_lag, repeated
+    cyclically from ``t = max_lag + 1`` on; the first ``max_lag`` values of
+    the sequence are given by ``initial`` (defaulting to the equilibrium
+    value ``offset / (1 - decay)``). Passes when the maximum over the
+    trailing window does not exceed ``offset / (1 - decay) + slack``.
     """
     if not (0.0 < decay < 1.0):
         raise PreconditionError("decay must lie strictly between 0 and 1")
@@ -258,21 +223,22 @@ def delayed_recursion_check(offset, decay, max_lag, lag_schedule, horizon,
     if max_lag < 1 or horizon <= max_lag:
         raise PreconditionError("need max_lag >= 1 and horizon > max_lag")
     bound = offset / (1.0 - decay)
-    a = np.empty(horizon + 1)  # a[1..horizon]; a[0] unused
     if initial is None:
-        a[1 : max_lag + 1] = bound
-    else:
-        initial = np.asarray(initial, dtype=float)
-        if len(initial) != max_lag:
-            raise LengthMismatchError(f"initial must have length max_lag={max_lag}")
-        a[1 : max_lag + 1] = initial
-    lag_at = lag_schedule if callable(lag_schedule) else None
-    lags = None if lag_at is not None else np.asarray(lag_schedule, dtype=int)
-    for t in range(max_lag + 1, horizon + 1):
-        lag = int(lag_at(t)) if lag_at is not None else int(lags[(t - max_lag - 1) % len(lags)])
-        if not (1 <= lag <= max_lag):
-            raise PreconditionError(f"lag {lag} at t={t} outside 1..{max_lag}")
-        a[t] = offset + decay * a[t - lag]
+        initial = [bound] * max_lag
+    elif len(initial) != max_lag:
+        raise LengthMismatchError(f"initial must have length max_lag={max_lag}")
+    lags = np.asarray(lag_schedule, dtype=int)
+    if lags.ndim != 1 or not len(lags):
+        raise PreconditionError("lag_schedule must be a nonempty sequence of lags")
+    lag = np.resize(lags, horizon - max_lag)  # the lag at t = max_lag + 1 .. horizon
+    bad = (lag < 1) | (lag > max_lag)
+    if bad.any():
+        k = int(bad.argmax())
+        raise PreconditionError(f"lag {lag[k]} at t={max_lag + 1 + k} outside 1..{max_lag}")
+    offset, decay = float(offset), float(decay)
+    a = [0.0, *np.asarray(initial, dtype=float).tolist()]  # a[1..horizon]; a[0] unused
+    for t, lag_t in enumerate(lag.tolist(), start=max_lag + 1):
+        a.append(offset + decay * a[t - lag_t])
     start = max(max_lag + 1, int(np.floor(horizon * (1.0 - tail_fraction))))
-    tail_max = float(a[start : horizon + 1].max())
+    tail_max = max(a[start:])
     return DelayedRecursionResult(tail_max, bound, tail_max <= bound + slack, horizon)

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .async_sim import (
+    ChannelModel,
     FixedDelay,
     IidDrop,
     PeriodicDelivery,
@@ -109,7 +110,8 @@ def _signal(spec, seed):
 @dataclass
 class ExperimentConfig:
     """Values read from a config document (``problem`` and ``channel`` too, with
-    defaults filled in); ``raw`` is the document exactly as given."""
+    defaults filled in); ``raw`` is the document exactly as given, and
+    ``channel_model`` the channel its runs use, built once from ``channel``."""
 
     problem: dict
     mode: str
@@ -122,6 +124,10 @@ class ExperimentConfig:
     audit_samples: int
     declared_lipschitz_override: float | None
     raw: dict = field(repr=False, default_factory=dict)
+    channel_model: ChannelModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.channel_model = self.build_channel()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -136,9 +142,7 @@ class ExperimentConfig:
             if unused:
                 form = "an inline instance (curvature given)" if inline else "a random instance"
                 raise ConfigError(f"qp-gradient keys {unused} do not apply to {form}")
-        cfg = cls(**dict(values, norm=Norm(values["norm"])), raw=doc)
-        cfg.build_channel()  # fail fast on unreadable schedules
-        return cfg
+        return cls(**dict(values, norm=Norm(values["norm"])), raw=doc)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -426,7 +430,7 @@ def _run_phase(config: ExperimentConfig, family, graph, reference):
     if config.mode == "sync":
         trace = run_online_tracker(family, x0, config.horizon, config.norm, reference=reference)
         return trace, None
-    return run_async_tracker(family, graph, config.build_channel(), x0, config.horizon,
+    return run_async_tracker(family, graph, config.channel_model, x0, config.horizon,
                              config.norm, seed=config.seed, reference=reference)
 
 

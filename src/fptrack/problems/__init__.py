@@ -6,7 +6,6 @@ from .loadflow import (
     InjectionSeries,
     MultiAreaSystem,
     PowerNetwork,
-    boundary_injection,
     build_loadflow_map,
     build_multiarea_maps,
     default_injections,
@@ -32,7 +31,6 @@ __all__ = [
     "PowerNetwork",
     "ScalarSignal",
     "TimeVaryingQP",
-    "boundary_injection",
     "build_affine_family",
     "build_broadcast_system",
     "build_feedback_gradient_map",

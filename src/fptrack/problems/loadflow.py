@@ -278,23 +278,6 @@ def build_loadflow_map(net: PowerNetwork, injections: InjectionSeries, radius=0.
     )
 
 
-def boundary_injection(v_area_j, v_connection, link_impedance, root_index=0) -> np.ndarray:
-    """Complex power flowing into area j at a connection point, as (P, Q).
-
-    ``v_area_j`` holds area j's bus voltages (its link-side bus at
-    ``root_index``), ``v_connection`` the upstream connection-point voltage
-    (complex scalar or (re, im) pair). The power is measured at the
-    connection point: S = v_conn * conj((v_conn - v_root) / z_link).
-    """
-    v_area_j = np.asarray(v_area_j, dtype=complex).ravel()
-    vc = np.asarray(v_connection)
-    v_conn = complex(vc) if vc.ndim == 0 else complex(vc.ravel()[0] + 1j * vc.ravel()[1])
-    if abs(v_conn) < 1e-6:
-        raise DomainViolationError("connection-point voltage magnitude is near zero")
-    s = v_conn * np.conj((v_conn - v_area_j[root_index]) / complex(link_impedance))
-    return np.array([s.real, s.imag])
-
-
 # ---------------------------------------------------------------------------
 # Multi-area decomposition
 # ---------------------------------------------------------------------------

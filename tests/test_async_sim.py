@@ -86,6 +86,15 @@ def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
     assert DependencyGraph([1, 1], []).edges == ()
 
 
+def test_graph_edge_pairs_are_built_on_first_read_and_no_run_reads_them():
+    fam = small_affine(dim=4, coupling="chain")
+    g = fam.dependency_graph()
+    channels = PerEdge({(1, 0): ScheduleTable([(2, 1, 0, 1)])}, default=IidDrop(0.3))
+    fp.run_async_tracker(fam, g, channels, np.zeros(4), 20, L2, seed=1)
+    assert "edges" not in vars(g)
+    assert g.edges == ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)) and g.edges is g.edges
+
+
 def block_slice(graph, i):
     return slice(int(graph.offsets[i]), int(graph.offsets[i + 1]))
 
@@ -144,10 +153,7 @@ def test_dropped_packet_keeps_copy_and_stamp():
     fam = small_affine(dim=2)
     g = fam.dependency_graph()
     # schedule: edge (0 -> 1) never delivers after t=1; edge (1 -> 0) always fresh
-    table = {}
-    for t in range(2, 6):
-        table[(t, 1, 0)] = t
-    channels = ScheduleTable(table)
+    channels = ScheduleTable([(t, 1, 0, t) for t in range(2, 6)])
     tr, stats = fp.run_async_tracker(fam, g, channels, np.zeros(2), 5, L2, seed=0)
     log = stats.log
     rows = (log.src == 0) & (log.dst == 1)
@@ -368,9 +374,9 @@ def test_nonmonotone_schedule_replays_per_agent_evaluation_bitwise():
     rng = np.random.default_rng(3)
     horizon = 40
     table = random_stamp_table(len(graph.edges), horizon, rng)
-    schedule = {(t, j, i): int(table[t, k]) for t in range(1, horizon)
-                for k, (j, i) in enumerate(graph.edges)}
-    channels = ScheduleTable(schedule, allow_nonmonotone=True)
+    rows = [(t, j, i, table[t, k]) for t in range(1, horizon)
+            for k, (j, i) in enumerate(graph.edges)]
+    channels = ScheduleTable(rows, allow_nonmonotone=True)
     trace, stats = fp.run_async_tracker(fam, graph, channels, np.zeros(fam.dim), horizon, LINF)
     assert np.array_equal(stats.log.table, table[1:])
     assert (np.diff(table[1:], axis=0) < 0).any()  # old packets overwrite newer ones
@@ -490,11 +496,11 @@ def test_stamp_monotonicity_under_all_builtin_channels():
 def test_schedule_nonmonotone_rejected_unless_flagged():
     fam = small_affine(dim=2)
     g = fam.dependency_graph()
-    table = {(2, 1, 0): 2, (3, 1, 0): 1}  # an old packet overwrites a newer one
+    schedule = [(2, 1, 0, 2), (3, 1, 0, 1)]  # an old packet overwrites a newer one
     with pytest.raises(PreconditionError):
-        fp.run_async_tracker(fam, g, ScheduleTable(table), np.zeros(2), 5, L2, seed=0)
+        fp.run_async_tracker(fam, g, ScheduleTable(schedule), np.zeros(2), 5, L2, seed=0)
     tr, stats = fp.run_async_tracker(
-        fam, g, ScheduleTable(table, allow_nonmonotone=True), np.zeros(2), 5, L2, seed=0
+        fam, g, ScheduleTable(schedule, allow_nonmonotone=True), np.zeros(2), 5, L2, seed=0
     )
     rows = (stats.log.src == 1) & (stats.log.dst == 0)
     assert list(stats.log.stamps[rows]) == [1, 2, 1, 1]
@@ -503,8 +509,7 @@ def test_schedule_nonmonotone_rejected_unless_flagged():
 def test_schedule_beyond_declared_staleness_raises():
     fam = small_affine(dim=2)
     g = fam.dependency_graph()
-    table = {(5, 1, 0): 1}
-    channels = ScheduleTable(table, declared_max_delay=2)
+    channels = ScheduleTable([(5, 1, 0, 1)], declared_max_delay=2)
     with pytest.raises(StaleBeyondCapError):
         fp.run_async_tracker(fam, g, channels, np.zeros(2), 8, L2, seed=0)
 
@@ -514,9 +519,9 @@ def test_schedule_declared_staleness_bounds_copies_carried_forward():
     g = fam.dependency_graph()
     # no entries: both copies stay at the initial state and reach staleness 8
     with pytest.raises(StaleBeyondCapError):
-        fp.run_async_tracker(fam, g, ScheduleTable({}, declared_max_delay=2),
+        fp.run_async_tracker(fam, g, ScheduleTable([], declared_max_delay=2),
                              np.zeros(2), 10, L2, seed=0)
-    _, stats = fp.run_async_tracker(fam, g, ScheduleTable({}, declared_max_delay=8),
+    _, stats = fp.run_async_tracker(fam, g, ScheduleTable([], declared_max_delay=8),
                                     np.zeros(2), 10, L2, seed=0)
     assert stats.max_delay == 8
 
@@ -536,10 +541,10 @@ class TableChannel(ChannelModel):
     (TableChannel([1, 1, 0, 1, 1]), PreconditionError),           # below the initial stamp
     (TableChannel([1, 1, 3, 3, 4]), PreconditionError),           # a copy from the future
     (TableChannel([1, 1, 2, 1, 4]), PreconditionError),           # non-monotone
-    (ScheduleTable({(3, 1, 0): 4}), PreconditionError),           # a scheduled future copy
-    (ScheduleTable({(1, 1, 0): 2}), PreconditionError),           # ... at the first tick
-    (PerEdge({(1, 0): ScheduleTable({(2, 1, 0): 2, (3, 1, 0): 1})}), PreconditionError),
-    (PerEdge({(1, 0): ScheduleTable({}, declared_max_delay=2)}), StaleBeyondCapError),
+    (ScheduleTable([(3, 1, 0, 4)]), PreconditionError),           # a scheduled future copy
+    (ScheduleTable([(1, 1, 0, 2)]), PreconditionError),           # ... at the first tick
+    (PerEdge({(1, 0): ScheduleTable([(2, 1, 0, 2), (3, 1, 0, 1)])}), PreconditionError),
+    (PerEdge({(1, 0): ScheduleTable([], declared_max_delay=2)}), StaleBeyondCapError),
 ])
 def test_invalid_stamp_tables_fail_before_the_first_tick(channels, error):
     fam = small_affine(dim=2)
@@ -614,19 +619,80 @@ def test_schedule_csv_rejects_bad_header(tmp_path):
         fp.read_schedule_csv(path)
 
 
+def chain_stamps(channels, horizon):
+    """The stamp table ``channels`` give on the 3-agent chain."""
+    return _start_channels(channels, small_affine(dim=3, coupling="chain").dependency_graph(),
+                           horizon, 0)
+
+
+def test_schedule_csv_accepts_columns_in_any_order(tmp_path):
+    fam = small_affine(dim=3, coupling="chain")
+    g = fam.dependency_graph()
+    _, logged = fp.run_async_tracker(fam, g, IidDrop(0.4), np.zeros(3), 40, L2, seed=5)
+    path = tmp_path / "schedule.csv"
+    fp.write_log_csv(path, logged.log)
+    fields = [line.split(",") for line in path.read_text().splitlines()]
+    reordered = tmp_path / "reordered.csv"  # dst, delivered_stamp, t, src
+    reordered.write_text("".join(f"{f[2]},{f[3]},{f[0]},{f[1]}\n" for f in fields))
+    rows = fp.read_schedule_csv(reordered).rows
+    assert np.array_equal(rows, fp.read_schedule_csv(path).rows)
+    assert np.array_equal(rows[:, 3], logged.log.stamps)
+    assert np.array_equal(chain_stamps(fp.read_schedule_csv(reordered), 40)[1:], logged.log.table)
+
+
+def test_schedule_repeated_entry_last_row_wins(tmp_path):
+    path = tmp_path / "schedule.csv"
+    for stamps, expected in (((1, 2), 2), ((2, 1), 1)):
+        path.write_text("t,src,dst,delivered_stamp\n" + "".join(
+            f"3,1,0,{s}\n4,0,1,2\n" for s in stamps))
+        schedule = fp.read_schedule_csv(path)
+        assert schedule.rows.tolist() == [[3, 1, 0, stamps[0]], [4, 0, 1, 2],
+                                          [3, 1, 0, stamps[1]], [4, 0, 1, 2]]
+        table = chain_stamps(schedule, 6)
+        column = [(0, 1), (1, 0), (1, 2), (2, 1)].index((1, 0))
+        assert table[:, column].tolist() == [1, 1, 1, expected, expected, expected]
+
+
+def test_schedule_csv_with_a_header_only_is_empty(tmp_path):
+    path = tmp_path / "schedule.csv"
+    for body in ("", "\n", "\n\n"):
+        path.write_text("delivered_stamp,t,dst,src" + body)
+        schedule = fp.read_schedule_csv(path)
+        assert schedule.rows.shape == (0, 4)
+        assert np.array_equal(chain_stamps(schedule, 5), np.ones((5, 4)))
+
+
+@pytest.mark.parametrize("rows", [[(1, 2, 3)], [1, 2, 3, 4], [[[1, 2, 3, 4]]]])
+def test_schedule_rows_must_be_four_ints(rows):
+    with pytest.raises(PreconditionError, match="rows"):
+        ScheduleTable(rows)
+
+
+def test_per_edge_schedule_sets_only_its_own_edges():
+    schedule = ScheduleTable([(3, 1, 0, 3), (3, 0, 1, 2), (4, 2, 1, 1)])
+    table = chain_stamps(PerEdge({(1, 0): FixedDelay(2)}, default=schedule), 6)
+    # columns (0, 1), (1, 0), (1, 2), (2, 1); the row for (1, 0) is ignored
+    assert table.T.tolist() == [[1, 1, 1, 2, 2, 2], [1, 1, 1, 1, 2, 3],
+                                [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]
+
+
 class _NeverStarted(ChannelModel):
     def start(self, n_edges, horizon, seed):
         raise AssertionError("channel started although an edge is unknown")
 
 
 @pytest.mark.parametrize("channels", [
-    ScheduleTable({(2, 5, 7): 1}),
-    ScheduleTable({(3, 1, 0): 2, (2, 0, 2): 1}),  # (0, 2) is no chain edge
+    ScheduleTable([(2, 5, 7, 1)]),
+    ScheduleTable([(3, 1, 0, 2), (2, 0, 2, 1)]),  # (0, 2) is no chain edge
     PerEdge({(5, 7): _NeverStarted()}),
     PerEdge({(0, 2): FixedDelay(1)}, default=_NeverStarted()),
-    PerEdge({(1, 0): FixedDelay(1)}, default=ScheduleTable({(2, 5, 7): 1})),
+    PerEdge({(1, 0): FixedDelay(1)}, default=ScheduleTable([(2, 5, 7, 1)])),
+    ScheduleTable([(2, 1, 2, 1), (3, 0, 5, 1)]),  # key 0 * 3 + 5 is (1, 2)'s key
+    ScheduleTable([(3, 2, -1, 1)]),  # key 2 * 3 - 1 is (1, 2)'s key too
+    PerEdge({(0, 5): FixedDelay(1)}),
 ], ids=["schedule-only-unknown", "schedule-one-unknown", "per-edge-key",
-        "per-edge-non-edge-key", "per-edge-default-schedule"])
+        "per-edge-non-edge-key", "per-edge-default-schedule", "schedule-id-aliasing-an-edge",
+        "schedule-negative-id-aliasing-an-edge", "per-edge-key-aliasing-an-edge"])
 def test_channel_naming_an_unknown_edge_fails_before_the_first_tick(channels):
     g = small_affine(dim=3, coupling="chain").dependency_graph()
     calls = []
@@ -636,10 +702,21 @@ def test_channel_naming_an_unknown_edge_fails_before_the_first_tick(channels):
     assert calls == []
 
 
+@pytest.mark.parametrize("channels,edge", [
+    (ScheduleTable([(3, 0, 5, 1), (2, 1, 2, 1), (2, 0, 2, 1)]), (0, 2)),
+    (ScheduleTable([(3, 0, 5, 1), (2, 1, 2, 1)]), (0, 5)),
+    (PerEdge({(2, 0): FixedDelay(1)}, default=ScheduleTable([(2, 5, 7, 1), (2, 2, -1, 1)])),
+     (2, -1)),
+])
+def test_unknown_edge_error_names_the_smallest_unknown_pair(channels, edge):
+    with pytest.raises(PreconditionError, match=rf"edge \({edge[0]}, {edge[1]}\), which"):
+        chain_stamps(channels, 10)
+
+
 def test_schedule_entries_outside_the_run_stay_ignored():
     fam = small_affine(dim=3, coupling="chain")
     g = fam.dependency_graph()
-    channels = ScheduleTable({(0, 1, 0): 1, (10, 1, 0): 9, (99, 1, 0): 1})
+    channels = ScheduleTable([(0, 1, 0, 1), (10, 1, 0, 9), (99, 1, 0, 1)])
     _, stats = fp.run_async_tracker(fam, g, channels, np.zeros(3), 12, L2, seed=0)
     column = g.edges.index((1, 0))
     assert stats.log.table[:, column].tolist() == [1] * 9 + [9, 9]

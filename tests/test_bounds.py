@@ -17,16 +17,22 @@ NL2, NINF = Norm(L2), Norm(LINF)
 # ---------------------------------------------------------------------------
 
 
+def pure_decay(lipschitz_series, t):
+    """The per-step bound after t steps from error 1, with no map error or drift:
+    the product of the first t contraction factors."""
+    return bnd.per_step_bound_series(1.0, [0.0] * t, [0.0] * t, lipschitz_series, t)[t]
+
+
 def test_contraction_product_at_equal_indices_is_one():
-    assert bnd.contraction_product(5, 5, [0.3] * 5) == 1.0
+    assert pure_decay([0.3] * 5, 0) == 1.0
 
 
 def test_contraction_product_constant_series():
-    assert abs(bnd.contraction_product(3, 0, [0.5, 0.5, 0.5]) - 0.125) < 1e-15
+    assert abs(pure_decay([0.5, 0.5, 0.5], 3) - 0.125) < 1e-15
 
 
 def test_contraction_product_mixed_series():
-    assert abs(bnd.contraction_product(3, 0, (0.3, 0.6, 0.9)) - 0.162) < 1e-15
+    assert abs(pure_decay((0.3, 0.6, 0.9), 3) - 0.162) < 1e-15
 
 
 def test_contraction_product_bounded_by_sup_power():
@@ -34,23 +40,23 @@ def test_contraction_product_bounded_by_sup_power():
     series = rng.uniform(0.1, 0.9, 10)
     sup = series.max()
     for tau in range(11):
-        assert bnd.contraction_product(10, tau, series) <= sup ** (10 - tau) + 1e-15
+        assert pure_decay(series[tau:], 10 - tau) <= sup ** (10 - tau) + 1e-15
 
 
 def test_contraction_product_index_errors():
-    with pytest.raises(IndexError):
-        bnd.contraction_product(3, 4, [0.5] * 5)
-    with pytest.raises(IndexError):
-        bnd.contraction_product(6, 0, [0.5] * 3)
+    with pytest.raises(PreconditionError):
+        bnd.per_step_bound_series(1.0, [], [], [], -1)
+    with pytest.raises(LengthMismatchError):
+        pure_decay([0.5] * 3, 6)
 
 
 def test_per_step_bound_pure_decay():
-    val = bnd.per_step_bound(1.0, [0.0] * 4, [0.0] * 4, [0.5] * 4, 4)
+    val = bnd.per_step_bound_series(1.0, [0.0] * 4, [0.0] * 4, [0.5] * 4, 4)[4]
     assert abs(val - 0.0625) < 1e-15
 
 
 def test_per_step_bound_single_unrolling():
-    val = bnd.per_step_bound(1.0, [0.1], [0.2], [0.5], 1)
+    val = bnd.per_step_bound_series(1.0, [0.1], [0.2], [0.5], 1)[1]
     assert abs(val - 0.8) < 1e-15
 
 
@@ -61,10 +67,10 @@ def test_per_step_bound_equals_recursion_oracle():
     s = rng.uniform(0, 0.3, t)
     L = rng.uniform(0.1, 0.95, t)
     b = 0.7
-    oracle = b
+    oracle = [b]
     for k in range(t):  # direct recursion, independently coded
-        oracle = L[k] * oracle + e[k] + s[k]
-    assert abs(bnd.per_step_bound(b, e, s, L, t) - oracle) < 1e-12
+        oracle.append(L[k] * oracle[-1] + e[k] + s[k])
+    assert np.allclose(bnd.per_step_bound_series(b, e, s, L, t), oracle, rtol=0, atol=1e-12)
 
 
 def test_per_step_bound_matches_product_sum_form():
@@ -74,16 +80,16 @@ def test_per_step_bound_matches_product_sum_form():
     s = rng.uniform(0, 0.3, t)
     L = rng.uniform(0.1, 0.95, t)
     b0 = 1.3
-    # product-weighted unrolled form
-    total = bnd.contraction_product(t, 0, L) * b0
+    # product-weighted unrolled form: step tau's input decays by L over steps tau+1..t
+    total = np.prod(L) * b0
     for tau in range(1, t + 1):
-        total += bnd.contraction_product(t, tau, L) * (e[tau - 1] + s[tau - 1])
-    assert abs(bnd.per_step_bound(b0, e, s, L, t) - total) < 1e-12
+        total += np.prod(L[tau:t]) * (e[tau - 1] + s[tau - 1])
+    assert abs(bnd.per_step_bound_series(b0, e, s, L, t)[t] - total) < 1e-12
 
 
 def test_per_step_bound_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        bnd.per_step_bound(1.0, [0.1], [0.1, 0.2], [0.5, 0.5], 2)
+        bnd.per_step_bound_series(1.0, [0.1], [0.1, 0.2], [0.5, 0.5], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +354,7 @@ def test_delayed_recursion_lag_out_of_range():
 def test_stale_ratio_identity_with_min_regularization():
     # min regularization equals kappa/(1-kappa) times the smoothness
     for stale in (0, 1, 3, 8, 15):
-        kappa = bnd.stale_contraction_ratio(stale)
+        root = math.sqrt(stale + 1.0)
+        kappa = (root - 1.0) / (root + 1.0)
         for m in (0.5, 1.0, 2.5):
             assert abs(bnd.min_regularization(m, stale) - kappa / (1 - kappa + 1e-300) * m) < 1e-12

@@ -378,6 +378,63 @@ def test_cli_schedule_naming_an_unknown_edge_exit_2(tmp_path, capsys):
     assert "edge (5, 7)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "t,src,dst,delivered_stamp\n2,1,0,1\n3,1,0,x\n",
+    "t,src,dst,delivered_stamp\n2,1,0,1.5\n",
+    "t,src,dst,delivered_stamp,extra\n2,1,0,1,0\n",
+    "t,src,dst,delivered_stamp\n2,1,0,1,0\n",
+    "t,src,dst,delivered_stamp\n2,1,0,1\n3,1,0\n",
+    "t,src,dst,delivered_stamp\n2,1,0,99999999999999999999\n",
+], ids=["non-integer", "float", "extra-column", "extra-field", "missing-field", "overflow"])
+def test_cli_malformed_schedule_exit_2(tmp_path, capsys, text):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(text)
+    doc = affine_doc(mode="async", norm="linf", horizon=50,
+                     channel={"kind": "schedule_csv", "path": str(schedule)})
+    assert main(["run", write_json(tmp_path / "c.json", doc)]) == EXIT_CONFIG
+    assert f"cannot read schedule {schedule}" in capsys.readouterr().err
+
+
+def test_schedule_csv_experiment_reads_its_file_once(tmp_path, monkeypatch):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("t,src,dst,delivered_stamp\n2,1,0,1\n3,0,1,2\n")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(fptrack.async_sim, "open", counting_open, raising=False)
+    doc = affine_doc(mode="async", norm="linf", horizon=50,
+                     channel={"kind": "schedule_csv", "path": str(schedule)})
+    report = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    assert opened == [str(schedule)]
+    assert report.realized_max_delay == 48  # stamp 1 held through tick 49
+
+
+def test_logged_chain_run_replays_byte_identically(tmp_path):
+    doc = {
+        "problem": {"kind": "affine", "dim": 48, "contraction": 0.6, "coupling": "chain",
+                    "drift": {"kind": "linear", "rate": 0.01}},
+        "mode": "async", "norm": "linf",
+        "channel": {"kind": "iid_drop", "p": 0.2, "max_consecutive": 5},
+        "horizon": 400, "seed": 11,
+    }
+    logged = ExperimentConfig.from_dict(doc)
+    family, graph = experiments.build_phase(logged)
+    _, stats = fptrack.run_async_tracker(family, graph, logged.channel_model,
+                                         family.domain.anchor(), logged.horizon, logged.norm,
+                                         seed=logged.seed)
+    schedule = tmp_path / "schedule.csv"
+    fptrack.write_log_csv(schedule, stats.log)
+    replay = dict(doc, channel={"kind": "schedule_csv", "path": str(schedule)})
+    original = run_experiment(logged, write_files=False)
+    replayed = run_experiment(ExperimentConfig.from_dict(replay), write_files=False)
+    assert original.realized_max_delay == 5 and original.realized_max_stale == 2
+    assert trace_csv_text(replayed) == trace_csv_text(original)
+    assert replayed.certificates == original.certificates
+
+
 AFFINE_PROBLEM = affine_doc()["problem"]
 TWO_BUS_DOC = {"buses": 1, "slack_voltage": 1.0, "lines": [[0, 1, [0.05, 0.0]]],
                "injection_limit": [0.4]}

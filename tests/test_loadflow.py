@@ -1,4 +1,4 @@
-"""Load flow: monolithic fixed points, boundary power, multi-area decomposition."""
+"""Load flow: monolithic fixed points and the multi-area decomposition."""
 import numpy as np
 import pytest
 
@@ -13,7 +13,6 @@ from fptrack.errors import (
 from fptrack.problems import (
     InjectionSeries,
     PowerNetwork,
-    boundary_injection,
     build_loadflow_map,
     build_multiarea_maps,
     default_injections,
@@ -123,30 +122,6 @@ def test_time_varying_injections_tracked_within_sync_bound():
 
 
 # ---------------------------------------------------------------------------
-# boundary power
-# ---------------------------------------------------------------------------
-
-
-def test_boundary_injection_open_line_is_zero():
-    v_area = np.array([1.0 + 0.0j, 0.99])
-    out = boundary_injection(v_area, 1.0 + 0.0j, 0.1 + 0.05j)
-    assert np.allclose(out, 0.0)
-
-
-def test_boundary_injection_matches_direct_line_power():
-    v_conn, v_root, z = 1.01 + 0.01j, 0.99 - 0.005j, 0.08 + 0.02j
-    out = boundary_injection(np.array([v_root]), np.array([v_conn.real, v_conn.imag]), z)
-    s = v_conn * np.conj((v_conn - v_root) / z)
-    assert abs(out[0] - s.real) < 1e-15
-    assert abs(out[1] - s.imag) < 1e-15
-
-
-def test_boundary_injection_guards_near_zero_voltage():
-    with pytest.raises(DomainViolationError):
-        boundary_injection(np.array([1.0 + 0j]), 0.0 + 0.0j, 0.1)
-
-
-# ---------------------------------------------------------------------------
 # multi-area decomposition
 # ---------------------------------------------------------------------------
 
@@ -173,6 +148,19 @@ def test_multiarea_edges_form_the_chain_pattern(systems):
     assert three.graph.n_agents == 3
     assert set(two.graph.edges) == {(1, 0), (0, 1)}
     assert two.graph.n_agents == 2
+
+
+def test_multiarea_map_guards_near_zero_voltage(systems):
+    for system in systems:
+        v = system.network.noload.copy()
+        v[-1] = 0.0  # the last bus of the last area
+        x = system.encode(v)
+        assert np.min(np.abs(system.to_voltages(x))) < 1e-6
+        rows = np.stack([system.encode(system.network.noload), x])
+        for family in (system.family.base, system.family):
+            for at in (x, rows):
+                with pytest.raises(DomainViolationError, match="guard"):
+                    family.evaluate(at, 1)
 
 
 def test_multiarea_declared_contraction_certified(systems):
