@@ -1,31 +1,30 @@
 """Deterministic discrete-time simulator of asynchronous distributed iterations.
 
 Agents own disjoint blocks of the state. At every tick each agent evaluates
-its block of the (possibly inexact) map at a composite input: its own block is
-always fresh, neighbor blocks come from the last copies delivered by per-edge
-channels, and blocks of non-neighbors stay frozen at the initial state (the
-dependency audit guarantees the map never reads them). Channels then deliver
-or drop the newly computed blocks. All agents update within the same logical
-tick; "delay" is measured in ticks, there is no wall-clock component.
+its block of the (possibly inexact) map at x_t with its outdated copies
+patched in: the block of each in-neighbor whose last delivered copy is older
+than t is read as of that copy's stamp, every other block at t. Channels then
+deliver or drop the newly computed blocks. All agents update within the same
+logical tick; "delay" is measured in ticks, there is no wall-clock component.
 
-An agent whose neighbor copies are all current is fresh: its composite input
-agrees with the current state on every block its map reads, so all fresh
-agents share one evaluation of the map at the current state. This requires
-the map's block i not to read the blocks of agents outside i's in-neighbors,
-which :func:`audit_dependency_graph` checks. A tick is one columns call of
-the map (:meth:`~fptrack.core.MapFamily.evaluate_columns`) on the rows it
-needs: one row per stale agent's composite input, plus the current state when
-any agent is fresh. Each output column comes from the row of the agent that
-owns it. A family computes only those entries where it can (the affine map:
-one dot product per column), else the whole rows call. Built-in maps give
-every row the bits of a point call, so a tick equals per-agent point
-evaluation bit for bit.
+An agent whose in-neighbor copies are all current is fresh: its input is x_t,
+so all fresh agents share one evaluation of the map at x_t. The staleness
+bounds assume that block i of the map reads no block outside i and its
+in-neighbors; :func:`audit_dependency_graph` checks that graph. A tick is one
+columns call of the map (:meth:`~fptrack.core.MapFamily.evaluate_columns`)
+on the rows it needs: one row per stale agent's input, plus x_t when any
+agent is fresh. Each output column comes from the row of the agent that owns
+it. A family computes only those entries where it can (the affine map: one
+dot product per column), else the whole rows call. Built-in maps give every
+row the bits of a point call, so a tick equals per-agent point evaluation
+bit for bit.
 
 Which agents are stale, where each row's entries lie in the history and
-which row each column reads depend only on the stamp table below. A run
-computes them for a block of ticks at a time (:class:`TickPlan`), in one
-vectorized pass over the block's stamp rows, with blocks sized to hold at
-most 2^16 indices. A tick then takes its rows from the history in one
+which row each column reads depend only on the outdated (tick, edge) pairs
+of the stamp table below: the entries whose stamp is older than their tick.
+A run computes them for a block of ticks at a time (:class:`TickPlan`), in
+one vectorized pass over the block's stamp rows, with blocks sized to hold
+at most 2^16 indices. A tick then takes its rows from the history in one
 flat take, makes the columns call and checks the domain.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
@@ -37,7 +36,6 @@ newer ones); explicit schedules may opt out for stress tests.
 """
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,14 +62,13 @@ class DependencyGraph:
 
     An edge ``(j, i)`` means agent i's block update reads agent j's block;
     ``edges`` is a sequence of such pairs or an ``(m, 2)`` int array.
-    Self-edges are forbidden: an agent's own block is always fresh.
+    Self-edges are forbidden: an agent's own block is always fresh. The
+    staleness bounds assume this graph; :func:`audit_dependency_graph`
+    checks it.
 
     ``edge_arrays`` holds the senders and receivers of the distinct edges
     sorted by ``(j, i)``; a run's stamp table has one column per edge in that
     order. ``edges`` lists the same edges as int pairs, built on first read.
-    ``in_edges`` lists the edge indices grouped by receiver, agent i's at
-    ``in_edges[in_start[i]:in_start[i + 1]]``, and ``receivers`` are the
-    agents with in-edges.
     """
 
     def __init__(self, block_sizes, edges):
@@ -94,10 +91,6 @@ class DependencyGraph:
             raise PreconditionError(f"edge ({j}, {i}) references unknown agents")
         keys = np.sort(j * n + i)  # sorted by (j, i)
         self.edge_arrays = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        self.in_edges = np.argsort(self.edge_arrays[1], kind="stable")
-        self.in_start = np.searchsorted(self.edge_arrays[1], np.arange(n + 1),
-                                        sorter=self.in_edges)
-        self.receivers = np.flatnonzero(np.diff(self.in_start))  # agents with in-edges
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         # column -> owning agent, used to assemble composite views quickly
         self.block_of_column = np.repeat(np.arange(self.n_agents), self.block_sizes)
@@ -430,38 +423,36 @@ class DelayStats:
         return int(self.stale_by_tick.max(initial=0))
 
 
-def _over_in_edges(ufunc, per_edge, graph: DependencyGraph, dtype) -> np.ndarray:
-    """``ufunc`` reduced over each receiver's in-edges, row by row.
-
-    ``per_edge`` has one column per edge in graph order; the result has one
-    column per agent of ``graph.receivers``.
-    """
-    if not len(graph.receivers):
-        return np.zeros((len(per_edge), 0), dtype=dtype)
-    return ufunc.reduceat(per_edge.take(graph.in_edges, axis=1),
-                          graph.in_start[graph.receivers], axis=1, dtype=dtype)
+def _outdated(stamps, start):
+    """Row and column indices of the copies older than their tick in ``stamps``,
+    the stamp-table rows of ticks ``start, start + 1, ...``."""
+    return (stamps < np.arange(start, start + len(stamps))[:, None]).nonzero()
 
 
 def realized_delay_stats(log: ChannelLog, graph: DependencyGraph) -> DelayStats:
     """Exact per-tick staleness maxima recomputed from a complete channel log."""
-    n_ticks = len(log.table)
+    n_ticks, n = len(log.table), graph.n_agents
     delays = np.arange(1, n_ticks + 1)[:, None] - log.table
     delay_by_tick = delays.max(axis=1, initial=0)
-    # stale in-edges per (tick, receiving agent)
-    stale_by_tick = _over_in_edges(np.add, delays > 0, graph, int).max(axis=1, initial=0)
-    return DelayStats(delay_by_tick, stale_by_tick, log)
+    k, edge = _outdated(log.table, 1)
+    # outdated in-edges per (tick, receiving agent)
+    stale = np.bincount(k * n + log.edge_dst[edge], minlength=n_ticks * n).reshape(n_ticks, n)
+    return DelayStats(delay_by_tick, stale.max(axis=1, initial=0), log)
 
 
 _LOG_COLUMNS = ("t", "src", "dst", "delivered_stamp")
 
 
 def write_log_csv(path, log: ChannelLog) -> None:
-    """Export a channel log as t,src,dst,delivered_stamp rows."""
-    columns = zip(log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
+    """Export a channel log as t,src,dst,delivered_stamp rows, the bytes of
+    ``csv.writer``, from one string per edge and one per stamp (1..ticks)."""
+    edges = [f",{j},{i}," for j, i in zip(log.edge_src.tolist(), log.edge_dst.tolist())]
+    ends = [f"{s}\r\n" for s in range(len(log.table) + 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LOG_COLUMNS)
-        writer.writerows(columns)
+        fh.write(",".join(_LOG_COLUMNS) + "\r\n")
+        for t, row in enumerate(log.table.tolist(), start=1):
+            tick = str(t)
+            fh.write("".join([tick + edge + ends[s] for edge, s in zip(edges, row)]))
 
 
 def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) -> ScheduleTable:
@@ -501,9 +492,9 @@ def _stale_agents(graph: DependencyGraph, stamps, start) -> np.ndarray:
 
     ``stamps`` are the stamp-table rows of those ticks.
     """
-    ticks = np.arange(start, start + len(stamps))[:, None]
+    k, edge = _outdated(stamps, start)
     stale = np.zeros((len(stamps), graph.n_agents), dtype=bool)
-    stale[:, graph.receivers] = _over_in_edges(np.logical_or, stamps != ticks, graph, bool)
+    stale[k, graph.edge_arrays[1][edge]] = True
     return stale
 
 
@@ -522,43 +513,34 @@ class TickPlan:
     ``ticks[t - start]`` is ``(offsets, row_of)``:
 
     - ``offsets``, shape ``(rows, dim)``: flat offsets into the history of
-      each row's entries. A stale agent i reads its own block at x_t, block
-      j of an in-neighbor j as of the edge's stamp, and any other block at
-      the initial state; x_t reads every block at t.
+      each row's entries. A stale agent i reads x_t with its outdated copies
+      patched in: block j of each in-edge ``(j, i)`` whose stamp is older
+      than t as of that stamp, every other block at t. x_t reads every
+      block at t.
     - ``row_of``, shape ``(dim,)``: the row column c reads, its owner's row
       when the owner is stale, else x_t's.
 
-    A plan holds ``(rows + 1) * dim`` indices per tick. The source of each
-    entry comes from the receiver-grouped edge list, for the stale agents'
-    in-edges only, so no table of every agent's sources is kept.
+    A plan holds ``(rows + 1) * dim`` indices per tick. Only the outdated
+    (tick, edge) pairs are scattered in, so no table of every agent's
+    sources is kept.
     """
 
     def __init__(self, graph: DependencyGraph, stamps, start, stale):
         dim = graph.dim
         self.start = start
-        tick = np.arange(start, start + len(stamps))
         n_stale, n_rows = _tick_rows(stale)
         first = np.cumsum(n_rows) - n_rows  # each tick's first row in the block
         rank = np.cumsum(stale, axis=1) - 1  # a stale agent's row within its tick
-        k, agent = stale.nonzero()
-        row = first[k] + rank[k, agent]
-        # every row reads the initial state, history row 0, unless set below
-        offsets = np.empty((n_rows.sum(), dim), dtype=np.intp)
-        offsets[:] = graph.columns
-        fresh = np.flatnonzero(n_stale < graph.n_agents)
-        offsets[first[fresh] + n_stale[fresh]] = ((tick[fresh] - 1) * dim)[:, None] + graph.columns
-        # a stale agent's own block at t, and each in-neighbor's block as of
-        # the edge's stamp: (row, block, history row) triples, then columns
-        n_in = np.diff(graph.in_start)[agent]
-        of = np.repeat(np.arange(len(agent)), n_in)
-        edge = graph.in_edges[_ragged_arange(graph.in_start[agent], n_in)]
-        block_row = np.concatenate((row, row[of]))
-        block = np.concatenate((agent, graph.edge_arrays[0][edge]))
-        held = np.concatenate((tick[k] - 1, stamps[k[of], edge] - 1))
-        size = np.diff(graph.offsets)[block]
-        column = _ragged_arange(graph.offsets[block], size)
-        offsets.reshape(-1)[np.repeat(block_row * dim, size) + column] = (
-            np.repeat(held * dim, size) + column)
+        # every row reads x_t, history row t - 1, except the copies patched in below
+        tick = np.arange(start, start + len(stamps))
+        offsets = np.repeat((tick - 1) * dim, n_rows)[:, None] + graph.columns
+        # each outdated pair: the receiver's row reads the sender's block as of the stamp
+        k, edge = _outdated(stamps, start)
+        src, dst = (a[edge] for a in graph.edge_arrays)
+        size = np.diff(graph.offsets)[src]
+        column = _ragged_arange(graph.offsets[src], size)
+        offsets.reshape(-1)[np.repeat((first[k] + rank[k, dst]) * dim, size) + column] = (
+            np.repeat((stamps[k, edge] - 1) * dim, size) + column)
         row_of = np.where(stale, rank, n_stale[:, None]).take(graph.block_of_column, axis=1)
         ends = np.cumsum(n_rows).tolist()
         self.ticks = list(zip([offsets[a:b] for a, b in zip([0, *ends], ends)], row_of))
@@ -590,19 +572,18 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     (edges in graph order). All agents evaluate against tick-t information,
     so the result does not depend on agent order.
 
-    An agent is fresh when every in-edge stamp equals t. Its composite input
-    then agrees with the state x_t on every block the map reads for it, so
-    all fresh agents take their blocks from one shared evaluation at x_t.
-    This relies on the family honoring ``graph``: block i of the map must
-    not read blocks of non-neighbors (``audit_dependency_graph`` checks it).
-    The tick's indices come from a :class:`TickPlan`: ``plan``, one that
-    covers tick t built from the same stamp table, or else a plan of this
-    tick alone. The tick is then one flat take of its rows from
-    ``history`` (the stale agents' composite inputs, then x_t when any agent
-    is fresh), one ``family.evaluate_columns`` call, column c read from the
-    row of the agent that owns it, and one domain check. As built-in columns
-    and rows equal points bit for bit, a zero-delay tick is the synchronous
-    step to the last bit.
+    Agent i evaluates the map at x_t with block j of each in-edge ``(j, i)``
+    whose stamp is older than t patched in as of that stamp. An agent is
+    fresh when every in-edge stamp equals t: all fresh agents take their
+    blocks from one shared evaluation at x_t. ``audit_dependency_graph``
+    checks the graph that the staleness bounds assume. The tick's indices
+    come from a :class:`TickPlan`: ``plan``, one that covers tick t built
+    from the same stamp table, or else a plan of this tick alone. The tick
+    is then one flat take of its rows from ``history`` (the stale agents'
+    inputs, then x_t when any agent is fresh), one ``family.evaluate_columns``
+    call, column c read from the row of the agent that owns it, and one
+    domain check. As built-in columns and rows equal points bit for bit, a
+    zero-delay tick is the synchronous step to the last bit.
     """
     if plan is None:
         stamps = np.asarray(stamps)[None]

@@ -111,7 +111,8 @@ def _signal(spec, seed):
 class ExperimentConfig:
     """Values read from a config document (``problem`` and ``channel`` too, with
     defaults filled in); ``raw`` is the document exactly as given, and
-    ``channel_model`` the channel its runs use, built once from ``channel``."""
+    ``channel_model`` the channel its runs use, built once from ``channel``
+    when not given (a sweep passes on a channel its value leaves unchanged)."""
 
     problem: dict
     mode: str
@@ -124,25 +125,15 @@ class ExperimentConfig:
     audit_samples: int
     declared_lipschitz_override: float | None
     raw: dict = field(repr=False, default_factory=dict)
-    channel_model: ChannelModel = field(init=False, repr=False, compare=False)
+    channel_model: ChannelModel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.channel_model = self.build_channel()
+        if self.channel_model is None:
+            self.channel_model = self.build_channel()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        values = read(doc, "config")
-        p = values["problem"]
-        if p["kind"] == "qp-gradient":
-            if values["mode"] == "async" and p["topology"] == "none":
-                raise ConfigError("asynchronous qp-gradient runs require the star topology")
-            inline = p["curvature"] is not None
-            given = {k for k, v in doc["problem"].items() if v is not None}
-            unused = sorted(given & (_RANDOM_QP_KEYS if inline else _INLINE_QP_KEYS))
-            if unused:
-                form = "an inline instance (curvature given)" if inline else "a random instance"
-                raise ConfigError(f"qp-gradient keys {unused} do not apply to {form}")
-        return cls(**dict(values, norm=Norm(values["norm"])), raw=doc)
+        return cls(**_config_values(doc), raw=doc)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -221,6 +212,22 @@ class ExperimentConfig:
             return read_schedule_csv(**spec)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"cannot read schedule {spec['path']}: {exc}") from exc
+
+
+def _config_values(doc: dict) -> dict:
+    """The checked values of a config document, the fields of its config."""
+    values = read(doc, "config")
+    p = values["problem"]
+    if p["kind"] == "qp-gradient":
+        if values["mode"] == "async" and p["topology"] == "none":
+            raise ConfigError("asynchronous qp-gradient runs require the star topology")
+        inline = p["curvature"] is not None
+        given = {k for k, v in doc["problem"].items() if v is not None}
+        unused = sorted(given & (_RANDOM_QP_KEYS if inline else _INLINE_QP_KEYS))
+        if unused:
+            form = "an inline instance (curvature given)" if inline else "a random instance"
+            raise ConfigError(f"qp-gradient keys {unused} do not apply to {form}")
+    return dict(values, norm=Norm(values["norm"]))
 
 
 _CHANNELS = {"none": ZeroDelay, "fixed_delay": FixedDelay, "iid_drop": IidDrop,
@@ -563,8 +570,10 @@ SWEEP_PARAMETERS = ("drop_probability", "fixed_delay", "step_size", "noise_bound
 
 def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> ExperimentConfig:
     """The config with ``parameter`` set to ``value``, which goes into the document
-    unconverted except a whole-number float delay; ``from_dict`` checks it. A
-    channel parameter on a sync config is an error: a sync run reads no channel."""
+    unconverted except a whole-number float delay; the document is checked as
+    ``from_dict`` checks it. A channel the value leaves unchanged is
+    ``config``'s, so a schedule is read once per sweep. A channel parameter on
+    a sync config is an error: a sync run reads no channel."""
     if parameter in ("drop_probability", "fixed_delay") and config.mode == "sync":
         raise ConfigError(f"sweep parameter {parameter} needs an asynchronous config")
     doc = json.loads(json.dumps(config.raw))  # deep copy
@@ -585,7 +594,9 @@ def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> Exper
         doc["problem"][parameter] = value
     else:  # drift_rate
         doc["problem"]["drift"] = {**doc["problem"].get("drift", {"kind": "linear"}), "rate": value}
-    return ExperimentConfig.from_dict(doc)
+    values = _config_values(doc)
+    same = values["channel"] == config.channel
+    return ExperimentConfig(**values, raw=doc, channel_model=config.channel_model if same else None)
 
 
 @dataclass

@@ -1,4 +1,6 @@
 """Asynchronous simulator: channels, staleness accounting, reductions, audits."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,6 @@ def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
         assert g.edges == expected
         assert all(type(v) is int for edge in g.edges for v in edge)
         assert [list(a) for a in g.edge_arrays] == [[0, 0, 1, 2], [1, 2, 2, 0]]
-        # in-edges grouped by receiver: agent 0 <- 2, agent 1 <- 0, agent 2 <- 0, 1
-        assert [g.edges[e] for e in g.in_edges] == [(2, 0), (0, 1), (0, 2), (1, 2)]
-        assert list(g.in_start) == [0, 1, 2, 4] and list(g.receivers) == [0, 1, 2]
     assert DependencyGraph([1, 1], []).edges == ()
 
 
@@ -221,6 +220,40 @@ def test_mixed_fresh_and_stale_ticks_match_per_agent_evaluation_bitwise(name):
     assert mixed >= horizon // 5
 
 
+def patched_step(history, stamps, family, graph, t):
+    """x_{t+1} with agent i evaluating the map at x_t with, for each in-edge
+    ``(j, i)``, block j taken as of the edge's stamp in ``stamps`` (row t)."""
+    x_next = np.empty(graph.dim)
+    for i in range(graph.n_agents):
+        view = history[t - 1].copy()
+        for (j, k), s in zip(graph.edges, stamps.tolist()):
+            if k == i:
+                view[block_slice(graph, j)] = history[s - 1, block_slice(graph, j)]
+        x_next[block_slice(graph, i)] = family.evaluate(view, t)[block_slice(graph, i)]
+    return x_next
+
+
+def test_a_map_reading_non_neighbors_reads_them_at_t():
+    # every block of the dense map reads every block; the graph is a chain of
+    # blocks of 2, 1, 2 and 1 columns, so the map violates it
+    fam = small_affine(dim=6, coupling="dense", norm=LINF, contraction=0.6)
+    chain = [(i, i + 1) for i in range(3)] + [(i + 1, i) for i in range(3)]
+    graph = DependencyGraph([2, 1, 2, 1], chain)
+    assert not fp.audit_dependency_graph(fam, graph, probe_count=4, seed=0)[0]
+    horizon, drops = 60, IidDrop(0.4, max_consecutive=3)
+    table = _start_channels(drops, graph, horizon, seed=4)
+    x0 = np.random.default_rng(8).uniform(-1.0, 1.0, fam.dim)
+    trace, _ = fp.run_async_tracker(fam, graph, drops, x0, horizon, LINF, seed=4,
+                                    reference=np.zeros((horizon, fam.dim)))
+    x = trace.iterates
+    for t in range(1, horizon):
+        expected = patched_step(x[:t], table[t], fam, graph, t)
+        assert x[t].tobytes() == expected.tobytes(), f"tick {t}"
+    stale = [stale_agent_count(stamp_matrix(table[t], graph, t), graph, t)
+             for t in range(1, horizon)]
+    assert {0, graph.n_agents} < set(stale)  # fresh, mixed and all-stale ticks
+
+
 def rows_counting_affine_chain():
     """The five-agent affine chain, with a map that records the rows of each call."""
     fam = small_affine(dim=5, coupling="chain")
@@ -273,13 +306,11 @@ def test_tick_is_one_rows_call_with_a_row_per_stale_agent_and_one_for_x_t():
 
 def dense_copy_source(graph):
     """Agent i's copy of column c as an index into a tick's stamps followed by
-    (t, 1); the extra row n_agents is x_t. The table the plan replaces."""
+    t; the extra row n_agents is x_t. The table the plan replaces."""
     n_edges = len(graph.edges)
-    source = np.full((graph.n_agents + 1, graph.n_agents), n_edges + 1)
+    source = np.full((graph.n_agents + 1, graph.n_agents), n_edges)
     src, dst = graph.edge_arrays
     source[dst, src] = np.arange(n_edges)
-    np.fill_diagonal(source, n_edges)
-    source[graph.n_agents] = n_edges
     return source[:, graph.block_of_column]
 
 
@@ -292,7 +323,7 @@ def dense_tick_indices(graph, stamps, t):
     n_stale = len(agents) - 1
     if n_stale == graph.n_agents:
         agents = agents[:-1]
-    held = np.concatenate((stamps - 1, (t - 1, 0))) * graph.dim
+    held = (np.append(stamps, t) - 1) * graph.dim
     offsets = held.take(dense_copy_source(graph).take(agents, axis=0)) + graph.columns
     row_of = np.full(graph.n_agents + 1, n_stale)
     row_of[agents] = np.arange(len(agents))
@@ -612,6 +643,23 @@ def test_schedule_csv_roundtrip(tmp_path):
     assert np.array_equal(st1.log.stamps, st2.log.stamps)
 
 
+@pytest.mark.parametrize("horizon,edges", [(150, [(0, 1), (1, 0), (1, 12), (12, 1)]),
+                                           (2, [(0, 1)]), (30, [])])
+def test_log_csv_bytes_equal_a_csv_writer_export(tmp_path, horizon, edges):
+    graph = DependencyGraph([1] * 13, edges)
+    table = _start_channels(IidDrop(0.6, max_consecutive=20), graph, horizon, seed=3)
+    log = async_sim.ChannelLog(table[1:], *graph.edge_arrays)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "src", "dst", "delivered_stamp"))
+        writer.writerows(zip(log.times.tolist(), log.src.tolist(), log.dst.tolist(),
+                             log.stamps.tolist()))
+    path = tmp_path / "log.csv"
+    fp.write_log_csv(path, log)
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_schedule_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -743,33 +791,44 @@ def test_realized_stats_fixed_delay_structure():
     assert stats.max_stale == 3  # dense graph: every agent has 3 stale in-edges
 
 
+def bruteforce_stats(log, n_ticks):
+    """Per-tick worst delay and most outdated in-edges of one receiver, by a
+    scan of the log's rows."""
+    delay_by_tick = [0] * n_ticks
+    per = {}
+    columns = (log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
+    for t, j, i, s in zip(*columns):
+        delay_by_tick[t - 1] = max(delay_by_tick[t - 1], t - s)
+        per[(t, i)] = per.get((t, i), 0) + (s < t)
+    stale_by_tick = [max((n for (tick, _), n in per.items() if tick == t), default=0)
+                     for t in range(1, n_ticks + 1)]
+    return delay_by_tick, stale_by_tick
+
+
 def test_realized_stats_match_bruteforce_log_scan():
     fam = small_affine(dim=3)
     g = fam.dependency_graph()
     _, stats = fp.run_async_tracker(fam, g, IidDrop(0.5, max_consecutive=4),
                                     np.zeros(3), 120, L2, seed=13)
-    log = stats.log
-    # independent scan of the raw log
-    worst_delay = 0
-    worst_stale = 0
-    per = {}
-    delay_by_tick = [0] * 119
-    columns = (log.times.tolist(), log.src.tolist(), log.dst.tolist(), log.stamps.tolist())
-    for t, j, i, s in zip(*columns):
-        worst_delay = max(worst_delay, t - s)
-        delay_by_tick[t - 1] = max(delay_by_tick[t - 1], t - s)
-        per.setdefault((t, i), 0)
-        if s < t:
-            per[(t, i)] += 1
-    if per:
-        worst_stale = max(per.values())
-    stale_by_tick = [max(n for (tick, _), n in per.items() if tick == t) for t in range(1, 120)]
-    again = realized_delay_stats(log, g)
-    assert (stats.max_delay, stats.max_stale) == (worst_delay, worst_stale)
-    assert (again.max_delay, again.max_stale) == (worst_delay, worst_stale)
-    assert list(again.delay_by_tick) == delay_by_tick
-    assert list(again.stale_by_tick) == stale_by_tick
+    delay_by_tick, stale_by_tick = bruteforce_stats(stats.log, 119)
+    again = realized_delay_stats(stats.log, g)
+    for result in (stats, again):
+        assert (result.max_delay, result.max_stale) == (max(delay_by_tick), max(stale_by_tick))
+        assert list(result.delay_by_tick) == delay_by_tick
+        assert list(result.stale_by_tick) == stale_by_tick
     assert again.max_stale > 1
+    # random graphs with multi-column blocks and non-monotone stamp tables
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        pairs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < 0.5]
+        graph = DependencyGraph(rng.integers(1, 4, size=n).tolist(), pairs)
+        horizon = int(rng.integers(2, 20))
+        table = random_stamp_table(len(graph.edges), horizon, rng)
+        log = async_sim.ChannelLog(table[1:], *graph.edge_arrays)
+        stats = realized_delay_stats(log, graph)
+        assert (list(stats.delay_by_tick), list(stats.stale_by_tick)) == (
+            bruteforce_stats(log, horizon - 1))
 
 
 # ---------------------------------------------------------------------------

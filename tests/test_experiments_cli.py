@@ -395,21 +395,42 @@ def test_cli_malformed_schedule_exit_2(tmp_path, capsys, text):
     assert f"cannot read schedule {schedule}" in capsys.readouterr().err
 
 
-def test_schedule_csv_experiment_reads_its_file_once(tmp_path, monkeypatch):
-    schedule = tmp_path / "schedule.csv"
-    schedule.write_text("t,src,dst,delivered_stamp\n2,1,0,1\n3,0,1,2\n")
-    opened = []
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths that ``fptrack.async_sim`` opens, in order."""
+    paths = []
 
     def counting_open(file, *args, **kwargs):
-        opened.append(str(file))
+        paths.append(str(file))
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(fptrack.async_sim, "open", counting_open, raising=False)
+    return paths
+
+
+def test_schedule_csv_experiment_reads_its_file_once(tmp_path, opened):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("t,src,dst,delivered_stamp\n2,1,0,1\n3,0,1,2\n")
     doc = affine_doc(mode="async", norm="linf", horizon=50,
                      channel={"kind": "schedule_csv", "path": str(schedule)})
     report = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
     assert opened == [str(schedule)]
     assert report.realized_max_delay == 48  # stamp 1 held through tick 49
+
+
+def test_schedule_csv_sweep_reads_its_file_once(tmp_path, opened):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("t,src,dst,delivered_stamp\n2,1,0,1\n3,0,1,2\n")
+    doc = affine_doc(mode="async", norm="linf", horizon=50,
+                     channel={"kind": "schedule_csv", "path": str(schedule)})
+    config = ExperimentConfig.from_dict(doc)
+    result = sweep(config, "drift_rate", [0.01, 0.02, 0.05], n_seeds=2)
+    assert opened == [str(schedule)]
+    assert [rep.realized_max_delay for row in result.reports for rep in row] == [48] * 6
+    # a value that changes the channel builds its own
+    result = sweep(config, "drop_probability", [0.0], n_seeds=1)
+    assert result.reports[0][0].realized_max_delay == 0
+    assert opened == [str(schedule)]
 
 
 def test_logged_chain_run_replays_byte_identically(tmp_path):

@@ -22,13 +22,8 @@ def tracer(monkeypatch):
     return tracer
 
 
-def test_traced_async_affine_chain_counts_ticks_and_log_rows(tracer):
-    doc = {
-        "problem": {"kind": "affine", "dim": 4, "contraction": 0.6, "coupling": "chain",
-                    "drift": {"kind": "linear", "rate": 0.01}},
-        "mode": "async", "norm": "linf", "horizon": 30, "seed": 5,
-        "channel": {"kind": "iid_drop", "p": 0.2},
-    }
+def traced_run(tracer, doc):
+    """One traced experiment of ``doc``: its report, dependency graph and layer metrics."""
     config = experiments.ExperimentConfig.from_dict(doc)
     _, graph, _ = experiments.build_family(config)
     run, evaluate = experiments.run_experiment, MapFamily.evaluate
@@ -38,8 +33,34 @@ def test_traced_async_affine_chain_counts_ticks_and_log_rows(tracer):
         report = experiments.run_experiment(config, write_files=False)
     assert experiments.run_experiment is run
     assert MapFamily.evaluate is evaluate
+    return report, graph, tracer.layer_metrics(t.spans, t.counts)
+
+
+def test_traced_async_affine_chain_counts_ticks_and_log_rows(tracer):
+    doc = {
+        "problem": {"kind": "affine", "dim": 4, "contraction": 0.6, "coupling": "chain",
+                    "drift": {"kind": "linear", "rate": 0.01}},
+        "mode": "async", "norm": "linf", "horizon": 30, "seed": 5,
+        "channel": {"kind": "iid_drop", "p": 0.2},
+    }
+    report, graph, metrics = traced_run(tracer, doc)
     assert report.certificates[experiments.ASYNC_TAIL_MAX_NORM] == "pass"
-    metrics = tracer.layer_metrics(t.spans, t.counts)
     assert metrics["async_sim.ticks"] == 29
     assert metrics["async_sim.log_rows"] == 29 * len(graph.edges)
+    assert metrics["experiments.runs"] == 1
+
+
+def test_traced_async_three_area_loadflow_counts_ticks_and_log_rows(tracer):
+    # areas of several buses: multi-column blocks through the simulator and its stats
+    doc = {
+        "problem": {"kind": "loadflow", "network": "three-area", "noise_bound": 1e-4,
+                    "injections": {"kind": "random_walk", "step": 0.01}},
+        "mode": "async", "norm": "linf", "horizon": 40, "seed": 5,
+        "channel": {"kind": "iid_drop", "p": 0.3},
+    }
+    report, graph, metrics = traced_run(tracer, doc)
+    assert min(graph.block_sizes) > 1
+    assert report.realized_max_stale > 0
+    assert metrics["async_sim.ticks"] == 39
+    assert metrics["async_sim.log_rows"] == 39 * len(graph.edges)
     assert metrics["experiments.runs"] == 1
