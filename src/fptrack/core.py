@@ -163,6 +163,7 @@ class MapFamily:
         name="map-family",
     ):
         self.dim = int(dim)
+        self._column_index = np.arange(self.dim)
         if domain.dim != self.dim:
             raise PreconditionError(
                 f"domain has dimension {domain.dim}, the family {self.dim}"
@@ -226,7 +227,7 @@ class MapFamily:
 
     def _columns(self, x, t, row_of):
         """``evaluate_columns`` without its checks: the rows call, then one entry per column."""
-        return self.evaluate(x, t)[row_of, np.arange(self.dim)]
+        return self.evaluate(x, t)[row_of, self._column_index]
 
     def lipschitz_at(self, t) -> np.ndarray:
         """The declared factor at an int ``t``, or one per time of an int array."""

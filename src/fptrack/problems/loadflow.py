@@ -30,6 +30,7 @@ rescale, so trajectories map one-to-one onto voltage trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,15 +54,26 @@ def _times_z(w, Z):
 
 
 def to_real(v: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...]."""
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], axis=-1).reshape(*v.shape[:-1], -1)
+    """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...].
+
+    Interleaved (re, im) pairs are complex128's memory layout, so this is a
+    view: of ``v`` itself when it is a contiguous complex array.
+    """
+    try:
+        v = np.ascontiguousarray(v, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError("to_real needs input that reads as complex numbers") from exc
+    return v.view(float)
 
 
 def to_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_real`, for a vector or each row."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    """Inverse of :func:`to_real`, for a vector or each row: a view, as there."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape[-1] % 2:
+        raise PreconditionError(
+            f"to_complex needs (re, im) pairs on the last axis; got shape {x.shape}"
+        )
+    return x.view(complex)
 
 
 def _admittance(size, lines):
@@ -121,7 +133,8 @@ class InjectionSeries:
     angles drawn in blocks from the one stream ``(seed, 23)``); ``ramp``
     (each bus scales as ``base * (1 + rate * (t - 1))``, saturating at its
     cap -- ``rate`` may be a per-bus array, so variation can be concentrated
-    in a subset of buses). Each kind is one
+    in a subset of buses; a product that overflows saturates too, along
+    ``base`` times the factor's sign). Each kind is one
     :class:`~fptrack.core.SeriesTable` of injections, row k for t = k + 1.
     """
 
@@ -140,6 +153,8 @@ class InjectionSeries:
         self.step = float(step)
         self.seed = int(seed)
         self.rate = np.broadcast_to(np.asarray(rate, dtype=float), self.base.shape).copy()
+        if not np.all(np.isfinite(self.rate)):
+            raise PreconditionError("ramp rates must be finite")
         if kind == "random_walk":
             self._table = SeriesTable(self._walk_rows, (self.seed, 23), first=self.base)
         else:
@@ -164,15 +179,43 @@ class InjectionSeries:
         """The constant or ramp injections at the times ``ts``."""
         if self.kind == "constant":
             return np.tile(self.base, (len(ts), 1))
-        return _clamp(self.base * (1.0 + self.rate * (ts[:, None] - 1)), self.limit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = 1.0 + self.rate * (ts[:, None] - 1)
+            s = self.base * factor
+        over = ~np.isfinite(s)
+        if over.any():
+            # inf * 0 in the clamp would give NaN: put an overflowed entry on its cap
+            mag = np.abs(self.base)
+            unit = np.divide(self.base, mag, out=np.zeros_like(self.base), where=mag > 0.0)
+            s[over] = (np.sign(factor) * (unit * self.limit))[over]
+        return _clamp(s, self.limit)
 
     def _walk_rows(self, ts, last, rng):
         """The random walk's injections at the times ``ts``, which follow ``last``,
-        one clamped step at a time."""
+        one clamped step at a time.
+
+        Each row is :func:`_clamp` of its step, inlined: the same operations on
+        one reused scale buffer, skipped when no bus exceeds its limit.
+        """
         steps = self.step * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(ts), self.n)))
         out = np.empty_like(steps)
+        limit = self.limit
+        scale = np.empty(self.n)
         for k in range(len(ts)):
-            out[k] = last = _clamp(last + steps[k], self.limit)
+            s = last + steps[k]
+            mag = np.abs(s)
+            up = mag > limit
+            if up.any():
+                scale.fill(1.0)
+                np.divide(limit, mag, out=scale, where=up)
+                while True:
+                    np.nextafter(scale, 0.0, out=scale, where=up)
+                    clamped = s * scale
+                    up = np.abs(clamped) > limit
+                    if not up.any():
+                        break
+                s = clamped
+            out[k] = last = s
         return out
 
 
@@ -301,8 +344,13 @@ class _Coordinates:
     noload: np.ndarray   # its no-load voltage
     weight: np.ndarray   # its area's weight, once per state coordinate
 
+    @cached_property
+    def _bus_weight(self):
+        """``weight`` once per bus, as complex: a division then casts nothing."""
+        return self.weight[0::2].astype(complex)
+
     def voltages(self, x):
-        return self.noload + to_complex(x) / self.weight[0::2]
+        return self.noload + to_complex(x) / self._bus_weight
 
     def state(self, v):
         return to_real(v - self.noload) * self.weight
@@ -505,6 +553,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         return nb * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
 
     table = SeriesTable(boundary_noise, (seed, 29))
+    # the injections in state order, filled as the series is
+    state_injections = SeriesTable(lambda ts, last: injections.at(ts)[:, order])
 
     def noise(t):
         return nb if adversarial else table.at(t)
@@ -512,20 +562,22 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     def stacked(x, t, noisy):
         """All areas' maps at a state of shape (m,) or at each row of (k, m)."""
         v = coords.voltages(x)
-        if np.min(np.abs(v)) < _GUARD:
+        if np.abs(v).min() < _GUARD:
             raise DomainViolationError("voltage magnitude fell below the guard")
+        # area 1's slack is the substation, area k's the connection bus of area k-1
+        slack = np.empty(v.shape[:-1] + (k_areas,), dtype=complex)
+        slack[..., 0] = v0
+        v_conn = slack[..., 1:]
+        v_conn[...] = v.take(conn_pos, axis=-1)
         # power flowing into area k+1, measured at area k's connection bus
-        v_conn = v[..., conn_pos]
-        meas = v_conn * np.conj((v_conn - v[..., root_pos]) / link_z)
+        meas = v_conn * np.conj((v_conn - v.take(root_pos, axis=-1)) / link_z)
         if noisy and nb > 0.0:
             meas += noise(t)
+        s = state_injections.at(t)
         s_eff = np.empty_like(v)
-        s_eff[...] = injections.at(t)[..., order]
-        s_eff[..., conn_pos] -= meas
-        # area 1's slack is the substation, area k's the connection bus of area k-1
-        slack = np.concatenate([np.full(v.shape[:-1] + (1,), v0, dtype=complex), v_conn],
-                               axis=-1)[..., bus_area]
-        return coords.state(slack + _times_z(np.conj(s_eff / v), Z))
+        s_eff[...] = s
+        s_eff[..., conn_pos] = s.take(conn_pos, axis=-1) - meas
+        return coords.state(slack.take(bus_area, axis=-1) + _times_z(np.conj(s_eff / v), Z))
 
     def exact_map(x, t):
         return stacked(x, t, noisy=False)

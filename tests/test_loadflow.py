@@ -4,6 +4,7 @@ import pytest
 
 import fptrack as fp
 from fptrack import DomainSampler, Norm
+from fptrack.core import SeriesTable, seeded_stream
 from fptrack.errors import (
     ContractionUncertifiedError,
     DomainViolationError,
@@ -21,6 +22,7 @@ from fptrack.problems import (
     to_real,
     two_bus_network,
 )
+from fptrack.problems.loadflow import _clamp, _parse_chain
 
 L2, LINF = Norm(fp.L2), Norm(fp.LINF)
 
@@ -62,6 +64,27 @@ def test_monolithic_flat_start_residual_decays_linearly():
     assert np.all(r[1:] <= fam.lipschitz_sup * r[:-1] + 1e-15)
 
 
+def test_state_and_voltages_are_views_of_each_other():
+    x = np.arange(8.0).reshape(2, 4)
+    v = to_complex(x)
+    assert np.array_equal(v, [[0 + 1j, 2 + 3j], [4 + 5j, 6 + 7j]])
+    assert np.shares_memory(v, x)
+    assert to_real(v).tobytes() == x.tobytes()
+    assert np.shares_memory(to_real(v), x)
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 5)), 1.0], ids=["3", "2x5", "scalar"])
+def test_to_complex_rejects_an_odd_last_axis(x):
+    with pytest.raises(PreconditionError, match="pairs"):
+        to_complex(x)
+
+
+@pytest.mark.parametrize("v", [["1+1j", "volts"], [1.0, object()], {"re": 1.0}])
+def test_to_real_rejects_input_that_is_not_complex(v):
+    with pytest.raises(PreconditionError, match="complex"):
+        to_real(v)
+
+
 def test_injection_series_respects_limits():
     net = two_bus_network(injection_limit=0.1)
     with pytest.raises(PreconditionError):
@@ -70,6 +93,58 @@ def test_injection_series_respects_limits():
                            net.injection_limit, step=0.03, seed=1)
     for t in range(1, 40):
         assert abs(walk.at(t)[0]) <= 0.1 + 1e-12
+
+
+def clamp_loop_walk(series, horizon):
+    """Rows t = 1..horizon of a random walk, one :func:`_clamp` call per step."""
+    steps = series.step * np.exp(
+        1j * seeded_stream(series.seed, 23).uniform(0.0, 2.0 * np.pi, size=(horizon - 1, series.n)))
+    rows = [series.base]
+    for step in steps:
+        rows.append(_clamp(rows[-1] + step, series.limit))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 31337])
+@pytest.mark.parametrize("case", ["three-area", "two-bus-tight", "two-bus-loose", "mixed"])
+def test_random_walk_rows_equal_a_clamp_loop_bitwise(case, seed):
+    if case == "three-area":
+        # area 3's limit of 0.006 is below the step: nearly every row clamps
+        series = default_injections(three_area_network(), kind="random_walk", step=0.01,
+                                    seed=seed)
+    elif case == "mixed":
+        limit = np.array([0.02, 1.0, 0.003, 0.05])
+        series = InjectionSeries("random_walk", -0.5 * limit, limit, step=0.004, seed=seed)
+    else:
+        limit = np.array([0.01 if case == "two-bus-tight" else 10.0])
+        series = InjectionSeries("random_walk", np.array([-0.005 + 0.001j]), limit,
+                                 step=0.003, seed=seed)
+    horizon = 300  # past the first block and a doubling of the table
+    expected = clamp_loop_walk(series, horizon)
+    assert series.at(np.arange(1, horizon + 1)).tobytes() == expected.tobytes()
+    assert np.all(np.abs(expected) <= series.limit)
+
+
+def test_an_overflowing_ramp_saturates_on_its_cap():
+    net = three_area_network()
+    ramp = default_injections(net, kind="ramp", rate=1e308)
+    ts = np.arange(1, 11)
+    rows = ramp.at(ts)
+    assert np.all(np.isfinite(rows))
+    assert np.all(np.abs(rows) <= net.injection_limit)
+    assert np.allclose(np.abs(rows[2:]), net.injection_limit, rtol=1e-12)
+    unit = ramp.base / np.abs(ramp.base)
+    assert np.allclose(rows[2:] / np.abs(rows[2:]), unit, rtol=0.0, atol=1e-12)
+    # t = 1, 2 have a finite product, and the clamp of it as before
+    factor = 1.0 + ramp.rate * (ts[:2, None] - 1)
+    assert rows[:2].tobytes() == _clamp(ramp.base * factor, ramp.limit).tobytes()
+    for t in ts:
+        assert ramp.at(int(t)).tobytes() == rows[t - 1].tobytes()
+    # a negative overflow saturates against the base's direction
+    down = default_injections(net, kind="ramp", rate=-1e308)
+    assert np.allclose(down.at(5) / np.abs(down.at(5)), -unit, rtol=0.0, atol=1e-12)
+    with pytest.raises(PreconditionError, match="finite"):
+        default_injections(net, kind="ramp", rate=np.inf)
 
 
 @pytest.mark.parametrize("norm", [L2, LINF], ids=["l2", "linf"])
@@ -133,6 +208,17 @@ def two_area_network():
                         areas=net.areas[:8])
 
 
+def relabeled_three_area_network():
+    """The three-area feeder with its load buses renumbered out of area order,
+    and a slack voltage off 1."""
+    net = three_area_network()
+    new = np.array([0, 7, 2, 11, 5, 9, 1, 12, 4, 6, 10, 3, 8])  # old bus -> new bus
+    old = np.argsort(new)[1:] - 1  # new load bus -> old load bus, 0-based
+    lines = [(new[a], new[b], z) for (a, b, z) in net.lines]
+    return PowerNetwork(net.n, 1.02 + 0.01j, lines, net.injection_limit[old],
+                        areas=net.areas[old])
+
+
 @pytest.fixture(scope="module")
 def systems():
     """The decomposed load flow of a three-area and of a two-area chain."""
@@ -140,6 +226,73 @@ def systems():
     for net in (three_area_network(), two_area_network()):
         out.append(build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1))
     return out
+
+
+def sliced_stacked_maps(system, injections, noise_bound, seed):
+    """The exact and noisy multi-area maps as first written: slices and
+    ``1j *`` to voltages, ``stack`` back, one injection take per call and the
+    slack gathered from a ``concatenate``. Oracle for the bits of the family's maps."""
+    net, c = system.network, system.coordinates
+    order, conn_pos, root_pos, link_z, y = _parse_chain(net)
+    bus_area = net.areas[order] - 1
+    Z = np.zeros((net.n, net.n), dtype=complex)
+    for k in range(bus_area.max() + 1):
+        block = np.flatnonzero(bus_area == k)
+        Z[np.ix_(block, block)] = np.linalg.inv(y[1:, 1:][np.ix_(block, block)])
+
+    def state_of(v):
+        v = v - c.noload
+        return np.stack([v.real, v.imag], axis=-1).reshape(*v.shape[:-1], -1) * c.weight
+
+    def boundary_noise(ts, last, rng):
+        u = rng.random((len(ts), 2, len(link_z)))
+        return noise_bound * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+
+    table = SeriesTable(boundary_noise, (seed, 29))
+
+    def stacked(x, t, noisy):
+        x = np.asarray(x, dtype=float)
+        v = c.noload + (x[..., 0::2] + 1j * x[..., 1::2]) / c.weight[0::2]
+        v_conn = v[..., conn_pos]
+        meas = v_conn * np.conj((v_conn - v[..., root_pos]) / link_z)
+        if noisy and noise_bound > 0.0:
+            meas += table.at(t)
+        s_eff = np.empty_like(v)
+        s_eff[...] = injections.at(t)[..., order]
+        s_eff[..., conn_pos] -= meas
+        slack = np.concatenate(
+            [np.full(v.shape[:-1] + (1,), net.slack_voltage, dtype=complex), v_conn],
+            axis=-1)[..., bus_area]
+        return state_of(slack + np.einsum("...j,ij->...i", np.conj(s_eff / v), Z))
+
+    return (lambda x, t: stacked(x, t, False)), (lambda x, t: stacked(x, t, True))
+
+
+@pytest.mark.parametrize("kind", ["constant", "random_walk", "ramp"])
+@pytest.mark.parametrize("net_name", ["three-area", "two-area", "relabeled"])
+def test_multiarea_maps_equal_the_sliced_formulation_bitwise(net_name, kind):
+    net = {"three-area": three_area_network, "two-area": two_area_network,
+           "relabeled": relabeled_three_area_network}[net_name]()
+    noise_bound, seed = 0.002, 5
+    inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
+    system = build_multiarea_maps(net, inj, noise_bound, seed)
+    oracle_inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
+    exact, noisy = sliced_stacked_maps(system, oracle_inj, noise_bound, seed)
+    fam = system.family
+    sampler = DomainSampler(fam.domain, 12)
+    rows = np.stack([sampler.draw_one() for _ in range(9)] + [np.zeros(fam.dim)])
+    times = np.array([1, 2, 70, 150, 3, 3, 64, 65, 129, 1])
+    rng = np.random.default_rng(0)
+    for family, oracle in ((fam.base, exact), (fam, noisy)):
+        for x, t in zip(rows, times):
+            assert family.evaluate(x, int(t)).tobytes() == oracle(x, int(t)).tobytes()
+        for t in (1, 33, 200):
+            assert family.evaluate(rows, t).tobytes() == oracle(rows, t).tobytes()
+        assert family.evaluate(rows, times).tobytes() == oracle(rows, times).tobytes()
+        for t in (4, 90):
+            row_of = rng.integers(0, len(rows), size=fam.dim)
+            expected = oracle(rows, t)[row_of, np.arange(fam.dim)]
+            assert family.evaluate_columns(rows, t, row_of).tobytes() == expected.tobytes()
 
 
 def test_multiarea_edges_form_the_chain_pattern(systems):
