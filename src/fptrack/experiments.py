@@ -4,9 +4,9 @@ An experiment runs in phases: it builds one problem family, computes the
 reference fixed points, audits the family's declarations by sampling, runs
 the synchronous or asynchronous tracker, evaluates every applicable tracking
 bound and checks the realized errors against them, and reports. A sweep
-computes the phases that a swept value leaves unchanged once per seed. The
-report is JSON-serializable and the per-step trace is written as CSV with a
-fixed header; reruns of the same config are byte-identical.
+computes the phases that a swept value leaves unchanged in the first run of
+each seed. The report is JSON-serializable and the per-step trace is written
+as CSV with a fixed header; reruns of the same config are byte-identical.
 
 Certificate semantics: the "limsup" side of each asymptotic bound is
 operationalized as the maximum error over the trailing part of the horizon
@@ -365,15 +365,6 @@ def build_family(config: ExperimentConfig):
 AUDITS = ("lipschitz", "self_map", "map_error", "dependency_graph")
 
 
-@dataclass
-class SharedPhases:
-    """Phase values that the runs of one seed share in a sweep: the reference
-    series (None: each run computes its own) and audit results by name."""
-
-    reference: FixedPointSeries | None = None
-    audits: dict = field(default_factory=dict)
-
-
 def build_phase(config: ExperimentConfig):
     """The family and graph a run tracks, checked against the config's norm and mode."""
     family, graph, _ = build_family(config)
@@ -496,40 +487,42 @@ def _report_phase(config: ExperimentConfig, trace, stats, audits, bounds) -> Exp
 def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> ExperimentReport:
     """One run in phases: build, reference, audits, run, certify, report.
 
-    ``shared`` (a :class:`SharedPhases`) holds the reference series and the
-    audits that another run of the same seed computed for this run's values;
-    :func:`sweep` passes it. Every phase it does not hold runs here, and the
-    report gets its own copy of each shared audit. Optionally writes the
-    trace CSV and the report JSON.
+    ``shared`` maps a phase name (``"reference"`` or an audit name) to the
+    value the runs of one seed share; :func:`sweep` passes one per seed.
+    This run computes each name bound to None and stores it there (an audit
+    that does not apply stays None), and reads the rest. The report gets its
+    own copy of each audit. Optionally writes the trace CSV and report JSON.
     """
-    shared = shared if shared is not None else SharedPhases()
+    shared = {} if shared is None else shared
     family, graph = build_phase(config)
-    reference = shared.reference
-    if reference is None:
-        reference = reference_phase(config, family)
-    audits = audit_phase(config, family, graph, [n for n in AUDITS if n not in shared.audits])
-    audits.update(copy.deepcopy(shared.audits))
-    trace, stats = _run_phase(config, family, graph, reference)
+    phases = {n: v for n, v in shared.items() if v is not None}
+    if "reference" not in phases:
+        phases["reference"] = reference_phase(config, family)
+    phases.update(audit_phase(config, family, graph, [n for n in AUDITS if n not in phases]))
+    shared.update({n: phases.get(n) for n in shared})
+    audits = copy.deepcopy({n: phases[n] for n in AUDITS if n in phases})
+    trace, stats = _run_phase(config, family, graph, phases["reference"])
     bounds = _certify_phase(config, family, trace, stats)
-    report = _report_phase(config, trace, stats,
-                           {n: audits[n] for n in AUDITS if n in audits}, bounds)
+    report = _report_phase(config, trace, stats, audits, bounds)
     if write_files and config.output:
         write_report_files(report, config.output)
     return report
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fptrack-")
+    """Write ``text`` to ``path`` via a temporary file; an unwritable path is a ConfigError."""
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fptrack-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def trace_csv_text(report: ExperimentReport) -> str:
@@ -631,13 +624,6 @@ SHARED_PHASES = {
 }
 
 
-def _shared_phases(config: ExperimentConfig, names) -> SharedPhases:
-    """The phases ``names`` of a run of ``config``, for the runs that share them."""
-    family, graph = build_phase(config)
-    reference = reference_phase(config, family) if "reference" in names else None
-    return SharedPhases(reference, audit_phase(config, family, graph, names))
-
-
 def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepResult:
     """Rerun the experiment across parameter values (and seeds); summarize tails.
 
@@ -647,9 +633,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     of every run, so callers can check each seed's certificates and audits.
 
     Each run is one ``run_experiment`` call. A phase that the swept value
-    does not touch is computed once per seed, from the first value's config,
-    and passed to that seed's runs (``SHARED_PHASES``); each report is the
-    one its run gives alone, with audit dicts of its own. The rules:
+    does not touch is computed once per seed, by that seed's run of the
+    first value, and read by its other runs (``SHARED_PHASES``); each report
+    is the one its run gives alone, with audit dicts of its own. The rules:
 
     - ``drop_probability`` and ``fixed_delay``, any problem kind: the
       reference and every audit. The value changes only the channel and
@@ -672,15 +658,15 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     if int(n_seeds) < 1:
         raise ConfigError("sweep needs at least one seed")
     names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
-    shared = {}  # seed -> SharedPhases, computed at the first value
+    shared = {}  # seed index -> the phases its runs share, filled by its first run
     tails, by_seed, bound_col, reports = [], [], [], []
     for v in values:
         seed_reports = []
         for k in range(int(n_seeds)):
             run_config = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
-            if names and k not in shared:
-                shared[k] = _shared_phases(run_config, names)
-            seed_reports.append(run_experiment(run_config, write_files=False, shared=shared.get(k)))
+            if k not in shared:
+                shared[k] = dict.fromkeys(names)
+            seed_reports.append(run_experiment(run_config, write_files=False, shared=shared[k]))
         seed_tails = [rep.tail_max for rep in seed_reports]
         by_seed.append(seed_tails)
         tails.append(float(np.median(seed_tails)))

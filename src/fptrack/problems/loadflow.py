@@ -53,21 +53,30 @@ def _times_z(w, Z):
     return np.einsum("...j,ij->...i", w, Z)
 
 
+def _numbers(x, kinds, message):
+    """``x`` as an array of a dtype kind in ``kinds``; an ndarray's check is one dtype read."""
+    try:
+        x = x if isinstance(x, np.ndarray) else np.asarray(x)
+    except (TypeError, ValueError) as exc:  # ragged nested lists
+        raise PreconditionError(message) from exc
+    if x.dtype.kind not in kinds:
+        raise PreconditionError(message)
+    return x
+
+
 def to_real(v: np.ndarray) -> np.ndarray:
     """Interleave a complex vector, or each row, as [re0, im0, re1, im1, ...].
 
     Interleaved (re, im) pairs are complex128's memory layout, so this is a
     view: of ``v`` itself when it is a contiguous complex array.
     """
-    try:
-        v = np.ascontiguousarray(v, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError("to_real needs input that reads as complex numbers") from exc
-    return v.view(float)
+    v = _numbers(v, "iufc", "to_real needs input that reads as complex numbers")
+    return np.ascontiguousarray(v, dtype=complex).view(float)
 
 
 def to_complex(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_real`, for a vector or each row: a view, as there."""
+    x = _numbers(x, "iuf", "to_complex needs real numbers in (re, im) pairs")
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape[-1] % 2:
         raise PreconditionError(

@@ -295,6 +295,26 @@ def test_noise_sweep_computes_each_reference_the_value_leaves_unchanged_once(
     assert sum(map(len, result.reports)) == 12
 
 
+@pytest.mark.parametrize("name,parameter,values", [
+    ("qp-feedback-sync", "noise_bound", [0.0, 0.01, 0.02, 0.05]),  # shares three phases
+    ("affine-async", "fixed_delay", [0, 1, 2]),                      # shares every phase
+])
+def test_sweep_builds_one_family_per_run(monkeypatch, name, parameter, values):
+    # the first run of each seed computes the phases its seed shares
+    seeds = []
+    real = experiments.build_phase
+
+    def counting(config):
+        seeds.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(experiments, "build_phase", counting)
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
+    result = sweep(cfg, parameter, values, n_seeds=3)
+    assert sum(map(len, result.reports)) == len(values) * 3
+    assert seeds == [cfg.seed + 1000 * k for k in range(3)] * len(values)
+
+
 def _containers(value):
     if isinstance(value, (dict, list)):
         yield value
@@ -343,6 +363,29 @@ def test_cli_run_writes_byte_identical_outputs(tmp_path):
     assert main(["run", cfg, "--output", str(tmp_path / "b")]) == EXIT_OK
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_cli_run_to_an_unwritable_output_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    prefix = str(tmp_path / "afile" / "sub" / "run")
+    by_option = write_json(tmp_path / "c.json", affine_doc(horizon=60))
+    by_key = write_json(tmp_path / "o.json", affine_doc(horizon=60, output=prefix))
+    assert main(["run", by_option, "--output", prefix]) == EXIT_CONFIG
+    assert main(["run", by_key]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith(f"configuration error: cannot write {prefix}.csv") for line in err)
+
+
+def test_cli_sweep_to_an_unwritable_output_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    output = str(tmp_path / "afile" / "x.json")
+    cfg = write_json(tmp_path / "c.json", affine_doc(mode="async", norm="linf", horizon=60,
+                                                     channel={"kind": "fixed_delay", "delay": 0}))
+    args = ["sweep", cfg, "--param", "fixed_delay", "--values", "0,1", "--output", output]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: cannot write {output}")
 
 
 def test_cli_config_error_exit_2(tmp_path):

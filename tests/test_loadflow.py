@@ -79,10 +79,17 @@ def test_to_complex_rejects_an_odd_last_axis(x):
         to_complex(x)
 
 
-@pytest.mark.parametrize("v", [["1+1j", "volts"], [1.0, object()], {"re": 1.0}])
+@pytest.mark.parametrize("v", [["1+1j", "volts"], [1.0, object()], {"re": 1.0}, None, [None]])
 def test_to_real_rejects_input_that_is_not_complex(v):
     with pytest.raises(PreconditionError, match="complex"):
         to_real(v)
+
+
+@pytest.mark.parametrize("x", ["ab", None, [None, 1.0], np.array([1 + 2j, 3 + 0j])],
+                         ids=["string", "None", "[None, 1.0]", "complex"])
+def test_to_complex_rejects_input_that_is_not_real_numbers(x):
+    with pytest.raises(PreconditionError, match="real numbers"):
+        to_complex(x)
 
 
 def test_injection_series_respects_limits():
