@@ -44,8 +44,9 @@ def main():
           f"dependency edges {sorted(system.graph.edges)}")
     print(f"certified contraction factor of the stacked map: {system.family.lipschitz_sup:.4f}")
     print(f"measurement-noise error bound: {system.family.error_sup:.2e}")
+    # the whole-network (monolithic) family of the same feeder, for comparison
     v_mono = to_complex(fp.solve_fixed_point(
-        system.monolithic, 1, to_real(net.noload), tol=1e-13))
+        build_loadflow_map(net, inj, norm=LINF), 1, to_real(net.noload), tol=1e-13))
     stacked = fp.solve_fixed_point(system.family.base, 1,
                                    np.zeros(system.family.dim), tol=1e-12, norm=LINF)
     print(f"stacked vs monolithic fixed point: "

@@ -26,6 +26,7 @@ from .experiments import (
     _f17,
     audit_phase,
     build_phase,
+    check_writable,
     run_experiment,
     sweep,
 )
@@ -83,6 +84,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"cannot parse sweep values {args.values!r}") from exc
+    if args.output:
+        check_writable(args.output)
     result = sweep(config, args.param, values, n_seeds=args.seeds)
     print(f"sweep over {args.param} ({args.seeds} seed(s) per value)")
     print("value,median_tail_error,tightest_bound")

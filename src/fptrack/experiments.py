@@ -16,6 +16,7 @@ not applicable, never failed.
 from __future__ import annotations
 
 import copy
+import errno
 import json
 import math
 import os
@@ -494,6 +495,9 @@ def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> E
     own copy of each audit. Optionally writes the trace CSV and report JSON.
     """
     shared = {} if shared is None else shared
+    if write_files and config.output:
+        for suffix in (".csv", ".json"):
+            check_writable(config.output + suffix)
     family, graph = build_phase(config)
     phases = {n: v for n, v in shared.items() if v is not None}
     if "reference" not in phases:
@@ -523,6 +527,24 @@ def _atomic_write(path, text):
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def check_writable(path):
+    """Raise the ConfigError :func:`_atomic_write` would raise for ``path``, before
+    any work, and leave nothing behind: a temporary file is made and removed in
+    the nearest directory above ``path`` that exists."""
+    target = os.path.abspath(path)
+    try:
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        existing = os.path.dirname(target)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
+        tempfile.TemporaryFile(dir=existing).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def trace_csv_text(report: ExperimentReport) -> str:

@@ -30,7 +30,6 @@ rescale, so trajectories map one-to-one onto voltage trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -339,56 +338,31 @@ _MAX_ROUNDS = 300        # self-map rounds before the couplings count as too str
 _CONTRACTION_CAP = 0.95  # largest declared factor the builder certifies
 
 
-@dataclass(frozen=True)
-class _Coordinates:
-    """State <-> voltage change of the decomposed load flow.
-
-    The state lists the load buses area by area (``order``), each as the
-    (re, im) parts of its voltage's deviation from the no-load profile times
-    its area's weight. Voltages are in state order; both directions take one
-    vector or rows.
-    """
-
-    order: np.ndarray    # load bus (0-based) at each state position
-    noload: np.ndarray   # its no-load voltage
-    weight: np.ndarray   # its area's weight, once per state coordinate
-
-    @cached_property
-    def _bus_weight(self):
-        """``weight`` once per bus, as complex: a division then casts nothing."""
-        return self.weight[0::2].astype(complex)
-
-    def voltages(self, x):
-        return self.noload + to_complex(x) / self._bus_weight
-
-    def state(self, v):
-        return to_real(v - self.noload) * self.weight
-
-
 @dataclass
 class MultiAreaSystem:
-    """Decomposed load flow: family, dependency graph, and coordinate maps.
+    """Decomposed load flow: family, dependency graph, and coordinate change.
 
-    The certified factor and error bound are the family's
-    ``lipschitz_sup`` and ``error_sup``; each area's coordinate scale is
-    ``coordinates.weight``, once per state coordinate.
+    The state lists the load buses area by area (``order``), each as the
+    (re, im) parts of its voltage's deviation from the no-load profile
+    (``noload``, in state order) times its area's weight (``weight``, once
+    per state coordinate). The certified factor and error bound are the
+    family's ``lipschitz_sup`` and ``error_sup``.
     """
 
     family: InexactMapFamily
     graph: DependencyGraph
-    monolithic: MapFamily
-    network: PowerNetwork
-    coordinates: _Coordinates
+    order: np.ndarray    # load bus (0-based) at each state position
+    noload: np.ndarray   # its no-load voltage
+    weight: np.ndarray   # its area's weight, once per state coordinate
 
     def encode(self, v: np.ndarray) -> np.ndarray:
         """Voltages (global bus order) -> scaled-deviation state."""
-        c = self.coordinates
-        return c.state(np.asarray(v, dtype=complex)[..., c.order])
+        return to_real(np.asarray(v, dtype=complex)[..., self.order] - self.noload) * self.weight
 
     def to_voltages(self, x: np.ndarray) -> np.ndarray:
         """Scaled-deviation state -> complex voltages in global bus order."""
-        c = self.coordinates
-        return c.voltages(x)[..., np.argsort(c.order)]
+        v = self.noload + to_complex(x) / self.weight[0::2]
+        return v[..., np.argsort(self.order)]
 
     def voltage_error(self, x, v_ref) -> float:
         """Max per-unit voltage deviation of a state from reference voltages."""
@@ -554,7 +528,9 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             f">= cap {_CONTRACTION_CAP}"
         )
 
-    coords = _Coordinates(order, net.noload[order], np.repeat(omega[bus_area], 2))
+    noload = net.noload[order]
+    weight = np.repeat(omega[bus_area], 2)
+    bus_weight = omega[bus_area].astype(complex)  # a complex divisor casts nothing
     half = np.repeat((omega * H)[bus_area], 2)
 
     def boundary_noise(ts, last, rng):
@@ -570,7 +546,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
 
     def stacked(x, t, noisy):
         """All areas' maps at a state of shape (m,) or at each row of (k, m)."""
-        v = coords.voltages(x)
+        v = noload + to_complex(x) / bus_weight
         if np.abs(v).min() < _GUARD:
             raise DomainViolationError("voltage magnitude fell below the guard")
         # area 1's slack is the substation, area k's the connection bus of area k-1
@@ -586,7 +562,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         s_eff = np.empty_like(v)
         s_eff[...] = s
         s_eff[..., conn_pos] = s.take(conn_pos, axis=-1) - meas
-        return coords.state(slack.take(bus_area, axis=-1) + _times_z(np.conj(s_eff / v), Z))
+        u = slack.take(bus_area, axis=-1) + _times_z(np.conj(s_eff / v), Z)
+        return to_real(u - noload) * weight
 
     def exact_map(x, t):
         return stacked(x, t, noisy=False)
@@ -614,20 +591,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             edges.append((k + 1, k))  # downstream state behind the measurement
     graph = DependencyGraph(2 * sizes, edges)
 
-    mono = build_loadflow_map(
-        net,
-        injections,
-        radius=float(root2 * H.max() + 0.05),
-        norm=Norm(LINF),
-    )
-
-    return MultiAreaSystem(
-        family=family,
-        graph=graph,
-        monolithic=mono,
-        network=net,
-        coordinates=coords,
-    )
+    return MultiAreaSystem(family, graph, order, noload, weight)
 
 
 # ---------------------------------------------------------------------------

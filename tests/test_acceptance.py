@@ -250,7 +250,8 @@ def test_08_loadflow_fixed_point_oracles():
             system.family.base, 1, np.zeros(system.family.dim), tol=1e-12, norm=LINF
         )
         v_mono = to_complex(fp.solve_fixed_point(
-            system.monolithic, 1, to_real(net.noload), tol=1e-13
+            build_loadflow_map(net, default_injections(net, 0.7), norm=LINF),
+            1, to_real(net.noload), tol=1e-13,
         ))
         assert system.voltage_error(stacked, v_mono) < 1e-8
 
@@ -265,7 +266,7 @@ def test_09_qualitative_orderings_mirror_operations():
         inj = default_injections(net, 0.7)
         system = build_multiarea_maps(net, inj, 0.0, seed=1)
         v_star = to_complex(fp.solve_fixed_point(
-            system.monolithic, 1, to_real(net.noload), tol=1e-13
+            build_loadflow_map(net, inj, norm=LINF), 1, to_real(net.noload), tol=1e-13
         ))
         for seed in (0, 1, 2):
             trace, _ = fp.run_async_tracker(

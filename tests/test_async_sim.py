@@ -26,7 +26,7 @@ from fptrack.async_sim import (
     step_async,
 )
 from fptrack.core import seeded_stream
-from fptrack.errors import PreconditionError, StaleBeyondCapError
+from fptrack.errors import DomainViolationError, PreconditionError, StaleBeyondCapError
 from fptrack.problems import (
     AffineFamily,
     DriftPath,
@@ -123,6 +123,22 @@ def test_zero_delay_step_equals_synchronous_step_bitwise():
     tr, stats = fp.run_async_tracker(fam, g, ZeroDelay(), x0, 30, L2, seed=0)
     assert np.array_equal(sync.iterates, tr.iterates)
     assert stats.max_delay == 0 and stats.max_stale == 0
+
+
+def test_both_trackers_name_the_time_their_iterate_leaves_the_domain():
+    # on [-1, 1]^2 the map at t = 3 lands outside the box from any point in it
+    fam = fp.MapFamily(
+        dim=2,
+        domain=fp.Domain.box([-1.0, -1.0], [1.0, 1.0]),
+        evaluate=fp.pointwise(lambda x, t: 0.5 * x + (5.0 if t == 3 else 0.0)),
+        lipschitz=0.5,
+    )
+    with pytest.raises(DomainViolationError, match="at time index 3$"):
+        fp.run_online_tracker(fam, np.zeros(2), 10, LINF)
+    graph = DependencyGraph([1, 1], [(0, 1), (1, 0)])
+    for channels in (ZeroDelay(), FixedDelay(1)):
+        with pytest.raises(DomainViolationError, match="at tick 3$"):
+            fp.run_async_tracker(fam, graph, channels, np.zeros(2), 10, LINF)
 
 
 def test_fixed_delay_two_agent_hand_oracle():

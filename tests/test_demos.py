@@ -18,6 +18,6 @@ def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

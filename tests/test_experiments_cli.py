@@ -365,7 +365,16 @@ def test_cli_run_writes_byte_identical_outputs(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_cli_run_to_an_unwritable_output_exit_2(tmp_path, capsys):
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fails a test that reaches ``build_phase``."""
+    def refuse(config):
+        raise AssertionError("build_phase ran")
+
+    monkeypatch.setattr(experiments, "build_phase", refuse)
+
+
+def test_cli_run_to_an_unwritable_output_exit_2(tmp_path, capsys, no_build):
     (tmp_path / "afile").write_text("")
     prefix = str(tmp_path / "afile" / "sub" / "run")
     by_option = write_json(tmp_path / "c.json", affine_doc(horizon=60))
@@ -375,9 +384,19 @@ def test_cli_run_to_an_unwritable_output_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith(f"configuration error: cannot write {prefix}.csv") for line in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json", "o.json"]
 
 
-def test_cli_sweep_to_an_unwritable_output_exit_2(tmp_path, capsys):
+def test_cli_run_to_a_directory_exit_2(tmp_path, capsys, no_build):
+    (tmp_path / "run.json").mkdir()
+    cfg = write_json(tmp_path / "c.json", affine_doc(horizon=60))
+    assert main(["run", cfg, "--output", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: cannot write {tmp_path}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "run.json"]
+
+
+def test_cli_sweep_to_an_unwritable_output_exit_2(tmp_path, capsys, no_build):
     (tmp_path / "afile").write_text("")
     output = str(tmp_path / "afile" / "x.json")
     cfg = write_json(tmp_path / "c.json", affine_doc(mode="async", norm="linf", horizon=60,
@@ -386,6 +405,7 @@ def test_cli_sweep_to_an_unwritable_output_exit_2(tmp_path, capsys):
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"configuration error: cannot write {output}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -773,6 +793,35 @@ def test_sweep_drop_probability_medians_nondecreasing():
     result = sweep(cfg, "drop_probability", [0.0, 0.1], n_seeds=6)
     assert result.tail_errors[1] >= result.tail_errors[0]
     assert result.monotone_nondecreasing
+
+
+@pytest.mark.parametrize("value", [0.5, 0.9])
+def test_drop_probability_sweep_keeps_max_consecutive(value):
+    doc = affine_doc(mode="async", norm="linf", horizon=200,
+                     channel={"kind": "iid_drop", "p": 0.1, "max_consecutive": 1})
+    result = sweep(ExperimentConfig.from_dict(doc), "drop_probability", [value], n_seeds=4)
+    assert [rep.realized_max_delay for rep in result.reports[0]] == [1] * 4
+    free = sweep(ExperimentConfig.from_dict(dict(doc, channel={"kind": "iid_drop", "p": 0.1})),
+                 "drop_probability", [value], n_seeds=4)
+    assert max(rep.realized_max_delay for rep in free.reports[0]) > 1
+
+
+def test_loadflow_base_given_explicitly_runs_as_the_default():
+    def run(injections):
+        problem = {"kind": "loadflow", "network": "three-area", "noise_bound": 1e-4,
+                   "injections": injections}
+        doc = {"problem": problem, "mode": "async", "norm": "linf", "horizon": 200, "seed": 5,
+               "channel": {"kind": "iid_drop", "p": 0.3}, "audit_samples": 50}
+        return run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+
+    walk = {"kind": "random_walk", "step": 0.01}
+    net = fptrack.problems.three_area_network()
+    base = fptrack.problems.default_injections(net).base  # load_fraction 0.7, as by default
+    given = run(dict(walk, base=[[float(b.real), float(b.imag)] for b in base]))
+    default = run(walk)
+    assert given.errors.tobytes() == default.errors.tobytes()
+    assert given.certificates == default.certificates
+    assert given.passed
 
 
 def test_inline_qp_and_qp_document_share_defaults():

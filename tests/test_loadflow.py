@@ -17,6 +17,7 @@ from fptrack.problems import (
     build_loadflow_map,
     build_multiarea_maps,
     default_injections,
+    loadflow,
     three_area_network,
     to_complex,
     to_real,
@@ -227,19 +228,27 @@ def relabeled_three_area_network():
 
 
 @pytest.fixture(scope="module")
-def systems():
-    """The decomposed load flow of a three-area and of a two-area chain."""
-    out = []
-    for net in (three_area_network(), two_area_network()):
-        out.append(build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1))
-    return out
+def networks():
+    """A three-area and a two-area chain."""
+    return [three_area_network(), two_area_network()]
 
 
-def sliced_stacked_maps(system, injections, noise_bound, seed):
+@pytest.fixture(scope="module")
+def systems(networks):
+    """The decomposed load flow of each chain in ``networks``."""
+    return [build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1)
+            for net in networks]
+
+
+def monolithic(net):
+    """The whole-network family of ``net`` at the fixture's injections."""
+    return build_loadflow_map(net, default_injections(net, 0.7), norm=LINF)
+
+
+def sliced_stacked_maps(system, net, injections, noise_bound, seed):
     """The exact and noisy multi-area maps as first written: slices and
     ``1j *`` to voltages, ``stack`` back, one injection take per call and the
     slack gathered from a ``concatenate``. Oracle for the bits of the family's maps."""
-    net, c = system.network, system.coordinates
     order, conn_pos, root_pos, link_z, y = _parse_chain(net)
     bus_area = net.areas[order] - 1
     Z = np.zeros((net.n, net.n), dtype=complex)
@@ -248,8 +257,8 @@ def sliced_stacked_maps(system, injections, noise_bound, seed):
         Z[np.ix_(block, block)] = np.linalg.inv(y[1:, 1:][np.ix_(block, block)])
 
     def state_of(v):
-        v = v - c.noload
-        return np.stack([v.real, v.imag], axis=-1).reshape(*v.shape[:-1], -1) * c.weight
+        v = v - system.noload
+        return np.stack([v.real, v.imag], axis=-1).reshape(*v.shape[:-1], -1) * system.weight
 
     def boundary_noise(ts, last, rng):
         u = rng.random((len(ts), 2, len(link_z)))
@@ -259,7 +268,7 @@ def sliced_stacked_maps(system, injections, noise_bound, seed):
 
     def stacked(x, t, noisy):
         x = np.asarray(x, dtype=float)
-        v = c.noload + (x[..., 0::2] + 1j * x[..., 1::2]) / c.weight[0::2]
+        v = system.noload + (x[..., 0::2] + 1j * x[..., 1::2]) / system.weight[0::2]
         v_conn = v[..., conn_pos]
         meas = v_conn * np.conj((v_conn - v[..., root_pos]) / link_z)
         if noisy and noise_bound > 0.0:
@@ -284,7 +293,7 @@ def test_multiarea_maps_equal_the_sliced_formulation_bitwise(net_name, kind):
     inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
     system = build_multiarea_maps(net, inj, noise_bound, seed)
     oracle_inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
-    exact, noisy = sliced_stacked_maps(system, oracle_inj, noise_bound, seed)
+    exact, noisy = sliced_stacked_maps(system, net, oracle_inj, noise_bound, seed)
     fam = system.family
     sampler = DomainSampler(fam.domain, 12)
     rows = np.stack([sampler.draw_one() for _ in range(9)] + [np.zeros(fam.dim)])
@@ -310,13 +319,13 @@ def test_multiarea_edges_form_the_chain_pattern(systems):
     assert two.graph.n_agents == 2
 
 
-def test_multiarea_map_guards_near_zero_voltage(systems):
-    for system in systems:
-        v = system.network.noload.copy()
+def test_multiarea_map_guards_near_zero_voltage(networks, systems):
+    for net, system in zip(networks, systems):
+        v = net.noload.copy()
         v[-1] = 0.0  # the last bus of the last area
         x = system.encode(v)
         assert np.min(np.abs(system.to_voltages(x))) < 1e-6
-        rows = np.stack([system.encode(system.network.noload), x])
+        rows = np.stack([system.encode(net.noload), x])
         for family in (system.family.base, system.family):
             for at in (x, rows):
                 with pytest.raises(DomainViolationError, match="guard"):
@@ -354,23 +363,29 @@ def test_multiarea_dependency_audit(systems):
         assert ok, violations
 
 
-def test_stacked_fixed_point_reproduces_monolithic_blockwise(systems):
+def test_multiarea_build_makes_no_whole_network_family(monkeypatch, networks):
+    calls = []
+    monkeypatch.setattr(loadflow, "build_loadflow_map", lambda *a, **k: calls.append(a))
+    for net in networks:
+        build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1)
+    assert calls == []
+
+
+def test_stacked_fixed_point_reproduces_monolithic_blockwise(networks, systems):
     # evaluating the exact area relations at the monolithic solution returns it
-    for system in systems:
-        mono_x = fp.solve_fixed_point(system.monolithic, 1,
-                                      to_real(system.network.noload), tol=1e-13)
+    for net, system in zip(networks, systems):
+        mono_x = fp.solve_fixed_point(monolithic(net), 1, to_real(net.noload), tol=1e-13)
         enc = system.encode(to_complex(mono_x))
         out = system.family.base.evaluate(enc, 1)
         assert np.max(np.abs(out - enc)) < 1e-10
 
 
-def test_multiarea_sync_run_converges_to_monolithic_fixed_point(systems):
-    for system in systems:
+def test_multiarea_sync_run_converges_to_monolithic_fixed_point(networks, systems):
+    for net, system in zip(networks, systems):
         trace = fp.run_online_tracker(system.family.base, np.zeros(system.family.dim),
                                       80, LINF)
         v_mono = to_complex(
-            fp.solve_fixed_point(system.monolithic, 1, to_real(system.network.noload),
-                                 tol=1e-13)
+            fp.solve_fixed_point(monolithic(net), 1, to_real(net.noload), tol=1e-13)
         )
         assert system.voltage_error(trace.iterates[-1], v_mono) < 1e-8
 
