@@ -7,6 +7,9 @@ realized worst-case staleness and stale-neighbor counts are recomputed. The
 tail error is then certified against the asynchronous max-norm bound using
 only realized quantities.
 """
+import os
+import tempfile
+
 import numpy as np
 
 import fptrack as fp
@@ -60,9 +63,10 @@ def main():
 
     print()
     print("=== schedules round-trip through CSV ===")
-    path = "/tmp/fptrack_demo_schedule.csv"
-    fp.write_log_csv(path, log)
-    replay = fp.read_schedule_csv(path)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "schedule.csv")
+        fp.write_log_csv(path, log)
+        replay = fp.read_schedule_csv(path)
     trace2, stats2 = fp.run_async_tracker(
         family, graph, replay, np.zeros(4), 200, LINF, seed=0,
         reference=trace.reference,

@@ -22,10 +22,10 @@ bit for bit.
 Which agents are stale, where each row's entries lie in the history and
 which row each column reads depend only on the outdated (tick, edge) pairs
 of the stamp table below: the entries whose stamp is older than their tick.
-A run computes them for a block of ticks at a time (:class:`TickPlan`), in
-one vectorized pass over the block's stamp rows, with blocks sized to hold
-at most 2^16 indices. A tick then takes its rows from the history in one
-flat take, makes the columns call and checks the domain.
+A run finds them once, in one vectorized pass over its stamp table, and
+plans its ticks from them a block at a time (:func:`_tick_plans`), with
+blocks sized to hold at most 2^16 indices. A tick then takes its rows from
+the history in one flat take, makes the columns call and checks the domain.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
 table before the first tick: ``stamps[t, e] = s`` means that at tick t the
@@ -432,8 +432,9 @@ def _outdated(stamps, start):
 def realized_delay_stats(log: ChannelLog, graph: DependencyGraph) -> DelayStats:
     """Exact per-tick staleness maxima recomputed from a complete channel log."""
     n_ticks, n = len(log.table), graph.n_agents
-    delays = np.arange(1, n_ticks + 1)[:, None] - log.table
-    delay_by_tick = delays.max(axis=1, initial=0)
+    # each tick's oldest copy; a tick without edges reads no copy older than itself
+    oldest = log.table.min(axis=1, initial=n_ticks)
+    delay_by_tick = np.maximum(np.arange(1, n_ticks + 1) - oldest, 0)
     k, edge = _outdated(log.table, 1)
     # outdated in-edges per (tick, receiving agent)
     stale = np.bincount(k * n + log.edge_dst[edge], minlength=n_ticks * n).reshape(n_ticks, n)
@@ -487,81 +488,62 @@ def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) ->
 _PLAN_INDICES = 1 << 16
 
 
-def _stale_agents(graph: DependencyGraph, stamps, start) -> np.ndarray:
-    """``stale[k, i]``: agent i holds an outdated copy at tick ``start + k``.
+def _tick_plans(graph: DependencyGraph, stamps, start):
+    """Plans of ticks ``start, start + 1, ...`` from their stamp-table rows
+    ``stamps``, one list per block of at most ``_PLAN_INDICES`` indices (a tick
+    that needs more is a block alone), all from one pass over ``stamps``.
 
-    ``stamps`` are the stamp-table rows of those ticks.
+    Tick t evaluates one row per stale agent (in agent order), then x_t when
+    some agent is fresh: ``rows[k, i]`` marks agent i's row at tick
+    ``start + k`` and ``rows[k, n_agents]`` the row of x_t.
     """
+    n = graph.n_agents
     k, edge = _outdated(stamps, start)
-    stale = np.zeros((len(stamps), graph.n_agents), dtype=bool)
-    stale[k, graph.edge_arrays[1][edge]] = True
-    return stale
+    rows = np.zeros((len(stamps), n + 1), dtype=bool)
+    rows[k, graph.edge_arrays[1][edge]] = True
+    rows[:, n] = ~rows[:, :n].all(axis=1)
+    size = (rows.sum(axis=1) + 1) * graph.dim  # a tick's offsets and row_of
+    before = np.concatenate(([0], np.cumsum(size)))  # indices of the ticks before each
+    a = 0
+    while a < len(stamps):
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _PLAN_INDICES, "right")) - 1)
+        lo, hi = np.searchsorted(k, (a, b))
+        yield _plan_block(graph, stamps[a:b], start + a, rows[a:b], k[lo:hi] - a, edge[lo:hi])
+        a = b
 
 
-def _tick_rows(stale):
-    """Stale agents and rows per tick: a row per stale agent, and x_t when any is fresh."""
-    n_stale = stale.sum(axis=1)
-    return n_stale, n_stale + (n_stale < stale.shape[1])
+def _plan_block(graph: DependencyGraph, stamps, start, rows, k, edge):
+    """Plans ``(t, offsets, row_of)`` of ticks ``start, start + 1, ...`` from
+    their stamp-table rows, :func:`_tick_plans` rows and outdated pairs
+    ``(k, edge)``, k counted from ``start``.
 
-
-class TickPlan:
-    """The indices of consecutive ticks, computed in one pass from their stamps.
-
-    ``stamps`` are the stamp-table rows of ticks ``start, start + 1, ...``
-    and ``stale`` their :func:`_stale_agents`. Tick t evaluates one row per
-    stale agent (in agent order), then x_t when some agent is fresh.
-    ``ticks[t - start]`` is ``(offsets, row_of)``:
-
-    - ``offsets``, shape ``(rows, dim)``: flat offsets into the history of
-      each row's entries. A stale agent i reads x_t with its outdated copies
-      patched in: block j of each in-edge ``(j, i)`` whose stamp is older
-      than t as of that stamp, every other block at t. x_t reads every
-      block at t.
-    - ``row_of``, shape ``(dim,)``: the row column c reads, its owner's row
-      when the owner is stale, else x_t's.
-
-    A plan holds ``(rows + 1) * dim`` indices per tick. Only the outdated
-    (tick, edge) pairs are scattered in, so no table of every agent's
-    sources is kept.
+    ``offsets``, shape ``(rows, dim)``, holds the flat history offsets of each
+    row's entries: a stale agent i reads x_t with block j of each outdated
+    in-edge ``(j, i)`` as of its stamp; x_t reads every block at t.
+    ``row_of``, shape ``(dim,)``, is the row column c reads: its owner's row
+    when the owner is stale, else x_t's.
     """
-
-    def __init__(self, graph: DependencyGraph, stamps, start, stale):
-        dim = graph.dim
-        self.start = start
-        n_stale, n_rows = _tick_rows(stale)
-        first = np.cumsum(n_rows) - n_rows  # each tick's first row in the block
-        rank = np.cumsum(stale, axis=1) - 1  # a stale agent's row within its tick
-        # every row reads x_t, history row t - 1, except the copies patched in below
-        tick = np.arange(start, start + len(stamps))
-        offsets = np.repeat((tick - 1) * dim, n_rows)[:, None] + graph.columns
-        # each outdated pair: the receiver's row reads the sender's block as of the stamp
-        k, edge = _outdated(stamps, start)
-        src, dst = (a[edge] for a in graph.edge_arrays)
-        size = np.diff(graph.offsets)[src]
-        column = _ragged_arange(graph.offsets[src], size)
-        offsets.reshape(-1)[np.repeat((first[k] + rank[k, dst]) * dim, size) + column] = (
-            np.repeat((stamps[k, edge] - 1) * dim, size) + column)
-        row_of = np.where(stale, rank, n_stale[:, None]).take(graph.block_of_column, axis=1)
-        ends = np.cumsum(n_rows).tolist()
-        self.ticks = list(zip([offsets[a:b] for a, b in zip([0, *ends], ends)], row_of))
+    dim = graph.dim
+    rank = np.cumsum(rows, axis=1) - 1  # each row's position within its tick
+    n_rows = rank[:, -1] + 1
+    first = np.cumsum(n_rows) - n_rows  # each tick's first row in the block
+    # every row reads x_t, history row t - 1, except the copies patched in below
+    tick = np.arange(start, start + len(stamps))
+    offsets = np.repeat((tick - 1) * dim, n_rows)[:, None] + graph.columns
+    # each outdated pair: the receiver's row reads the sender's block as of the stamp
+    src, dst = (a[edge] for a in graph.edge_arrays)
+    size = np.diff(graph.offsets)[src]
+    column = _ragged_arange(graph.offsets[src], size)
+    offsets.reshape(-1)[np.repeat((first[k] + rank[k, dst]) * dim, size) + column] = (
+        np.repeat((stamps[k, edge] - 1) * dim, size) + column)
+    row_of = np.where(rows[:, :-1], rank[:, :-1], rank[:, -1:]).take(graph.block_of_column, axis=1)
+    ends = np.cumsum(n_rows).tolist()
+    return list(zip(tick.tolist(), [offsets[a:b] for a, b in zip([0, *ends], ends)], row_of))
 
 
 def _ragged_arange(starts, counts) -> np.ndarray:
     """``starts[m] + arange(counts[m])`` for every m, concatenated."""
     return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-
-
-def _tick_plans(graph: DependencyGraph, table):
-    """Plans of ticks 1 .. len(table) - 1, in blocks of at most ``_PLAN_INDICES``
-    indices; a tick that needs more is a block alone."""
-    stale = _stale_agents(graph, table[1:], 1)
-    size = (_tick_rows(stale)[1] + 1) * graph.dim  # a tick's offsets and row_of
-    before = np.concatenate(([0], np.cumsum(size)))  # indices of ticks 1 .. t - 1
-    a = 0
-    while a < len(stale):
-        b = max(a + 1, int(np.searchsorted(before, before[a] + _PLAN_INDICES, "right")) - 1)
-        yield TickPlan(graph, table[a + 1 : b + 1], a + 1, stale[a:b])
-        a = b
 
 
 def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
@@ -577,22 +559,20 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     fresh when every in-edge stamp equals t: all fresh agents take their
     blocks from one shared evaluation at x_t. ``audit_dependency_graph``
     checks the graph that the staleness bounds assume. The tick's indices
-    come from a :class:`TickPlan`: ``plan``, one that covers tick t built
-    from the same stamp table, or else a plan of this tick alone. The tick
-    is then one flat take of its rows from ``history`` (the stale agents'
-    inputs, then x_t when any agent is fresh), one ``family.evaluate_columns``
-    call, column c read from the row of the agent that owns it, and one
-    domain check. As built-in columns and rows equal points bit for bit, a
-    zero-delay tick is the synchronous step to the last bit.
+    come from ``plan``, tick t's ``(t, offsets, row_of)`` from
+    :func:`_tick_plans` of the same stamp table, or else from a plan of this
+    tick alone. The tick is then one flat take of its rows from ``history``
+    (the stale agents' inputs, then x_t when any agent is fresh), one
+    ``family.evaluate_columns`` call, column c read from the row of the
+    agent that owns it, and one domain check. As built-in columns and rows
+    equal points bit for bit, a zero-delay tick is the synchronous step to
+    the last bit.
     """
     if plan is None:
-        stamps = np.asarray(stamps)[None]
-        plan = TickPlan(graph, stamps, t, _stale_agents(graph, stamps, t))
-    k = t - plan.start
-    if not 0 <= k < len(plan.ticks):
-        last = plan.start + len(plan.ticks) - 1
-        raise PreconditionError(f"tick {t} is not among the plan's ticks {plan.start}..{last}")
-    offsets, row_of = plan.ticks[k]
+        (plan,) = next(_tick_plans(graph, np.asarray(stamps)[None], t))
+    planned, offsets, row_of = plan
+    if planned != t:
+        raise PreconditionError(f"tick {t} was given the plan of tick {planned}")
     x_next = family.evaluate_columns(history.take(offsets), t, row_of)
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
@@ -619,10 +599,11 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     table = _start_channels(channels, graph, horizon, seed)
     history = np.empty((horizon, family.dim))
     history[0] = x0
-    for plan in _tick_plans(graph, table):
-        for t in range(plan.start, plan.start + len(plan.ticks)):
+    for block in _tick_plans(graph, table[1:], 1):
+        for plan in block:
+            t = plan[0]
             history[t] = step_async(history, table[t], family, graph, t, plan)
-        del plan  # free this block's indices before the next block is planned
+        del block, plan  # free this block's indices before the next block is planned
     log = ChannelLog(table[1:], *graph.edge_arrays)
     stats = realized_delay_stats(log, graph)
     if reference is None:

@@ -73,11 +73,14 @@ def per_step_bound_series(initial_error, map_error_series, drift_series,
     return out
 
 
-def _require_contractive(inputs: BoundInputs, factor: float, label: str) -> None:
-    if factor >= 1.0:
+def _steady_state(inputs: BoundInputs, eff: float, delay, label: str) -> float:
+    """``(map_error + drift * (1 + eff * delay)) / (1 - eff)``, the steady-state
+    bound of every tracking iteration here, for an effective factor below 1."""
+    if eff >= 1.0:
         raise PreconditionError(
-            f"{label}: effective contraction factor {factor:.6g} is >= 1, bound undefined"
+            f"{label}: effective contraction factor {eff:.6g} is >= 1, bound undefined"
         )
+    return (inputs.map_error + inputs.drift * (1.0 + eff * delay)) / (1.0 - eff)
 
 
 def tracking_bound_sync(inputs: BoundInputs) -> float:
@@ -86,8 +89,7 @@ def tracking_bound_sync(inputs: BoundInputs) -> float:
     ``(map_error + drift) / (1 - lipschitz)``; valid in the norm the family
     contracts in.
     """
-    _require_contractive(inputs, inputs.lipschitz, "synchronous bound")
-    return (inputs.map_error + inputs.drift) / (1.0 - inputs.lipschitz)
+    return _steady_state(inputs, inputs.lipschitz, 0, "synchronous bound")
 
 
 def tracking_bound_async_inf(inputs: BoundInputs) -> float:
@@ -99,9 +101,8 @@ def tracking_bound_async_inf(inputs: BoundInputs) -> float:
     """
     if not inputs.norm.is_linf:
         raise PreconditionError("asynchronous max-norm bound requires the linf norm")
-    _require_contractive(inputs, inputs.lipschitz, "asynchronous max-norm bound")
-    L = inputs.lipschitz
-    return (inputs.map_error + inputs.drift * (1.0 + L * inputs.max_delay)) / (1.0 - L)
+    return _steady_state(inputs, inputs.lipschitz, inputs.max_delay,
+                         "asynchronous max-norm bound")
 
 
 def tracking_bound_async_l2_equiv(inputs: BoundInputs) -> float:
@@ -113,9 +114,8 @@ def tracking_bound_async_l2_equiv(inputs: BoundInputs) -> float:
     """
     if not inputs.norm.is_l2:
         raise PreconditionError("norm-equivalence bound requires the l2 norm")
-    eff = inputs.lipschitz * math.sqrt(inputs.dim)
-    _require_contractive(inputs, eff, "norm-equivalence bound (lipschitz * sqrt(dim))")
-    return (inputs.map_error + inputs.drift * (1.0 + eff * inputs.max_delay)) / (1.0 - eff)
+    return _steady_state(inputs, inputs.lipschitz * math.sqrt(inputs.dim), inputs.max_delay,
+                         "norm-equivalence bound (lipschitz * sqrt(dim))")
 
 
 def tracking_bound_async_l2_refined(inputs: BoundInputs) -> float:
@@ -128,9 +128,8 @@ def tracking_bound_async_l2_refined(inputs: BoundInputs) -> float:
     """
     if not inputs.norm.is_l2:
         raise PreconditionError("refined asynchronous bound requires the l2 norm")
-    eff = inputs.lipschitz * math.sqrt(inputs.max_stale + 1.0)
-    _require_contractive(inputs, eff, "refined bound (lipschitz * sqrt(max_stale + 1))")
-    return (inputs.map_error + inputs.drift * (1.0 + eff * inputs.max_delay)) / (1.0 - eff)
+    return _steady_state(inputs, inputs.lipschitz * math.sqrt(inputs.max_stale + 1.0),
+                         inputs.max_delay, "refined bound (lipschitz * sqrt(max_stale + 1))")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .experiments import (
     sweep,
 )
 from .norms import Norm
-from .schema import load_json, read
+from .schema import load_json, nonempty_text, read
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,8 +65,8 @@ def _exit_code(reports) -> int:
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    if args.output:
-        config.output = args.output
+    if args.output is not None:
+        config.output = nonempty_text(args.output, "--output")
     report = run_experiment(config)
     print(f"horizon={len(report.errors)} tail_max={_f17(report.tail_max)} "
           f"realized_max_delay={report.realized_max_delay} "
@@ -84,8 +84,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"cannot parse sweep values {args.values!r}") from exc
-    if args.output:
-        check_writable(args.output)
+    if args.output is not None:
+        check_writable(nonempty_text(args.output, "--output"))
     result = sweep(config, args.param, values, n_seeds=args.seeds)
     print(f"sweep over {args.param} ({args.seeds} seed(s) per value)")
     print("value,median_tail_error,tightest_bound")

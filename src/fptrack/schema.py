@@ -105,6 +105,7 @@ def choice(*options):
 
 flag = _check(lambda v: isinstance(v, bool), "true or false")
 text = _check(lambda v: isinstance(v, str), "a string")
+nonempty_text = _check(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 
 
 def listof(item, lo=0, hi=math.inf):
@@ -190,7 +191,7 @@ TABLE = {
         "horizon": (integer(1, MAX_HORIZON), REQUIRED),
         "transient_fraction": (number("[0, 1)"), 0.9),
         "seed": (_SEED, REQUIRED),
-        "output": (text, None),
+        "output": (nonempty_text, None),
         "audit_samples": (integer(1, MAX_AUDIT_SAMPLES), 2000),
         "declared_lipschitz_override": (number("(0, 1)"), None),
     },

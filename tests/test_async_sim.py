@@ -18,8 +18,6 @@ from fptrack import (
 )
 from fptrack import async_sim
 from fptrack.async_sim import (
-    TickPlan,
-    _stale_agents,
     _start_channels,
     _tick_plans,
     realized_delay_stats,
@@ -139,6 +137,26 @@ def test_both_trackers_name_the_time_their_iterate_leaves_the_domain():
     for channels in (ZeroDelay(), FixedDelay(1)):
         with pytest.raises(DomainViolationError, match="at tick 3$"):
             fp.run_async_tracker(fam, graph, channels, np.zeros(2), 10, LINF)
+
+
+@pytest.mark.parametrize("horizon, x0, blocks, message", [
+    (0, [0.0, 0.0], [1, 1], "horizon must be at least 1"),
+    (10, [0.0, 2.0], [1, 1], "initial point lies outside the declared domain"),
+    (10, [0.0, 0.0], [1, 2], "graph blocks do not tile the family's state"),
+])
+def test_both_trackers_reject_a_run_they_cannot_start(horizon, x0, blocks, message):
+    fam = fp.MapFamily(
+        dim=2,
+        domain=fp.Domain.box([-1.0, -1.0], [1.0, 1.0]),
+        evaluate=fp.pointwise(lambda x, t: 0.5 * x),
+        lipschitz=0.5,
+    )
+    if blocks == [1, 1]:  # the synchronous tracker reads no graph
+        with pytest.raises(PreconditionError, match=message):
+            fp.run_online_tracker(fam, x0, horizon, LINF)
+    graph = DependencyGraph(blocks, [(0, 1), (1, 0)])
+    with pytest.raises(PreconditionError, match=message):
+        fp.run_async_tracker(fam, graph, ZeroDelay(), x0, horizon, LINF)
 
 
 def test_fixed_delay_two_agent_hand_oracle():
@@ -364,13 +382,9 @@ def test_plan_sources_match_the_dense_copy_source_table_on_random_graphs():
         graph = DependencyGraph(sizes, pairs + pairs[: len(pairs) // 3])
         horizon = int(rng.integers(2, 14))
         table = random_stamp_table(len(graph.edges), horizon, rng)
-        planned = []
-        for plan in _tick_plans(graph, table):
-            planned += [(plan.start + k, *tick) for k, tick in enumerate(plan.ticks)]
-        start = int(rng.integers(1, horizon))  # a block of its own from a later tick
-        rows = table[start:]
-        block = TickPlan(graph, rows, start, _stale_agents(graph, rows, start))
-        planned += [(start + k, *tick) for k, tick in enumerate(block.ticks)]
+        planned = [plan for block in _tick_plans(graph, table[1:], 1) for plan in block]
+        start = int(rng.integers(1, horizon))  # plans of their own from a later tick
+        planned += [plan for block in _tick_plans(graph, table[start:], start) for plan in block]
         assert [t for t, _, _ in planned] == [*range(1, horizon), *range(start, horizon)]
         for t, offsets, row_of in planned:
             expected_offsets, expected_row_of = dense_tick_indices(graph, table[t], t)
@@ -378,8 +392,8 @@ def test_plan_sources_match_the_dense_copy_source_table_on_random_graphs():
             assert np.array_equal(row_of, expected_row_of), (sizes, graph.edges, t)
 
 
-def plan_indices(plan):
-    return sum(offsets.size + row_of.size for offsets, row_of in plan.ticks)
+def plan_indices(block):
+    return sum(offsets.size + row_of.size for _, offsets, row_of in block)
 
 
 @pytest.mark.parametrize("name", ["affine-chain", "affine-chain-48", "qp-broadcast",
@@ -391,19 +405,19 @@ def test_mixed_ticks_through_the_run_plans_match_per_agent_evaluation_bitwise(
     monkeypatch.setattr(async_sim, "_PLAN_INDICES", budget)
     table = _start_channels(drops, graph, horizon, seed=4)
     # end the run inside the last full block, so that its final block is partial
-    cut = list(_tick_plans(graph, table))[-2]
-    horizon = cut.start + len(cut.ticks) // 2 + 1
+    cut = list(_tick_plans(graph, table[1:], 1))[-2]
+    horizon = cut[0][0] + len(cut) // 2 + 1
     table = table[:horizon]
     history = np.empty((horizon, family.dim))
     history[0] = np.zeros(family.dim)
-    plans = list(_tick_plans(graph, table))
-    ticks = [plan.start + k for plan in plans for k in range(len(plan.ticks))]
+    blocks = list(_tick_plans(graph, table[1:], 1))
+    ticks = [plan[0] for block in blocks for plan in block]
     assert ticks == list(range(1, horizon))
-    assert len(plans) >= 4 and all(plan_indices(plan) <= budget for plan in plans)
-    assert plans[-1].start == cut.start and len(plans[-1].ticks) < len(cut.ticks)
-    for plan in plans:
-        for k in range(len(plan.ticks)):
-            t = plan.start + k
+    assert len(blocks) >= 4 and all(plan_indices(block) <= budget for block in blocks)
+    assert blocks[-1][0][0] == cut[0][0] and len(blocks[-1]) < len(cut)
+    for block in blocks:
+        for plan in block:
+            t = plan[0]
             expected = per_agent_step(history[:t], stamp_matrix(table[t], graph, t),
                                       family, graph, t)
             x_next = step_async(history, table[t], family, graph, t, plan)
@@ -437,11 +451,11 @@ def test_a_plan_serves_only_its_own_ticks():
     fam = small_affine(dim=3, coupling="chain")
     graph = fam.dependency_graph()
     table = _start_channels(IidDrop(0.5), graph, 12, seed=1)
-    rows = table[4:8]
-    plan = TickPlan(graph, rows, 4, _stale_agents(graph, rows, 4))
+    (block,) = _tick_plans(graph, table[4:8], 4)
+    plan = block[1]
     history = np.zeros((12, 3))
-    for t in (3, 8):
-        with pytest.raises(PreconditionError, match="plan's ticks 4..7"):
+    for t in (4, 6):
+        with pytest.raises(PreconditionError, match=f"tick {t} was given the plan of tick 5"):
             step_async(history, table[t], fam, graph, t, plan)
     assert step_async(history, table[5], fam, graph, 5, plan).tobytes() == (
         step_async(history, table[5], fam, graph, 5).tobytes())
@@ -452,17 +466,35 @@ def test_a_2000_agent_chain_plans_every_all_stale_tick_alone():
     chain = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
     graph = DependencyGraph([1] * n, chain)
     table = np.ones((4, len(graph.edges)), dtype=int)  # from tick 2 every copy is stale
-    plans = _tick_plans(graph, table)
-    first = next(plans)
-    assert (first.start, len(first.ticks)) == (1, 1)  # tick 1 is fresh; tick 2 would overflow
+    blocks = _tick_plans(graph, table[1:], 1)
+    first = next(blocks)
+    assert [plan[0] for plan in first] == [1]  # tick 1 is fresh; tick 2 would overflow
     assert plan_indices(first) == 2 * n <= async_sim._PLAN_INDICES
     for t in (2, 3):
-        plan = next(plans)
-        assert (plan.start, len(plan.ticks)) == (t, 1)
-        offsets, row_of = plan.ticks[0]
+        (plan,) = next(blocks)
+        tick, offsets, row_of = plan
+        assert tick == t
         assert offsets.shape == (n, n) and list(row_of[:3]) == [0, 1, 2]
         del plan, offsets, row_of
-    assert next(plans, None) is None
+    assert next(blocks, None) is None
+
+
+def test_a_run_finds_its_outdated_copies_once_for_all_its_blocks(monkeypatch):
+    family, graph, horizon, drops = mixed_tick_case("affine-chain-48")
+    table = _start_channels(drops, graph, horizon, seed=4)
+    assert len(list(_tick_plans(graph, table[1:], 1))) >= 4
+    calls = []
+
+    def counted(stamps, start):
+        calls.append(len(stamps))
+        return outdated(stamps, start)
+
+    outdated = async_sim._outdated
+    monkeypatch.setattr(async_sim, "_outdated", counted)
+    fp.run_async_tracker(family, graph, drops, np.zeros(family.dim), horizon, seed=4,
+                         reference=np.zeros((horizon, family.dim)))
+    # the plans and realized_delay_stats, each over every tick from 1
+    assert calls == [horizon - 1, horizon - 1]
 
 
 # ---------------------------------------------------------------------------

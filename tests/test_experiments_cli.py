@@ -408,6 +408,49 @@ def test_cli_sweep_to_an_unwritable_output_exit_2(tmp_path, capsys, no_build):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
 
 
+@pytest.mark.parametrize("case", ["config-key", "run-option", "sweep-option"])
+def test_cli_empty_output_exit_2_and_write_nothing(case, tmp_path, capsys, monkeypatch,
+                                                   no_build):
+    monkeypatch.chdir(tmp_path)  # a file named by an empty prefix would land here
+    doc = affine_doc(mode="async", norm="linf", horizon=60,
+                     channel={"kind": "fixed_delay", "delay": 0})
+    cfg = write_json(tmp_path / "c.json", dict(doc, output="") if case == "config-key" else doc)
+    args = {"config-key": ["run", cfg],
+            "run-option": ["run", cfg, "--output", ""],
+            "sweep-option": ["sweep", cfg, "--param", "fixed_delay", "--values", "0,1",
+                             "--output", ""]}[case]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "must be a non-empty string" in err[0], err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"kind": "loadflow", "multiarea": False}, "asynchronous mode needs a block decomposition"),
+    ({"kind": "qp-gradient", "step_size": 0.1, "topology": "none"},
+     "asynchronous qp-gradient runs require the star topology"),
+], ids=["loadflow-not-multiarea", "qp-without-topology"])
+def test_cli_async_run_without_agents_exit_2(tmp_path, capsys, problem, message):
+    cfg = write_json(tmp_path / "c.json", affine_doc(problem=problem, mode="async", norm="linf",
+                                                     horizon=50))
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+
+
+@pytest.mark.parametrize("values, message", [
+    (",", "sweep needs at least one value"),
+    ("a,0.1", "cannot parse sweep values 'a,0.1'"),
+], ids=["none", "not-a-number"])
+def test_cli_sweep_with_bad_values_exit_2(tmp_path, capsys, no_build, values, message):
+    cfg = write_json(tmp_path / "c.json", affine_doc(horizon=50))
+    assert main(["sweep", cfg, "--param", "noise_bound", "--values", values]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"configuration error: {message}"]
+    assert captured.out == ""
+
+
 def test_cli_config_error_exit_2(tmp_path):
     cfg = write_json(tmp_path / "bad.json", affine_doc(nonsense=1))
     assert main(["run", cfg]) == EXIT_CONFIG

@@ -440,6 +440,44 @@ def test_multiarea_rejects_overwhelming_coupling():
         build_multiarea_maps(net, default_injections(net, 0.9), 0.0, seed=0)
 
 
+def loaded_network(net, scale):
+    """``net`` with every injection limit scaled by ``scale``."""
+    return PowerNetwork(net.n, net.slack_voltage, net.lines, net.injection_limit * scale,
+                        areas=net.areas)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (20.0, "self-map box did not stabilize under the margin"),
+    (25.1, "self-map box did not close"),
+])
+def test_multiarea_self_map_box_fails_near_voltage_collapse(scale, message):
+    # At full load the self-map rounds close ever more slowly as the limits
+    # grow toward voltage collapse: near 20 times the two-area limits the box
+    # closes but its 5 % margin does not, near 25 it takes more than the
+    # rounds allowed, and from about 25.15 the voltage margins collapse.
+    net = loaded_network(two_area_network(), scale)
+    with pytest.raises(ContractionUncertifiedError, match=message):
+        build_multiarea_maps(net, default_injections(net, 1.0), 0.0, seed=0)
+
+
+@pytest.mark.parametrize("build", ["loadflow", "multiarea"])
+def test_builders_reject_injections_that_do_not_fit_the_network(build):
+    net = two_area_network()
+
+    def make(injections, noise_bound=0.0):
+        if build == "loadflow":
+            return build_loadflow_map(net, injections, norm=LINF)
+        return build_multiarea_maps(net, injections, noise_bound, seed=0)
+
+    with pytest.raises(PreconditionError, match="does not match the network size"):
+        make(default_injections(three_area_network(), 0.7))
+    with pytest.raises(PreconditionError, match="exceeds the network's limits"):
+        make(default_injections(loaded_network(net, 2.0), 0.7))
+    if build == "multiarea":
+        with pytest.raises(PreconditionError, match="noise bound must be nonnegative"):
+            make(default_injections(net, 0.7), noise_bound=-0.001)
+
+
 def test_multiarea_voltage_roundtrip(systems):
     for system in systems:
         x = DomainSampler(system.family.domain, 8).draw_one()
