@@ -7,25 +7,32 @@ than t is read as of that copy's stamp, every other block at t. Channels then
 deliver or drop the newly computed blocks. All agents update within the same
 logical tick; "delay" is measured in ticks, there is no wall-clock component.
 
-An agent whose in-neighbor copies are all current is fresh: its input is x_t,
-so all fresh agents share one evaluation of the map at x_t. The staleness
-bounds assume that block i of the map reads no block outside i and its
-in-neighbors; :func:`audit_dependency_graph` checks that graph. A tick is one
-columns call of the map (:meth:`~fptrack.core.MapFamily.evaluate_columns`)
-on the rows it needs: one row per stale agent's input, plus x_t when any
-agent is fresh. Each output column comes from the row of the agent that owns
-it. A family computes only those entries where it can (the affine map: one
-dot product per column), else the whole rows call. Built-in maps give every
-row the bits of a point call, so a tick equals per-agent point evaluation
-bit for bit.
+A map that is a sum of taps (the affine map, see
+:class:`~fptrack.core.MapFamily`) is run as the paper writes it:
+x_{t+1}[i] = sum_j A[i, j] x_{tau_ij(t)}[j] + b_i(t). Tap (i, j) reads entry
+j as of the stamp of the in-edge from j's agent to i's, and at t within i's
+own block or where the graph has no such edge. A run plans the history
+offsets of every tap of a block of ticks in one vectorized pass over the
+block's stamp-table rows (:func:`_tap_plans`), and a tick is one take of
+``(dim, P)`` entries, one ``evaluate_taps`` call and one domain check.
 
-Which agents are stale, where each row's entries lie in the history and
-which row each column reads depend only on the outdated (tick, edge) pairs
-of the stamp table below: the entries whose stamp is older than their tick.
-A run finds them once, in one vectorized pass over its stamp table, and
-plans its ticks from them a block at a time (:func:`_tick_plans`), with
-blocks sized to hold at most 2^16 indices. A tick then takes its rows from
-the history in one flat take, makes the columns call and checks the domain.
+Any other map is run by rows. An agent whose in-neighbor copies are all
+current is fresh: its input is x_t, so all fresh agents share one
+evaluation of the map at x_t. A tick is one columns call of the map
+(:meth:`~fptrack.core.MapFamily.evaluate_columns`) on the rows it needs:
+one row per stale agent's input, plus x_t when any agent is fresh. Each
+output column comes from the row of the agent that owns it. Which agents
+are stale, where each row's entries lie in the history and which row each
+column reads depend only on the outdated (tick, edge) pairs of the stamp
+table below: the entries whose stamp is older than their tick. A run finds
+them once, in one vectorized pass over its stamp table, and plans its ticks
+from them a block at a time (:func:`_tick_plans`).
+
+Either way a block of plans holds at most 2^16 indices. Built-in maps give
+taps, rows and columns the bits of a point call, so a tick equals per-agent
+point evaluation bit for bit. The staleness bounds assume that block i of
+the map reads no block outside i and its in-neighbors;
+:func:`audit_dependency_graph` checks that graph.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
 table before the first tick: ``stamps[t, e] = s`` means that at tick t the
@@ -546,6 +553,47 @@ def _ragged_arange(starts, counts) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
+def _tap_plans(family, graph: DependencyGraph, stamps, start):
+    """Plans ``(t, offsets)`` of ticks ``start, start + 1, ...`` for a family
+    with taps, from their stamp-table rows ``stamps``, one list per block of
+    at most ``_PLAN_INDICES`` offsets (a tick is ``family.nbr.size``).
+
+    ``offsets[i, p]`` is the flat history offset of the entry that tap
+    ``(i, p)`` reads, column ``j = nbr[i, p]``: ``(stamp - 1) * dim + j`` for
+    the stamp of the in-edge from j's agent to i's, and x_t's
+    ``(t - 1) * dim + j`` within i's own block or where the graph has no
+    such edge.
+    """
+    nbr, (src, dst), n = family.nbr, graph.edge_arrays, graph.n_agents
+    sender, receiver = graph.block_of_column[nbr], graph.block_of_column[:, None]
+    wanted = np.where(sender != receiver, sender * n + receiver, -1)  # each tap's edge key
+    keys = src * n + dst  # sorted
+    edge = np.searchsorted(keys, wanted)
+    found = edge < len(keys)
+    found[found] = keys[edge[found]] == wanted[found]
+    edge[~found] = len(keys)  # the column of the tick, after the stamps
+    size = max(1, _PLAN_INDICES // nbr.size)
+    for a in range(0, len(stamps), size):
+        yield _tap_block(graph.dim, nbr, edge, stamps[a:a + size], start + a)
+
+
+def _tap_block(dim, nbr, edge, stamps, start):
+    """:func:`_tap_plans`' plans of ticks ``start, start + 1, ...``, whose
+    stamp-table rows are ``stamps``; tap ``(i, p)`` reads column ``edge[i, p]``
+    of a row followed by its tick."""
+    tick = np.arange(start, start + len(stamps))
+    held = np.concatenate((stamps, tick[:, None]), axis=1)
+    return list(zip(tick.tolist(), (held[:, edge] - 1) * dim + nbr))
+
+
+def _plans(family, graph: DependencyGraph, stamps, start):
+    """The tick plans of ``family``: :func:`_tap_plans` for a family with taps,
+    else :func:`_tick_plans`."""
+    if family.nbr is not None:
+        return _tap_plans(family, graph, stamps, start)
+    return _tick_plans(graph, stamps, start)
+
+
 def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     """Advance the asynchronous iteration by one tick; returns x_{t+1}.
 
@@ -555,25 +603,29 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     so the result does not depend on agent order.
 
     Agent i evaluates the map at x_t with block j of each in-edge ``(j, i)``
-    whose stamp is older than t patched in as of that stamp. An agent is
-    fresh when every in-edge stamp equals t: all fresh agents take their
-    blocks from one shared evaluation at x_t. ``audit_dependency_graph``
-    checks the graph that the staleness bounds assume. The tick's indices
-    come from ``plan``, tick t's ``(t, offsets, row_of)`` from
-    :func:`_tick_plans` of the same stamp table, or else from a plan of this
-    tick alone. The tick is then one flat take of its rows from ``history``
-    (the stale agents' inputs, then x_t when any agent is fresh), one
-    ``family.evaluate_columns`` call, column c read from the row of the
-    agent that owns it, and one domain check. As built-in columns and rows
-    equal points bit for bit, a zero-delay tick is the synchronous step to
-    the last bit.
+    whose stamp is older than t patched in as of that stamp.
+    ``audit_dependency_graph`` checks the graph that the staleness bounds
+    assume. The tick's indices come from ``plan``, tick t's plan from
+    :func:`_plans` of the same stamp table, or else from a plan of this tick
+    alone. A taps plan ``(t, offsets)`` makes the tick one take of the
+    ``(dim, P)`` entries the taps read and one ``family.evaluate_taps``
+    call. A rows plan ``(t, offsets, row_of)`` (:func:`_tick_plans`) makes
+    it one flat take of its rows from ``history`` (the stale agents' inputs,
+    then x_t when any agent is fresh) and one ``family.evaluate_columns``
+    call, column c read from the row of the agent that owns it. Either way
+    one domain check follows. As built-in taps, columns and rows equal
+    points bit for bit, a zero-delay tick is the synchronous step to the
+    last bit.
     """
     if plan is None:
-        (plan,) = next(_tick_plans(graph, np.asarray(stamps)[None], t))
-    planned, offsets, row_of = plan
+        (plan,) = next(_plans(family, graph, np.asarray(stamps)[None], t))
+    planned, offsets = plan[0], plan[1]
     if planned != t:
         raise PreconditionError(f"tick {t} was given the plan of tick {planned}")
-    x_next = family.evaluate_columns(history.take(offsets), t, row_of)
+    if len(plan) == 3:
+        x_next = family.evaluate_columns(history.take(offsets), t, plan[2])
+    else:
+        x_next = family.evaluate_taps(history.take(offsets), t)
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next
@@ -599,7 +651,7 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     table = _start_channels(channels, graph, horizon, seed)
     history = np.empty((horizon, family.dim))
     history[0] = x0
-    for block in _tick_plans(graph, table[1:], 1):
+    for block in _plans(family, graph, table[1:], 1):
         for plan in block:
             t = plan[0]
             history[t] = step_async(history, table[t], family, graph, t, plan)

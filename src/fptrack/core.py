@@ -110,15 +110,19 @@ class MapFamily:
 
     ``evaluate_columns(x, t, row_of)`` is the asynchronous tick's one call:
     entry c of the map at row ``row_of[c]`` of the rows ``x``, for every
-    column c. By default it is the rows call, then one pick per column.
-    :class:`~fptrack.problems.AffineFamily` overrides the private hook
-    ``_columns`` with one dot product per column: a tick of a 48-agent chain
-    then costs 48 x 48 multiplies, not 48 x 48 per row. The QP and load-flow
-    families keep the default, since a tick of theirs has a few rows (three
-    load-flow agents) whose cost is per-call overhead, not flops; an inexact
-    family keeps it too, as its map is its base's rows call plus noise. No
-    constructor parameter takes a columns map, so every map a tick runs is
-    the ``evaluate`` that the audits check.
+    column c: the rows call, then one pick per column. A family whose map
+    is a sum of taps plus an offset sets ``nbr``, its ``(dim, P)`` tap
+    columns, and has ``evaluate_taps(x, t)``, the map read from the
+    ``(dim, P)`` entries ``x`` its taps point at. The simulator then runs
+    an asynchronous tick as one gather of those entries and one
+    ``evaluate_taps`` call instead (:class:`~fptrack.problems.AffineFamily`:
+    3 taps per row on a chain, not a row of 48 per stale agent). The QP and
+    load-flow families keep the columns call, since a tick of theirs has a
+    few rows (three load-flow agents) whose cost is per-call overhead, not
+    flops; an inexact family keeps it too, as its map is its base's rows
+    call plus noise. No constructor parameter takes a columns or taps map,
+    so every map a tick runs is the ``evaluate`` that the audits check, to
+    the last bit.
 
     Parameters
     ----------
@@ -150,6 +154,8 @@ class MapFamily:
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
     """
+
+    nbr = None  # the (dim, P) tap columns of a family with ``evaluate_taps``
 
     def __init__(
         self,
@@ -428,9 +434,13 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
 
     Uses the base family's closed form when available, called once with the
     int array of times 1..horizon, otherwise one batched solve of all times
-    as rows, each started from the domain anchor.
+    as rows, each started from the domain anchor. A closed form that is not
+    finite at some time (a drift that overflows) raises
+    :class:`DomainViolationError` naming the first such time, without
+    numpy's overflow warnings.
     Residuals are always recomputed from the map, in one rows call, so a bad
-    closed form cannot pass silently.
+    closed form cannot pass silently. A point x passes when its residual is
+    at most ``tol * max(1, norm(x))``: the map's rounding grows with |x|.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -439,13 +449,19 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     base = family.base
     ts = np.arange(1, horizon + 1)
     if base.fixed_point is not None:
-        points = np.array(np.broadcast_to(np.asarray(base.fixed_point(ts), dtype=float),
-                                          (horizon, base.dim)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.array(np.broadcast_to(np.asarray(base.fixed_point(ts), dtype=float),
+                                              (horizon, base.dim)))
+        infinite = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if infinite.size:
+            t = int(infinite[0]) + 1
+            raise DomainViolationError(f"fixed point at time index {t} is not finite",
+                                       time_index=t)
     else:
         anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
         points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
     residuals = norm.of_rows(base.evaluate(points, ts) - points)
-    above = np.flatnonzero(~(residuals <= tol))
+    above = np.flatnonzero(~(residuals <= tol * np.maximum(1.0, norm.of_rows(points))))
     if above.size:
         t = int(above[0]) + 1
         raise NonConvergenceError(

@@ -7,10 +7,12 @@ exact, chosen quantity.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import MapFamily, SeriesTable, seeded_stream
+from ..core import MapFamily, SeriesTable, _time_index, seeded_stream
 from ..domains import Domain
 from ..errors import PreconditionError
 from ..norms import LINF, Norm
@@ -25,6 +27,15 @@ class AffineFamily(MapFamily):
     The offset b(t) = (I - A) path(t) is one :class:`~fptrack.core.SeriesTable`,
     filled from the path's rows; each row is the product of ``I - A`` with one
     point, so a point and rows read the same bits.
+
+    The family holds A's taps: ``nbr`` and ``coef``, both ``(dim, P)``. Row i
+    lists the columns of its nonzeros in ascending order and their
+    coefficients, padded to the common width P by the row's own column with
+    coefficient 0.0. P is 3 on a chain and 1 on a diagonal A. The taps are
+    kept only when :func:`_sums_like_points` finds that ``evaluate_taps``
+    adds each row's terms in the order of a point call; otherwise, and
+    whenever that check would probe more than ``_PROBED_WIDTH`` taps, they
+    list every column (P is dim), as they do for a dense A.
     """
 
     def __init__(self, A, path: DriftPath, norm: Norm, **kwargs):
@@ -48,17 +59,74 @@ class AffineFamily(MapFamily):
             declared_norm=norm,
             **kwargs,
         )
+        self.nbr, self.coef = _taps(self.A)
 
-    def _columns(self, x, t, row_of):
-        # entry i is row i of A dotted with the row that column i reads, summed
-        # in the order of a point call: one dot product per column, not a rows call
-        return np.einsum("ij,ij->i", x.take(row_of, axis=0), self.A) + self._offset.at(t)
+    def evaluate_taps(self, x, t) -> np.ndarray:
+        """The map at one point, read through its taps: ``x[i, p]`` is the entry
+        that tap ``(i, p)`` reads, ``x`` of shape ``(dim, P)`` like ``nbr``.
+        Returns the ``(dim,)`` vector; with ``x = point[nbr]`` it is
+        ``evaluate(point, t)``, bit for bit."""
+        t = _time_index(t)
+        if np.shape(x) != self.nbr.shape:
+            raise PreconditionError(
+                f"taps of map {self.name!r} read {self.nbr.shape} entries; got {np.shape(x)}")
+        return np.einsum("ip,ip->i", x, self.coef) + self._offset.at(t)
 
     def dependency_graph(self) -> DependencyGraph:
         """Scalar-agent graph with an edge (j, i) wherever A[i, j] couples two agents."""
         i, j = np.argwhere(self.A != 0.0).T
         off = i != j
         return DependencyGraph([1] * self.dim, np.stack((j[off], i[off]), axis=1))
+
+
+# Widest sparse taps whose sum order is probed: at most C(8, 3) = 56 triples.
+_PROBED_WIDTH = 8
+
+
+def _taps(A):
+    """``(nbr, coef)`` of A: each row's nonzero columns in ascending order and
+    their coefficients, padded by the row's own column with 0.0, or every
+    column when those taps would not sum like a point call."""
+    dim = len(A)
+    nonzero = A != 0.0
+    width = max(int(nonzero.sum(axis=1).max(initial=0)), 1)
+    if width < dim and width <= _PROBED_WIDTH:
+        i, j = nonzero.nonzero()  # row-major, so each row's columns ascend
+        slot = np.cumsum(nonzero, axis=1)[i, j] - 1
+        nbr = np.repeat(np.arange(dim)[:, None], width, axis=1)
+        coef = np.zeros((dim, width))
+        nbr[i, slot] = j
+        coef[i, slot] = A[i, j]
+        if _sums_like_points(nbr, nonzero.sum(axis=1)):
+            return nbr, coef
+    return np.tile(np.arange(dim), (dim, 1)), A
+
+
+def _sums_like_points(nbr, count) -> bool:
+    """Whether ``einsum("ip,ip->i")`` over the taps ``nbr`` (row i's first
+    ``count[i]`` taps its nonzeros) adds each row's terms in the order of
+    the point call ``einsum("...j,ij->...i")``.
+
+    Both calls add a row's terms in an order fixed by the positions alone,
+    and a zero term changes no sum, so the orders agree when every three
+    terms of a row are paired alike. For taps ``(u, v, w)`` the terms
+    ``1, -1, 2**-60`` sum to ``2**-60`` exactly when the terms at ``1`` and
+    ``-1`` are added first; two placements of them decide the pairing.
+    """
+    dim, width = nbr.shape
+    rows = np.arange(dim)[:, None]
+    for taps in combinations(range(width), 3):
+        probed = (count > taps[-1])[:, None]  # rows whose three taps are nonzeros
+        for terms in ((1.0, -1.0, 2.0 ** -60), (1.0, 2.0 ** -60, -1.0)):
+            coef = np.where(probed, terms, 0.0)
+            dense = np.zeros((dim, dim))
+            dense[rows, nbr[:, taps]] = coef
+            point = np.einsum("...j,ij->...i", np.ones(dim), dense)
+            tapped = np.zeros_like(nbr, dtype=float)
+            tapped[:, taps] = coef
+            if point.tobytes() != np.einsum("ip,ip->i", np.ones(nbr.shape), tapped).tobytes():
+                return False
+    return True
 
 
 def _coupling_mask(dim, coupling, rng) -> np.ndarray:

@@ -3,6 +3,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fptrack as fp
 from fptrack import (
@@ -18,6 +20,7 @@ from fptrack import (
 )
 from fptrack import async_sim
 from fptrack.async_sim import (
+    _plans,
     _start_channels,
     _tick_plans,
     realized_delay_stats,
@@ -480,9 +483,6 @@ def test_a_2000_agent_chain_plans_every_all_stale_tick_alone():
 
 
 def test_a_run_finds_its_outdated_copies_once_for_all_its_blocks(monkeypatch):
-    family, graph, horizon, drops = mixed_tick_case("affine-chain-48")
-    table = _start_channels(drops, graph, horizon, seed=4)
-    assert len(list(_tick_plans(graph, table[1:], 1))) >= 4
     calls = []
 
     def counted(stamps, start):
@@ -491,10 +491,97 @@ def test_a_run_finds_its_outdated_copies_once_for_all_its_blocks(monkeypatch):
 
     outdated = async_sim._outdated
     monkeypatch.setattr(async_sim, "_outdated", counted)
-    fp.run_async_tracker(family, graph, drops, np.zeros(family.dim), horizon, seed=4,
-                         reference=np.zeros((horizon, family.dim)))
-    # the plans and realized_delay_stats, each over every tick from 1
-    assert calls == [horizon - 1, horizon - 1]
+    monkeypatch.setattr(async_sim, "_PLAN_INDICES", 500)
+    # an affine run plans its taps from the stamp table itself: the one pass
+    # is realized_delay_stats'; a rows run makes one more for all its plans
+    for name, passes in (("affine-chain-48", 1), ("qp-broadcast", 2)):
+        family, graph, horizon, drops = mixed_tick_case(name)
+        table = _start_channels(drops, graph, horizon, seed=4)
+        assert len(list(_plans(family, graph, table[1:], 1))) >= 4
+        calls.clear()
+        fp.run_async_tracker(family, graph, drops, np.zeros(family.dim), horizon, seed=4,
+                             reference=np.zeros((horizon, family.dim)))
+        assert calls == [horizon - 1] * passes, name
+
+
+# ---------------------------------------------------------------------------
+# affine taps
+# ---------------------------------------------------------------------------
+
+
+def test_affine_taps_list_each_rows_nonzeros_ascending_padded_by_its_own_column():
+    rng = np.random.default_rng(5)
+    chain = small_affine(dim=7, coupling="chain")
+    assert chain.nbr.shape == (7, 3)
+    assert chain.nbr[0].tolist() == [0, 1, 0] and chain.nbr[3].tolist() == [2, 3, 4]
+    assert chain.coef[0, 2] == 0.0 and chain.coef[3].tolist() == chain.A[3, 2:5].tolist()
+    assert small_affine(dim=7, coupling="diagonal").nbr.tolist() == [[i] for i in range(7)]
+    dense = small_affine(dim=7, coupling="dense")
+    assert dense.nbr.tolist() == [list(range(7))] * 7 and np.array_equal(dense.coef, dense.A)
+    A = chain.A.copy()
+    A[2] = 0.0  # an all-zero row reads only its own column, with coefficient 0
+    fam = AffineFamily(A, chain.path, L2, lipschitz=0.5)
+    assert fam.nbr[2].tolist() == [2, 2, 2] and fam.coef[2].tolist() == [0.0, 0.0, 0.0]
+    x = rng.standard_normal(7)
+    for t in (1, 5):
+        assert fam.evaluate_taps(x[fam.nbr], t).tobytes() == fam.evaluate(x, t).tobytes()
+    with pytest.raises(PreconditionError, match="not an integer"):
+        fam.evaluate_taps(x[fam.nbr], 2.0)
+    with pytest.raises(PreconditionError, match="read"):
+        fam.evaluate_taps(x[fam.nbr][:, :2], 2)
+
+
+def drawn_pattern(kind, dim, rng):
+    if kind == "chain":
+        return np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= 1
+    if kind == "dense":
+        return np.ones((dim, dim), dtype=bool)
+    mask = rng.random((dim, dim)) < rng.uniform(0.1, 0.7)
+    if kind == "zero-row":
+        mask[rng.integers(dim)] = False
+    return mask
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["zero-row", "chain", "dense", "random"]),
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       scalar=st.booleans(), lacking=st.floats(0.0, 0.5), extra=st.floats(0.0, 0.3),
+       horizon=st.integers(2, 16), max_lag=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+def test_affine_ticks_match_the_per_agent_oracle_bitwise(kind, sizes, scalar, lacking, extra,
+                                                         horizon, max_lag, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [1] * sum(sizes) if scalar else sizes
+    dim = sum(sizes)
+    A = np.where(drawn_pattern(kind, dim, rng), rng.uniform(-1.0, 1.0, (dim, dim)), 0.0)
+    sums = np.abs(A).sum(axis=1, keepdims=True)
+    A = 0.9 * A / np.where(sums > 0, sums, 1.0)
+    path = DriftPath("linear", dim, rate=0.1, seed=seed, norm=LINF)
+    fam = AffineFamily(A, path, LINF, lipschitz=0.9)
+    # the graph drops some edges the map reads and declares some it does not
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    reads = np.zeros((len(sizes), len(sizes)), dtype=bool)
+    reads[owner[:, None], owner[None, :]] = A != 0.0  # reads[i, j]: agent i reads j
+    declared = (reads & (rng.random(reads.shape) >= lacking)) | (rng.random(reads.shape) < extra)
+    np.fill_diagonal(declared, False)
+    graph = DependencyGraph(sizes, np.argwhere(declared)[:, ::-1])
+    # a monotone stamp table: each edge's copy lags at most max_lag ticks
+    ticks = np.arange(horizon)[:, None]
+    lag = rng.integers(0, max_lag + 1, size=(horizon, len(graph.edges)))
+    table = np.maximum.accumulate(np.maximum(ticks - lag, 1), axis=0)
+    rows = [(t, j, i, table[t, k]) for t in range(1, horizon)
+            for k, (j, i) in enumerate(graph.edges)]
+    x0 = rng.uniform(-1.0, 1.0, dim)
+    trace, stats = fp.run_async_tracker(fam, graph, ScheduleTable(rows), x0, horizon, LINF,
+                                        reference=np.zeros((horizon, dim)))
+    assert np.array_equal(stats.log.table, table[1:])
+    x = trace.iterates
+    for t in range(1, horizon):
+        expected = patched_step(x[:t], table[t], fam, graph, t)
+        assert x[t].tobytes() == expected.tobytes(), f"tick {t}"
+    sync = fp.run_online_tracker(fam, x0, horizon, LINF, reference=np.zeros((horizon, dim)))
+    fresh, _ = fp.run_async_tracker(fam, graph, ZeroDelay(), x0, horizon, LINF,
+                                    reference=np.zeros((horizon, dim)))
+    assert fresh.iterates.tobytes() == sync.iterates.tobytes()
 
 
 # ---------------------------------------------------------------------------

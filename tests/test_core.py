@@ -158,6 +158,26 @@ def test_series_residuals_validated():
         fp.compute_fixed_point_series(fam, 3, L2)
 
 
+def test_series_residuals_scale_with_the_point_and_fail_where_it_is_not_finite():
+    # off by 1e-9 relative: the closed form is off by more than tol * |x| wherever |x| > 1
+    for scale in (1.0, 1e4, 1e6):
+        fam = scalar_family(lambda x, t: 0.5 * x + scale, 0.5,
+                            fixed_point=lambda ts, s=scale: (2.0 * s * (1 + 1e-9)) * np.ones(1))
+        with pytest.raises(NonConvergenceError):
+            fp.compute_fixed_point_series(fam, 3, L2)
+    # rounding of a point near 1e6 passes: an absolute 1e-12 would fail it
+    point = 1e6 + 1 / 3
+    fam = scalar_family(lambda x, t: 0.3 * x + 0.7 * point, 0.3,
+                        fixed_point=lambda ts: np.array([point]))
+    series = fp.compute_fixed_point_series(fam, 3, L2)
+    assert 1e-12 < series.residuals.max() <= 1e-12 * 1e6
+    for bad in (np.nan, np.inf):
+        fam = scalar_family(lambda x, t: 0.5 * x, 0.5,
+                            fixed_point=lambda ts, b=bad: np.where(ts >= 2, b, 0.0)[:, None])
+        with pytest.raises(DomainViolationError, match="fixed point at time index 2 is not"):
+            fp.compute_fixed_point_series(fam, 4, L2)
+
+
 def test_series_reports_the_first_time_that_leaves_the_domain():
     # t = 3 leaves the box at iteration 1 (0 -> 0.9 -> 1.35), later times at
     # iteration 0, so the batched solve sees a later time fail first

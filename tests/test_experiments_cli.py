@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,45 @@ def test_cli_async_run_without_agents_exit_2(tmp_path, capsys, problem, message)
                                                      horizon=50))
     assert main(["run", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+
+
+def drifting_doc(coupling="chain", horizon=300, **drift):
+    """An async affine run of 8 agents under a fixed delay of 2 ticks."""
+    problem = {"kind": "affine", "dim": 8, "contraction": 0.9, "coupling": coupling,
+               "drift": drift or {"kind": "linear", "rate": 0.01}}
+    return affine_doc(problem=problem, mode="async", norm="linf", horizon=horizon,
+                      channel={"kind": "fixed_delay", "delay": 2})
+
+
+@pytest.mark.parametrize("coupling", ["chain", "dense"])
+def test_cli_run_far_from_the_origin_keeps_the_verdicts(tmp_path, capsys, coupling):
+    # the reference's residual check scales with |x|: from 1e4 an absolute
+    # 1e-12 failed the closed form at time index 1 (residual 1.8e-12)
+    verdicts = []
+    for start in (0.0, 1e4, 1e6):
+        doc = drifting_doc(coupling, kind="linear", rate=0.01, start=[start] * 8)
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == EXIT_OK, start
+        report = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+        verdicts.append((report.certificates, {n: a["ok"] for n, a in report.audits.items()}))
+    capsys.readouterr()
+    assert verdicts[1:] == verdicts[:1] * 2
+
+
+@pytest.mark.parametrize("drift, horizon, time_index", [
+    ({"kind": "linear", "rate": 1e308}, 20, 3),
+    ({"kind": "random_walk", "rate": 1e308}, 20, 5),
+    ({"kind": "linear", "rate": 1e306}, 2000, 181),
+], ids=["linear", "random-walk", "linear-long"])
+def test_cli_run_with_a_drift_that_overflows_exit_2_in_one_line(tmp_path, capsys, drift,
+                                                                 horizon, time_index):
+    cfg = write_json(tmp_path / "c.json", drifting_doc(horizon=horizon, **drift))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg]) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: fixed point at time index {time_index} is not finite"]
 
 
 @pytest.mark.parametrize("values, message", [
