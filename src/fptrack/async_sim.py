@@ -13,8 +13,11 @@ x_{t+1}[i] = sum_j A[i, j] x_{tau_ij(t)}[j] + b_i(t). Tap (i, j) reads entry
 j as of the stamp of the in-edge from j's agent to i's, and at t within i's
 own block or where the graph has no such edge. A run plans the history
 offsets of every tap of a block of ticks in one vectorized pass over the
-block's stamp-table rows (:func:`_tap_plans`), and a tick is one take of
-``(dim, P)`` entries, one ``evaluate_taps`` call and one domain check.
+block's stamp-table rows, and reads the block's offsets b(t) as one slice of
+the family's table (:func:`_tap_plans`). A tick is one take of ``(dim, P)``
+entries, one ``einsum`` with the tap coefficients, one add of b(t) and one
+domain check; the plan fixes the time and the shapes, so the tick checks
+neither.
 
 Any other map is run by rows. An agent whose in-neighbor copies are all
 current is fresh: its input is x_t, so all fresh agents share one
@@ -554,15 +557,17 @@ def _ragged_arange(starts, counts) -> np.ndarray:
 
 
 def _tap_plans(family, graph: DependencyGraph, stamps, start):
-    """Plans ``(t, offsets)`` of ticks ``start, start + 1, ...`` for a family
-    with taps, from their stamp-table rows ``stamps``, one list per block of
-    at most ``_PLAN_INDICES`` offsets (a tick is ``family.nbr.size``).
+    """Plans ``(t, (offsets, b))`` of ticks ``start, start + 1, ...`` for a
+    family with taps, from their stamp-table rows ``stamps``, one iterator
+    per block of at most ``_PLAN_INDICES`` offsets (a tick is
+    ``family.nbr.size``); a tick's plan holds views of its block's arrays,
+    made as the tick is reached.
 
     ``offsets[i, p]`` is the flat history offset of the entry that tap
     ``(i, p)`` reads, column ``j = nbr[i, p]``: ``(stamp - 1) * dim + j`` for
     the stamp of the in-edge from j's agent to i's, and x_t's
     ``(t - 1) * dim + j`` within i's own block or where the graph has no
-    such edge.
+    such edge. ``b`` is b(t), a row of the family's offset table.
     """
     nbr, (src, dst), n = family.nbr, graph.edge_arrays, graph.n_agents
     sender, receiver = graph.block_of_column[nbr], graph.block_of_column[:, None]
@@ -574,16 +579,18 @@ def _tap_plans(family, graph: DependencyGraph, stamps, start):
     edge[~found] = len(keys)  # the column of the tick, after the stamps
     size = max(1, _PLAN_INDICES // nbr.size)
     for a in range(0, len(stamps), size):
-        yield _tap_block(graph.dim, nbr, edge, stamps[a:a + size], start + a)
+        yield _tap_block(family, edge, stamps[a:a + size], start + a)
 
 
-def _tap_block(dim, nbr, edge, stamps, start):
+def _tap_block(family, edge, stamps, start):
     """:func:`_tap_plans`' plans of ticks ``start, start + 1, ...``, whose
     stamp-table rows are ``stamps``; tap ``(i, p)`` reads column ``edge[i, p]``
     of a row followed by its tick."""
-    tick = np.arange(start, start + len(stamps))
+    stop = start + len(stamps)
+    tick = np.arange(start, stop)
     held = np.concatenate((stamps, tick[:, None]), axis=1)
-    return list(zip(tick.tolist(), (held[:, edge] - 1) * dim + nbr))
+    offsets = (held[:, edge] - 1) * family.dim + family.nbr
+    return zip(tick.tolist(), zip(offsets, family.offset.rows(start, stop)))
 
 
 def _plans(family, graph: DependencyGraph, stamps, start):
@@ -607,25 +614,26 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     ``audit_dependency_graph`` checks the graph that the staleness bounds
     assume. The tick's indices come from ``plan``, tick t's plan from
     :func:`_plans` of the same stamp table, or else from a plan of this tick
-    alone. A taps plan ``(t, offsets)`` makes the tick one take of the
-    ``(dim, P)`` entries the taps read and one ``family.evaluate_taps``
-    call. A rows plan ``(t, offsets, row_of)`` (:func:`_tick_plans`) makes
-    it one flat take of its rows from ``history`` (the stale agents' inputs,
-    then x_t when any agent is fresh) and one ``family.evaluate_columns``
-    call, column c read from the row of the agent that owns it. Either way
-    one domain check follows. As built-in taps, columns and rows equal
-    points bit for bit, a zero-delay tick is the synchronous step to the
-    last bit.
+    alone. A taps plan ``(t, (offsets, b))`` (:func:`_tap_plans`) makes the
+    tick one take of the ``(dim, P)`` entries the taps read, one ``einsum``
+    with ``family.coef`` and one add of b(t). A rows plan
+    ``(t, offsets, row_of)`` (:func:`_tick_plans`) makes it one flat take of
+    its rows from ``history`` (the stale agents' inputs, then x_t when any
+    agent is fresh) and one ``family.evaluate_columns`` call, column c read
+    from the row of the agent that owns it. Either way one domain check
+    follows. As built-in taps, columns and rows equal points bit for bit, a
+    zero-delay tick is the synchronous step to the last bit.
     """
     if plan is None:
         (plan,) = next(_plans(family, graph, np.asarray(stamps)[None], t))
-    planned, offsets = plan[0], plan[1]
-    if planned != t:
-        raise PreconditionError(f"tick {t} was given the plan of tick {planned}")
+    if plan[0] != t:
+        raise PreconditionError(f"tick {t} was given the plan of tick {plan[0]}")
     if len(plan) == 3:
-        x_next = family.evaluate_columns(history.take(offsets), t, plan[2])
+        x_next = family.evaluate_columns(history.take(plan[1]), t, plan[2])
     else:
-        x_next = family.evaluate_taps(history.take(offsets), t)
+        offsets, b = plan[1]
+        x_next = np.einsum("ip,ip->i", history.take(offsets), family.coef)
+        x_next += b
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next

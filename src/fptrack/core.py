@@ -66,8 +66,8 @@ class SeriesTable:
     number of draws per row; a fill without keys computes its rows from
     ``ts``. The table grows geometrically, so a row depends neither on the
     block sizes nor on the order of requests, and points and rows read the
-    same table. The table is read-only: a row read at an int ``t`` is a
-    view of it.
+    same table. The table is read-only: a row read at an int ``t``, and the
+    rows of :meth:`rows`, are views of it.
     """
 
     FIRST_BLOCK = 64
@@ -80,22 +80,41 @@ class SeriesTable:
 
     def at(self, t):
         """The row for an int ``t >= 1``; for an int array of times, one row per time."""
-        ts = np.asarray(t)
-        if ts.dtype.kind not in "iu":
-            raise PreconditionError("time indices are integers starting at 1")
-        # one time is compared as it is: two reductions would cost microseconds per read
-        lo, hi = (ts.min(initial=1), ts.max(initial=1)) if ts.ndim else (t, t)
+        if type(t) is int:  # the common read, without the array checks (a bool is no int here)
+            lo = hi = t
+        else:
+            ts = np.asarray(t)
+            if ts.dtype.kind not in "iu":
+                raise PreconditionError("time indices are integers starting at 1")
+            # one time is compared as it is: two reductions would cost microseconds per read
+            lo, hi = (ts.min(initial=1), ts.max(initial=1)) if ts.ndim else (t, t)
         if lo < 1:
             raise PreconditionError("time indices are integers starting at 1")
         have = len(self._rows)
         if hi > have:
-            if self._streams is None:
-                self._streams = [seeded_stream(*key) for key in self._keys]
-            new = self._fill(np.arange(have + 1, max(int(hi), 2 * have, self.FIRST_BLOCK) + 1),
-                             self._rows[-1] if have else None, *self._streams)
-            self._rows = np.concatenate([self._rows, new]) if have else new
-            self._rows.flags.writeable = False
+            self._grow(int(hi))
         return self._rows[t - 1]
+
+    def rows(self, start, stop):
+        """The rows of the int times ``start, ..., stop - 1``, one view of the table."""
+        if not 1 <= start < stop:
+            raise PreconditionError(f"rows need times 1 <= start < stop; got {start} and {stop}")
+        if stop - 1 > len(self._rows):
+            self._grow(stop - 1)
+        return self._rows[start - 1:stop - 1]
+
+    def _grow(self, hi):
+        """Fill the rows up to at least ``hi``. Rows past ``hi`` may never be read,
+        so they are computed without numpy's overflow and invalid-value warnings;
+        a reader checks the values it reads."""
+        have = len(self._rows)
+        if self._streams is None:
+            self._streams = [seeded_stream(*key) for key in self._keys]
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = self._fill(np.arange(have + 1, max(hi, 2 * have, self.FIRST_BLOCK) + 1),
+                             self._rows[-1] if have else None, *self._streams)
+        self._rows = np.concatenate([self._rows, new]) if have else new
+        self._rows.flags.writeable = False
 
 
 class MapFamily:
@@ -111,18 +130,20 @@ class MapFamily:
     ``evaluate_columns(x, t, row_of)`` is the asynchronous tick's one call:
     entry c of the map at row ``row_of[c]`` of the rows ``x``, for every
     column c: the rows call, then one pick per column. A family whose map
-    is a sum of taps plus an offset sets ``nbr``, its ``(dim, P)`` tap
-    columns, and has ``evaluate_taps(x, t)``, the map read from the
-    ``(dim, P)`` entries ``x`` its taps point at. The simulator then runs
-    an asynchronous tick as one gather of those entries and one
-    ``evaluate_taps`` call instead (:class:`~fptrack.problems.AffineFamily`:
-    3 taps per row on a chain, not a row of 48 per stale agent). The QP and
-    load-flow families keep the columns call, since a tick of theirs has a
-    few rows (three load-flow agents) whose cost is per-call overhead, not
-    flops; an inexact family keeps it too, as its map is its base's rows
-    call plus noise. No constructor parameter takes a columns or taps map,
-    so every map a tick runs is the ``evaluate`` that the audits check, to
-    the last bit.
+    is a sum of taps plus an offset, x -> sum_p coef[i, p] x[nbr[i, p]] +
+    b(t), sets ``nbr`` and ``coef``, its ``(dim, P)`` tap columns and
+    coefficients, and ``offset``, the :class:`SeriesTable` of b(t). The
+    simulator then runs an asynchronous tick as one gather of the
+    ``(dim, P)`` entries the taps read, one ``einsum("ip,ip->i")`` with
+    ``coef`` and one add of b(t), read a block of ticks at a time
+    (:class:`~fptrack.problems.AffineFamily`: 3 taps per row on a chain,
+    not a row of 48 per stale agent). The family guarantees that this sum
+    is its ``evaluate`` at a point, bit for bit. The QP and load-flow
+    families keep the columns call, since a tick of theirs has a few rows
+    (three load-flow agents) whose cost is per-call overhead, not flops; an
+    inexact family keeps it too, as its map is its base's rows call plus
+    noise. No constructor parameter takes a columns map, so every rows map
+    a tick runs is the ``evaluate`` that the audits check, to the last bit.
 
     Parameters
     ----------
@@ -155,7 +176,7 @@ class MapFamily:
         certificates only apply when the experiment norm matches it.
     """
 
-    nbr = None  # the (dim, P) tap columns of a family with ``evaluate_taps``
+    nbr = None  # the (dim, P) tap columns of a family whose map is a sum of taps
 
     def __init__(
         self,
@@ -232,8 +253,10 @@ class MapFamily:
         return out
 
     def _columns(self, x, t, row_of):
-        """``evaluate_columns`` without its checks: the rows call, then one entry per column."""
-        return self.evaluate(x, t)[row_of, self._column_index]
+        """The rows call, then one entry per column. It skips ``evaluate``'s time
+        and shape checks: ``evaluate_columns`` checks the time, the rows and
+        the columns once."""
+        return self._evaluate(x, t)[row_of, self._column_index]
 
     def lipschitz_at(self, t) -> np.ndarray:
         """The declared factor at an int ``t``, or one per time of an int array."""
@@ -367,14 +390,15 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     if not family.domain.contains(x).all():
         raise PreconditionError("initial point lies outside the declared domain")
     points = np.empty_like(x)
-    active = np.arange(len(ts))
+    active, at = np.arange(len(ts)), ts  # the rows still iterating and their times
     residuals = []
     failure, later = None, np.inf  # the earliest failure so far; rows at or after its time stop
     for k in range(int(max_iter)):
-        at = ts[active]
         fx = family.evaluate(x, at)
         r = norm.of_rows(fx - x)
         residuals.append(r.max())
+        x = fx
+        done = r <= tol
         left = ~family.domain.contains(fx)
         if left.any():
             later = int(at[left].min())  # below every earlier failure's time
@@ -382,15 +406,17 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
                 f"iterate left the domain at time index {later} (iteration {k})",
                 time_index=later,
             )
-        done = (r <= tol) & ~left
+            done &= ~left
+        elif not done.any():
+            continue  # no row finished or failed: the rows stay as they are
         points[active[done]] = fx[done]
         keep = ~done & (at < later)
-        active, x, r = active[keep], fx[keep], r[keep]
+        active, at, x, r = active[keep], at[keep], fx[keep], r[keep]
         if not active.size:
             break
     else:
-        first = int(ts[active].min())
-        residual = float(r[ts[active] == first].max())
+        first = int(at.min())
+        residual = float(r[at == first].max())
         failure = NonConvergenceError(
             f"no convergence after {max_iter} iterations at time index {first} "
             f"(residual {residual:.3e} > tol {tol:.3e})",
@@ -594,13 +620,14 @@ class SelfMapCheck:
     n_checked: int
 
 
-def verify_self_map(family, t, sampler: DomainSampler, n_samples, tol=1e-9) -> SelfMapCheck:
-    """Sampled check that the time-t map sends the domain into itself."""
+def verify_self_map(family, t, sampler: DomainSampler, n_samples) -> SelfMapCheck:
+    """Sampled check that the time-t map sends the domain into itself, up to the
+    domain's membership tolerance."""
     n_samples = int(n_samples)
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     X = sampler.draw(n_samples)
-    inside = family.domain.contains(family.evaluate(X, t), tol=tol)
+    inside = family.domain.contains(family.evaluate(X, t))
     if np.all(inside):
         return SelfMapCheck(True, None, n_samples)
     bad = int(np.argmin(inside))

@@ -9,6 +9,9 @@ ALL = "all"
 BOX = "box"
 BALL = "ball"
 
+# A point within this distance of a box or ball still counts as inside it.
+TOL = 1e-9
+
 
 class Domain:
     """A closed set on which a map family is declared to be a self-map.
@@ -19,7 +22,8 @@ class Domain:
     * ``box``  -- componentwise bounds lo <= x <= hi (entries may be infinite),
     * ``ball`` -- Euclidean ball of given center and radius.
 
-    Membership tests are total and deterministic; boxes and balls have
+    Membership tests are total and deterministic, with the tolerance ``TOL``
+    added to the bounds once, at construction; boxes and balls have
     closed-form projections.
     """
 
@@ -31,15 +35,17 @@ class Domain:
         if kind == BOX:
             lo = np.asarray(lo, dtype=float).reshape(self.dim)
             hi = np.asarray(hi, dtype=float).reshape(self.dim)
-            if np.any(lo > hi):
+            if (lo > hi).any():
                 raise PreconditionError("box requires lo <= hi componentwise")
             self.lo, self.hi = lo, hi
+            self._lo_tol, self._hi_tol = lo - TOL, hi + TOL
         elif kind == BALL:
             center = np.asarray(center, dtype=float).reshape(self.dim)
             radius = float(radius)
             if radius <= 0.0:
                 raise PreconditionError("ball radius must be positive")
             self.center, self.radius = center, radius
+            self._radius_tol = radius + TOL
         elif kind != ALL:
             raise PreconditionError(f"unknown domain kind {kind!r}")
 
@@ -68,14 +74,15 @@ class Domain:
         d = x - self.center
         return np.sqrt(np.einsum("...j,...j->...", d, d))
 
-    def contains(self, x, tol=1e-9):
-        """Whether a point ``(dim,)`` lies in the domain; for rows, one flag per row."""
+    def contains(self, x):
+        """Whether a point ``(dim,)`` lies in the domain, up to ``TOL``; for rows,
+        one flag per row."""
         x = self._points(x)
         if self.kind == ALL:
             return np.isfinite(x).all(axis=-1)
         if self.kind == BOX:
-            return ((x >= self.lo - tol) & (x <= self.hi + tol)).all(axis=-1)
-        return self._distance(x) <= self.radius + tol
+            return ((x >= self._lo_tol) & (x <= self._hi_tol)).all(axis=-1)
+        return self._distance(x) <= self._radius_tol
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection of a point, or of each row, onto the domain
@@ -84,7 +91,7 @@ class Domain:
         if self.kind == ALL:
             return x.copy()
         if self.kind == BOX:
-            return np.clip(x, self.lo, self.hi)
+            return clip(x, self.lo, self.hi)
         r = self._distance(x)[..., None]
         # rows inside keep x; the maximum keeps their unused quotient finite at the center
         outside = self.center + (x - self.center) * (self.radius / np.maximum(r, self.radius))
@@ -106,6 +113,14 @@ class Domain:
         if self.kind == BALL:
             return f"Domain.ball(dim={self.dim}, radius={self.radius})"
         return f"Domain.all_space(dim={self.dim})"
+
+
+def clip(x, lo, hi) -> np.ndarray:
+    """``x`` clipped to ``[lo, hi]`` entrywise, in fewer microseconds than
+    ``np.clip``. The bits are ``np.clip``'s for a point and for rows of two or
+    more entries; on rows of one entry ``np.clip`` flips the sign of some zeros
+    against a zero bound, where this keeps the bits of the point call."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 class DomainSampler:

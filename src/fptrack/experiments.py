@@ -18,10 +18,10 @@ from __future__ import annotations
 import copy
 import errno
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -79,9 +79,8 @@ _BOUND_SLACK = 1e-9
 
 
 def _f17(x: float) -> str:
-    """17-significant-digit decimal form; round-trips doubles exactly."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+    """17-significant-digit decimal form; round-trips doubles exactly (``nan``
+    for either sign of NaN)."""
     return format(float(x), ".17g")
 
 
@@ -548,16 +547,15 @@ def check_writable(path):
 
 
 def trace_csv_text(report: ExperimentReport) -> str:
-    """The per-step trace table (fixed header, 17-digit floats)."""
+    """The per-step trace table (fixed header, 17-digit floats), formatted by
+    one ``%`` over all rows: ``%.17g`` is ``format(x, ".17g")``."""
     applicable = list(report.asymptotic_bounds.values())
     asymptotic = _f17(min(applicable) if applicable else float("nan"))
-    rows = zip(report.errors, report.per_step_bounds,
-               report.running_max_delay.tolist(), report.running_max_stale.tolist())
-    lines = [CSV_HEADER] + [
-        f"{t},{_f17(error)},{_f17(bound)},{asymptotic},{delay},{stale}"
-        for t, (error, bound, delay, stale) in enumerate(rows, start=1)
-    ]
-    return "\n".join(lines) + "\n"
+    cells = tuple(chain.from_iterable(zip(
+        range(1, len(report.errors) + 1), report.errors.tolist(), report.per_step_bounds.tolist(),
+        report.running_max_delay.tolist(), report.running_max_stale.tolist())))
+    row = f"%d,%.17g,%.17g,{asymptotic},%d,%d\n"
+    return f"{CSV_HEADER}\n" + (row * (len(cells) // 5)) % cells
 
 
 def write_report_files(report: ExperimentReport, output_prefix: str):

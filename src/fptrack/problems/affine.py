@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import MapFamily, SeriesTable, _time_index, seeded_stream
+from ..core import MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain
 from ..errors import PreconditionError
 from ..norms import LINF, Norm
@@ -31,11 +31,14 @@ class AffineFamily(MapFamily):
     The family holds A's taps: ``nbr`` and ``coef``, both ``(dim, P)``. Row i
     lists the columns of its nonzeros in ascending order and their
     coefficients, padded to the common width P by the row's own column with
-    coefficient 0.0. P is 3 on a chain and 1 on a diagonal A. The taps are
-    kept only when :func:`_sums_like_points` finds that ``evaluate_taps``
-    adds each row's terms in the order of a point call; otherwise, and
-    whenever that check would probe more than ``_PROBED_WIDTH`` taps, they
-    list every column (P is dim), as they do for a dense A.
+    coefficient 0.0. P is 3 on a chain and 1 on a diagonal A. With
+    ``offset``, the table of b(t), they give the map at a point x as
+    ``einsum("ip,ip->i", x[nbr], coef) + offset.at(t)``, which is how the
+    simulator runs a tick. The taps are kept only when
+    :func:`_sums_like_points` finds that this sum adds each row's terms in
+    the order of a point call; otherwise, and whenever that check would
+    probe more than ``_PROBED_WIDTH`` taps, they list every column (P is
+    dim), as they do for a dense A.
     """
 
     def __init__(self, A, path: DriftPath, norm: Norm, **kwargs):
@@ -44,7 +47,7 @@ class AffineFamily(MapFamily):
         m = self.A.shape[0]
         eye_minus_A = np.eye(m) - self.A
         # a stack of matrix-vector products, each one as `eye_minus_A @ point`
-        self._offset = offset = SeriesTable(
+        self.offset = offset = SeriesTable(
             lambda ts, last: np.matmul(eye_minus_A, path.point(ts)[..., None])[..., 0])
 
         def evaluate(x, t):
@@ -60,17 +63,6 @@ class AffineFamily(MapFamily):
             **kwargs,
         )
         self.nbr, self.coef = _taps(self.A)
-
-    def evaluate_taps(self, x, t) -> np.ndarray:
-        """The map at one point, read through its taps: ``x[i, p]`` is the entry
-        that tap ``(i, p)`` reads, ``x`` of shape ``(dim, P)`` like ``nbr``.
-        Returns the ``(dim,)`` vector; with ``x = point[nbr]`` it is
-        ``evaluate(point, t)``, bit for bit."""
-        t = _time_index(t)
-        if np.shape(x) != self.nbr.shape:
-            raise PreconditionError(
-                f"taps of map {self.name!r} read {self.nbr.shape} entries; got {np.shape(x)}")
-        return np.einsum("ip,ip->i", x, self.coef) + self._offset.at(t)
 
     def dependency_graph(self) -> DependencyGraph:
         """Scalar-agent graph with an edge (j, i) wherever A[i, j] couples two agents."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..async_sim import DependencyGraph
 from ..core import InexactMapFamily, MapFamily, SeriesTable, seeded_stream
-from ..domains import Domain
+from ..domains import Domain, clip
 from ..errors import ContractionUncertifiedError, PreconditionError
 from ..norms import L2, Norm
 from ._paths import ScalarSignal, scalar_signal
@@ -40,23 +40,26 @@ class TimeVaryingQP:
     output_signal: ScalarSignal    # w(t), exogenous part of the aggregate
     reference_signal: ScalarSignal  # r(t)
     smoothness: float = field(init=False)
+    weighted_coupling: np.ndarray = field(init=False)  # tracking_weight * coupling
 
     def __post_init__(self):
         self.curvature = np.asarray(self.curvature, dtype=float)
         self.coupling = np.asarray(self.coupling, dtype=float).reshape(self.curvature.shape)
         self.box_lo = np.asarray(self.box_lo, dtype=float).reshape(self.curvature.shape)
         self.box_hi = np.asarray(self.box_hi, dtype=float).reshape(self.curvature.shape)
-        if np.any(self.curvature <= 0.0):
+        if (self.curvature <= 0.0).any():
             raise PreconditionError("device curvatures must be positive")
         if self.tracking_weight <= 0.0:
             raise PreconditionError("tracking weight must be positive")
         if self.regularization < 0.0:
             raise PreconditionError("regularization must be nonnegative")
-        if np.any(self.box_lo >= self.box_hi):
+        if (self.box_lo >= self.box_hi).any():
             raise PreconditionError("boxes must have nonempty interior (lo < hi strictly)")
         # exact largest eigenvalue of diag(a) + weight * c c' (rank-one update)
         h = np.diag(self.curvature) + self.tracking_weight * np.outer(self.coupling, self.coupling)
         self.smoothness = float(np.linalg.eigvalsh(h)[-1])
+        # `w * c * g` is `(w * c) * g`, so the maps multiply by this product
+        self.weighted_coupling = self.tracking_weight * self.coupling
 
     @property
     def n_devices(self) -> int:
@@ -68,7 +71,7 @@ class TimeVaryingQP:
         y = np.einsum("...j,j->...", x, self.coupling) + self.output_signal.value(t)
         return (
             self.curvature * x
-            + self.tracking_weight * self.coupling * (y - self.reference_signal.value(t))[..., None]
+            + self.weighted_coupling * (y - self.reference_signal.value(t))[..., None]
             + self.regularization * x
         )
 
@@ -123,7 +126,7 @@ def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:
     declared = max(abs(1.0 - a * lo_curv), abs(1.0 - a * hi_curv))
 
     def evaluate(x, t):
-        return np.clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
+        return clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
 
     return MapFamily(
         dim=qp.n_devices,
@@ -155,8 +158,8 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
     noise = _aggregate_noise(nb, seed, 3, adversarial)
 
     def evaluate(x, t):
-        g = qp.gradient(x, t) + qp.tracking_weight * qp.coupling * noise(t)
-        return np.clip(x - a * g, qp.box_lo, qp.box_hi)
+        g = qp.gradient(x, t) + qp.weighted_coupling * noise(t)
+        return clip(x - a * g, qp.box_lo, qp.box_hi)
 
     bound = a * qp.tracking_weight * norm.of(qp.coupling) * nb
     return InexactMapFamily(base, evaluate, bound, name=f"qp-feedback-n{qp.n_devices}")
@@ -200,8 +203,9 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         raise PreconditionError("aggregator scale must be positive")
     # Lipschitz certificate: spectral norm of the joint linear part; the box
     # projection on the device blocks cannot increase it.
+    diagonal = qp.curvature + qp.regularization
     jac = np.zeros((n + 1, n + 1))
-    jac[:n, :n] = np.diag(1.0 - a * (qp.curvature + qp.regularization))
+    jac[:n, :n] = np.diag(1.0 - a * diagonal)
     jac[:n, n] = -a * qp.tracking_weight * qp.coupling / theta
     jac[n, :n] = theta * qp.coupling
     declared = float(np.linalg.norm(jac, ord=2))
@@ -215,8 +219,8 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
         x, y = z[..., :n], z[..., n] / theta
         # one aggregate per state, as the signals have one value per time
         gap = (y - qp.reference_signal.value(t))[..., None]
-        g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * gap
-        x_new = np.clip(x - a * g, qp.box_lo, qp.box_hi)
+        g = diagonal * x + qp.weighted_coupling * gap
+        x_new = clip(x - a * g, qp.box_lo, qp.box_hi)
         y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
         return np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
 

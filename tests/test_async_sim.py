@@ -1,5 +1,6 @@
 """Asynchronous simulator: channels, staleness accounting, reductions, audits."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from fptrack.async_sim import (
     step_async,
 )
 from fptrack.core import seeded_stream
-from fptrack.errors import DomainViolationError, PreconditionError, StaleBeyondCapError
+from fptrack.errors import (
+    DomainViolationError,
+    NonConvergenceError,
+    PreconditionError,
+    StaleBeyondCapError,
+)
 from fptrack.problems import (
     AffineFamily,
     DriftPath,
@@ -140,6 +146,59 @@ def test_both_trackers_name_the_time_their_iterate_leaves_the_domain():
     for channels in (ZeroDelay(), FixedDelay(1)):
         with pytest.raises(DomainViolationError, match="at tick 3$"):
             fp.run_async_tracker(fam, graph, channels, np.zeros(2), 10, LINF)
+
+
+def test_an_offset_that_is_not_finite_fails_the_tick_that_reads_it_without_warnings():
+    # b(2) = (I - A) path(2) overflows, though path(2) = (1e308, 1e308) is finite
+    A = np.array([[0.0, -0.9], [-0.9, 0.0]])
+    path = DriftPath("linear", 2, rate=1e308, direction=[1.0, 1.0], norm=LINF)
+    fam = AffineFamily(A, path, LINF, lipschitz=0.9)
+    graph = fam.dependency_graph()
+    reference = np.zeros((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(fam.offset.at(2)).all() and np.isfinite(fam.offset.at(1)).all()
+        with pytest.raises(NonConvergenceError, match="residual inf above tolerance at time index 2"):
+            fp.compute_fixed_point_series(fam, 2, LINF)
+        with pytest.raises(DomainViolationError, match="at time index 2$"):
+            fp.run_online_tracker(fam, np.zeros(2), 3, LINF, reference=reference)
+        for channels in (ZeroDelay(), FixedDelay(1)):
+            with pytest.raises(DomainViolationError, match="at tick 2$"):
+                fp.run_async_tracker(fam, graph, channels, np.zeros(2), 3, LINF,
+                                     reference=reference)
+
+
+@pytest.mark.parametrize("channels", [ZeroDelay(), FixedDelay(1), IidDrop(0.5)])
+@pytest.mark.parametrize("kind", ["taps", "rows"])
+def test_a_domain_violation_names_its_first_tick_and_no_later_tick_runs(kind, channels,
+                                                                        monkeypatch):
+    ticks, inputs = [], []
+
+    def recording_step(history, stamps, family, graph, t, plan=None):
+        ticks.append(t)
+        return step(history, stamps, family, graph, t, plan)
+
+    step = async_sim.step_async
+    monkeypatch.setattr(async_sim, "step_async", recording_step)
+    if kind == "taps":  # b(3) is not finite, so x_4 is not
+        fam = AffineFamily(np.array([[0.0, -0.9], [-0.9, 0.0]]),
+                           DriftPath("linear", 2, rate=0.5e308, direction=[1.0, 1.0], norm=LINF),
+                           LINF, lipschitz=0.9)
+        first = 3
+    else:  # on [-1, 1]^2 the map at t = 4 lands outside the box
+        def evaluate(x, t):
+            inputs.append(x.copy())
+            return 0.5 * x + (5.0 if t == 4 else 0.0)
+
+        fam = fp.MapFamily(2, fp.Domain.box([-1.0, -1.0], [1.0, 1.0]), fp.pointwise(evaluate),
+                           lipschitz=0.5)
+        first = 4
+    graph = DependencyGraph([1, 1], [(0, 1), (1, 0)])
+    with pytest.raises(DomainViolationError, match=f"at tick {first}$"):
+        fp.run_async_tracker(fam, graph, channels, np.zeros(2), 12, LINF, seed=2,
+                             reference=np.zeros((12, 2)))
+    assert ticks == list(range(1, first + 1))
+    assert all(fam.domain.contains(x) for x in inputs)  # no map ran outside its domain
 
 
 @pytest.mark.parametrize("horizon, x0, blocks, message", [
@@ -523,12 +582,9 @@ def test_affine_taps_list_each_rows_nonzeros_ascending_padded_by_its_own_column(
     fam = AffineFamily(A, chain.path, L2, lipschitz=0.5)
     assert fam.nbr[2].tolist() == [2, 2, 2] and fam.coef[2].tolist() == [0.0, 0.0, 0.0]
     x = rng.standard_normal(7)
-    for t in (1, 5):
-        assert fam.evaluate_taps(x[fam.nbr], t).tobytes() == fam.evaluate(x, t).tobytes()
-    with pytest.raises(PreconditionError, match="not an integer"):
-        fam.evaluate_taps(x[fam.nbr], 2.0)
-    with pytest.raises(PreconditionError, match="read"):
-        fam.evaluate_taps(x[fam.nbr][:, :2], 2)
+    for t in (1, 5):  # the taps' sum, as a tick computes it, is the point call
+        taps = np.einsum("ip,ip->i", x[fam.nbr], fam.coef) + fam.offset.at(t)
+        assert taps.tobytes() == fam.evaluate(x, t).tobytes()
 
 
 def drawn_pattern(kind, dim, rng):

@@ -10,6 +10,14 @@ from fptrack.errors import (
     NonConvergenceError,
     PreconditionError,
 )
+from fptrack.problems import (
+    build_feedback_gradient_map,
+    build_multiarea_maps,
+    default_injections,
+    random_qp,
+    scalar_signal,
+    three_area_network,
+)
 
 L2, LINF = fp.Norm(fp.L2), fp.Norm(fp.LINF)
 
@@ -215,6 +223,80 @@ def test_batched_solve_stops_each_row_at_its_own_tolerance():
     for row, t in zip(x, ts.tolist()):
         assert np.array_equal(row, fp.solve_fixed_point(fam, t, np.zeros(1), tol=1e-12))
     assert info["iterations"] == len(info["residuals"])
+
+
+def compacting_solve(family, ts, x0, tol, max_iter, norm):
+    """The batched solve that compacts its rows after every sweep: ``(points,
+    iterations, residuals)``, or the exception it raises."""
+    x = np.array(x0, dtype=float)
+    points, active, residuals = np.empty_like(x), np.arange(len(ts)), []
+    failure, later = None, np.inf
+    for k in range(max_iter):
+        at = ts[active]
+        fx = family.evaluate(x, at)
+        r = norm.of_rows(fx - x)
+        residuals.append(r.max())
+        left = ~family.domain.contains(fx)
+        if left.any():
+            later = int(at[left].min())
+            failure = DomainViolationError(
+                f"iterate left the domain at time index {later} (iteration {k})",
+                time_index=later)
+        done = (r <= tol) & ~left
+        points[active[done]] = fx[done]
+        keep = ~done & (at < later)
+        active, x, r = active[keep], fx[keep], r[keep]
+        if not active.size:
+            break
+    else:
+        first = int(ts[active].min())
+        residual = float(r[ts[active] == first].max())
+        failure = NonConvergenceError(
+            f"no convergence after {max_iter} iterations at time index {first} "
+            f"(residual {residual:.3e} > tol {tol:.3e})",
+            residual=residual, iterations=max_iter, time_index=first)
+    return failure or (points, k + 1, np.asarray(residuals))
+
+
+def solve_cases():
+    qp = random_qp(7, seed=1)
+    qp.reference_signal = scalar_signal("random_walk", rate=0.01, seed=4)
+    yield "qp", build_feedback_gradient_map(qp, 0.3, 0.0, seed=2).base, 150, L2
+    net = three_area_network()
+    system = build_multiarea_maps(net, default_injections(net, 0.7), 1e-4, seed=1)
+    yield "loadflow", system.family.base, 120, LINF
+
+
+def test_batched_solve_matches_the_compacting_loop_bit_for_bit():
+    for name, family, horizon, norm in solve_cases():
+        ts = np.arange(1, horizon + 1)
+        x0 = np.broadcast_to(family.domain.anchor(), (horizon, family.dim))
+        points, iterations, residuals = compacting_solve(family, ts, x0, 1e-12, 100_000, norm)
+        x, info = fp.solve_fixed_point(family, ts, x0, norm=norm, return_info=True)
+        assert x.tobytes() == points.tobytes(), name
+        assert info["iterations"] == iterations > 10, name
+        assert info["residuals"].tobytes() == residuals.tobytes(), name
+
+
+def test_batched_solve_names_the_first_time_that_fails_as_the_loop_does():
+    # rows at t >= 5 head for 0.02 t / 0.01 = 2 t, outside the box, the later
+    # times first; the rows before t = 5 converge to 0.1 far later
+    fam = scalar_family(lambda x, t: 0.99 * x + (0.02 * t if t >= 5 else 0.001), 0.99,
+                        domain=Domain.box([-1.0], [1.0]))
+    ts = np.array([7, 5, 9, 1, 2, 6, 9])
+    x0 = np.zeros((len(ts), 1))
+    expected = compacting_solve(fam, ts, x0, 1e-12, 100_000, L2)
+    assert isinstance(expected, DomainViolationError) and expected.time_index == 5
+    with pytest.raises(DomainViolationError) as exc:
+        fp.solve_fixed_point(fam, ts, x0)
+    assert (str(exc.value), exc.value.time_index) == (str(expected), 5)
+    slow = scalar_family(lambda x, t: (0.5 if t == 4 else 0.9999) * x + 1.0, 0.9999)
+    ts = np.array([4, 3, 6, 3, 8])
+    expected = compacting_solve(slow, ts, np.zeros((5, 1)), 1e-12, 300, L2)
+    with pytest.raises(NonConvergenceError) as exc:
+        fp.solve_fixed_point(slow, ts, np.zeros((5, 1)), max_iter=300)
+    assert (str(exc.value), exc.value.time_index, exc.value.residual) == (
+        str(expected), 3, expected.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +516,42 @@ def test_domain_rejects_points_of_another_dimension():
             domain.project(np.zeros(3))
     np.testing.assert_array_equal(box.contains(np.array([[0.5], [2.0], [1.0]])),
                                   [True, False, True])
+
+
+def test_membership_and_projection_keep_the_bits_of_the_tolerance_formulas():
+    # the formulas before the bounds were widened once: `lo - tol`, `radius + tol`, np.clip
+    tol, rng = 1e-9, np.random.default_rng(17)
+    for dim in (1, 2, 5):
+        lo, hi = -rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)
+        lo[0] = 0.0
+        hi[-1] = 0.0 if dim > 1 else hi[-1]
+        X = rng.uniform(-3.0, 3.0, (400, dim))
+        faces = np.stack([lo - tol, lo, lo + tol, hi - tol, hi, hi + tol])
+        X[:300] = faces[rng.integers(0, 6, (300, dim)), np.arange(dim)]
+        X[:100] = np.nextafter(X[:100], rng.choice([-np.inf, np.inf], (100, dim)))
+        for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.nan, 0.02), (np.inf, 0.01)):
+            X[rng.random(X.shape) < share] = value
+        box = Domain.box(lo, hi)
+        inside = ((X >= lo - tol) & (X <= hi + tol)).all(axis=-1)
+        assert 50 < inside.sum() < 350
+        np.testing.assert_array_equal(box.contains(X), inside)
+        assert [bool(box.contains(x)) for x in X] == inside.tolist()
+        clipped = np.stack([np.clip(x, lo, hi) for x in X])
+        assert box.project(X).tobytes() == clipped.tobytes()
+        assert all(box.project(x).tobytes() == row.tobytes() for x, row in zip(X, clipped))
+        everywhere = Domain.all_space(dim)
+        np.testing.assert_array_equal(everywhere.contains(X), np.isfinite(X).all(axis=-1))
+        center, radius = rng.uniform(-1.0, 1.0, dim), float(rng.uniform(0.5, 2.0))
+        ball = Domain.ball(center, radius)
+        unit = rng.standard_normal((400, dim))
+        unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
+        scale = radius + rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol], 400)[:, None]
+        Y = center + unit * scale
+        d = Y - center
+        inside = np.sqrt(np.einsum("...j,...j->...", d, d)) <= radius + tol
+        assert 20 < inside.sum() < 380
+        np.testing.assert_array_equal(ball.contains(Y), inside)
+        assert [bool(ball.contains(y)) for y in Y] == inside.tolist()
 
 
 def test_ball_projection_takes_a_point_or_rows_alike():

@@ -1,5 +1,7 @@
 """Experiment runner and CLI: configs, reports, CSV determinism, exit codes."""
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -179,6 +181,42 @@ def test_csv_trace_shape_and_determinism(tmp_path):
                         "realized_Td_so_far,realized_Nd_so_far")
     assert len(lines) == 301
     assert lines[1].split(",")[0] == "1"
+
+
+def row_by_row_csv_text(report):
+    """The trace CSV with one f-string per row, as it was formatted before."""
+    def f17(x):
+        return "nan" if isinstance(x, float) and math.isnan(x) else format(float(x), ".17g")
+
+    applicable = list(report.asymptotic_bounds.values())
+    asymptotic = f17(min(applicable) if applicable else float("nan"))
+    rows = zip(report.errors, report.per_step_bounds,
+               report.running_max_delay.tolist(), report.running_max_stale.tolist())
+    lines = [experiments.CSV_HEADER] + [
+        f"{t},{f17(error)},{f17(bound)},{asymptotic},{delay},{stale}"
+        for t, (error, bound, delay, stale) in enumerate(rows, start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_trace_equals_the_row_by_row_text_on_every_kind_of_value():
+    doc = affine_doc(mode="async", norm="linf", channel={"kind": "iid_drop", "p": 0.2},
+                     horizon=40)
+    report = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    assert trace_csv_text(report) == row_by_row_csv_text(report)
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+                        1e16, 1e17 + 16, 0.1, 1.0 / 3.0, -2.0, 7.0])
+    rng = np.random.default_rng(3)
+    for asymptotic in ({}, {"a": 0.125}, {"a": np.inf, "b": 5e-324}):
+        varied = dataclasses.replace(
+            report, asymptotic_bounds=asymptotic,
+            errors=rng.choice(special, 40), per_step_bounds=rng.choice(special, 40),
+            running_max_delay=rng.integers(0, 10**12, 40),
+            running_max_stale=rng.integers(0, 3, 40))
+        assert np.signbit(varied.errors[np.isnan(varied.errors)]).any()
+        assert trace_csv_text(varied) == row_by_row_csv_text(varied)
+    assert trace_csv_text(dataclasses.replace(report, errors=report.errors[:1])) == (
+        row_by_row_csv_text(dataclasses.replace(report, errors=report.errors[:1])))
 
 
 def test_report_files_written_atomically(tmp_path):
@@ -477,6 +515,18 @@ def test_cli_run_with_a_drift_that_overflows_exit_2_in_one_line(tmp_path, capsys
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [
         f"error: fixed point at time index {time_index} is not finite"]
+
+
+def test_cli_run_whose_drift_overflows_after_its_horizon_warns_about_nothing(tmp_path, capsys):
+    # the tables fill ahead of the horizon, where the offsets b(t) are not finite
+    doc = drifting_doc(horizon=2, kind="linear", rate=1e308)
+    cfg = write_json(tmp_path / "c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg]) == EXIT_OK
+        report = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    capsys.readouterr()
+    assert np.isfinite(report.errors).all() and report.errors[-1] > 1e307
 
 
 @pytest.mark.parametrize("values, message", [

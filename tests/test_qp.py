@@ -4,6 +4,7 @@ import pytest
 
 import fptrack as fp
 from fptrack import DomainSampler, Norm
+from fptrack.domains import clip
 from fptrack.errors import ContractionUncertifiedError, PreconditionError
 from fptrack.problems import (
     TimeVaryingQP,
@@ -14,6 +15,7 @@ from fptrack.problems import (
     scalar_signal,
     star_partition,
 )
+from fptrack.problems.qp import _aggregate_noise
 
 L2 = Norm(fp.L2)
 
@@ -190,3 +192,107 @@ def test_window_membership_controls_stale_threshold():
         alpha = lo + u * (hi - lo)
         fam = build_gradient_map(qp, alpha)
         assert fam.lipschitz_sup * np.sqrt(stale + 1) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles: the maps as written with np.clip and with
+# tracking_weight * coupling multiplied on every call
+# ---------------------------------------------------------------------------
+
+
+def oracle_gradient(qp, x, t):
+    y = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
+    return (
+        qp.curvature * x
+        + qp.tracking_weight * qp.coupling * (y - qp.reference_signal.value(t))[..., None]
+        + qp.regularization * x
+    )
+
+
+def oracle_families(qp, step, nb, seed):
+    """(family, oracle) pairs for the gradient, feedback and broadcast maps."""
+    n = qp.n_devices
+    noise3, noise5 = _aggregate_noise(nb, seed, 3, False), _aggregate_noise(nb, seed, 5, False)
+    theta = float(np.sqrt(step * qp.tracking_weight))
+
+    def gradient(x, t):
+        return np.clip(x - step * oracle_gradient(qp, x, t), qp.box_lo, qp.box_hi)
+
+    def feedback(x, t):
+        g = oracle_gradient(qp, x, t) + qp.tracking_weight * qp.coupling * noise3(t)
+        return np.clip(x - step * g, qp.box_lo, qp.box_hi)
+
+    def broadcast(z, t):
+        x, y = z[..., :n], z[..., n] / theta
+        gap = (y - qp.reference_signal.value(t))[..., None]
+        g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * gap
+        x_new = np.clip(x - step * g, qp.box_lo, qp.box_hi)
+        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
+        out = np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
+        out[..., n:] += theta * noise5(t)
+        return out
+
+    family, _ = build_broadcast_system(qp, step, nb, seed)
+    return [(build_gradient_map(qp, step), gradient),
+            (build_feedback_gradient_map(qp, step, nb, seed), feedback),
+            (family, broadcast)]
+
+
+def drawn_qp(n, rng):
+    """A random instance whose boxes include zero bounds, with signals that move."""
+    lo = -rng.uniform(0.0, 2.0, n)
+    hi = lo + rng.uniform(0.5, 2.0, n)
+    lo[0], hi[0] = 0.0, 1.0
+    if n > 1:
+        lo[-1], hi[-1] = -1.0, 0.0
+    return TimeVaryingQP(
+        curvature=rng.uniform(1.0, 3.0, n), coupling=rng.uniform(-0.5, 0.5, n),
+        tracking_weight=float(rng.uniform(0.2, 1.0)), regularization=float(rng.uniform(0, 1.0)),
+        box_lo=lo, box_hi=hi,
+        output_signal=scalar_signal("random_walk", rate=0.05, seed=int(rng.integers(99)),
+                                    start=float(rng.uniform(-1, 1))),
+        reference_signal=scalar_signal("linear", rate=0.01, start=float(rng.uniform(-1, 1))),
+    )
+
+
+def drawn_points(qp, dim, rng, k=40):
+    """Rows inside the box, on its faces and 1e-9 off them, with signed zeros and NaN."""
+    n = qp.n_devices
+    X = rng.uniform(-2.5, 2.5, (k, dim))
+    faces = np.stack([qp.box_lo, qp.box_hi])
+    face_rows = faces[rng.integers(0, 2, (k, n)), np.arange(n)]
+    X[: k // 2, :n] = face_rows[: k // 2] + rng.choice([-1e-9, 0.0, 1e-9], (k // 2, n))
+    X[rng.random((k, dim)) < 0.2] = 0.0
+    X[rng.random((k, dim)) < 0.2] = -0.0
+    X[rng.random((k, dim)) < 0.03] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_qp_maps_keep_the_bits_of_np_clip_and_the_weight_times_coupling(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(6):
+        qp = drawn_qp(n, rng)
+        nb = float(rng.uniform(0.0, 0.05))
+        for family, oracle in oracle_families(qp, 0.1, nb, seed=int(rng.integers(99))):
+            X = drawn_points(qp, family.dim, rng)
+            ts = rng.integers(1, 200, len(X))
+            for t in (1, 2, 70, 199):
+                expected = np.stack([oracle(x, t) for x in X])
+                assert family.evaluate(X, t).tobytes() == expected.tobytes(), (family.name, t)
+                for x, row in zip(X[:8], expected):
+                    assert family.evaluate(x, t).tobytes() == row.tobytes(), (family.name, t)
+                if n > 1:  # np.clip keeps its point bits on rows of two or more entries
+                    assert family.evaluate(X, t).tobytes() == oracle(X, t).tobytes()
+            expected = np.stack([oracle(x, t) for x, t in zip(X, ts.tolist())])
+            assert family.evaluate(X, ts).tobytes() == expected.tobytes(), family.name
+
+
+def test_clip_keeps_the_point_bits_where_np_clip_flips_a_zero():
+    lo, hi = np.array([0.0]), np.array([1.0])
+    rows = np.full((3, 1), -0.0)
+    assert np.clip(rows, lo, hi).tobytes() != np.clip(rows[0], lo, hi).tobytes()  # -0.0 vs 0.0
+    assert clip(rows, lo, hi).tobytes() == np.tile(np.clip(rows[0], lo, hi), (3, 1)).tobytes()
+    qp = one_d_instance(c=0.0, r=0.0, a=1.0)  # the step of 1 lands on -0.0 from -0.0
+    fam = build_gradient_map(qp, 0.5)
+    assert fam.evaluate(rows, 1).tobytes() == np.tile(fam.evaluate(rows[0], 1), (3, 1)).tobytes()

@@ -1,5 +1,7 @@
 """Seeded time series: each is drawn in blocks from one stream per (seed, key),
 and a value depends neither on the block sizes nor on the order of requests."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,43 @@ def test_table_grows_geometrically_and_rejects_times_before_1():
     for t in (0, np.array([3, 0]), np.array([1.0, 2.0])):
         with pytest.raises(PreconditionError):
             table.at(t)
+
+
+def test_a_read_takes_an_int_or_an_integer_array_and_nothing_else():
+    table = SeriesTable(lambda ts, last, rng: rng.random((len(ts), 2)), (1, 3))
+    for t in (1, 7, 64, 65, 200):
+        assert table.at(np.int64(t)).tobytes() == table.at(t).tobytes()
+        assert table.at(np.array([t]))[0].tobytes() == table.at(t).tobytes()
+    for t in (True, False, 2.0, np.float64(2.0), np.array([True]), 0, -3, np.int64(0)):
+        with pytest.raises(PreconditionError, match="integers starting at 1"):
+            table.at(t)
+
+
+def test_rows_are_one_view_of_the_table_and_grow_it_as_a_read_does():
+    fills = []
+
+    def fill(ts, last, rng):
+        fills.append((int(ts[0]), int(ts[-1])))
+        return rng.random((len(ts), 2))
+
+    table = SeriesTable(fill, (1, 4))
+    block = table.rows(3, 101)  # times 3..100
+    assert fills == [(1, 100)]
+    assert block.base is not None and not block.flags.writeable
+    assert block.tobytes() == table.at(np.arange(3, 101)).tobytes()
+    assert table.rows(100, 101).tobytes() == table.at(100)[None].tobytes()
+    for start, stop in ((0, 5), (5, 5), (6, 5)):
+        with pytest.raises(PreconditionError):
+            table.rows(start, stop)
+
+
+def test_rows_filled_ahead_of_the_reads_warn_about_nothing():
+    # rows from t = 18 on overflow; reading t = 1 fills them too, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = SeriesTable(lambda ts, last: ts * 1e307)
+        assert table.at(1) == 1e307
+        assert np.isinf(table.at(20))  # a reader gets the value and checks it
 
 
 def _count_seed_sequences(monkeypatch):
