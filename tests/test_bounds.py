@@ -87,6 +87,33 @@ def test_per_step_bound_matches_product_sum_form():
     assert abs(bnd.per_step_bound_series(b0, e, s, L, t)[t] - total) < 1e-12
 
 
+def per_step_numpy_scalars(initial_error, e, s, L, t):
+    """The per-step bounds as a loop over numpy scalars, the form before Python floats."""
+    out = np.empty(t + 1)
+    out[0] = float(initial_error)
+    for k in range(t):
+        out[k + 1] = L[k] * out[k] + e[k] + s[k]
+    return out
+
+
+def test_per_step_bound_equals_the_numpy_scalar_loop_bitwise():
+    rng = np.random.default_rng(8)
+    for t in (0, 1, 7, 500):
+        n = t + 3  # series may be longer than the steps they cover
+        e = rng.exponential(1e-3, n)
+        s = rng.exponential(1e-2, n)
+        L = rng.uniform(0.0, 1.2, n)
+        for series in (e, s, L):
+            series[rng.integers(n)] = np.inf
+        L[rng.integers(n)] = 0.0  # after an inf, 0 * inf
+        for initial in (0.0, 2.5, np.inf):
+            with np.errstate(over="ignore", invalid="ignore"):
+                oracle = per_step_numpy_scalars(initial, e, s, L, t)
+            got = bnd.per_step_bound_series(initial, e, s, L, t)
+            assert got.dtype == np.float64 and got.shape == (t + 1,)
+            assert got.tobytes() == oracle.tobytes()
+
+
 def test_per_step_bound_length_mismatch():
     with pytest.raises(LengthMismatchError):
         bnd.per_step_bound_series(1.0, [0.1], [0.1, 0.2], [0.5, 0.5], 2)

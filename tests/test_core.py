@@ -186,6 +186,40 @@ def test_series_residuals_scale_with_the_point_and_fail_where_it_is_not_finite()
             fp.compute_fixed_point_series(fam, 4, L2)
 
 
+def test_series_rejects_supplied_points_of_another_shape():
+    fam = MapFamily(2, Domain.box([-1, -1], [1, 1]), lambda x, t: 0.5 * x, 0.5,
+                    fixed_point=lambda ts: np.zeros((len(ts), 3)), name="shaped")
+    with pytest.raises(PreconditionError,
+                       match=r"'shaped' have shape \(4, 3\); expected \(4, 2\) or \(2,\)"):
+        fp.compute_fixed_point_series(fam, 4, L2)
+
+
+def test_series_rejects_supplied_points_outside_the_domain_at_the_first_such_time():
+    # 3 is the fixed point of 0.5 x + 1.5, but not in the box, where the map has none
+    fam = scalar_family(lambda x, t: 0.5 * x + 1.5, 0.5, domain=Domain.box([-1.0], [1.0]),
+                        fixed_point=lambda ts: np.full((len(ts), 1), 3.0))
+    with pytest.raises(DomainViolationError, match="time index 1 lies outside") as exc:
+        fp.compute_fixed_point_series(fam, 3, L2)
+    assert exc.value.time_index == 1
+    # the first bad time is named, whether its point is outside or not finite
+    for first, later, what in ((3.0, np.nan, "lies outside"), (np.inf, 3.0, "is not finite")):
+        fam = scalar_family(lambda x, t: 0.5 * x, 0.5, domain=Domain.box([-1.0], [1.0]),
+                            fixed_point=lambda ts, a=first, b=later:
+                            np.select([ts == 2, ts > 2], [a, b], 0.0)[:, None])
+        with pytest.raises(DomainViolationError, match=f"time index 2 {what}") as exc:
+            fp.compute_fixed_point_series(fam, 4, L2)
+        assert exc.value.time_index == 2
+
+
+def test_series_solves_when_the_supplied_points_are_none():
+    calls = []
+    fam = scalar_family(lambda x, t: 0.5 * x + 1.0, 0.5,
+                        fixed_point=lambda ts: calls.append(ts) or None)
+    series = fp.compute_fixed_point_series(fam, 5, L2)
+    assert len(calls) == 1
+    np.testing.assert_allclose(series.points, 2.0, rtol=0.0, atol=1e-11)
+
+
 def test_series_reports_the_first_time_that_leaves_the_domain():
     # t = 3 leaves the box at iteration 1 (0 -> 0.9 -> 1.35), later times at
     # iteration 0, so the batched solve sees a later time fail first

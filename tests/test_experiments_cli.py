@@ -394,6 +394,19 @@ def test_cli_run_ok(tmp_path, capsys):
     assert "tail_max" in out and "PASS" in out
 
 
+def test_cli_async_loadflow_runs_where_only_the_areas_certify(tmp_path):
+    # the whole network's injections reach past its self-map radius: the
+    # reference is the batched solve of the stacked map
+    network = {"buses": 2, "slack_voltage": 1.0, "injection_limit": [0.2, 0.05],
+               "lines": [[0, 1, [0.003, 0.001]], [1, 2, [3.0, 0.9]]], "areas": [1, 2]}
+    doc = {"problem": {"kind": "loadflow", "network": network, "noise_bound": 1e-4,
+                       "injections": {"kind": "random_walk", "step": 0.01}},
+           "mode": "async", "norm": "linf", "channel": {"kind": "iid_drop", "p": 0.3},
+           "horizon": 200, "seed": 11, "audit_samples": 50}
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert main(["run", cfg, "--output", str(tmp_path / "run")]) == EXIT_OK
+
+
 def test_cli_run_writes_byte_identical_outputs(tmp_path):
     doc = affine_doc(horizon=120, mode="async", norm="linf",
                      channel={"kind": "iid_drop", "p": 0.15})

@@ -227,6 +227,10 @@ def relabeled_three_area_network():
                         areas=net.areas[old])
 
 
+CHAINS = {"three-area": three_area_network, "two-area": two_area_network,
+          "relabeled": relabeled_three_area_network}
+
+
 @pytest.fixture(scope="module")
 def networks():
     """A three-area and a two-area chain."""
@@ -287,8 +291,7 @@ def sliced_stacked_maps(system, net, injections, noise_bound, seed):
 @pytest.mark.parametrize("kind", ["constant", "random_walk", "ramp"])
 @pytest.mark.parametrize("net_name", ["three-area", "two-area", "relabeled"])
 def test_multiarea_maps_equal_the_sliced_formulation_bitwise(net_name, kind):
-    net = {"three-area": three_area_network, "two-area": two_area_network,
-           "relabeled": relabeled_three_area_network}[net_name]()
+    net = CHAINS[net_name]()
     noise_bound, seed = 0.002, 5
     inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
     system = build_multiarea_maps(net, inj, noise_bound, seed)
@@ -364,11 +367,56 @@ def test_multiarea_dependency_audit(systems):
 
 
 def test_multiarea_build_makes_no_whole_network_family(monkeypatch, networks):
-    calls = []
-    monkeypatch.setattr(loadflow, "build_loadflow_map", lambda *a, **k: calls.append(a))
+    # the reference builds it, once per call
+    calls, real = [], loadflow.build_loadflow_map
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(loadflow, "build_loadflow_map", spy)
     for net in networks:
-        build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1)
-    assert calls == []
+        system = build_multiarea_maps(net, default_injections(net, 0.7), 0.002, seed=1)
+        assert calls == []
+        fp.compute_fixed_point_series(system.family, 30, LINF)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def stacked_solve(system, horizon):
+    """The batched solve of the stacked map at t = 1..horizon, from the domain anchor."""
+    base = system.family.base
+    anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
+    return fp.solve_fixed_point(base, np.arange(1, horizon + 1), anchors, norm=LINF)
+
+
+@pytest.mark.parametrize("kind", ["constant", "random_walk", "ramp"])
+@pytest.mark.parametrize("net_name", list(CHAINS))
+def test_multiarea_reference_is_the_stacked_fixed_point(net_name, kind):
+    net = CHAINS[net_name]()
+    inj = default_injections(net, 0.7, kind=kind, step=0.004, seed=3, rate=0.01)
+    build_loadflow_map(net, inj, norm=LINF)  # the whole network certifies, so it is solved
+    system = build_multiarea_maps(net, inj, 0.002, seed=5)
+    horizon = 400
+    reference = fp.compute_fixed_point_series(system.family, horizon, LINF)
+    assert np.max(np.abs(reference.points - stacked_solve(system, horizon))) <= 1e-12
+    assert reference.residuals.max() <= 1e-12
+    assert reference.drift_sup > 0.0 or kind == "constant"
+
+
+def test_multiarea_reference_without_a_whole_network_certificate_is_the_stacked_solve():
+    # the areas certify, but the whole network's injections reach past its self-map radius
+    net = PowerNetwork(2, 1.0, [(0, 1, 0.003 + 0.001j), (1, 2, 3 + 0.9j)], [0.2, 0.05],
+                       areas=[1, 2])
+    inj = default_injections(net, 0.7, kind="random_walk", step=0.01, seed=3)
+    with pytest.raises(ContractionUncertifiedError, match="injections can reach 0.2195"):
+        build_loadflow_map(net, inj, norm=LINF)
+    system = build_multiarea_maps(net, inj, 1e-4, seed=1)
+    assert system.family.lipschitz_sup == pytest.approx(0.533, abs=5e-4)
+    horizon = 300
+    assert system.family.base.fixed_point(np.arange(1, horizon + 1)) is None
+    reference = fp.compute_fixed_point_series(system.family, horizon, LINF)
+    assert reference.points.tobytes() == stacked_solve(system, horizon).tobytes()
 
 
 def test_stacked_fixed_point_reproduces_monolithic_blockwise(networks, systems):
