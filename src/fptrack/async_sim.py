@@ -17,7 +17,9 @@ block's stamp-table rows, and reads the block's offsets b(t) as one slice of
 the family's table (:func:`_tap_plans`). A tick is one take of ``(dim, P)``
 entries, one ``einsum`` with the tap coefficients, one add of b(t) and one
 domain check; the plan fixes the time and the shapes, so the tick checks
-neither.
+neither. A sparse affine family evaluates points and rows with that same
+``einsum`` over the same taps, so its tick is its point call by
+construction.
 
 Any other map is run by rows. An agent whose in-neighbor copies are all
 current is fresh: its input is x_t, so all fresh agents share one
@@ -31,7 +33,8 @@ table below: the entries whose stamp is older than their tick. A run finds
 them once, in one vectorized pass over its stamp table, and plans its ticks
 from them a block at a time (:func:`_tick_plans`).
 
-Either way a block of plans holds at most 2^16 indices. Built-in maps give
+Either way a block of plans holds at most 2^16 indices (``_PLAN_INDICES``;
+the affine rows call sums at most as many taps at once). Built-in maps give
 taps, rows and columns the bits of a point call, so a tick equals per-agent
 point evaluation bit for bit. The staleness bounds assume that block i of
 the map reads no block outside i and its in-neighbors;

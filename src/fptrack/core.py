@@ -137,8 +137,11 @@ class MapFamily:
     ``(dim, P)`` entries the taps read, one ``einsum("ip,ip->i")`` with
     ``coef`` and one add of b(t), read a block of ticks at a time
     (:class:`~fptrack.problems.AffineFamily`: 3 taps per row on a chain,
-    not a row of 48 per stale agent). The family guarantees that this sum
-    is its ``evaluate`` at a point, bit for bit. The QP and load-flow
+    not a row of 48 per stale agent). For sparse taps that sum is the
+    family's ``evaluate`` by construction: a point's and each row's taps are
+    summed by the same call. Taps that list every column (a dense A) keep
+    the matrix product as ``evaluate``; tests pin it to the tick's sum bit
+    for bit. The QP and load-flow
     families keep the columns call, since a tick of theirs has a few rows
     (three load-flow agents) whose cost is per-call overhead, not flops; an
     inexact family keeps it too, as its map is its base's rows call plus

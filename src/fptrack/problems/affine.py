@@ -7,10 +7,9 @@ exact, chosen quantity.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
+from .. import async_sim
 from ..async_sim import DependencyGraph
 from ..core import MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain
@@ -28,31 +27,39 @@ class AffineFamily(MapFamily):
     filled from the path's rows; each row is the product of ``I - A`` with one
     point, so a point and rows read the same bits.
 
-    The family holds A's taps: ``nbr`` and ``coef``, both ``(dim, P)``. Row i
-    lists the columns of its nonzeros in ascending order and their
-    coefficients, padded to the common width P by the row's own column with
-    coefficient 0.0. P is 3 on a chain and 1 on a diagonal A. With
-    ``offset``, the table of b(t), they give the map at a point x as
+    The family holds A's taps (:func:`_taps`), ``nbr`` and ``coef``, both
+    ``(dim, P)``; P is 3 on a chain and 1 on a diagonal A. With ``offset``,
+    the table of b(t), they give the map at a point x as
     ``einsum("ip,ip->i", x[nbr], coef) + offset.at(t)``, which is how the
-    simulator runs a tick. The taps are kept only when
-    :func:`_sums_like_points` finds that this sum adds each row's terms in
-    the order of a point call; otherwise, and whenever that check would
-    probe more than ``_PROBED_WIDTH`` taps, they list every column (P is
-    dim), as they do for a dense A.
+    simulator runs a tick. For a sparse A (P < dim) that sum is ``evaluate``,
+    for a point and for rows (:func:`_tap_rows`), so ticks, points and rows
+    are one sum. A dense A's taps list every column, with ``coef`` A, and it
+    keeps the matrix ``einsum``: gathering its taps for rows would hold
+    rows * dim**2 floats.
     """
 
     def __init__(self, A, path: DriftPath, norm: Norm, **kwargs):
         self.A = np.asarray(A, dtype=float)
         self.path = path
-        m = self.A.shape[0]
+        m = path.dim
+        if self.A.shape != (m, m):
+            raise PreconditionError(
+                f"A has shape {self.A.shape}; a path of dimension {m} needs ({m}, {m})")
         eye_minus_A = np.eye(m) - self.A
         # a stack of matrix-vector products, each one as `eye_minus_A @ point`
         self.offset = offset = SeriesTable(
             lambda ts, last: np.matmul(eye_minus_A, path.point(ts)[..., None])[..., 0])
+        self.nbr, self.coef = nbr, coef = _taps(self.A)
+        dense = nbr.shape[1] == m
 
         def evaluate(x, t):
-            # einsum sums each output in one order for a point or any number of rows
-            return np.einsum("...j,ij->...i", x, self.A) + offset.at(t)
+            if dense:  # einsum sums each output in one order for a point or any number of rows
+                return np.einsum("...j,ij->...i", x, self.A) + offset.at(t)
+            if x.ndim == 1:
+                return np.einsum("ip,ip->i", x[nbr], coef) + offset.at(t)
+            out = _tap_rows(x, nbr, coef)
+            out += offset.at(t)
+            return out
 
         super().__init__(
             dim=m,
@@ -62,7 +69,6 @@ class AffineFamily(MapFamily):
             declared_norm=norm,
             **kwargs,
         )
-        self.nbr, self.coef = _taps(self.A)
 
     def dependency_graph(self) -> DependencyGraph:
         """Scalar-agent graph with an edge (j, i) wherever A[i, j] couples two agents."""
@@ -71,54 +77,37 @@ class AffineFamily(MapFamily):
         return DependencyGraph([1] * self.dim, np.stack((j[off], i[off]), axis=1))
 
 
-# Widest sparse taps whose sum order is probed: at most C(8, 3) = 56 triples.
-_PROBED_WIDTH = 8
-
-
 def _taps(A):
     """``(nbr, coef)`` of A: each row's nonzero columns in ascending order and
-    their coefficients, padded by the row's own column with 0.0, or every
-    column when those taps would not sum like a point call."""
+    their coefficients, padded to the widest row's count P by the row's own
+    column with 0.0; every column, with ``coef`` A, when P is dim."""
     dim = len(A)
     nonzero = A != 0.0
     width = max(int(nonzero.sum(axis=1).max(initial=0)), 1)
-    if width < dim and width <= _PROBED_WIDTH:
-        i, j = nonzero.nonzero()  # row-major, so each row's columns ascend
-        slot = np.cumsum(nonzero, axis=1)[i, j] - 1
-        nbr = np.repeat(np.arange(dim)[:, None], width, axis=1)
-        coef = np.zeros((dim, width))
-        nbr[i, slot] = j
-        coef[i, slot] = A[i, j]
-        if _sums_like_points(nbr, nonzero.sum(axis=1)):
-            return nbr, coef
-    return np.tile(np.arange(dim), (dim, 1)), A
+    if width >= dim:
+        return np.tile(np.arange(dim), (dim, 1)), A
+    i, j = nonzero.nonzero()  # row-major, so each row's columns ascend
+    slot = np.cumsum(nonzero, axis=1)[i, j] - 1
+    nbr = np.repeat(np.arange(dim)[:, None], width, axis=1)
+    coef = np.zeros((dim, width))
+    nbr[i, slot] = j
+    coef[i, slot] = A[i, j]
+    return nbr, coef
 
 
-def _sums_like_points(nbr, count) -> bool:
-    """Whether ``einsum("ip,ip->i")`` over the taps ``nbr`` (row i's first
-    ``count[i]`` taps its nonzeros) adds each row's terms in the order of
-    the point call ``einsum("...j,ij->...i")``.
-
-    Both calls add a row's terms in an order fixed by the positions alone,
-    and a zero term changes no sum, so the orders agree when every three
-    terms of a row are paired alike. For taps ``(u, v, w)`` the terms
-    ``1, -1, 2**-60`` sum to ``2**-60`` exactly when the terms at ``1`` and
-    ``-1`` are added first; two placements of them decide the pairing.
-    """
+def _tap_rows(x, nbr, coef):
+    """The taps' sum ``einsum("ip,ip->i", x[k, nbr], coef)`` of every row k of
+    ``x``. A block of at most ``async_sim._PLAN_INDICES`` taps is one call on
+    its rows' taps flattened to ``(rows * dim, P)``, ``coef`` tiled to match:
+    the one 2-D sum that adds each row's terms as a point call does."""
     dim, width = nbr.shape
-    rows = np.arange(dim)[:, None]
-    for taps in combinations(range(width), 3):
-        probed = (count > taps[-1])[:, None]  # rows whose three taps are nonzeros
-        for terms in ((1.0, -1.0, 2.0 ** -60), (1.0, 2.0 ** -60, -1.0)):
-            coef = np.where(probed, terms, 0.0)
-            dense = np.zeros((dim, dim))
-            dense[rows, nbr[:, taps]] = coef
-            point = np.einsum("...j,ij->...i", np.ones(dim), dense)
-            tapped = np.zeros_like(nbr, dtype=float)
-            tapped[:, taps] = coef
-            if point.tobytes() != np.einsum("ip,ip->i", np.ones(nbr.shape), tapped).tobytes():
-                return False
-    return True
+    size = max(1, async_sim._PLAN_INDICES // nbr.size)  # rows per block
+    tiled = np.tile(coef, (min(size, len(x)), 1))
+    out = np.empty((len(x), dim))
+    for a in range(0, len(x), size):
+        taps = x[a:a + size].take(nbr, axis=1).reshape(-1, width)  # take is C-ordered: no copy
+        out[a:a + size] = np.einsum("ip,ip->i", taps, tiled[:len(taps)]).reshape(-1, dim)
+    return out
 
 
 def _coupling_mask(dim, coupling, rng) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 import fptrack as fp
 from fptrack import DomainSampler, Norm
 from fptrack.errors import PreconditionError
-from fptrack.problems import DriftPath, build_affine_family
+from fptrack.problems import AffineFamily, DriftPath, build_affine_family
 from fptrack.problems.affine import COUPLINGS
 
 L2, LINF = Norm(fp.L2), Norm(fp.LINF)
@@ -137,3 +137,9 @@ def test_contraction_target_validated():
         build_affine_family(3, L2, 1.0, DriftPath("constant", 3), seed=0)
     with pytest.raises(PreconditionError):
         build_affine_family(3, L2, 0.5, DriftPath("constant", 4), seed=0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
+def test_affine_family_rejects_a_matrix_that_does_not_fit_its_path(shape):
+    with pytest.raises(PreconditionError, match=rf"A has shape \({shape[0]}, {shape[1]}\)"):
+        AffineFamily(np.full(shape, 0.1), DriftPath("constant", 3), L2, lipschitz=0.5)

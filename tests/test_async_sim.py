@@ -1,6 +1,8 @@
 """Asynchronous simulator: channels, staleness accounting, reductions, audits."""
 import csv
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -581,10 +583,44 @@ def test_affine_taps_list_each_rows_nonzeros_ascending_padded_by_its_own_column(
     A[2] = 0.0  # an all-zero row reads only its own column, with coefficient 0
     fam = AffineFamily(A, chain.path, L2, lipschitz=0.5)
     assert fam.nbr[2].tolist() == [2, 2, 2] and fam.coef[2].tolist() == [0.0, 0.0, 0.0]
-    x = rng.standard_normal(7)
-    for t in (1, 5):  # the taps' sum, as a tick computes it, is the point call
-        taps = np.einsum("ip,ip->i", x[fam.nbr], fam.coef) + fam.offset.at(t)
-        assert taps.tobytes() == fam.evaluate(x, t).tobytes()
+    assert_ticks_points_and_rows_agree(fam, rng)
+    # one row of three nonzeros apart, every other row diagonal: sparse taps
+    A = np.diag(rng.uniform(0.1, 0.2, 8))
+    A[0, [0, 2, 4]] = [0.3, -0.25, 0.2]
+    fam = AffineFamily(A, DriftPath("linear", 8, rate=0.1, seed=3, norm=LINF), LINF,
+                       lipschitz=0.75)
+    assert fam.nbr.shape == (8, 3) and fam.nbr[0].tolist() == [0, 2, 4]
+    assert fam.nbr[5].tolist() == [5, 5, 5] and fam.coef[5, 1:].tolist() == [0.0, 0.0]
+    assert_ticks_points_and_rows_agree(fam, rng)
+
+
+def assert_ticks_points_and_rows_agree(fam, rng):
+    """The taps' sum, a zero-delay tick, a point call and a rows call give the same bits."""
+    graph = fam.dependency_graph()
+    xs = rng.standard_normal((4, fam.dim))
+    for t in (1, 5):
+        rows = fam.evaluate(xs, t)
+        for x, row in zip(xs, rows):
+            taps = np.einsum("ip,ip->i", x[fam.nbr], fam.coef) + fam.offset.at(t)
+            history = np.vstack((np.zeros((t - 1, fam.dim)), x))  # x is x_t
+            tick = step_async(history, np.full(len(graph.edge_arrays[0]), t), fam, graph, t)
+            point = fam.evaluate(x, t)
+            assert taps.tobytes() == tick.tobytes() == point.tobytes() == row.tobytes()
+
+
+def test_affine_rows_hold_about_their_output_in_memory():
+    # rows are summed a block of taps at a time: gathering all of them at
+    # once would hold 20000 * 48 * 3 floats, and as many tiled coefficients
+    fam = small_affine(dim=48, coupling="chain")
+    xs = np.random.default_rng(2).standard_normal((20000, 48))
+    fam.evaluate(xs[:1], 7)  # fills the offset table
+    tracemalloc.start()
+    try:
+        out = fam.evaluate(xs, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 2 * 2 ** 20, peak
 
 
 def drawn_pattern(kind, dim, rng):
@@ -602,9 +638,10 @@ def drawn_pattern(kind, dim, rng):
 @given(kind=st.sampled_from(["zero-row", "chain", "dense", "random"]),
        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
        scalar=st.booleans(), lacking=st.floats(0.0, 0.5), extra=st.floats(0.0, 0.3),
-       horizon=st.integers(2, 16), max_lag=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+       horizon=st.integers(2, 16), max_lag=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
+       n_rows=st.integers(0, 9), block=st.integers(1, 40))
 def test_affine_ticks_match_the_per_agent_oracle_bitwise(kind, sizes, scalar, lacking, extra,
-                                                         horizon, max_lag, seed):
+                                                         horizon, max_lag, seed, n_rows, block):
     rng = np.random.default_rng(seed)
     sizes = [1] * sum(sizes) if scalar else sizes
     dim = sum(sizes)
@@ -638,6 +675,15 @@ def test_affine_ticks_match_the_per_agent_oracle_bitwise(kind, sizes, scalar, la
     fresh, _ = fp.run_async_tracker(fam, graph, ZeroDelay(), x0, horizon, LINF,
                                     reference=np.zeros((horizon, dim)))
     assert fresh.iterates.tobytes() == sync.iterates.tobytes()
+    # rows are their point calls, whether or not they cross a block of taps
+    xs = rng.uniform(-1.0, 1.0, (n_rows, dim))
+    ts = rng.integers(1, horizon + 1, n_rows)
+    with mock.patch.object(async_sim, "_PLAN_INDICES", block):
+        rows_at_t, rows_at_ts = fam.evaluate(xs, horizon), fam.evaluate(xs, ts)
+    assert rows_at_t.shape == rows_at_ts.shape == (n_rows, dim)
+    for x, t, row_at_t, row_at_ts in zip(xs, ts, rows_at_t, rows_at_ts):
+        assert row_at_t.tobytes() == fam.evaluate(x, horizon).tobytes()
+        assert row_at_ts.tobytes() == fam.evaluate(x, int(t)).tobytes()
 
 
 # ---------------------------------------------------------------------------
