@@ -23,20 +23,20 @@ construction.
 
 Any other map is run by rows. An agent whose in-neighbor copies are all
 current is fresh: its input is x_t, so all fresh agents share one
-evaluation of the map at x_t. A tick is one columns call of the map
-(:meth:`~fptrack.core.MapFamily.evaluate_columns`) on the rows it needs:
-one row per stale agent's input, plus x_t when any agent is fresh. Each
-output column comes from the row of the agent that owns it. Which agents
-are stale, where each row's entries lie in the history and which row each
-column reads depend only on the outdated (tick, edge) pairs of the stamp
-table below: the entries whose stamp is older than their tick. A run finds
-them once, in one vectorized pass over its stamp table, and plans its ticks
-from them a block at a time (:func:`_tick_plans`).
+evaluation of the map at x_t. A tick is one rows call of the family's
+``evaluate`` on the rows it needs, one row per stale agent's input plus x_t
+when any agent is fresh, and one flat take of each output column from the
+row of the agent that owns it. Which agents are stale, where each row's
+entries lie in the history and where each column lies in the rows call's
+output depend only on the outdated (tick, edge) pairs of the stamp table
+below: the entries whose stamp is older than their tick. A run finds them
+once, in one vectorized pass over its stamp table, and plans its ticks from
+them a block at a time (:func:`_tick_plans`).
 
 Either way a block of plans holds at most 2^16 indices (``_PLAN_INDICES``;
 the affine rows call sums at most as many taps at once). Built-in maps give
-taps, rows and columns the bits of a point call, so a tick equals per-agent
-point evaluation bit for bit. The staleness bounds assume that block i of
+taps and rows the bits of a point call, so a tick equals per-agent point
+evaluation bit for bit. The staleness bounds assume that block i of
 the map reads no block outside i and its in-neighbors;
 :func:`audit_dependency_graph` checks that graph.
 
@@ -495,7 +495,7 @@ def read_schedule_csv(path, allow_nonmonotone=False, declared_max_delay=None) ->
 # ---------------------------------------------------------------------------
 
 
-# Indices (gather offsets and row_of entries) that one block of planned ticks
+# Indices (gather offsets and column picks) that one block of planned ticks
 # holds at most; a tick that needs more is planned alone. Blocks of twice this
 # size ran no faster on the 48-agent chain and raised its peak RSS by 0.8 MB.
 _PLAN_INDICES = 1 << 16
@@ -515,7 +515,7 @@ def _tick_plans(graph: DependencyGraph, stamps, start):
     rows = np.zeros((len(stamps), n + 1), dtype=bool)
     rows[k, graph.edge_arrays[1][edge]] = True
     rows[:, n] = ~rows[:, :n].all(axis=1)
-    size = (rows.sum(axis=1) + 1) * graph.dim  # a tick's offsets and row_of
+    size = (rows.sum(axis=1) + 1) * graph.dim  # a tick's offsets and pick
     before = np.concatenate(([0], np.cumsum(size)))  # indices of the ticks before each
     a = 0
     while a < len(stamps):
@@ -526,15 +526,16 @@ def _tick_plans(graph: DependencyGraph, stamps, start):
 
 
 def _plan_block(graph: DependencyGraph, stamps, start, rows, k, edge):
-    """Plans ``(t, offsets, row_of)`` of ticks ``start, start + 1, ...`` from
+    """Plans ``(t, offsets, pick)`` of ticks ``start, start + 1, ...`` from
     their stamp-table rows, :func:`_tick_plans` rows and outdated pairs
     ``(k, edge)``, k counted from ``start``.
 
     ``offsets``, shape ``(rows, dim)``, holds the flat history offsets of each
     row's entries: a stale agent i reads x_t with block j of each outdated
     in-edge ``(j, i)`` as of its stamp; x_t reads every block at t.
-    ``row_of``, shape ``(dim,)``, is the row column c reads: its owner's row
-    when the owner is stale, else x_t's.
+    ``pick``, shape ``(dim,)``, is column c's flat index in the output of
+    the tick's rows call: column c of its owner's row when the owner is
+    stale, else of x_t's.
     """
     dim = graph.dim
     rank = np.cumsum(rows, axis=1) - 1  # each row's position within its tick
@@ -550,8 +551,9 @@ def _plan_block(graph: DependencyGraph, stamps, start, rows, k, edge):
     offsets.reshape(-1)[np.repeat((first[k] + rank[k, dst]) * dim, size) + column] = (
         np.repeat((stamps[k, edge] - 1) * dim, size) + column)
     row_of = np.where(rows[:, :-1], rank[:, :-1], rank[:, -1:]).take(graph.block_of_column, axis=1)
+    pick = row_of * dim + graph.columns
     ends = np.cumsum(n_rows).tolist()
-    return list(zip(tick.tolist(), [offsets[a:b] for a, b in zip([0, *ends], ends)], row_of))
+    return list(zip(tick.tolist(), [offsets[a:b] for a, b in zip([0, *ends], ends)], pick))
 
 
 def _ragged_arange(starts, counts) -> np.ndarray:
@@ -613,26 +615,25 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     so the result does not depend on agent order.
 
     Agent i evaluates the map at x_t with block j of each in-edge ``(j, i)``
-    whose stamp is older than t patched in as of that stamp.
-    ``audit_dependency_graph`` checks the graph that the staleness bounds
-    assume. The tick's indices come from ``plan``, tick t's plan from
+    whose stamp is older than t patched in as of that stamp. The tick's
+    indices come from ``plan``, tick t's plan from
     :func:`_plans` of the same stamp table, or else from a plan of this tick
     alone. A taps plan ``(t, (offsets, b))`` (:func:`_tap_plans`) makes the
     tick one take of the ``(dim, P)`` entries the taps read, one ``einsum``
     with ``family.coef`` and one add of b(t). A rows plan
-    ``(t, offsets, row_of)`` (:func:`_tick_plans`) makes it one flat take of
+    ``(t, offsets, pick)`` (:func:`_tick_plans`) makes it one flat take of
     its rows from ``history`` (the stale agents' inputs, then x_t when any
-    agent is fresh) and one ``family.evaluate_columns`` call, column c read
-    from the row of the agent that owns it. Either way one domain check
-    follows. As built-in taps, columns and rows equal points bit for bit, a
-    zero-delay tick is the synchronous step to the last bit.
+    agent is fresh), one ``family.evaluate`` call on them and one flat take
+    of ``pick``, column c from the row of the agent that owns it. Either way
+    one domain check follows. As built-in taps and rows equal points bit for
+    bit, a zero-delay tick is the synchronous step to the last bit.
     """
     if plan is None:
         (plan,) = next(_plans(family, graph, np.asarray(stamps)[None], t))
     if plan[0] != t:
         raise PreconditionError(f"tick {t} was given the plan of tick {plan[0]}")
     if len(plan) == 3:
-        x_next = family.evaluate_columns(history.take(plan[1]), t, plan[2])
+        x_next = family.evaluate(history.take(plan[1]), t).take(plan[2])
     else:
         offsets, b = plan[1]
         x_next = np.einsum("ip,ip->i", history.take(offsets), family.coef)

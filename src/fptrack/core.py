@@ -127,26 +127,16 @@ class MapFamily:
     no agent decomposition: an asynchronous run's agents and their blocks
     are its :class:`~fptrack.async_sim.DependencyGraph`.
 
-    ``evaluate_columns(x, t, row_of)`` is the asynchronous tick's one call:
-    entry c of the map at row ``row_of[c]`` of the rows ``x``, for every
-    column c: the rows call, then one pick per column. A family whose map
-    is a sum of taps plus an offset, x -> sum_p coef[i, p] x[nbr[i, p]] +
-    b(t), sets ``nbr`` and ``coef``, its ``(dim, P)`` tap columns and
-    coefficients, and ``offset``, the :class:`SeriesTable` of b(t). The
-    simulator then runs an asynchronous tick as one gather of the
-    ``(dim, P)`` entries the taps read, one ``einsum("ip,ip->i")`` with
-    ``coef`` and one add of b(t), read a block of ticks at a time
-    (:class:`~fptrack.problems.AffineFamily`: 3 taps per row on a chain,
-    not a row of 48 per stale agent). For sparse taps that sum is the
-    family's ``evaluate`` by construction: a point's and each row's taps are
-    summed by the same call. Taps that list every column (a dense A) keep
-    the matrix product as ``evaluate``; tests pin it to the tick's sum bit
-    for bit. The QP and load-flow
-    families keep the columns call, since a tick of theirs has a few rows
-    (three load-flow agents) whose cost is per-call overhead, not flops; an
-    inexact family keeps it too, as its map is its base's rows call plus
-    noise. No constructor parameter takes a columns map, so every rows map
-    a tick runs is the ``evaluate`` that the audits check, to the last bit.
+    An asynchronous tick calls the same map: one ``evaluate`` rows call and
+    one flat take of each column from its owner's row. A family whose map is
+    a sum of taps plus an offset, x -> sum_p coef[i, p] x[nbr[i, p]] + b(t),
+    sets ``nbr`` and ``coef``, its ``(dim, P)`` tap columns and
+    coefficients, and ``offset``, the :class:`SeriesTable` of b(t). Its tick
+    is one gather of the entries the taps read, one ``einsum("ip,ip->i")``
+    with ``coef`` and one add of b(t) (:class:`~fptrack.problems.AffineFamily`:
+    3 taps per row on a chain, not a row of 48 per stale agent). For sparse
+    taps that sum is the family's ``evaluate`` by construction; a dense A
+    keeps the matrix product, which tests pin to the sum bit for bit.
 
     Parameters
     ----------
@@ -195,7 +185,6 @@ class MapFamily:
         name="map-family",
     ):
         self.dim = int(dim)
-        self._column_index = np.arange(self.dim)
         if domain.dim != self.dim:
             raise PreconditionError(
                 f"domain has dimension {domain.dim}, the family {self.dim}"
@@ -235,33 +224,6 @@ class MapFamily:
                 f"map {self.name!r} returned shape {out.shape} for input shape {x.shape}"
             )
         return out
-
-    def evaluate_columns(self, x, t, row_of) -> np.ndarray:
-        """Entry c of the map at row ``row_of[c]`` of the rows ``x``, for every column c.
-
-        ``x`` is rows ``(n, dim)``, ``t >= 1`` one int and ``row_of`` one row
-        index per column. Returns the ``(dim,)`` vector
-        ``evaluate(x, t)[row_of, arange(dim)]``, bit for bit.
-        """
-        x = np.asarray(x, dtype=float)
-        t = _time_index(t)
-        if x.ndim != 2 or x.shape[1] != self.dim or np.shape(row_of) != (self.dim,):
-            raise PreconditionError(
-                f"columns of map {self.name!r} need rows (n, {self.dim}) and {self.dim} "
-                f"row indices; got {x.shape} and {np.shape(row_of)}"
-            )
-        out = np.asarray(self._columns(x, t, row_of), dtype=float)
-        if out.shape != (self.dim,):
-            raise PreconditionError(
-                f"map {self.name!r} returned shape {out.shape} for columns of rows {x.shape}"
-            )
-        return out
-
-    def _columns(self, x, t, row_of):
-        """The rows call, then one entry per column. It skips ``evaluate``'s time
-        and shape checks: ``evaluate_columns`` checks the time, the rows and
-        the columns once."""
-        return self._evaluate(x, t)[row_of, self._column_index]
 
     def lipschitz_at(self, t) -> np.ndarray:
         """The declared factor at an int ``t``, or one per time of an int array."""
@@ -664,6 +626,12 @@ def verify_self_map(family, t, sampler: DomainSampler, n_samples) -> SelfMapChec
     return SelfMapCheck(False, X[bad], n_samples)
 
 
+def rounding_slack(norm: Norm, *states) -> float:
+    """What a check of computed values allows for rounding: 1e-9 plus 1e-14 of
+    the largest norm among the rows of ``states``, the values' inputs."""
+    return 1e-9 + 1e-14 * max((float(norm.of_rows(x).max(initial=0.0)) for x in states), default=0)
+
+
 @dataclass
 class MapErrorCheck:
     max_observed: float
@@ -673,12 +641,14 @@ class MapErrorCheck:
 
 
 def verify_map_error(family: MapFamily, t, sampler: DomainSampler, n_samples,
-                     norm: Norm, slack=1e-9) -> MapErrorCheck:
-    """Sampled check at time t that the family stays within ``error_sup`` of its base."""
+                     norm: Norm) -> MapErrorCheck:
+    """Sampled check at time t that the family stays within ``error_sup`` of its
+    base, up to the :func:`rounding_slack` of its largest exact output."""
     n_samples = int(n_samples)
     X = sampler.draw(n_samples)
     approx = family.evaluate(X, t)
     exact = family.base.evaluate(X, t)
-    observed = float(norm.of_rows(approx - exact).max()) if n_samples else 0.0
+    observed = float(norm.of_rows(approx - exact).max(initial=0.0))
+    slack = rounding_slack(norm, exact)
     bound = family.error_sup
     return MapErrorCheck(observed, bound, observed <= bound + slack, n_samples)

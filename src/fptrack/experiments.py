@@ -41,6 +41,7 @@ from .core import (
     compute_fixed_point_series,
     estimate_lipschitz,
     map_error_bound_series,
+    rounding_slack,
     run_online_tracker,
     verify_map_error,
     verify_self_map,
@@ -74,8 +75,6 @@ ASYNC_TAIL_MAX_NORM = "async_tail_max_norm"
 ASYNC_TAIL_L2_EQUIV = "async_tail_l2_norm_equivalence"
 ASYNC_TAIL_L2_REFINED = "async_tail_l2_stale_refined"
 PER_STEP = "per_step_envelope"
-
-_BOUND_SLACK = 1e-9
 
 
 def _f17(x: float) -> str:
@@ -286,6 +285,7 @@ class ExperimentReport:
     asymptotic_bounds: dict      # name -> value | None (not applicable)
     not_applicable: dict         # name -> reason, for bounds without a value
     certificates: dict           # name -> "pass" | "fail" | "not_applicable"
+    bound_slack: float           # the rounding every certificate allows
     tail_start: int
     tail_max: float
     realized_max_delay: int
@@ -307,9 +307,9 @@ class ExperimentReport:
         return {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
 
 
-def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start):
+def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start, slack):
     """Each asymptotic bound's value or the reason it does not apply, the tail
-    maximum, and every certificate of a run's errors."""
+    maximum, and every certificate of a run's errors, each allowing ``slack``."""
     values, reasons = {}, {}
     checks = [(SYNC_TAIL, bnd.tracking_bound_sync, mode == "sync",
                "synchronous bound applies to synchronous runs only")]
@@ -331,11 +331,11 @@ def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start):
         except PreconditionError as exc:
             reasons[name] = str(exc)
     tail_max = float(errors[tail_start:].max())
-    certificates = {name: "pass" if tail_max <= value + _BOUND_SLACK else "fail"
+    certificates = {name: "pass" if tail_max <= value + slack else "fail"
                     for name, value in values.items()}
     certificates.update(dict.fromkeys(reasons, "not_applicable"))
     if mode == "sync":
-        ok = bool(np.all(errors <= per_step + _BOUND_SLACK))
+        ok = bool(np.all(errors <= per_step + slack))
         certificates[PER_STEP] = "pass" if ok else "fail"
     else:
         certificates[PER_STEP] = "not_applicable"
@@ -399,7 +399,7 @@ def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
         audits["lipschitz"] = {
             "estimate": est.value,
             "declared": family.lipschitz_sup,
-            "ok": bool(est.value <= family.lipschitz_sup + _BOUND_SLACK),
+            "ok": bool(est.value <= family.lipschitz_sup + rounding_slack(norm)),
             "samples": n,
         }
     if "self_map" in names:
@@ -434,7 +434,8 @@ def _run_phase(config: ExperimentConfig, family, graph, reference):
 
 def _certify_phase(config: ExperimentConfig, family, trace, stats) -> dict:
     """The report's bound fields: the per-step envelope from declared constants and
-    realized drift, the bound inputs, every asymptotic bound and certificate."""
+    realized drift, the bound inputs, every asymptotic bound and certificate, each
+    allowing the rounding slack of the largest iterate or reference point."""
     horizon = config.horizon
     lipschitz_series = family.lipschitz_at(np.arange(1, horizon))
     error_series = map_error_bound_series(family, horizon)
@@ -451,14 +452,16 @@ def _certify_phase(config: ExperimentConfig, family, trace, stats) -> dict:
         norm=config.norm,
     )
     tail_start = min(horizon - 1, int(np.floor(horizon * config.transient_fraction)))
+    slack = rounding_slack(config.norm, trace.iterates, trace.reference.points)
     values, reasons, tail_max, certificates = _certify(
-        config.mode, inputs, trace.errors, per_step, tail_start)
+        config.mode, inputs, trace.errors, per_step, tail_start, slack)
     return dict(
         per_step_bounds=per_step,
         bound_inputs=dict(asdict(inputs), norm=config.norm.kind),
         asymptotic_bounds=values,
         not_applicable=reasons,
         certificates=certificates,
+        bound_slack=slack,
         tail_start=tail_start,
         tail_max=tail_max,
         realized_max_delay=inputs.max_delay,
@@ -571,7 +574,7 @@ def verify_bounds(report: ExperimentReport) -> dict:
     """Recompute each certificate from the stored trace and bound inputs."""
     inputs = bnd.BoundInputs(**dict(report.bound_inputs, norm=Norm(report.bound_inputs["norm"])))
     return _certify(report.config.get("mode", "sync"), inputs, report.errors,
-                    report.per_step_bounds, report.tail_start)[3]
+                    report.per_step_bounds, report.tail_start, report.bound_slack)[3]
 
 
 # ---------------------------------------------------------------------------

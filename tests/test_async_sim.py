@@ -413,7 +413,8 @@ def dense_copy_source(graph):
 
 
 def dense_tick_indices(graph, stamps, t):
-    """A tick's gather offsets and row_of, from the dense table of every agent."""
+    """A tick's gather offsets and column picks, from the dense table of every agent:
+    column c's pick is its flat index in the rows call's output, row row_of[c]."""
     stale = np.zeros(graph.n_agents + 1, dtype=bool)
     stale[graph.edge_arrays[1][stamps != t]] = True
     stale[graph.n_agents] = True
@@ -425,7 +426,7 @@ def dense_tick_indices(graph, stamps, t):
     offsets = held.take(dense_copy_source(graph).take(agents, axis=0)) + graph.columns
     row_of = np.full(graph.n_agents + 1, n_stale)
     row_of[agents] = np.arange(len(agents))
-    return offsets, row_of.take(graph.block_of_column)
+    return offsets, row_of.take(graph.block_of_column) * graph.dim + graph.columns
 
 
 def random_stamp_table(n_edges, horizon, rng):
@@ -450,14 +451,14 @@ def test_plan_sources_match_the_dense_copy_source_table_on_random_graphs():
         start = int(rng.integers(1, horizon))  # plans of their own from a later tick
         planned += [plan for block in _tick_plans(graph, table[start:], start) for plan in block]
         assert [t for t, _, _ in planned] == [*range(1, horizon), *range(start, horizon)]
-        for t, offsets, row_of in planned:
-            expected_offsets, expected_row_of = dense_tick_indices(graph, table[t], t)
+        for t, offsets, pick in planned:
+            expected_offsets, expected_pick = dense_tick_indices(graph, table[t], t)
             assert np.array_equal(offsets, expected_offsets), (sizes, graph.edges, t)
-            assert np.array_equal(row_of, expected_row_of), (sizes, graph.edges, t)
+            assert np.array_equal(pick, expected_pick), (sizes, graph.edges, t)
 
 
 def plan_indices(block):
-    return sum(offsets.size + row_of.size for _, offsets, row_of in block)
+    return sum(offsets.size + pick.size for _, offsets, pick in block)
 
 
 @pytest.mark.parametrize("name", ["affine-chain", "affine-chain-48", "qp-broadcast",
@@ -536,10 +537,11 @@ def test_a_2000_agent_chain_plans_every_all_stale_tick_alone():
     assert plan_indices(first) == 2 * n <= async_sim._PLAN_INDICES
     for t in (2, 3):
         (plan,) = next(blocks)
-        tick, offsets, row_of = plan
+        tick, offsets, pick = plan
         assert tick == t
-        assert offsets.shape == (n, n) and list(row_of[:3]) == [0, 1, 2]
-        del plan, offsets, row_of
+        # agent c reads its own row, c, so column c is entry c * n + c of the output
+        assert offsets.shape == (n, n) and np.array_equal(pick, np.arange(n) * (n + 1))
+        del plan, offsets, pick
     assert next(blocks, None) is None
 
 

@@ -125,6 +125,36 @@ def test_refined_bound_applicability_flips_with_contraction():
     assert rep2.certificates[ASYNC_TAIL_L2_REFINED] == "not_applicable"
 
 
+@pytest.mark.parametrize("mode, norm", [("sync", "l2"), ("async", "linf")])
+def test_large_states_certify_within_their_rounding(mode, norm):
+    # a constant fixed point of norm about 4e9: every bound is 0 and the errors
+    # are rounding (an ulp of 3e9 is 4.8e-7), far above an absolute 1e-9
+    doc = {"problem": {"kind": "affine", "dim": 4, "contraction": 0.5, "coupling": "chain",
+                       "drift": {"kind": "constant", "start": [1e9, -2e9, 3e9, 5e8]}},
+           "mode": mode, "norm": norm, "horizon": 200, "seed": 1}
+    rep = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    assert set(rep.asymptotic_bounds.values()) == {0.0} and rep.tail_max > 1e-8
+    assert rep.passed and rep.audits_passed, rep.certificates
+    assert 1e-9 < rep.bound_slack < 1e-4
+    assert verify_bounds(rep) == rep.certificates
+    # verify_bounds reads the stored slack: an absolute 1e-9 fails these errors
+    assert "fail" in verify_bounds(dataclasses.replace(rep, bound_slack=1e-9)).values()
+
+
+def test_map_error_audit_of_large_states_passes_the_declared_noise(tmp_path):
+    # outputs of norm about 1.4e9: the observed deviation of the adversarial
+    # noise, 0.00282856, lies 1.3e-7 above its declared 0.00282843
+    doc = {"problem": {"kind": "qp-gradient", "curvature": [1, 2], "box_lo": [-1e9, -1e9],
+                       "box_hi": [1e9, 1e9], "step_size": 0.2, "noise_bound": 0.01,
+                       "adversarial_noise": True,
+                       "reference_signal": {"kind": "constant", "start": 1e9}},
+           "mode": "sync", "norm": "l2", "horizon": 200, "seed": 1}
+    assert main(["run", write_json(tmp_path / "c.json", doc)]) == EXIT_OK
+    rep = run_experiment(ExperimentConfig.from_dict(doc), write_files=False)
+    audit = rep.audits["map_error"]
+    assert audit["ok"] and audit["observed"] > audit["bound"] + 1e-9
+
+
 def test_transient_included_makes_certificate_fail_loudly():
     # a tail window covering the transient is an honest certificate failure
     doc = affine_doc(transient_fraction=0.0, horizon=40)

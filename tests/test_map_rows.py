@@ -6,6 +6,7 @@ import pytest
 
 import fptrack as fp
 from fptrack import DomainSampler
+from fptrack.async_sim import DependencyGraph, _tick_plans, step_async
 from fptrack.core import map_error_bound_series
 from fptrack.errors import PreconditionError
 from fptrack.problems import (
@@ -134,34 +135,56 @@ def test_builtin_maps_reject_times_that_are_not_integers(families, name):
         family.evaluate(X, np.array([1.0, 2.0]))
 
 
+def complete_scalar_graph(n):
+    return DependencyGraph([1] * n, [(j, i) for j in range(n) for i in range(n) if j != i])
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_columns_equal_the_rows_call_picked_per_column_bitwise(families, name):
+    """A rows tick on a complete graph of scalar agents: some agents are fresh,
+    the others read every neighbour entry as of a random stamp. Each column of
+    the tick is the family's rows call at the agents' inputs, picked from its
+    agent's row, and so each agent's point call; the family's own plan (taps,
+    for an affine family) gives the same bits."""
     family = families[name]
+    n = family.dim
+    graph = complete_scalar_graph(n)
+    src, dst = graph.edge_arrays
     rng = np.random.default_rng(8)
-    columns = np.arange(family.dim)
-    for n in range(1, 6):
-        X = DomainSampler(family.domain, 10 + n).draw(n)
-        for t in (1, 4, 9):
-            row_of = rng.integers(0, n, size=family.dim)
-            out = family.evaluate_columns(X, t, row_of)
-            assert out.shape == (family.dim,)
-            assert out.tobytes() == family.evaluate(X, t)[row_of, columns].tobytes(), (n, t)
+    horizon = 12
+    # points shrunk toward the anchor, so that any mix of their entries stays in the domain
+    anchor = family.domain.anchor()
+    history = anchor + (DomainSampler(family.domain, 10).draw(horizon) - anchor) / (
+        2 * np.sqrt(horizon))
+    for t, fresh_share in ((1, 1.0), (4, 0.0), (7, 0.5), (11, 0.3)):
+        fresh = rng.random(n) < fresh_share
+        stamps = np.where(fresh[dst], t, rng.integers(1, t + 1, size=len(src)))
+        inputs = np.tile(history[t - 1], (n, 1))  # row i: agent i's input
+        inputs[dst, src] = history[stamps - 1, src]
+        picked = family.evaluate(inputs, t)[graph.columns, graph.columns]
+        points = [family.evaluate(inputs[i], t)[i] for i in range(n)]
+        assert picked.tobytes() == np.array(points).tobytes(), t
+        (rows_plan,) = next(_tick_plans(graph, stamps[None], t))
+        for plan in (rows_plan, None):
+            out = step_async(history, stamps, family, graph, t, plan)
+            assert out.tobytes() == picked.tobytes(), (t, plan is None)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_columns_check_the_time_and_the_shape(families, name, monkeypatch):
+    """A rows tick is an ``evaluate`` call, so it has that call's checks: a time
+    that is not an integer and a map output of another shape than its rows fail."""
     family = families[name]
-    X = DomainSampler(family.domain, 7).draw(2)
-    row_of = np.zeros(family.dim, dtype=int)
-    for bad in (2.0, np.float64(2.0), np.array([1, 2])):
-        with pytest.raises(PreconditionError):
-            family.evaluate_columns(X, bad, row_of)
-    for x, rows in ((X[0], row_of), (X[:, :-1], row_of[:-1]), (X, row_of[:-1])):
-        with pytest.raises(PreconditionError):
-            family.evaluate_columns(x, 2, rows)
-    monkeypatch.setattr(family, "_columns", lambda x, t, row_of: np.zeros(family.dim + 1))
-    with pytest.raises(PreconditionError):
-        family.evaluate_columns(X, 2, row_of)
+    graph = complete_scalar_graph(family.dim)
+    history = np.tile(family.domain.anchor(), (3, 1))
+    stamps = np.ones(len(graph.edge_arrays[0]), dtype=int)  # every agent stale at tick 2
+    (plan,) = next(_tick_plans(graph, stamps[None], 2))
+    for bad in (2.0, np.float64(2.0)):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            step_async(history, stamps, family, graph, bad, (bad, *plan[1:]))
+    monkeypatch.setattr(family, "_evaluate", lambda x, t: np.zeros((len(x), family.dim + 1)))
+    with pytest.raises(PreconditionError, match="returned shape"):
+        step_async(history, stamps, family, graph, 2, plan)
 
 
 def _paths():

@@ -63,4 +63,5 @@ def test_traced_async_three_area_loadflow_counts_ticks_and_log_rows(tracer):
     assert report.realized_max_stale > 0
     assert metrics["async_sim.ticks"] == 39
     assert metrics["async_sim.log_rows"] == 39 * len(graph.edges)
+    assert metrics["problems.evaluate_calls"] >= 39  # every rows tick is an evaluate call
     assert metrics["experiments.runs"] == 1
