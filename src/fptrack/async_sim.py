@@ -55,12 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    TrackingTrace,
-    compute_fixed_point_series,
-    seeded_stream,
-    tracking_error,
-)
+from .core import _integer, _tracker_score, _tracker_start, seeded_stream
 from .domains import DomainSampler
 from .errors import (
     DomainViolationError,
@@ -68,6 +63,19 @@ from .errors import (
     StaleBeyondCapError,
 )
 from .norms import Norm
+
+
+def _int_rows(rows, width, message) -> np.ndarray:
+    """``rows`` as an int64 ``(k, width)`` array, an empty sequence as no rows.
+    Entries must be integers: a float would truncate."""
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        return rows.astype(np.int64).reshape(0, width)
+    if rows.dtype.kind not in "iu":
+        raise PreconditionError(f"{message}; got entries of type {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise PreconditionError(message)
+    return rows.astype(np.int64)
 
 
 class DependencyGraph:
@@ -81,7 +89,8 @@ class DependencyGraph:
 
     ``edge_arrays`` holds the senders and receivers of the distinct edges
     sorted by ``(j, i)``; a run's stamp table has one column per edge in that
-    order. ``edges`` lists the same edges as int pairs, built on first read.
+    order (:meth:`edge_columns`). ``edges`` lists the same edges as int
+    pairs, built on first read.
     """
 
     def __init__(self, block_sizes, edges):
@@ -90,11 +99,7 @@ class DependencyGraph:
             raise PreconditionError("block sizes must be positive")
         self.n_agents = n = len(self.block_sizes)
         self.dim = sum(self.block_sizes)
-        pairs = np.asarray(edges, dtype=np.int64)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise PreconditionError("edges must be (sender, receiver) pairs")
+        pairs = _int_rows(edges, 2, "edges must be (sender, receiver) pairs")
         j, i = pairs.T
         bad = (j == i) | (np.minimum(j, i) < 0) | (np.maximum(j, i) >= n)
         if bad.any():  # the first offending edge, in input order
@@ -102,8 +107,9 @@ class DependencyGraph:
             if j == i:
                 raise PreconditionError(f"self-edge ({j}, {i}) is not allowed")
             raise PreconditionError(f"edge ({j}, {i}) references unknown agents")
-        keys = np.sort(j * n + i)  # sorted by (j, i)
-        self.edge_arrays = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        keys = np.sort(j * n + i)  # sorted by (j, i); np.unique adds 1.3 MB of RSS (numpy 2.4)
+        self._keys = keys[np.diff(keys, prepend=-1) != 0]  # each distinct edge's key
+        self.edge_arrays = np.divmod(self._keys, n)
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         # column -> owning agent, used to assemble composite views quickly
         self.block_of_column = np.repeat(np.arange(self.n_agents), self.block_sizes)
@@ -112,6 +118,17 @@ class DependencyGraph:
     @cached_property
     def edges(self):
         return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
+
+    def edge_columns(self, src, dst) -> np.ndarray:
+        """The column of each edge ``(src[k], dst[k])`` in the edge order, or -1
+        where the graph has no such edge. Its key ``src * n_agents + dst`` is
+        looked up only when both ids are agents, so no other pair aliases it."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        n = self.n_agents
+        agents = (np.minimum(src, dst) >= 0) & (np.maximum(src, dst) < n)
+        wanted = np.where(agents, src * n + dst, -1)
+        column = np.searchsorted(self._keys, wanted)
+        return np.where(np.searchsorted(self._keys, wanted, "right") > column, column, -1)
 
     def __repr__(self):
         return f"<DependencyGraph agents={self.n_agents} edges={len(self.edge_arrays[0])}>"
@@ -155,7 +172,7 @@ class FixedDelay(ChannelModel):
     """Copies always lag by a constant number of ticks."""
 
     def __init__(self, delay):
-        self.delay = int(delay)
+        self.delay = _integer(delay, "delay")
         if self.delay < 0:
             raise PreconditionError("delay must be nonnegative")
 
@@ -171,7 +188,7 @@ class PeriodicDelivery(ChannelModel):
     """
 
     def __init__(self, period):
-        self.period = int(period)
+        self.period = _integer(period, "period")
         if self.period < 1:
             raise PreconditionError("period must be at least 1")
 
@@ -195,7 +212,7 @@ class IidDrop(ChannelModel):
         self.p = float(p)
         if not (0.0 <= self.p < 1.0):
             raise PreconditionError("drop probability must lie in [0, 1)")
-        self.max_consecutive = int(max_consecutive)
+        self.max_consecutive = _integer(max_consecutive, "max_consecutive")
         if self.max_consecutive < 0:
             raise PreconditionError("max_consecutive must be nonnegative")
 
@@ -247,12 +264,7 @@ class ScheduleTable(ChannelModel):
     """
 
     def __init__(self, rows, allow_nonmonotone=False, declared_max_delay=None):
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            rows = rows.reshape(0, 4)
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise PreconditionError("schedule rows must be (t, src, dst, stamp)")
-        self.rows = rows
+        self.rows = _int_rows(rows, 4, "schedule rows must be (t, src, dst, stamp)")
         self.allows_nonmonotone = bool(allow_nonmonotone)
         self.declared_max_delay = None if declared_max_delay is None else int(declared_max_delay)
 
@@ -285,21 +297,15 @@ class PerEdge(ChannelModel):
 
 
 def _edge_columns(graph: DependencyGraph, pairs) -> np.ndarray:
-    """Each ``(j, i)`` row's column in ``graph``'s edge order, found by its
-    ``j * n + i`` key once its ids are known agents (else it could alias an
-    edge's key). Fails naming the smallest pair the graph lacks."""
-    n = graph.n_agents
-    keys = graph.edge_arrays[0] * n + graph.edge_arrays[1]  # sorted
-    j, i = pairs.T
-    wanted = np.where((np.minimum(j, i) >= 0) & (np.maximum(j, i) < n), j * n + i, -1)
-    column = np.searchsorted(keys, wanted)
-    known = (wanted >= 0) & (column < len(keys))
-    known[known] = keys[column[known]] == wanted[known]
-    if not known.all():
-        unknown = pairs[~known]
+    """Each ``(j, i)`` row's column in ``graph``'s edge order. Fails naming the
+    smallest pair the graph lacks."""
+    column = graph.edge_columns(*pairs.T)
+    if (column < 0).any():
+        unknown = pairs[column < 0]
         raise PreconditionError(
             f"channel names edge {tuple(unknown[np.lexsort(unknown.T[::-1])[0]].tolist())}, "
-            f"which the dependency graph lacks ({n} agents, {len(keys)} edges)"
+            f"which the dependency graph lacks ({graph.n_agents} agents, "
+            f"{len(graph.edge_arrays[0])} edges)"
         )
     return column
 
@@ -574,14 +580,9 @@ def _tap_plans(family, graph: DependencyGraph, stamps, start):
     ``(t - 1) * dim + j`` within i's own block or where the graph has no
     such edge. ``b`` is b(t), a row of the family's offset table.
     """
-    nbr, (src, dst), n = family.nbr, graph.edge_arrays, graph.n_agents
-    sender, receiver = graph.block_of_column[nbr], graph.block_of_column[:, None]
-    wanted = np.where(sender != receiver, sender * n + receiver, -1)  # each tap's edge key
-    keys = src * n + dst  # sorted
-    edge = np.searchsorted(keys, wanted)
-    found = edge < len(keys)
-    found[found] = keys[edge[found]] == wanted[found]
-    edge[~found] = len(keys)  # the column of the tick, after the stamps
+    nbr = family.nbr
+    # -1 (own block, or no such edge) is the last column of a row: its tick
+    edge = graph.edge_columns(graph.block_of_column[nbr], graph.block_of_column[:, None])
     size = max(1, _PLAN_INDICES // nbr.size)
     for a in range(0, len(stamps), size):
         yield _tap_block(family, edge, stamps[a:a + size], start + a)
@@ -651,15 +652,9 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     realized :class:`DelayStats`.
     Identical arguments (including ``seed``) reproduce the trace bitwise.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise PreconditionError("horizon must be at least 1")
+    horizon, x0, norm = _tracker_start(family, x0, horizon, norm)
     if graph.dim != family.dim:
         raise PreconditionError("graph blocks do not tile the family's state")
-    norm = norm if norm is not None else Norm()
-    x0 = np.asarray(x0, dtype=float).reshape(family.dim)
-    if not family.domain.contains(x0):
-        raise PreconditionError("initial point lies outside the declared domain")
     table = _start_channels(channels, graph, horizon, seed)
     history = np.empty((horizon, family.dim))
     history[0] = x0
@@ -670,10 +665,7 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
         del block, plan  # free this block's indices before the next block is planned
     log = ChannelLog(table[1:], *graph.edge_arrays)
     stats = realized_delay_stats(log, graph)
-    if reference is None:
-        reference = compute_fixed_point_series(family, horizon, norm=norm)
-    errors = tracking_error(history, reference, norm)
-    return TrackingTrace(history, reference, errors, norm), stats
+    return _tracker_score(family, history, norm, reference), stats
 
 
 # ---------------------------------------------------------------------------

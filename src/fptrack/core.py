@@ -217,7 +217,7 @@ class MapFamily:
         """The map at a point or at each row of ``x``, at one int ``t`` or one time per row."""
         x = np.asarray(x, dtype=float)
         if not isinstance(t, np.ndarray):
-            t = _time_index(t)
+            t = _integer(t, "time index")
         out = np.asarray(self._evaluate(x, t), dtype=float)
         if out.shape != x.shape:
             raise PreconditionError(
@@ -233,12 +233,23 @@ class MapFamily:
         return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
 
 
-def _time_index(t) -> int:
-    """``t`` as an int: an int or a numpy integer passes, a float would truncate."""
+def _integer(value, what) -> int:
+    """``value`` as an int: an int or a numpy integer passes, a float would truncate."""
     try:
-        return operator.index(t)
+        return operator.index(value)
     except TypeError:
-        raise PreconditionError(f"time index {t!r} is not an integer") from None
+        raise PreconditionError(f"{what} {value!r} is not an integer") from None
+
+
+def _initial_points(family, x0, shape) -> np.ndarray:
+    """``x0`` as a float array of ``shape``, checked for its size and the domain."""
+    x = np.array(x0, dtype=float)
+    if x.size != np.prod(shape):
+        raise PreconditionError(f"initial point has shape {x.shape}; expected {shape}")
+    x = x.reshape(shape)
+    if not family.domain.contains(x).all():
+        raise PreconditionError("initial point lies outside the declared domain")
+    return x
 
 
 def pointwise(f):
@@ -353,9 +364,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     norm = norm if norm is not None else Norm(L2)
     rows = isinstance(t, np.ndarray)
     ts = t.reshape(-1) if rows else np.array([int(t)])
-    x = np.array(x0, dtype=float).reshape(len(ts), family.dim)
-    if not family.domain.contains(x).all():
-        raise PreconditionError("initial point lies outside the declared domain")
+    x = _initial_points(family, x0, (len(ts), family.dim))
     points = np.empty_like(x)
     active, at = np.arange(len(ts)), ts  # the rows still iterating and their times
     residuals = []
@@ -409,16 +418,15 @@ class FixedPointSeries:
     for the drift supremum.
     """
 
-    horizon: int
     points: np.ndarray
     residuals: np.ndarray
     drifts: np.ndarray
     drift_sup: float
     norm: Norm
 
-    def __post_init__(self):
-        if self.horizon != len(self.points):
-            raise LengthMismatchError("horizon and points disagree")
+    @property
+    def horizon(self) -> int:
+        return len(self.points)
 
 
 def _supplied_points(base, ts):
@@ -492,7 +500,7 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     else:
         drifts = np.zeros(0)
     drift_sup = float(drifts.max()) if drifts.size else 0.0
-    return FixedPointSeries(horizon, points, residuals, drifts, drift_sup, norm)
+    return FixedPointSeries(points, residuals, drifts, drift_sup, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +525,10 @@ class TrackingTrace:
         return len(self.iterates)
 
     def tail_max(self, tail_fraction=0.1) -> float:
-        """Maximum error over the trailing window (default last 10%)."""
+        """Maximum error over the trailing window (default last 10%); the
+        fraction lies in (0, 1]."""
+        if not 0.0 < tail_fraction <= 1.0:
+            raise PreconditionError(f"tail fraction must lie in (0, 1]; got {tail_fraction}")
         start = min(self.horizon - 1, int(np.floor(self.horizon * (1.0 - tail_fraction))))
         return float(self.errors[start:].max())
 
@@ -542,13 +553,7 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
     the exact base family, or its batched iteration) and are not reused by the
     online iterates. A horizon of 1 returns the initial error only.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise PreconditionError("horizon must be at least 1")
-    norm = norm if norm is not None else Norm(L2)
-    x = np.asarray(x0, dtype=float).reshape(family.dim)
-    if not family.domain.contains(x):
-        raise PreconditionError("initial point lies outside the declared domain")
+    horizon, x, norm = _tracker_start(family, x0, horizon, norm)
     iterates = np.empty((horizon, family.dim))
     iterates[0] = x
     for k in range(horizon - 1):
@@ -557,10 +562,25 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
         if not family.domain.contains(x):
             raise DomainViolationError(f"online iterate left the domain at time index {t}")
         iterates[k + 1] = x
+    return _tracker_score(family, iterates, norm, reference)
+
+
+def _tracker_start(family, x0, horizon, norm):
+    """A tracker's ``(horizon, x0, norm)``: the horizon as a positive int, ``x0``
+    as a ``(dim,)`` point of the domain and the norm, l2 when None."""
+    horizon = int(horizon)
+    if horizon < 1:
+        raise PreconditionError("horizon must be at least 1")
+    norm = norm if norm is not None else Norm(L2)
+    return horizon, _initial_points(family, x0, (family.dim,)), norm
+
+
+def _tracker_score(family, iterates, norm, reference) -> TrackingTrace:
+    """The trace of a tracker's ``iterates``, scored against ``reference``, or
+    against the family's fixed points over the horizon when that is None."""
     if reference is None:
-        reference = compute_fixed_point_series(family, horizon, norm=norm)
-    errors = tracking_error(iterates, reference, norm)
-    return TrackingTrace(iterates, reference, errors, norm)
+        reference = compute_fixed_point_series(family, len(iterates), norm=norm)
+    return TrackingTrace(iterates, reference, tracking_error(iterates, reference, norm), norm)
 
 
 def map_error_bound_series(family, horizon) -> np.ndarray:

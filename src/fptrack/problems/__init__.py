@@ -1,6 +1,6 @@
 """Concrete problem families: affine oracles, QP gradient maps, load flow."""
 
-from ._paths import DriftPath, ScalarSignal, scalar_signal
+from ._paths import DriftPath, scalar_signal
 from .affine import AffineFamily, build_affine_family
 from .loadflow import (
     InjectionSeries,
@@ -29,7 +29,6 @@ __all__ = [
     "InjectionSeries",
     "MultiAreaSystem",
     "PowerNetwork",
-    "ScalarSignal",
     "TimeVaryingQP",
     "build_affine_family",
     "build_broadcast_system",

@@ -3,7 +3,8 @@
 Four kinds cover the experiments: ``constant``, ``linear`` (constant-speed
 ray), ``random_walk`` (seeded steps of exactly the stated size, so the
 realized per-step drift equals the bound), and ``piecewise`` (a linear path
-with one faster segment).
+with one faster segment). A scalar signal (:func:`scalar_signal`) is the
+:class:`~fptrack.core.SeriesTable` of a 1-d path's values.
 """
 from __future__ import annotations
 
@@ -93,22 +94,11 @@ class DriftPath:
         return np.cumsum(np.vstack([last, scale[:, None] * g]), axis=0)[1:]
 
 
-def scalar_signal(kind, rate=0.0, seed=0, start=0.0, norm=None, **kw) -> "ScalarSignal":
-    return ScalarSignal(DriftPath(kind, 1, rate=rate, seed=seed, start=[float(start)],
-                                  direction=[1.0] if kind in ("linear", "piecewise") else None,
-                                  norm=norm, **kw))
-
-
-class ScalarSignal:
-    """Scalar view of a 1-d drift path (exogenous inputs, references), as one
-    :class:`~fptrack.core.SeriesTable` of the path's values."""
-
-    def __init__(self, path: DriftPath):
-        if path.dim != 1:
-            raise PreconditionError("scalar signals require a 1-d path")
-        self.path = path
-        self._values = SeriesTable(lambda ts, last: path.point(ts)[:, 0])
-
-    def value(self, t):
-        """The value at an int ``t`` as a float; for an int array of times, an array."""
-        return self._values.at(t)
+def scalar_signal(kind, rate=0.0, seed=0, start=0.0, norm=None, **kw) -> SeriesTable:
+    """A scalar signal (an exogenous input or a reference) as the
+    :class:`~fptrack.core.SeriesTable` of a 1-d drift path's values: ``at(t)``
+    is the value at an int ``t`` as a float, or an array for an int array of times."""
+    path = DriftPath(kind, 1, rate=rate, seed=seed, start=[float(start)],
+                     direction=[1.0] if kind in ("linear", "piecewise") else None,
+                     norm=norm, **kw)
+    return SeriesTable(lambda ts, last: path.point(ts)[:, 0])

@@ -548,9 +548,6 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
     # the injections in state order, filled as the series is
     state_injections = SeriesTable(lambda ts, last: injections.at(ts)[:, order])
 
-    def noise(t):
-        return nb if adversarial else table.at(t)
-
     def stacked(x, t, noisy):
         """All areas' maps at a state of shape (m,) or at each row of (k, m)."""
         v = noload + to_complex(x) / bus_weight
@@ -564,7 +561,7 @@ def build_multiarea_maps(net: PowerNetwork, injections: InjectionSeries, noise_b
         # power flowing into area k+1, measured at area k's connection bus
         meas = v_conn * np.conj((v_conn - v.take(root_pos, axis=-1)) / link_z)
         if noisy and nb > 0.0:
-            meas += noise(t)
+            meas += nb if adversarial else table.at(t)
         s = state_injections.at(t)
         s_eff = np.empty_like(v)
         s_eff[...] = s

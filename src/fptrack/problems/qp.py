@@ -24,7 +24,7 @@ from ..core import InexactMapFamily, MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain, clip
 from ..errors import ContractionUncertifiedError, PreconditionError
 from ..norms import L2, Norm
-from ._paths import ScalarSignal, scalar_signal
+from ._paths import scalar_signal
 
 
 @dataclass
@@ -37,8 +37,8 @@ class TimeVaryingQP:
     regularization: float          # >= 0
     box_lo: np.ndarray
     box_hi: np.ndarray
-    output_signal: ScalarSignal    # w(t), exogenous part of the aggregate
-    reference_signal: ScalarSignal  # r(t)
+    output_signal: SeriesTable     # w(t), exogenous part of the aggregate; at(t) reads it
+    reference_signal: SeriesTable  # r(t), the reference; at(t) reads it
     smoothness: float = field(init=False)
     weighted_coupling: np.ndarray = field(init=False)  # tracking_weight * coupling
 
@@ -68,10 +68,10 @@ class TimeVaryingQP:
     def gradient(self, x, t) -> np.ndarray:
         """Objective gradient at a state ``x`` of shape (n,), or at each row of (k, n)
         at one time ``t`` or at the times of an int array ``t`` of length k."""
-        y = np.einsum("...j,j->...", x, self.coupling) + self.output_signal.value(t)
+        y = np.einsum("...j,j->...", x, self.coupling) + self.output_signal.at(t)
         return (
             self.curvature * x
-            + self.weighted_coupling * (y - self.reference_signal.value(t))[..., None]
+            + self.weighted_coupling * (y - self.reference_signal.at(t))[..., None]
             + self.regularization * x
         )
 
@@ -218,10 +218,10 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
     def base_evaluate(z, t):
         x, y = z[..., :n], z[..., n] / theta
         # one aggregate per state, as the signals have one value per time
-        gap = (y - qp.reference_signal.value(t))[..., None]
+        gap = (y - qp.reference_signal.at(t))[..., None]
         g = diagonal * x + qp.weighted_coupling * gap
         x_new = clip(x - a * g, qp.box_lo, qp.box_hi)
-        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
+        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.at(t)
         return np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
 
     lo = np.concatenate([qp.box_lo, [-np.inf]])

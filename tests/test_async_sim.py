@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fptrack as fp
@@ -83,6 +83,13 @@ def test_graph_names_the_first_offending_edge_in_input_order(edges, message):
         DependencyGraph([1, 2, 1], edges)
 
 
+def test_graph_edges_are_integers_not_truncated():
+    for edges in ([(0.6, 1.2)], np.array([[0.0, 1.0]])):
+        with pytest.raises(PreconditionError, match="pairs; got entries of type float64"):
+            DependencyGraph([1, 1], edges)
+    assert DependencyGraph([1, 1], np.array([[0, 1]], dtype=np.uint8)).edges == ((0, 1),)
+
+
 def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
     pairs = [(2, 0), (0, 1), (2, 0), (1, 2), (0, 2)]
     expected = ((0, 1), (0, 2), (1, 2), (2, 0))
@@ -92,6 +99,21 @@ def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
         assert all(type(v) is int for edge in g.edges for v in edge)
         assert [list(a) for a in g.edge_arrays] == [[0, 0, 1, 2], [1, 2, 2, 0]]
     assert DependencyGraph([1, 1], []).edges == ()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 6),
+       edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+       queries=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=20))
+@example(n=3, edges=[], queries=[(0, 1), (1, 0), (1, 1), (-1, 2), (5, 0)])
+@example(n=3, edges=[(1, 2)], queries=[(1, 2), (0, 5), (2, -1), (2, 2), (-3, 2)])
+def test_edge_columns_equal_a_dict_lookup_of_the_graph_edges(n, edges, queries):
+    edges = [(j, i) for j, i in edges if j != i and max(j, i) < n]
+    graph = DependencyGraph([1] * n, edges)
+    column = {edge: k for k, edge in enumerate(graph.edges)}
+    queries = queries + list(column)
+    src, dst = np.array(queries, dtype=np.int64).reshape(-1, 2).T
+    assert graph.edge_columns(src, dst).tolist() == [column.get(q, -1) for q in queries]
 
 
 def test_graph_edge_pairs_are_built_on_first_read_and_no_run_reads_them():
@@ -221,6 +243,12 @@ def test_both_trackers_reject_a_run_they_cannot_start(horizon, x0, blocks, messa
     graph = DependencyGraph(blocks, [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError, match=message):
         fp.run_async_tracker(fam, graph, ZeroDelay(), x0, horizon, LINF)
+
+
+def test_async_tracker_names_both_shapes_of_an_initial_point_of_another_size():
+    fam = small_affine(dim=3, coupling="chain")
+    with pytest.raises(PreconditionError, match=r"shape \(4,\); expected \(3,\)"):
+        fp.run_async_tracker(fam, fam.dependency_graph(), ZeroDelay(), np.zeros(4), 10, L2)
 
 
 def test_fixed_delay_two_agent_hand_oracle():
@@ -720,6 +748,15 @@ def test_iid_drop_table_matches_sequential_draws(p, max_consecutive, n_edges, ho
         assert np.array_equal(table, expected)
 
 
+@pytest.mark.parametrize("make", [FixedDelay, PeriodicDelivery, lambda v: IidDrop(0.1, v)],
+                         ids=["fixed_delay", "periodic", "iid_drop"])
+def test_channel_integers_are_read_without_truncation(make):
+    for value in (2.5, 2.7, np.float64(2.0)):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            make(value)
+    assert vars(make(np.int64(2))) == vars(make(2))
+
+
 def test_iid_drop_cap_bounds_staleness_every_seed():
     fam = small_affine(dim=3, contraction=0.4)
     g = fam.dependency_graph()
@@ -953,6 +990,13 @@ def test_schedule_csv_with_a_header_only_is_empty(tmp_path):
 def test_schedule_rows_must_be_four_ints(rows):
     with pytest.raises(PreconditionError, match="rows"):
         ScheduleTable(rows)
+
+
+def test_schedule_rows_are_integers_not_truncated():
+    for rows in ([[2, 0, 1, 1.7]], np.array([[2.0, 0.0, 1.0, 1.0]])):
+        with pytest.raises(PreconditionError, match="rows .* got entries of type float64"):
+            ScheduleTable(rows)
+    assert ScheduleTable(np.array([[2, 0, 1, 1]], dtype=np.int32)).rows.dtype == np.int64
 
 
 def test_per_edge_schedule_sets_only_its_own_edges():

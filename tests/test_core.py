@@ -76,6 +76,15 @@ def test_solver_domain_violation_flags_false_self_map():
         fp.solve_fixed_point(fam, 1, np.array([0.5]))
 
 
+def test_solver_names_both_shapes_of_an_initial_point_of_another_size():
+    fam = MapFamily(2, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match=r"shape \(3,\); expected \(1, 2\)"):
+        fp.solve_fixed_point(fam, 1, np.zeros(3))
+    with pytest.raises(PreconditionError, match=r"shape \(2, 2\); expected \(3, 2\)"):
+        fp.solve_fixed_point(fam, np.arange(1, 4), np.zeros((2, 2)))
+    assert fp.solve_fixed_point(fam, np.arange(1, 3), np.ones(4)).shape == (2, 2)
+
+
 def test_solver_linear_convergence_envelope():
     # residual after k iterations <= L^k * r0 * (1+L)/(1-L)
     rng = np.random.default_rng(0)
@@ -367,6 +376,12 @@ def test_tracker_worst_case_constant_perturbation():
     assert limsup > 0.0199  # the adversarial offset makes the bound tight
 
 
+def test_tracker_names_both_shapes_of_an_initial_point_of_another_size():
+    fam = MapFamily(3, Domain.all_space(3), lambda x, t: 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match=r"shape \(4,\); expected \(3,\)"):
+        fp.run_online_tracker(fam, np.zeros(4), 10, L2)
+
+
 def test_tracker_horizon_one_returns_initial_error_only():
     fam = scalar_family(lambda x, t: 0.5 * x + 1.0, 0.5)
     trace = fp.run_online_tracker(fam, np.array([0.0]), 1, L2)
@@ -410,6 +425,16 @@ def test_tracker_determinism_bitwise():
     t2 = fp.run_online_tracker(fam, np.array([0.3]), 200, L2)
     assert np.array_equal(t1.iterates, t2.iterates)
     assert np.array_equal(t1.errors, t2.errors)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+def test_tail_max_takes_a_fraction_in_the_unit_interval(fraction):
+    trace = fp.run_online_tracker(scalar_family(lambda x, t: 0.5 * x + 1.0, 0.5),
+                                  np.array([0.0]), 10, L2)
+    with pytest.raises(PreconditionError, match="tail fraction"):
+        trace.tail_max(fraction)
+    assert trace.tail_max(1.0) == trace.errors.max()
+    assert trace.tail_max(0.1) == trace.errors[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -937,8 +937,8 @@ def test_load_qp_from_json_document():
     }
     qp = load_qp(doc)
     assert qp.n_devices == 2
-    assert abs(qp.output_signal.value(3) - 0.22) < 1e-12
-    assert qp.reference_signal.value(5) == 0.0
+    assert abs(qp.output_signal.at(3) - 0.22) < 1e-12
+    assert qp.reference_signal.at(5) == 0.0
     with pytest.raises(ConfigError):
         load_qp({"curvature": [1.0], "coupling": [1.0], "box_lo": [0.0],
                  "box_hi": [1.0], "mystery": 3})

@@ -218,12 +218,12 @@ def test_drift_and_signal_rows_equal_points_bitwise(kind):
     assert np.array_equal(by_rows.point(TIMES), points)
     extra = {"fast_rate": 0.2, "fast_window": (2, 4)} if kind == "piecewise" else {}
     by_rows, by_points = (scalar_signal(kind, rate=0.02, seed=5, **extra) for _ in range(2))
-    values = by_rows.value(TIMES)
+    values = by_rows.at(TIMES)
     assert values.shape == TIMES.shape
-    assert np.array_equal(values, [by_points.value(t) for t in TIMES.tolist()])
+    assert np.array_equal(values, [by_points.at(t) for t in TIMES.tolist()])
     for bad in (0, np.array([2, 0])):
         with pytest.raises(PreconditionError):
-            by_rows.value(bad)
+            by_rows.at(bad)
 
 
 @pytest.mark.parametrize("kind", ["constant", "random_walk", "ramp"])

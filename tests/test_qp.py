@@ -143,7 +143,7 @@ def test_broadcast_system_fixed_point_consistent_with_gradient_map():
     x_joint = z[:5]
     direct = fp.solve_fixed_point(build_gradient_map(qp, 0.15), 1, np.zeros(5), tol=1e-13)
     assert np.linalg.norm(x_joint - direct) < 1e-10
-    y_expected = float(qp.coupling @ x_joint) + qp.output_signal.value(1)
+    y_expected = float(qp.coupling @ x_joint) + qp.output_signal.at(1)
     theta = float(np.sqrt(0.15 * qp.tracking_weight))
     assert abs(z[5] / theta - y_expected) < 1e-10
 
@@ -201,10 +201,10 @@ def test_window_membership_controls_stale_threshold():
 
 
 def oracle_gradient(qp, x, t):
-    y = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
+    y = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.at(t)
     return (
         qp.curvature * x
-        + qp.tracking_weight * qp.coupling * (y - qp.reference_signal.value(t))[..., None]
+        + qp.tracking_weight * qp.coupling * (y - qp.reference_signal.at(t))[..., None]
         + qp.regularization * x
     )
 
@@ -224,10 +224,10 @@ def oracle_families(qp, step, nb, seed):
 
     def broadcast(z, t):
         x, y = z[..., :n], z[..., n] / theta
-        gap = (y - qp.reference_signal.value(t))[..., None]
+        gap = (y - qp.reference_signal.at(t))[..., None]
         g = (qp.curvature + qp.regularization) * x + qp.tracking_weight * qp.coupling * gap
         x_new = np.clip(x - step * g, qp.box_lo, qp.box_hi)
-        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.value(t)
+        y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.at(t)
         out = np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
         out[..., n:] += theta * noise5(t)
         return out
