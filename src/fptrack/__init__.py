@@ -34,6 +34,7 @@ from .core import (
     compute_fixed_point_series,
     estimate_lipschitz,
     pointwise,
+    run_lockstep_tracker,
     run_online_tracker,
     seeded_stream,
     solve_fixed_point,

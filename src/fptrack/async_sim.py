@@ -94,7 +94,7 @@ class DependencyGraph:
     """
 
     def __init__(self, block_sizes, edges):
-        self.block_sizes = tuple(int(s) for s in block_sizes)
+        self.block_sizes = tuple(_integer(s, "block size") for s in block_sizes)
         if any(s <= 0 for s in self.block_sizes):
             raise PreconditionError("block sizes must be positive")
         self.n_agents = n = len(self.block_sizes)
@@ -266,7 +266,8 @@ class ScheduleTable(ChannelModel):
     def __init__(self, rows, allow_nonmonotone=False, declared_max_delay=None):
         self.rows = _int_rows(rows, 4, "schedule rows must be (t, src, dst, stamp)")
         self.allows_nonmonotone = bool(allow_nonmonotone)
-        self.declared_max_delay = None if declared_max_delay is None else int(declared_max_delay)
+        self.declared_max_delay = (None if declared_max_delay is None
+                                   else _integer(declared_max_delay, "declared_max_delay"))
 
     def stamps_for(self, columns, n_edges, horizon):
         """Stamp table over ``n_edges`` edges, row r setting column ``columns[r]``

@@ -138,6 +138,19 @@ class MapFamily:
     taps that sum is the family's ``evaluate`` by construction; a dense A
     keeps the matrix product, which tests pin to the sum bit for bit.
 
+    The online runs of several families can advance in lockstep
+    (:func:`run_lockstep_tracker`), one call per time for all of them. A
+    family whose map can take the other runs as rows of one call sets
+    ``lockstep``, an object whose ``stack(steps, horizon)`` takes the
+    ``lockstep`` of every run and returns ``step(x, t, at)``: the next
+    iterate of each run ``at`` (an int array of runs, or a slice of all of
+    them) from its row of ``x``, the row of run r equal to run r's point
+    call bit for bit. It returns None when the runs do not stack; runs that
+    stack share one domain.
+    (:func:`~fptrack.problems.build_gradient_map` and
+    :func:`~fptrack.problems.build_feedback_gradient_map` stack the runs of
+    one QP instance.)
+
     Parameters
     ----------
     dim : int
@@ -172,6 +185,7 @@ class MapFamily:
     """
 
     nbr = None  # the (dim, P) tap columns of a family whose map is a sum of taps
+    lockstep = None  # the step of a family whose runs stack into one call
 
     def __init__(
         self,
@@ -363,7 +377,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
         raise PreconditionError("tolerance and iteration cap must be positive")
     norm = norm if norm is not None else Norm(L2)
     rows = isinstance(t, np.ndarray)
-    ts = t.reshape(-1) if rows else np.array([int(t)])
+    ts = t.reshape(-1) if rows else np.array([_integer(t, "time index")])
     x = _initial_points(family, x0, (len(ts), family.dim))
     points = np.empty_like(x)
     active, at = np.arange(len(ts)), ts  # the rows still iterating and their times
@@ -476,9 +490,7 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     supplied points cannot pass silently. A point x passes when its residual is
     at most ``tol * max(1, norm(x))``: the map's rounding grows with |x|.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise PreconditionError("horizon must be at least 1")
+    horizon = _horizon(horizon)
     norm = norm if norm is not None else Norm(L2)
     base = family.base
     ts = np.arange(1, horizon + 1)
@@ -551,28 +563,104 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
     The family may be exact or inexact; one map application is spent per time
     step. Reference fixed points are computed independently (supplied by
     the exact base family, or its batched iteration) and are not reused by the
-    online iterates. A horizon of 1 returns the initial error only.
+    online iterates. A horizon of 1 returns the initial error only. The run
+    is the one-run case of :func:`run_lockstep_tracker`.
     """
     horizon, x, norm = _tracker_start(family, x0, horizon, norm)
-    iterates = np.empty((horizon, family.dim))
-    iterates[0] = x
-    for k in range(horizon - 1):
-        t = k + 1
-        x = family.evaluate(x, t)
-        if not family.domain.contains(x):
-            raise DomainViolationError(f"online iterate left the domain at time index {t}")
-        iterates[k + 1] = x
+    (iterates,) = run_lockstep_tracker([family], x[None], horizon)
+    if isinstance(iterates, Exception):
+        raise iterates
     return _tracker_score(family, iterates, norm, reference)
+
+
+def run_lockstep_tracker(families, x0, horizon) -> list:
+    """The online runs of ``families``, advanced together for t = 1..horizon-1.
+
+    Run r starts at row r of ``x0``, one ``(dim,)`` row per family; at each
+    time the runs still in their domains are the rows of one ``(R, dim)``
+    state. A time is one call for all of them, the families' stacked step,
+    when there are two or more runs and their ``lockstep`` steps stack (see
+    :class:`MapFamily`); else one ``evaluate`` point call per run. Either
+    way run r's row is the point it makes alone, bit for bit. Returns one
+    entry per run: its ``(horizon, dim)`` iterates, or
+    the error its run raises alone, after which its row is not evaluated
+    again: a :class:`PreconditionError` for an initial point outside the
+    domain, a :class:`DomainViolationError` at the first time its iterate
+    leaves the domain. An error of a map call is raised as it occurs.
+    """
+    horizon = _horizon(horizon)
+    dim = families[0].dim
+    x = np.array(x0, dtype=float)
+    if x.shape != (len(families), dim) or any(f.dim != dim for f in families):
+        raise PreconditionError(
+            f"initial points have shape {x.shape}; expected one of dimension {dim} per family")
+    iterates = np.empty((len(families), horizon, dim))
+    iterates[:, 0] = x
+    outcome = list(iterates)
+    started = np.array([f.domain.contains(row) for f, row in zip(families, x)], dtype=bool)
+    for r in np.flatnonzero(~started).tolist():
+        outcome[r] = PreconditionError("initial point lies outside the declared domain")
+    runs = np.flatnonzero(started)
+    at = slice(None) if runs.size == len(families) else runs  # the runs still in their domains
+    advance = _lockstep_advance(families, horizon) if horizon > 1 else None
+    for t in range(1, horizon):
+        if not runs.size:
+            break
+        kept = advance(iterates, t, at)
+        if kept is not None:
+            for r in runs[~kept].tolist():
+                outcome[r] = DomainViolationError(
+                    f"online iterate left the domain at time index {t}")
+            runs = at = runs[kept]
+    return outcome
+
+
+def _lockstep_advance(families, horizon):
+    """The time step of a lockstep over ``families``: ``advance(iterates, t, at)``
+    writes ``iterates[r, t]``, the map at time t of ``iterates[r, t - 1]``, for
+    the runs r ``at`` (an int array, or a slice of all runs). It returns the
+    flags of the new points that lie in their run's domain, or None when all
+    of them do."""
+    first = families[0].lockstep
+    # one run's point call costs fewer numpy calls than a stacked call of one row
+    stacks = first is not None and len(families) > 1
+    stacked = first.stack([f.lockstep for f in families], horizon) if stacks else None
+    if stacked is not None:
+        domain = families[0].domain
+
+        def advance(iterates, t, at):
+            x = stacked(iterates[at, t - 1], t, at)
+            iterates[at, t] = x
+            kept = domain.contains(x)
+            return None if kept.all() else kept
+
+        return advance
+    ids, members = np.arange(len(families)), np.empty(len(families), dtype=object)
+    members[:] = families
+
+    def advance(iterates, t, at):
+        kept = []
+        for r, family in zip(ids[at].tolist(), members[at]):
+            x = iterates[r, t] = family.evaluate(iterates[r, t - 1], t)
+            kept.append(family.domain.contains(x))
+        return None if all(kept) else np.array(kept)
+
+    return advance
+
+
+def _horizon(horizon) -> int:
+    """``horizon`` as an int of at least 1."""
+    horizon = _integer(horizon, "horizon")
+    if horizon < 1:
+        raise PreconditionError("horizon must be at least 1")
+    return horizon
 
 
 def _tracker_start(family, x0, horizon, norm):
     """A tracker's ``(horizon, x0, norm)``: the horizon as a positive int, ``x0``
     as a ``(dim,)`` point of the domain and the norm, l2 when None."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise PreconditionError("horizon must be at least 1")
     norm = norm if norm is not None else Norm(L2)
-    return horizon, _initial_points(family, x0, (family.dim,)), norm
+    return _horizon(horizon), _initial_points(family, x0, (family.dim,)), norm
 
 
 def _tracker_score(family, iterates, norm, reference) -> TrackingTrace:

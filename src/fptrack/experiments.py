@@ -38,10 +38,12 @@ from .async_sim import (
 )
 from .core import (
     FixedPointSeries,
+    _tracker_score,
     compute_fixed_point_series,
     estimate_lipschitz,
     map_error_bound_series,
     rounding_slack,
+    run_lockstep_tracker,
     run_online_tracker,
     verify_map_error,
     verify_self_map,
@@ -422,8 +424,11 @@ def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
     return audits
 
 
-def _run_phase(config: ExperimentConfig, family, graph, reference):
-    """The tracker's trace and, for an asynchronous run, its delay statistics (else None)."""
+def _run_phase(config: ExperimentConfig, family, graph, reference, iterates=None):
+    """The tracker's trace and, for an asynchronous run, its delay statistics (else None).
+    A sync run whose ``iterates`` are given (a sweep's lockstep) is scored, not run."""
+    if iterates is not None:
+        return _tracker_score(family, iterates, config.norm, reference), None
     x0 = family.domain.anchor()
     if config.mode == "sync":
         trace = run_online_tracker(family, x0, config.horizon, config.norm, reference=reference)
@@ -490,24 +495,30 @@ def _report_phase(config: ExperimentConfig, trace, stats, audits, bounds) -> Exp
 def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> ExperimentReport:
     """One run in phases: build, reference, audits, run, certify, report.
 
-    ``shared`` maps a phase name (``"reference"`` or an audit name) to the
-    value the runs of one seed share; :func:`sweep` passes one per seed.
-    This run computes each name bound to None and stores it there (an audit
-    that does not apply stays None), and reads the rest. The report gets its
+    ``shared`` maps a phase name to the value the run reads instead of
+    computing it. :func:`sweep` passes one dict per seed: ``"reference"``
+    and audit names the seed's runs share, and in a sync sweep each run's
+    own ``"build"`` (the ``(family, graph)`` pair of :func:`build_phase`)
+    and ``"iterates"`` (its ``(horizon, dim)`` lockstep iterates, which the
+    run scores instead of tracking), set before its call. This run computes
+    each name bound to None and stores it there (an audit that does not
+    apply stays None), and reads the rest. The report gets its
     own copy of each audit. Optionally writes the trace CSV and report JSON.
     """
     shared = {} if shared is None else shared
     if write_files and config.output:
         for suffix in (".csv", ".json"):
             check_writable(config.output + suffix)
-    family, graph = build_phase(config)
     phases = {n: v for n, v in shared.items() if v is not None}
+    if "build" not in phases:
+        phases["build"] = build_phase(config)
+    family, graph = phases["build"]
     if "reference" not in phases:
         phases["reference"] = reference_phase(config, family)
     phases.update(audit_phase(config, family, graph, [n for n in AUDITS if n not in phases]))
     shared.update({n: phases.get(n) for n in shared})
     audits = copy.deepcopy({n: phases[n] for n in AUDITS if n in phases})
-    trace, stats = _run_phase(config, family, graph, phases["reference"])
+    trace, stats = _run_phase(config, family, graph, phases["reference"], phases.get("iterates"))
     bounds = _certify_phase(config, family, trace, stats)
     report = _report_phase(config, trace, stats, audits, bounds)
     if write_files and config.output:
@@ -655,10 +666,11 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     are nondecreasing along the given value order. The result keeps the report
     of every run, so callers can check each seed's certificates and audits.
 
-    Each run is one ``run_experiment`` call. A phase that the swept value
-    does not touch is computed once per seed, by that seed's run of the
-    first value, and read by its other runs (``SHARED_PHASES``); each report
-    is the one its run gives alone, with audit dicts of its own. The rules:
+    Each run is one ``run_experiment`` call, in sweep order (values, then
+    seeds), and each report is the one its run gives alone, with audit dicts
+    of its own. A phase that the swept value does not touch is computed once
+    per seed, by that seed's run of the first value, and read by its other
+    runs (``SHARED_PHASES``). The rules:
 
     - ``drop_probability`` and ``fixed_delay``, any problem kind: the
       reference and every audit. The value changes only the channel and
@@ -672,6 +684,11 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
       the noise bound into its base's self-map box and declared factor.
     - ``step_size`` and ``drift_rate``: nothing. The value changes the base
       map.
+
+    A sync sweep tracks its runs in lockstep (:func:`_lockstep_runs`): it
+    builds every run's family first, then advances all runs together, and
+    each run reads its ``"build"`` and ``"iterates"`` from its seed's dict.
+    An async sweep runs one run at a time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -681,21 +698,53 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     if int(n_seeds) < 1:
         raise ConfigError("sweep needs at least one seed")
     names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
-    shared = {}  # seed index -> the phases its runs share, filled by its first run
-    tails, by_seed, bound_col, reports = [], [], [], []
-    for v in values:
-        seed_reports = []
-        for k in range(int(n_seeds)):
-            run_config = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
-            if k not in shared:
-                shared[k] = dict.fromkeys(names)
-            seed_reports.append(run_experiment(run_config, write_files=False, shared=shared[k]))
-        seed_tails = [rep.tail_max for rep in seed_reports]
-        by_seed.append(seed_tails)
-        tails.append(float(np.median(seed_tails)))
-        # the bound column is read from the last seed's report
-        applicable = list(seed_reports[-1].asymptotic_bounds.values())
-        bound_col.append(min(applicable) if applicable else None)
-        reports.append(seed_reports)
+    seeds = range(int(n_seeds))
+    shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
+    order = [(v, k) for v in values for k in seeds]
+    if config.mode == "sync":
+        runs = _lockstep_runs(config, parameter, order)
+    else:
+        runs = ((_config_with(config, parameter, v, seed=config.seed + 1000 * k), {})
+                for v, k in order)
+    flat = []
+    for (_, k), (run_config, own) in zip(order, runs):
+        shared[k].update(own)
+        flat.append(run_experiment(run_config, write_files=False, shared=shared[k]))
+    reports = [flat[i:i + len(seeds)] for i in range(0, len(flat), len(seeds))]
+    by_seed = [[rep.tail_max for rep in seed_reports] for seed_reports in reports]
+    tails = [float(np.median(seed_tails)) for seed_tails in by_seed]
+    # the bound column is read from the last seed's report
+    bound_col = [min(rep[-1].asymptotic_bounds.values(), default=None) for rep in reports]
     mono = bool(np.all(np.diff(tails) >= -1e-12))
     return SweepResult(parameter, values, tails, by_seed, bound_col, reports, mono)
+
+
+def _lockstep_runs(config: ExperimentConfig, parameter, order):
+    """Each sync run's config and its phases ``"build"`` and ``"iterates"``, in
+    ``order``, then the error of the first run whose config or build fails.
+
+    Every run's config and family are built first, in order, then all runs
+    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`. A run
+    whose row fails, or every run when the lockstep raises, gets no
+    iterates and tracks alone in ``run_experiment``, which raises its error
+    in the phase where the run alone raises it.
+    """
+    built, failure = [], None
+    for v, k in order:
+        try:
+            run_config = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
+            built.append((run_config, build_phase(run_config)))
+        except Exception as exc:  # raised after the runs before it, as a run alone would
+            failure = exc
+            break
+    families = [family for _, (family, _) in built]
+    try:
+        tracked = run_lockstep_tracker(families, [f.domain.anchor() for f in families],
+                                       config.horizon) if families else []
+    except Exception:  # each run tracks alone
+        tracked = [None] * len(built)
+    for (run_config, build), iterates in zip(built, tracked):
+        yield run_config, {"build": build,
+                           "iterates": None if isinstance(iterates, Exception) else iterates}
+    if failure is not None:
+        raise failure

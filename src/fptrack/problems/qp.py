@@ -9,6 +9,8 @@ of the (constant) Hessian diag(a) + weight * c c' + reg * I.
 
 The feedback variant replaces the modeled aggregate with a measurement of it,
 turning the map family into an inexact one with a computable error bound.
+Both maps are one step expression over signal values (:class:`GradientStep`),
+so the online runs of one instance advance as the rows of one call.
 The broadcast decomposition introduces one extra scalar block holding the
 (scaled) measured aggregate, giving the star dependency structure used by the
 asynchronous experiments.
@@ -68,12 +70,20 @@ class TimeVaryingQP:
     def gradient(self, x, t) -> np.ndarray:
         """Objective gradient at a state ``x`` of shape (n,), or at each row of (k, n)
         at one time ``t`` or at the times of an int array ``t`` of length k."""
-        y = np.einsum("...j,j->...", x, self.coupling) + self.output_signal.at(t)
-        return (
-            self.curvature * x
-            + self.weighted_coupling * (y - self.reference_signal.at(t))[..., None]
-            + self.regularization * x
-        )
+        return self._gradient(x, self.output_signal.at(t), self.reference_signal.at(t))
+
+    def _gradient(self, x, w, r) -> np.ndarray:
+        """Objective gradient at ``x`` for the output and reference values ``w`` and
+        ``r``: scalars, or one value per row of ``x``."""
+        y = np.einsum("...j,j->...", x, self.coupling) + w
+        return (self.curvature * x + self.weighted_coupling * (y - r)[..., None]
+                + self.regularization * x)
+
+    def same_instance(self, other) -> bool:
+        """Whether ``other`` holds this instance's data bit for bit; signals may differ."""
+        fields = ("curvature", "coupling", "tracking_weight", "regularization", "box_lo", "box_hi")
+        return all(np.asarray(getattr(self, k)).tobytes() == np.asarray(getattr(other, k)).tobytes()
+                   for k in fields)
 
 
 def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
@@ -98,15 +108,78 @@ def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
     )
 
 
-def _aggregate_noise(nb, seed, key, adversarial):
-    """Noise of the measured aggregate at time t: uniform on [-nb, nb], row t of
-    a table drawn in blocks from the one stream ``(seed, key)``, or nb when
-    adversarial; a ``(1,)`` row for an int t, a column of draws for an int
-    array of times."""
+def _aggregate_noise(nb, seed, key, adversarial) -> SeriesTable:
+    """The noise of the measured aggregate, one column: uniform on [-nb, nb],
+    drawn in blocks from the one stream ``(seed, key)``, or nb when
+    adversarial. ``at(t)`` is a ``(1,)`` row for an int t and a column for
+    an int array of times."""
     if adversarial:
-        return lambda t: nb
-    return SeriesTable(lambda ts, last, rng: rng.uniform(-nb, nb, size=(len(ts), 1)),
-                       (seed, key)).at
+        return SeriesTable(lambda ts, last: np.full((len(ts), 1), nb))
+    return SeriesTable(lambda ts, last, rng: rng.uniform(-nb, nb, size=(len(ts), 1)), (seed, key))
+
+
+def _step(qp, x, a, w, r, noise=None, noisy=...):
+    """The projected gradient step ``clip(x - a g, lo, hi)`` of ``qp`` at the output
+    and reference values ``w`` and ``r``. ``g`` is the objective gradient, plus
+    ``weight * c * noise`` on the rows ``noisy`` when a ``noise`` is given. One
+    run gives a point or rows, a scalar ``a`` and the values at its time or
+    times; stacked runs give one row each, ``a`` and ``noise`` as columns and
+    ``w`` and ``r`` as one value per row."""
+    g = qp._gradient(x, w, r)
+    if noise is not None:
+        g[noisy] += qp.weighted_coupling * noise[noisy]
+    return clip(x - a * g, qp.box_lo, qp.box_hi)
+
+
+@dataclass(frozen=True, eq=False)
+class GradientStep:
+    """The map of :func:`build_gradient_map` (no ``noise``) or of
+    :func:`build_feedback_gradient_map` (``noise`` the measured aggregate's
+    :class:`SeriesTable`), and the family's ``lockstep`` step: the runs of
+    one instance stack."""
+
+    qp: TimeVaryingQP
+    step_size: float
+    noise: SeriesTable | None = None
+
+    def __call__(self, x, t):
+        noise = None if self.noise is None else self.noise.at(t)
+        return _step(self.qp, x, self.step_size, self.qp.output_signal.at(t),
+                     self.qp.reference_signal.at(t), noise)
+
+    def stack(self, steps, horizon):
+        """One step for the runs of ``steps`` at t = 1..horizon-1, or None unless
+        each is a :class:`GradientStep` of this instance."""
+        if all(isinstance(s, GradientStep) and s.qp.same_instance(self.qp) for s in steps):
+            return _StackedSteps(steps, horizon)
+        return None
+
+
+class _StackedSteps:
+    """Gradient steps of one instance, one run per row: each run's step size,
+    signal values and noise are columns read from its own tables; a run
+    without noise adds none."""
+
+    def __init__(self, steps, horizon):
+        self.qp = steps[0].qp
+        self.step_size = np.array([[s.step_size] for s in steps], dtype=float)
+        self.output = np.stack([s.qp.output_signal.rows(1, horizon) for s in steps], axis=1)
+        self.reference = np.stack([s.qp.reference_signal.rows(1, horizon) for s in steps], axis=1)
+        noisy = np.array([s.noise is not None for s in steps])
+        # the rows that add noise: every row, or a mask when exact runs are stacked too
+        self.noisy = ... if noisy.all() else noisy
+        self.noise = None
+        if noisy.any():
+            self.noise = np.zeros((horizon - 1, len(steps), 1))
+            for r in np.flatnonzero(noisy):
+                self.noise[:, r] = steps[r].noise.rows(1, horizon)
+
+    def __call__(self, x, t, at):
+        """The next rows of the runs ``at`` (an int array, or a slice of all runs)."""
+        noise = None if self.noise is None else self.noise[t - 1, at]
+        noisy = self.noisy if self.noisy is ... else self.noisy[at]
+        return _step(self.qp, x, self.step_size[at], self.output[t - 1, at],
+                     self.reference[t - 1, at], noise, noisy)
 
 
 def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:
@@ -124,18 +197,17 @@ def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:
     lo_curv = qp.regularization + float(qp.curvature.min())
     hi_curv = qp.regularization + qp.smoothness
     declared = max(abs(1.0 - a * lo_curv), abs(1.0 - a * hi_curv))
-
-    def evaluate(x, t):
-        return clip(x - a * qp.gradient(x, t), qp.box_lo, qp.box_hi)
-
-    return MapFamily(
+    step = GradientStep(qp, a)
+    family = MapFamily(
         dim=qp.n_devices,
         domain=Domain.box(qp.box_lo, qp.box_hi),
-        evaluate=evaluate,
+        evaluate=step,
         lipschitz=declared,
         declared_norm=Norm(L2),
         name=f"qp-gradient-n{qp.n_devices}",
     )
+    family.lockstep = step
+    return family
 
 
 def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
@@ -154,15 +226,11 @@ def build_feedback_gradient_map(qp: TimeVaryingQP, step_size, noise_bound, seed,
     if nb < 0.0:
         raise PreconditionError("noise bound must be nonnegative")
     a = float(step_size)
-
-    noise = _aggregate_noise(nb, seed, 3, adversarial)
-
-    def evaluate(x, t):
-        g = qp.gradient(x, t) + qp.weighted_coupling * noise(t)
-        return clip(x - a * g, qp.box_lo, qp.box_hi)
-
+    step = GradientStep(qp, a, _aggregate_noise(nb, seed, 3, adversarial))
     bound = a * qp.tracking_weight * norm.of(qp.coupling) * nb
-    return InexactMapFamily(base, evaluate, bound, name=f"qp-feedback-n{qp.n_devices}")
+    family = InexactMapFamily(base, step, bound, name=f"qp-feedback-n{qp.n_devices}")
+    family.lockstep = step
+    return family
 
 
 def star_partition(qp: TimeVaryingQP) -> DependencyGraph:
@@ -239,7 +307,7 @@ def build_broadcast_system(qp: TimeVaryingQP, step_size, noise_bound, seed,
 
     def evaluate(z, t):
         out = base_evaluate(z, t)
-        out[..., n:] += theta * noise(t)
+        out[..., n:] += theta * noise.at(t)
         return out
 
     family = InexactMapFamily(base, evaluate, theta * nb, name=f"qp-broadcast-feedback-n{n}")

@@ -90,6 +90,30 @@ def test_graph_edges_are_integers_not_truncated():
     assert DependencyGraph([1, 1], np.array([[0, 1]], dtype=np.uint8)).edges == ((0, 1),)
 
 
+def test_graph_block_sizes_are_integers_not_truncated():
+    with pytest.raises(PreconditionError, match="block size 1.5 is not an integer"):
+        DependencyGraph([1.5, 2.9], [(0, 1)])
+    assert DependencyGraph(np.array([1, 2]), [(0, 1)]).block_sizes == (1, 2)
+
+
+def test_a_declared_schedule_delay_is_an_integer_not_truncated():
+    with pytest.raises(PreconditionError, match="declared_max_delay 1.5 is not an integer"):
+        ScheduleTable([(2, 1, 0, 1)], declared_max_delay=1.5)
+    assert ScheduleTable([(2, 1, 0, 1)], declared_max_delay=np.int64(1)).declared_max_delay == 1
+
+
+def test_both_trackers_take_a_horizon_that_is_an_integer_not_truncated():
+    fam = small_affine(dim=2, coupling="chain")
+    graph = fam.dependency_graph()
+    with pytest.raises(PreconditionError, match="horizon 3.9 is not an integer"):
+        fp.run_online_tracker(fam, np.zeros(2), 3.9, LINF)
+    with pytest.raises(PreconditionError, match="horizon 3.9 is not an integer"):
+        fp.run_async_tracker(fam, graph, ZeroDelay(), np.zeros(2), 3.9, LINF)
+    assert fp.run_online_tracker(fam, np.zeros(2), np.int64(3), LINF).horizon == 3
+    assert fp.run_async_tracker(fam, graph, ZeroDelay(), np.zeros(2), np.int64(3),
+                                LINF)[0].horizon == 3
+
+
 def test_graph_edges_are_distinct_and_sorted_from_pairs_or_an_array():
     pairs = [(2, 0), (0, 1), (2, 0), (1, 2), (0, 2)]
     expected = ((0, 1), (0, 2), (1, 2), (2, 0))

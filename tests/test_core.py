@@ -85,6 +85,13 @@ def test_solver_names_both_shapes_of_an_initial_point_of_another_size():
     assert fp.solve_fixed_point(fam, np.arange(1, 3), np.ones(4)).shape == (2, 2)
 
 
+def test_solver_time_is_an_integer_not_truncated():
+    fam = scalar_family(lambda x, t: 0.5 * x + t, 0.5)
+    with pytest.raises(PreconditionError, match="time index 2.7 is not an integer"):
+        fp.solve_fixed_point(fam, 2.7, np.array([0.0]))
+    assert fp.solve_fixed_point(fam, np.int64(2), np.array([0.0]))[0] == pytest.approx(4.0)
+
+
 def test_solver_linear_convergence_envelope():
     # residual after k iterations <= L^k * r0 * (1+L)/(1-L)
     rng = np.random.default_rng(0)
@@ -110,6 +117,13 @@ def test_solver_agrees_with_closed_form_within_amplified_tol():
 # ---------------------------------------------------------------------------
 # compute_fixed_point_series
 # ---------------------------------------------------------------------------
+
+
+def test_series_horizon_is_an_integer_not_truncated():
+    fam = scalar_family(lambda x, t: 0.5 * x + 1.0, 0.5)
+    with pytest.raises(PreconditionError, match="horizon 3.9 is not an integer"):
+        fp.compute_fixed_point_series(fam, 3.9, L2)
+    assert len(fp.compute_fixed_point_series(fam, np.int64(3), L2).points) == 3
 
 
 def test_series_time_invariant_has_zero_drift():
@@ -425,6 +439,41 @@ def test_tracker_determinism_bitwise():
     t2 = fp.run_online_tracker(fam, np.array([0.3]), 200, L2)
     assert np.array_equal(t1.iterates, t2.iterates)
     assert np.array_equal(t1.errors, t2.errors)
+
+
+def escaping_family(escape_at, calls):
+    """On [-1, 1], x -> x / 2, but x / 2 + 3 at ``escape_at``; logs each call's time."""
+    def evaluate(x, t):
+        calls.append(t)
+        return 0.5 * x + (3.0 if t == escape_at else 0.0)
+
+    return scalar_family(lambda x, t: evaluate(x, t), 0.5, domain=Domain.box([-1.0], [1.0]))
+
+
+def test_lockstep_rows_are_the_runs_alone_and_a_row_that_leaves_is_not_evaluated_again():
+    calls = [[], [], []]
+    families = [escaping_family(None, calls[0]), escaping_family(3, calls[1]),
+                escaping_family(6, calls[2])]
+    outcome = fp.run_lockstep_tracker(families, [[0.5], [-0.25], [0.75]], 10)
+    assert calls == [list(range(1, 10)), [1, 2, 3], list(range(1, 7))]
+    assert [str(o) for o in outcome[1:]] == [f"online iterate left the domain at time index {t}"
+                                             for t in (3, 6)]
+    assert all(isinstance(o, DomainViolationError) for o in outcome[1:])
+    alone = fp.run_online_tracker(escaping_family(None, []), np.array([0.5]), 10, L2)
+    assert outcome[0].tobytes() == alone.iterates.tobytes()
+    with pytest.raises(DomainViolationError, match="at time index 3$"):
+        fp.run_online_tracker(escaping_family(3, []), np.array([-0.25]), 10, L2)
+
+
+def test_lockstep_names_a_run_it_cannot_start_and_runs_the_others():
+    calls = [[], []]
+    outcome = fp.run_lockstep_tracker(
+        [escaping_family(None, calls[0]), escaping_family(None, calls[1])], [[2.0], [0.5]], 4)
+    assert isinstance(outcome[0], PreconditionError) and calls[0] == []
+    assert str(outcome[0]) == "initial point lies outside the declared domain"
+    assert outcome[1].shape == (4, 1) and calls[1] == [1, 2, 3]
+    with pytest.raises(PreconditionError, match="expected one of dimension 1 per family"):
+        fp.run_lockstep_tracker([escaping_family(None, [])], [[0.0], [0.0]], 4)
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])

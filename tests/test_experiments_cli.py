@@ -13,6 +13,7 @@ import pytest
 
 import fptrack
 from fptrack import experiments, schema
+from fptrack.problems import qp as qp_module
 from fptrack.cli import EXIT_AUDIT, EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, main
 from fptrack.errors import ConfigError
 from fptrack.experiments import (
@@ -315,6 +316,12 @@ SWEEP_DOCS = {
         "horizon": 40, "seed": 11, "audit_samples": 50},
     "affine-async": affine_doc(mode="async", norm="linf", horizon=60, audit_samples=50,
                                channel={"kind": "iid_drop", "p": 0.2}),
+    "affine-sync": affine_doc(horizon=60, audit_samples=50),
+    "qp-own-instance-sync": {  # no instance_seed: each seed draws its own instance
+        "problem": {"kind": "qp-gradient", "devices": 5, "step_size": 0.3, "noise_bound": 0.01,
+                    "topology": "none",
+                    "reference_signal": {"kind": "random_walk", "rate": 0.01}},
+        "mode": "sync", "norm": "l2", "horizon": 40, "seed": 4, "audit_samples": 50},
 }
 SWEEP_VALUES = {"drop_probability": [0.0, 0.3], "fixed_delay": [0, 2], "step_size": [0.1, 0.15],
                 "noise_bound": [1e-4, 0.0], "drift_rate": [0.01, 0.02]}
@@ -382,6 +389,88 @@ def test_sweep_builds_one_family_per_run(monkeypatch, name, parameter, values):
     result = sweep(cfg, parameter, values, n_seeds=3)
     assert sum(map(len, result.reports)) == len(values) * 3
     assert seeds == [cfg.seed + 1000 * k for k in range(3)] * len(values)
+
+
+@pytest.mark.parametrize("name,stacked", [("qp-feedback-sync", True),
+                                           ("qp-own-instance-sync", False)])
+def test_a_sync_qp_sweep_steps_its_runs_of_one_instance_in_one_call_per_time(monkeypatch,
+                                                                            name, stacked):
+    stacked_calls, evaluated, tracking = [], [], []
+    real_step, real_evaluate = qp_module._StackedSteps.__call__, fptrack.MapFamily.evaluate
+    real_lockstep = experiments.run_lockstep_tracker
+
+    def counting_step(self, x, t, at):
+        stacked_calls.append((t, len(x)))
+        return real_step(self, x, t, at)
+
+    def counting_evaluate(self, x, t):
+        if tracking:
+            evaluated.append(t)
+        return real_evaluate(self, x, t)
+
+    def lockstep(*args):
+        tracking.append(True)
+        try:
+            return real_lockstep(*args)
+        finally:
+            tracking.clear()
+
+    monkeypatch.setattr(qp_module._StackedSteps, "__call__", counting_step)
+    monkeypatch.setattr(fptrack.MapFamily, "evaluate", counting_evaluate)
+    monkeypatch.setattr(experiments, "run_lockstep_tracker", lockstep)
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
+    result = sweep(cfg, "noise_bound", [0.0, 0.01, 0.02], n_seeds=2)
+    assert sum(map(len, result.reports)) == 6
+    steps = [(t, 6) for t in range(1, cfg.horizon)]
+    assert (stacked_calls, len(evaluated)) == ((steps, 0) if stacked else ([], 6 * len(steps)))
+
+
+def escaping_builds(runs):
+    """A ``build_phase`` whose run of drift rate v, given ``runs[v] = (at, point)``,
+    leaves [-1, 1] at time ``at`` (never when None) and declares the fixed point
+    ``point``; a run ``runs[v] = "fails"`` does not build."""
+    def build(config):
+        if runs[config.raw["problem"]["drift"]["rate"]] == "fails":
+            raise ConfigError("this run's family does not build")
+        at, point = runs[config.raw["problem"]["drift"]["rate"]]
+        base = fptrack.MapFamily(1, fptrack.Domain.box([-1.0], [1.0]), lambda x, t: 0.5 * x, 0.5,
+                                 fixed_point=lambda ts: np.array([point]))
+        evaluate = fptrack.pointwise(lambda x, t: 0.5 * x + (3.0 if t == at else 0.0))
+        return fptrack.InexactMapFamily(base, evaluate, 0.1), None
+
+    return build
+
+
+def first_error_of_the_runs_alone(cfg, values, n_seeds):
+    for v in values:
+        for k in range(n_seeds):
+            try:
+                seed = cfg.seed + 1000 * k
+                run_experiment(experiments._config_with(cfg, "drift_rate", v, seed=seed),
+                               write_files=False)
+            except Exception as exc:
+                return exc
+    raise AssertionError("no run failed")
+
+
+@pytest.mark.parametrize("values,runs,message", [
+    ([0.01, 0.02, 0.03], {0.01: (None, 0.0), 0.02: (9, 0.0), 0.03: (3, 0.0)},
+     "online iterate left the domain at time index 9"),  # a later run leaves earlier
+    ([0.01, 0.02], {0.01: (None, 0.0), 0.02: (3, 2.0)},  # its reference fails first
+     "fixed point at time index 1 lies outside the declared domain"),
+    ([0.01, 0.02], {0.01: (9, 0.0), 0.02: "fails"},      # a later run does not build
+     "online iterate left the domain at time index 9"),
+    ([0.01, "fast"], {0.01: (9, 0.0)},                   # a later value is no number
+     "online iterate left the domain at time index 9"),
+], ids=["leaves-earlier", "reference-fails", "build-fails", "config-fails"])
+def test_a_sync_sweep_raises_the_error_of_its_first_failing_run(monkeypatch, values, runs,
+                                                                message):
+    monkeypatch.setattr(experiments, "build_phase", escaping_builds(runs))
+    cfg = ExperimentConfig.from_dict(affine_doc(horizon=20, audit_samples=20))
+    expected = first_error_of_the_runs_alone(cfg, values, 2)
+    with pytest.raises(type(expected)) as exc:
+        sweep(cfg, "drift_rate", values, n_seeds=2)
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected) == message
 
 
 def _containers(value):

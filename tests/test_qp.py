@@ -15,6 +15,8 @@ from fptrack.problems import (
     scalar_signal,
     star_partition,
 )
+from fptrack.core import SeriesTable
+from fptrack.problems import qp as qp_module
 from fptrack.problems.qp import _aggregate_noise
 
 L2 = Norm(fp.L2)
@@ -219,7 +221,7 @@ def oracle_families(qp, step, nb, seed):
         return np.clip(x - step * oracle_gradient(qp, x, t), qp.box_lo, qp.box_hi)
 
     def feedback(x, t):
-        g = oracle_gradient(qp, x, t) + qp.tracking_weight * qp.coupling * noise3(t)
+        g = oracle_gradient(qp, x, t) + qp.tracking_weight * qp.coupling * noise3.at(t)
         return np.clip(x - step * g, qp.box_lo, qp.box_hi)
 
     def broadcast(z, t):
@@ -229,7 +231,7 @@ def oracle_families(qp, step, nb, seed):
         x_new = np.clip(x - step * g, qp.box_lo, qp.box_hi)
         y_new = np.einsum("...j,j->...", x, qp.coupling) + qp.output_signal.at(t)
         out = np.concatenate([x_new, theta * y_new[..., None]], axis=-1)
-        out[..., n:] += theta * noise5(t)
+        out[..., n:] += theta * noise5.at(t)
         return out
 
     family, _ = build_broadcast_system(qp, step, nb, seed)
@@ -296,3 +298,85 @@ def test_clip_keeps_the_point_bits_where_np_clip_flips_a_zero():
     qp = one_d_instance(c=0.0, r=0.0, a=1.0)  # the step of 1 lands on -0.0 from -0.0
     fam = build_gradient_map(qp, 0.5)
     assert fam.evaluate(rows, 1).tobytes() == np.tile(fam.evaluate(rows[0], 1), (3, 1)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked steps: the runs of one instance as the rows of one call
+# ---------------------------------------------------------------------------
+
+
+def runs_of_one_instance(qp, rng, count):
+    """Gradient and feedback families of ``qp``'s data with its middle coupling
+    entry 0 (a weight times coupling of 0 keeps signed zeros in the gradient;
+    the middle box has no zero bound to clip them to), each run with its own
+    signals, step size and noise: exact, drawn or adversarial."""
+    coupling = qp.coupling.copy()
+    coupling[len(coupling) // 2] = 0.0
+    families = []
+    for r in range(count):
+        run = TimeVaryingQP(
+            curvature=qp.curvature, coupling=coupling, tracking_weight=qp.tracking_weight,
+            regularization=qp.regularization, box_lo=qp.box_lo, box_hi=qp.box_hi,
+            output_signal=scalar_signal("random_walk", rate=0.05, seed=r,
+                                        start=float(rng.uniform(-1, 1))),
+            reference_signal=scalar_signal("linear", rate=float(rng.uniform(0, 0.02)),
+                                           start=float(rng.uniform(-1, 1))),
+        )
+        step, kind = float(rng.uniform(0.05, 0.3)), r % 3
+        if kind == 0:
+            families.append(build_gradient_map(run, step))
+        else:
+            families.append(build_feedback_gradient_map(run, step, float(rng.uniform(0, 0.05)),
+                                                        seed=r, adversarial=kind == 2))
+    return families
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n):
+    rng = np.random.default_rng(200 + n)
+    horizon = 150
+    for _ in range(4):
+        families = runs_of_one_instance(drawn_qp(n, rng), rng, 7)
+        stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
+        assert stacked is not None
+        for t in (1, 2, 70, horizon - 1):
+            X = drawn_points(families[0].lockstep.qp, n, rng, k=len(families))
+            for runs in (np.arange(len(families)), np.array([1, 2, 5]), np.array([3])):
+                rows = stacked(X[runs], t, runs)
+                for row, r, x in zip(rows, runs.tolist(), X[runs]):
+                    assert row.tobytes() == families[r].evaluate(x, t).tobytes(), (r, t)
+
+
+def test_runs_of_other_instances_or_maps_do_not_stack():
+    rng = np.random.default_rng(3)
+    qp = drawn_qp(3, rng)
+    families = runs_of_one_instance(qp, rng, 2)
+    other = drawn_qp(3, rng)
+    broadcast, _ = build_broadcast_system(qp, 0.1, 0.0, seed=0)
+    assert broadcast.lockstep is None
+    steps = [f.lockstep for f in families]
+    assert steps[0].stack(steps + [build_gradient_map(other, 0.1).lockstep], 10) is None
+    assert fp.with_output_noise(families[0], 0.01, seed=1).lockstep is None
+
+
+def test_a_stacked_row_that_leaves_its_domain_is_not_evaluated_again(monkeypatch):
+    rows = []
+    real = qp_module._StackedSteps.__call__
+
+    def recording(self, x, t, at):
+        rows.append(len(x))
+        return real(self, x, t, at)
+
+    monkeypatch.setattr(qp_module._StackedSteps, "__call__", recording)
+    rng = np.random.default_rng(4)
+    families = runs_of_one_instance(drawn_qp(3, rng), rng, 3)
+    # run 1 measures a NaN output from t = 5 on, so its iterate at t = 5 is NaN
+    families[1].lockstep.qp.output_signal = SeriesTable(
+        lambda ts, last: np.where(ts >= 5, np.nan, 0.0))
+    x0 = np.array([f.domain.anchor() for f in families])
+    outcome = fp.run_lockstep_tracker(families, x0, 9)
+    assert rows == [3] * 5 + [2] * 3
+    assert str(outcome[1]) == "online iterate left the domain at time index 5"
+    for r in (0, 2):
+        alone = fp.run_online_tracker(families[r], x0[r], 9, reference=np.zeros((9, 3)))
+        assert outcome[r].tobytes() == alone.iterates.tobytes()
