@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
 from .errors import LengthMismatchError, PreconditionError
 from .norms import L2, Norm
 
@@ -56,7 +57,7 @@ def per_step_bound_series(initial_error, map_error_series, drift_series,
     from ``b = initial_error``. Series are indexed so that element k refers to
     step k+1 and must cover steps 1..t.
     """
-    t = int(t)
+    t = _integer(t, "t")
     if t < 0:
         raise PreconditionError("t must be nonnegative")
     e = np.asarray(map_error_series, dtype=float)
@@ -155,7 +156,10 @@ def min_regularization(smoothness, max_stale) -> float:
 
 def stale_contraction_threshold(max_stale) -> float:
     """Contraction factor a map must beat for the refined bound: 1/sqrt(max_stale+1)."""
-    return 1.0 / math.sqrt(int(max_stale) + 1.0)
+    max_stale = _integer(max_stale, "max_stale")
+    if max_stale < 0:
+        raise PreconditionError("max_stale must be nonnegative")
+    return 1.0 / math.sqrt(max_stale + 1.0)
 
 
 def gradient_step_window(smoothness, regularization, max_stale):
@@ -220,8 +224,8 @@ def delayed_recursion_check(offset, decay, max_lag, lag_schedule, horizon,
         raise PreconditionError("decay must lie strictly between 0 and 1")
     if offset < 0.0:
         raise PreconditionError("offset must be nonnegative")
-    max_lag = int(max_lag)
-    horizon = int(horizon)
+    max_lag = _integer(max_lag, "max_lag")
+    horizon = _integer(horizon, "horizon")
     if max_lag < 1 or horizon <= max_lag:
         raise PreconditionError("need max_lag >= 1 and horizon > max_lag")
     bound = offset / (1.0 - decay)

@@ -142,11 +142,10 @@ class MapFamily:
     (:func:`run_lockstep_tracker`), one call per time for all of them. A
     family whose map can take the other runs as rows of one call sets
     ``lockstep``, an object whose ``stack(steps, horizon)`` takes the
-    ``lockstep`` of every run and returns ``step(x, t, at)``: the next
-    iterate of each run ``at`` (an int array of runs, or a slice of all of
-    them) from its row of ``x``, the row of run r equal to run r's point
-    call bit for bit. It returns None when the runs do not stack; runs that
-    stack share one domain.
+    ``lockstep`` of every run and returns ``step(x, t)``: the next iterate
+    of every run from its row of ``x``, the row of run r equal to run r's
+    point call bit for bit. It returns None when the runs do not stack; runs
+    that stack share one domain.
     (:func:`~fptrack.problems.build_gradient_map` and
     :func:`~fptrack.problems.build_feedback_gradient_map` stack the runs of
     one QP instance.)
@@ -373,7 +372,8 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     time that fails. ``return_info`` adds the number of sweeps and
     each sweep's largest residual over the rows still iterating.
     """
-    if tol <= 0.0 or int(max_iter) < 1:
+    max_iter = _integer(max_iter, "iteration cap")
+    if tol <= 0.0 or max_iter < 1:
         raise PreconditionError("tolerance and iteration cap must be positive")
     norm = norm if norm is not None else Norm(L2)
     rows = isinstance(t, np.ndarray)
@@ -383,7 +383,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     active, at = np.arange(len(ts)), ts  # the rows still iterating and their times
     residuals = []
     failure, later = None, np.inf  # the earliest failure so far; rows at or after its time stop
-    for k in range(int(max_iter)):
+    for k in range(max_iter):
         fx = family.evaluate(x, at)
         r = norm.of_rows(fx - x)
         residuals.append(r.max())
@@ -411,7 +411,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
             f"no convergence after {max_iter} iterations at time index {first} "
             f"(residual {residual:.3e} > tol {tol:.3e})",
             residual=residual,
-            iterations=int(max_iter),
+            iterations=max_iter,
             time_index=first,
         )
     if failure is not None:
@@ -568,25 +568,21 @@ def run_online_tracker(family, x0, horizon, norm: Norm | None = None,
     """
     horizon, x, norm = _tracker_start(family, x0, horizon, norm)
     (iterates,) = run_lockstep_tracker([family], x[None], horizon)
-    if isinstance(iterates, Exception):
-        raise iterates
     return _tracker_score(family, iterates, norm, reference)
 
 
-def run_lockstep_tracker(families, x0, horizon) -> list:
+def run_lockstep_tracker(families, x0, horizon) -> np.ndarray:
     """The online runs of ``families``, advanced together for t = 1..horizon-1.
 
-    Run r starts at row r of ``x0``, one ``(dim,)`` row per family; at each
-    time the runs still in their domains are the rows of one ``(R, dim)``
-    state. A time is one call for all of them, the families' stacked step,
-    when there are two or more runs and their ``lockstep`` steps stack (see
-    :class:`MapFamily`); else one ``evaluate`` point call per run. Either
-    way run r's row is the point it makes alone, bit for bit. Returns one
-    entry per run: its ``(horizon, dim)`` iterates, or
-    the error its run raises alone, after which its row is not evaluated
-    again: a :class:`PreconditionError` for an initial point outside the
-    domain, a :class:`DomainViolationError` at the first time its iterate
-    leaves the domain. An error of a map call is raised as it occurs.
+    Run r starts at row r of ``x0``, one ``(dim,)`` row per family, and the
+    runs are the rows of one ``(R, dim)`` state. A time is one call for all
+    of them, the families' stacked step, when there are two or more runs and
+    their ``lockstep`` steps stack (see :class:`MapFamily`); else one
+    ``evaluate`` point call per run. Either way run r's row is the point it
+    makes alone, bit for bit. Returns the ``(R, horizon, dim)`` iterates.
+    Raises :class:`PreconditionError` when an initial point lies outside its
+    domain and :class:`DomainViolationError` at the first time any row
+    leaves its domain.
     """
     horizon = _horizon(horizon)
     dim = families[0].dim
@@ -594,58 +590,26 @@ def run_lockstep_tracker(families, x0, horizon) -> list:
     if x.shape != (len(families), dim) or any(f.dim != dim for f in families):
         raise PreconditionError(
             f"initial points have shape {x.shape}; expected one of dimension {dim} per family")
+    if not all(f.domain.contains(row) for f, row in zip(families, x)):
+        raise PreconditionError("initial point lies outside the declared domain")
     iterates = np.empty((len(families), horizon, dim))
     iterates[:, 0] = x
-    outcome = list(iterates)
-    started = np.array([f.domain.contains(row) for f, row in zip(families, x)], dtype=bool)
-    for r in np.flatnonzero(~started).tolist():
-        outcome[r] = PreconditionError("initial point lies outside the declared domain")
-    runs = np.flatnonzero(started)
-    at = slice(None) if runs.size == len(families) else runs  # the runs still in their domains
-    advance = _lockstep_advance(families, horizon) if horizon > 1 else None
-    for t in range(1, horizon):
-        if not runs.size:
-            break
-        kept = advance(iterates, t, at)
-        if kept is not None:
-            for r in runs[~kept].tolist():
-                outcome[r] = DomainViolationError(
-                    f"online iterate left the domain at time index {t}")
-            runs = at = runs[kept]
-    return outcome
-
-
-def _lockstep_advance(families, horizon):
-    """The time step of a lockstep over ``families``: ``advance(iterates, t, at)``
-    writes ``iterates[r, t]``, the map at time t of ``iterates[r, t - 1]``, for
-    the runs r ``at`` (an int array, or a slice of all runs). It returns the
-    flags of the new points that lie in their run's domain, or None when all
-    of them do."""
-    first = families[0].lockstep
+    first, domain = families[0].lockstep, families[0].domain
     # one run's point call costs fewer numpy calls than a stacked call of one row
-    stacks = first is not None and len(families) > 1
-    stacked = first.stack([f.lockstep for f in families], horizon) if stacks else None
-    if stacked is not None:
-        domain = families[0].domain
-
-        def advance(iterates, t, at):
-            x = stacked(iterates[at, t - 1], t, at)
-            iterates[at, t] = x
-            kept = domain.contains(x)
-            return None if kept.all() else kept
-
-        return advance
-    ids, members = np.arange(len(families)), np.empty(len(families), dtype=object)
-    members[:] = families
-
-    def advance(iterates, t, at):
-        kept = []
-        for r, family in zip(ids[at].tolist(), members[at]):
-            x = iterates[r, t] = family.evaluate(iterates[r, t - 1], t)
-            kept.append(family.domain.contains(x))
-        return None if all(kept) else np.array(kept)
-
-    return advance
+    stacked = (first.stack([f.lockstep for f in families], horizon)
+               if first is not None and len(families) > 1 else None)
+    for t in range(1, horizon):
+        if stacked is not None:
+            x = iterates[:, t] = stacked(iterates[:, t - 1], t)
+            inside = domain.contains(x).all()
+        else:
+            inside = True
+            for r, family in enumerate(families):
+                x = iterates[r, t] = family.evaluate(iterates[r, t - 1], t)
+                inside &= family.domain.contains(x)
+        if not inside:
+            raise DomainViolationError(f"online iterate left the domain at time index {t}")
+    return iterates
 
 
 def _horizon(horizon) -> int:

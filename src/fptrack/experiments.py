@@ -688,7 +688,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     A sync sweep tracks its runs in lockstep (:func:`_lockstep_runs`): it
     builds every run's family first, then advances all runs together, and
     each run reads its ``"build"`` and ``"iterates"`` from its seed's dict.
-    An async sweep runs one run at a time.
+    When the lockstep raises, every run tracks alone, so the sweep raises
+    the error of its first failing run. An async sweep runs one run at a
+    time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -724,10 +726,10 @@ def _lockstep_runs(config: ExperimentConfig, parameter, order):
     ``order``, then the error of the first run whose config or build fails.
 
     Every run's config and family are built first, in order, then all runs
-    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`. A run
-    whose row fails, or every run when the lockstep raises, gets no
-    iterates and tracks alone in ``run_experiment``, which raises its error
-    in the phase where the run alone raises it.
+    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`. When the
+    lockstep raises, as it does when any run's row leaves its domain, no run
+    gets iterates: each tracks alone in ``run_experiment``, and the first
+    that fails raises its error in the phase where the run alone raises it.
     """
     built, failure = [], None
     for v, k in order:
@@ -744,7 +746,6 @@ def _lockstep_runs(config: ExperimentConfig, parameter, order):
     except Exception:  # each run tracks alone
         tracked = [None] * len(built)
     for (run_config, build), iterates in zip(built, tracked):
-        yield run_config, {"build": build,
-                           "iterates": None if isinstance(iterates, Exception) else iterates}
+        yield run_config, {"build": build, "iterates": iterates}
     if failure is not None:
         raise failure

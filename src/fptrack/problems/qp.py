@@ -174,12 +174,11 @@ class _StackedSteps:
             for r in np.flatnonzero(noisy):
                 self.noise[:, r] = steps[r].noise.rows(1, horizon)
 
-    def __call__(self, x, t, at):
-        """The next rows of the runs ``at`` (an int array, or a slice of all runs)."""
-        noise = None if self.noise is None else self.noise[t - 1, at]
-        noisy = self.noisy if self.noisy is ... else self.noisy[at]
-        return _step(self.qp, x, self.step_size[at], self.output[t - 1, at],
-                     self.reference[t - 1, at], noise, noisy)
+    def __call__(self, x, t):
+        """The next row of every run."""
+        noise = None if self.noise is None else self.noise[t - 1]
+        return _step(self.qp, x, self.step_size, self.output[t - 1], self.reference[t - 1],
+                     noise, self.noisy)
 
 
 def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:

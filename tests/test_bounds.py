@@ -50,6 +50,12 @@ def test_contraction_product_index_errors():
         pure_decay([0.5] * 3, 6)
 
 
+def test_per_step_bound_step_count_is_an_integer_not_truncated():
+    with pytest.raises(PreconditionError, match="t 2.9 is not an integer"):
+        bnd.per_step_bound_series(1.0, [0.0] * 3, [0.0] * 3, [0.5] * 3, 2.9)
+    assert bnd.per_step_bound_series(1.0, [0.0] * 3, [0.0] * 3, [0.5] * 3, np.int64(2))[2] == 0.25
+
+
 def test_per_step_bound_pure_decay():
     val = bnd.per_step_bound_series(1.0, [0.0] * 4, [0.0] * 4, [0.5] * 4, 4)[4]
     assert abs(val - 0.0625) < 1e-15
@@ -295,6 +301,16 @@ def test_window_arithmetic():
     assert abs(hi - 0.75) < 1e-15
 
 
+def test_stale_contraction_threshold_takes_a_nonnegative_integer():
+    assert bnd.stale_contraction_threshold(0) == 1.0
+    assert bnd.stale_contraction_threshold(np.int64(3)) == 0.5
+    for stale in (-1, -2):
+        with pytest.raises(PreconditionError, match="max_stale must be nonnegative"):
+            bnd.stale_contraction_threshold(stale)
+    with pytest.raises(PreconditionError, match="max_stale 1.7 is not an integer"):
+        bnd.stale_contraction_threshold(1.7)
+
+
 def test_window_empty_below_min_regularization():
     assert bnd.gradient_step_window(1.0, 0.4, 3) is None
 
@@ -376,6 +392,14 @@ def test_delayed_recursion_invalid_decay():
 def test_delayed_recursion_lag_out_of_range():
     with pytest.raises(PreconditionError):
         bnd.delayed_recursion_check(1.0, 0.5, 2, [3], 100)
+
+
+@pytest.mark.parametrize("max_lag,horizon,what", [(1.5, 100, "max_lag 1.5"),
+                                                   (1, 20.9, "horizon 20.9")])
+def test_delayed_recursion_lag_and_horizon_are_integers_not_truncated(max_lag, horizon, what):
+    with pytest.raises(PreconditionError, match=f"{what} is not an integer"):
+        bnd.delayed_recursion_check(1.0, 0.5, max_lag, [1], horizon)
+    assert bnd.delayed_recursion_check(1.0, 0.5, np.int64(1), [1], np.int64(20)).horizon == 20
 
 
 def test_stale_ratio_identity_with_min_regularization():

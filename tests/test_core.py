@@ -92,6 +92,15 @@ def test_solver_time_is_an_integer_not_truncated():
     assert fp.solve_fixed_point(fam, np.int64(2), np.array([0.0]))[0] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("max_iter", [2.7, 5.0, "5"])
+def test_solver_iteration_cap_is_an_integer_not_truncated(max_iter):
+    fam = scalar_family(lambda x, t: 0.5 * x + t, 0.5)
+    with pytest.raises(PreconditionError, match=f"iteration cap {max_iter!r} is not an integer"):
+        fp.solve_fixed_point(fam, 2, np.array([0.0]), max_iter=max_iter)
+    with pytest.raises(NonConvergenceError, match="no convergence after 2 iterations"):
+        fp.solve_fixed_point(fam, 2, np.array([0.0]), max_iter=np.int64(2))
+
+
 def test_solver_linear_convergence_envelope():
     # residual after k iterations <= L^k * r0 * (1+L)/(1-L)
     rng = np.random.default_rng(0)
@@ -450,28 +459,31 @@ def escaping_family(escape_at, calls):
     return scalar_family(lambda x, t: evaluate(x, t), 0.5, domain=Domain.box([-1.0], [1.0]))
 
 
-def test_lockstep_rows_are_the_runs_alone_and_a_row_that_leaves_is_not_evaluated_again():
+def test_lockstep_rows_are_the_runs_alone_and_it_raises_at_the_first_leaving_time():
+    families = [escaping_family(None, []), escaping_family(None, [])]
+    iterates = fp.run_lockstep_tracker(families, [[0.5], [-0.25]], 10)
+    assert iterates.shape == (2, 10, 1)
+    for row, x0 in zip(iterates, (0.5, -0.25)):
+        alone = fp.run_online_tracker(escaping_family(None, []), np.array([x0]), 10, L2)
+        assert row.tobytes() == alone.iterates.tobytes()
     calls = [[], [], []]
-    families = [escaping_family(None, calls[0]), escaping_family(3, calls[1]),
-                escaping_family(6, calls[2])]
-    outcome = fp.run_lockstep_tracker(families, [[0.5], [-0.25], [0.75]], 10)
-    assert calls == [list(range(1, 10)), [1, 2, 3], list(range(1, 7))]
-    assert [str(o) for o in outcome[1:]] == [f"online iterate left the domain at time index {t}"
-                                             for t in (3, 6)]
-    assert all(isinstance(o, DomainViolationError) for o in outcome[1:])
-    alone = fp.run_online_tracker(escaping_family(None, []), np.array([0.5]), 10, L2)
-    assert outcome[0].tobytes() == alone.iterates.tobytes()
+    families = [escaping_family(None, calls[0]), escaping_family(6, calls[1]),
+                escaping_family(3, calls[2])]
+    with pytest.raises(DomainViolationError) as exc:
+        fp.run_lockstep_tracker(families, [[0.5], [-0.25], [0.75]], 10)
+    assert str(exc.value) == "online iterate left the domain at time index 3"
+    assert calls == [[1, 2, 3]] * 3
     with pytest.raises(DomainViolationError, match="at time index 3$"):
         fp.run_online_tracker(escaping_family(3, []), np.array([-0.25]), 10, L2)
 
 
-def test_lockstep_names_a_run_it_cannot_start_and_runs_the_others():
+def test_lockstep_raises_a_precondition_error_for_an_outside_start():
     calls = [[], []]
-    outcome = fp.run_lockstep_tracker(
-        [escaping_family(None, calls[0]), escaping_family(None, calls[1])], [[2.0], [0.5]], 4)
-    assert isinstance(outcome[0], PreconditionError) and calls[0] == []
-    assert str(outcome[0]) == "initial point lies outside the declared domain"
-    assert outcome[1].shape == (4, 1) and calls[1] == [1, 2, 3]
+    with pytest.raises(PreconditionError) as exc:
+        fp.run_lockstep_tracker(
+            [escaping_family(None, calls[0]), escaping_family(None, calls[1])], [[0.5], [2.0]], 4)
+    assert str(exc.value) == "initial point lies outside the declared domain"
+    assert calls == [[], []]
     with pytest.raises(PreconditionError, match="expected one of dimension 1 per family"):
         fp.run_lockstep_tracker([escaping_family(None, [])], [[0.0], [0.0]], 4)
 

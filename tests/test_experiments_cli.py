@@ -13,6 +13,7 @@ import pytest
 
 import fptrack
 from fptrack import experiments, schema
+from fptrack.core import SeriesTable
 from fptrack.problems import qp as qp_module
 from fptrack.cli import EXIT_AUDIT, EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, main
 from fptrack.errors import ConfigError
@@ -399,9 +400,9 @@ def test_a_sync_qp_sweep_steps_its_runs_of_one_instance_in_one_call_per_time(mon
     real_step, real_evaluate = qp_module._StackedSteps.__call__, fptrack.MapFamily.evaluate
     real_lockstep = experiments.run_lockstep_tracker
 
-    def counting_step(self, x, t, at):
+    def counting_step(self, x, t):
         stacked_calls.append((t, len(x)))
-        return real_step(self, x, t, at)
+        return real_step(self, x, t)
 
     def counting_evaluate(self, x, t):
         if tracking:
@@ -441,12 +442,12 @@ def escaping_builds(runs):
     return build
 
 
-def first_error_of_the_runs_alone(cfg, values, n_seeds):
+def first_error_of_the_runs_alone(cfg, values, n_seeds, parameter="drift_rate"):
     for v in values:
         for k in range(n_seeds):
             try:
                 seed = cfg.seed + 1000 * k
-                run_experiment(experiments._config_with(cfg, "drift_rate", v, seed=seed),
+                run_experiment(experiments._config_with(cfg, parameter, v, seed=seed),
                                write_files=False)
             except Exception as exc:
                 return exc
@@ -471,6 +472,41 @@ def test_a_sync_sweep_raises_the_error_of_its_first_failing_run(monkeypatch, val
     with pytest.raises(type(expected)) as exc:
         sweep(cfg, "drift_rate", values, n_seeds=2)
     assert type(exc.value) is type(expected) and str(exc.value) == str(expected) == message
+
+
+def test_a_stacked_qp_sweep_raises_the_error_of_its_first_failing_run(monkeypatch):
+    # two runs measure a NaN output, one from t = 7 on and a later one from t = 5 on;
+    # their bases keep the instance's signals, so each seed's shared reference holds
+    real_build, real_step = experiments.build_phase, qp_module._StackedSteps.__call__
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS["qp-feedback-sync"])
+    nan_from = {(0.01, cfg.seed + 1000): 7, (0.02, cfg.seed): 5}
+    stacked_calls = []
+
+    def build(config):
+        family, graph = real_build(config)
+        start = nan_from.get((config.raw["problem"]["noise_bound"], config.seed))
+        if start is None:
+            return family, graph
+        output = SeriesTable(lambda ts, last: np.where(ts >= start, np.nan, 0.0))
+        step = dataclasses.replace(
+            family.lockstep, qp=dataclasses.replace(family.lockstep.qp, output_signal=output))
+        failing = fptrack.InexactMapFamily(family.base, step, family.error_sup, family.name)
+        failing.lockstep = step
+        return failing, graph
+
+    def counting_step(self, x, t):
+        stacked_calls.append(t)
+        return real_step(self, x, t)
+
+    monkeypatch.setattr(experiments, "build_phase", build)
+    monkeypatch.setattr(qp_module._StackedSteps, "__call__", counting_step)
+    values = [0.0, 0.01, 0.02, 0.05]
+    expected = first_error_of_the_runs_alone(cfg, values, 2, "noise_bound")
+    with pytest.raises(type(expected)) as exc:
+        sweep(cfg, "noise_bound", values, n_seeds=2)
+    assert stacked_calls == [1, 2, 3, 4, 5]  # the lockstep stops at the first leaving time
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+    assert str(expected) == "online iterate left the domain at time index 7"
 
 
 def _containers(value):

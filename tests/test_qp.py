@@ -1,11 +1,17 @@
 """Quadratic tracking problems: gradient maps, feedback noise, broadcast star."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fptrack as fp
 from fptrack import DomainSampler, Norm
 from fptrack.domains import clip
-from fptrack.errors import ContractionUncertifiedError, PreconditionError
+from fptrack.errors import (
+    ContractionUncertifiedError,
+    DomainViolationError,
+    PreconditionError,
+)
 from fptrack.problems import (
     TimeVaryingQP,
     build_broadcast_system,
@@ -305,11 +311,12 @@ def test_clip_keeps_the_point_bits_where_np_clip_flips_a_zero():
 # ---------------------------------------------------------------------------
 
 
-def runs_of_one_instance(qp, rng, count):
+def runs_of_one_instance(qp, rng, count, kinds=(0, 1, 2)):
     """Gradient and feedback families of ``qp``'s data with its middle coupling
     entry 0 (a weight times coupling of 0 keeps signed zeros in the gradient;
     the middle box has no zero bound to clip them to), each run with its own
-    signals, step size and noise: exact, drawn or adversarial."""
+    signals, step size and noise: run r is exact, drawn or adversarial as
+    ``kinds[r]`` (cycled) is 0, 1 or 2."""
     coupling = qp.coupling.copy()
     coupling[len(coupling) // 2] = 0.0
     families = []
@@ -322,7 +329,7 @@ def runs_of_one_instance(qp, rng, count):
             reference_signal=scalar_signal("linear", rate=float(rng.uniform(0, 0.02)),
                                            start=float(rng.uniform(-1, 1))),
         )
-        step, kind = float(rng.uniform(0.05, 0.3)), r % 3
+        step, kind = float(rng.uniform(0.05, 0.3)), kinds[r % len(kinds)]
         if kind == 0:
             families.append(build_gradient_map(run, step))
         else:
@@ -332,19 +339,24 @@ def runs_of_one_instance(qp, rng, count):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n):
-    rng = np.random.default_rng(200 + n)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       kinds=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=7),
+       times=st.lists(st.integers(1, 149), min_size=1, max_size=4))
+@example(seed=1, kinds=[0, 0, 0], times=[1])  # exact runs only: no noise table
+@example(seed=2, kinds=[1, 2, 1, 2], times=[70])  # noisy runs only: no row mask
+@example(seed=3, kinds=[2, 0, 1, 0, 2, 1, 0], times=[2, 149])
+def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n, seed, kinds, times):
+    # the stacked runs: exact (0), drawn (1) and adversarial (2) runs of one instance
+    rng = np.random.default_rng(seed)
     horizon = 150
-    for _ in range(4):
-        families = runs_of_one_instance(drawn_qp(n, rng), rng, 7)
-        stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
-        assert stacked is not None
-        for t in (1, 2, 70, horizon - 1):
-            X = drawn_points(families[0].lockstep.qp, n, rng, k=len(families))
-            for runs in (np.arange(len(families)), np.array([1, 2, 5]), np.array([3])):
-                rows = stacked(X[runs], t, runs)
-                for row, r, x in zip(rows, runs.tolist(), X[runs]):
-                    assert row.tobytes() == families[r].evaluate(x, t).tobytes(), (r, t)
+    families = runs_of_one_instance(drawn_qp(n, rng), rng, len(kinds), kinds)
+    stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
+    assert stacked is not None
+    for t in times:
+        X = drawn_points(families[0].lockstep.qp, n, rng, k=len(families))
+        for r, (row, family, x) in enumerate(zip(stacked(X, t), families, X)):
+            assert row.tobytes() == family.evaluate(x, t).tobytes(), (r, t)
 
 
 def test_runs_of_other_instances_or_maps_do_not_stack():
@@ -359,24 +371,28 @@ def test_runs_of_other_instances_or_maps_do_not_stack():
     assert fp.with_output_noise(families[0], 0.01, seed=1).lockstep is None
 
 
-def test_a_stacked_row_that_leaves_its_domain_is_not_evaluated_again(monkeypatch):
+def test_the_stacked_lockstep_raises_at_the_time_a_run_leaves_its_domain(monkeypatch):
     rows = []
     real = qp_module._StackedSteps.__call__
 
-    def recording(self, x, t, at):
+    def recording(self, x, t):
         rows.append(len(x))
-        return real(self, x, t, at)
+        return real(self, x, t)
 
     monkeypatch.setattr(qp_module._StackedSteps, "__call__", recording)
     rng = np.random.default_rng(4)
     families = runs_of_one_instance(drawn_qp(3, rng), rng, 3)
+    x0 = np.array([f.domain.anchor() for f in families])
+    iterates = fp.run_lockstep_tracker(families, x0, 9)
+    assert rows == [3] * 8
+    for r in range(3):
+        alone = fp.run_online_tracker(families[r], x0[r], 9, reference=np.zeros((9, 3)))
+        assert iterates[r].tobytes() == alone.iterates.tobytes()
     # run 1 measures a NaN output from t = 5 on, so its iterate at t = 5 is NaN
     families[1].lockstep.qp.output_signal = SeriesTable(
         lambda ts, last: np.where(ts >= 5, np.nan, 0.0))
-    x0 = np.array([f.domain.anchor() for f in families])
-    outcome = fp.run_lockstep_tracker(families, x0, 9)
-    assert rows == [3] * 5 + [2] * 3
-    assert str(outcome[1]) == "online iterate left the domain at time index 5"
-    for r in (0, 2):
-        alone = fp.run_online_tracker(families[r], x0[r], 9, reference=np.zeros((9, 3)))
-        assert outcome[r].tobytes() == alone.iterates.tobytes()
+    rows.clear()
+    with pytest.raises(DomainViolationError) as exc:
+        fp.run_lockstep_tracker(families, x0, 9)
+    assert str(exc.value) == "online iterate left the domain at time index 5"
+    assert rows == [3] * 5
