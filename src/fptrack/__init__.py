@@ -14,7 +14,6 @@ from .async_sim import (
     DependencyGraph,
     FixedDelay,
     IidDrop,
-    PerEdge,
     PeriodicDelivery,
     ScheduleTable,
     ZeroDelay,

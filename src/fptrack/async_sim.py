@@ -140,12 +140,14 @@ class DependencyGraph:
 
 
 class ChannelModel:
-    """Per-edge delivery policy; ``start`` builds a run's stamp table.
+    """Delivery policy of every edge of a run; ``start`` builds its stamp table.
 
     ``start(n_edges, horizon, seed)`` returns an integer array of shape
     ``(horizon, n_edges)``: entry ``[t, e]`` is the stamp of the copy that
     edge e's receiver holds at tick t. Every agent starts from the initial
-    state, so rows 0 and 1 hold stamp 1.
+    state, so rows 0 and 1 hold stamp 1. A run starts one model over all of
+    its edges; edges with different channels are a :class:`ScheduleTable`,
+    whose rows the run places by the edges they name.
     """
 
     allows_nonmonotone = False
@@ -285,18 +287,6 @@ class ScheduleTable(ChannelModel):
         return np.take_along_axis(given, since, axis=0)
 
 
-class PerEdge(ChannelModel):
-    """Assign a distinct channel model to selected edges (default elsewhere).
-
-    A key naming an edge the run's dependency graph lacks fails the run
-    before its first tick, as does a row of a schedule among the models.
-    """
-
-    def __init__(self, channel_map, default=None):
-        self.channel_map = {(int(j), int(i)): m for (j, i), m in channel_map.items()}
-        self.default = default if default is not None else ZeroDelay()
-
-
 def _edge_columns(graph: DependencyGraph, pairs) -> np.ndarray:
     """Each ``(j, i)`` row's column in ``graph``'s edge order. Fails naming the
     smallest pair the graph lacks."""
@@ -312,46 +302,25 @@ def _edge_columns(graph: DependencyGraph, pairs) -> np.ndarray:
 
 
 def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) -> np.ndarray:
-    """The run's stamp table, one column per edge of ``graph`` in edge order.
+    """The run's stamp table, one column per edge of ``graph`` in edge order,
+    checked before the first tick.
 
-    A ``PerEdge`` model's keys and its schedules' rows are checked against the
-    graph together, so an unknown edge fails before any channel starts.
+    A ``ScheduleTable`` places its rows in the columns of the edges they name,
+    so a row naming an edge the graph lacks fails here; any other model starts
+    once over all edges. A per-edge mix of channels is a schedule.
     """
     n_edges = len(graph.edge_arrays[0])
-    if not isinstance(model, PerEdge):
-        return _group_table(model, graph, np.arange(n_edges), horizon, seed)
-    subs = [model.default, *model.channel_map.values()]
-    keys = np.array(list(model.channel_map), dtype=np.int64).reshape(-1, 2)
-    named = [keys, *(sub.rows[:, 1:3] for sub in subs if isinstance(sub, ScheduleTable))]
-    first = {}  # each distinct model's first position in subs
-    group = np.array([first.setdefault(id(sub), k) for k, sub in enumerate(subs)])
-    owner = np.zeros(n_edges, dtype=np.intp)  # position in subs of each edge's model
-    owner[_edge_columns(graph, np.concatenate(named))[: len(keys)]] = np.arange(1, len(subs))
-    owner = group[owner]
-    table = np.empty((horizon, n_edges), dtype=int)
-    order = np.argsort(owner, kind="stable")  # edges grouped by model, in edge order
-    for idx in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
-        if len(idx):
-            table[:, idx] = _group_table(subs[owner[idx[0]]], graph, idx, horizon, seed)
-    return table
-
-
-def _group_table(model: ChannelModel, graph: DependencyGraph, idx, horizon, seed) -> np.ndarray:
-    """One model's stamp table over the graph's edges ``idx``, checked against it."""
     if isinstance(model, ScheduleTable):
-        local = np.full(len(graph.edge_arrays[0]), -1)  # a graph edge's column here
-        local[idx] = np.arange(len(idx))
-        columns = local[_edge_columns(graph, model.rows[:, 1:3])]
-        table = model.stamps_for(columns, len(idx), horizon)
+        table = model.stamps_for(_edge_columns(graph, model.rows[:, 1:3]), n_edges, horizon)
     else:
-        table = np.asarray(model.start(len(idx), horizon, seed), dtype=int)
-    if table.shape != (horizon, len(idx)):
+        table = np.asarray(model.start(n_edges, horizon, seed), dtype=int)
+    if table.shape != (horizon, n_edges):
         raise PreconditionError(
-            f"stamp table has shape {table.shape}, expected {(horizon, len(idx))}"
+            f"stamp table has shape {table.shape}, expected {(horizon, n_edges)}"
         )
 
     def edge(k):
-        return tuple(int(a[idx[k]]) for a in graph.edge_arrays)
+        return tuple(int(a[k]) for a in graph.edge_arrays)
 
     held = table[1:]
     ticks = np.arange(1, horizon)[:, None]
@@ -685,11 +654,14 @@ def audit_dependency_graph(family, graph: DependencyGraph, probe_count=32, seed=
     depends on j when its output moves by more than 1e-9 relative. Returns
     ``(ok, violations)`` with violating ``(j, i)`` pairs.
     """
+    probe_count = _integer(probe_count, "probe_count")
+    if probe_count < 1:
+        raise PreconditionError("need at least one probe")
     sampler = DomainSampler(family.domain, int(seed) + 9173)
     rng = seeded_stream(seed, 55)
     own_block = (graph.block_of_column, graph.columns)  # in row j, the columns of block j
     found = np.zeros((graph.n_agents, graph.n_agents), dtype=bool)
-    for _ in range(int(probe_count)):
+    for _ in range(probe_count):
         x = sampler.draw_one()
         delta = rng.uniform(0.5, 1.0, size=graph.dim) * (1e-6 * (1.0 + float(np.max(np.abs(x)))))
         moved = np.tile(x, (graph.n_agents, 1))  # row j: x with block j moved

@@ -35,6 +35,8 @@ class BoundInputs:
     norm: Norm = Norm(L2)
 
     def __post_init__(self):
+        for name in ("max_delay", "max_stale", "dim"):
+            _integer(getattr(self, name), name)
         if not math.isfinite(self.lipschitz) or self.lipschitz < 0.0:
             raise PreconditionError("lipschitz must be finite and nonnegative")
         if self.map_error < 0.0 or self.drift < 0.0:
@@ -149,6 +151,7 @@ def min_regularization(smoothness, max_stale) -> float:
     """
     if smoothness <= 0.0:
         raise PreconditionError("smoothness must be positive")
+    max_stale = _integer(max_stale, "max_stale")
     if max_stale < 0:
         raise PreconditionError("max_stale must be nonnegative")
     return 0.5 * (math.sqrt(max_stale + 1.0) - 1.0) * float(smoothness)
@@ -173,6 +176,7 @@ def gradient_step_window(smoothness, regularization, max_stale):
     """
     if smoothness <= 0.0 or regularization <= 0.0:
         raise PreconditionError("smoothness and regularization must be positive")
+    max_stale = _integer(max_stale, "max_stale")
     if max_stale < 0:
         raise PreconditionError("max_stale must be nonnegative")
     inv_root = 1.0 / math.sqrt(max_stale + 1.0)
@@ -233,9 +237,11 @@ def delayed_recursion_check(offset, decay, max_lag, lag_schedule, horizon,
         initial = [bound] * max_lag
     elif len(initial) != max_lag:
         raise LengthMismatchError(f"initial must have length max_lag={max_lag}")
-    lags = np.asarray(lag_schedule, dtype=int)
+    lags = np.asarray(lag_schedule)
     if lags.ndim != 1 or not len(lags):
         raise PreconditionError("lag_schedule must be a nonempty sequence of lags")
+    if lags.dtype.kind not in "iu":
+        raise PreconditionError(f"lags must be integers; got entries of type {lags.dtype}")
     lag = np.resize(lags, horizon - max_lag)  # the lag at t = max_lag + 1 .. horizon
     bad = (lag < 1) | (lag > max_lag)
     if bad.any():

@@ -637,7 +637,7 @@ def _tracker_score(family, iterates, norm, reference) -> TrackingTrace:
 
 def map_error_bound_series(family, horizon) -> np.ndarray:
     """Declared approximation bounds for steps 1..horizon-1: ``error_sup`` at each."""
-    return np.full(max(int(horizon) - 1, 0), family.error_sup)
+    return np.full(_horizon(horizon) - 1, family.error_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +661,7 @@ class LipschitzEstimate:
 
 def estimate_lipschitz(family, t, sampler: DomainSampler, n_pairs, norm: Norm) -> LipschitzEstimate:
     """Max sampled ratio ||f(x)-f(x')|| / ||x-x'|| over seeded domain pairs."""
-    n_pairs = int(n_pairs)
+    n_pairs = _integer(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise PreconditionError("need at least one pair")
     X = sampler.draw(n_pairs)
@@ -687,7 +687,7 @@ class SelfMapCheck:
 def verify_self_map(family, t, sampler: DomainSampler, n_samples) -> SelfMapCheck:
     """Sampled check that the time-t map sends the domain into itself, up to the
     domain's membership tolerance."""
-    n_samples = int(n_samples)
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     X = sampler.draw(n_samples)
@@ -716,7 +716,9 @@ def verify_map_error(family: MapFamily, t, sampler: DomainSampler, n_samples,
                      norm: Norm) -> MapErrorCheck:
     """Sampled check at time t that the family stays within ``error_sup`` of its
     base, up to the :func:`rounding_slack` of its largest exact output."""
-    n_samples = int(n_samples)
+    n_samples = _integer(n_samples, "n_samples")
+    if n_samples < 1:
+        raise PreconditionError("need at least one sample")
     X = sampler.draw(n_samples)
     approx = family.evaluate(X, t)
     exact = family.base.evaluate(X, t)

@@ -38,6 +38,7 @@ from .async_sim import (
 )
 from .core import (
     FixedPointSeries,
+    _integer,
     _tracker_score,
     compute_fixed_point_series,
     estimate_lipschitz,
@@ -697,10 +698,14 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if int(n_seeds) < 1:
+    try:
+        n_seeds = _integer(n_seeds, "n_seeds")
+    except PreconditionError as exc:
+        raise ConfigError(str(exc)) from None
+    if n_seeds < 1:
         raise ConfigError("sweep needs at least one seed")
     names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
-    seeds = range(int(n_seeds))
+    seeds = range(n_seeds)
     shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
     order = [(v, k) for v in values for k in seeds]
     if config.mode == "sync":

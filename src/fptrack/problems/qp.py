@@ -86,7 +86,7 @@ class TimeVaryingQP:
                    for k in fields)
 
 
-def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
+def random_qp(n_devices, seed) -> TimeVaryingQP:
     """A seeded random instance with constant signals (used for window sweeps)."""
     rng = seeded_stream(seed, 411)
     n = int(n_devices)
@@ -94,7 +94,7 @@ def random_qp(n_devices, seed, regularization=None) -> TimeVaryingQP:
     c = rng.uniform(-1.0, 1.0, size=n)
     if np.all(c == 0.0):
         c[0] = 1.0
-    reg = float(regularization) if regularization is not None else float(rng.uniform(0.05, 1.5))
+    reg = float(rng.uniform(0.05, 1.5))
     half = rng.uniform(0.5, 2.0, size=n)
     return TimeVaryingQP(
         curvature=a,

@@ -129,8 +129,8 @@ def test_04_async_l2_refined_certificate_chain():
                                   blockwise=True)
         graph = fam.dependency_graph()
         # only copies from the left neighbor are delayed: one stale block per agent
-        delayed = {(j, i): fp.FixedDelay(2) for (j, i) in graph.edges if j < i}
-        channels = fp.PerEdge(delayed, default=fp.ZeroDelay())
+        channels = fp.ScheduleTable([(t, j, i, max(t - 2, 1) if j < i else t)
+                                     for t in range(1, 4000) for (j, i) in graph.edges])
         trace, stats = fp.run_async_tracker(
             fam, graph, channels, np.zeros(4), 4000, L2, seed=0
         )

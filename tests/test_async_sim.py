@@ -1,5 +1,6 @@
 """Asynchronous simulator: channels, staleness accounting, reductions, audits."""
 import csv
+import tempfile
 import tracemalloc
 import warnings
 from unittest import mock
@@ -16,7 +17,6 @@ from fptrack import (
     FixedDelay,
     IidDrop,
     Norm,
-    PerEdge,
     PeriodicDelivery,
     ScheduleTable,
     ZeroDelay,
@@ -143,8 +143,8 @@ def test_edge_columns_equal_a_dict_lookup_of_the_graph_edges(n, edges, queries):
 def test_graph_edge_pairs_are_built_on_first_read_and_no_run_reads_them():
     fam = small_affine(dim=4, coupling="chain")
     g = fam.dependency_graph()
-    channels = PerEdge({(1, 0): ScheduleTable([(2, 1, 0, 1)])}, default=IidDrop(0.3))
-    fp.run_async_tracker(fam, g, channels, np.zeros(4), 20, L2, seed=1)
+    for channels in (ScheduleTable([(2, 1, 0, 1)]), IidDrop(0.3)):
+        fp.run_async_tracker(fam, g, channels, np.zeros(4), 20, L2, seed=1)
     assert "edges" not in vars(g)
     assert g.edges == ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)) and g.edges is g.edges
 
@@ -381,6 +381,16 @@ def patched_step(history, stamps, family, graph, t):
                 view[block_slice(graph, j)] = history[s - 1, block_slice(graph, j)]
         x_next[block_slice(graph, i)] = family.evaluate(view, t)[block_slice(graph, i)]
     return x_next
+
+
+def test_audit_probe_count_is_a_positive_integer():
+    fam = small_affine(dim=3, coupling="chain")
+    graph = fam.dependency_graph()
+    with pytest.raises(PreconditionError, match="probe_count 2.7 is not an integer"):
+        fp.audit_dependency_graph(fam, graph, probe_count=2.7)
+    with pytest.raises(PreconditionError, match="need at least one probe"):
+        fp.audit_dependency_graph(fam, graph, probe_count=0)
+    assert fp.audit_dependency_graph(fam, graph, probe_count=np.int64(2)) == (True, [])
 
 
 def test_a_map_reading_non_neighbors_reads_them_at_t():
@@ -874,8 +884,8 @@ class TableChannel(ChannelModel):
     (TableChannel([1, 1, 2, 1, 4]), PreconditionError),           # non-monotone
     (ScheduleTable([(3, 1, 0, 4)]), PreconditionError),           # a scheduled future copy
     (ScheduleTable([(1, 1, 0, 2)]), PreconditionError),           # ... at the first tick
-    (PerEdge({(1, 0): ScheduleTable([(2, 1, 0, 2), (3, 1, 0, 1)])}), PreconditionError),
-    (PerEdge({(1, 0): ScheduleTable([], declared_max_delay=2)}), StaleBeyondCapError),
+    (ScheduleTable([(2, 1, 0, 2), (3, 1, 0, 1)]), PreconditionError),
+    (ScheduleTable([], declared_max_delay=2), StaleBeyondCapError),
 ])
 def test_invalid_stamp_tables_fail_before_the_first_tick(channels, error):
     fam = small_affine(dim=2)
@@ -890,6 +900,32 @@ def test_invalid_stamp_tables_fail_before_the_first_tick(channels, error):
         fp.run_async_tracker(counted, fam.dependency_graph(), channels, np.zeros(2), 5, L2,
                              reference=fp.compute_fixed_point_series(fam, 5, L2))
     assert calls == []
+
+
+def _capped(model, cap):
+    model.declared_max_delay = cap
+    return model
+
+
+@pytest.mark.parametrize("channels,error,message", [
+    (ScheduleTable([(3, 1, 2, 4)]), PreconditionError,
+     r"stamp 4 for edge \(1, 2\) at t=3 outside 1..3"),
+    (TableChannel([1, 1, 1, 4, 4, 5]), PreconditionError,
+     r"stamp 4 for edge \(0, 1\) at t=3 outside 1..3"),
+    (ScheduleTable([(2, 2, 1, 2), (3, 2, 1, 1)]), PreconditionError,
+     r"stamp for edge \(2, 1\) decreases at t=3, outside the default delivery model"),
+    (TableChannel([1, 1, 2, 1, 4, 5]), PreconditionError,
+     r"stamp for edge \(0, 1\) decreases at t=3, outside the default delivery model"),
+    (ScheduleTable([], declared_max_delay=2), StaleBeyondCapError,
+     r"channel exceeds declared staleness 2 on edge \(0, 1\) at t=4"),
+    (_capped(FixedDelay(3), 2), StaleBeyondCapError,
+     r"channel exceeds declared staleness 2 on edge \(0, 1\) at t=4"),
+], ids=["schedule-outside", "model-outside", "schedule-decreasing", "model-decreasing",
+        "schedule-over-cap", "model-over-cap"])
+def test_invalid_stamp_tables_name_the_edge_and_tick(channels, error, message):
+    graph = DependencyGraph([1, 2, 1], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    with pytest.raises(error, match=f"^{message}$"):
+        _start_channels(channels, graph, 6, 0)
 
 
 def test_nonmonotone_table_accepted_when_the_model_allows_it():
@@ -914,20 +950,18 @@ def test_runs_without_log_entries_have_zero_staleness(horizon, edges):
 
 
 def test_per_edge_channel_assignment():
+    """A per-edge mix of channels is a schedule: the left-to-right edges lag
+    two ticks, the right-to-left edges are fresh."""
     fam = small_affine(dim=3, coupling="chain")
     g = fam.dependency_graph()
-    # delay only the left-to-right edges; right-to-left edges stay fresh
-    delayed = {(j, i): FixedDelay(2) for (j, i) in g.edges if j < i}
-    channels = PerEdge(delayed, default=ZeroDelay())
+    channels = ScheduleTable([(t, j, i, max(t - 2, 1) if j < i else t)
+                              for t in range(1, 100) for (j, i) in g.edges])
     _, stats = fp.run_async_tracker(fam, g, channels, np.zeros(3), 100, L2, seed=3)
     log = stats.log
     for (j, i) in g.edges:
         rows = (log.src == j) & (log.dst == i)
         delays = log.times[rows] - log.stamps[rows]
-        if j < i:
-            assert delays.max() == 2
-        else:
-            assert delays.max() == 0
+        assert delays.max() == (2 if j < i else 0)
     assert stats.max_stale == 1  # at most one stale neighbor per agent
 
 
@@ -941,6 +975,43 @@ def test_schedule_csv_roundtrip(tmp_path):
     tr2, st2 = fp.run_async_tracker(fam, g, channels, np.zeros(3), 60, L2, seed=0)
     assert np.array_equal(tr1.iterates, tr2.iterates)
     assert np.array_equal(st1.log.stamps, st2.log.stamps)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       edge_draw=st.integers(0, 2 ** 32), taps=st.booleans(),
+       channel=st.sampled_from(["zero", "fixed", "periodic", "iid"]),
+       param=st.integers(0, 5), p=st.floats(0.0, 0.9),
+       horizon=st.integers(2, 40), seed=st.integers(0, 2 ** 16))
+def test_every_channel_replays_from_its_log_csv_bitwise(sizes, edge_draw, taps, channel, param,
+                                                        p, horizon, seed):
+    """A logged run replayed through ``read_schedule_csv`` repeats its iterates
+    and stamp table bit for bit, on the tap and on the rows path."""
+    rng = np.random.default_rng(edge_draw)
+    n, dim = len(sizes), sum(sizes)
+    declared = rng.random((n, n)) < 0.5
+    np.fill_diagonal(declared, False)
+    graph = DependencyGraph(sizes, np.argwhere(declared))
+    owner = np.repeat(np.arange(n), sizes)
+    reads = declared.T | np.eye(n, dtype=bool)  # reads[i, j]: agent i reads j
+    A = np.where(reads[owner[:, None], owner[None, :]], rng.uniform(-1.0, 1.0, (dim, dim)), 0.0)
+    A = 0.9 * A / np.abs(A).sum(axis=1, keepdims=True)
+    fam = AffineFamily(A, DriftPath("linear", dim, rate=0.1, seed=seed, norm=LINF), LINF,
+                       lipschitz=0.9)
+    if not taps:
+        fam = fp.MapFamily(dim, fam.domain, fam.evaluate, lipschitz=0.9)
+    channels = {"zero": ZeroDelay(), "fixed": FixedDelay(param),
+                "periodic": PeriodicDelivery(param + 1),
+                "iid": IidDrop(min(p, 0.8), max_consecutive=param)}[channel]
+    x0 = rng.uniform(-1.0, 1.0, dim)
+    tr1, st1 = fp.run_async_tracker(fam, graph, channels, x0, horizon, LINF, seed=seed)
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/log.csv"
+        fp.write_log_csv(path, st1.log)
+        replay = fp.read_schedule_csv(path)
+    tr2, st2 = fp.run_async_tracker(fam, graph, replay, x0, horizon, LINF, seed=seed + 1)
+    assert tr1.iterates.tobytes() == tr2.iterates.tobytes()
+    assert st1.log.table.tobytes() == st2.log.table.tobytes()
 
 
 @pytest.mark.parametrize("horizon,edges", [(150, [(0, 1), (1, 0), (1, 12), (12, 1)]),
@@ -1001,6 +1072,13 @@ def test_schedule_repeated_entry_last_row_wins(tmp_path):
         assert table[:, column].tolist() == [1, 1, 1, expected, expected, expected]
 
 
+def test_per_edge_schedule_sets_only_its_own_edges():
+    table = chain_stamps(ScheduleTable([(3, 1, 0, 3), (3, 0, 1, 2), (4, 2, 1, 4)]), 6)
+    # columns (0, 1), (1, 0), (1, 2), (2, 1); no row names (1, 2)
+    assert table.T.tolist() == [[1, 1, 1, 2, 2, 2], [1, 1, 1, 3, 3, 3],
+                                [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 4, 4]]
+
+
 def test_schedule_csv_with_a_header_only_is_empty(tmp_path):
     path = tmp_path / "schedule.csv"
     for body in ("", "\n", "\n\n"):
@@ -1023,31 +1101,13 @@ def test_schedule_rows_are_integers_not_truncated():
     assert ScheduleTable(np.array([[2, 0, 1, 1]], dtype=np.int32)).rows.dtype == np.int64
 
 
-def test_per_edge_schedule_sets_only_its_own_edges():
-    schedule = ScheduleTable([(3, 1, 0, 3), (3, 0, 1, 2), (4, 2, 1, 1)])
-    table = chain_stamps(PerEdge({(1, 0): FixedDelay(2)}, default=schedule), 6)
-    # columns (0, 1), (1, 0), (1, 2), (2, 1); the row for (1, 0) is ignored
-    assert table.T.tolist() == [[1, 1, 1, 2, 2, 2], [1, 1, 1, 1, 2, 3],
-                                [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]
-
-
-class _NeverStarted(ChannelModel):
-    def start(self, n_edges, horizon, seed):
-        raise AssertionError("channel started although an edge is unknown")
-
-
 @pytest.mark.parametrize("channels", [
     ScheduleTable([(2, 5, 7, 1)]),
     ScheduleTable([(3, 1, 0, 2), (2, 0, 2, 1)]),  # (0, 2) is no chain edge
-    PerEdge({(5, 7): _NeverStarted()}),
-    PerEdge({(0, 2): FixedDelay(1)}, default=_NeverStarted()),
-    PerEdge({(1, 0): FixedDelay(1)}, default=ScheduleTable([(2, 5, 7, 1)])),
     ScheduleTable([(2, 1, 2, 1), (3, 0, 5, 1)]),  # key 0 * 3 + 5 is (1, 2)'s key
     ScheduleTable([(3, 2, -1, 1)]),  # key 2 * 3 - 1 is (1, 2)'s key too
-    PerEdge({(0, 5): FixedDelay(1)}),
-], ids=["schedule-only-unknown", "schedule-one-unknown", "per-edge-key",
-        "per-edge-non-edge-key", "per-edge-default-schedule", "schedule-id-aliasing-an-edge",
-        "schedule-negative-id-aliasing-an-edge", "per-edge-key-aliasing-an-edge"])
+], ids=["schedule-only-unknown", "schedule-one-unknown", "schedule-id-aliasing-an-edge",
+        "schedule-negative-id-aliasing-an-edge"])
 def test_channel_naming_an_unknown_edge_fails_before_the_first_tick(channels):
     g = small_affine(dim=3, coupling="chain").dependency_graph()
     calls = []
@@ -1060,8 +1120,7 @@ def test_channel_naming_an_unknown_edge_fails_before_the_first_tick(channels):
 @pytest.mark.parametrize("channels,edge", [
     (ScheduleTable([(3, 0, 5, 1), (2, 1, 2, 1), (2, 0, 2, 1)]), (0, 2)),
     (ScheduleTable([(3, 0, 5, 1), (2, 1, 2, 1)]), (0, 5)),
-    (PerEdge({(2, 0): FixedDelay(1)}, default=ScheduleTable([(2, 5, 7, 1), (2, 2, -1, 1)])),
-     (2, -1)),
+    (ScheduleTable([(2, 5, 7, 1), (2, 2, -1, 1)]), (2, -1)),
 ])
 def test_unknown_edge_error_names_the_smallest_unknown_pair(channels, edge):
     with pytest.raises(PreconditionError, match=rf"edge \({edge[0]}, {edge[1]}\), which"):

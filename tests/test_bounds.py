@@ -311,6 +311,28 @@ def test_stale_contraction_threshold_takes_a_nonnegative_integer():
         bnd.stale_contraction_threshold(1.7)
 
 
+def test_bound_inputs_counts_are_integers_not_truncated():
+    with pytest.raises(PreconditionError, match="max_delay 2.5 is not an integer"):
+        BoundInputs(lipschitz=0.5, max_stale=1.7, max_delay=2.5, dim=3)
+    with pytest.raises(PreconditionError, match="max_stale 1.7 is not an integer"):
+        BoundInputs(lipschitz=0.5, max_stale=1.7, max_delay=2, dim=3)
+    with pytest.raises(PreconditionError, match="dim 3.0 is not an integer"):
+        BoundInputs(lipschitz=0.5, dim=3.0)
+    assert BoundInputs(lipschitz=0.5, max_stale=np.int64(1), max_delay=np.int64(2), dim=3).dim == 3
+
+
+def test_min_regularization_stale_count_is_an_integer_not_truncated():
+    with pytest.raises(PreconditionError, match="max_stale 1.7 is not an integer"):
+        bnd.min_regularization(1.0, 1.7)
+    assert bnd.min_regularization(1.0, np.int64(3)) == 0.5
+
+
+def test_gradient_step_window_stale_count_is_an_integer_not_truncated():
+    with pytest.raises(PreconditionError, match="max_stale 1.7 is not an integer"):
+        bnd.gradient_step_window(1.0, 1.0, 1.7)
+    assert bnd.gradient_step_window(1.0, 1.0, np.int64(3)) == (0.5, 0.75)
+
+
 def test_window_empty_below_min_regularization():
     assert bnd.gradient_step_window(1.0, 0.4, 3) is None
 
@@ -400,6 +422,12 @@ def test_delayed_recursion_lag_and_horizon_are_integers_not_truncated(max_lag, h
     with pytest.raises(PreconditionError, match=f"{what} is not an integer"):
         bnd.delayed_recursion_check(1.0, 0.5, max_lag, [1], horizon)
     assert bnd.delayed_recursion_check(1.0, 0.5, np.int64(1), [1], np.int64(20)).horizon == 20
+
+
+def test_delayed_recursion_lags_are_integers_not_truncated():
+    with pytest.raises(PreconditionError, match="lags must be integers; got entries of type float"):
+        bnd.delayed_recursion_check(1.0, 0.5, 2, [1.9, 2.6], 100)
+    assert bnd.delayed_recursion_check(1.0, 0.5, 2, np.array([1, 2], dtype=np.int32), 100).passed
 
 
 def test_stale_ratio_identity_with_min_regularization():

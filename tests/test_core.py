@@ -4,6 +4,7 @@ import pytest
 
 import fptrack as fp
 from fptrack import Domain, DomainSampler, MapFamily
+from fptrack.core import map_error_bound_series
 from fptrack.errors import (
     DomainViolationError,
     LengthMismatchError,
@@ -562,6 +563,14 @@ def test_lipschitz_degenerate_sampling_flagged():
     assert est.degenerate
 
 
+def test_lipschitz_pair_count_is_an_integer_not_truncated():
+    fam = MapFamily(1, Domain.box([0.0], [1.0]), lambda x, t: 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match="n_pairs 2.7 is not an integer"):
+        fp.estimate_lipschitz(fam, 1, DomainSampler(fam.domain, 0), 2.7, L2)
+    est = fp.estimate_lipschitz(fam, 1, DomainSampler(fam.domain, 0), np.int64(3), L2)
+    assert est.pairs_used == 3
+
+
 def test_self_map_contraction_on_ball_true():
     dom = Domain.ball(np.zeros(2), 1.0)
     fam = MapFamily(2, dom, lambda x, t: 0.5 * x, 0.5)
@@ -578,12 +587,38 @@ def test_self_map_shift_off_box_false_with_counterexample():
     assert 0.0 <= check.counterexample[0] <= 1.0
 
 
+def test_self_map_sample_count_is_an_integer_not_truncated():
+    fam = MapFamily(1, Domain.box([0.0], [1.0]), lambda x, t: 0.5 * x, 0.5)
+    with pytest.raises(PreconditionError, match="n_samples 3.9 is not an integer"):
+        fp.verify_self_map(fam, 1, DomainSampler(fam.domain, 0), 3.9)
+    assert fp.verify_self_map(fam, 1, DomainSampler(fam.domain, 0), np.int64(3)).n_checked == 3
+
+
 def test_map_error_audit_within_declared_bound():
     base = MapFamily(3, Domain.all_space(3), lambda x, t: 0.5 * x, 0.5)
     fam = fp.with_output_noise(base, 0.05, seed=6, norm=L2)
     check = fp.verify_map_error(fam, 1, DomainSampler(base.domain, 7), 400, L2)
     assert check.ok
     assert check.max_observed <= 0.05 + 1e-12
+
+
+def test_map_error_sample_count_is_a_positive_integer():
+    base = MapFamily(3, Domain.all_space(3), lambda x, t: 0.5 * x, 0.5)
+    fam = fp.with_output_noise(base, 0.05, seed=6, norm=L2)
+    sampler = DomainSampler(base.domain, 7)
+    with pytest.raises(PreconditionError, match="n_samples 2.7 is not an integer"):
+        fp.verify_map_error(fam, 1, sampler, 2.7, L2)
+    with pytest.raises(PreconditionError, match="need at least one sample"):
+        fp.verify_map_error(fam, 1, sampler, 0, L2)
+    assert fp.verify_map_error(fam, 1, sampler, np.int64(3), L2).n_checked == 3
+
+
+def test_map_error_bound_series_horizon_is_an_integer_not_truncated():
+    fam = fp.with_output_noise(MapFamily(1, Domain.all_space(1), lambda x, t: 0.5 * x, 0.5),
+                               0.05, seed=6, norm=L2)
+    with pytest.raises(PreconditionError, match="horizon 2.7 is not an integer"):
+        map_error_bound_series(fam, 2.7)
+    assert map_error_bound_series(fam, np.int64(3)).tolist() == [0.05, 0.05]
 
 
 def test_map_error_audit_allows_rounding_at_large_states_but_not_a_larger_error():

@@ -290,6 +290,12 @@ def test_sweep_rejects_zero_seeds():
         sweep(cfg, "drift_rate", [0.01], n_seeds=0)
 
 
+def test_sweep_seed_count_is_an_integer_not_truncated():
+    cfg = ExperimentConfig.from_dict(affine_doc())
+    with pytest.raises(ConfigError, match="n_seeds 1.5 is not an integer"):
+        sweep(cfg, "drift_rate", [0.01], n_seeds=1.5)
+
+
 def test_sweep_seeds_vary_only_run_randomness():
     doc = affine_doc(mode="async", norm="linf", horizon=300,
                      channel={"kind": "iid_drop", "p": 0.3})
