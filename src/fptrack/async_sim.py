@@ -654,10 +654,10 @@ def audit_dependency_graph(family, graph: DependencyGraph, probe_count=32, seed=
     depends on j when its output moves by more than 1e-9 relative. Returns
     ``(ok, violations)`` with violating ``(j, i)`` pairs.
     """
-    probe_count = _integer(probe_count, "probe_count")
+    probe_count, seed = _integer(probe_count, "probe_count"), _integer(seed, "seed")
     if probe_count < 1:
         raise PreconditionError("need at least one probe")
-    sampler = DomainSampler(family.domain, int(seed) + 9173)
+    sampler = DomainSampler(family.domain, seed + 9173)
     rng = seeded_stream(seed, 55)
     own_block = (graph.block_of_column, graph.columns)  # in row j, the columns of block j
     found = np.zeros((graph.n_agents, graph.n_agents), dtype=bool)

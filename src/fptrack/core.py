@@ -12,7 +12,6 @@ so ``points[k]`` corresponds to ``t = k + 1``.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     NonConvergenceError,
     PreconditionError,
+    _integer,
 )
 from .norms import L2, LINF, Norm
 
@@ -52,7 +52,7 @@ def seeded_stream(seed, *key) -> np.random.Generator:
 
     :class:`~fptrack.domains.DomainSampler` draws from ``SeedSequence([seed])``.
     """
-    parts = [int(seed)] + [int(k) for k in key]
+    parts = [_integer(seed, "seed")] + [_integer(k, "stream key") for k in key]
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 
@@ -144,8 +144,11 @@ class MapFamily:
     ``lockstep``, an object whose ``stack(steps, horizon)`` takes the
     ``lockstep`` of every run and returns ``step(x, t)``: the next iterate
     of every run from its row of ``x``, the row of run r equal to run r's
-    point call bit for bit. It returns None when the runs do not stack; runs
-    that stack share one domain.
+    point call bit for bit. ``step(x, t, runs)`` takes one run and time per
+    row instead, two int arrays, and row i is run ``runs[i]``'s point call
+    at ``t[i]``: the references of runs that stack are one batched solve
+    (:func:`compute_fixed_point_series` of a list). ``stack`` returns None
+    when the runs do not stack; runs that stack share one domain.
     (:func:`~fptrack.problems.build_gradient_map` and
     :func:`~fptrack.problems.build_feedback_gradient_map` stack the runs of
     one QP instance.)
@@ -197,7 +200,7 @@ class MapFamily:
         declared_norm=None,
         name="map-family",
     ):
-        self.dim = int(dim)
+        self.dim = _integer(dim, "dimension")
         if domain.dim != self.dim:
             raise PreconditionError(
                 f"domain has dimension {domain.dim}, the family {self.dim}"
@@ -244,14 +247,6 @@ class MapFamily:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim} L<={self.lipschitz_sup:g}>"
-
-
-def _integer(value, what) -> int:
-    """``value`` as an int: an int or a numpy integer passes, a float would truncate."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{what} {value!r} is not an integer") from None
 
 
 def _initial_points(family, x0, shape) -> np.ndarray:
@@ -373,7 +368,7 @@ def solve_fixed_point(family, t, x0, tol=1e-12, max_iter=100_000, norm: Norm | N
     each sweep's largest residual over the rows still iterating.
     """
     max_iter = _integer(max_iter, "iteration cap")
-    if tol <= 0.0 or max_iter < 1:
+    if not tol > 0.0 or max_iter < 1:  # a NaN tol fails here, not after max_iter sweeps
         raise PreconditionError("tolerance and iteration cap must be positive")
     norm = norm if norm is not None else Norm(L2)
     rows = isinstance(t, np.ndarray)
@@ -489,15 +484,58 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     Residuals are always recomputed from the map, in one rows call, so bad
     supplied points cannot pass silently. A point x passes when its residual is
     at most ``tol * max(1, norm(x))``: the map's rounding grows with |x|.
+
+    ``family`` may also be a list of families, and the result is then one
+    series per family. Their references are one batched solve of all their
+    rows, one per run and time, through the bases' stacked ``lockstep`` step
+    (see :class:`MapFamily`); bases that supply fixed points or do not stack
+    raise :class:`PreconditionError`. Rows are independent, so each series
+    is its family's alone, bit for bit, residual check included. The solve
+    keys row (r, t) as the time index ``r * horizon + t``, and its errors
+    name that key.
     """
     horizon = _horizon(horizon)
     norm = norm if norm is not None else Norm(L2)
-    base = family.base
     ts = np.arange(1, horizon + 1)
+    if isinstance(family, (list, tuple)):
+        bases = [f.base for f in family]
+        points = _stacked_points(bases, horizon, norm, tol, max_iter)
+        return [_checked_series(b, p, ts, norm, tol) for b, p in zip(bases, points)]
+    base = family.base
     points = None if base.fixed_point is None else _supplied_points(base, ts)
     if points is None:
         anchors = np.broadcast_to(base.domain.anchor(), (horizon, base.dim))
         points = solve_fixed_point(base, ts, anchors, tol=tol, max_iter=max_iter, norm=norm)
+    return _checked_series(base, points, ts, norm, tol)
+
+
+def _stacked_points(bases, horizon, norm, tol, max_iter) -> np.ndarray:
+    """The ``(R, horizon, dim)`` fixed points of the R ``bases``, by one batched
+    solve of a family whose time index k is run ``(k - 1) // horizon`` at time
+    ``(k - 1) % horizon + 1``."""
+    first = bases[0].lockstep
+    supplied = any(b.fixed_point is not None for b in bases)
+    step = (None if first is None or supplied
+            else first.stack([b.lockstep for b in bases], horizon + 1))  # t = 1..horizon
+    if step is None:
+        raise PreconditionError("the references of these families do not stack")
+
+    def evaluate(x, keys):
+        runs, t = np.divmod(keys - 1, horizon)
+        return step(x, t + 1, runs)
+
+    dim, domain = bases[0].dim, bases[0].domain
+    stacked = MapFamily(dim, domain, evaluate, max(b.lipschitz_sup for b in bases),
+                        name="stacked-references")
+    keys = np.arange(1, len(bases) * horizon + 1)
+    anchors = np.broadcast_to(domain.anchor(), (len(keys), dim))
+    points = solve_fixed_point(stacked, keys, anchors, tol=tol, max_iter=max_iter, norm=norm)
+    return points.reshape(len(bases), horizon, dim)
+
+
+def _checked_series(base, points, ts, norm, tol) -> FixedPointSeries:
+    """The series of ``base``'s fixed ``points`` at the times ``ts``, each checked
+    by its residual in one rows call, with the drifts between them."""
     residuals = norm.of_rows(base.evaluate(points, ts) - points)
     above = np.flatnonzero(~(residuals <= tol * np.maximum(1.0, norm.of_rows(points))))
     if above.size:
@@ -507,10 +545,7 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
             residual=float(residuals[t - 1]),
             time_index=t,
         )
-    if horizon > 1:
-        drifts = norm.of_rows(points[1:] - points[:-1])
-    else:
-        drifts = np.zeros(0)
+    drifts = norm.of_rows(points[1:] - points[:-1]) if len(points) > 1 else np.zeros(0)
     drift_sup = float(drifts.max()) if drifts.size else 0.0
     return FixedPointSeries(points, residuals, drifts, drift_sup, norm)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _integer
 
 ALL = "all"
 BOX = "box"
@@ -29,7 +29,7 @@ class Domain:
 
     def __init__(self, kind, dim, lo=None, hi=None, center=None, radius=None):
         self.kind = kind
-        self.dim = int(dim)
+        self.dim = _integer(dim, "dimension")
         if self.dim <= 0:
             raise PreconditionError("dimension must be positive")
         if kind == BOX:
@@ -128,30 +128,52 @@ class DomainSampler:
 
     Boxes are sampled uniformly (infinite sides fall back to a normal of the
     given ``scale`` around the anchor); balls uniformly by volume; the whole
-    space by an isotropic normal of the given ``scale``.
+    space by an isotropic normal of the given ``scale``. A box with a finite
+    side wider than the largest float cannot be sampled uniformly and raises
+    :class:`PreconditionError` naming the side.
     """
 
     def __init__(self, domain: Domain, seed: int, scale: float = 1.0):
         self.domain = domain
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
         self.scale = float(scale)
         self._rng = np.random.default_rng(np.random.SeedSequence([self.seed]))
+        if domain.kind == BOX:
+            self._finite = np.isfinite(domain.lo) & np.isfinite(domain.hi)
+            with np.errstate(over="ignore"):
+                self._width = domain.hi - domain.lo
+            wide = np.flatnonzero(self._finite & np.isinf(self._width))
+            if wide.size:
+                i = wide[0]
+                raise PreconditionError(
+                    f"box side {i} [{domain.lo[i]:g}, {domain.hi[i]:g}] is wider than the "
+                    "largest float, so it cannot be sampled uniformly")
 
     def draw(self, n: int) -> np.ndarray:
+        """``n`` seeded points of the domain, one per row.
+
+        A box whose sides are all finite is one pass, ``lo + (hi - lo) * u``
+        over a ``(n, dim)`` table of uniform draws ``u``: numpy's own formula
+        for ``Generator.uniform``, so the points are its bits from the same
+        stream.
+        """
         d = self.domain
-        n = int(n)
+        n = _integer(n, "sample count")
+        if n < 0:
+            raise PreconditionError(f"sample count must be nonnegative; got {n}")
         if d.kind == BOX:
-            finite = np.isfinite(d.lo) & np.isfinite(d.hi)
+            finite = self._finite
+            if finite.all():
+                return d.lo + self._width * self._rng.random((n, d.dim))
             out = np.empty((n, d.dim))
             if np.any(finite):
                 out[:, finite] = self._rng.uniform(
                     d.lo[finite], d.hi[finite], size=(n, int(finite.sum()))
                 )
-            if np.any(~finite):
-                anchor = d.anchor()[~finite]
-                out[:, ~finite] = anchor + self.scale * self._rng.standard_normal(
-                    (n, int((~finite).sum()))
-                )
+            anchor = d.anchor()[~finite]
+            out[:, ~finite] = anchor + self.scale * self._rng.standard_normal(
+                (n, int((~finite).sum()))
+            )
             return out
         if d.kind == BALL:
             g = self._rng.standard_normal((n, d.dim))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class FixedTrackError(Exception):
@@ -49,3 +51,11 @@ class PartitionUnsupportedError(FixedTrackError, ValueError):
 
 class ConfigError(FixedTrackError, ValueError):
     """An experiment configuration document is invalid."""
+
+
+def _integer(value, what) -> int:
+    """``value`` as an int: an int or a numpy integer passes, a float would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} {value!r} is not an integer") from None

@@ -499,9 +499,10 @@ def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> E
     ``shared`` maps a phase name to the value the run reads instead of
     computing it. :func:`sweep` passes one dict per seed: ``"reference"``
     and audit names the seed's runs share, and in a sync sweep each run's
-    own ``"build"`` (the ``(family, graph)`` pair of :func:`build_phase`)
-    and ``"iterates"`` (its ``(horizon, dim)`` lockstep iterates, which the
-    run scores instead of tracking), set before its call. This run computes
+    own ``"build"`` (the ``(family, graph)`` pair of :func:`build_phase`),
+    ``"iterates"`` (its ``(horizon, dim)`` lockstep iterates, which the
+    run scores instead of tracking) and, in a run that computes one, its
+    stacked ``"reference"``, set before its call. This run computes
     each name bound to None and stores it there (an audit that does not
     apply stays None), and reads the rest. The report gets its
     own copy of each audit. Optionally writes the trace CSV and report JSON.
@@ -687,11 +688,14 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
       map.
 
     A sync sweep tracks its runs in lockstep (:func:`_lockstep_runs`): it
-    builds every run's family first, then advances all runs together, and
-    each run reads its ``"build"`` and ``"iterates"`` from its seed's dict.
-    When the lockstep raises, every run tracks alone, so the sweep raises
-    the error of its first failing run. An async sweep runs one run at a
-    time.
+    builds every run's family first, then advances all runs together and
+    solves every reference it needs (each seed's first run's when the
+    reference is shared, else every run's) in one batched solve when their
+    bases stack. Each run reads its ``"build"``, ``"iterates"`` and
+    ``"reference"`` from its seed's dict. When the lockstep raises, every
+    run tracks alone; when the references do not stack or their solve
+    raises, each run computes its own. So the sweep raises the error of its
+    first failing run. An async sweep runs one run at a time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -709,7 +713,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
     order = [(v, k) for v in values for k in seeds]
     if config.mode == "sync":
-        runs = _lockstep_runs(config, parameter, order)
+        # the runs that compute a reference: every run, or each seed's first when shared
+        runs = _lockstep_runs(config, parameter, order,
+                              len(seeds) if "reference" in names else len(order))
     else:
         runs = ((_config_with(config, parameter, v, seed=config.seed + 1000 * k), {})
                 for v, k in order)
@@ -726,15 +732,20 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     return SweepResult(parameter, values, tails, by_seed, bound_col, reports, mono)
 
 
-def _lockstep_runs(config: ExperimentConfig, parameter, order):
-    """Each sync run's config and its phases ``"build"`` and ``"iterates"``, in
-    ``order``, then the error of the first run whose config or build fails.
+def _lockstep_runs(config: ExperimentConfig, parameter, order, n_references):
+    """Each sync run's config and its phases ``"build"`` and ``"iterates"``, and
+    ``"reference"`` for the first ``n_references`` runs, in ``order``; then the
+    error of the first run whose config or build fails.
 
     Every run's config and family are built first, in order, then all runs
-    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`. When the
-    lockstep raises, as it does when any run's row leaves its domain, no run
-    gets iterates: each tracks alone in ``run_experiment``, and the first
-    that fails raises its error in the phase where the run alone raises it.
+    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`, and the
+    first ``n_references`` runs' references are one
+    :func:`~fptrack.core.compute_fixed_point_series` of their families. When
+    the lockstep raises, as it does when any run's row leaves its domain, no
+    run gets iterates; when the references do not stack, or their solve
+    raises, no run gets a reference. Each run then tracks alone, or computes
+    its own reference, in ``run_experiment``, and the first that fails raises
+    its error in the phase where the run alone raises it.
     """
     built, failure = [], None
     for v, k in order:
@@ -750,7 +761,16 @@ def _lockstep_runs(config: ExperimentConfig, parameter, order):
                                        config.horizon) if families else []
     except Exception:  # each run tracks alone
         tracked = [None] * len(built)
-    for (run_config, build), iterates in zip(built, tracked):
-        yield run_config, {"build": build, "iterates": iterates}
+    n_references = min(n_references, len(built))
+    try:
+        references = compute_fixed_point_series(families[:n_references], config.horizon,
+                                                norm=config.norm) if n_references else []
+    except Exception:  # each run computes its own
+        references = [None] * n_references
+    for i, ((run_config, build), iterates) in enumerate(zip(built, tracked)):
+        own = {"build": build, "iterates": iterates}
+        if i < n_references:
+            own["reference"] = references[i]
+        yield run_config, own
     if failure is not None:
         raise failure

@@ -24,7 +24,7 @@ import numpy as np
 from ..async_sim import DependencyGraph
 from ..core import InexactMapFamily, MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain, clip
-from ..errors import ContractionUncertifiedError, PreconditionError
+from ..errors import ContractionUncertifiedError, PreconditionError, _integer
 from ..norms import L2, Norm
 from ._paths import scalar_signal
 
@@ -89,7 +89,7 @@ class TimeVaryingQP:
 def random_qp(n_devices, seed) -> TimeVaryingQP:
     """A seeded random instance with constant signals (used for window sweeps)."""
     rng = seeded_stream(seed, 411)
-    n = int(n_devices)
+    n = _integer(n_devices, "device count")
     a = rng.uniform(0.5, 3.0, size=n)
     c = rng.uniform(-1.0, 1.0, size=n)
     if np.all(c == 0.0):
@@ -121,13 +121,17 @@ def _aggregate_noise(nb, seed, key, adversarial) -> SeriesTable:
 def _step(qp, x, a, w, r, noise=None, noisy=...):
     """The projected gradient step ``clip(x - a g, lo, hi)`` of ``qp`` at the output
     and reference values ``w`` and ``r``. ``g`` is the objective gradient, plus
-    ``weight * c * noise`` on the rows ``noisy`` when a ``noise`` is given. One
-    run gives a point or rows, a scalar ``a`` and the values at its time or
-    times; stacked runs give one row each, ``a`` and ``noise`` as columns and
-    ``w`` and ``r`` as one value per row."""
+    ``weight * c * noise`` on the rows ``noisy`` (all rows, or a row mask) when
+    a ``noise`` is given; a masked-out row keeps its gradient's bits, signed
+    zeros included. One run gives a point or rows, a scalar ``a`` and the
+    values at its time or times; stacked runs give one row each, ``a`` and
+    ``noise`` as columns and ``w`` and ``r`` as one value per row."""
     g = qp._gradient(x, w, r)
     if noise is not None:
-        g[noisy] += qp.weighted_coupling * noise[noisy]
+        if noisy is ...:
+            g += qp.weighted_coupling * noise
+        else:
+            np.add(g, qp.weighted_coupling * noise, out=g, where=noisy[:, None])
     return clip(x - a * g, qp.box_lo, qp.box_hi)
 
 
@@ -157,8 +161,15 @@ class GradientStep:
 
 class _StackedSteps:
     """Gradient steps of one instance, one run per row: each run's step size,
-    signal values and noise are columns read from its own tables; a run
-    without noise adds none."""
+    signal values and noise are read from its own tables; a run without noise
+    adds none.
+
+    ``step(x, t)`` is the lockstep's call: row r of ``x`` is run r, all at
+    the int time ``t``. ``step(x, t, runs)`` takes one (run, time) per row:
+    row i is run ``runs[i]`` at time ``t[i]``, two int arrays (a stacked
+    reference solve). Either way a row is its run's point call at its time,
+    bit for bit.
+    """
 
     def __init__(self, steps, horizon):
         self.qp = steps[0].qp
@@ -174,11 +185,12 @@ class _StackedSteps:
             for r in np.flatnonzero(noisy):
                 self.noise[:, r] = steps[r].noise.rows(1, horizon)
 
-    def __call__(self, x, t):
-        """The next row of every run."""
-        noise = None if self.noise is None else self.noise[t - 1]
-        return _step(self.qp, x, self.step_size, self.output[t - 1], self.reference[t - 1],
-                     noise, self.noisy)
+    def __call__(self, x, t, runs=slice(None)):
+        """The next row of every run at ``t``, or of run ``runs[i]`` at ``t[i]`` in row i."""
+        noise = None if self.noise is None else self.noise[t - 1, runs]
+        noisy = self.noisy if self.noisy is ... else self.noisy[runs]
+        return _step(self.qp, x, self.step_size[runs], self.output[t - 1, runs],
+                     self.reference[t - 1, runs], noise, noisy)
 
 
 def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:

@@ -1,4 +1,6 @@
 """Solver, fixed-point series, online tracker, and sampling audits."""
+import re
+
 import numpy as np
 import pytest
 
@@ -762,3 +764,71 @@ def test_stream_independence_of_consumption_order():
     _ = fp.seeded_stream(9, 5).uniform(size=10)
     a2 = fp.seeded_stream(9, 4).uniform(size=3)
     assert np.array_equal(a1, a2)
+
+
+# ---------------------------------------------------------------------------
+# integers, tolerances and the sampler
+# ---------------------------------------------------------------------------
+
+
+def _graph_and_family():
+    fam = MapFamily(2, Domain.all_space(2), lambda x, t: 0.5 * x, 0.5)
+    return fam, fp.DependencyGraph([1, 1], [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: fp.seeded_stream(2.7, 5), "seed 2.7 is not an integer"),
+    (lambda: fp.seeded_stream(2, 5.0), "stream key 5.0 is not an integer"),
+    (lambda: fp.audit_dependency_graph(*_graph_and_family(), seed=2.7),
+     "seed 2.7 is not an integer"),
+    (lambda: MapFamily(2.7, Domain.all_space(2), lambda x, t: x, 0.5),
+     "dimension 2.7 is not an integer"),
+    (lambda: random_qp(3.9, seed=1), "device count 3.9 is not an integer"),
+    (lambda: DomainSampler(Domain.all_space(2), 2.7), "seed 2.7 is not an integer"),
+    (lambda: DomainSampler(Domain.all_space(2), 1).draw(2.7),
+     "sample count 2.7 is not an integer"),
+    (lambda: DomainSampler(Domain.all_space(2), 1).draw(-1),
+     "sample count must be nonnegative; got -1"),
+], ids=["stream-seed", "stream-key", "audit-seed", "family-dim", "qp-devices", "sampler-seed",
+        "draw-float", "draw-negative"])
+def test_seeds_and_sizes_are_integers_not_truncated(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()
+
+
+def test_a_nan_tolerance_raises_before_the_first_sweep():
+    calls = []
+    fam = MapFamily(2, Domain.all_space(2), lambda x, t: calls.append(t) or 0.5 * x, 0.5)
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(PreconditionError, match="tolerance and iteration cap must be positive"):
+            fp.solve_fixed_point(fam, 1, np.ones(2), tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_a_finite_box_draw_is_numpys_uniform_bit_for_bit(dim):
+    # zero-width sides, signed-zero bounds and bounds near +-1e300 and the float limit
+    rng = np.random.default_rng(dim)
+    for seed in range(12):
+        scale = float(rng.choice([1.0, 1e-300, 1e300]))
+        lo = rng.uniform(-1.0, 1.0, dim) * scale
+        hi = lo + rng.uniform(0.0, 1.0, dim) * scale
+        cases = rng.integers(0, 5, dim)
+        hi[cases == 1] = lo[cases == 1]                         # zero width
+        lo[cases == 2], hi[cases == 2] = -0.0, rng.choice([0.0, -0.0])
+        lo[cases == 3], hi[cases == 3] = -1e300, 1e300
+        lo[cases == 4], hi[cases == 4] = 1e300, np.finfo(float).max
+        sampler = DomainSampler(Domain.box(lo, hi), seed)
+        numpy = np.random.default_rng(np.random.SeedSequence([seed]))
+        for n in (1, 7, 50):
+            drawn = sampler.draw(n)
+            assert drawn.tobytes() == numpy.uniform(lo, hi, size=(n, dim)).tobytes(), (seed, n)
+
+
+def test_a_box_side_wider_than_a_float_names_the_side_without_a_warning():
+    box = Domain.box([0.0, -1e308, -np.inf], [1.0, 1e308, np.inf])
+    with np.errstate(all="raise"), pytest.raises(PreconditionError, match=re.escape(
+            "box side 1 [-1e+308, 1e+308] is wider than the largest float")):
+        DomainSampler(box, 1)
+    # an infinite side is drawn from a normal around the anchor, as before
+    assert np.isfinite(DomainSampler(Domain.box([0.0, -np.inf], [1.0, np.inf]), 1).draw(5)).all()

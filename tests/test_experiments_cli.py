@@ -359,22 +359,24 @@ def test_sweep_reports_equal_their_runs_alone(tmp_path, name, parameter):
                     == _report_bytes(alone_report, tmp_path / "alone"))
 
 
-@pytest.mark.parametrize("name,values,references", [
-    ("qp-feedback-sync", [0.0, 0.01, 0.02, 0.05], 3),  # noise changes only the inexact map
-    ("multiarea-async", [0.0, 1e-5, 5e-5, 1e-4], 12),  # noise moves the base's box and factor
+@pytest.mark.parametrize("name,values,calls,references", [
+    # noise changes only the inexact map; the seeds' bases stack into one solve
+    ("qp-feedback-sync", [0.0, 0.01, 0.02, 0.05], 1, 3),
+    ("multiarea-async", [0.0, 1e-5, 5e-5, 1e-4], 12, 12),  # noise moves the base's box and factor
 ])
 def test_noise_sweep_computes_each_reference_the_value_leaves_unchanged_once(
-        monkeypatch, name, values, references):
-    calls = []
+        monkeypatch, name, values, calls, references):
+    series = []
     real = experiments.compute_fixed_point_series
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        series.append(len(out) if isinstance(out, list) else 1)
+        return out
 
     monkeypatch.setattr(experiments, "compute_fixed_point_series", counting)
     result = sweep(ExperimentConfig.from_dict(SWEEP_DOCS[name]), "noise_bound", values, n_seeds=3)
-    assert len(calls) == references
+    assert (len(series), sum(series)) == (calls, references)
     assert sum(map(len, result.reports)) == 12
 
 
@@ -402,13 +404,16 @@ def test_sweep_builds_one_family_per_run(monkeypatch, name, parameter, values):
                                            ("qp-own-instance-sync", False)])
 def test_a_sync_qp_sweep_steps_its_runs_of_one_instance_in_one_call_per_time(monkeypatch,
                                                                             name, stacked):
-    stacked_calls, evaluated, tracking = [], [], []
+    stacked_calls, reference_rows, evaluated, tracking = [], [], [], []
     real_step, real_evaluate = qp_module._StackedSteps.__call__, fptrack.MapFamily.evaluate
     real_lockstep = experiments.run_lockstep_tracker
 
-    def counting_step(self, x, t):
-        stacked_calls.append((t, len(x)))
-        return real_step(self, x, t)
+    def counting_step(self, x, t, *runs):  # runs: a stacked reference solve's call
+        if runs:
+            reference_rows.append(len(x))
+        else:
+            stacked_calls.append((t, len(x)))
+        return real_step(self, x, t, *runs)
 
     def counting_evaluate(self, x, t):
         if tracking:
@@ -430,6 +435,8 @@ def test_a_sync_qp_sweep_steps_its_runs_of_one_instance_in_one_call_per_time(mon
     assert sum(map(len, result.reports)) == 6
     steps = [(t, 6) for t in range(1, cfg.horizon)]
     assert (stacked_calls, len(evaluated)) == ((steps, 0) if stacked else ([], 6 * len(steps)))
+    # the two seeds' shared references: one solve of both runs' rows, or one solve each
+    assert reference_rows[:1] == ([2 * cfg.horizon] if stacked else [])
 
 
 def escaping_builds(runs):
@@ -500,9 +507,10 @@ def test_a_stacked_qp_sweep_raises_the_error_of_its_first_failing_run(monkeypatc
         failing.lockstep = step
         return failing, graph
 
-    def counting_step(self, x, t):
-        stacked_calls.append(t)
-        return real_step(self, x, t)
+    def counting_step(self, x, t, *runs):  # runs: a stacked reference solve's call
+        if not runs:
+            stacked_calls.append(t)
+        return real_step(self, x, t, *runs)
 
     monkeypatch.setattr(experiments, "build_phase", build)
     monkeypatch.setattr(qp_module._StackedSteps, "__call__", counting_step)
@@ -513,6 +521,42 @@ def test_a_stacked_qp_sweep_raises_the_error_of_its_first_failing_run(monkeypatc
     assert stacked_calls == [1, 2, 3, 4, 5]  # the lockstep stops at the first leaving time
     assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
     assert str(expected) == "online iterate left the domain at time index 7"
+
+
+def test_a_stacked_qp_sweep_whose_seed_reference_fails_raises_the_error_of_its_runs_alone(
+        monkeypatch):
+    # the second seed's instance measures a NaN output from t = 4 on, so its reference
+    # solve leaves the domain there; in the stacked solve that row's time index is 40 + 4
+    real_build, real_reference = experiments.build_phase, experiments.compute_fixed_point_series
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS["qp-feedback-sync"])
+    stacked = []
+
+    def build(config):
+        family, graph = real_build(config)
+        if config.seed != cfg.seed + 1000:
+            return family, graph
+        qp = dataclasses.replace(family.base.lockstep.qp, output_signal=SeriesTable(
+            lambda ts, last: np.where(ts >= 4, np.nan, 0.0)))
+        return qp_module.build_gradient_map(qp, family.base.lockstep.step_size), graph
+
+    def reference(family, *args, **kwargs):
+        if not isinstance(family, list):
+            return real_reference(family, *args, **kwargs)
+        try:
+            return real_reference(family, *args, **kwargs)
+        except Exception as exc:
+            stacked.append(str(exc))
+            raise
+
+    monkeypatch.setattr(experiments, "build_phase", build)
+    monkeypatch.setattr(experiments, "compute_fixed_point_series", reference)
+    values = [0.0, 0.01, 0.02]
+    expected = first_error_of_the_runs_alone(cfg, values, 2, "noise_bound")
+    with pytest.raises(type(expected)) as exc:
+        sweep(cfg, "noise_bound", values, n_seeds=2)
+    assert stacked == ["iterate left the domain at time index 44 (iteration 0)"]
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+    assert str(expected) == "iterate left the domain at time index 4 (iteration 0)"
 
 
 def _containers(value):
@@ -689,6 +733,20 @@ def test_cli_run_with_a_drift_that_overflows_exit_2_in_one_line(tmp_path, capsys
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [
         f"error: fixed point at time index {time_index} is not finite"]
+
+
+def test_cli_run_on_a_box_side_too_wide_to_sample_exit_2_in_one_line(tmp_path, capsys):
+    # side 0's width 2e308 overflows a float, so no uniform draw can cover it
+    doc = {"problem": {"kind": "qp-gradient", "curvature": [1, 2], "box_lo": [-1e308, -1],
+                       "box_hi": [1e308, 1], "step_size": 0.2},
+           "mode": "sync", "norm": "l2", "horizon": 20, "seed": 1}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_json(tmp_path / "c.json", doc)]) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: box side 0 [-1e+308, 1e+308] is wider than the largest float, "
+        "so it cannot be sampled uniformly"]
 
 
 def test_cli_run_whose_drift_overflows_after_its_horizon_warns_about_nothing(tmp_path, capsys):

@@ -359,6 +359,28 @@ def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n, seed, kinds, 
             assert row.tobytes() == family.evaluate(x, t).tobytes(), (r, t)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       kinds=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=7),
+       rows=st.integers(1, 12))
+@example(seed=1, kinds=[0, 0, 0], rows=6)  # exact runs only: no noise table
+@example(seed=2, kinds=[1, 2, 1, 2], rows=9)  # noisy runs only: no row mask
+@example(seed=3, kinds=[2, 0, 1, 0, 2, 1, 0], rows=12)
+def test_a_stacked_row_at_its_own_run_and_time_keeps_the_bits_of_that_runs_point_call(
+        n, seed, kinds, rows):
+    # a stacked reference solve's call: row i is run runs[i] at time ts[i], in any mix
+    # of exact (0), drawn (1) and adversarial (2) runs, repeats included
+    rng = np.random.default_rng(seed)
+    horizon = 150
+    families = runs_of_one_instance(drawn_qp(n, rng), rng, len(kinds), kinds)
+    stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
+    runs, ts = rng.integers(0, len(families), rows), rng.integers(1, horizon, rows)
+    X = drawn_points(families[0].lockstep.qp, n, rng, k=rows)
+    for i, (row, r, t, x) in enumerate(zip(stacked(X, ts, runs), runs.tolist(), ts.tolist(), X)):
+        assert row.tobytes() == families[r].evaluate(x, t).tobytes(), (i, r, t)
+
+
 def test_runs_of_other_instances_or_maps_do_not_stack():
     rng = np.random.default_rng(3)
     qp = drawn_qp(3, rng)
