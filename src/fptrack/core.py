@@ -148,7 +148,8 @@ class MapFamily:
     row instead, two int arrays, and row i is run ``runs[i]``'s point call
     at ``t[i]``: the references of runs that stack are one batched solve
     (:func:`compute_fixed_point_series` of a list). ``stack`` returns None
-    when the runs do not stack; runs that stack share one domain.
+    for runs that cannot share one call, and each run then makes its own
+    point calls and its own solve; runs that stack share one domain.
     (:func:`~fptrack.problems.build_gradient_map` and
     :func:`~fptrack.problems.build_feedback_gradient_map` stack the runs of
     one QP instance.)
@@ -486,20 +487,24 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     at most ``tol * max(1, norm(x))``: the map's rounding grows with |x|.
 
     ``family`` may also be a list of families, and the result is then one
-    series per family. Their references are one batched solve of all their
-    rows, one per run and time, through the bases' stacked ``lockstep`` step
-    (see :class:`MapFamily`); bases that supply fixed points or do not stack
-    raise :class:`PreconditionError`. Rows are independent, so each series
-    is its family's alone, bit for bit, residual check included. The solve
-    keys row (r, t) as the time index ``r * horizon + t``, and its errors
-    name that key.
+    series per family, each its family's alone, bit for bit, residual check
+    included. When the bases stack (none supplies fixed points and their
+    ``lockstep`` steps stack, see :class:`MapFamily`), the references are
+    one batched solve of all their rows, one per run and time, through the
+    stacked step; rows are independent, so the bits are those of each solve
+    alone. That solve keys row (r, t) as the time index ``r * horizon + t``,
+    and its errors name that key. Other bases are solved one family at a
+    time.
     """
     horizon = _horizon(horizon)
     norm = norm if norm is not None else Norm(L2)
     ts = np.arange(1, horizon + 1)
     if isinstance(family, (list, tuple)):
         bases = [f.base for f in family]
-        points = _stacked_points(bases, horizon, norm, tol, max_iter)
+        step = _stacked_step(bases, horizon)
+        if step is None:
+            return [compute_fixed_point_series(f, horizon, norm, tol, max_iter) for f in family]
+        points = _stacked_points(bases, step, horizon, norm, tol, max_iter)
         return [_checked_series(b, p, ts, norm, tol) for b, p in zip(bases, points)]
     base = family.base
     points = None if base.fixed_point is None else _supplied_points(base, ts)
@@ -509,16 +514,18 @@ def compute_fixed_point_series(family, horizon, norm: Norm | None = None,
     return _checked_series(base, points, ts, norm, tol)
 
 
-def _stacked_points(bases, horizon, norm, tol, max_iter) -> np.ndarray:
+def _stacked_step(bases, horizon):
+    """The stacked ``lockstep`` step of ``bases`` at t = 1..horizon, or None when
+    none is given, one base supplies fixed points or their steps cannot stack."""
+    if not bases or bases[0].lockstep is None or any(b.fixed_point is not None for b in bases):
+        return None
+    return bases[0].lockstep.stack([b.lockstep for b in bases], horizon + 1)
+
+
+def _stacked_points(bases, step, horizon, norm, tol, max_iter) -> np.ndarray:
     """The ``(R, horizon, dim)`` fixed points of the R ``bases``, by one batched
-    solve of a family whose time index k is run ``(k - 1) // horizon`` at time
-    ``(k - 1) % horizon + 1``."""
-    first = bases[0].lockstep
-    supplied = any(b.fixed_point is not None for b in bases)
-    step = (None if first is None or supplied
-            else first.stack([b.lockstep for b in bases], horizon + 1))  # t = 1..horizon
-    if step is None:
-        raise PreconditionError("the references of these families do not stack")
+    solve of their stacked ``step``, whose time index k is run
+    ``(k - 1) // horizon`` at time ``(k - 1) % horizon + 1``."""
 
     def evaluate(x, keys):
         runs, t = np.divmod(keys - 1, horizon)

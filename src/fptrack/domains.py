@@ -104,7 +104,7 @@ class Domain:
         if self.kind == BOX:
             lo = np.where(np.isfinite(self.lo), self.lo, -1.0)
             hi = np.where(np.isfinite(self.hi), self.hi, 1.0)
-            return 0.5 * (lo + hi)
+            return 0.5 * lo + 0.5 * hi  # lo + hi may overflow on a finite box
         return self.center.copy()
 
     def __repr__(self):

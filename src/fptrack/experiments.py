@@ -498,13 +498,13 @@ def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> E
 
     ``shared`` maps a phase name to the value the run reads instead of
     computing it. :func:`sweep` passes one dict per seed: ``"reference"``
-    and audit names the seed's runs share, and in a sync sweep each run's
-    own ``"build"`` (the ``(family, graph)`` pair of :func:`build_phase`),
-    ``"iterates"`` (its ``(horizon, dim)`` lockstep iterates, which the
-    run scores instead of tracking) and, in a run that computes one, its
-    stacked ``"reference"``, set before its call. This run computes
-    each name bound to None and stores it there (an audit that does not
-    apply stays None), and reads the rest. The report gets its
+    and audit names the seed's runs share, and, when a sync sweep's runs
+    ran together, each run's own ``"build"`` (the ``(family, graph)`` pair
+    of :func:`build_phase`), ``"iterates"`` (its ``(horizon, dim)``
+    lockstep iterates, which the run scores instead of tracking) and, in a
+    run that computes one, its ``"reference"``, set before its call. This
+    run computes each name bound to None and stores it there (an audit that
+    does not apply stays None), and reads the rest. The report gets its
     own copy of each audit. Optionally writes the trace CSV and report JSON.
     """
     shared = {} if shared is None else shared
@@ -687,15 +687,15 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     - ``step_size`` and ``drift_rate``: nothing. The value changes the base
       map.
 
-    A sync sweep tracks its runs in lockstep (:func:`_lockstep_runs`): it
-    builds every run's family first, then advances all runs together and
-    solves every reference it needs (each seed's first run's when the
-    reference is shared, else every run's) in one batched solve when their
-    bases stack. Each run reads its ``"build"``, ``"iterates"`` and
-    ``"reference"`` from its seed's dict. When the lockstep raises, every
-    run tracks alone; when the references do not stack or their solve
-    raises, each run computes its own. So the sweep raises the error of its
-    first failing run. An async sweep runs one run at a time.
+    A sync sweep first runs its runs together (:func:`_lockstep_runs`): it
+    builds every run's family, solves every reference it needs (each seed's
+    first run's when the reference is shared, else every run's) in one
+    call, one batched solve when their bases stack, and tracks all runs in
+    lockstep. Each run reads its ``"build"``, ``"iterates"`` and
+    ``"reference"`` from its seed's dict. When any of that raises, every run
+    runs alone, as an async sweep's runs do. Rows are independent, so some
+    run alone fails too, and the sweep raises the error of its first
+    failing run in that run's phase.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -712,13 +712,15 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     seeds = range(n_seeds)
     shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
     order = [(v, k) for v in values for k in seeds]
+    runs = ((_config_with(config, parameter, v, seed=config.seed + 1000 * k), {})
+            for v, k in order)
     if config.mode == "sync":
         # the runs that compute a reference: every run, or each seed's first when shared
-        runs = _lockstep_runs(config, parameter, order,
-                              len(seeds) if "reference" in names else len(order))
-    else:
-        runs = ((_config_with(config, parameter, v, seed=config.seed + 1000 * k), {})
-                for v, k in order)
+        n_references = len(seeds) if "reference" in names else len(order)
+        try:
+            runs = _lockstep_runs(config, parameter, order, n_references)
+        except Exception:  # every run runs alone, and the first that fails raises its error
+            pass
     flat = []
     for (_, k), (run_config, own) in zip(order, runs):
         shared[k].update(own)
@@ -732,45 +734,24 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     return SweepResult(parameter, values, tails, by_seed, bound_col, reports, mono)
 
 
-def _lockstep_runs(config: ExperimentConfig, parameter, order, n_references):
+def _lockstep_runs(config: ExperimentConfig, parameter, order, n_references) -> list:
     """Each sync run's config and its phases ``"build"`` and ``"iterates"``, and
-    ``"reference"`` for the first ``n_references`` runs, in ``order``; then the
-    error of the first run whose config or build fails.
+    ``"reference"`` for the first ``n_references`` runs, in ``order``.
 
-    Every run's config and family are built first, in order, then all runs
-    are tracked by one :func:`~fptrack.core.run_lockstep_tracker`, and the
-    first ``n_references`` runs' references are one
-    :func:`~fptrack.core.compute_fixed_point_series` of their families. When
-    the lockstep raises, as it does when any run's row leaves its domain, no
-    run gets iterates; when the references do not stack, or their solve
-    raises, no run gets a reference. Each run then tracks alone, or computes
-    its own reference, in ``run_experiment``, and the first that fails raises
-    its error in the phase where the run alone raises it.
+    Every run's config and family are built, in order; the first
+    ``n_references`` runs' references are one
+    :func:`~fptrack.core.compute_fixed_point_series` of their families; then
+    all runs are tracked by one :func:`~fptrack.core.run_lockstep_tracker`.
+    Raises whatever any of these raises.
     """
-    built, failure = [], None
-    for v, k in order:
-        try:
-            run_config = _config_with(config, parameter, v, seed=config.seed + 1000 * k)
-            built.append((run_config, build_phase(run_config)))
-        except Exception as exc:  # raised after the runs before it, as a run alone would
-            failure = exc
-            break
-    families = [family for _, (family, _) in built]
-    try:
-        tracked = run_lockstep_tracker(families, [f.domain.anchor() for f in families],
-                                       config.horizon) if families else []
-    except Exception:  # each run tracks alone
-        tracked = [None] * len(built)
-    n_references = min(n_references, len(built))
-    try:
-        references = compute_fixed_point_series(families[:n_references], config.horizon,
-                                                norm=config.norm) if n_references else []
-    except Exception:  # each run computes its own
-        references = [None] * n_references
-    for i, ((run_config, build), iterates) in enumerate(zip(built, tracked)):
-        own = {"build": build, "iterates": iterates}
-        if i < n_references:
-            own["reference"] = references[i]
-        yield run_config, own
-    if failure is not None:
-        raise failure
+    configs = [_config_with(config, parameter, v, seed=config.seed + 1000 * k) for v, k in order]
+    builds = [build_phase(run_config) for run_config in configs]
+    families = [family for family, _ in builds]
+    references = compute_fixed_point_series(families[:n_references], config.horizon,
+                                            norm=config.norm)
+    tracked = run_lockstep_tracker(families, [f.domain.anchor() for f in families],
+                                   config.horizon)
+    own = [{"build": build, "iterates": iterates} for build, iterates in zip(builds, tracked)]
+    for phases, reference in zip(own, references):
+        phases["reference"] = reference
+    return list(zip(configs, own))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import SeriesTable, seeded_stream
-from ..errors import PreconditionError
+from ..errors import PreconditionError, _integer
 from ..norms import Norm
 
 KINDS = ("constant", "linear", "random_walk", "piecewise")
@@ -37,11 +37,11 @@ class DriftPath:
         if kind not in KINDS:
             raise PreconditionError(f"unknown drift kind {kind!r}; use one of {KINDS}")
         self.kind = kind
-        self.dim = int(dim)
+        self.dim = _integer(dim, "dimension")
         self.rate = float(rate)
         if self.rate < 0.0:
             raise PreconditionError("drift rate must be nonnegative")
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
         self.norm = norm if norm is not None else Norm()
         self.start = (
             np.asarray(start, dtype=float).reshape(self.dim)
@@ -60,7 +60,8 @@ class DriftPath:
             if fast_rate is None or fast_window is None:
                 raise PreconditionError("piecewise drift needs fast_rate and fast_window")
             self.fast_rate = float(fast_rate)
-            self.fast_window = (int(fast_window[0]), int(fast_window[1]))
+            self.fast_window = (_integer(fast_window[0], "fast window start"),
+                                _integer(fast_window[1], "fast window end"))
         else:
             self.fast_rate, self.fast_window = None, None
         if kind == "random_walk":

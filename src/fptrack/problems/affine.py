@@ -13,7 +13,7 @@ from .. import async_sim
 from ..async_sim import DependencyGraph
 from ..core import MapFamily, SeriesTable, seeded_stream
 from ..domains import Domain
-from ..errors import PreconditionError
+from ..errors import PreconditionError, _integer
 from ..norms import LINF, Norm
 from ._paths import DriftPath
 
@@ -148,7 +148,7 @@ def build_affine_family(dim, norm: Norm, contraction, drift: DriftPath, seed,
     derived as b(t) = (I - A) path(t), so fixed points and per-step drift are
     exact in the family norm.
     """
-    dim = int(dim)
+    dim = _integer(dim, "dimension")
     contraction = float(contraction)
     if not (0.0 < contraction < 1.0):
         raise PreconditionError("contraction target must lie in (0, 1)")

@@ -88,8 +88,10 @@ class TimeVaryingQP:
 
 def random_qp(n_devices, seed) -> TimeVaryingQP:
     """A seeded random instance with constant signals (used for window sweeps)."""
-    rng = seeded_stream(seed, 411)
     n = _integer(n_devices, "device count")
+    if n < 1:
+        raise PreconditionError(f"device count must be at least 1; got {n}")
+    rng = seeded_stream(seed, 411)
     a = rng.uniform(0.5, 3.0, size=n)
     c = rng.uniform(-1.0, 1.0, size=n)
     if np.all(c == 0.0):

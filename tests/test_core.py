@@ -13,13 +13,19 @@ from fptrack.errors import (
     NonConvergenceError,
     PreconditionError,
 )
+from fptrack.experiments import ExperimentConfig, build_family
 from fptrack.problems import (
+    DriftPath,
+    build_affine_family,
     build_feedback_gradient_map,
+    build_gradient_map,
+    build_loadflow_map,
     build_multiarea_maps,
     default_injections,
     random_qp,
     scalar_signal,
     three_area_network,
+    two_bus_network,
 )
 
 L2, LINF = fp.Norm(fp.L2), fp.Norm(fp.LINF)
@@ -366,6 +372,52 @@ def test_batched_solve_names_the_first_time_that_fails_as_the_loop_does():
         fp.solve_fixed_point(slow, ts, np.zeros((5, 1)), max_iter=300)
     assert (str(exc.value), exc.value.time_index, exc.value.residual) == (
         str(expected), 3, expected.residual)
+
+
+def _qp_runs(instance_seed, n_runs):
+    """Gradient maps of the random instance ``instance_seed``, each run with a
+    reference signal and step size of its own."""
+    runs = []
+    for r in range(n_runs):
+        qp = random_qp(4, seed=instance_seed)
+        qp.reference_signal = scalar_signal("random_walk", rate=0.01, seed=10 + r)
+        runs.append(build_gradient_map(qp, 0.1 + 0.05 * r))
+    return runs
+
+
+def _references_of_a_list():
+    drift = DriftPath("linear", 3, rate=0.01, seed=1)
+    affine = [build_affine_family(3, L2, c, drift, seed=2) for c in (0.5, 0.7)]
+    yield pytest.param(affine, False, id="affine-fixed-point")
+    yield pytest.param(_qp_runs(5, 1) + _qp_runs(6, 1), False, id="qp-two-instances")
+    net, two_bus = three_area_network(), two_bus_network()
+    loadflow = [build_loadflow_map(net, default_injections(net, 0.7), norm=LINF),
+                build_loadflow_map(two_bus, default_injections(two_bus, 0.7), norm=LINF)]
+    yield pytest.param(loadflow, False, id="loadflow-monolithic")
+    yield pytest.param(_qp_runs(5, 3), True, id="qp-one-instance")
+
+
+@pytest.mark.parametrize("families,stacks", list(_references_of_a_list()))
+def test_the_references_of_a_list_are_each_familys_alone(monkeypatch, families, stacks):
+    solves = []
+    real = fp.solve_fixed_point
+
+    def counting(family, ts, *args, **kwargs):
+        solves.append(len(np.atleast_1d(ts)))
+        return real(family, ts, *args, **kwargs)
+
+    monkeypatch.setattr(fp.core, "solve_fixed_point", counting)
+    together = fp.compute_fixed_point_series(families, 12, L2)
+    monkeypatch.undo()
+    assert len(together) == len(families)
+    for series, family in zip(together, families):
+        alone = fp.compute_fixed_point_series(family, 12, L2)
+        for field in ("points", "residuals", "drifts"):
+            assert getattr(series, field).tobytes() == getattr(alone, field).tobytes(), field
+        assert series.drift_sup == alone.drift_sup
+    # one batched solve of every run's rows when the bases stack, else each family's own
+    solved = [12 * len(families)] if stacks else [12 for f in families if f.fixed_point is None]
+    assert solves == solved
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +841,18 @@ def _graph_and_family():
      "sample count 2.7 is not an integer"),
     (lambda: DomainSampler(Domain.all_space(2), 1).draw(-1),
      "sample count must be nonnegative; got -1"),
+    (lambda: random_qp(0, seed=1), "device count must be at least 1; got 0"),
+    (lambda: DriftPath("linear", 2.7, seed=3), "dimension 2.7 is not an integer"),
+    (lambda: DriftPath("linear", 2, seed=3.9), "seed 3.9 is not an integer"),
+    (lambda: DriftPath("piecewise", 2, fast_rate=0.1, fast_window=(2.5, 4)),
+     "fast window start 2.5 is not an integer"),
+    (lambda: DriftPath("piecewise", 2, fast_rate=0.1, fast_window=(2, 4.9)),
+     "fast window end 4.9 is not an integer"),
+    (lambda: build_affine_family(3.5, L2, 0.5, DriftPath("linear", 3), seed=1),
+     "dimension 3.5 is not an integer"),
 ], ids=["stream-seed", "stream-key", "audit-seed", "family-dim", "qp-devices", "sampler-seed",
-        "draw-float", "draw-negative"])
+        "draw-float", "draw-negative", "qp-no-devices", "drift-dim", "drift-seed",
+        "drift-window-start", "drift-window-end", "affine-dim"])
 def test_seeds_and_sizes_are_integers_not_truncated(call, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
         call()
@@ -823,6 +885,41 @@ def test_a_finite_box_draw_is_numpys_uniform_bit_for_bit(dim):
         for n in (1, 7, 50):
             drawn = sampler.draw(n)
             assert drawn.tobytes() == numpy.uniform(lo, hi, size=(n, dim)).tobytes(), (seed, n)
+
+
+def test_the_anchor_of_a_box_near_the_float_limit_is_finite_and_inside():
+    box = Domain.box([1e308, -1.0], [1.5e308, 1.0])
+    with np.errstate(all="raise"):
+        anchor = box.anchor()
+    assert np.isfinite(anchor).all() and box.contains(anchor)
+    assert anchor.tolist() == [1.25e308, 0.0]
+
+
+def _shipped_boxes():
+    qp = {"kind": "qp-gradient", "step_size": 0.1, "noise_bound": 0.0, "topology": "none"}
+    docs = [{"problem": {**qp, "devices": n, "instance_seed": s}, "mode": "sync", "norm": "l2"}
+            for n in (1, 3, 5, 7) for s in range(6)]
+    docs += [{"problem": {"kind": "loadflow", "network": net, "multiarea": multiarea,
+                          "noise_bound": 1e-4, "injections": {"kind": "random_walk", "step": 0.01}},
+              "mode": "sync", "norm": "linf"}
+             for net, multiarea in (("three-area", True), ("three-area", False), ("two-bus", False))]
+    for doc in docs:
+        family, _, _ = build_family(ExperimentConfig.from_dict({**doc, "horizon": 5, "seed": 1}))
+        yield family.domain.lo, family.domain.hi
+
+
+def test_the_anchor_of_a_box_keeps_the_bits_of_the_midpoint_of_its_sum():
+    # half of each end, summed: the same bits as half the sum where neither is subnormal
+    rng = np.random.default_rng(8)
+    random = []
+    for _ in range(200):
+        dim = int(rng.integers(1, 9))
+        lo = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-300, 300, dim)
+        random.append((lo, lo + rng.uniform(0.0, 1.0, dim) * 10.0 ** rng.integers(-300, 300, dim)))
+    boxes = list(_shipped_boxes())
+    assert len(boxes) == 27
+    for lo, hi in boxes + random:
+        assert Domain.box(lo, hi).anchor().tobytes() == (0.5 * (lo + hi)).tobytes()
 
 
 def test_a_box_side_wider_than_a_float_names_the_side_without_a_warning():

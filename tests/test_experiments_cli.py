@@ -362,6 +362,7 @@ def test_sweep_reports_equal_their_runs_alone(tmp_path, name, parameter):
 @pytest.mark.parametrize("name,values,calls,references", [
     # noise changes only the inexact map; the seeds' bases stack into one solve
     ("qp-feedback-sync", [0.0, 0.01, 0.02, 0.05], 1, 3),
+    ("qp-own-instance-sync", [0.0, 0.01, 0.02, 0.05], 1, 3),  # one call, each seed alone
     ("multiarea-async", [0.0, 1e-5, 5e-5, 1e-4], 12, 12),  # noise moves the base's box and factor
 ])
 def test_noise_sweep_computes_each_reference_the_value_leaves_unchanged_once(
