@@ -12,14 +12,13 @@ A map that is a sum of taps (the affine map, see
 x_{t+1}[i] = sum_j A[i, j] x_{tau_ij(t)}[j] + b_i(t). Tap (i, j) reads entry
 j as of the stamp of the in-edge from j's agent to i's, and at t within i's
 own block or where the graph has no such edge. A run plans the history
-offsets of every tap of a block of ticks in one vectorized pass over the
-block's stamp-table rows, and reads the block's offsets b(t) as one slice of
-the family's table (:func:`_tap_plans`). A tick is one take of ``(dim, P)``
-entries, one ``einsum`` with the tap coefficients, one add of b(t) and one
-domain check; the plan fixes the time and the shapes, so the tick checks
-neither. A sparse affine family evaluates points and rows with that same
-``einsum`` over the same taps, so its tick is its point call by
-construction.
+offsets of every tap of a block of ticks, and slices the block's b(t), in one
+vectorized pass (:func:`_tap_plans`). It then runs the block's ticks back to
+back, each one take of ``(dim, P)`` entries, one ``einsum`` with the tap
+coefficients and one add of b(t) (:func:`_tap_ticks`), and checks the
+block's rows in one domain check that names the first failing tick. A sparse
+affine family evaluates points and rows with that same ``einsum`` over the
+same taps, so its tick is its point call by construction.
 
 Any other map is run by rows. An agent whose in-neighbor copies are all
 current is fresh: its input is x_t, so all fresh agents share one
@@ -318,24 +317,14 @@ def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) 
         raise PreconditionError(
             f"stamp table has shape {table.shape}, expected {(horizon, n_edges)}"
         )
-
-    def edge(k):
-        return tuple(int(a[k]) for a in graph.edge_arrays)
-
     held = table[1:]
-    ticks = np.arange(1, horizon)[:, None]
-    outside = (held < 1) | (held > ticks)
-    if outside.any():
-        t, k = np.argwhere(outside)[0]
-        raise PreconditionError(
-            f"stamp {held[t, k]} for edge {edge(k)} at t={t + 1} outside 1..{t + 1}"
-        )
+    ticks = _check_held(graph, held, 1)
     if not model.allows_nonmonotone:
         back = held[1:] < held[:-1]
         if back.any():
             t, k = np.argwhere(back)[0]
             raise PreconditionError(
-                f"stamp for edge {edge(k)} decreases at t={t + 2}, "
+                f"stamp for edge {graph.edges[k]} decreases at t={t + 2}, "
                 "outside the default delivery model"
             )
     if model.declared_max_delay is not None:
@@ -344,9 +333,22 @@ def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) 
             t, k = np.argwhere(over)[0]
             raise StaleBeyondCapError(
                 f"channel exceeds declared staleness {model.declared_max_delay} "
-                f"on edge {edge(k)} at t={t + 1}"
+                f"on edge {graph.edges[k]} at t={t + 1}"
             )
     return table
+
+
+def _check_held(graph: DependencyGraph, held, start) -> np.ndarray:
+    """The ticks ``start, start + 1, ...`` of the stamp-table rows ``held``, as
+    a column; fails naming the first stamp outside ``1..t`` at its tick t."""
+    ticks = np.arange(start, start + len(held))[:, None]
+    outside = (held < 1) | (held > ticks)
+    if outside.any():
+        r, k = np.argwhere(outside)[0]
+        t = start + r
+        raise PreconditionError(f"stamp {held[r, k]} for edge {graph.edges[k]} "
+                                f"at t={t} outside 1..{t}")
+    return ticks
 
 
 # ---------------------------------------------------------------------------
@@ -538,77 +540,80 @@ def _ragged_arange(starts, counts) -> np.ndarray:
 
 
 def _tap_plans(family, graph: DependencyGraph, stamps, start):
-    """Plans ``(t, (offsets, b))`` of ticks ``start, start + 1, ...`` for a
-    family with taps, from their stamp-table rows ``stamps``, one iterator
-    per block of at most ``_PLAN_INDICES`` offsets (a tick is
-    ``family.nbr.size``); a tick's plan holds views of its block's arrays,
-    made as the tick is reached.
+    """Blocks ``(first, offsets, b)`` of the tap plans of ticks ``start,
+    start + 1, ...`` for a family with taps, from their stamp-table rows
+    ``stamps``: ticks ``first, first + 1, ...`` of at most ``_PLAN_INDICES``
+    offsets in all (a tick is ``family.nbr.size``).
 
-    ``offsets[i, p]`` is the flat history offset of the entry that tap
-    ``(i, p)`` reads, column ``j = nbr[i, p]``: ``(stamp - 1) * dim + j`` for
-    the stamp of the in-edge from j's agent to i's, and x_t's
-    ``(t - 1) * dim + j`` within i's own block or where the graph has no
-    such edge. ``b`` is b(t), a row of the family's offset table.
+    ``offsets[k, i, p]`` is the flat history offset of the entry that tap
+    ``(i, p)`` reads at tick ``t = first + k``, column ``j = nbr[i, p]``:
+    ``(stamp - 1) * dim + j`` for the stamp of the in-edge from j's agent to
+    i's, and x_t's ``(t - 1) * dim + j`` within i's own block or where the
+    graph has no such edge. ``b[k]`` is b(t), a row of the family's offset
+    table.
     """
     nbr = family.nbr
     # -1 (own block, or no such edge) is the last column of a row: its tick
     edge = graph.edge_columns(graph.block_of_column[nbr], graph.block_of_column[:, None])
     size = max(1, _PLAN_INDICES // nbr.size)
     for a in range(0, len(stamps), size):
-        yield _tap_block(family, edge, stamps[a:a + size], start + a)
+        block = stamps[a:a + size]
+        first, stop = start + a, start + a + len(block)
+        held = np.concatenate((block, np.arange(first, stop)[:, None]), axis=1)
+        yield first, (held[:, edge] - 1) * family.dim + nbr, family.offset.rows(first, stop)
 
 
-def _tap_block(family, edge, stamps, start):
-    """:func:`_tap_plans`' plans of ticks ``start, start + 1, ...``, whose
-    stamp-table rows are ``stamps``; tap ``(i, p)`` reads column ``edge[i, p]``
-    of a row followed by its tick."""
-    stop = start + len(stamps)
-    tick = np.arange(start, stop)
-    held = np.concatenate((stamps, tick[:, None]), axis=1)
-    offsets = (held[:, edge] - 1) * family.dim + family.nbr
-    return zip(tick.tolist(), zip(offsets, family.offset.rows(start, stop)))
-
-
-def _plans(family, graph: DependencyGraph, stamps, start):
-    """The tick plans of ``family``: :func:`_tap_plans` for a family with taps,
-    else :func:`_tick_plans`."""
-    if family.nbr is not None:
-        return _tap_plans(family, graph, stamps, start)
-    return _tick_plans(graph, stamps, start)
+def _tap_ticks(history, coef, offsets, b, out):
+    """Ticks of a block of tap plans, in order: ``out[k]`` is the taps' sum
+    ``einsum("ip,ip->i", history.take(offsets[k]), coef)`` plus ``b[k]``.
+    ``out`` may be the block's own rows of ``history``, so that a tick reads
+    the ticks before it."""
+    for row, taps, offset in zip(out, offsets, b):
+        np.einsum("ip,ip->i", history.take(taps), coef, out=row)
+        np.add(row, offset, out=row)
 
 
 def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     """Advance the asynchronous iteration by one tick; returns x_{t+1}.
 
-    ``history[k]`` holds the state at time k+1 for k < t; ``stamps`` is row t
-    of the run's stamp table, the copy each edge's receiver holds at tick t
-    (edges in graph order). All agents evaluate against tick-t information,
-    so the result does not depend on agent order.
+    ``history[k]``, only read, holds the state at time k+1 for k < t;
+    ``stamps`` is row t of the run's stamp table, the copy each edge's
+    receiver holds at tick t (edges in graph order). All agents evaluate
+    against tick-t information, so the result does not depend on agent order.
 
     Agent i evaluates the map at x_t with block j of each in-edge ``(j, i)``
     whose stamp is older than t patched in as of that stamp. The tick's
-    indices come from ``plan``, tick t's plan from
-    :func:`_plans` of the same stamp table, or else from a plan of this tick
-    alone. A taps plan ``(t, (offsets, b))`` (:func:`_tap_plans`) makes the
-    tick one take of the ``(dim, P)`` entries the taps read, one ``einsum``
-    with ``family.coef`` and one add of b(t). A rows plan
-    ``(t, offsets, pick)`` (:func:`_tick_plans`) makes it one flat take of
-    its rows from ``history`` (the stale agents' inputs, then x_t when any
-    agent is fresh), one ``family.evaluate`` call on them and one flat take
-    of ``pick``, column c from the row of the agent that owns it. Either way
-    one domain check follows. As built-in taps and rows equal points bit for
-    bit, a zero-delay tick is the synchronous step to the last bit.
+    indices come from ``plan``, or else from a plan of this tick alone once
+    t is checked to lie in ``1..len(history)`` and ``stamps`` to hold one
+    integer in ``1..t`` per edge. A taps plan ``(t, (offsets, b))`` is a
+    one-tick :func:`_tap_plans` block, run by a run's own :func:`_tap_ticks`.
+    A rows plan ``(t, offsets, pick)`` (:func:`_tick_plans`) makes the tick
+    one flat take of its rows from ``history`` (the stale agents' inputs,
+    then x_t when any agent is fresh), one ``family.evaluate`` call on them
+    and one flat take of ``pick``, column c from the row of the agent that
+    owns it. Either way one domain check follows. As built-in taps and rows
+    equal points bit for bit, a zero-delay tick is the synchronous step to
+    the last bit.
     """
     if plan is None:
-        (plan,) = next(_plans(family, graph, np.asarray(stamps)[None], t))
+        t, stamps = _integer(t, "tick"), np.asarray(stamps)
+        if not 1 <= t <= len(history):
+            raise PreconditionError(f"tick {t} outside the history's ticks 1..{len(history)}")
+        if stamps.shape != graph.edge_arrays[0].shape or stamps.dtype.kind not in "iu":
+            raise PreconditionError(f"stamps of tick {t} must be one integer per edge; "
+                                    f"got {stamps.dtype} of shape {stamps.shape}")
+        _check_held(graph, stamps[None], t)
+        if family.nbr is None:
+            (plan,) = next(_tick_plans(graph, stamps[None], t))
+        else:
+            plan = (t, next(_tap_plans(family, graph, stamps[None], t))[1:])
     if plan[0] != t:
         raise PreconditionError(f"tick {t} was given the plan of tick {plan[0]}")
     if len(plan) == 3:
         x_next = family.evaluate(history.take(plan[1]), t).take(plan[2])
     else:
-        offsets, b = plan[1]
-        x_next = np.einsum("ip,ip->i", history.take(offsets), family.coef)
-        x_next += b
+        x_next = np.empty(family.dim)
+        _tap_ticks(history, family.coef, *plan[1], x_next[None])
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next
@@ -621,6 +626,11 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     Returns ``(trace, stats)``: a :class:`~fptrack.core.TrackingTrace` and the
     realized :class:`DelayStats`.
     Identical arguments (including ``seed``) reproduce the trace bitwise.
+
+    A family with taps runs each block of ticks back to back and checks its
+    rows once, naming the first failing tick; any other family runs through
+    :func:`step_async`, one checked tick at a time, as its map may raise
+    outside its domain.
     """
     horizon, x0, norm = _tracker_start(family, x0, horizon, norm)
     if graph.dim != family.dim:
@@ -628,11 +638,22 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     table = _start_channels(channels, graph, horizon, seed)
     history = np.empty((horizon, family.dim))
     history[0] = x0
-    for block in _plans(family, graph, table[1:], 1):
-        for plan in block:
-            t = plan[0]
-            history[t] = step_async(history, table[t], family, graph, t, plan)
-        del block, plan  # free this block's indices before the next block is planned
+    if family.nbr is None:
+        for block in _tick_plans(graph, table[1:], 1):
+            for plan in block:
+                t = plan[0]
+                history[t] = step_async(history, table[t], family, graph, t, plan)
+            del block, plan  # free this block's indices before the next block is planned
+    else:
+        for first, offsets, b in _tap_plans(family, graph, table[1:], 1):
+            ticks = history[first:first + len(offsets)]
+            with np.errstate(all="ignore"):  # the check names the first failing tick
+                _tap_ticks(history, family.coef, offsets, b, ticks)
+            inside = family.domain.contains(ticks)
+            if not inside.all():
+                raise DomainViolationError(
+                    f"asynchronous iterate left the domain at tick {first + inside.argmin()}")
+            del offsets, b  # free this block's offsets before the next block is planned
     log = ChannelLog(table[1:], *graph.edge_arrays)
     stats = realized_delay_stats(log, graph)
     return _tracker_score(family, history, norm, reference), stats

@@ -123,6 +123,19 @@ def clip(x, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
+def box_width(lo, hi) -> np.ndarray:
+    """``hi - lo`` of a box. A finite side wider than the largest float cannot
+    be sampled uniformly and raises :class:`PreconditionError` naming it."""
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & np.isinf(width))
+    if wide.size:
+        i = wide[0]
+        raise PreconditionError(f"box side {i} [{lo[i]:g}, {hi[i]:g}] is wider than the "
+                                "largest float, so it cannot be sampled uniformly")
+    return width
+
+
 class DomainSampler:
     """Seeded uniform-ish sampler over a domain.
 
@@ -140,14 +153,7 @@ class DomainSampler:
         self._rng = np.random.default_rng(np.random.SeedSequence([self.seed]))
         if domain.kind == BOX:
             self._finite = np.isfinite(domain.lo) & np.isfinite(domain.hi)
-            with np.errstate(over="ignore"):
-                self._width = domain.hi - domain.lo
-            wide = np.flatnonzero(self._finite & np.isinf(self._width))
-            if wide.size:
-                i = wide[0]
-                raise PreconditionError(
-                    f"box side {i} [{domain.lo[i]:g}, {domain.hi[i]:g}] is wider than the "
-                    "largest float, so it cannot be sampled uniformly")
+            self._width = box_width(domain.lo, domain.hi)
 
     def draw(self, n: int) -> np.ndarray:
         """``n`` seeded points of the domain, one per row.

@@ -17,13 +17,14 @@ asynchronous experiments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..async_sim import DependencyGraph
 from ..core import InexactMapFamily, MapFamily, SeriesTable, seeded_stream
-from ..domains import Domain, clip
+from ..domains import Domain, box_width, clip
 from ..errors import ContractionUncertifiedError, PreconditionError, _integer
 from ..norms import L2, Norm
 from ._paths import scalar_signal
@@ -57,11 +58,28 @@ class TimeVaryingQP:
             raise PreconditionError("regularization must be nonnegative")
         if (self.box_lo >= self.box_hi).any():
             raise PreconditionError("boxes must have nonempty interior (lo < hi strictly)")
+        # Bounds over the box, where |x_i| <= m_i, on the l2 norm of a state
+        # (numpy sums its squares) and on the gradient's terms, signals aside:
+        # past the largest float the maps, audits and errors would run on inf
+        # clipped back into the box.
+        m = np.maximum(np.abs(self.box_lo), np.abs(self.box_hi))
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan: refused too
+            # `w * c * g` is `(w * c) * g`, so the maps multiply by this product
+            self.weighted_coupling = self.tracking_weight * self.coupling
+            squares = m @ m
+            finite = np.isfinite((self.curvature + self.regularization) * m
+                                 + np.abs(self.weighted_coupling) * (np.abs(self.coupling) @ m))
+        if not math.isfinite(squares):
+            box_width(self.box_lo, self.box_hi)  # a side too wide to sample is named first
+            raise PreconditionError("the l2 norm of a state in the box can exceed the largest float")
+        if not finite.all():
+            i = finite.argmin()
+            raise PreconditionError(
+                f"the objective gradient at device {i} can exceed the largest float over the "
+                f"box (side [{self.box_lo[i]:g}, {self.box_hi[i]:g}])")
         # exact largest eigenvalue of diag(a) + weight * c c' (rank-one update)
         h = np.diag(self.curvature) + self.tracking_weight * np.outer(self.coupling, self.coupling)
         self.smoothness = float(np.linalg.eigvalsh(h)[-1])
-        # `w * c * g` is `(w * c) * g`, so the maps multiply by this product
-        self.weighted_coupling = self.tracking_weight * self.coupling
 
     @property
     def n_devices(self) -> int:

@@ -23,8 +23,8 @@ from fptrack import (
 )
 from fptrack import async_sim
 from fptrack.async_sim import (
-    _plans,
     _start_channels,
+    _tap_plans,
     _tick_plans,
     realized_delay_stats,
     step_async,
@@ -216,6 +216,16 @@ def test_an_offset_that_is_not_finite_fails_the_tick_that_reads_it_without_warni
                                      reference=reference)
 
 
+def tap_family_leaving_at(first):
+    """A two-agent tap family whose offsets b(t) are finite before tick ``first``
+    and not at it, so that x_{first + 1} is the first iterate that is not finite."""
+    path = DriftPath("linear", 2, rate=1e308 / (first - 1.5), direction=[1.0, 1.0], norm=LINF)
+    fam = AffineFamily(np.array([[0.0, -0.9], [-0.9, 0.0]]), path, LINF, lipschitz=0.9)
+    assert np.isfinite(fam.offset.rows(1, first)).all()
+    assert not np.isfinite(fam.offset.at(first)).any()
+    return fam
+
+
 @pytest.mark.parametrize("channels", [ZeroDelay(), FixedDelay(1), IidDrop(0.5)])
 @pytest.mark.parametrize("kind", ["taps", "rows"])
 def test_a_domain_violation_names_its_first_tick_and_no_later_tick_runs(kind, channels,
@@ -228,25 +238,65 @@ def test_a_domain_violation_names_its_first_tick_and_no_later_tick_runs(kind, ch
 
     step = async_sim.step_async
     monkeypatch.setattr(async_sim, "step_async", recording_step)
-    if kind == "taps":  # b(3) is not finite, so x_4 is not
-        fam = AffineFamily(np.array([[0.0, -0.9], [-0.9, 0.0]]),
-                           DriftPath("linear", 2, rate=0.5e308, direction=[1.0, 1.0], norm=LINF),
-                           LINF, lipschitz=0.9)
-        first = 3
-    else:  # on [-1, 1]^2 the map at t = 4 lands outside the box
-        def evaluate(x, t):
-            inputs.append(x.copy())
-            return 0.5 * x + (5.0 if t == 4 else 0.0)
-
-        fam = fp.MapFamily(2, fp.Domain.box([-1.0, -1.0], [1.0, 1.0]), fp.pointwise(evaluate),
-                           lipschitz=0.5)
-        first = 4
     graph = DependencyGraph([1, 1], [(0, 1), (1, 0)])
+    if kind == "taps":
+        # a tap run calls no step_async: each block of ticks runs whole and is
+        # checked once, so later ticks of the block do run (on values that are
+        # not finite, without warnings); the check names the first failing
+        # tick whether it opens, splits or closes its block
+        monkeypatch.setattr(async_sim, "_PLAN_INDICES", 10)
+        block = 5
+        for first in (block + 1, block + 3, 2 * block):
+            fam = tap_family_leaving_at(first)
+            assert async_sim._PLAN_INDICES // fam.nbr.size == block
+            with pytest.raises(DomainViolationError, match=f"at tick {first}$"):
+                fp.run_async_tracker(fam, graph, channels, np.zeros(2), 3 * block, LINF,
+                                     seed=2, reference=np.zeros((3 * block, 2)))
+        assert ticks == []
+        return
+    # on [-1, 1]^2 the map at t = 4 lands outside the box
+    def evaluate(x, t):
+        inputs.append(x.copy())
+        return 0.5 * x + (5.0 if t == 4 else 0.0)
+
+    fam = fp.MapFamily(2, fp.Domain.box([-1.0, -1.0], [1.0, 1.0]), fp.pointwise(evaluate),
+                       lipschitz=0.5)
+    first = 4
     with pytest.raises(DomainViolationError, match=f"at tick {first}$"):
         fp.run_async_tracker(fam, graph, channels, np.zeros(2), 12, LINF, seed=2,
                              reference=np.zeros((12, 2)))
     assert ticks == list(range(1, first + 1))
     assert all(fam.domain.contains(x) for x in inputs)  # no map ran outside its domain
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(coupling=st.sampled_from(["chain", "diagonal", "dense"]), dim=st.integers(2, 6),
+       channel=st.sampled_from(["none", "fixed", "periodic", "iid", "schedule"]),
+       horizon=st.integers(2, 40), block=st.integers(1, 7), seed=st.integers(0, 2 ** 16))
+def test_a_tap_run_equals_a_loop_of_single_ticks_bitwise(coupling, dim, channel, horizon, block,
+                                                         seed):
+    fam = small_affine(dim=dim, coupling=coupling, seed=seed, norm=LINF, contraction=0.8)
+    graph = fam.dependency_graph()
+    rng = np.random.default_rng(seed)
+    if channel == "schedule":  # any stamp in 1..t: old copies may overwrite newer ones
+        channels = ScheduleTable([(t, j, i, int(rng.integers(1, t + 1)))
+                                  for t in range(1, horizon) for j, i in graph.edges],
+                                 allow_nonmonotone=True)
+    else:
+        channels = {"none": ZeroDelay(), "fixed": FixedDelay(2), "periodic": PeriodicDelivery(3),
+                    "iid": IidDrop(0.4, max_consecutive=3)}[channel]
+    x0 = rng.uniform(-1.0, 1.0, dim)
+    with mock.patch.object(async_sim, "_PLAN_INDICES", block * fam.nbr.size):
+        trace, _ = fp.run_async_tracker(fam, graph, channels, x0, horizon, LINF, seed=seed,
+                                        reference=np.zeros((horizon, dim)))
+    table = _start_channels(channels, graph, horizon, seed)
+    history = np.empty((horizon, dim))
+    history[0] = x0
+    for t in range(1, horizon):
+        before = history[:t].tobytes()
+        history[t] = step_async(history[:t], table[t], fam, graph, t)
+        assert history[:t].tobytes() == before  # a single tick writes no history row
+    assert trace.iterates.tobytes() == history.tobytes()
 
 
 @pytest.mark.parametrize("horizon, x0, blocks, message", [
@@ -588,6 +638,31 @@ def test_a_plan_serves_only_its_own_ticks():
         step_async(history, table[5], fam, graph, 5).tobytes())
 
 
+@pytest.mark.parametrize("family", ["taps", "rows"])
+@pytest.mark.parametrize("stamps, t, message", [
+    ([0, 0, 0, 0], 2, r"stamp 0 for edge \(0, 1\) at t=2 outside 1\.\.2$"),
+    ([1, 2, 4, 1], 2, r"stamp 4 for edge \(1, 2\) at t=2 outside 1\.\.2$"),
+    ([1, 1, 1], 2, r"stamps of tick 2 must be one integer per edge; got int\d+ of shape \(3,\)$"),
+    ([1.0, 1.0, 1.0, 1.0], 2,
+     r"stamps of tick 2 must be one integer per edge; got float64 of shape \(4,\)$"),
+    ([1, 1, 1, 1], 0, r"tick 0 outside the history's ticks 1\.\.4$"),
+    ([1, 1, 1, 1], 5, r"tick 5 outside the history's ticks 1\.\.4$"),
+    ([1, 1, 1, 1], 2.0, "tick 2.0 is not an integer$"),
+], ids=["stamp-0", "stamp-above-t", "short-row", "float-stamps", "tick-0", "tick-past-history",
+        "float-tick"])
+def test_a_tick_without_a_plan_checks_the_stamps_and_tick_it_is_given(family, stamps, t,
+                                                                        message):
+    fam = small_affine(dim=3, coupling="chain")
+    graph = fam.dependency_graph()
+    if family == "rows":
+        fam = fp.MapFamily(fam.dim, fam.domain, fam.evaluate, lipschitz=fam.lipschitz_sup)
+    history = np.zeros((4, 3))
+    history[-1] = 1e6  # a stamp of 0 would read this row
+    with pytest.raises(PreconditionError, match=message):
+        step_async(history, np.array(stamps), fam, graph, t)
+    assert step_async(history, np.array([1, 1, 1, 1]), fam, graph, 4).shape == (3,)
+
+
 def test_a_2000_agent_chain_plans_every_all_stale_tick_alone():
     n = 2000
     chain = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
@@ -622,7 +697,9 @@ def test_a_run_finds_its_outdated_copies_once_for_all_its_blocks(monkeypatch):
     for name, passes in (("affine-chain-48", 1), ("qp-broadcast", 2)):
         family, graph, horizon, drops = mixed_tick_case(name)
         table = _start_channels(drops, graph, horizon, seed=4)
-        assert len(list(_plans(family, graph, table[1:], 1))) >= 4
+        plans = (_tick_plans(graph, table[1:], 1) if family.nbr is None
+                 else _tap_plans(family, graph, table[1:], 1))
+        assert len(list(plans)) >= 4
         calls.clear()
         fp.run_async_tracker(family, graph, drops, np.zeros(family.dim), horizon, seed=4,
                              reference=np.zeros((horizon, family.dim)))

@@ -750,6 +750,27 @@ def test_cli_run_on_a_box_side_too_wide_to_sample_exit_2_in_one_line(tmp_path, c
         "so it cannot be sampled uniformly"]
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"box_lo": [1e308, -1], "box_hi": [1.5e308, 1]},
+     "the l2 norm of a state in the box can exceed the largest float"),
+    ({"curvature": [1e300, 2], "box_lo": [-1e10, -1], "box_hi": [1e10, 1]},
+     "the objective gradient at device 0 can exceed the largest float over the box "
+     "(side [-1e+10, 1e+10])"),
+    ({"coupling": [1e200, 1]}, "the objective gradient at device 0 can exceed the largest "
+                               "float over the box (side [-1, 1])"),
+], ids=["state-norm", "gradient", "coupling"])
+def test_cli_run_on_a_box_whose_gradient_or_norm_overflows_exit_2_in_one_line(
+        tmp_path, capsys, instance, message):
+    # each side is finite and samples uniformly, but the arithmetic over the box does not fit
+    doc = {"problem": {"kind": "qp-gradient", "curvature": [1, 2], "step_size": 0.1, **instance},
+           "mode": "sync", "norm": "l2", "horizon": 5, "seed": 1}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_json(tmp_path / "c.json", doc)]) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_cli_run_whose_drift_overflows_after_its_horizon_warns_about_nothing(tmp_path, capsys):
     # the tables fill ahead of the horizon, where the offsets b(t) are not finite
     doc = drifting_doc(horizon=2, kind="linear", rate=1e308)
