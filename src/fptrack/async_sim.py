@@ -312,7 +312,11 @@ def _start_channels(model: ChannelModel, graph: DependencyGraph, horizon, seed) 
     if isinstance(model, ScheduleTable):
         table = model.stamps_for(_edge_columns(graph, model.rows[:, 1:3]), n_edges, horizon)
     else:
-        table = np.asarray(model.start(n_edges, horizon, seed), dtype=int)
+        table = np.asarray(model.start(n_edges, horizon, seed))
+        if table.dtype.kind not in "iu":  # a float stamp would truncate
+            raise PreconditionError(
+                f"stamp table of {type(model).__name__} must hold integers; got {table.dtype}")
+        table = table.astype(int, copy=False)
     if table.shape != (horizon, n_edges):
         raise PreconditionError(
             f"stamp table has shape {table.shape}, expected {(horizon, n_edges)}"

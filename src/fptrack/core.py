@@ -688,42 +688,58 @@ def map_error_bound_series(family, horizon) -> np.ndarray:
 
 
 @dataclass
+class SelfMapCheck:
+    ok: bool
+    counterexample: np.ndarray | None
+    n_checked: int
+
+
+def _self_map_check(domain: Domain, points, images) -> SelfMapCheck:
+    """Whether every row of the blocks ``images`` lies in ``domain``; else the first
+    row of the blocks ``points`` whose image does not."""
+    inside = np.concatenate([domain.contains(block) for block in images])
+    if np.all(inside):
+        return SelfMapCheck(True, None, len(inside))
+    return SelfMapCheck(False, np.concatenate(points)[int(np.argmin(inside))], len(inside))
+
+
+@dataclass
 class LipschitzEstimate:
     """Sampled lower bound on a map's Lipschitz constant.
 
     ``value`` never exceeds the true constant; ``degenerate`` flags that all
-    sampled pairs coincided (insufficient sampling).
+    sampled pairs coincided (insufficient sampling). ``self_map`` is the
+    self-map check of the same sample: the images of both points of every
+    pair against the domain.
     """
 
     value: float
     pairs_used: int
     degenerate: bool
     worst_pair: tuple | None = None
+    self_map: SelfMapCheck | None = None
 
 
 def estimate_lipschitz(family, t, sampler: DomainSampler, n_pairs, norm: Norm) -> LipschitzEstimate:
-    """Max sampled ratio ||f(x)-f(x')|| / ||x-x'|| over seeded domain pairs."""
+    """Max sampled ratio ||f(x)-f(x')|| / ||x-x'|| over seeded domain pairs, and the
+    self-map check of the same 2 * ``n_pairs`` images: each point is evaluated once."""
     n_pairs = _integer(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise PreconditionError("need at least one pair")
     X = sampler.draw(n_pairs)
     Y = sampler.draw(n_pairs)
+    # two rows calls: one call of 2n rows would hold twice the map's temporaries
+    FX, FY = family.evaluate(X, t), family.evaluate(Y, t)
+    self_map = _self_map_check(family.domain, (X, Y), (FX, FY))
     den = norm.of_rows(X - Y)
     mask = den > 0.0
     if not np.any(mask):
-        return LipschitzEstimate(0.0, 0, True)
-    num = norm.of_rows(family.evaluate(X[mask], t) - family.evaluate(Y[mask], t))
-    ratios = num / den[mask]
+        return LipschitzEstimate(0.0, 0, True, self_map=self_map)
+    used = slice(None) if mask.all() else mask  # rows are independent: no copy when all count
+    ratios = norm.of_rows(FX[used] - FY[used]) / den[used]
     i = int(np.argmax(ratios))
     idx = np.flatnonzero(mask)[i]
-    return LipschitzEstimate(float(ratios[i]), int(mask.sum()), False, (X[idx], Y[idx]))
-
-
-@dataclass
-class SelfMapCheck:
-    ok: bool
-    counterexample: np.ndarray | None
-    n_checked: int
+    return LipschitzEstimate(float(ratios[i]), int(mask.sum()), False, (X[idx], Y[idx]), self_map)
 
 
 def verify_self_map(family, t, sampler: DomainSampler, n_samples) -> SelfMapCheck:
@@ -733,11 +749,7 @@ def verify_self_map(family, t, sampler: DomainSampler, n_samples) -> SelfMapChec
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     X = sampler.draw(n_samples)
-    inside = family.domain.contains(family.evaluate(X, t))
-    if np.all(inside):
-        return SelfMapCheck(True, None, n_samples)
-    bad = int(np.argmin(inside))
-    return SelfMapCheck(False, X[bad], n_samples)
+    return _self_map_check(family.domain, (X,), (family.evaluate(X, t),))
 
 
 def rounding_slack(norm: Norm, *states) -> float:

@@ -20,7 +20,7 @@ import errno
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -47,7 +47,6 @@ from .core import (
     run_lockstep_tracker,
     run_online_tracker,
     verify_map_error,
-    verify_self_map,
 )
 from .domains import DomainSampler
 from .errors import ConfigError, PreconditionError
@@ -94,6 +93,7 @@ def _f17(x: float) -> str:
 # Keys of a qp-gradient problem that only one form of its instance reads.
 _RANDOM_QP_KEYS = {"devices", "instance_seed"}
 _INLINE_QP_KEYS = {"coupling", "box_lo", "box_hi", "tracking_weight", "regularization"}
+_QP_INSTANCE_KEYS = sorted(_RANDOM_QP_KEYS | _INLINE_QP_KEYS | {"curvature"})
 
 
 def _seeded(spec, seed):
@@ -114,7 +114,9 @@ class ExperimentConfig:
     """Values read from a config document (``problem`` and ``channel`` too, with
     defaults filled in); ``raw`` is the document exactly as given, and
     ``channel_model`` the channel its runs use, built once from ``channel``
-    when not given (a sweep passes on a channel its value leaves unchanged)."""
+    when not given (a sweep passes on a channel its value leaves unchanged).
+    ``qp_instances`` holds the QP instances a sweep's runs have built, by the
+    instance data they read; when None, a run builds its own."""
 
     problem: dict
     mode: str
@@ -128,6 +130,7 @@ class ExperimentConfig:
     declared_lipschitz_override: float | None
     raw: dict = field(repr=False, default_factory=dict)
     channel_model: ChannelModel | None = field(default=None, repr=False, compare=False)
+    qp_instances: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.channel_model is None:
@@ -175,13 +178,19 @@ class ExperimentConfig:
         return self._build_loadflow(p)
 
     def _build_qp(self, p) -> TimeVaryingQP:
-        if p["curvature"] is not None:
-            return _qp(p, self.seed)
-        seed = p["instance_seed"]
-        qp = random_qp(p["devices"], seed=self.seed if seed is None else seed)
-        qp.output_signal = _signal(p["output_signal"], self.seed)
-        qp.reference_signal = _signal(p["reference_signal"], self.seed)
-        return qp
+        """The run's QP with its own signals: an instance of ``qp_instances`` that
+        reads the same data (a copy), or one built and stored there."""
+        inline = p["curvature"] is not None
+        seed = self.seed if p["instance_seed"] is None else p["instance_seed"]
+        key = json.dumps([p[k] for k in _QP_INSTANCE_KEYS] + [None if inline else seed])
+        built = {} if self.qp_instances is None else self.qp_instances
+        if inline and key not in built:  # built with this run's signals
+            built[key] = _qp(p, self.seed)
+            return built[key]
+        if key not in built:
+            built[key] = random_qp(p["devices"], seed=seed)
+        return built[key].with_signals(_signal(p["output_signal"], self.seed),
+                                       _signal(p["reference_signal"], self.seed))
 
     def _build_loadflow(self, p):
         if isinstance(p["network"], dict):
@@ -389,26 +398,29 @@ def reference_phase(config: ExperimentConfig, family) -> FixedPointSeries:
 def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
     """The audits ``names`` that apply, by name, each a fresh dict.
 
-    The Lipschitz and self-map audits sample ``family.base`` on the domain
-    against the declared supremum; the map-error audit (inexact families)
-    compares ``family`` with its base; the dependency audit probes ``family``
-    against its graph, in async mode only, since a sync run reads no blocks.
-    Each audit runs at t = 1 on its own seeded samples.
+    The Lipschitz and self-map audits read one seeded sample of
+    ``family.base`` on the domain: ``audit_samples`` pairs of points, whose
+    2n images give the largest ratio (against the declared supremum) and the
+    self-map check, so either audit alone gives the dict it gives with the
+    other. The map-error audit (inexact families) compares ``family`` with
+    its base; the dependency audit probes ``family`` against its graph, in
+    async mode only, since a sync run reads no blocks. These two draw seeded
+    samples of their own. Every audit runs at t = 1.
     """
     n, norm, audits = config.audit_samples, config.norm, {}
-    if "lipschitz" in names:
+    if "lipschitz" in names or "self_map" in names:
         sampler = DomainSampler(family.domain, config.seed + 7919)
         est = estimate_lipschitz(family.base, 1, sampler, n, norm)
-        audits["lipschitz"] = {
-            "estimate": est.value,
-            "declared": family.lipschitz_sup,
-            "ok": bool(est.value <= family.lipschitz_sup + rounding_slack(norm)),
-            "samples": n,
+        sampled = {
+            "lipschitz": {
+                "estimate": est.value,
+                "declared": family.lipschitz_sup,
+                "ok": bool(est.value <= family.lipschitz_sup + rounding_slack(norm)),
+                "samples": n,
+            },
+            "self_map": {"ok": bool(est.self_map.ok), "samples": est.self_map.n_checked},
         }
-    if "self_map" in names:
-        sampler = DomainSampler(family.domain, config.seed + 104729)
-        audits["self_map"] = {"ok": bool(verify_self_map(family.base, 1, sampler, n).ok),
-                              "samples": n}
+        audits.update((name, a) for name, a in sampled.items() if name in names)
     if "map_error" in names and family.error_sup > 0.0:
         me = verify_map_error(
             family, 1, DomainSampler(family.domain, config.seed + 1299709),
@@ -625,7 +637,8 @@ def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> Exper
         doc["problem"]["drift"] = {**doc["problem"].get("drift", {"kind": "linear"}), "rate": value}
     values = _config_values(doc)
     same = values["channel"] == config.channel
-    return ExperimentConfig(**values, raw=doc, channel_model=config.channel_model if same else None)
+    return ExperimentConfig(**values, raw=doc, channel_model=config.channel_model if same else None,
+                            qp_instances=config.qp_instances)
 
 
 @dataclass
@@ -687,6 +700,10 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     - ``step_size`` and ``drift_rate``: nothing. The value changes the base
       map.
 
+    Runs that read the same QP instance data (every run when
+    ``instance_seed`` is given or the instance is inline, else each seed's)
+    share one instance build, each with its own signals.
+
     A sync sweep first runs its runs together (:func:`_lockstep_runs`): it
     builds every run's family, solves every reference it needs (each seed's
     first run's when the reference is shared, else every run's) in one
@@ -709,6 +726,7 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     if n_seeds < 1:
         raise ConfigError("sweep needs at least one seed")
     names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
+    config = replace(config, qp_instances={})  # this sweep's, shared by its runs
     seeds = range(n_seeds)
     shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
     order = [(v, k) for v in values for k in seeds]

@@ -98,8 +98,8 @@ class DriftPath:
 def scalar_signal(kind, rate=0.0, seed=0, start=0.0, norm=None, **kw) -> SeriesTable:
     """A scalar signal (an exogenous input or a reference) as the
     :class:`~fptrack.core.SeriesTable` of a 1-d drift path's values: ``at(t)``
-    is the value at an int ``t`` as a float, or an array for an int array of times."""
-    path = DriftPath(kind, 1, rate=rate, seed=seed, start=[float(start)],
-                     direction=[1.0] if kind in ("linear", "piecewise") else None,
+    is the value at an int ``t`` as a float, or an array for an int array of
+    times. Every kind moves along +1, so no direction is drawn."""
+    path = DriftPath(kind, 1, rate=rate, seed=seed, start=[float(start)], direction=[1.0],
                      norm=norm, **kw)
     return SeriesTable(lambda ts, last: path.point(ts)[:, 0])

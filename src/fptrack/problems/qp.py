@@ -17,6 +17,7 @@ asynchronous experiments.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -96,6 +97,13 @@ class TimeVaryingQP:
         y = np.einsum("...j,j->...", x, self.coupling) + w
         return (self.curvature * x + self.weighted_coupling * (y - r)[..., None]
                 + self.regularization * x)
+
+    def with_signals(self, output_signal, reference_signal) -> "TimeVaryingQP":
+        """This instance with other signals. The copy shares the instance data and
+        what ``__post_init__`` derived from it, without building them again."""
+        qp = copy.copy(self)
+        qp.output_signal, qp.reference_signal = output_signal, reference_signal
+        return qp
 
     def same_instance(self, other) -> bool:
         """Whether ``other`` holds this instance's data bit for bit; signals may differ."""

@@ -1013,7 +1013,30 @@ def test_nonmonotone_table_accepted_when_the_model_allows_it():
     assert list(stats.delay_by_tick) == [0, 0, 2, 0]
 
 
-@pytest.mark.parametrize("horizon,edges", [(1, [(0, 1), (1, 0)]), (40, [])])
+@pytest.mark.parametrize("rows,dtype", [([1.7] * 5, "float64"), ([1.0] * 5, "float64"),
+                                        ([True] * 5, "bool")])
+def test_a_model_table_that_is_not_integers_is_refused_not_truncated(rows, dtype):
+    graph = DependencyGraph([1, 2, 1], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    with pytest.raises(PreconditionError,
+                       match=f"^stamp table of TableChannel must hold integers; got {dtype}$"):
+        _start_channels(TableChannel(rows), graph, 5, 0)
+
+
+def test_an_int32_model_table_runs_as_its_int64_copy():
+    fam = small_affine(dim=2)
+    g = fam.dependency_graph()
+    rows = [1, 1, 1, 3, 3, 5]
+    narrow = TableChannel(np.array(rows, dtype=np.int32))
+    table = _start_channels(narrow, g, 6, 0)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, _start_channels(TableChannel(rows), g, 6, 0))
+    trace, stats = fp.run_async_tracker(fam, g, narrow, np.zeros(2), 6, L2)
+    wide, _ = fp.run_async_tracker(fam, g, TableChannel(rows), np.zeros(2), 6, L2)
+    assert trace.iterates.tobytes() == wide.iterates.tobytes()
+    assert list(stats.delay_by_tick) == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("horizon,edges",[(1, [(0, 1), (1, 0)]), (40, [])])
 def test_runs_without_log_entries_have_zero_staleness(horizon, edges):
     drift = DriftPath("constant", 2, start=[1.0, 2.0])
     fam = AffineFamily(np.diag([0.5, 0.4]), drift, L2, lipschitz=0.5)

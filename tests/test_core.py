@@ -625,6 +625,39 @@ def test_lipschitz_pair_count_is_an_integer_not_truncated():
     assert est.pairs_used == 3
 
 
+class _Draws:
+    """A sampler that returns the given blocks of points in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def draw(self, n):
+        block = np.asarray(self.blocks.pop(0), dtype=float)
+        assert len(block) == n
+        return block
+
+
+@pytest.mark.parametrize("norm", [L2, LINF])
+def test_lipschitz_skips_coinciding_pairs_and_checks_every_image(norm):
+    X = [[0.0, 0.0], [0.5, 0.5], [0.1, 0.9], [0.3, 0.2]]
+    Y = [[0.0, 0.0], [0.5, 0.1], [0.1, 0.9], [0.9, 0.8]]  # pairs 0 and 2 coincide
+
+    def f(x, t):
+        return np.column_stack([0.5 * x[:, 0], 0.25 * x[:, 1] + 0.8])
+
+    fam = MapFamily(2, Domain.box([0.0, 0.0], [1.0, 1.0]), f, 0.5)
+    est = fp.estimate_lipschitz(fam, 1, _Draws(X, Y), 4, norm)
+    ratios = [norm.of(f(np.array([x]), 1)[0] - f(np.array([y]), 1)[0])
+              / norm.of(np.subtract(x, y)) for x, y in zip(X, Y) if x != y]
+    assert (est.value, est.pairs_used, est.degenerate) == (max(ratios), 2, False)
+    assert [list(p) for p in est.worst_pair] == [X[3], Y[3]]
+    # 0.25 * 0.9 + 0.8 leaves the box: the first such point is pair 2's in X
+    assert (est.self_map.ok, est.self_map.n_checked) == (False, 8)
+    assert list(est.self_map.counterexample) == X[2]
+    est = fp.estimate_lipschitz(fam, 1, _Draws(Y[:2], X[:2]), 2, norm)
+    assert est.self_map.ok and est.self_map.n_checked == 4
+
+
 def test_self_map_contraction_on_ball_true():
     dom = Domain.ball(np.zeros(2), 1.0)
     fam = MapFamily(2, dom, lambda x, t: 0.5 * x, 0.5)

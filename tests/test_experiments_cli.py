@@ -329,6 +329,11 @@ SWEEP_DOCS = {
                     "topology": "none",
                     "reference_signal": {"kind": "random_walk", "rate": 0.01}},
         "mode": "sync", "norm": "l2", "horizon": 40, "seed": 4, "audit_samples": 50},
+    "qp-inline-sync": {  # every run reads the one inline instance, with its seed's signals
+        "problem": {"kind": "qp-gradient", "curvature": [1.0, 2.0, 1.5], "step_size": 0.3,
+                    "noise_bound": 0.01, "topology": "none",
+                    "reference_signal": {"kind": "random_walk", "rate": 0.01, "seed": None}},
+        "mode": "sync", "norm": "l2", "horizon": 40, "seed": 6, "audit_samples": 50},
 }
 SWEEP_VALUES = {"drop_probability": [0.0, 0.3], "fixed_delay": [0, 2], "step_size": [0.1, 0.15],
                 "noise_bound": [1e-4, 0.0], "drift_rate": [0.01, 0.02]}
@@ -1031,6 +1036,61 @@ def test_cli_audit_failure_exit_4(tmp_path):
 def test_cli_audit_ok(tmp_path):
     cfg = write_json(tmp_path / "c.json", affine_doc())
     assert main(["audit", cfg]) == EXIT_OK
+
+
+@pytest.mark.parametrize("doc", [
+    affine_doc(audit_samples=60),
+    {"problem": {"kind": "qp-gradient", "devices": 3, "instance_seed": 2, "step_size": 0.3},
+     "mode": "sync", "norm": "l2", "horizon": 30, "seed": 2, "audit_samples": 60},
+], ids=["affine", "qp-gradient"])
+def test_cli_audit_checks_the_self_map_on_both_points_of_every_pair(tmp_path, capsys, doc):
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert main(["audit", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "  [  OK] self_map: samples=120" in lines
+    assert [line for line in lines if "lipschitz" in line][0].endswith("samples=60")
+
+
+def _counted(family, rows):
+    """An exact family with ``family``'s map that records the rows of each call."""
+    def evaluate(x, t):
+        rows.append(len(np.atleast_2d(x)))
+        return family.evaluate(x, t)
+
+    return fptrack.MapFamily(family.dim, family.domain, evaluate, lipschitz=family.lipschitz_sup,
+                             declared_norm=family.declared_norm)
+
+
+def test_the_lipschitz_and_self_map_audits_evaluate_one_sample_once():
+    cfg = ExperimentConfig.from_dict(affine_doc(audit_samples=50))
+    family, graph = experiments.build_phase(cfg)
+    rows = []
+    audits = experiments.audit_phase(cfg, _counted(family, rows), graph)
+    assert rows == [50, 50]  # each point of the 50 pairs, once
+    assert audits["self_map"] == {"ok": True, "samples": 100}
+    assert audits["lipschitz"]["samples"] == 50
+    assert audits == experiments.audit_phase(cfg, family, graph)
+
+
+def test_a_map_that_leaves_part_of_its_box_fails_the_self_map_audit():
+    cfg = ExperimentConfig.from_dict(affine_doc(audit_samples=50))
+    # 0.5 x + 0.55 leaves the box [-1, 1]^4 where a coordinate exceeds 0.9
+    family = fptrack.MapFamily(4, fptrack.Domain.box(-np.ones(4), np.ones(4)),
+                               lambda x, t: 0.5 * x + 0.55, lipschitz=0.5)
+    audits = experiments.audit_phase(cfg, family, None)
+    assert audits["self_map"] == {"ok": False, "samples": 100}
+    assert audits["lipschitz"]["ok"]
+
+
+@pytest.mark.parametrize("name", ["qp-feedback-sync", "qp-star-async", "multiarea-async",
+                                  "affine-async"])
+def test_either_sampled_audit_alone_gives_its_dict_in_a_full_audit(name):
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
+    family, graph = experiments.build_phase(cfg)
+    full = experiments.audit_phase(cfg, family, graph)
+    for audit in ("self_map", "lipschitz"):
+        assert experiments.audit_phase(cfg, family, graph, names=[audit]) == {audit: full[audit]}
+    assert full["self_map"] == {"ok": True, "samples": 100}
 
 
 def test_cli_audit_rejects_the_configs_run_rejects(tmp_path):

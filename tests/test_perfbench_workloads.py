@@ -55,3 +55,57 @@ def test_workload_sets_up_and_passes_its_gate(workloads, monkeypatch, tmp_path, 
     assert outcome.attempted == (12 if w.is_sweep else 1)
     assert len(builds) == outcome.attempted  # a sweep builds one family per run
     assert outcome.digest == DIGESTS[name]
+
+
+# Each workload's Lipschitz audit at seed 5, as computed before the self-map
+# audit came to read the Lipschitz audit's sample: sharing it moved no bit.
+LIPSCHITZ_AUDITS = {
+    "sweep-qp-feedback": {"estimate": 0.33359352558255007, "declared": 0.3531580420953433,
+                          "ok": True, "samples": 2000},
+    "async-affine-chain": {"estimate": 0.5706184758856001, "declared": 0.6,
+                           "ok": True, "samples": 2000},
+    "async-loadflow-3area": {"estimate": 0.6534492333673317, "declared": 0.6828156813476308,
+                             "ok": True, "samples": 2000},
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_lipschitz_audit_keeps_its_bits(workloads, name):
+    config = experiments.ExperimentConfig.from_dict(workloads.WORKLOADS[name].doc(5))
+    family, graph = experiments.build_phase(config)
+    audits = experiments.audit_phase(config, family, graph)
+    assert audits["lipschitz"] == LIPSCHITZ_AUDITS[name]
+    assert audits["self_map"] == {"ok": True, "samples": 4000}
+
+
+def _report_bytes(report, prefix):
+    experiments.write_report_files(report, str(prefix))
+    return Path(f"{prefix}.csv").read_bytes(), Path(f"{prefix}.json").read_bytes()
+
+
+@pytest.mark.parametrize("instance_seed,draws", [(1, [1]), (None, [5, 1005, 2005])])
+def test_a_benchmark_sweep_draws_each_qp_instance_once(workloads, monkeypatch, tmp_path,
+                                                      instance_seed, draws):
+    seeds = []
+    real = experiments.random_qp
+
+    def counting(n_devices, seed):
+        seeds.append(seed)
+        return real(n_devices, seed)
+
+    monkeypatch.setattr(experiments, "random_qp", counting)
+    doc = workloads._qp_doc(5)
+    doc["problem"]["instance_seed"] = instance_seed
+    config = experiments.ExperimentConfig.from_dict(doc)
+    values, n_seeds = workloads.SWEEP_VALUES, workloads.SWEEP_SEEDS
+    result = experiments.sweep(config, workloads.SWEEP_PARAMETER, values, n_seeds=n_seeds)
+    assert seeds == draws
+    experiments.sweep(config, workloads.SWEEP_PARAMETER, values, n_seeds=n_seeds)
+    assert seeds == draws * 2  # the next sweep draws its own
+    for value, reports in zip(values, result.reports):
+        for k, report in enumerate(reports):
+            alone = experiments.run_experiment(experiments._config_with(
+                config, workloads.SWEEP_PARAMETER, value, seed=5 + 1000 * k), write_files=False)
+            assert (_report_bytes(report, tmp_path / "sweep")
+                    == _report_bytes(alone, tmp_path / "alone"))
+    assert len(seeds) == 2 * len(draws) + len(values) * n_seeds  # each run alone draws its own

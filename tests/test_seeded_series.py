@@ -16,6 +16,7 @@ from fptrack.problems import (
     build_multiarea_maps,
     default_injections,
     random_qp,
+    scalar_signal,
     three_area_network,
 )
 
@@ -193,3 +194,18 @@ def test_seed_sequences_do_not_grow_with_the_horizon(monkeypatch, doc):
         assert len(report.errors) == horizon
         counts.append(len(made))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("kind,extra,streams", [
+    ("constant", {}, []),
+    ("linear", {"rate": 0.1}, []),
+    ("random_walk", {"rate": 0.1, "seed": 4}, [[4, 332]]),  # its steps, on first read
+])
+def test_a_scalar_signal_draws_nothing_but_a_random_walks_steps(monkeypatch, kind, extra,
+                                                                streams):
+    made = _count_seed_sequences(monkeypatch)
+    signal = scalar_signal(kind, start=-0.5, **extra)
+    assert made == []
+    first = signal.at(1)
+    assert [list(args[0]) for args in made] == streams
+    assert first == -0.5
