@@ -3,10 +3,11 @@
 An experiment runs in phases: it builds one problem family, computes the
 reference fixed points, audits the family's declarations by sampling, runs
 the synchronous or asynchronous tracker, evaluates every applicable tracking
-bound and checks the realized errors against them, and reports. A sweep
-computes the phases that a swept value leaves unchanged in the first run of
-each seed. The report is JSON-serializable and the per-step trace is written
-as CSV with a fixed header; reruns of the same config are byte-identical.
+bound and checks the realized errors against them, and reports. The runs of
+a sweep share one memo: each phase's value is stored there under the config
+fields that phase reads, so runs that agree on them compute it once. The
+report is JSON-serializable and the per-step trace is written as CSV with a
+fixed header; reruns of the same config are byte-identical.
 
 Certificate semantics: the "limsup" side of each asymptotic bound is
 operationalized as the maximum error over the trailing part of the horizon
@@ -21,6 +22,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -45,7 +47,6 @@ from .core import (
     map_error_bound_series,
     rounding_slack,
     run_lockstep_tracker,
-    run_online_tracker,
     verify_map_error,
 )
 from .domains import DomainSampler
@@ -94,6 +95,8 @@ def _f17(x: float) -> str:
 _RANDOM_QP_KEYS = {"devices", "instance_seed"}
 _INLINE_QP_KEYS = {"coupling", "box_lo", "box_hi", "tracking_weight", "regularization"}
 _QP_INSTANCE_KEYS = sorted(_RANDOM_QP_KEYS | _INLINE_QP_KEYS | {"curvature"})
+# Keys of a qp-gradient problem that only its inexact layer reads, not its base.
+_QP_INEXACT_KEYS = ("noise_bound", "adversarial_noise")
 
 
 def _seeded(spec, seed):
@@ -112,11 +115,13 @@ def _signal(spec, seed):
 @dataclass
 class ExperimentConfig:
     """Values read from a config document (``problem`` and ``channel`` too, with
-    defaults filled in); ``raw`` is the document exactly as given, and
-    ``channel_model`` the channel its runs use, built once from ``channel``
-    when not given (a sweep passes on a channel its value leaves unchanged).
-    ``qp_instances`` holds the QP instances a sweep's runs have built, by the
-    instance data they read; when None, a run builds its own."""
+    defaults filled in); ``raw`` is the document exactly as given.
+
+    ``memo`` is the dict of phase values a sweep's runs share, each stored
+    under the phase's entry of :attr:`keys`; a run alone has none and
+    computes every phase. ``channel_model`` is the channel the run uses,
+    built from ``channel`` (or found in the memo) when the config is made,
+    so an unreadable schedule is refused on loading."""
 
     problem: dict
     mode: str
@@ -129,12 +134,47 @@ class ExperimentConfig:
     audit_samples: int
     declared_lipschitz_override: float | None
     raw: dict = field(repr=False, default_factory=dict)
-    channel_model: ChannelModel | None = field(default=None, repr=False, compare=False)
-    qp_instances: dict | None = field(default=None, repr=False, compare=False)
+    memo: dict | None = field(default=None, repr=False, compare=False)
+    channel_model: ChannelModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.channel_model is None:
-            self.channel_model = self.build_channel()
+        self.channel_model = self.recall("channel", self.build_channel)
+
+    @cached_property
+    def keys(self) -> dict:
+        """Each phase's memo key: the phase and the JSON of the config fields it
+        reads. The base of a run is its family without the inexact layer, so
+        its key leaves out the fields only that layer reads, which the build
+        key adds."""
+        p = self.problem
+        inexact = _QP_INEXACT_KEYS if p["kind"] == "qp-gradient" else ()
+        base = json.dumps([{k: v for k, v in p.items() if k not in inexact}, self.mode,
+                           self.norm.kind, self.seed, self.declared_lipschitz_override],
+                          sort_keys=True)
+        build = (base, json.dumps([p[k] for k in inexact]))
+        keys = {
+            "build": ("build", *build),
+            "reference": ("reference", base, self.horizon),
+            "sample": ("sample", base, self.audit_samples),
+            "audits": ("audits", *build, self.audit_samples),
+            "iterates": ("iterates", *build, self.horizon),
+            "channel": ("channel", json.dumps(self.channel, sort_keys=True)),
+        }
+        if p["kind"] == "qp-gradient":  # a random instance without its own seed reads the run's
+            drawn = p["curvature"] is None and p["instance_seed"] is None
+            keys["qp"] = ("qp", json.dumps([p[k] for k in _QP_INSTANCE_KEYS]
+                                           + [self.seed if drawn else None]))
+        return keys
+
+    def recall(self, phase, compute):
+        """``compute()``; in a sweep, the value its memo holds under this config's
+        key of ``phase``, computed and stored there the first time."""
+        if self.memo is None:
+            return compute()
+        key = self.keys[phase]
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -178,19 +218,15 @@ class ExperimentConfig:
         return self._build_loadflow(p)
 
     def _build_qp(self, p) -> TimeVaryingQP:
-        """The run's QP with its own signals: an instance of ``qp_instances`` that
-        reads the same data (a copy), or one built and stored there."""
-        inline = p["curvature"] is not None
-        seed = self.seed if p["instance_seed"] is None else p["instance_seed"]
-        key = json.dumps([p[k] for k in _QP_INSTANCE_KEYS] + [None if inline else seed])
-        built = {} if self.qp_instances is None else self.qp_instances
-        if inline and key not in built:  # built with this run's signals
-            built[key] = _qp(p, self.seed)
-            return built[key]
-        if key not in built:
-            built[key] = random_qp(p["devices"], seed=seed)
-        return built[key].with_signals(_signal(p["output_signal"], self.seed),
-                                       _signal(p["reference_signal"], self.seed))
+        """The run's QP instance with its own signals; in a sweep, one instance
+        serves every run that reads the same instance data."""
+        if p["curvature"] is not None:
+            instance = self.recall("qp", lambda: _qp(p, self.seed))
+        else:
+            seed = self.seed if p["instance_seed"] is None else p["instance_seed"]
+            instance = self.recall("qp", lambda: random_qp(p["devices"], seed=seed))
+        return instance.with_signals(_signal(p["output_signal"], self.seed),
+                                     _signal(p["reference_signal"], self.seed))
 
     def _build_loadflow(self, p):
         if isinstance(p["network"], dict):
@@ -437,17 +473,16 @@ def audit_phase(config: ExperimentConfig, family, graph, names=AUDITS) -> dict:
     return audits
 
 
-def _run_phase(config: ExperimentConfig, family, graph, reference, iterates=None):
+def _run_phase(config: ExperimentConfig, family, graph, reference):
     """The tracker's trace and, for an asynchronous run, its delay statistics (else None).
-    A sync run whose ``iterates`` are given (a sweep's lockstep) is scored, not run."""
-    if iterates is not None:
-        return _tracker_score(family, iterates, config.norm, reference), None
-    x0 = family.domain.anchor()
+    A sync run's iterates are the one-run case of the lockstep that tracks a sync
+    sweep's runs together, so they are a phase of the memo."""
     if config.mode == "sync":
-        trace = run_online_tracker(family, x0, config.horizon, config.norm, reference=reference)
-        return trace, None
-    return run_async_tracker(family, graph, config.channel_model, x0, config.horizon,
-                             config.norm, seed=config.seed, reference=reference)
+        iterates = config.recall("iterates", lambda: run_lockstep_tracker(
+            [family], [family.domain.anchor()], config.horizon)[0])
+        return _tracker_score(family, iterates, config.norm, reference), None
+    return run_async_tracker(family, graph, config.channel_model, family.domain.anchor(),
+                             config.horizon, config.norm, seed=config.seed, reference=reference)
 
 
 def _certify_phase(config: ExperimentConfig, family, trace, stats) -> dict:
@@ -505,34 +540,28 @@ def _report_phase(config: ExperimentConfig, trace, stats, audits, bounds) -> Exp
     )
 
 
-def run_experiment(config: ExperimentConfig, write_files=True, shared=None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, write_files=True) -> ExperimentReport:
     """One run in phases: build, reference, audits, run, certify, report.
 
-    ``shared`` maps a phase name to the value the run reads instead of
-    computing it. :func:`sweep` passes one dict per seed: ``"reference"``
-    and audit names the seed's runs share, and, when a sync sweep's runs
-    ran together, each run's own ``"build"`` (the ``(family, graph)`` pair
-    of :func:`build_phase`), ``"iterates"`` (its ``(horizon, dim)``
-    lockstep iterates, which the run scores instead of tracking) and, in a
-    run that computes one, its ``"reference"``, set before its call. This
-    run computes each name bound to None and stores it there (an audit that
-    does not apply stays None), and reads the rest. The report gets its
-    own copy of each audit. Optionally writes the trace CSV and report JSON.
+    The build, the reference, the audits and a sync run's iterates are read
+    from the config's memo when another run of its sweep has computed them
+    (see :attr:`ExperimentConfig.keys`); the audits are two phases, the
+    Lipschitz and self-map sample, which reads ``family.base``, and the
+    map-error and dependency audits, which read the whole family. The report
+    gets its own copy of each audit. Optionally writes the trace CSV and
+    report JSON.
     """
-    shared = {} if shared is None else shared
     if write_files and config.output:
         for suffix in (".csv", ".json"):
             check_writable(config.output + suffix)
-    phases = {n: v for n, v in shared.items() if v is not None}
-    if "build" not in phases:
-        phases["build"] = build_phase(config)
-    family, graph = phases["build"]
-    if "reference" not in phases:
-        phases["reference"] = reference_phase(config, family)
-    phases.update(audit_phase(config, family, graph, [n for n in AUDITS if n not in phases]))
-    shared.update({n: phases.get(n) for n in shared})
-    audits = copy.deepcopy({n: phases[n] for n in AUDITS if n in phases})
-    trace, stats = _run_phase(config, family, graph, phases["reference"], phases.get("iterates"))
+    family, graph = config.recall("build", lambda: build_phase(config))
+    reference = config.recall("reference", lambda: reference_phase(config, family))
+    audits = {**config.recall("sample", lambda: audit_phase(config, family, graph,
+                                                            names=("lipschitz", "self_map"))),
+              **config.recall("audits", lambda: audit_phase(config, family, graph,
+                                                            names=("map_error", "dependency_graph")))}
+    audits = copy.deepcopy({n: audits[n] for n in AUDITS if n in audits})
+    trace, stats = _run_phase(config, family, graph, reference)
     bounds = _certify_phase(config, family, trace, stats)
     report = _report_phase(config, trace, stats, audits, bounds)
     if write_files and config.output:
@@ -611,10 +640,9 @@ SWEEP_PARAMETERS = ("drop_probability", "fixed_delay", "step_size", "noise_bound
 
 def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> ExperimentConfig:
     """The config with ``parameter`` set to ``value``, which goes into the document
-    unconverted except a whole-number float delay; the document is checked as
-    ``from_dict`` checks it. A channel the value leaves unchanged is
-    ``config``'s, so a schedule is read once per sweep. A channel parameter on
-    a sync config is an error: a sync run reads no channel."""
+    unconverted except a whole-number float delay, and ``config``'s memo; the
+    document is checked as ``from_dict`` checks it. A channel parameter on a
+    sync config is an error: a sync run reads no channel."""
     if parameter in ("drop_probability", "fixed_delay") and config.mode == "sync":
         raise ConfigError(f"sweep parameter {parameter} needs an asynchronous config")
     doc = json.loads(json.dumps(config.raw))  # deep copy
@@ -635,10 +663,7 @@ def _config_with(config: ExperimentConfig, parameter: str, value, seed) -> Exper
         doc["problem"][parameter] = value
     else:  # drift_rate
         doc["problem"]["drift"] = {**doc["problem"].get("drift", {"kind": "linear"}), "rate": value}
-    values = _config_values(doc)
-    same = values["channel"] == config.channel
-    return ExperimentConfig(**values, raw=doc, channel_model=config.channel_model if same else None,
-                            qp_instances=config.qp_instances)
+    return ExperimentConfig(**_config_values(doc), raw=doc, memo=config.memo)
 
 
 @dataclass
@@ -662,17 +687,6 @@ class SweepResult:
         }
 
 
-# What a swept parameter leaves unchanged, keyed on the parameter and the problem
-# kind: the phases a sweep computes once per seed (see ``sweep``). A pair that
-# is not listed shares nothing.
-_EVERY_PHASE = ("reference",) + AUDITS
-SHARED_PHASES = {
-    **{(parameter, kind): _EVERY_PHASE for parameter in ("drop_probability", "fixed_delay")
-       for kind in ("affine", "qp-gradient", "loadflow")},
-    ("noise_bound", "qp-gradient"): ("reference", "lipschitz", "self_map"),
-}
-
-
 def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepResult:
     """Rerun the experiment across parameter values (and seeds); summarize tails.
 
@@ -683,36 +697,16 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
 
     Each run is one ``run_experiment`` call, in sweep order (values, then
     seeds), and each report is the one its run gives alone, with audit dicts
-    of its own. A phase that the swept value does not touch is computed once
-    per seed, by that seed's run of the first value, and read by its other
-    runs (``SHARED_PHASES``). The rules:
+    of its own. The runs share one memo, which starts with the channel
+    ``config`` has built, so a schedule is read once: a phase is computed by
+    the first run whose key for it (:attr:`ExperimentConfig.keys`) is new,
+    and read by every later run with that key.
 
-    - ``drop_probability`` and ``fixed_delay``, any problem kind: the
-      reference and every audit. The value changes only the channel and
-      the run. A sync config reads no channel, so these raise
-      :class:`ConfigError` there.
-    - ``noise_bound`` on ``qp-gradient``: the reference and the
-      ``lipschitz`` and ``self_map`` audits, which read ``family.base``; the
-      noise changes only the inexact map, which ``map_error`` and
-      ``dependency_graph`` read, so those run per value.
-    - ``noise_bound`` on ``loadflow``: nothing. The multi-area builder folds
-      the noise bound into its base's self-map box and declared factor.
-    - ``step_size`` and ``drift_rate``: nothing. The value changes the base
-      map.
-
-    Runs that read the same QP instance data (every run when
-    ``instance_seed`` is given or the instance is inline, else each seed's)
-    share one instance build, each with its own signals.
-
-    A sync sweep first runs its runs together (:func:`_lockstep_runs`): it
-    builds every run's family, solves every reference it needs (each seed's
-    first run's when the reference is shared, else every run's) in one
-    call, one batched solve when their bases stack, and tracks all runs in
-    lockstep. Each run reads its ``"build"``, ``"iterates"`` and
-    ``"reference"`` from its seed's dict. When any of that raises, every run
-    runs alone, as an async sweep's runs do. Rows are independent, so some
-    run alone fails too, and the sweep raises the error of its first
-    failing run in that run's phase.
+    A sync sweep first runs its runs together (:func:`_lockstep_runs`), which
+    fills the memo with every build, reference and run's iterates. When any
+    of that raises, every run runs alone, as an async sweep's runs do. Rows
+    are independent, so some run alone fails too, and the sweep raises the
+    error of its first failing run in that run's phase.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -725,25 +719,20 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
         raise ConfigError(str(exc)) from None
     if n_seeds < 1:
         raise ConfigError("sweep needs at least one seed")
-    names = SHARED_PHASES.get((parameter, config.problem["kind"]), ())
-    config = replace(config, qp_instances={})  # this sweep's, shared by its runs
-    seeds = range(n_seeds)
-    shared = {k: dict.fromkeys(names) for k in seeds}  # filled by each seed's first run
-    order = [(v, k) for v in values for k in seeds]
-    runs = ((_config_with(config, parameter, v, seed=config.seed + 1000 * k), {})
-            for v, k in order)
+    config = replace(config, memo={config.keys["channel"]: config.channel_model})
+
+    def configs():
+        return (_config_with(config, parameter, v, seed=config.seed + 1000 * k)
+                for v in values for k in range(n_seeds))
+
+    runs = configs()
     if config.mode == "sync":
-        # the runs that compute a reference: every run, or each seed's first when shared
-        n_references = len(seeds) if "reference" in names else len(order)
         try:
-            runs = _lockstep_runs(config, parameter, order, n_references)
+            runs = _lockstep_runs(runs)
         except Exception:  # every run runs alone, and the first that fails raises its error
-            pass
-    flat = []
-    for (_, k), (run_config, own) in zip(order, runs):
-        shared[k].update(own)
-        flat.append(run_experiment(run_config, write_files=False, shared=shared[k]))
-    reports = [flat[i:i + len(seeds)] for i in range(0, len(flat), len(seeds))]
+            runs = configs()
+    flat = [run_experiment(run_config, write_files=False) for run_config in runs]
+    reports = [flat[i:i + n_seeds] for i in range(0, len(flat), n_seeds)]
     by_seed = [[rep.tail_max for rep in seed_reports] for seed_reports in reports]
     tails = [float(np.median(seed_tails)) for seed_tails in by_seed]
     # the bound column is read from the last seed's report
@@ -752,24 +741,24 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     return SweepResult(parameter, values, tails, by_seed, bound_col, reports, mono)
 
 
-def _lockstep_runs(config: ExperimentConfig, parameter, order, n_references) -> list:
-    """Each sync run's config and its phases ``"build"`` and ``"iterates"``, and
-    ``"reference"`` for the first ``n_references`` runs, in ``order``.
-
-    Every run's config and family are built, in order; the first
-    ``n_references`` runs' references are one
-    :func:`~fptrack.core.compute_fixed_point_series` of their families; then
-    all runs are tracked by one :func:`~fptrack.core.run_lockstep_tracker`.
-    Raises whatever any of these raises.
+def _lockstep_runs(configs) -> list:
+    """The sync runs ``configs``, listed, with their sweep's memo filled: each
+    distinct build, one reference per distinct base, all solved by one
+    :func:`~fptrack.core.compute_fixed_point_series` call, and the iterates
+    of each distinct build, all tracked by one
+    :func:`~fptrack.core.run_lockstep_tracker`. Raises whatever any of these
+    raises, and then has stored no reference or iterates.
     """
-    configs = [_config_with(config, parameter, v, seed=config.seed + 1000 * k) for v, k in order]
-    builds = [build_phase(run_config) for run_config in configs]
-    families = [family for family, _ in builds]
-    references = compute_fixed_point_series(families[:n_references], config.horizon,
-                                            norm=config.norm)
-    tracked = run_lockstep_tracker(families, [f.domain.anchor() for f in families],
-                                   config.horizon)
-    own = [{"build": build, "iterates": iterates} for build, iterates in zip(builds, tracked)]
-    for phases, reference in zip(own, references):
-        phases["reference"] = reference
-    return list(zip(configs, own))
+    configs = list(configs)
+    bases, builds = {}, {}
+    for run_config in configs:
+        family, _ = run_config.recall("build", lambda: build_phase(run_config))
+        bases.setdefault(run_config.keys["reference"], family)
+        builds.setdefault(run_config.keys["iterates"], family)
+    horizon, norm = configs[0].horizon, configs[0].norm
+    references = compute_fixed_point_series(list(bases.values()), horizon, norm=norm)
+    families = list(builds.values())
+    tracked = run_lockstep_tracker(families, [f.domain.anchor() for f in families], horizon)
+    configs[0].memo.update(zip(bases, references))
+    configs[0].memo.update(zip(builds, tracked))
+    return configs

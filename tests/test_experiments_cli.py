@@ -387,11 +387,12 @@ def test_noise_sweep_computes_each_reference_the_value_leaves_unchanged_once(
 
 
 @pytest.mark.parametrize("name,parameter,values", [
-    ("qp-feedback-sync", "noise_bound", [0.0, 0.01, 0.02, 0.05]),  # shares three phases
-    ("affine-async", "fixed_delay", [0, 1, 2]),                      # shares every phase
+    ("qp-feedback-sync", "noise_bound", [0.0, 0.01, 0.02, 0.05]),  # noise is in the build key
+    ("affine-async", "fixed_delay", [0, 1, 2]),                      # the channel is not
 ])
 def test_sweep_builds_one_family_per_run(monkeypatch, name, parameter, values):
-    # the first run of each seed computes the phases its seed shares
+    # one build per distinct build key, by the first run that has it
+    builds = 1 if parameter == "fixed_delay" else len(values)
     seeds = []
     real = experiments.build_phase
 
@@ -403,7 +404,106 @@ def test_sweep_builds_one_family_per_run(monkeypatch, name, parameter, values):
     cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
     result = sweep(cfg, parameter, values, n_seeds=3)
     assert sum(map(len, result.reports)) == len(values) * 3
-    assert seeds == [cfg.seed + 1000 * k for k in range(3)] * len(values)
+    assert seeds == [cfg.seed + 1000 * k for k in range(3)] * builds
+
+
+# Fields outside each phase's memo key, each with a value the SWEEP_DOCS do not
+# hold; a qp-gradient base also leaves out the fields only its inexact layer reads.
+OUTSIDE_KEY = {
+    "build": [("horizon", 57), ("audit_samples", 30), ("transient_fraction", 0.5),
+              ("channel", {"kind": "fixed_delay", "delay": 3})],
+    "audits": [("horizon", 57), ("transient_fraction", 0.5)],
+    "iterates": [("audit_samples", 30), ("transient_fraction", 0.5)],
+    "reference": [("audit_samples", 30), ("transient_fraction", 0.5)],
+    "sample": [("horizon", 57), ("transient_fraction", 0.5)],
+}
+QP_INEXACT = [("noise_bound", 0.0), ("noise_bound", 0.05), ("adversarial_noise", True)]
+PROBLEM_FIELDS = ("noise_bound", "adversarial_noise", "step_size")
+
+
+def _with_field(doc, name, value):
+    doc = json.loads(json.dumps(doc))
+    (doc["problem"] if name in PROBLEM_FIELDS else doc)[name] = value
+    return ExperimentConfig.from_dict(doc)
+
+
+def _phase_bits(cfg, phase):
+    """The output of ``phase`` run alone on ``cfg``, as comparable bytes and values."""
+    family, graph = experiments.build_phase(cfg)
+    if phase == "build":
+        x, ts = fptrack.DomainSampler(family.domain, 0).draw(3), np.arange(1, 31)
+        maps = [f.evaluate(x, t) for f in (family, family.base) for t in (1, 7, 30)]
+        values = [family.lipschitz_at(ts), family.base.lipschitz_at(ts),
+                  [family.lipschitz_sup, family.error_sup], family.domain.anchor()]
+        edges = None if graph is None else graph.edges
+        return [np.asarray(v).tobytes() for v in maps + values], edges
+    if phase == "reference":
+        ref = experiments.reference_phase(cfg, family)
+        return ref.points.tobytes(), ref.residuals.tobytes(), ref.drifts.tobytes()
+    if phase == "iterates":
+        return experiments._run_phase(cfg, family, graph, None)[0].iterates.tobytes()
+    names = ("lipschitz", "self_map") if phase == "sample" else ("map_error", "dependency_graph")
+    return json.dumps(experiments.audit_phase(cfg, family, graph, names=names), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", SWEEP_DOCS)
+def test_each_phase_key_holds_every_field_its_phase_reads(name):
+    # a field outside a phase's key leaves the phase's output bit for bit, so runs
+    # that share it by key read what they would compute; a field inside changes the key
+    doc = SWEEP_DOCS[name]
+    cfg = ExperimentConfig.from_dict(doc)
+    qp = cfg.problem["kind"] == "qp-gradient"
+    for phase, changes in OUTSIDE_KEY.items():
+        if phase == "iterates" and cfg.mode != "sync":
+            continue
+        changes = changes + (QP_INEXACT if qp and phase in ("reference", "sample") else [])
+        for field_name, value in changes:
+            changed = _with_field(doc, field_name, value)
+            assert changed.keys[phase] == cfg.keys[phase], (phase, field_name)
+            assert _phase_bits(changed, phase) == _phase_bits(cfg, phase), (phase, field_name)
+    inside = [("seed", 8), ("norm", "linf" if cfg.norm.is_l2 else "l2")]
+    for field_name, value in inside + ([("step_size", 0.2)] if qp else []):
+        changed = _with_field(doc, field_name, value)
+        for phase in OUTSIDE_KEY:
+            assert changed.keys[phase] != cfg.keys[phase], (phase, field_name)
+
+
+@pytest.mark.parametrize("name,parameter,value", [("affine-async", "fixed_delay", 1),
+                                                  ("qp-feedback-sync", "noise_bound", 0.01)])
+def test_a_sweep_of_repeated_values_computes_each_phase_once_per_seed(monkeypatch, tmp_path,
+                                                                     name, parameter, value):
+    cfg = ExperimentConfig.from_dict(SWEEP_DOCS[name])
+    calls = {}
+
+    def count(owner, attr, rows=lambda *args: 1):
+        real = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + rows(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    for attr in ("build_phase", "estimate_lipschitz", "verify_map_error",
+                 "audit_dependency_graph"):
+        count(experiments, attr)
+    count(experiments, "compute_fixed_point_series",
+          lambda family, *args: len(family) if isinstance(family, list) else 1)
+    count(experiments, "run_lockstep_tracker", lambda families, *args: len(families))
+    count(ExperimentConfig, "build_channel")
+    result = sweep(cfg, parameter, [value, value], n_seeds=2)
+    sync = cfg.mode == "sync"
+    assert calls == {"build_phase": 2, "compute_fixed_point_series": 2, "estimate_lipschitz": 2,
+                     **({"verify_map_error": 2, "run_lockstep_tracker": 2} if sync else
+                        {"audit_dependency_graph": 2, "build_channel": 1})}
+    monkeypatch.undo()
+    for k in range(2):
+        alone = run_experiment(experiments._config_with(cfg, parameter, value,
+                                                        seed=cfg.seed + 1000 * k),
+                               write_files=False)
+        for reports in result.reports:
+            assert (_report_bytes(reports[k], tmp_path / "sweep")
+                    == _report_bytes(alone, tmp_path / "alone"))
 
 
 @pytest.mark.parametrize("name,stacked", [("qp-feedback-sync", True),
@@ -1168,8 +1268,8 @@ def test_cli_sweep_fails_when_only_the_first_seed_fails(tmp_path, monkeypatch,
                      channel={"kind": "iid_drop", "p": 0.1})
     real_run = experiments.run_experiment
 
-    def first_seed_fails(config, write_files=True, shared=None):
-        report = real_run(config, write_files=write_files, shared=shared)
+    def first_seed_fails(config, **kwargs):
+        report = real_run(config, **kwargs)
         if config.seed == doc["seed"] and config.raw["channel"].get("delay") == 1:
             if spoil == "certificate":
                 report.certificates[ASYNC_TAIL_MAX_NORM] = "fail"
