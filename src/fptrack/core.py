@@ -152,7 +152,7 @@ class MapFamily:
     point calls and its own solve; runs that stack share one domain.
     (:func:`~fptrack.problems.build_gradient_map` and
     :func:`~fptrack.problems.build_feedback_gradient_map` stack the runs of
-    one QP instance.)
+    one QP instance when all are exact or all are measured.)
 
     Parameters
     ----------

@@ -57,7 +57,6 @@ from .problems import (
     build_affine_family,
     build_broadcast_system,
     build_feedback_gradient_map,
-    build_gradient_map,
     build_multiarea_maps,
     default_injections,
     scalar_signal,
@@ -187,7 +186,8 @@ class ExperimentConfig:
     # -- problem construction -------------------------------------------------
 
     def build_problem(self):
-        """Returns (family, graph_or_None, extras dict)."""
+        """Returns (family, graph_or_None, extras dict). A ``qp-gradient`` run builds
+        its broadcast system or feedback map at every noise bound, 0 included."""
         p = self.problem
         if p["kind"] == "affine":
             dim, drift = p["dim"], _seeded(p["drift"], self.seed)
@@ -201,20 +201,11 @@ class ExperimentConfig:
             return fam, fam.dependency_graph(), {}
         if p["kind"] == "qp-gradient":
             qp = self._build_qp(p)
-            step, nb = p["step_size"], p["noise_bound"]
+            args = (qp, p["step_size"], p["noise_bound"])
+            kw = dict(seed=self.seed, adversarial=p["adversarial_noise"])
             if self.mode == "async" or p["topology"] == "star":
-                fam, graph = build_broadcast_system(
-                    qp, step, nb, seed=self.seed, adversarial=p["adversarial_noise"],
-                )
-                return fam, graph, {"qp": qp}
-            if nb > 0.0:
-                fam = build_feedback_gradient_map(
-                    qp, step, nb, seed=self.seed, norm=self.norm,
-                    adversarial=p["adversarial_noise"],
-                )
-            else:
-                fam = build_gradient_map(qp, step)
-            return fam, None, {"qp": qp}
+                return (*build_broadcast_system(*args, **kw), {"qp": qp})
+            return build_feedback_gradient_map(*args, norm=self.norm, **kw), None, {"qp": qp}
         return self._build_loadflow(p)
 
     def _build_qp(self, p) -> TimeVaryingQP:
@@ -394,9 +385,10 @@ def _certify(mode, inputs: bnd.BoundInputs, errors, per_step, tail_start, slack)
 def build_family(config: ExperimentConfig):
     """Problem family + graph with the declared override (if any) applied.
 
-    The override replaces the returned family's declared contraction factor
-    (its base keeps its own), modeling a user supplying their own trusted
-    constant; audits validate it against sampling.
+    The override replaces the returned family's declared contraction factor,
+    modeling a user supplying their own trusted constant; an inexact
+    family's base keeps its own, and an exact family is its own base.
+    Audits validate it against sampling.
     """
     family, graph, extras = config.build_problem()
     if config.declared_lipschitz_override is not None:
@@ -700,13 +692,15 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     of its own. The runs share one memo, which starts with the channel
     ``config`` has built, so a schedule is read once: a phase is computed by
     the first run whose key for it (:attr:`ExperimentConfig.keys`) is new,
-    and read by every later run with that key.
+    and read by every later run with that key. An entry leaves the memo once
+    the last run whose key it is has run.
 
     A sync sweep first runs its runs together (:func:`_lockstep_runs`), which
-    fills the memo with every build, reference and run's iterates. When any
-    of that raises, every run runs alone, as an async sweep's runs do. Rows
-    are independent, so some run alone fails too, and the sweep raises the
-    error of its first failing run in that run's phase.
+    fills the memo with every build, reference and run's iterates; an async
+    sweep makes every run's config first. When any of that raises, every run
+    runs alone, made as it comes, and nothing leaves the memo. Rows are
+    independent, so some run alone fails too, and the sweep raises the error
+    of its first failing run in that run's phase.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
@@ -725,13 +719,16 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
         return (_config_with(config, parameter, v, seed=config.seed + 1000 * k)
                 for v in values for k in range(n_seeds))
 
-    runs = configs()
-    if config.mode == "sync":
-        try:
-            runs = _lockstep_runs(runs)
-        except Exception:  # every run runs alone, and the first that fails raises its error
-            runs = configs()
-    flat = [run_experiment(run_config, write_files=False) for run_config in runs]
+    try:
+        runs = _lockstep_runs(configs()) if config.mode == "sync" else list(configs())
+        last = {key: i for i, run in enumerate(runs) for key in run.keys.values()}  # last reader
+    except Exception:  # every run runs alone, and the first that fails raises its error
+        runs, last = configs(), {}
+    flat = []
+    for i, run_config in enumerate(runs):
+        flat.append(run_experiment(run_config, write_files=False))
+        for key in [k for k in run_config.keys.values() if last.get(k) == i]:
+            config.memo.pop(key, None)  # not every key holds a value
     reports = [flat[i:i + n_seeds] for i in range(0, len(flat), n_seeds)]
     by_seed = [[rep.tail_max for rep in seed_reports] for seed_reports in reports]
     tails = [float(np.median(seed_tails)) for seed_tails in by_seed]

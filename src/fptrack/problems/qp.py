@@ -139,27 +139,23 @@ def random_qp(n_devices, seed) -> TimeVaryingQP:
 def _aggregate_noise(nb, seed, key, adversarial) -> SeriesTable:
     """The noise of the measured aggregate, one column: uniform on [-nb, nb],
     drawn in blocks from the one stream ``(seed, key)``, or nb when
-    adversarial. ``at(t)`` is a ``(1,)`` row for an int t and a column for
-    an int array of times."""
-    if adversarial:
+    adversarial or nb is 0, which reads no stream. ``at(t)`` is a ``(1,)``
+    row for an int t and a column for an int array of times."""
+    if adversarial or nb == 0.0:
         return SeriesTable(lambda ts, last: np.full((len(ts), 1), nb))
     return SeriesTable(lambda ts, last, rng: rng.uniform(-nb, nb, size=(len(ts), 1)), (seed, key))
 
 
-def _step(qp, x, a, w, r, noise=None, noisy=...):
+def _step(qp, x, a, w, r, noise=None):
     """The projected gradient step ``clip(x - a g, lo, hi)`` of ``qp`` at the output
     and reference values ``w`` and ``r``. ``g`` is the objective gradient, plus
-    ``weight * c * noise`` on the rows ``noisy`` (all rows, or a row mask) when
-    a ``noise`` is given; a masked-out row keeps its gradient's bits, signed
-    zeros included. One run gives a point or rows, a scalar ``a`` and the
-    values at its time or times; stacked runs give one row each, ``a`` and
-    ``noise`` as columns and ``w`` and ``r`` as one value per row."""
+    ``weight * c * noise`` when a ``noise`` is given. One run gives a point or
+    rows, a scalar ``a`` and the values at its time or times; stacked runs
+    give one row each, ``a`` and ``noise`` as columns and ``w`` and ``r`` as
+    one value per row."""
     g = qp._gradient(x, w, r)
     if noise is not None:
-        if noisy is ...:
-            g += qp.weighted_coupling * noise
-        else:
-            np.add(g, qp.weighted_coupling * noise, out=g, where=noisy[:, None])
+        g += qp.weighted_coupling * noise
     return clip(x - a * g, qp.box_lo, qp.box_hi)
 
 
@@ -168,7 +164,7 @@ class GradientStep:
     """The map of :func:`build_gradient_map` (no ``noise``) or of
     :func:`build_feedback_gradient_map` (``noise`` the measured aggregate's
     :class:`SeriesTable`), and the family's ``lockstep`` step: the runs of
-    one instance stack."""
+    one instance and one kind, all exact or all measured, stack."""
 
     qp: TimeVaryingQP
     step_size: float
@@ -181,16 +177,19 @@ class GradientStep:
 
     def stack(self, steps, horizon):
         """One step for the runs of ``steps`` at t = 1..horizon-1, or None unless
-        each is a :class:`GradientStep` of this instance."""
-        if all(isinstance(s, GradientStep) and s.qp.same_instance(self.qp) for s in steps):
+        each is a :class:`GradientStep` of this instance with noise exactly when
+        this one has it; a mixed list's runs make their own point calls."""
+        exact = self.noise is None
+        if all(isinstance(s, GradientStep) and s.qp.same_instance(self.qp)
+               and (s.noise is None) == exact for s in steps):
             return _StackedSteps(steps, horizon)
         return None
 
 
 class _StackedSteps:
     """Gradient steps of one instance, one run per row: each run's step size,
-    signal values and noise are read from its own tables; a run without noise
-    adds none.
+    signal values and noise are read from its own tables, and either every
+    run has noise or none does.
 
     ``step(x, t)`` is the lockstep's call: row r of ``x`` is run r, all at
     the int time ``t``. ``step(x, t, runs)`` takes one (run, time) per row:
@@ -204,21 +203,14 @@ class _StackedSteps:
         self.step_size = np.array([[s.step_size] for s in steps], dtype=float)
         self.output = np.stack([s.qp.output_signal.rows(1, horizon) for s in steps], axis=1)
         self.reference = np.stack([s.qp.reference_signal.rows(1, horizon) for s in steps], axis=1)
-        noisy = np.array([s.noise is not None for s in steps])
-        # the rows that add noise: every row, or a mask when exact runs are stacked too
-        self.noisy = ... if noisy.all() else noisy
-        self.noise = None
-        if noisy.any():
-            self.noise = np.zeros((horizon - 1, len(steps), 1))
-            for r in np.flatnonzero(noisy):
-                self.noise[:, r] = steps[r].noise.rows(1, horizon)
+        self.noise = (None if steps[0].noise is None
+                      else np.stack([s.noise.rows(1, horizon) for s in steps], axis=1))
 
     def __call__(self, x, t, runs=slice(None)):
         """The next row of every run at ``t``, or of run ``runs[i]`` at ``t[i]`` in row i."""
         noise = None if self.noise is None else self.noise[t - 1, runs]
-        noisy = self.noisy if self.noisy is ... else self.noisy[runs]
         return _step(self.qp, x, self.step_size[runs], self.output[t - 1, runs],
-                     self.reference[t - 1, runs], noise, noisy)
+                     self.reference[t - 1, runs], noise)
 
 
 def build_gradient_map(qp: TimeVaryingQP, step_size) -> MapFamily:

@@ -506,6 +506,65 @@ def test_a_sweep_of_repeated_values_computes_each_phase_once_per_seed(monkeypatc
                     == _report_bytes(alone, tmp_path / "alone"))
 
 
+@pytest.mark.parametrize("name,parameter,values,sizes", [
+    # every run reads its own base: only the channel stays for the runs after it
+    ("affine-async", "drift_rate", [0.01, 0.02, 0.03], [1] * 6),
+    # the lockstep fills the memo first: the instance, the channel, 6 builds and
+    # iterates and 2 references. Each run adds its audits, and the first of a seed its
+    # sample, then drops its build, iterates and audits, and the last of a seed its
+    # reference and sample
+    ("qp-feedback-sync", "noise_bound", [0.0, 0.01, 0.02], [16, 15, 14, 12, 10, 6]),
+])
+def test_a_sweep_drops_each_memo_entry_after_the_last_run_that_reads_it(monkeypatch, name,
+                                                                       parameter, values, sizes):
+    before, memos = [], []
+    real = experiments.run_experiment
+
+    def recording(config, *args, **kwargs):
+        before.append(len(config.memo))
+        memos.append(config.memo)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_experiment", recording)
+    sweep(ExperimentConfig.from_dict(SWEEP_DOCS[name]), parameter, values, n_seeds=2)
+    assert before == sizes
+    assert memos[0] == {}
+
+
+# Sync qp-gradient runs with no noise: a random instance, and an inline one whose zero
+# coupling entry keeps signed zeros in the gradient, with adversarial noise and an override
+ZERO_BOUND_DOCS = {
+    "random": {
+        "problem": {"kind": "qp-gradient", "devices": 4, "step_size": 0.1, "noise_bound": 0.0,
+                    "topology": "none", "reference_signal": {"kind": "random_walk", "rate": 0.01}},
+        "mode": "sync", "norm": "l2", "horizon": 60, "audit_samples": 20},
+    "inline": {
+        "problem": {"kind": "qp-gradient", "curvature": [1.0, 2.0, 1.5],
+                    "coupling": [0.5, 0.0, -0.7], "box_lo": [0.0, -1.0, -1.0],
+                    "box_hi": [1.0, 1.0, 0.0], "step_size": 0.3, "noise_bound": 0.0,
+                    "adversarial_noise": True, "topology": "none",
+                    "output_signal": {"kind": "random_walk", "rate": 0.05},
+                    "reference_signal": {"kind": "random_walk", "rate": 0.02, "seed": None}},
+        "mode": "sync", "norm": "l2", "horizon": 60, "audit_samples": 20,
+        "declared_lipschitz_override": 0.95},
+}
+
+
+@pytest.mark.parametrize("name", ZERO_BOUND_DOCS)
+def test_a_zero_bound_sync_qp_run_tracks_as_its_gradient_map_does(name):
+    for seed in range(3):
+        cfg = ExperimentConfig.from_dict({**ZERO_BOUND_DOCS[name], "seed": seed})
+        family, _, extras = experiments.build_family(cfg)
+        exact = qp_module.build_gradient_map(extras["qp"], cfg.problem["step_size"])
+        assert isinstance(family, fptrack.InexactMapFamily) and family.error_sup == 0.0
+        override = cfg.declared_lipschitz_override
+        assert family.lipschitz_sup == (exact.lipschitz_sup if override is None else override)
+        feedback, alone = (fptrack.run_online_tracker(f, f.domain.anchor(), cfg.horizon, cfg.norm)
+                           for f in (family, exact))
+        assert feedback.errors.tobytes() == alone.errors.tobytes()
+        assert np.array_equal(feedback.iterates, alone.iterates)  # but for the sign of a zero
+
+
 @pytest.mark.parametrize("name,stacked", [("qp-feedback-sync", True),
                                            ("qp-own-instance-sync", False)])
 def test_a_sync_qp_sweep_steps_its_runs_of_one_instance_in_one_call_per_time(monkeypatch,

@@ -338,25 +338,42 @@ def runs_of_one_instance(qp, rng, count, kinds=(0, 1, 2)):
     return families
 
 
+def stacks_by_kind(families, horizon):
+    """The indices of ``families``' exact runs and of their measured (drawn or
+    adversarial) runs, each kind with its stacked step, after checking that the
+    whole list stacks only when it holds one kind."""
+    exact = [r for r, f in enumerate(families) if f.lockstep.noise is None]
+    measured = [r for r, f in enumerate(families) if f.lockstep.noise is not None]
+    whole = families[0].lockstep.stack([f.lockstep for f in families], horizon)
+    assert (whole is None) == bool(exact and measured)
+    for runs in (exact, measured):
+        if runs:
+            steps = [families[r].lockstep for r in runs]
+            stacked = steps[0].stack(steps, horizon)
+            assert stacked is not None
+            yield runs, stacked
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2 ** 16),
        kinds=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=7),
        times=st.lists(st.integers(1, 149), min_size=1, max_size=4))
 @example(seed=1, kinds=[0, 0, 0], times=[1])  # exact runs only: no noise table
-@example(seed=2, kinds=[1, 2, 1, 2], times=[70])  # noisy runs only: no row mask
+@example(seed=2, kinds=[1, 2, 1, 2], times=[70])  # measured runs only: one noise table
 @example(seed=3, kinds=[2, 0, 1, 0, 2, 1, 0], times=[2, 149])
 def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n, seed, kinds, times):
-    # the stacked runs: exact (0), drawn (1) and adversarial (2) runs of one instance
+    # exact (0), drawn (1) and adversarial (2) runs of one instance: the exact
+    # runs stack, and so do the drawn and adversarial runs, but not all together
     rng = np.random.default_rng(seed)
     horizon = 150
     families = runs_of_one_instance(drawn_qp(n, rng), rng, len(kinds), kinds)
-    stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
-    assert stacked is not None
+    stacks = list(stacks_by_kind(families, horizon))
     for t in times:
         X = drawn_points(families[0].lockstep.qp, n, rng, k=len(families))
-        for r, (row, family, x) in enumerate(zip(stacked(X, t), families, X)):
-            assert row.tobytes() == family.evaluate(x, t).tobytes(), (r, t)
+        for runs, stacked in stacks:
+            for r, row in zip(runs, stacked(X[runs], t)):
+                assert row.tobytes() == families[r].evaluate(X[r], t).tobytes(), (r, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -365,30 +382,35 @@ def test_stacked_qp_steps_keep_the_bits_of_each_runs_point_call(n, seed, kinds, 
        kinds=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=7),
        rows=st.integers(1, 12))
 @example(seed=1, kinds=[0, 0, 0], rows=6)  # exact runs only: no noise table
-@example(seed=2, kinds=[1, 2, 1, 2], rows=9)  # noisy runs only: no row mask
+@example(seed=2, kinds=[1, 2, 1, 2], rows=9)  # measured runs only: one noise table
 @example(seed=3, kinds=[2, 0, 1, 0, 2, 1, 0], rows=12)
 def test_a_stacked_row_at_its_own_run_and_time_keeps_the_bits_of_that_runs_point_call(
         n, seed, kinds, rows):
-    # a stacked reference solve's call: row i is run runs[i] at time ts[i], in any mix
-    # of exact (0), drawn (1) and adversarial (2) runs, repeats included
+    # a stacked reference solve's call: row i is run runs[i] at time ts[i], repeats
+    # included, among the runs of one kind: exact (0), or drawn (1) and adversarial (2)
     rng = np.random.default_rng(seed)
     horizon = 150
     families = runs_of_one_instance(drawn_qp(n, rng), rng, len(kinds), kinds)
-    stacked = families[0].lockstep.stack([f.lockstep for f in families], horizon)
+    stacks = list(stacks_by_kind(families, horizon))
     runs, ts = rng.integers(0, len(families), rows), rng.integers(1, horizon, rows)
     X = drawn_points(families[0].lockstep.qp, n, rng, k=rows)
-    for i, (row, r, t, x) in enumerate(zip(stacked(X, ts, runs), runs.tolist(), ts.tolist(), X)):
-        assert row.tobytes() == families[r].evaluate(x, t).tobytes(), (i, r, t)
+    for members, stacked in stacks:
+        mine = np.flatnonzero(np.isin(runs, members))  # the rows of this kind's runs
+        local = np.searchsorted(members, runs[mine])  # each row's run within the stack
+        for i, row in zip(mine.tolist(), stacked(X[mine], ts[mine], local)):
+            r, t = int(runs[i]), int(ts[i])
+            assert row.tobytes() == families[r].evaluate(X[i], t).tobytes(), (i, r, t)
 
 
 def test_runs_of_other_instances_or_maps_do_not_stack():
     rng = np.random.default_rng(3)
     qp = drawn_qp(3, rng)
-    families = runs_of_one_instance(qp, rng, 2)
+    families = runs_of_one_instance(qp, rng, 2, kinds=(0,))
     other = drawn_qp(3, rng)
     broadcast, _ = build_broadcast_system(qp, 0.1, 0.0, seed=0)
     assert broadcast.lockstep is None
     steps = [f.lockstep for f in families]
+    assert steps[0].stack(steps, 10) is not None
     assert steps[0].stack(steps + [build_gradient_map(other, 0.1).lockstep], 10) is None
     assert fp.with_output_noise(families[0], 0.01, seed=1).lockstep is None
 
@@ -403,7 +425,7 @@ def test_the_stacked_lockstep_raises_at_the_time_a_run_leaves_its_domain(monkeyp
 
     monkeypatch.setattr(qp_module._StackedSteps, "__call__", recording)
     rng = np.random.default_rng(4)
-    families = runs_of_one_instance(drawn_qp(3, rng), rng, 3)
+    families = runs_of_one_instance(drawn_qp(3, rng), rng, 3, kinds=(1, 2))
     x0 = np.array([f.domain.anchor() for f in families])
     iterates = fp.run_lockstep_tracker(families, x0, 9)
     assert rows == [3] * 8
