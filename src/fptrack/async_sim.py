@@ -7,37 +7,36 @@ than t is read as of that copy's stamp, every other block at t. Channels then
 deliver or drop the newly computed blocks. All agents update within the same
 logical tick; "delay" is measured in ticks, there is no wall-clock component.
 
-A map that is a sum of taps (the affine map, see
-:class:`~fptrack.core.MapFamily`) is run as the paper writes it:
+A run of a map that is a sum of taps (the affine map, see
+:class:`~fptrack.core.MapFamily`) runs as the paper writes it:
 x_{t+1}[i] = sum_j A[i, j] x_{tau_ij(t)}[j] + b_i(t). Tap (i, j) reads entry
 j as of the stamp of the in-edge from j's agent to i's, and at t within i's
-own block or where the graph has no such edge. A run plans the history
+own block or where the graph has no such edge. The run plans the history
 offsets of every tap of a block of ticks, and slices the block's b(t), in one
-vectorized pass (:func:`_tap_plans`). It then runs the block's ticks back to
-back, each one take of ``(dim, P)`` entries, one ``einsum`` with the tap
-coefficients and one add of b(t) (:func:`_tap_ticks`), and checks the
-block's rows in one domain check that names the first failing tick. A sparse
-affine family evaluates points and rows with that same ``einsum`` over the
-same taps, so its tick is its point call by construction.
+vectorized pass (:func:`_tap_plans`). Its kernel then runs the block's ticks
+back to back, each one take of ``(dim, P)`` entries, one ``einsum`` with the
+tap coefficients and one add of b(t) (:func:`_tap_ticks`), and the run checks
+the block's rows in one domain check that names the first failing tick.
 
-Any other map is run by rows. An agent whose in-neighbor copies are all
-current is fresh: its input is x_t, so all fresh agents share one
-evaluation of the map at x_t. A tick is one rows call of the family's
-``evaluate`` on the rows it needs, one row per stale agent's input plus x_t
-when any agent is fresh, and one flat take of each output column from the
-row of the agent that owns it. Which agents are stale, where each row's
-entries lie in the history and where each column lies in the rows call's
-output depend only on the outdated (tick, edge) pairs of the stamp table
-below: the entries whose stamp is older than their tick. A run finds them
-once, in one vectorized pass over its stamp table, and plans its ticks from
-them a block at a time (:func:`_tick_plans`).
+Any other run, and every single tick (:func:`step_async`), is run by rows.
+An agent whose in-neighbor copies are all current is fresh: its input is
+x_t, so all fresh agents share one evaluation of the map at x_t. A tick is
+one rows call of the family's ``evaluate`` on the rows it needs, one row per
+stale agent's input plus x_t when any agent is fresh, and one flat take of
+each output column from the row of the agent that owns it. Which agents are
+stale, where each row's entries lie in the history and where each column
+lies in the rows call's output depend only on the outdated (tick, edge) pairs
+of the stamp table below: the entries whose stamp is older than their tick.
+A run finds them once, in one vectorized pass over its stamp table, and
+plans its ticks from them a block at a time (:func:`_tick_plans`).
 
 Either way a block of plans holds at most 2^16 indices (``_PLAN_INDICES``;
-the affine rows call sums at most as many taps at once). Built-in maps give
-taps and rows the bits of a point call, so a tick equals per-agent point
-evaluation bit for bit. The staleness bounds assume that block i of
-the map reads no block outside i and its in-neighbors;
-:func:`audit_dependency_graph` checks that graph.
+the affine rows call sums at most as many taps at once). A family with taps
+has rows equal to their sum, and built-in rows give the bits of a point
+call, so the tap kernel's ticks, rows ticks and per-agent point evaluation
+agree bit for bit. The staleness bounds assume that block i of the map reads
+no block outside i and its in-neighbors; :func:`audit_dependency_graph`
+checks that graph.
 
 Delivered copies are tracked by integer stamps. A run's channels produce one
 table before the first tick: ``stamps[t, e] = s`` means that at tick t the
@@ -568,10 +567,10 @@ def _tap_plans(family, graph: DependencyGraph, stamps, start):
 
 
 def _tap_ticks(history, coef, offsets, b, out):
-    """Ticks of a block of tap plans, in order: ``out[k]`` is the taps' sum
-    ``einsum("ip,ip->i", history.take(offsets[k]), coef)`` plus ``b[k]``.
-    ``out`` may be the block's own rows of ``history``, so that a tick reads
-    the ticks before it."""
+    """A tap run's kernel: the ticks of a block of tap plans, in order.
+    ``out[k]`` is the taps' sum ``einsum("ip,ip->i", history.take(offsets[k]),
+    coef)`` plus ``b[k]``. ``out`` is the block's own rows of ``history``, so
+    that a tick reads the ticks before it."""
     for row, taps, offset in zip(out, offsets, b):
         np.einsum("ip,ip->i", history.take(taps), coef, out=row)
         np.add(row, offset, out=row)
@@ -586,18 +585,16 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
     against tick-t information, so the result does not depend on agent order.
 
     Agent i evaluates the map at x_t with block j of each in-edge ``(j, i)``
-    whose stamp is older than t patched in as of that stamp. The tick's
-    indices come from ``plan``, or else from a plan of this tick alone once
-    t is checked to lie in ``1..len(history)`` and ``stamps`` to hold one
-    integer in ``1..t`` per edge. A taps plan ``(t, (offsets, b))`` is a
-    one-tick :func:`_tap_plans` block, run by a run's own :func:`_tap_ticks`.
-    A rows plan ``(t, offsets, pick)`` (:func:`_tick_plans`) makes the tick
-    one flat take of its rows from ``history`` (the stale agents' inputs,
-    then x_t when any agent is fresh), one ``family.evaluate`` call on them
-    and one flat take of ``pick``, column c from the row of the agent that
-    owns it. Either way one domain check follows. As built-in taps and rows
-    equal points bit for bit, a zero-delay tick is the synchronous step to
-    the last bit.
+    whose stamp is older than t patched in as of that stamp. The tick's plan
+    ``(t, offsets, pick)`` (:func:`_tick_plans`) is ``plan``, or else a plan
+    of this tick alone once t is checked to lie in ``1..len(history)`` and
+    ``stamps`` to hold one integer in ``1..t`` per edge. For every family,
+    one with taps too, the tick is one flat take of its rows from
+    ``history`` (the stale agents' inputs, then x_t when any agent is fresh),
+    one ``family.evaluate`` call on them and one flat take of ``pick``,
+    column c from the row of the agent that owns it; one domain check
+    follows. As built-in rows equal points bit for bit, a zero-delay tick is
+    the synchronous step to the last bit.
     """
     if plan is None:
         t, stamps = _integer(t, "tick"), np.asarray(stamps)
@@ -607,17 +604,10 @@ def step_async(history, stamps, family, graph: DependencyGraph, t, plan=None):
             raise PreconditionError(f"stamps of tick {t} must be one integer per edge; "
                                     f"got {stamps.dtype} of shape {stamps.shape}")
         _check_held(graph, stamps[None], t)
-        if family.nbr is None:
-            (plan,) = next(_tick_plans(graph, stamps[None], t))
-        else:
-            plan = (t, next(_tap_plans(family, graph, stamps[None], t))[1:])
+        (plan,) = next(_tick_plans(graph, stamps[None], t))
     if plan[0] != t:
         raise PreconditionError(f"tick {t} was given the plan of tick {plan[0]}")
-    if len(plan) == 3:
-        x_next = family.evaluate(history.take(plan[1]), t).take(plan[2])
-    else:
-        x_next = np.empty(family.dim)
-        _tap_ticks(history, family.coef, *plan[1], x_next[None])
+    x_next = family.evaluate(history.take(plan[1]), t).take(plan[2])
     if not family.domain.contains(x_next):
         raise DomainViolationError(f"asynchronous iterate left the domain at tick {t}")
     return x_next
@@ -631,10 +621,10 @@ def run_async_tracker(family, graph: DependencyGraph, channels: ChannelModel, x0
     realized :class:`DelayStats`.
     Identical arguments (including ``seed``) reproduce the trace bitwise.
 
-    A family with taps runs each block of ticks back to back and checks its
-    rows once, naming the first failing tick; any other family runs through
-    :func:`step_async`, one checked tick at a time, as its map may raise
-    outside its domain.
+    A family with taps runs each block of ticks back to back through the
+    run's tap kernel (:func:`_tap_ticks`) and checks its rows once, naming the
+    first failing tick; any other family runs through :func:`step_async`, one
+    checked rows tick at a time, as its map may raise outside its domain.
     """
     horizon, x0, norm = _tracker_start(family, x0, horizon, norm)
     if graph.dim != family.dim:

@@ -127,13 +127,15 @@ class MapFamily:
     no agent decomposition: an asynchronous run's agents and their blocks
     are its :class:`~fptrack.async_sim.DependencyGraph`.
 
-    An asynchronous tick calls the same map: one ``evaluate`` rows call and
-    one flat take of each column from its owner's row. A family whose map is
-    a sum of taps plus an offset, x -> sum_p coef[i, p] x[nbr[i, p]] + b(t),
-    sets ``nbr`` and ``coef``, its ``(dim, P)`` tap columns and
-    coefficients, and ``offset``, the :class:`SeriesTable` of b(t). Its tick
-    is one gather of the entries the taps read, one ``einsum("ip,ip->i")``
-    with ``coef`` and one add of b(t) (:class:`~fptrack.problems.AffineFamily`:
+    An asynchronous tick calls the same map, for every family: one
+    ``evaluate`` rows call and one flat take of each column from its owner's
+    row. A family whose map is a sum of taps plus an offset,
+    x -> sum_p coef[i, p] x[nbr[i, p]] + b(t), sets ``nbr`` and ``coef``,
+    its ``(dim, P)`` tap columns and coefficients, and ``offset``, the
+    :class:`SeriesTable` of b(t); its rows must equal that sum bit for bit.
+    Its asynchronous run then computes each tick in the run's tap kernel:
+    one gather of the entries the taps read, one ``einsum("ip,ip->i")`` with
+    ``coef`` and one add of b(t) (:class:`~fptrack.problems.AffineFamily`:
     3 taps per row on a chain, not a row of 48 per stale agent). For sparse
     taps that sum is the family's ``evaluate`` by construction; a dense A
     keeps the matrix product, which tests pin to the sum bit for bit.

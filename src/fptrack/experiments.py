@@ -693,7 +693,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     ``config`` has built, so a schedule is read once: a phase is computed by
     the first run whose key for it (:attr:`ExperimentConfig.keys`) is new,
     and read by every later run with that key. An entry leaves the memo once
-    the last run whose key it is has run.
+    the last run whose key it is has run; an entry that no run's key names
+    (the channel of a sweep over a channel parameter) leaves it before the
+    first run.
 
     A sync sweep first runs its runs together (:func:`_lockstep_runs`), which
     fills the memo with every build, reference and run's iterates; an async
@@ -722,6 +724,8 @@ def sweep(config: ExperimentConfig, parameter: str, values, n_seeds=1) -> SweepR
     try:
         runs = _lockstep_runs(configs()) if config.mode == "sync" else list(configs())
         last = {key: i for i, run in enumerate(runs) for key in run.keys.values()}  # last reader
+        for key in [k for k in config.memo if k not in last]:  # read by no run
+            del config.memo[key]
     except Exception:  # every run runs alone, and the first that fails raises its error
         runs, last = configs(), {}
     flat = []

@@ -30,12 +30,13 @@ class AffineFamily(MapFamily):
     The family holds A's taps (:func:`_taps`), ``nbr`` and ``coef``, both
     ``(dim, P)``; P is 3 on a chain and 1 on a diagonal A. With ``offset``,
     the table of b(t), they give the map at a point x as
-    ``einsum("ip,ip->i", x[nbr], coef) + offset.at(t)``, which is how the
-    simulator runs a tick. For a sparse A (P < dim) that sum is ``evaluate``,
-    for a point and for rows (:func:`_tap_rows`), so ticks, points and rows
-    are one sum. A dense A's taps list every column, with ``coef`` A, and it
-    keeps the matrix ``einsum``: gathering its taps for rows would hold
-    rows * dim**2 floats.
+    ``einsum("ip,ip->i", x[nbr], coef) + offset.at(t)``, which is how a tap
+    run's kernel computes its ticks (:func:`~fptrack.async_sim._tap_ticks`).
+    For a sparse A (P < dim) that sum is ``evaluate``, for a point and for
+    rows (:func:`_tap_rows`), so the kernel's ticks, single rows ticks,
+    points and rows are one sum. A dense A's taps list every column, with
+    ``coef`` A, and it keeps the matrix ``einsum``, whose bits tests pin to
+    the sum: gathering its taps for rows would hold rows * dim**2 floats.
     """
 
     def __init__(self, A, path: DriftPath, norm: Norm, **kwargs):
@@ -97,16 +98,13 @@ def _taps(A):
 
 def _tap_rows(x, nbr, coef):
     """The taps' sum ``einsum("ip,ip->i", x[k, nbr], coef)`` of every row k of
-    ``x``. A block of at most ``async_sim._PLAN_INDICES`` taps is one call on
-    its rows' taps flattened to ``(rows * dim, P)``, ``coef`` tiled to match:
-    the one 2-D sum that adds each row's terms as a point call does."""
-    dim, width = nbr.shape
+    ``x``. A block of at most ``async_sim._PLAN_INDICES`` taps is one
+    ``einsum("kip,ip->ki")`` call on its rows' taps, which adds each row's
+    terms as a point call does."""
     size = max(1, async_sim._PLAN_INDICES // nbr.size)  # rows per block
-    tiled = np.tile(coef, (min(size, len(x)), 1))
-    out = np.empty((len(x), dim))
+    out = np.empty((len(x), len(nbr)))
     for a in range(0, len(x), size):
-        taps = x[a:a + size].take(nbr, axis=1).reshape(-1, width)  # take is C-ordered: no copy
-        out[a:a + size] = np.einsum("ip,ip->i", taps, tiled[:len(taps)]).reshape(-1, dim)
+        np.einsum("kip,ip->ki", x[a:a + size].take(nbr, axis=1), coef, out=out[a:a + size])
     return out
 
 

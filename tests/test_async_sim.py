@@ -286,6 +286,7 @@ def test_a_tap_run_equals_a_loop_of_single_ticks_bitwise(coupling, dim, channel,
         channels = {"none": ZeroDelay(), "fixed": FixedDelay(2), "periodic": PeriodicDelivery(3),
                     "iid": IidDrop(0.4, max_consecutive=3)}[channel]
     x0 = rng.uniform(-1.0, 1.0, dim)
+    # the run's tap kernel against single ticks, each one rows call of the family's map
     with mock.patch.object(async_sim, "_PLAN_INDICES", block * fam.nbr.size):
         trace, _ = fp.run_async_tracker(fam, graph, channels, x0, horizon, LINF, seed=seed,
                                         reference=np.zeros((horizon, dim)))
@@ -717,9 +718,12 @@ def test_affine_taps_list_each_rows_nonzeros_ascending_padded_by_its_own_column(
     assert chain.nbr.shape == (7, 3)
     assert chain.nbr[0].tolist() == [0, 1, 0] and chain.nbr[3].tolist() == [2, 3, 4]
     assert chain.coef[0, 2] == 0.0 and chain.coef[3].tolist() == chain.A[3, 2:5].tolist()
-    assert small_affine(dim=7, coupling="diagonal").nbr.tolist() == [[i] for i in range(7)]
+    diagonal = small_affine(dim=7, coupling="diagonal")
+    assert diagonal.nbr.tolist() == [[i] for i in range(7)]
+    assert_ticks_points_and_rows_agree(diagonal, rng)
     dense = small_affine(dim=7, coupling="dense")
     assert dense.nbr.tolist() == [list(range(7))] * 7 and np.array_equal(dense.coef, dense.A)
+    assert_ticks_points_and_rows_agree(dense, rng)
     A = chain.A.copy()
     A[2] = 0.0  # an all-zero row reads only its own column, with coefficient 0
     fam = AffineFamily(A, chain.path, L2, lipschitz=0.5)
@@ -736,22 +740,32 @@ def test_affine_taps_list_each_rows_nonzeros_ascending_padded_by_its_own_column(
 
 
 def assert_ticks_points_and_rows_agree(fam, rng):
-    """The taps' sum, a zero-delay tick, a point call and a rows call give the same bits."""
+    """The taps' sum, a zero-delay tick, a point call and a rows call give the same bits;
+    the tick is one rows call of ``evaluate``."""
     graph = fam.dependency_graph()
     xs = rng.standard_normal((4, fam.dim))
+    evaluate, calls = fam.evaluate, []
+
+    def counted(x, t):
+        calls.append(np.shape(x))
+        return evaluate(x, t)
+
     for t in (1, 5):
         rows = fam.evaluate(xs, t)
         for x, row in zip(xs, rows):
             taps = np.einsum("ip,ip->i", x[fam.nbr], fam.coef) + fam.offset.at(t)
             history = np.vstack((np.zeros((t - 1, fam.dim)), x))  # x is x_t
-            tick = step_async(history, np.full(len(graph.edge_arrays[0]), t), fam, graph, t)
+            calls.clear()
+            with mock.patch.object(fam, "evaluate", counted):
+                tick = step_async(history, np.full(len(graph.edge_arrays[0]), t), fam, graph, t)
+            assert calls == [(1, fam.dim)]  # x_t, shared by every agent: all are fresh
             point = fam.evaluate(x, t)
             assert taps.tobytes() == tick.tobytes() == point.tobytes() == row.tobytes()
 
 
 def test_affine_rows_hold_about_their_output_in_memory():
     # rows are summed a block of taps at a time: gathering all of them at
-    # once would hold 20000 * 48 * 3 floats, and as many tiled coefficients
+    # once would hold 20000 * 48 * 3 floats
     fam = small_affine(dim=48, coupling="chain")
     xs = np.random.default_rng(2).standard_normal((20000, 48))
     fam.evaluate(xs[:1], 7)  # fills the offset table

@@ -509,6 +509,9 @@ def test_a_sweep_of_repeated_values_computes_each_phase_once_per_seed(monkeypatc
 @pytest.mark.parametrize("name,parameter,values,sizes", [
     # every run reads its own base: only the channel stays for the runs after it
     ("affine-async", "drift_rate", [0.01, 0.02, 0.03], [1] * 6),
+    # no run reads the config's own channel (p = 0.2): it leaves before the first run,
+    # which finds the channels of both values, made with the runs' configs
+    ("affine-async", "drop_probability", [0.0, 0.3], [2, 6, 9, 5]),
     # the lockstep fills the memo first: the instance, the channel, 6 builds and
     # iterates and 2 references. Each run adds its audits, and the first of a seed its
     # sample, then drops its build, iterates and audits, and the last of a seed its
